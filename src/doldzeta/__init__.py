@@ -90,6 +90,7 @@ from .graded import (
     bareiss_determinant,
     characteristic_rational_function,
     det_one_minus_t,
+    graded_lefschetz_numbers,
     graded_zeta,
     koszul_invariant_trace,
     koszul_sign,

@@ -32,8 +32,8 @@ from .dynamics import (
 from .graded import (
     GradedEndomorphism,
     characteristic_rational_function,
+    graded_lefschetz_numbers,
     graded_zeta,
-    lefschetz_from_graded,
     poincare_generating,
 )
 from .identities import (
@@ -343,9 +343,7 @@ def cmd_graded(args) -> int:
         "characteristic": char.to_json(),
         "zeta": zeta.to_json(),
         "poincare": poincare.to_json(),
-        "lefschetz": [
-            rat_str(lefschetz_from_graded(endo, k)) for k in range(1, args.order + 1)
-        ],
+        "lefschetz": [rat_str(v) for v in graded_lefschetz_numbers(endo, args.order)],
     }
     if args.format == "text":
         print(f"characteristic  ({char.numerator.render('t')}) / ({char.denominator.render('t')})")

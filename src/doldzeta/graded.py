@@ -113,17 +113,6 @@ def _mat_mul(a, b):
     )
 
 
-def _trace_of_power(rows, k: int) -> Fraction:
-    n = len(rows)
-    power = tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
-        for i in range(n)
-    )
-    for _ in range(k):
-        power = _mat_mul(power, rows)
-    return sum(power[i][i] for i in range(n))
-
-
 def bareiss_determinant(entries) -> Poly:
     """Fraction-free determinant of a square matrix of polynomials.
 
@@ -183,6 +172,23 @@ def characteristic_rational_function(endo: GradedEndomorphism) -> RationalFuncti
     return RationalFunction(num, den)
 
 
+def graded_lefschetz_numbers(endo: GradedEndomorphism, order: int) -> list:
+    """[L_1, ..., L_order] with L_k = sum_j (-1)^j tr(A_j^k), from the running
+    powers A_j, A_j^2, ...: one matrix product per degree and iterate."""
+    if order < 0:
+        raise ValueError("number of iterates must be >= 0")
+    totals = [Fraction(0)] * order
+    for degree in endo.degrees():
+        rows = endo.matrix(degree)
+        sign = 1 if degree % 2 == 0 else -1
+        power = rows
+        for k in range(order):
+            if k:
+                power = _mat_mul(power, rows)
+            totals[k] += sign * sum(power[i][i] for i in range(len(rows)))
+    return totals
+
+
 def lefschetz_from_graded(
     endo: GradedEndomorphism, k: int, require_integer: bool = False
 ) -> Fraction:
@@ -190,10 +196,7 @@ def lefschetz_from_graded(
     an integral origin for the matrices can demand integer values."""
     if k < 1:
         raise ValueError("iterate index must be >= 1")
-    total = Fraction(0)
-    for degree in endo.degrees():
-        t = _trace_of_power(endo.matrix(degree), k)
-        total += t if degree % 2 == 0 else -t
+    total = graded_lefschetz_numbers(endo, k)[-1]
     if require_integer and total.denominator != 1:
         raise ValueError(f"alternating trace {total} of iterate {k} is not an integer")
     return total
@@ -206,9 +209,7 @@ def graded_zeta(endo: GradedEndomorphism, order: int) -> PowerSeries:
     for degree in endo.degrees():
         factor = det_one_minus_t(endo.matrix(degree)).series(order)
         result = result * (factor if degree % 2 == 0 else factor.inverse())
-    exp_form = series_exp_neg_weighted(
-        [lefschetz_from_graded(endo, k) for k in range(1, order + 1)], order
-    )
+    exp_form = series_exp_neg_weighted(graded_lefschetz_numbers(endo, order), order)
     if result.coeffs != exp_form.coeffs:
         raise RuntimeError("determinant and exponential forms of zeta disagree")
     return result

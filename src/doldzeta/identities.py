@@ -764,17 +764,33 @@ def _parse_group_and_action(plan):
     return group, gset
 
 
+MAX_PLAN_ORDER = 64
+
+
+def _plan_order(plan: dict, key: str, default: int) -> int:
+    """A plan's size field, bounded like the CLI's -N."""
+    value = int(plan.get(key, default))
+    if not 1 <= value <= MAX_PLAN_ORDER:
+        raise ValueError(f"plan field {key!r} must lie in 1..{MAX_PLAN_ORDER}, got {value}")
+    return value
+
+
 def verify_identity(plan: dict, max_enum=None) -> dict:
     """Run one closed-form-versus-oracle verification plan and report.
 
     Plans are dictionaries with an "identity" key selecting the statement to
     check ("md", "main", "prod", "sub", "gsymm", "partition", "coeffic" or
-    "config-trace") plus the statement's inputs.  The report carries the
-    overall verdict, the first mismatch if any, and the elapsed time.
+    "config-trace") plus the statement's inputs.  The sizes "k_max" and "N"
+    lie in 1..64.  The report carries the overall verdict, the first
+    mismatch if any, and the elapsed time.
     """
     started = perf_counter()
+    if not isinstance(plan, dict):
+        raise ValueError(f"a plan must be a JSON object, got {type(plan).__name__}")
+    if "identity" not in plan:
+        raise ValueError('the plan has no "identity" key naming the statement to check')
     identity = plan["identity"]
-    k_max = int(plan.get("k_max", 6))
+    k_max = _plan_order(plan, "k_max", 6)
     report = {"identity": identity, "pass": False, "first_mismatch": None}
 
     if identity == "md":
@@ -849,12 +865,12 @@ def verify_identity(plan: dict, max_enum=None) -> dict:
             profile = DoldProfile.from_json(plan["profile"])
         else:
             f = FiniteSelfMap.from_json(plan["map"])
-            profile = cycle_profile(f, int(plan.get("N", 4)))
+            profile = cycle_profile(f, _plan_order(plan, "N", 4))
         inner = coefficient_identities_check(
             profile,
             int(plan["euler"]),
             _parse_bound(plan.get("l", "inf")),
-            int(plan.get("N", min(profile.horizon, 4))),
+            _plan_order(plan, "N", min(profile.horizon, 4)),
         )
         inner["identity"] = "coeffic"
         inner["elapsed_s"] = round(perf_counter() - started, 6)

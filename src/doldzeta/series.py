@@ -196,7 +196,13 @@ class PowerSeries:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PowerSeries":
-        return cls([rat(c) for c in obj["coeffs"]], order=int(obj["order"]))
+        coeffs = [rat(c) for c in obj["coeffs"]]
+        order = int(obj["order"])
+        if order > len(coeffs) - 1:
+            raise ValueError(
+                f"series of order {order} needs {order + 1} coefficients, got {len(coeffs)}"
+            )
+        return cls(coeffs, order=order)
 
 
 def exp_series(s: PowerSeries) -> PowerSeries:
@@ -229,24 +235,38 @@ def series_exp_neg_weighted(values, order=None) -> PowerSeries:
 
 
 def exponent_product(exponents, order: int) -> PowerSeries:
-    """The product prod_m (1 - q^m)^{e_m} for a finite exponent map.
+    """The product prod_m (1 - q^m)^{e_m} for a finite map of integer exponents.
 
-    Negative exponents are handled by inverting the corresponding
-    positive-power factor, so there is a single multiplication code path.
+    Each factor is expanded by the binomial series
+    (1 - q^m)^e = sum_j (-1)^j C(e, j) q^{mj}, where for e < 0 the
+    coefficient is C(-e + j - 1, j).  A factor thus has floor(order/m) + 1
+    terms, and multiplying by it in place costs O(order^2 / m) integer
+    operations.  The coefficients are integers throughout.
     """
-    result = PowerSeries.one(order)
+    out = [1] + [0] * order
     for m in sorted(exponents):
-        e = exponents[m]
         if m < 1:
             raise ValueError("periods in the exponent map must be >= 1")
+        e = exponents[m]
+        if not isinstance(e, int):
+            raise ValueError(f"exponent {e!r} of period {m} is not an integer")
         if e == 0 or m > order:
             continue
-        base = PowerSeries.one(order) - PowerSeries.monomial(m, order)
-        factor = base ** abs(e)
-        if e < 0:
-            factor = factor.inverse()
-        result = result * factor
-    return result
+        # c_j = (-1)^j C(e, j) by c_j = c_{j-1} (j - 1 - e) / j, which is exact
+        # and covers both signs of e; it vanishes from j = e + 1 on when e > 0
+        factor = [1]
+        for j in range(1, order // m + 1):
+            c = factor[-1] * (j - 1 - e) // j
+            if c == 0:
+                break
+            factor.append(c)
+        # descending n, so out[n - m*j] still holds the old coefficient
+        for n in range(order, m - 1, -1):
+            acc = out[n]
+            for j in range(1, min(len(factor), n // m + 1)):
+                acc += factor[j] * out[n - m * j]
+            out[n] = acc
+    return PowerSeries(out, order=order)
 
 
 def egf_pack(values, order=None) -> PowerSeries:
@@ -504,6 +524,23 @@ class RationalFunction:
         return cls(Poly.from_json(obj["numerator"]), Poly.from_json(obj["denominator"]))
 
 
+def _nonzero_terms(coeffs) -> list:
+    return [(k, c) for k, c in enumerate(coeffs) if c != 0]
+
+
+def _add_product(acc: list, a, b) -> None:
+    """acc += a * b, where acc is a dense coefficient list in T (extended as
+    needed) and a, b are polynomials in T given by their nonzero terms."""
+    if not a or not b:
+        return
+    top = a[-1][0] + b[-1][0] + 1
+    if len(acc) < top:
+        acc.extend([0] * (top - len(acc)))
+    for i, x in a:
+        for j, y in b:
+            acc[i + j] += x * y
+
+
 class BivariateSeries:
     """A series in q, truncated at q^order, whose coefficients live in Q[T]."""
 
@@ -539,13 +576,14 @@ class BivariateSeries:
     def __mul__(self, other):
         if isinstance(other, BivariateSeries):
             order = min(self.order, other.order)
-            out = [Poly.zero()] * (order + 1)
-            for i in range(order + 1):
-                if self.coeffs[i].is_zero:
-                    continue
-                for j in range(order + 1 - i):
-                    if not other.coeffs[j].is_zero:
-                        out[i + j] = out[i + j] + self.coeffs[i] * other.coeffs[j]
+            left = [_nonzero_terms(c.coeffs) for c in self.coeffs[: order + 1]]
+            right = [_nonzero_terms(c.coeffs) for c in other.coeffs[: order + 1]]
+            out = []
+            for n in range(order + 1):
+                acc = []
+                for i in range(n + 1):
+                    _add_product(acc, left[i], right[n - i])
+                out.append(Poly(acc))
             return BivariateSeries(out, order=order)
         return BivariateSeries([other * c for c in self.coeffs], order=self.order)
 
@@ -568,13 +606,16 @@ class BivariateSeries:
         if c0.is_zero or c0.degree > 0:
             raise NotAUnitError("leading q-coefficient must be a nonzero constant")
         inv0 = Fraction(1) / c0.coefficient(0)
-        out = [Poly.constant(inv0)] + [Poly.zero()] * self.order
+        terms = [_nonzero_terms(c.coeffs) for c in self.coeffs]
+        out = [Poly.constant(inv0)]
+        out_terms = [[(0, inv0)]]
         for n in range(1, self.order + 1):
-            acc = Poly.zero()
+            acc = []
             for i in range(1, n + 1):
-                if not self.coeffs[i].is_zero:
-                    acc = acc + self.coeffs[i] * out[n - i]
-            out[n] = acc * (-inv0)
+                _add_product(acc, terms[i], out_terms[n - i])
+            coeffs = [-inv0 * c for c in acc]
+            out.append(Poly(coeffs))
+            out_terms.append(_nonzero_terms(coeffs))
         return BivariateSeries(out, order=self.order)
 
     def at_one(self) -> PowerSeries:

@@ -176,3 +176,64 @@ def test_text_format(capsys):
     )
     assert code == 0
     assert "q^2" in out
+
+
+SELFTEST_OUTPUT = """\
+PASS  symmetric powers, unbounded
+PASS  symmetric powers, bound 1
+PASS  symmetric powers, bound 2
+PASS  subset spaces
+PASS  bounded tuples
+PASS  group average
+PASS  partition family
+PASS  coefficient space
+PASS  configuration traces
+"""
+
+
+def test_selftest_output_is_unchanged(capsys):
+    assert run(capsys, "selftest") == (0, SELFTEST_OUTPUT, "")
+
+
+@pytest.mark.parametrize("k_max", [0, 65])
+def test_plan_k_max_outside_cli_range_refused(capsys, k_max):
+    plan = {"identity": "md", "k_max": k_max, "map": {"size": 2, "map": [1, 0]}}
+    code, out, err = run(capsys, "verify", "--plan", json.dumps(plan))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: plan field 'k_max' must lie in 1..64, got {k_max}\n"
+
+
+def test_plan_k_max_at_the_bound_runs(capsys):
+    plan = {"identity": "config-trace", "k_max": 64, "parity": "odd",
+            "graded": {"degrees": {"0": [["1"]], "1": [["-1"]]}}}
+    code, out, _ = run(capsys, "verify", "--plan", json.dumps(plan))
+    assert code == 0
+    assert json.loads(out)["series"]["order"] == 64
+
+
+def test_plan_without_identity_names_the_key(capsys):
+    code, _, err = run(capsys, "verify", "--plan", "{}")
+    assert code == 2
+    assert err == 'error: the plan has no "identity" key naming the statement to check\n'
+
+
+def test_plan_that_is_not_an_object_refused(capsys):
+    code, _, err = run(capsys, "verify", "--plan", "[1]")
+    assert code == 2
+    assert err == "error: a plan must be a JSON object, got list\n"
+
+
+def test_zeta_series_with_missing_coefficients_refused(capsys):
+    zeta = json.dumps({"order": 6, "coeffs": ["1", "-1", "0"]})
+    code, out, err = run(capsys, "symmetric", "--zeta", zeta, "-N", "4")
+    assert code == 2
+    assert out == ""
+    assert err == "error: series of order 6 needs 7 coefficients, got 3\n"
+
+
+def test_plan_order_n_outside_cli_range_refused(capsys):
+    plan = {"identity": "coeffic", "map": {"size": 2, "map": [1, 0]}, "euler": 1, "N": 65}
+    code, _, err = run(capsys, "verify", "--plan", json.dumps(plan))
+    assert code == 2
+    assert err == "error: plan field 'N' must lie in 1..64, got 65\n"

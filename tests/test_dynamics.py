@@ -8,6 +8,7 @@ from doldzeta import (
     DoldProfile,
     FiniteSelfMap,
     HorizonError,
+    InconsistentInputError,
     LefschetzSequence,
     NotRealizableError,
     cycle_profile,
@@ -167,6 +168,20 @@ class TestZeta:
             plain = zeta_series(cycle_profile(f, order), order)
             one_minus_q = PowerSeries([1, -1], order=order)
             assert reduced * one_minus_q == plain
+
+    def test_inconsistent_data_trips_the_dual_form_check(self, monkeypatch):
+        import doldzeta.dynamics as dynamics
+
+        real = dynamics.lefschetz_from_dold
+
+        def tampered(profile):
+            values = list(real(profile).values)
+            values[-1] += 1
+            return LefschetzSequence(values)
+
+        monkeypatch.setattr(dynamics, "lefschetz_from_dold", tampered)
+        with pytest.raises(InconsistentInputError):
+            zeta_series(DoldProfile([2, 1, 0, 1]), 4)
 
     def test_horizon_guard(self):
         with pytest.raises(HorizonError):

@@ -11,6 +11,7 @@ from doldzeta import (
     bareiss_determinant,
     characteristic_rational_function,
     det_one_minus_t,
+    graded_lefschetz_numbers,
     graded_zeta,
     koszul_invariant_trace,
     koszul_sign,
@@ -197,6 +198,58 @@ class TestKoszulOracle:
 def test_json_round_trip():
     endo = GradedEndomorphism({0: [["1", "1/2"], ["0", "2"]], 2: [["-1"]]})
     assert GradedEndomorphism.from_json(endo.to_json()) == endo
+
+
+def reference_trace_of_power(rows, k):
+    """tr(A^k) from scratch: k products starting at the identity."""
+    n = len(rows)
+    power = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for _ in range(k):
+        power = [[sum(power[i][l] * rows[l][j] for l in range(n)) for j in range(n)]
+                 for i in range(n)]
+    return sum(power[i][i] for i in range(n))
+
+
+def rational_endomorphism(rng, total_dim=3, max_degree=3):
+    endo = random_endomorphism(rng, total_dim=total_dim, max_degree=max_degree)
+    return GradedEndomorphism({
+        d: [[c / rng.choice((1, 1, 2, 3)) for c in row] for row in rows]
+        for d, rows in endo.matrices.items()
+    })
+
+
+class TestLefschetzNumbers:
+    def test_running_powers_against_traces_from_scratch(self):
+        rng = random.Random(31)
+        for order in [rng.randint(1, 20) for _ in range(25)] + [64, 64]:
+            endo = rational_endomorphism(rng)
+            want = [
+                sum((-1) ** d * reference_trace_of_power(endo.matrix(d), k)
+                    for d in endo.degrees())
+                for k in range(1, order + 1)
+            ]
+            got = graded_lefschetz_numbers(endo, order)
+            assert got == want
+            assert [lefschetz_from_graded(endo, k) for k in (1, order)] == [want[0], want[-1]]
+
+    def test_empty_and_zero_length(self):
+        assert graded_lefschetz_numbers(GradedEndomorphism({}), 3) == [0, 0, 0]
+        assert graded_lefschetz_numbers(GradedEndomorphism({0: [[2]]}), 0) == []
+
+    def test_iterate_index_must_be_positive(self):
+        with pytest.raises(ValueError):
+            lefschetz_from_graded(GradedEndomorphism({0: [[2]]}), 0)
+
+
+def test_tampered_determinant_trips_the_dual_form_check(monkeypatch):
+    import doldzeta.graded as graded
+
+    # one degree only, so the tampering cannot cancel between numerator and denominator
+    endo = GradedEndomorphism({0: [[1, 1], [0, 2]]})
+    real = graded.det_one_minus_t
+    monkeypatch.setattr(graded, "det_one_minus_t", lambda rows: real(rows) * Poly([1, 1]))
+    with pytest.raises(RuntimeError, match="disagree"):
+        graded_zeta(endo, 4)
 
 
 def test_integer_trace_assertion_is_optional():

@@ -1,5 +1,6 @@
 """Exact series arithmetic: frozen examples and algebraic invariants."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -66,6 +67,14 @@ class TestArithmetic:
         assert PowerSeries.from_json(s.to_json()).coeffs == s.coeffs
         assert s.to_json()["coeffs"] == ["1", "-1/2", "3"]
 
+    def test_from_json_refuses_missing_coefficients(self):
+        with pytest.raises(ValueError, match="needs 5 coefficients, got 2"):
+            PowerSeries.from_json({"order": 4, "coeffs": ["1", "-1"]})
+
+    def test_from_json_truncates_extra_coefficients(self):
+        s = PowerSeries.from_json({"order": 1, "coeffs": ["1", "-1", "5"]})
+        assert s.order == 1 and coeffs(s) == [1, -1]
+
 
 class TestExpForm:
     def test_exp_of_zero(self):
@@ -108,6 +117,60 @@ class TestExponentProduct:
             sum(m * exps.get(m, 0) for m in divisors(k)) for k in range(1, order + 1)
         ]
         assert series_exp_neg_weighted(lefschetz, order) == exponent_product(exps, order)
+
+
+def reference_exponent_product(exponents, order):
+    """The repeated-squaring kernel that the binomial expansion replaced:
+    each dense factor (1 - q^m) raised to |e|, inverted for e < 0."""
+    result = PowerSeries.one(order)
+    for m in sorted(exponents):
+        e = exponents[m]
+        if e == 0 or m > order:
+            continue
+        base = PowerSeries.one(order) - PowerSeries.monomial(m, order)
+        factor = base ** abs(e)
+        if e < 0:
+            factor = factor.inverse()
+        result = result * factor
+    return result
+
+
+def random_exponent_map(rng, order):
+    """Mixed-sign exponents, some zero and some above order / m."""
+    exps = {}
+    for m in rng.sample(range(1, order + 3), rng.randint(0, min(8, order + 2))):
+        kind = rng.random()
+        if kind < 0.15:
+            exps[m] = 0
+        elif kind < 0.4:
+            exps[m] = rng.choice((1, -1)) * rng.randint(order // m + 1, order // m + 40)
+        else:
+            exps[m] = rng.randint(-5, 5)
+    return exps
+
+
+class TestExponentProductAgainstReference:
+    def test_random_exponent_maps(self):
+        rng = random.Random(11)
+        for order in [rng.randint(1, 24) for _ in range(40)] + [40, 64, 64]:
+            exps = random_exponent_map(rng, order)
+            got = exponent_product(exps, order)
+            assert got.order == order
+            assert got.coeffs == reference_exponent_product(exps, order).coeffs
+
+    def test_large_exponents(self):
+        # D_m of a degree-5 sphere map grows like 5^m / m
+        exps = {m: -(5 ** m) // m for m in (1, 2, 3)} | {4: 5 ** 20, 7: -(3 ** 30)}
+        assert exponent_product(exps, 24).coeffs == reference_exponent_product(exps, 24).coeffs
+
+    @pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(2), 1.5, "2"])
+    def test_non_integer_exponent_rejected(self, bad):
+        with pytest.raises(ValueError):
+            exponent_product({1: bad}, 4)
+
+    def test_nonpositive_period_rejected(self):
+        with pytest.raises(ValueError):
+            exponent_product({0: 0, 1: 1}, 4)
 
 
 class TestSubstitution:
@@ -242,6 +305,42 @@ class TestMultiPoly:
         assert MultiPoly.from_json(p.to_json()) == p
 
 
+def reference_bivariate_product(a, b):
+    """Naive double loop over q-indices, one Poly sum per term."""
+    order = min(a.order, b.order)
+    out = [Poly.zero()] * (order + 1)
+    for i in range(order + 1):
+        for j in range(order + 1 - i):
+            out[i + j] = out[i + j] + a.coeffs[i] * b.coeffs[j]
+    return out
+
+
+def reference_bivariate_inverse(s):
+    """The recurrence c_n = -c_0^{-1} sum_{i>=1} s_i c_{n-i}, one Poly per step."""
+    inv0 = Fraction(1) / s.coeffs[0].coefficient(0)
+    out = [Poly.constant(inv0)]
+    for n in range(1, s.order + 1):
+        acc = Poly.zero()
+        for i in range(1, n + 1):
+            acc = acc + s.coeffs[i] * out[n - i]
+        out.append(acc * (-inv0))
+    return out
+
+
+def random_bivariate(rng, order, unit=False, density=0.6):
+    coeffs = []
+    for n in range(order + 1):
+        if n == 0 and unit:
+            coeffs.append(Poly.constant(Fraction(rng.choice((1, -1, 2, -3)), rng.randint(1, 3))))
+        elif rng.random() < density:
+            degree = rng.randint(0, 4)
+            coeffs.append(Poly([Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                                for _ in range(degree + 1)]))
+        else:
+            coeffs.append(Poly.zero())
+    return BivariateSeries(coeffs, order=order)
+
+
 class TestBivariate:
     def test_inverse_and_t_one(self):
         # 1 - qT inverted: coefficients T^k at q^k
@@ -249,6 +348,29 @@ class TestBivariate:
         inv = s.inverse()
         assert inv.coeffs[2] == Poly([0, 0, 1])
         assert coeffs(inv.at_one()) == [1, 1, 1, 1]
+
+    def test_product_against_reference(self):
+        rng = random.Random(21)
+        for order in [rng.randint(0, 16) for _ in range(30)] + [48, 64]:
+            a = random_bivariate(rng, order, density=rng.random())
+            b = random_bivariate(rng, rng.randint(order, order + 3), density=rng.random())
+            got = a * b
+            assert got.order == order
+            assert got.coeffs == tuple(reference_bivariate_product(a, b))
+
+    def test_inverse_against_reference(self):
+        rng = random.Random(22)
+        for order in [rng.randint(0, 12) for _ in range(30)] + [32, 64]:
+            # sparse inputs at the larger orders keep the T-degrees of the
+            # reference's coefficients small enough to run quickly
+            s = random_bivariate(rng, order, unit=True, density=0.5 if order <= 12 else 0.1)
+            got = s.inverse()
+            assert got.coeffs == tuple(reference_bivariate_inverse(s))
+            assert (got * s).coeffs == BivariateSeries.one(order).coeffs
+
+    def test_inverse_needs_a_constant_unit(self):
+        with pytest.raises(NotAUnitError):
+            BivariateSeries([Poly([0, 1])], order=2).inverse()
 
 
 def test_rat_parsing():
