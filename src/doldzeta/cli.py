@@ -38,6 +38,7 @@ from .graded import (
 )
 from .identities import (
     DEFAULT_ORDER,
+    _parse_group_and_action,
     configuration_trace_series,
     general_lefschetz_polynomial,
     gsymm_polynomial,
@@ -52,7 +53,6 @@ from .partitions import (
     NoExcludedPartitionError,
     NotRefinementClosedError,
     PartitionFamily,
-    PermutationGroup,
 )
 from .series import NotAUnitError, NotExpandableError, PowerSeries, egf_unpack, rat_str
 
@@ -165,21 +165,6 @@ def _zeta_from_args(args, order: int) -> PowerSeries:
     raise CliUsageError("provide one of --map/--lefschetz/--profile/--zeta/--graded")
 
 
-def _group_and_gset(args):
-    group = PermutationGroup.from_json(_load_json(args.group, "--group"))
-    gset = None
-    if getattr(args, "gset", None):
-        obj = _load_json(args.gset, "--gset")
-        size = int(obj["size"])
-        table = [None] * group.order
-        for idx, perm in obj["action"].items():
-            table[int(idx)] = tuple(int(x) for x in perm)
-        if any(entry is None or len(entry) != size for entry in table):
-            raise CliUsageError("the G-set action must cover every group element")
-        gset = tuple(table)
-    return group, gset
-
-
 def _traces_from_args(args, group, gset):
     if getattr(args, "traces", None):
         values = _load_json(args.traces, "--traces")
@@ -276,7 +261,8 @@ def cmd_tuples(args) -> int:
 
 
 def cmd_gsymm(args) -> int:
-    group, gset = _group_and_gset(args)
+    gset = _load_json(args.gset, "--gset") if args.gset else None
+    group, gset = _parse_group_and_action(_load_json(args.group, "--group"), gset, "--gset")
     traces = _traces_from_args(args, group, gset)
     lp = gsymm_polynomial(group, gset, traces)
     payload = {"polynomial": lp.to_json()}
@@ -296,7 +282,8 @@ def cmd_gsymm(args) -> int:
 
 
 def cmd_partition(args) -> int:
-    group, gset = _group_and_gset(args)
+    gset = _load_json(args.gset, "--gset") if args.gset else None
+    group, gset = _parse_group_and_action(_load_json(args.group, "--group"), gset, "--gset")
     family = PartitionFamily.from_json(_load_json(args.family, "--family"))
     traces = _traces_from_args(args, group, gset)
     lp = general_lefschetz_polynomial(group, family, traces, gset)

@@ -322,6 +322,32 @@ def _validate_traces(group: PermutationGroup, coeff_traces):
     return table
 
 
+def _burnside_average(group: PermutationGroup, gset, traces) -> MultiPoly:
+    """(1/|G|) sum_g w(g) prod_n (sum_{m|n} m t_m)^{d_g(n)}, where g has
+    d_g(n) orbits of length n under the action and w(g) is the trace of
+    g^{-1} (1 without traces).
+
+    The weights are first summed over the elements of each cycle type, so one
+    product is built per cycle type rather than per element (the cycle-index
+    collapse).  The arguments are trusted: callers validate them.
+    """
+    k = len(gset[0]) if gset else 0
+    class_weights = {}
+    for g, perm in zip(group.elements, gset):
+        weight = traces[group.inverse(g)] if traces is not None else Fraction(1)
+        if weight == 0:
+            continue
+        shape = tuple(sorted(perm_cycle_type(perm).items()))
+        class_weights[shape] = class_weights.get(shape, 0) + weight
+    total = MultiPoly.zero(k)
+    for shape, weight in class_weights.items():
+        term = MultiPoly.constant(weight, k)
+        for n, count in shape:
+            term = term * _divisor_sum_linear(n, k) ** count
+        total = total + term
+    return total / group.order
+
+
 def gsymm_polynomial(
     group: PermutationGroup, gset=None, coeff_traces=None
 ) -> LefschetzPolynomial:
@@ -337,16 +363,7 @@ def gsymm_polynomial(
     gset = validate_gset(group, gset)
     k = len(gset[0]) if gset else 0
     traces = _validate_traces(group, coeff_traces)
-    total = MultiPoly.zero(k)
-    for g, perm in zip(group.elements, gset):
-        weight = traces[group.inverse(g)] if traces is not None else Fraction(1)
-        if weight == 0:
-            continue
-        term = MultiPoly.constant(weight, k)
-        for n, count in perm_cycle_type(perm).items():
-            term = term * _divisor_sum_linear(n, k) ** count
-        total = total + term
-    return LefschetzPolynomial(total / group.order, k)
+    return LefschetzPolynomial(_burnside_average(group, gset, traces), k)
 
 
 def general_lefschetz_polynomial(
@@ -369,6 +386,10 @@ def general_lefschetz_polynomial(
 
     The result does not depend on which minimal partition is chosen; passing
     an `rng` randomizes the choice (used to test exactly that).
+
+    The group, its action, the traces and the family's stability are
+    validated here, once; the stabilizer actions the recursion builds are
+    correct by construction and are not checked again.
     """
     k = family.ground
     if gset is None:
@@ -387,7 +408,7 @@ def general_lefschetz_polynomial(
         if cached is not None:
             return cached
         if fam.is_full():
-            value = gsymm_polynomial(grp, act, traces).poly
+            value = _burnside_average(grp, act, traces)
         else:
             step = minimal_excluded_step(fam, grp, act, rng)
             enlarged = rec(grp, step.extended_family, act)
@@ -749,19 +770,36 @@ def _parse_bound(value):
     return int(value)
 
 
-def _parse_group_and_action(plan):
-    group = PermutationGroup.from_json(plan["group"])
-    gset = None
-    if "gset" in plan:
-        obj = plan["gset"]
-        size = int(obj["size"])
-        table = [None] * group.order
-        for idx, perm in obj["action"].items():
-            table[int(idx)] = tuple(int(x) for x in perm)
-        if any(entry is None or len(entry) != size for entry in table):
-            raise ValueError("the action table must cover every group element")
-        gset = tuple(table)
-    return group, gset
+def _field(obj, key: str, where: str):
+    """obj[key], or a ValueError naming `where` and the missing key."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    if key not in obj:
+        raise ValueError(f"{where} has no {key!r} key")
+    return obj[key]
+
+
+def _parse_group_and_action(group_obj, gset_obj, where: str):
+    """A group from its JSON object and, when `gset_obj` is not None, its
+    action table from a G-set object; `where` names the G-set in messages."""
+    group = PermutationGroup.from_json(group_obj)
+    if gset_obj is None:
+        return group, None
+    size = int(_field(gset_obj, "size", where))
+    action = _field(gset_obj, "action", where)
+    if not isinstance(action, dict):
+        raise ValueError(f"the action of {where} must map element indices to permutations")
+    table = [None] * group.order
+    for idx, perm in action.items():
+        i = int(idx)
+        if not 0 <= i < group.order:
+            raise ValueError(
+                f"{where} names element {i}, but the group has {group.order} elements"
+            )
+        table[i] = tuple(int(x) for x in perm)
+    if any(entry is None or len(entry) != size for entry in table):
+        raise ValueError("the G-set action must cover every group element")
+    return group, tuple(table)
 
 
 MAX_PLAN_ORDER = 64
@@ -792,24 +830,31 @@ def verify_identity(plan: dict, max_enum=None) -> dict:
     identity = plan["identity"]
     k_max = _plan_order(plan, "k_max", 6)
     report = {"identity": identity, "pass": False, "first_mismatch": None}
+    where = f"the {identity!r} plan"
+
+    def field(key):
+        return _field(plan, key, where)
+
+    def group_and_action():
+        return _parse_group_and_action(field("group"), plan.get("gset"), f"{where}'s gset")
 
     if identity == "md":
-        f = FiniteSelfMap.from_json(plan["map"])
+        f = FiniteSelfMap.from_json(field("map"))
         rhs = rhs_symmetric_power(zeta_of_map(f, k_max), None)
         counts = [fixed_bounded_multisets(f, k, None, max_enum) for k in range(k_max + 1)]
         report["first_mismatch"] = compare_series_with_counts(rhs, counts)
         report["series"] = rhs.to_json()
         report["counts"] = counts
     elif identity == "main":
-        f = FiniteSelfMap.from_json(plan["map"])
-        bound = _parse_bound(plan["l"])
+        f = FiniteSelfMap.from_json(field("map"))
+        bound = _parse_bound(field("l"))
         rhs = rhs_symmetric_power(zeta_of_map(f, k_max), bound)
         counts = [fixed_bounded_multisets(f, k, bound, max_enum) for k in range(k_max + 1)]
         report["first_mismatch"] = compare_series_with_counts(rhs, counts)
         report["series"] = rhs.to_json()
         report["counts"] = counts
     elif identity == "prod":
-        f = FiniteSelfMap.from_json(plan["map"])
+        f = FiniteSelfMap.from_json(field("map"))
         rhs = rhs_borsuk_ulam(zeta_of_map(f, k_max))
         counts = [0] + [
             fixed_invariant_subsets(f, k, max_enum) for k in range(1, k_max + 1)
@@ -818,8 +863,8 @@ def verify_identity(plan: dict, max_enum=None) -> dict:
         report["series"] = rhs.to_json()
         report["counts"] = counts
     elif identity == "sub":
-        f = FiniteSelfMap.from_json(plan["map"])
-        bound = int(plan["l"])
+        f = FiniteSelfMap.from_json(field("map"))
+        bound = int(field("l"))
         rhs = rhs_bounded_tuples(len(f.fixed_points()), bound, k_max)
         unpacked = egf_unpack(rhs)
         counts = [fixed_bounded_tuples(f, k, bound, max_enum) for k in range(k_max + 1)]
@@ -832,8 +877,8 @@ def verify_identity(plan: dict, max_enum=None) -> dict:
         report["series"] = rhs.to_json()
         report["counts"] = counts
     elif identity == "gsymm":
-        f = FiniteSelfMap.from_json(plan["map"])
-        group, gset = _parse_group_and_action(plan)
+        f = FiniteSelfMap.from_json(field("map"))
+        group, gset = group_and_action()
         lp = gsymm_polynomial(group, gset)
         value = lp.evaluate_map(f)
         oracle = fixed_gmap_space(f, group, gset, max_enum)
@@ -843,9 +888,9 @@ def verify_identity(plan: dict, max_enum=None) -> dict:
         report["value"] = rat_str(value)
         report["oracle"] = oracle
     elif identity == "partition":
-        f = FiniteSelfMap.from_json(plan["map"])
-        group, gset = _parse_group_and_action(plan)
-        family = PartitionFamily.from_json(plan["family"])
+        f = FiniteSelfMap.from_json(field("map"))
+        group, gset = group_and_action()
+        family = PartitionFamily.from_json(field("family"))
         coefficient = None
         traces = None
         if "coefficient_size" in plan:
@@ -864,11 +909,11 @@ def verify_identity(plan: dict, max_enum=None) -> dict:
         if "profile" in plan:
             profile = DoldProfile.from_json(plan["profile"])
         else:
-            f = FiniteSelfMap.from_json(plan["map"])
+            f = FiniteSelfMap.from_json(field("map"))
             profile = cycle_profile(f, _plan_order(plan, "N", 4))
         inner = coefficient_identities_check(
             profile,
-            int(plan["euler"]),
+            int(field("euler")),
             _parse_bound(plan.get("l", "inf")),
             _plan_order(plan, "N", min(profile.horizon, 4)),
         )
@@ -886,10 +931,10 @@ def verify_identity(plan: dict, max_enum=None) -> dict:
 
             zeta = graded_zeta(GradedEndomorphism.from_json(plan["graded"]), k_max)
         else:
-            f = FiniteSelfMap.from_json(plan["map"])
+            f = FiniteSelfMap.from_json(field("map"))
             zeta = zeta_of_map(f, k_max)
         epsilon = int(plan.get("epsilon", 1))
-        series = configuration_trace_series(zeta, plan["parity"], epsilon)
+        series = configuration_trace_series(zeta, field("parity"), epsilon)
         traces = [series[k] * (epsilon ** k) for k in range(series.order + 1)]
         report["series"] = series.to_json()
         report["lefschetz_traces"] = [rat_str(t) for t in traces]

@@ -17,7 +17,7 @@ from itertools import combinations, permutations
 
 
 MAX_GROUND = 8  # Bell(8) = 4140 partitions; beyond that the oracles are hopeless anyway
-DEFAULT_MAX_GROUP_ORDER = 120
+DEFAULT_MAX_GROUP_ORDER = 720  # the order of S6
 
 
 class NotRefinementClosedError(ValueError):
@@ -223,35 +223,79 @@ def perm_cycle_count(perm) -> int:
     return sum(perm_cycle_type(perm).values())
 
 
-class PermutationGroup:
-    """A permutation group of fixed degree, stored as an explicit element list."""
+def _require_permutation(perm, degree: int):
+    if sorted(perm) != list(range(degree)):
+        raise ValueError(f"{perm} is not a permutation of degree {degree}")
 
-    __slots__ = ("degree", "elements", "_index")
+
+class PermutationGroup:
+    """A permutation group of fixed degree, stored as an explicit element
+    list together with a generating set."""
+
+    __slots__ = ("degree", "elements", "_index", "_generators")
 
     def __init__(self, degree: int, elements, validate: bool = True):
         elems = sorted({tuple(int(x) for x in e) for e in elements})
         self.degree = degree
         self.elements = tuple(elems)
         self._index = {e: i for i, e in enumerate(self.elements)}
+        self._generators = None
         if validate:
             self._validate()
 
     def _validate(self):
-        ident = identity_perm(self.degree)
         for e in self.elements:
-            if sorted(e) != list(ident):
-                raise ValueError(f"{e} is not a permutation of degree {self.degree}")
-        if ident not in self._index:
+            _require_permutation(e, self.degree)
+        if identity_perm(self.degree) not in self._index:
             raise ValueError("group does not contain the identity")
-        for g in self.elements:
-            for h in self.elements:
-                if compose_perms(g, h) not in self._index:
-                    raise ValueError(f"group not closed: {g} * {h} missing")
+        self._generators = self._pick_generators()
+
+    def _pick_generators(self) -> tuple:
+        """Walk the elements and keep each one that is not yet in the closure
+        of those kept so far.
+
+        The closure grows by right multiplication: each product g*s, with g
+        in the closure and s a kept generator, is formed exactly once and must
+        lie in the element list.  When the walk ends the closure is the whole
+        list, so the list is closed under composition (every element is a
+        word in the generators); the cost is order x generators products, and
+        there are at most log2(order) generators.
+        """
+        gens = []
+        closure = {identity_perm(self.degree)}
+        reached = list(closure)
+        for e in self.elements:
+            if e in closure:
+                continue
+            gens.append(e)
+            start = len(reached)
+            pending = [(g, e) for g in reached]
+            while pending:
+                for g, s in pending:
+                    prod = compose_perms(g, s)
+                    if prod not in self._index:
+                        raise ValueError(f"group not closed: {g} * {s} missing")
+                    if prod not in closure:
+                        closure.add(prod)
+                        reached.append(prod)
+                pending = [(g, s) for g in reached[start:] for s in gens]
+                start = len(reached)
+        return tuple(gens)
+
+    @property
+    def generators(self) -> tuple:
+        """A generating set: the one given to `from_generators`, otherwise
+        picked greedily from the element list (and cached)."""
+        if self._generators is None:
+            self._generators = self._pick_generators()
+        return self._generators
 
     @classmethod
     def from_generators(cls, degree: int, generators, max_order: int = DEFAULT_MAX_GROUP_ORDER):
         """Close a generating set under composition (breadth-first products)."""
         gens = [tuple(int(x) for x in g) for g in generators]
+        for g in gens:
+            _require_permutation(g, degree)
         elements = {identity_perm(degree)}
         frontier = [g for g in gens if g not in elements]
         elements.update(frontier)
@@ -268,7 +312,9 @@ class PermutationGroup:
                                 f"group closure exceeded the order cap {max_order}"
                             )
             frontier = new
-        return cls(degree, elements, validate=False)
+        group = cls(degree, elements, validate=False)
+        group._generators = tuple(gens)
+        return group
 
     @classmethod
     def trivial(cls, degree: int) -> "PermutationGroup":
@@ -344,7 +390,13 @@ def natural_gset(group: PermutationGroup, ground: int):
 def validate_gset(group: PermutationGroup, gset):
     """Check that an action table (one permutation per group element, in
     element order) is a genuine homomorphism; a mis-ordered table would
-    silently corrupt every orbit count built on it."""
+    silently corrupt every orbit count built on it.
+
+    The law phi(g h) = phi(g) phi(h) is checked for every g and every h in
+    the group's generating set, together with phi(id) = id; by induction on
+    the word length of h it then holds for all pairs.  The identity check is
+    what catches a bad table for the trivial group, whose generating set is
+    empty."""
     gset = tuple(tuple(int(x) for x in perm) for perm in gset)
     if len(gset) != group.order:
         raise ValueError("the action table must align with the group's element list")
@@ -353,12 +405,12 @@ def validate_gset(group: PermutationGroup, gset):
     for perm in gset:
         if sorted(perm) != list(range(size)):
             raise ValueError(f"{perm} is not a permutation of 0..{size - 1}")
-    for g in group.elements:
-        for h in group.elements:
-            if table[compose_perms(g, h)] != compose_perms(table[g], table[h]):
-                raise ValueError(
-                    "action table is not a homomorphism (check the element order)"
-                )
+    if table[identity_perm(group.degree)] != identity_perm(size) or any(
+        table[compose_perms(g, s)] != compose_perms(table[g], table[s])
+        for s in group.generators
+        for g in group.elements
+    ):
+        raise ValueError("action table is not a homomorphism (check the element order)")
     return gset
 
 
@@ -484,12 +536,6 @@ def validate_family(family: PartitionFamily, group: PermutationGroup = None, gse
         if not family.is_stable_under(gset):
             raise ValueError("family is not stable under the group action")
     return True
-
-
-def orbit_of_partition(group: PermutationGroup, partition: SetPartition, gset=None):
-    if gset is None:
-        gset = natural_gset(group, partition.ground)
-    return frozenset(partition.apply(perm) for perm in gset)
 
 
 def orbit_and_stabilizer(group: PermutationGroup, partition: SetPartition, gset=None):

@@ -237,3 +237,77 @@ def test_plan_order_n_outside_cli_range_refused(capsys):
     code, _, err = run(capsys, "verify", "--plan", json.dumps(plan))
     assert code == 2
     assert err == "error: plan field 'N' must lie in 1..64, got 65\n"
+
+
+MAP = {"size": 2, "map": [1, 0]}
+S2 = {"degree": 2, "elements": [[0, 1], [1, 0]]}
+
+
+@pytest.mark.parametrize(
+    "plan, message",
+    [
+        ({"identity": "md"}, "the 'md' plan has no 'map' key"),
+        ({"identity": "main", "map": MAP}, "the 'main' plan has no 'l' key"),
+        ({"identity": "sub", "map": MAP}, "the 'sub' plan has no 'l' key"),
+        ({"identity": "coeffic", "map": MAP}, "the 'coeffic' plan has no 'euler' key"),
+        ({"identity": "gsymm", "map": MAP}, "the 'gsymm' plan has no 'group' key"),
+        ({"identity": "partition", "map": MAP, "group": S2},
+         "the 'partition' plan has no 'family' key"),
+        ({"identity": "config-trace", "map": MAP},
+         "the 'config-trace' plan has no 'parity' key"),
+        ({"identity": "gsymm", "map": MAP, "group": S2, "gset": {"action": {}}},
+         "the 'gsymm' plan's gset has no 'size' key"),
+        ({"identity": "partition", "map": MAP, "group": S2, "gset": {"size": 2},
+          "family": {"ground": 2, "max_block": 1}},
+         "the 'partition' plan's gset has no 'action' key"),
+    ],
+)
+def test_plan_missing_key_names_identity_and_key(capsys, plan, message):
+    code, out, err = run(capsys, "verify", "--plan", json.dumps(plan))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "gset, message",
+    [
+        ({"action": {"0": [0, 1], "1": [1, 0]}}, "--gset has no 'size' key"),
+        ({"size": 2, "action": {"0": [0, 1]}}, "the G-set action must cover every group element"),
+        ({"size": 2, "action": {"0": [0, 1], "2": [1, 0]}},
+         "--gset names element 2, but the group has 2 elements"),
+    ],
+)
+def test_malformed_gset_refused(capsys, gset, message):
+    code, out, err = run(capsys, "gsymm", "--group", json.dumps(S2), "--gset", json.dumps(gset))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_plan_and_command_line_share_the_gset_message(capsys):
+    gset = {"size": 2, "action": {"0": [0, 1]}}
+    plan = {"identity": "gsymm", "map": MAP, "group": S2, "gset": gset}
+    _, _, plan_err = run(capsys, "verify", "--plan", json.dumps(plan))
+    _, _, cli_err = run(capsys, "gsymm", "--group", json.dumps(S2), "--gset", json.dumps(gset))
+    assert plan_err == cli_err == "error: the G-set action must cover every group element\n"
+
+
+S6_GENERATORS = {"degree": 6, "generators": [[1, 2, 3, 4, 5, 0], [1, 0, 2, 3, 4, 5]]}
+
+
+def test_s6_by_generators_matches_s6_by_elements(capsys):
+    from itertools import permutations
+
+    elements = {"degree": 6, "elements": [list(p) for p in permutations(range(6))]}
+    by_gens = run(capsys, "gsymm", "--group", json.dumps(S6_GENERATORS), "--map",
+                  json.dumps({"size": 3, "map": [1, 2, 0]}))
+    by_elems = run(capsys, "gsymm", "--group", json.dumps(elements), "--map",
+                   json.dumps({"size": 3, "map": [1, 2, 0]}))
+    assert by_gens[0] == 0
+    assert by_gens == by_elems
+
+
+def test_s6_by_generators_passes_against_the_orbit_oracle(capsys):
+    plan = {"identity": "gsymm", "map": MAP, "group": S6_GENERATORS}
+    code, out, _ = run(capsys, "verify", "--plan", json.dumps(plan))
+    report = json.loads(out)
+    assert code == 0 and report["pass"]
+    # of the size-6 multisets on two swapped points, only three-and-three is fixed
+    assert report["oracle"] == 1

@@ -1,0 +1,283 @@
+"""Group checks on a generating set and the class-summed Burnside average,
+each against the slow path it replaced, on seeded random inputs.
+
+The references below are the |G|^2 closure and homomorphism loops and the
+per-element Burnside sum; the fast paths must give the same accept/reject
+outcome and the same polynomial."""
+
+import random
+from fractions import Fraction
+from itertools import combinations, permutations
+
+import pytest
+
+from doldzeta import (
+    PartitionFamily,
+    PermutationGroup,
+    SetPartition,
+    fixed_gmap_space,
+    general_lefschetz_polynomial,
+    gsymm_polynomial,
+    minimal_excluded_step,
+)
+from doldzeta.identities import _burnside_average, _divisor_sum_linear
+from doldzeta.multipoly import MultiPoly
+from doldzeta.partitions import (
+    compose_perms,
+    identity_perm,
+    invert_perm,
+    perm_cycle_type,
+    validate_gset,
+)
+
+from conftest import seeded_maps
+
+
+# ---------------------------------------------------------------------------
+# references: the loops the fast paths replaced
+
+
+def closed_by_all_products(degree, elements):
+    """True when the element list passes the |G|^2 group check."""
+    elements = {tuple(e) for e in elements}
+    ident = identity_perm(degree)
+    if any(sorted(e) != list(ident) for e in elements) or ident not in elements:
+        return False
+    return all(compose_perms(g, h) in elements for g in elements for h in elements)
+
+
+def homomorphism_by_all_products(group, gset):
+    """True when the action table passes the |G|^2 homomorphism check."""
+    size = len(gset[0]) if gset else 0
+    if len(gset) != group.order or any(sorted(p) != list(range(size)) for p in gset):
+        return False
+    table = dict(zip(group.elements, gset))
+    return all(
+        table[compose_perms(g, h)] == compose_perms(table[g], table[h])
+        for g in group.elements
+        for h in group.elements
+    )
+
+
+def burnside_by_elements(group, gset, traces):
+    """One product per group element, as before the cycle-index collapse."""
+    k = len(gset[0]) if gset else 0
+    total = MultiPoly.zero(k)
+    for g, perm in zip(group.elements, gset):
+        weight = traces[invert_perm(g)] if traces is not None else Fraction(1)
+        if weight == 0:
+            continue
+        term = MultiPoly.constant(weight, k)
+        for n, count in perm_cycle_type(perm).items():
+            term = term * _divisor_sum_linear(n, k) ** count
+        total = total + term
+    return total / group.order
+
+
+def accepts(check, *args):
+    try:
+        check(*args)
+    except ValueError:
+        return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# random inputs
+
+
+def random_subgroup(rng, degree):
+    """The subgroup of S_degree generated by one to three random permutations."""
+    gens = [tuple(rng.sample(range(degree), degree)) for _ in range(rng.randint(1, 3))]
+    return PermutationGroup.from_generators(degree, gens)
+
+
+def pair_action(group):
+    """The induced action on the unordered pairs of the ground set."""
+    pairs = list(combinations(range(group.degree), 2))
+    index = {p: i for i, p in enumerate(pairs)}
+    return tuple(
+        tuple(index[tuple(sorted((g[a], g[b])))] for a, b in pairs) for g in group.elements
+    )
+
+
+def sign_action(group):
+    """The sign character as an action on two points (not faithful)."""
+    def odd(g):
+        return sum((n - 1) * c for n, c in perm_cycle_type(g).items()) % 2
+
+    return tuple((1, 0) if odd(g) else (0, 1) for g in group.elements)
+
+
+def block_action(rng, degree):
+    """A stabilizer with its induced, generally non-faithful, action on the
+    blocks of a minimal excluded partition of a random block-bound family."""
+    group = random_subgroup(rng, degree)
+    family = PartitionFamily.max_block(degree, rng.randint(1, degree - 1))
+    step = minimal_excluded_step(family, group)
+    return PermutationGroup(degree, step.stabilizer, validate=False), step.block_action
+
+
+def random_actions(rng, count):
+    """(group, table) pairs, each a homomorphism."""
+    out = []
+    for _ in range(count):
+        degree = rng.randint(3, 5)
+        kind = rng.randrange(4)
+        if kind == 3:
+            out.append(block_action(rng, degree))
+            continue
+        group = random_subgroup(rng, degree)
+        table = (group.elements, pair_action(group), sign_action(group))[kind]
+        out.append((group, tuple(table)))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# PermutationGroup: closure on a generating set
+
+
+def test_closed_groups_accepted_like_the_reference():
+    rng = random.Random(101)
+    for _ in range(60):
+        group = random_subgroup(rng, rng.randint(3, 5))
+        elements = list(group.elements)
+        rng.shuffle(elements)
+        assert closed_by_all_products(group.degree, elements)
+        rebuilt = PermutationGroup(group.degree, elements)
+        assert rebuilt == group
+        assert PermutationGroup.from_generators(group.degree, rebuilt.generators) == group
+
+
+def test_subsets_with_the_identity_judged_like_the_reference():
+    rng = random.Random(202)
+    outcomes = set()
+    for _ in range(300):
+        degree = rng.randint(3, 5)
+        ident = identity_perm(degree)
+        if rng.random() < 0.5:
+            # a subgroup with one element removed or one foreign element added
+            elements = set(random_subgroup(rng, degree).elements)
+            if len(elements) > 1 and rng.random() < 0.5:
+                elements.discard(rng.choice(sorted(elements - {ident})))
+            else:
+                elements.add(tuple(rng.sample(range(degree), degree)))
+        else:
+            every = list(permutations(range(degree)))
+            elements = set(rng.sample(every, rng.randint(1, 6))) | {ident}
+        expected = closed_by_all_products(degree, elements)
+        outcomes.add(expected)
+        assert accepts(PermutationGroup, degree, elements) == expected
+    assert outcomes == {True, False}
+
+
+def test_generating_set_is_small_and_generates():
+    for k in range(1, 7):
+        group = PermutationGroup.symmetric(k)
+        gens = group.generators
+        assert 2 ** len(gens) <= group.order
+        assert PermutationGroup.from_generators(k, gens) == group
+    assert PermutationGroup.trivial(4).generators == ()
+
+
+# ---------------------------------------------------------------------------
+# validate_gset: the homomorphism law on a generating set
+
+
+def perturbed(rng, table):
+    """A shuffled, mis-ordered, corrupted or inverted copy of a table."""
+    table = list(table)
+    kind = rng.randrange(4)
+    if kind == 0:
+        rng.shuffle(table)
+    elif kind == 1 and len(table) > 1:
+        i, j = rng.sample(range(len(table)), 2)
+        table[i], table[j] = table[j], table[i]
+    elif kind == 2:
+        size = len(table[0])
+        table[rng.randrange(len(table))] = tuple(rng.sample(range(size), size))
+    else:
+        table = [invert_perm(p) for p in table]
+    return tuple(table)
+
+
+def test_correct_tables_accepted():
+    rng = random.Random(303)
+    for group, table in random_actions(rng, 80):
+        assert homomorphism_by_all_products(group, table)
+        assert validate_gset(group, table) == table
+        # a relabelling of the points is a homomorphism too
+        size = len(table[0])
+        c = tuple(rng.sample(range(size), size))
+        relabelled = tuple(compose_perms(compose_perms(c, p), invert_perm(c)) for p in table)
+        assert accepts(validate_gset, group, relabelled)
+
+
+def test_perturbed_tables_judged_like_the_reference():
+    rng = random.Random(404)
+    outcomes = set()
+    for group, table in random_actions(rng, 200):
+        bad = perturbed(rng, table)
+        expected = homomorphism_by_all_products(group, bad)
+        outcomes.add(expected)
+        assert accepts(validate_gset, group, bad) == expected
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("table", [((1, 0),), ((1, 2, 0),), ((0, 2, 1),)])
+def test_trivial_group_needs_the_identity_table(table):
+    group = PermutationGroup.trivial(3)
+    assert group.generators == ()
+    assert not homomorphism_by_all_products(group, table)
+    with pytest.raises(ValueError, match="not a homomorphism"):
+        validate_gset(group, table)
+    assert validate_gset(group, (identity_perm(len(table[0])),))
+
+
+# ---------------------------------------------------------------------------
+# the Burnside average summed by cycle type
+
+
+def test_class_sum_matches_the_per_element_sum():
+    rng = random.Random(505)
+    for group, table in random_actions(rng, 60):
+        traces = None
+        if rng.random() < 0.75:
+            traces = {g: rng.randint(-2, 2) for g in group.elements}
+        assert _burnside_average(group, table, traces) == burnside_by_elements(
+            group, table, traces
+        )
+
+
+def test_class_sum_with_all_weights_zero():
+    group = PermutationGroup.symmetric(4)
+    traces = {g: 0 for g in group.elements}
+    assert _burnside_average(group, group.elements, traces).is_zero
+
+
+# ---------------------------------------------------------------------------
+# the checks made once at entry still refuse bad input
+
+
+def test_entry_checks_refuse_bad_input():
+    s3 = PermutationGroup.symmetric(3)
+    with pytest.raises(ValueError, match="not closed"):
+        PermutationGroup(3, [(0, 1, 2), (1, 0, 2), (0, 2, 1)])
+    trivial = PermutationGroup.trivial(2)
+    for call in (
+        lambda: gsymm_polynomial(trivial, [(1, 0)]),
+        lambda: general_lefschetz_polynomial(
+            trivial, PartitionFamily.discrete_only(2), gset=[(1, 0)]
+        ),
+        lambda: fixed_gmap_space(seeded_maps(1, 1, 3, min_size=1)[0], trivial, [(1, 0)]),
+    ):
+        with pytest.raises(ValueError, match="not a homomorphism"):
+            call()
+    unstable = PartitionFamily(3, [SetPartition.discrete(3), SetPartition([[0, 1], [2]])])
+    with pytest.raises(ValueError, match="not stable"):
+        general_lefschetz_polynomial(s3, unstable)
+    partial = {g: 1 for g in s3.elements[:-1]}
+    with pytest.raises(ValueError, match="every group element"):
+        general_lefschetz_polynomial(s3, PartitionFamily.max_block(3, 1), partial)
+    with pytest.raises(ValueError, match="every group element"):
+        gsymm_polynomial(s3, None, partial)
