@@ -14,7 +14,7 @@ allowed wherever the arithmetic makes sense.
 
 from __future__ import annotations
 
-from .series import PowerSeries, exponent_product, series_exp_neg_weighted
+from .series import PowerSeries, _field, exponent_product, series_exp_neg_weighted
 
 
 class HorizonError(ValueError):
@@ -94,7 +94,7 @@ class FiniteSelfMap:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FiniteSelfMap":
-        return cls(obj["map"], size=int(obj["size"]))
+        return cls(_field(obj, "map", "a self-map"), size=int(_field(obj, "size", "a self-map")))
 
     def to_json(self) -> dict:
         return {"size": self.size, "map": list(self.mapping)}
@@ -188,7 +188,8 @@ class DoldProfile:
     @classmethod
     def from_json(cls, obj) -> "DoldProfile":
         if isinstance(obj, dict):
-            return cls(obj["values"], horizon=int(obj["horizon"]))
+            where = "an orbit profile"
+            return cls(_field(obj, "values", where), horizon=int(_field(obj, "horizon", where)))
         return cls(obj)
 
     def __eq__(self, other):
@@ -227,7 +228,8 @@ class LefschetzSequence:
     @classmethod
     def from_json(cls, obj) -> "LefschetzSequence":
         if isinstance(obj, dict):
-            return cls(obj["values"], horizon=int(obj["horizon"]))
+            where = "a Lefschetz sequence"
+            return cls(_field(obj, "values", where), horizon=int(_field(obj, "horizon", where)))
         return cls(obj)
 
     def __eq__(self, other):

@@ -29,6 +29,7 @@ from .series import (
     Poly,
     PowerSeries,
     RationalFunction,
+    _field,
     rat,
     rat_str,
     series_exp_neg_weighted,
@@ -58,7 +59,8 @@ class GradedEndomorphism:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GradedEndomorphism":
-        return cls({int(d): rows for d, rows in obj["degrees"].items()})
+        degrees = _field(obj, "degrees", "a graded endomorphism")
+        return cls({int(d): rows for d, rows in degrees.items()})
 
     def to_json(self) -> dict:
         return {

@@ -46,6 +46,7 @@ from .dynamics import (
 from .multipoly import MultiPoly
 from .oracles import (
     PointedFiniteSet,
+    _guard,
     coefficient_traces,
     fixed_bounded_multisets,
     fixed_bounded_tuples,
@@ -64,6 +65,9 @@ from .partitions import (
 from .series import (
     Poly,
     PowerSeries,
+    _convolve_into,
+    _field,
+    _terms,
     egf_pack,
     egf_unpack,
     exponent_product,
@@ -234,22 +238,12 @@ def _orbit_factor_polys(m: int, bound, nvars: int, order: int) -> list:
         for j in range(1, order // m + 1):
             out[m * j] = rising_binomial(m, j, nvars)
         return out
-    base = [Fraction(0)] * (order + 1)
-    for i in range(1, bound + 1):
-        if m * i <= order:
-            base[m * i] = Fraction(1)
-    power = [Fraction(1)] + [Fraction(0)] * order
+    base = [(m * i, 1) for i in range(1, bound + 1) if m * i <= order]
+    power = [1] + [0] * order
     j = 0
     while True:
         j += 1
-        nxt = [Fraction(0)] * (order + 1)
-        for a, ca in enumerate(power):
-            if ca == 0:
-                continue
-            for b in range(m, order + 1 - a):
-                if base[b]:
-                    nxt[a + b] += ca * base[b]
-        power = nxt
+        power = _convolve_into([0] * (order + 1), _terms(power), base)
         if not any(power):
             break
         binom = falling_binomial(m, j, nvars)
@@ -259,16 +253,8 @@ def _orbit_factor_polys(m: int, bound, nvars: int, order: int) -> list:
     return out
 
 
-def _convolve_poly_series(a: list, b: list, order: int, nvars: int) -> list:
-    out = [MultiPoly.zero(nvars) for _ in range(order + 1)]
-    for i, pa in enumerate(a):
-        if pa.is_zero:
-            continue
-        for j in range(order + 1 - i):
-            pb = b[j]
-            if not pb.is_zero:
-                out[i + j] = out[i + j] + pa * pb
-    return out
+def _nonzero_poly(p: MultiPoly) -> bool:
+    return not p.is_zero
 
 
 def symmetric_power_polys(bound, order: int) -> list:
@@ -276,12 +262,14 @@ def symmetric_power_polys(bound, order: int) -> list:
     variables t_1..t_order.  The q^k coefficient is the fixed-point count of
     the bounded k-th symmetric power as a polynomial in the orbit counts."""
     nvars = order
-    result = [MultiPoly.constant(1, nvars)] + [
-        MultiPoly.zero(nvars) for _ in range(order)
-    ]
+    zero = MultiPoly.zero(nvars)
+    result = [MultiPoly.constant(1, nvars)] + [zero] * order
     for m in range(1, order + 1):
-        result = _convolve_poly_series(
-            result, _orbit_factor_polys(m, bound, nvars, order), order, nvars
+        factor = _orbit_factor_polys(m, bound, nvars, order)
+        result = _convolve_into(
+            [zero] * (order + 1),
+            _terms(result, _nonzero_poly),
+            _terms(factor, _nonzero_poly),
         )
     return result
 
@@ -434,34 +422,30 @@ def falling_factorial(r: int) -> Poly:
     return poly
 
 
+def _falling_factorial_sum(counts) -> Poly:
+    """sum_{r >= 1} counts[r] t(t-1)...(t-r+1); counts[0] is ignored."""
+    result = Poly.zero()
+    for r, n_r in enumerate(counts):
+        if r and n_r:
+            result = result + n_r * falling_factorial(r)
+    return result
+
+
 def order_polynomial(family: PartitionFamily) -> Poly:
     """sum_r n_r(family) t(t-1)...(t-r+1), where n_r counts the members with
     r blocks.  Evaluated at the number of fixed points of a map, it counts
     the fixed maps K -> M with fiber partition in the family."""
-    counts = family.block_counts()
-    result = Poly.zero()
-    for r, n_r in enumerate(counts, start=1):
-        if n_r:
-            result = result + n_r * falling_factorial(r)
-    return result
+    return _falling_factorial_sum([0, *family.block_counts()])
 
 
 def disjoint_union_combine(block_count_lists) -> Poly:
     """Combine block-count vectors of families on disjoint index sets: the
-    product family's n_r is the convolution of the factors' counts."""
-    combined = {0: 1}
+    product family's n_r is the convolution of the factors' counts, that is
+    the product of the polynomials sum_r n_r x^r."""
+    combined = Poly.one()
     for counts in block_count_lists:
-        nxt = {}
-        for r0, c0 in combined.items():
-            for r, n_r in enumerate(counts, start=1):
-                if n_r:
-                    nxt[r0 + r] = nxt.get(r0 + r, 0) + c0 * n_r
-        combined = nxt
-    result = Poly.zero()
-    for r, n_r in combined.items():
-        if n_r and r >= 1:
-            result = result + n_r * falling_factorial(r)
-    return result
+        combined = combined * Poly([0, *counts])
+    return _falling_factorial_sum(combined.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -756,9 +740,10 @@ def coefficient_identities_check(
 # the oracle-vs-closed-form harness
 
 
-def compare_series_with_counts(series: PowerSeries, counts, start: int = 0):
-    """First index where oracle counts and series coefficients disagree, or None."""
-    for k, value in enumerate(counts, start):
+def compare_series_with_counts(series, counts):
+    """First index where oracle counts and the coefficients of a series (or
+    of a coefficient list) disagree, or None."""
+    for k, value in enumerate(counts):
         if series[k] != value:
             return {"k": k, "oracle": value, "coefficient": rat_str(series[k])}
     return None
@@ -768,15 +753,6 @@ def _parse_bound(value):
     if value is None or value == "inf":
         return None
     return int(value)
-
-
-def _field(obj, key: str, where: str):
-    """obj[key], or a ValueError naming `where` and the missing key."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{where} must be a JSON object")
-    if key not in obj:
-        raise ValueError(f"{where} has no {key!r} key")
-    return obj[key]
 
 
 def _parse_group_and_action(group_obj, gset_obj, where: str):
@@ -838,16 +814,9 @@ def verify_identity(plan: dict, max_enum=None) -> dict:
     def group_and_action():
         return _parse_group_and_action(field("group"), plan.get("gset"), f"{where}'s gset")
 
-    if identity == "md":
+    if identity in ("md", "main"):
         f = FiniteSelfMap.from_json(field("map"))
-        rhs = rhs_symmetric_power(zeta_of_map(f, k_max), None)
-        counts = [fixed_bounded_multisets(f, k, None, max_enum) for k in range(k_max + 1)]
-        report["first_mismatch"] = compare_series_with_counts(rhs, counts)
-        report["series"] = rhs.to_json()
-        report["counts"] = counts
-    elif identity == "main":
-        f = FiniteSelfMap.from_json(field("map"))
-        bound = _parse_bound(field("l"))
+        bound = _parse_bound("inf" if identity == "md" else field("l"))
         rhs = rhs_symmetric_power(zeta_of_map(f, k_max), bound)
         counts = [fixed_bounded_multisets(f, k, bound, max_enum) for k in range(k_max + 1)]
         report["first_mismatch"] = compare_series_with_counts(rhs, counts)
@@ -866,14 +835,8 @@ def verify_identity(plan: dict, max_enum=None) -> dict:
         f = FiniteSelfMap.from_json(field("map"))
         bound = int(field("l"))
         rhs = rhs_bounded_tuples(len(f.fixed_points()), bound, k_max)
-        unpacked = egf_unpack(rhs)
         counts = [fixed_bounded_tuples(f, k, bound, max_enum) for k in range(k_max + 1)]
-        mismatch = None
-        for k in range(k_max + 1):
-            if unpacked[k] != counts[k]:
-                mismatch = {"k": k, "oracle": counts[k], "coefficient": rat_str(unpacked[k])}
-                break
-        report["first_mismatch"] = mismatch
+        report["first_mismatch"] = compare_series_with_counts(egf_unpack(rhs), counts)
         report["series"] = rhs.to_json()
         report["counts"] = counts
     elif identity == "gsymm":
@@ -895,6 +858,10 @@ def verify_identity(plan: dict, max_enum=None) -> dict:
         traces = None
         if "coefficient_size" in plan:
             size = int(plan["coefficient_size"])
+            # the oracle's candidate count, refused before the smash power
+            # builds its size^k tuples
+            k = len(gset[0]) if gset else group.degree
+            _guard(f.size ** k * max(1, size) ** k, max_enum)
             coefficient = PointedFiniteSet.smash_power(size, group, gset)
             traces = coefficient_traces(group, size, gset)
         lp = general_lefschetz_polynomial(group, family, traces, gset)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .series import rat, rat_str
+from .series import _field, _power, rat, rat_str
 
 
 class MultiPoly:
@@ -106,14 +106,7 @@ class MultiPoly:
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative powers are not defined")
-        result = MultiPoly.constant(1, self.nvars)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, e, MultiPoly.constant(1, self.nvars))
 
     def weighted_degree(self) -> int:
         """Max over monomials of sum i*e_i (0 for constants and for zero)."""
@@ -239,6 +232,8 @@ class MultiPoly:
 
     @classmethod
     def from_json(cls, obj: dict) -> "MultiPoly":
-        nvars = int(obj["variables"])
-        terms = {tuple(t["exponents"]): rat(t["coeff"]) for t in obj["terms"]}
+        nvars = int(_field(obj, "variables", "a polynomial"))
+        terms = {}
+        for t in _field(obj, "terms", "a polynomial"):
+            terms[tuple(_field(t, "exponents", "a term"))] = rat(_field(t, "coeff", "a term"))
         return cls(nvars, terms)

@@ -15,6 +15,8 @@ import functools
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
+from .series import _field
+
 
 MAX_GROUND = 8  # Bell(8) = 4140 partitions; beyond that the oracles are hopeless anyway
 DEFAULT_MAX_GROUP_ORDER = 720  # the order of S6
@@ -371,10 +373,10 @@ class PermutationGroup:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PermutationGroup":
-        degree = int(obj["degree"])
+        degree = int(_field(obj, "degree", "a group"))
         if "elements" in obj:
             return cls(degree, obj["elements"])
-        return cls.from_generators(degree, obj["generators"])
+        return cls.from_generators(degree, _field(obj, "generators", "a group"))
 
 
 def natural_gset(group: PermutationGroup, ground: int):
@@ -475,7 +477,7 @@ class PartitionFamily:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PartitionFamily":
-        k = int(obj["ground"])
+        k = int(_field(obj, "ground", "a partition family"))
         if "members" in obj:
             return cls(k, [SetPartition.from_json(p) for p in obj["members"]])
         if "max_block" in obj:

@@ -4,21 +4,23 @@ Everything in this package is built on `fractions.Fraction`; no floats ever
 enter a computation.  A :class:`PowerSeries` stores the coefficients of
 q^0..q^N together with its truncation order N.  Arithmetic between series of
 different orders truncates to the shorter order.  Equality compares the
-shared coefficient prefix; :meth:`PowerSeries.compare` additionally reports
-whether the comparison was only partial because the orders differ.
+shared coefficient prefix.
 
 The module also provides dense univariate polynomials (:class:`Poly`),
 rational functions with series expansion (:class:`RationalFunction`),
 series in q whose coefficients are polynomials in a second variable T
 (:class:`BivariateSeries`), and packing of coefficient lists into
 exponential generating functions.
+
+Every truncated product in the package, whatever its coefficient ring,
+runs through one convolution kernel (:func:`_convolve_into`) and every
+integer power through one square-and-multiply routine (:func:`_power`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import NamedTuple
 
 
 class NotAUnitError(ArithmeticError):
@@ -43,9 +45,49 @@ def rat_str(value) -> str:
     return str(rat(value))
 
 
-class SeriesComparison(NamedTuple):
-    equal: bool
-    partial: bool
+def _field(obj, key: str, where: str):
+    """obj[key], or a ValueError naming `where` and the missing key."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    if key not in obj:
+        raise ValueError(f"{where} has no {key!r} key")
+    return obj[key]
+
+
+def _terms(coeffs, nonzero=bool) -> list:
+    """The (index, coefficient) pairs of the entries that pass `nonzero`, in
+    index order."""
+    return [(k, c) for k, c in enumerate(coeffs) if nonzero(c)]
+
+
+def _convolve_into(out: list, a, b) -> list:
+    """Add x * y into out[i + j] for every term (i, x) of `a` and (j, y) of
+    `b` with i + j < len(out), and return `out`.
+
+    `a` and `b` are term lists in index order, as `_terms` builds them; the
+    coefficients may be of any ring whose elements support + and *.
+    """
+    n = len(out)
+    for i, x in a:
+        if i >= n:
+            break
+        for j, y in b:
+            if i + j >= n:
+                break
+            out[i + j] += x * y
+    return out
+
+
+def _power(base, e: int, one):
+    """base ** e for e >= 0 by square-and-multiply; `one` is the unit."""
+    result = one
+    while e:
+        if e & 1:
+            result = result * base
+        e >>= 1
+        if e:
+            base = base * base
+    return result
 
 
 class PowerSeries:
@@ -117,14 +159,7 @@ class PowerSeries:
     def __mul__(self, other):
         if isinstance(other, PowerSeries):
             order = min(self.order, other.order)
-            out = [Fraction(0)] * (order + 1)
-            for i, a in enumerate(self.coeffs[: order + 1]):
-                if a == 0:
-                    continue
-                for j in range(order + 1 - i):
-                    b = other.coeffs[j]
-                    if b != 0:
-                        out[i + j] += a * b
+            out = _convolve_into([0] * (order + 1), _terms(self.coeffs), _terms(other.coeffs))
             return PowerSeries(out, order=order)
         try:
             c = rat(other)
@@ -152,15 +187,7 @@ class PowerSeries:
     def __pow__(self, exponent: int) -> "PowerSeries":
         if exponent < 0:
             return (self ** (-exponent)).inverse()
-        result = PowerSeries.one(self.order)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, exponent, PowerSeries.one(self.order))
 
     def substitute_power(self, m: int) -> "PowerSeries":
         """The substitution q -> q^m; truncation order is preserved."""
@@ -173,20 +200,11 @@ class PowerSeries:
             out[m * k] = c
         return PowerSeries(out, order=self.order)
 
-    def compare(self, other: "PowerSeries") -> SeriesComparison:
-        """Coefficientwise comparison on the shared prefix.
-
-        ``partial`` is True when the two truncation orders differ, so the
-        verdict only covers the shorter of the two series.
-        """
-        shared = min(self.order, other.order)
-        equal = self.coeffs[: shared + 1] == other.coeffs[: shared + 1]
-        return SeriesComparison(equal=equal, partial=self.order != other.order)
-
     def __eq__(self, other):
         if not isinstance(other, PowerSeries):
             return NotImplemented
-        return self.compare(other).equal
+        shared = min(self.order, other.order)
+        return self.coeffs[: shared + 1] == other.coeffs[: shared + 1]
 
     def __repr__(self):
         return f"PowerSeries([{', '.join(rat_str(c) for c in self.coeffs)}], order={self.order})"
@@ -196,8 +214,8 @@ class PowerSeries:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PowerSeries":
-        coeffs = [rat(c) for c in obj["coeffs"]]
-        order = int(obj["order"])
+        coeffs = [rat(c) for c in _field(obj, "coeffs", "a series")]
+        order = int(_field(obj, "order", "a series"))
         if order > len(coeffs) - 1:
             raise ValueError(
                 f"series of order {order} needs {order + 1} coefficients, got {len(coeffs)}"
@@ -240,8 +258,8 @@ def exponent_product(exponents, order: int) -> PowerSeries:
     Each factor is expanded by the binomial series
     (1 - q^m)^e = sum_j (-1)^j C(e, j) q^{mj}, where for e < 0 the
     coefficient is C(-e + j - 1, j).  A factor thus has floor(order/m) + 1
-    terms, and multiplying by it in place costs O(order^2 / m) integer
-    operations.  The coefficients are integers throughout.
+    sparse terms (m*j, c_j), and multiplying by it costs O(order^2 / m)
+    integer operations.  The coefficients are integers throughout.
     """
     out = [1] + [0] * order
     for m in sorted(exponents):
@@ -254,18 +272,13 @@ def exponent_product(exponents, order: int) -> PowerSeries:
             continue
         # c_j = (-1)^j C(e, j) by c_j = c_{j-1} (j - 1 - e) / j, which is exact
         # and covers both signs of e; it vanishes from j = e + 1 on when e > 0
-        factor = [1]
+        factor = [(0, 1)]
         for j in range(1, order // m + 1):
-            c = factor[-1] * (j - 1 - e) // j
+            c = factor[-1][1] * (j - 1 - e) // j
             if c == 0:
                 break
-            factor.append(c)
-        # descending n, so out[n - m*j] still holds the old coefficient
-        for n in range(order, m - 1, -1):
-            acc = out[n]
-            for j in range(1, min(len(factor), n // m + 1)):
-                acc += factor[j] * out[n - m * j]
-            out[n] = acc
+            factor.append((m * j, c))
+        out = _convolve_into([0] * (order + 1), _terms(out), factor)
     return PowerSeries(out, order=order)
 
 
@@ -348,28 +361,15 @@ class Poly:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return Poly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b != 0:
-                    out[i + j] += a * b
-        return Poly(out)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        return Poly(_convolve_into(out, _terms(self.coeffs), _terms(other.coeffs)))
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative polynomial powers are not defined")
-        result = Poly.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, e, Poly.one())
 
     @staticmethod
     def _coerce(other):
@@ -524,21 +524,15 @@ class RationalFunction:
         return cls(Poly.from_json(obj["numerator"]), Poly.from_json(obj["denominator"]))
 
 
-def _nonzero_terms(coeffs) -> list:
-    return [(k, c) for k, c in enumerate(coeffs) if c != 0]
-
-
-def _add_product(acc: list, a, b) -> None:
-    """acc += a * b, where acc is a dense coefficient list in T (extended as
-    needed) and a, b are polynomials in T given by their nonzero terms."""
-    if not a or not b:
-        return
-    top = a[-1][0] + b[-1][0] + 1
-    if len(acc) < top:
-        acc.extend([0] * (top - len(acc)))
-    for i, x in a:
-        for j, y in b:
-            acc[i + j] += x * y
+def _t_product_sum(pairs) -> Poly:
+    """sum a * b over pairs of T-polynomials given by their terms, in one
+    accumulator sized to the largest T-degree among the pairs."""
+    pairs = [(a, b) for a, b in pairs if a and b]
+    top = max((a[-1][0] + b[-1][0] for a, b in pairs), default=-1)
+    acc = [0] * (top + 1)
+    for a, b in pairs:
+        _convolve_into(acc, a, b)
+    return Poly(acc)
 
 
 class BivariateSeries:
@@ -576,14 +570,10 @@ class BivariateSeries:
     def __mul__(self, other):
         if isinstance(other, BivariateSeries):
             order = min(self.order, other.order)
-            left = [_nonzero_terms(c.coeffs) for c in self.coeffs[: order + 1]]
-            right = [_nonzero_terms(c.coeffs) for c in other.coeffs[: order + 1]]
-            out = []
-            for n in range(order + 1):
-                acc = []
-                for i in range(n + 1):
-                    _add_product(acc, left[i], right[n - i])
-                out.append(Poly(acc))
+            left = [_terms(c.coeffs) for c in self.coeffs[: order + 1]]
+            right = [_terms(c.coeffs) for c in other.coeffs[: order + 1]]
+            out = [_t_product_sum([(left[i], right[n - i]) for i in range(n + 1)])
+                   for n in range(order + 1)]
             return BivariateSeries(out, order=order)
         return BivariateSeries([other * c for c in self.coeffs], order=self.order)
 
@@ -606,16 +596,13 @@ class BivariateSeries:
         if c0.is_zero or c0.degree > 0:
             raise NotAUnitError("leading q-coefficient must be a nonzero constant")
         inv0 = Fraction(1) / c0.coefficient(0)
-        terms = [_nonzero_terms(c.coeffs) for c in self.coeffs]
+        terms = [_terms(c.coeffs) for c in self.coeffs]
         out = [Poly.constant(inv0)]
         out_terms = [[(0, inv0)]]
         for n in range(1, self.order + 1):
-            acc = []
-            for i in range(1, n + 1):
-                _add_product(acc, terms[i], out_terms[n - i])
-            coeffs = [-inv0 * c for c in acc]
-            out.append(Poly(coeffs))
-            out_terms.append(_nonzero_terms(coeffs))
+            acc = _t_product_sum([(terms[i], out_terms[n - i]) for i in range(1, n + 1)])
+            out.append(acc * -inv0)
+            out_terms.append(_terms(out[-1].coeffs))
         return BivariateSeries(out, order=self.order)
 
     def at_one(self) -> PowerSeries:

@@ -311,3 +311,40 @@ def test_s6_by_generators_passes_against_the_orbit_oracle(capsys):
     assert code == 0 and report["pass"]
     # of the size-6 multisets on two swapped points, only three-and-three is fixed
     assert report["oracle"] == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gsymm", "--group", '{"degree":2}'], "a group has no 'generators' key"),
+        (["partition", "--group", json.dumps(S2), "--family", '{"max_block":1}'],
+         "a partition family has no 'ground' key"),
+        (["symmetric", "--profile", '{"values":[1,0,0,0]}', "-N", "4"],
+         "an orbit profile has no 'horizon' key"),
+        (["zeta", "--lefschetz", '{"horizon":4}', "-N", "4"],
+         "a Lefschetz sequence has no 'values' key"),
+        (["graded", "--matrices", "{}"], "a graded endomorphism has no 'degrees' key"),
+        (["symmetric", "--zeta", '{"order":4}', "-N", "4"], "a series has no 'coeffs' key"),
+        (["dold", "--map", '{"map":[1,0]}'], "a self-map has no 'size' key"),
+        (["verify", "--plan", json.dumps({"identity": "gsymm", "map": MAP,
+                                          "group": {"elements": [[0, 1]]}})],
+         "a group has no 'degree' key"),
+    ],
+)
+def test_reader_missing_key_names_object_and_key(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_large_coefficient_size_refused_before_building(capsys):
+    # 10^4 points to the 4th power would be 10^16 tuples to build
+    plan = {
+        "identity": "partition",
+        "map": MAP,
+        "group": {"degree": 4, "generators": [[1, 2, 3, 0]]},
+        "family": {"ground": 4, "max_block": 1},
+        "coefficient_size": 10 ** 4,
+    }
+    code, out, err = run(capsys, "verify", "--plan", json.dumps(plan))
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "enumeration-limit", "size": 2 ** 4 * 10 ** 16,
+                               "limit": 10 ** 7}

@@ -1,0 +1,87 @@
+"""Golden outputs: the exact stdout and exit code of `selftest`, of every
+README example command and of `verify --plan` on each built-in plan.
+
+The files under tests/golden/ were written from the code before the series
+kernels were unified; any refactor must leave every byte the same.  To
+regenerate them after an intended output change, run
+
+    PYTHONPATH=src python tests/test_golden.py --write
+"""
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from doldzeta.cli import SELFTEST_PLANS, main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+README_EXAMPLES = [
+    ("readme-dold", ["dold", "--map", '{"size":3,"map":[1,2,0]}', "-N", "6"]),
+    ("readme-symmetric", ["symmetric", "--lefschetz", "[-1,-3,-7,-15,-31]", "-l", "1", "-N", "4"]),
+    ("readme-borsuk-ulam", ["borsuk-ulam", "--profile", '{"horizon":6,"values":[3,0,0,0,0,0]}', "-N", "6"]),
+    ("readme-tuples", ["tuples", "--lefschetz-number", "2", "-l", "1", "-N", "4"]),
+    (
+        "readme-gsymm",
+        ["gsymm", "--group", '{"degree":2,"elements":[[0,1],[1,0]]}', "--map", '{"size":2,"map":[0,1]}'],
+    ),
+    (
+        "readme-partition",
+        [
+            "partition",
+            "--group", '{"degree":2,"elements":[[0,1],[1,0]]}',
+            "--family", '{"ground":2,"max_block":1}',
+            "--map", '{"size":2,"map":[0,1]}',
+        ],
+    ),
+    ("readme-order-poly", ["order-poly", "--family", '{"ground":3,"max_block":1}', "--at", "3"]),
+    ("readme-graded", ["graded", "--matrices", '{"degrees":{"0":[["1"]],"1":[["-1"]]}}', "-N", "6"]),
+    (
+        "readme-config-trace",
+        [
+            "config-trace",
+            "--graded", '{"degrees":{"0":[["1"]],"1":[["-1"]]}}',
+            "--parity", "odd", "--epsilon", "-1", "-N", "6",
+        ],
+    ),
+    ("readme-verify", ["verify", "--plan", '{"identity":"md","map":{"size":4,"map":[1,0,3,3]}}']),
+    ("readme-selftest", ["selftest"]),
+]
+
+PLAN_CASES = [
+    (f"plan-{i}", ["verify", "--plan", json.dumps(plan, sort_keys=True)])
+    for i, (_, plan) in enumerate(SELFTEST_PLANS)
+]
+
+CASES = README_EXAMPLES + PLAN_CASES
+
+
+def render(argv) -> str:
+    """The exit code line followed by the exact stdout of one in-process run."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return f"exit {code}\n{out.getvalue()}"
+
+
+def test_cases_cover_every_selftest_plan():
+    assert len(PLAN_CASES) == len(SELFTEST_PLANS) == 9
+    assert len(README_EXAMPLES) == 11
+
+
+@pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])
+def test_golden_output(name, argv):
+    expected = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+    assert render(argv) == expected
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_golden.py --write")
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in CASES:
+        (GOLDEN / f"{name}.txt").write_text(render(argv), encoding="utf-8")

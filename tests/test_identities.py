@@ -46,6 +46,7 @@ from doldzeta import (
     verify_identity,
     zeta_of_map,
 )
+from doldzeta.oracles import EnumerationLimitError
 from doldzeta.series import RationalFunction, egf_unpack
 
 from conftest import seeded_maps
@@ -493,6 +494,20 @@ class TestVerificationHarness:
             }
         )
         assert report["pass"]
+
+    def test_partition_plan_coefficient_guard_honours_max_enum(self):
+        plan = {
+            "identity": "partition",
+            "map": {"size": 3, "map": [1, 0, 2]},
+            "group": {"degree": 2, "elements": [[0, 1], [1, 0]]},
+            "family": {"ground": 2, "max_block": 1},
+            "coefficient_size": 2,
+        }
+        # 3^2 maps times 2^2 coefficient points: 36 candidates
+        assert verify_identity(plan, max_enum=36)["pass"]
+        with pytest.raises(EnumerationLimitError) as info:
+            verify_identity(plan, max_enum=35)
+        assert (info.value.size, info.value.limit) == (36, 35)
 
     def test_config_trace_plan(self):
         report = verify_identity(

@@ -59,8 +59,9 @@ class TestArithmetic:
         a = PowerSeries([1, 1, 1, 1], order=3)
         b = PowerSeries([1, 2], order=1)
         assert (a * b).order == 1
-        cmp = a.compare(PowerSeries([1, 1], order=1))
-        assert cmp.equal and cmp.partial
+        # equality compares the shared prefix only
+        assert a == PowerSeries([1, 1], order=1)
+        assert a != PowerSeries([1, 2], order=1)
 
     def test_json_round_trip(self):
         s = PowerSeries([Fraction(1), Fraction(-1, 2), Fraction(3)], order=2)
@@ -303,6 +304,18 @@ class TestMultiPoly:
         t1 = MultiPoly.variable(1, 2)
         p = t1 ** 2 / 2 - t1 / 2 + MultiPoly.variable(2, 2)
         assert MultiPoly.from_json(p.to_json()) == p
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"terms": []}, "a polynomial has no 'variables' key"),
+            ({"variables": 1}, "a polynomial has no 'terms' key"),
+            ({"variables": 1, "terms": [{"exponents": [1]}]}, "a term has no 'coeff' key"),
+        ],
+    )
+    def test_from_json_names_a_missing_key(self, obj, message):
+        with pytest.raises(ValueError, match=message):
+            MultiPoly.from_json(obj)
 
 
 def reference_bivariate_product(a, b):
