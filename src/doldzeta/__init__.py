@@ -28,7 +28,6 @@ from .dynamics import (
     cycle_profile,
     divisors,
     dold_from_lefschetz,
-    iterate_dold_profile,
     lefschetz_from_dold,
     lefschetz_sequence,
     mobius,
@@ -43,8 +42,6 @@ from .partitions import (
     SetPartition,
     all_partitions,
     minimal_excluded_step,
-    orbit_and_stabilizer,
-    validate_family,
 )
 from .oracles import (
     EnumerationLimitError,
@@ -71,7 +68,6 @@ from .identities import (
     compare_series_with_counts,
     compose_lefschetz,
     configuration_trace_series,
-    disjoint_union_combine,
     dold_polynomial_of_functor,
     expression_polynomial,
     general_lefschetz_polynomial,
@@ -94,7 +90,6 @@ from .graded import (
     graded_zeta,
     koszul_invariant_trace,
     koszul_sign,
-    lefschetz_from_graded,
     poincare_generating,
 )
 

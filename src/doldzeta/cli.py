@@ -22,11 +22,9 @@ from .dynamics import (
     FiniteSelfMap,
     HorizonError,
     InconsistentInputError,
-    LefschetzSequence,
     NotRealizableError,
     cycle_profile,
     lefschetz_sequence,
-    zeta_of_map,
     zeta_series,
 )
 from .graded import (
@@ -38,7 +36,9 @@ from .graded import (
 )
 from .identities import (
     DEFAULT_ORDER,
+    _ZETA_SOURCES,
     _parse_group_and_action,
+    _read_zeta,
     configuration_trace_series,
     general_lefschetz_polynomial,
     gsymm_polynomial,
@@ -135,34 +135,15 @@ def _parse_bound_flag(value: str):
     return bound
 
 
-def _zeta_from_args(args, order: int) -> PowerSeries:
-    if getattr(args, "map", None):
-        f = FiniteSelfMap.from_json(_load_json(args.map, "--map"))
-        return zeta_of_map(f, order)
-    if getattr(args, "lefschetz", None):
-        values = _load_json(args.lefschetz, "--lefschetz")
-        seq = LefschetzSequence.from_json(values)
-        if seq.horizon < order:
-            raise CliUsageError(
-                f"need {order} Lefschetz numbers for order {order}, got {seq.horizon}"
-            )
-        return zeta_series(seq, order)
-    if getattr(args, "profile", None):
-        profile = DoldProfile.from_json(_load_json(args.profile, "--profile"))
-        if profile.horizon < order:
-            raise CliUsageError(
-                f"need horizon >= {order}, got {profile.horizon}"
-            )
-        return zeta_series(profile, order)
-    if getattr(args, "zeta", None):
-        series = PowerSeries.from_json(_load_json(args.zeta, "--zeta"))
-        if series.order < order:
-            raise CliUsageError(f"zeta series order {series.order} is below {order}")
-        return series.truncated(order)
-    if getattr(args, "graded", None):
-        endo = GradedEndomorphism.from_json(_load_json(args.graded, "--graded"))
-        return graded_zeta(endo, order)
-    raise CliUsageError("provide one of --map/--lefschetz/--profile/--zeta/--graded")
+def _zeta_from_args(args, reduced=False) -> PowerSeries:
+    """The zeta series of the one zeta-input flag given to the command."""
+    names = {key: f"--{key}" for key in args.input_flags}
+    source = {
+        key: _load_json(getattr(args, key), name)
+        for key, name in names.items()
+        if getattr(args, key) is not None
+    }
+    return _read_zeta(source, args.order, f"the {args.command!r} command", names, reduced)
 
 
 def _traces_from_args(args, group, gset):
@@ -197,23 +178,7 @@ def cmd_dold(args) -> int:
 
 
 def cmd_zeta(args) -> int:
-    if args.map:
-        f = FiniteSelfMap.from_json(_load_json(args.map, "--map"))
-        zeta = zeta_of_map(f, args.order, reduced=args.reduced)
-    elif args.lefschetz:
-        seq = LefschetzSequence.from_json(_load_json(args.lefschetz, "--lefschetz"))
-        zeta = zeta_series(seq, args.order, reduced=args.reduced)
-    elif args.profile:
-        profile = DoldProfile.from_json(_load_json(args.profile, "--profile"))
-        zeta = zeta_series(profile, args.order, reduced=args.reduced)
-    elif args.graded:
-        endo = GradedEndomorphism.from_json(_load_json(args.graded, "--graded"))
-        zeta = graded_zeta(endo, args.order)
-        if args.reduced:
-            one_minus_q = PowerSeries([1, -1], order=args.order)
-            zeta = zeta * one_minus_q.inverse()
-    else:
-        raise CliUsageError("provide one of --map/--lefschetz/--profile/--graded")
+    zeta = _zeta_from_args(args, args.reduced)
     if args.format == "text":
         for line in _series_text(zeta):
             print(line)
@@ -223,7 +188,7 @@ def cmd_zeta(args) -> int:
 
 
 def cmd_symmetric(args) -> int:
-    zeta = _zeta_from_args(args, args.order)
+    zeta = _zeta_from_args(args)
     series = rhs_symmetric_power(zeta, args.bound)
     if args.format == "text":
         for line in _series_text(series):
@@ -235,7 +200,7 @@ def cmd_symmetric(args) -> int:
 
 
 def cmd_borsuk_ulam(args) -> int:
-    zeta = _zeta_from_args(args, args.order)
+    zeta = _zeta_from_args(args)
     series = rhs_borsuk_ulam(zeta)
     if args.format == "text":
         for line in _series_text(series):
@@ -260,11 +225,17 @@ def cmd_tuples(args) -> int:
     return 0
 
 
-def cmd_gsymm(args) -> int:
+def _group_inputs(args):
+    """The group, its action table (None for the natural one) and the
+    coefficient traces of a `gsymm` or `partition` command."""
     gset = _load_json(args.gset, "--gset") if args.gset else None
     group, gset = _parse_group_and_action(_load_json(args.group, "--group"), gset, "--gset")
-    traces = _traces_from_args(args, group, gset)
-    lp = gsymm_polynomial(group, gset, traces)
+    return group, gset, _traces_from_args(args, group, gset)
+
+
+def _emit_polynomial(args, lp) -> int:
+    """Print a fixed-point polynomial and, given --profile or --map, its
+    value there."""
     payload = {"polynomial": lp.to_json()}
     if args.profile:
         profile = DoldProfile.from_json(_load_json(args.profile, "--profile"))
@@ -279,28 +250,17 @@ def cmd_gsymm(args) -> int:
     else:
         _emit(payload, "json")
     return 0
+
+
+def cmd_gsymm(args) -> int:
+    group, gset, traces = _group_inputs(args)
+    return _emit_polynomial(args, gsymm_polynomial(group, gset, traces))
 
 
 def cmd_partition(args) -> int:
-    gset = _load_json(args.gset, "--gset") if args.gset else None
-    group, gset = _parse_group_and_action(_load_json(args.group, "--group"), gset, "--gset")
+    group, gset, traces = _group_inputs(args)
     family = PartitionFamily.from_json(_load_json(args.family, "--family"))
-    traces = _traces_from_args(args, group, gset)
-    lp = general_lefschetz_polynomial(group, family, traces, gset)
-    payload = {"polynomial": lp.to_json()}
-    if args.profile:
-        profile = DoldProfile.from_json(_load_json(args.profile, "--profile"))
-        payload["value"] = rat_str(lp.evaluate(profile))
-    elif args.map:
-        f = FiniteSelfMap.from_json(_load_json(args.map, "--map"))
-        payload["value"] = rat_str(lp.evaluate_map(f))
-    if args.format == "text":
-        print(str(lp.poly))
-        if "value" in payload:
-            print(f"value  {payload['value']}")
-    else:
-        _emit(payload, "json")
-    return 0
+    return _emit_polynomial(args, general_lefschetz_polynomial(group, family, traces, gset))
 
 
 def cmd_order_poly(args) -> int:
@@ -342,7 +302,7 @@ def cmd_graded(args) -> int:
 
 
 def cmd_config_trace(args) -> int:
-    zeta = _zeta_from_args(args, args.order)
+    zeta = _zeta_from_args(args)
     series = configuration_trace_series(zeta, args.parity, args.epsilon)
     traces = [series[k] * (args.epsilon ** k) for k in range(series.order + 1)]
     payload = {
@@ -436,6 +396,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def input_flags(p, keys=_ZETA_SOURCES):
+        """One flag per input kind, each taking that kind's JSON object."""
+        for key in keys:
+            p.add_argument(f"--{key}")
+        p.set_defaults(input_flags=keys)
+
     def common(p):
         p.add_argument("-N", "--order", type=_parse_order, default=DEFAULT_ORDER,
                        help="truncation order (1..64, default 12)")
@@ -448,31 +414,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_dold)
 
     p = sub.add_parser("zeta", help="zeta function from a profile, Lefschetz data, map or graded input")
-    p.add_argument("--map")
-    p.add_argument("--profile")
-    p.add_argument("--lefschetz")
-    p.add_argument("--graded")
+    input_flags(p, tuple(key for key in _ZETA_SOURCES if key != "zeta"))
     p.add_argument("--reduced", action="store_true")
     common(p)
     p.set_defaults(func=cmd_zeta)
 
     p = sub.add_parser("symmetric", help="fixed-point series of bounded symmetric powers")
-    p.add_argument("--map")
-    p.add_argument("--profile")
-    p.add_argument("--lefschetz")
-    p.add_argument("--zeta")
-    p.add_argument("--graded")
+    input_flags(p)
     p.add_argument("-l", "--bound", type=_parse_bound_flag, default=None,
                    help="multiplicity bound (default: unbounded)")
     common(p)
     p.set_defaults(func=cmd_symmetric)
 
     p = sub.add_parser("borsuk-ulam", help="fixed-point series of bounded subset spaces")
-    p.add_argument("--map")
-    p.add_argument("--profile")
-    p.add_argument("--lefschetz")
-    p.add_argument("--zeta")
-    p.add_argument("--graded")
+    input_flags(p)
     common(p)
     p.set_defaults(func=cmd_borsuk_ulam)
 
@@ -488,8 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gset")
     p.add_argument("--traces")
     p.add_argument("--coefficient-size", type=int)
-    p.add_argument("--profile")
-    p.add_argument("--map")
+    input_flags(p, ("profile", "map"))
     common(p)
     p.set_defaults(func=cmd_gsymm)
 
@@ -499,8 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gset")
     p.add_argument("--traces")
     p.add_argument("--coefficient-size", type=int)
-    p.add_argument("--profile")
-    p.add_argument("--map")
+    input_flags(p, ("profile", "map"))
     common(p)
     p.set_defaults(func=cmd_partition)
 
@@ -517,11 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_graded)
 
     p = sub.add_parser("config-trace", help="configuration-space trace series")
-    p.add_argument("--map")
-    p.add_argument("--profile")
-    p.add_argument("--lefschetz")
-    p.add_argument("--zeta")
-    p.add_argument("--graded")
+    input_flags(p)
     p.add_argument("--parity", choices=("odd", "even"), required=True)
     p.add_argument("--epsilon", type=int, choices=(1, -1), default=1)
     common(p)

@@ -94,7 +94,8 @@ class FiniteSelfMap:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FiniteSelfMap":
-        return cls(_field(obj, "map", "a self-map"), size=int(_field(obj, "size", "a self-map")))
+        where = "a self-map"
+        return cls(_field(obj, "map", where, list), size=int(_field(obj, "size", where)))
 
     def to_json(self) -> dict:
         return {"size": self.size, "map": list(self.mapping)}
@@ -154,6 +155,16 @@ class FiniteSelfMap:
         return f"FiniteSelfMap({list(self.mapping)})"
 
 
+def _horizon_values(obj, where: str):
+    """The values and the declared horizon (None for a bare list) of
+    `{"horizon": N, "values": [...]}` or of a bare list of values."""
+    if isinstance(obj, dict):
+        return _field(obj, "values", where, list), int(_field(obj, "horizon", where))
+    if not isinstance(obj, list):
+        raise ValueError(f"{where} must be a list or an object, got {type(obj).__name__}")
+    return obj, None
+
+
 class DoldProfile:
     """The vector (D_1, ..., D_N) of periodic-orbit counts up to a horizon.
 
@@ -187,10 +198,7 @@ class DoldProfile:
 
     @classmethod
     def from_json(cls, obj) -> "DoldProfile":
-        if isinstance(obj, dict):
-            where = "an orbit profile"
-            return cls(_field(obj, "values", where), horizon=int(_field(obj, "horizon", where)))
-        return cls(obj)
+        return cls(*_horizon_values(obj, "an orbit profile"))
 
     def __eq__(self, other):
         if not isinstance(other, DoldProfile):
@@ -227,10 +235,7 @@ class LefschetzSequence:
 
     @classmethod
     def from_json(cls, obj) -> "LefschetzSequence":
-        if isinstance(obj, dict):
-            where = "a Lefschetz sequence"
-            return cls(_field(obj, "values", where), horizon=int(_field(obj, "horizon", where)))
-        return cls(obj)
+        return cls(*_horizon_values(obj, "a Lefschetz sequence"))
 
     def __eq__(self, other):
         if not isinstance(other, LefschetzSequence):
@@ -284,31 +289,6 @@ def lefschetz_from_dold(profile: DoldProfile) -> LefschetzSequence:
         for k in range(1, profile.horizon + 1)
     ]
     return LefschetzSequence(values)
-
-
-def iterate_dold_profile(profile: DoldProfile, j: int) -> DoldProfile:
-    """Orbit counts of the j-th iterate from those of the map itself.
-
-    An orbit of length n splits under f^j into gcd(n, j) orbits of length
-    n / gcd(n, j), hence D_i(f^j) = sum over n with n/gcd(n,j) = i of
-    gcd(n, j) * D_n(f).  The output horizon is floor(horizon / j).
-    """
-    if j < 1:
-        raise ValueError("iteration count must be >= 1")
-    out_horizon = profile.horizon // j
-    if out_horizon < 1:
-        raise HorizonError(
-            f"horizon {profile.horizon} is too short for the {j}-th iterate"
-        )
-    from math import gcd
-
-    counts = [0] * out_horizon
-    for n in range(1, out_horizon * j + 1):
-        g = gcd(n, j)
-        i = n // g
-        if i <= out_horizon:
-            counts[i - 1] += g * profile.count(n)
-    return DoldProfile(counts)
 
 
 def zeta_series(data, order: int, reduced: bool = False) -> PowerSeries:

@@ -59,7 +59,7 @@ class GradedEndomorphism:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GradedEndomorphism":
-        degrees = _field(obj, "degrees", "a graded endomorphism")
+        degrees = _field(obj, "degrees", "a graded endomorphism", dict)
         return cls({int(d): rows for d, rows in degrees.items()})
 
     def to_json(self) -> dict:
@@ -191,19 +191,6 @@ def graded_lefschetz_numbers(endo: GradedEndomorphism, order: int) -> list:
     return totals
 
 
-def lefschetz_from_graded(
-    endo: GradedEndomorphism, k: int, require_integer: bool = False
-) -> Fraction:
-    """L_k = sum_j (-1)^j tr(A_j^k); rational in general.  Callers asserting
-    an integral origin for the matrices can demand integer values."""
-    if k < 1:
-        raise ValueError("iterate index must be >= 1")
-    total = graded_lefschetz_numbers(endo, k)[-1]
-    if require_integer and total.denominator != 1:
-        raise ValueError(f"alternating trace {total} of iterate {k} is not an integer")
-    return total
-
-
 def graded_zeta(endo: GradedEndomorphism, order: int) -> PowerSeries:
     """Z(q) = prod_j det(1 - q A_j)^{(-1)^j}, cross-checked against the
     exponential form exp(-sum_k L_k q^k / k)."""
@@ -300,20 +287,3 @@ def koszul_invariant_trace(endo: GradedEndomorphism, k: int) -> Poly:
     for degree, value in coeffs.items():
         out[degree] = value / factorial(k)
     return Poly(out)
-
-
-def signed_permutation_matrix(sigma, degrees) -> dict:
-    """The action of a permutation on tensor-power basis tuples, as a sparse
-    map source index-tuple -> (target index-tuple, Koszul sign).  Used to
-    check that the signed action is a genuine representation."""
-    k = len(sigma)
-    inv = [0] * k
-    for pos, img in enumerate(sigma):
-        inv[img] = pos
-
-    def act(e):
-        source_degrees = [degrees[b] for b in e]
-        target = tuple(e[inv[j]] for j in range(k))
-        return target, koszul_sign(sigma, source_degrees)
-
-    return act

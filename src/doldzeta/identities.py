@@ -29,6 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import product as iter_product
 from math import factorial, gcd, lcm
 from time import perf_counter
@@ -43,6 +44,7 @@ from .dynamics import (
     zeta_of_map,
     zeta_series,
 )
+from .graded import GradedEndomorphism, graded_zeta
 from .multipoly import MultiPoly
 from .oracles import (
     PointedFiniteSet,
@@ -438,16 +440,6 @@ def order_polynomial(family: PartitionFamily) -> Poly:
     return _falling_factorial_sum([0, *family.block_counts()])
 
 
-def disjoint_union_combine(block_count_lists) -> Poly:
-    """Combine block-count vectors of families on disjoint index sets: the
-    product family's n_r is the convolution of the factors' counts, that is
-    the product of the polynomials sum_r n_r x^r."""
-    combined = Poly.one()
-    for counts in block_count_lists:
-        combined = combined * Poly([0, *counts])
-    return _falling_factorial_sum(combined.coeffs)
-
-
 # ---------------------------------------------------------------------------
 # iterates and composition
 
@@ -778,6 +770,43 @@ def _parse_group_and_action(group_obj, gset_obj, where: str):
     return group, tuple(table)
 
 
+_ZETA_SOURCES = ("map", "lefschetz", "profile", "zeta", "graded")
+
+
+def _read_zeta(source: dict, order: int, where: str, names: dict, reduced=False) -> PowerSeries:
+    """The zeta series to `order` of the one zeta input in `source`: a
+    self-map, Lefschetz numbers, an orbit profile, a series or a graded
+    endomorphism, under the keys of `_ZETA_SOURCES`.
+
+    `names` maps the keys the caller accepts to its spelling of them, and
+    exactly one must be given (not None).  Lefschetz numbers and profiles
+    must reach `order` (`zeta_series` checks), and a series must have at
+    least that order; it is cut to it.  With `reduced` the result is divided
+    by 1 - q, inside `zeta_series` for map, profile and Lefschetz input.
+    """
+    given = [key for key in names if source.get(key) is not None]
+    if len(given) != 1:
+        raise ValueError(
+            f"{where} takes exactly one of {'/'.join(names.values())}, got {len(given)}"
+        )
+    key = given[0]
+    obj = source[key]
+    if key == "map":
+        return zeta_of_map(FiniteSelfMap.from_json(obj), order, reduced)
+    if key == "lefschetz":
+        return zeta_series(LefschetzSequence.from_json(obj), order, reduced)
+    if key == "profile":
+        return zeta_series(DoldProfile.from_json(obj), order, reduced)
+    if key == "zeta":
+        zeta = PowerSeries.from_json(obj)
+        if zeta.order < order:
+            raise ValueError(f"zeta series order {zeta.order} is below {order}")
+        zeta = zeta.truncated(order)
+    else:
+        zeta = graded_zeta(GradedEndomorphism.from_json(obj), order)
+    return zeta * PowerSeries([1] * (order + 1)) if reduced else zeta
+
+
 MAX_PLAN_ORDER = 64
 
 
@@ -787,6 +816,131 @@ def _plan_order(plan: dict, key: str, default: int) -> int:
     if not 1 <= value <= MAX_PLAN_ORDER:
         raise ValueError(f"plan field {key!r} must lie in 1..{MAX_PLAN_ORDER}, got {value}")
     return value
+
+
+def _plan_field(plan: dict, key: str):
+    return _field(plan, key, f"the {plan['identity']!r} plan")
+
+
+def _plan_map(plan: dict) -> FiniteSelfMap:
+    return FiniteSelfMap.from_json(_plan_field(plan, "map"))
+
+
+def _plan_group_and_action(plan: dict):
+    where = f"the {plan['identity']!r} plan's gset"
+    return _parse_group_and_action(_plan_field(plan, "group"), plan.get("gset"), where)
+
+
+def _verdict(mismatch, **fields) -> dict:
+    return {"pass": mismatch is None, "first_mismatch": mismatch, **fields}
+
+
+def _series_report(series: PowerSeries, counts, coefficients=None) -> dict:
+    """A closed-form series checked coefficient by coefficient against oracle
+    counts; `coefficients` stands in for the series' own (an unpacked EGF)."""
+    compared = series if coefficients is None else coefficients
+    mismatch = compare_series_with_counts(compared, counts)
+    return _verdict(mismatch, series=series.to_json(), counts=counts)
+
+
+def _polynomial_report(lp: LefschetzPolynomial, f: FiniteSelfMap, oracle) -> dict:
+    """A fixed-point polynomial evaluated at a map, against the oracle's count."""
+    value = lp.evaluate_map(f)
+    mismatch = None if value == oracle else {"oracle": oracle, "polynomial": rat_str(value)}
+    return _verdict(mismatch, polynomial=lp.to_json(), value=rat_str(value), oracle=oracle)
+
+
+def _verify_multisets(plan, k_max, max_enum, bounded):
+    f = _plan_map(plan)
+    bound = _parse_bound(_plan_field(plan, "l")) if bounded else None
+    rhs = rhs_symmetric_power(zeta_of_map(f, k_max), bound)
+    counts = [fixed_bounded_multisets(f, k, bound, max_enum) for k in range(k_max + 1)]
+    return _series_report(rhs, counts)
+
+
+def _verify_subsets(plan, k_max, max_enum):
+    f = _plan_map(plan)
+    rhs = rhs_borsuk_ulam(zeta_of_map(f, k_max))
+    counts = [0] + [fixed_invariant_subsets(f, k, max_enum) for k in range(1, k_max + 1)]
+    return _series_report(rhs, counts)
+
+
+def _verify_tuples(plan, k_max, max_enum):
+    f = _plan_map(plan)
+    bound = int(_plan_field(plan, "l"))
+    rhs = rhs_bounded_tuples(len(f.fixed_points()), bound, k_max)
+    counts = [fixed_bounded_tuples(f, k, bound, max_enum) for k in range(k_max + 1)]
+    return _series_report(rhs, counts, egf_unpack(rhs))
+
+
+def _verify_group_average(plan, k_max, max_enum):
+    f = _plan_map(plan)
+    group, gset = _plan_group_and_action(plan)
+    lp = gsymm_polynomial(group, gset)
+    return _polynomial_report(lp, f, fixed_gmap_space(f, group, gset, max_enum))
+
+
+def _verify_partition_family(plan, k_max, max_enum):
+    f = _plan_map(plan)
+    group, gset = _plan_group_and_action(plan)
+    family = PartitionFamily.from_json(_plan_field(plan, "family"))
+    coefficient = None
+    traces = None
+    if "coefficient_size" in plan:
+        size = int(plan["coefficient_size"])
+        # the oracle's candidate count, refused before the smash power
+        # builds its size^k tuples
+        k = len(gset[0]) if gset else group.degree
+        _guard(f.size ** k * max(1, size) ** k, max_enum)
+        coefficient = PointedFiniteSet.smash_power(size, group, gset)
+        traces = coefficient_traces(group, size, gset)
+    lp = general_lefschetz_polynomial(group, family, traces, gset)
+    oracle = fixed_partition_orbits(f, group, family, coefficient, gset, max_enum)
+    return _polynomial_report(lp, f, oracle)
+
+
+def _verify_coefficient_space(plan, k_max, max_enum):
+    if "profile" in plan:
+        profile = DoldProfile.from_json(plan["profile"])
+    else:
+        profile = cycle_profile(_plan_map(plan), _plan_order(plan, "N", 4))
+    return coefficient_identities_check(
+        profile,
+        int(_plan_field(plan, "euler")),
+        _parse_bound(plan.get("l", "inf")),
+        _plan_order(plan, "N", min(profile.horizon, 4)),
+    )
+
+
+_PLAN_ZETA_NAMES = {key: repr(key) for key in _ZETA_SOURCES}
+
+
+def _verify_configuration_traces(plan, k_max, max_enum):
+    zeta = _read_zeta(plan, k_max, f"the {plan['identity']!r} plan", _PLAN_ZETA_NAMES)
+    epsilon = int(plan.get("epsilon", 1))
+    series = configuration_trace_series(zeta, _plan_field(plan, "parity"), epsilon)
+    traces = [series[k] * epsilon ** k for k in range(k_max + 1)]
+    mismatch = None
+    for k, want in enumerate([rat(v) for v in plan.get("expected_traces", ())]):
+        if k > k_max or traces[k] != want:
+            mismatch = {"k": k, "expected": rat_str(want)}
+            break
+    return _verdict(
+        mismatch, series=series.to_json(), lefschetz_traces=[rat_str(t) for t in traces]
+    )
+
+
+# identity -> handler(plan, k_max, max_enum) returning the report
+_VERIFIERS = {
+    "md": partial(_verify_multisets, bounded=False),
+    "main": partial(_verify_multisets, bounded=True),
+    "prod": _verify_subsets,
+    "sub": _verify_tuples,
+    "gsymm": _verify_group_average,
+    "partition": _verify_partition_family,
+    "coeffic": _verify_coefficient_space,
+    "config-trace": _verify_configuration_traces,
+}
 
 
 def verify_identity(plan: dict, max_enum=None) -> dict:
@@ -805,117 +959,10 @@ def verify_identity(plan: dict, max_enum=None) -> dict:
         raise ValueError('the plan has no "identity" key naming the statement to check')
     identity = plan["identity"]
     k_max = _plan_order(plan, "k_max", 6)
-    report = {"identity": identity, "pass": False, "first_mismatch": None}
-    where = f"the {identity!r} plan"
-
-    def field(key):
-        return _field(plan, key, where)
-
-    def group_and_action():
-        return _parse_group_and_action(field("group"), plan.get("gset"), f"{where}'s gset")
-
-    if identity in ("md", "main"):
-        f = FiniteSelfMap.from_json(field("map"))
-        bound = _parse_bound("inf" if identity == "md" else field("l"))
-        rhs = rhs_symmetric_power(zeta_of_map(f, k_max), bound)
-        counts = [fixed_bounded_multisets(f, k, bound, max_enum) for k in range(k_max + 1)]
-        report["first_mismatch"] = compare_series_with_counts(rhs, counts)
-        report["series"] = rhs.to_json()
-        report["counts"] = counts
-    elif identity == "prod":
-        f = FiniteSelfMap.from_json(field("map"))
-        rhs = rhs_borsuk_ulam(zeta_of_map(f, k_max))
-        counts = [0] + [
-            fixed_invariant_subsets(f, k, max_enum) for k in range(1, k_max + 1)
-        ]
-        report["first_mismatch"] = compare_series_with_counts(rhs, counts)
-        report["series"] = rhs.to_json()
-        report["counts"] = counts
-    elif identity == "sub":
-        f = FiniteSelfMap.from_json(field("map"))
-        bound = int(field("l"))
-        rhs = rhs_bounded_tuples(len(f.fixed_points()), bound, k_max)
-        counts = [fixed_bounded_tuples(f, k, bound, max_enum) for k in range(k_max + 1)]
-        report["first_mismatch"] = compare_series_with_counts(egf_unpack(rhs), counts)
-        report["series"] = rhs.to_json()
-        report["counts"] = counts
-    elif identity == "gsymm":
-        f = FiniteSelfMap.from_json(field("map"))
-        group, gset = group_and_action()
-        lp = gsymm_polynomial(group, gset)
-        value = lp.evaluate_map(f)
-        oracle = fixed_gmap_space(f, group, gset, max_enum)
-        if value != oracle:
-            report["first_mismatch"] = {"oracle": oracle, "polynomial": rat_str(value)}
-        report["polynomial"] = lp.to_json()
-        report["value"] = rat_str(value)
-        report["oracle"] = oracle
-    elif identity == "partition":
-        f = FiniteSelfMap.from_json(field("map"))
-        group, gset = group_and_action()
-        family = PartitionFamily.from_json(field("family"))
-        coefficient = None
-        traces = None
-        if "coefficient_size" in plan:
-            size = int(plan["coefficient_size"])
-            # the oracle's candidate count, refused before the smash power
-            # builds its size^k tuples
-            k = len(gset[0]) if gset else group.degree
-            _guard(f.size ** k * max(1, size) ** k, max_enum)
-            coefficient = PointedFiniteSet.smash_power(size, group, gset)
-            traces = coefficient_traces(group, size, gset)
-        lp = general_lefschetz_polynomial(group, family, traces, gset)
-        value = lp.evaluate_map(f)
-        oracle = fixed_partition_orbits(f, group, family, coefficient, gset, max_enum)
-        if value != oracle:
-            report["first_mismatch"] = {"oracle": oracle, "polynomial": rat_str(value)}
-        report["polynomial"] = lp.to_json()
-        report["value"] = rat_str(value)
-        report["oracle"] = oracle
-    elif identity == "coeffic":
-        if "profile" in plan:
-            profile = DoldProfile.from_json(plan["profile"])
-        else:
-            f = FiniteSelfMap.from_json(field("map"))
-            profile = cycle_profile(f, _plan_order(plan, "N", 4))
-        inner = coefficient_identities_check(
-            profile,
-            int(field("euler")),
-            _parse_bound(plan.get("l", "inf")),
-            _plan_order(plan, "N", min(profile.horizon, 4)),
-        )
-        inner["identity"] = "coeffic"
-        inner["elapsed_s"] = round(perf_counter() - started, 6)
-        return inner
-    elif identity == "config-trace":
-        if "zeta" in plan:
-            zeta = PowerSeries.from_json(plan["zeta"])
-        elif "lefschetz" in plan:
-            values = plan["lefschetz"]
-            zeta = zeta_series(LefschetzSequence(values), min(k_max, len(values)))
-        elif "graded" in plan:
-            from .graded import GradedEndomorphism, graded_zeta
-
-            zeta = graded_zeta(GradedEndomorphism.from_json(plan["graded"]), k_max)
-        else:
-            f = FiniteSelfMap.from_json(field("map"))
-            zeta = zeta_of_map(f, k_max)
-        epsilon = int(plan.get("epsilon", 1))
-        series = configuration_trace_series(zeta, field("parity"), epsilon)
-        traces = [series[k] * (epsilon ** k) for k in range(series.order + 1)]
-        report["series"] = series.to_json()
-        report["lefschetz_traces"] = [rat_str(t) for t in traces]
-        if "expected_traces" in plan:
-            expected = [rat(v) for v in plan["expected_traces"]]
-            mismatch = None
-            for k, want in enumerate(expected):
-                if k > series.order or traces[k] != want:
-                    mismatch = {"k": k, "expected": rat_str(want)}
-                    break
-            report["first_mismatch"] = mismatch
-    else:
+    verifier = _VERIFIERS.get(identity) if isinstance(identity, str) else None
+    if verifier is None:
         raise ValueError(f"unknown identity {identity!r}")
-
-    report["pass"] = report["first_mismatch"] is None
+    report = verifier(plan, k_max, max_enum)
+    report["identity"] = identity
     report["elapsed_s"] = round(perf_counter() - started, 6)
     return report

@@ -234,6 +234,6 @@ class MultiPoly:
     def from_json(cls, obj: dict) -> "MultiPoly":
         nvars = int(_field(obj, "variables", "a polynomial"))
         terms = {}
-        for t in _field(obj, "terms", "a polynomial"):
+        for t in _field(obj, "terms", "a polynomial", list):
             terms[tuple(_field(t, "exponents", "a term"))] = rat(_field(t, "coeff", "a term"))
         return cls(nvars, terms)

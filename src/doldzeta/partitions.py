@@ -375,8 +375,8 @@ class PermutationGroup:
     def from_json(cls, obj: dict) -> "PermutationGroup":
         degree = int(_field(obj, "degree", "a group"))
         if "elements" in obj:
-            return cls(degree, obj["elements"])
-        return cls.from_generators(degree, _field(obj, "generators", "a group"))
+            return cls(degree, _field(obj, "elements", "a group", list))
+        return cls.from_generators(degree, _field(obj, "generators", "a group", list))
 
 
 def natural_gset(group: PermutationGroup, ground: int):
@@ -479,7 +479,8 @@ class PartitionFamily:
     def from_json(cls, obj: dict) -> "PartitionFamily":
         k = int(_field(obj, "ground", "a partition family"))
         if "members" in obj:
-            return cls(k, [SetPartition.from_json(p) for p in obj["members"]])
+            members = _field(obj, "members", "a partition family", list)
+            return cls(k, [SetPartition.from_json(p) for p in members])
         if "max_block" in obj:
             return cls.max_block(k, int(obj["max_block"]))
         if "refines" in obj:
@@ -529,40 +530,13 @@ class PartitionFamily:
         return tuple(counts)
 
 
-def validate_family(family: PartitionFamily, group: PermutationGroup = None, gset=None) -> bool:
-    """Re-run the refinement-closure check and, if a group is given, stability."""
-    family._validate_closure()
-    if group is not None:
-        if gset is None:
-            gset = natural_gset(group, family.ground)
-        if not family.is_stable_under(gset):
-            raise ValueError("family is not stable under the group action")
-    return True
-
-
-def orbit_and_stabilizer(group: PermutationGroup, partition: SetPartition, gset=None):
-    """The orbit of a partition and its stabilizer subgroup (orbit times
-    stabilizer order equals the group order)."""
-    if gset is None:
-        gset = natural_gset(group, partition.ground)
-    orbit = set()
-    stab = []
-    for g, perm in zip(group.elements, gset):
-        image = partition.apply(perm)
-        orbit.add(image)
-        if image == partition:
-            stab.append(g)
-    return frozenset(orbit), PermutationGroup(group.degree, stab, validate=False)
-
-
 @dataclass(frozen=True)
 class MinimalStep:
     """Output of one step of the family recursion: a minimal excluded
-    partition, its orbit adjoined to the family, and the stabilizer with its
-    induced (possibly non-faithful) action on the blocks."""
+    partition, the family with its orbit adjoined, and the stabilizer with
+    its induced (possibly non-faithful) action on the blocks."""
 
     partition: SetPartition
-    orbit: frozenset
     extended_family: PartitionFamily
     stabilizer: tuple          # elements of the ambient group fixing the partition
     block_action: tuple        # their induced permutations of the blocks
@@ -612,7 +586,6 @@ def minimal_excluded_step(
         block_action.append(tuple(images))
     return MinimalStep(
         partition=chosen,
-        orbit=frozenset(orbit),
         extended_family=extended,
         stabilizer=tuple(stab),
         block_action=tuple(block_action),

@@ -45,13 +45,18 @@ def rat_str(value) -> str:
     return str(rat(value))
 
 
-def _field(obj, key: str, where: str):
-    """obj[key], or a ValueError naming `where` and the missing key."""
+def _field(obj, key: str, where: str, kind=None):
+    """obj[key], or a ValueError naming `where` and the key when it is
+    missing or, given a `kind` (list or dict), when its value is not one."""
     if not isinstance(obj, dict):
         raise ValueError(f"{where} must be a JSON object")
     if key not in obj:
         raise ValueError(f"{where} has no {key!r} key")
-    return obj[key]
+    value = obj[key]
+    if kind is not None and not isinstance(value, kind):
+        noun = "a list" if kind is list else "an object"
+        raise ValueError(f"{where}'s {key!r} must be {noun}, got {type(value).__name__}")
+    return value
 
 
 def _terms(coeffs, nonzero=bool) -> list:
@@ -214,7 +219,7 @@ class PowerSeries:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PowerSeries":
-        coeffs = [rat(c) for c in _field(obj, "coeffs", "a series")]
+        coeffs = [rat(c) for c in _field(obj, "coeffs", "a series", list)]
         order = int(_field(obj, "order", "a series"))
         if order > len(coeffs) - 1:
             raise ValueError(

@@ -24,6 +24,19 @@ def seeded_maps(seed, count, max_size, min_size=0):
     return maps
 
 
+def disjoint_union_combine(block_count_lists):
+    """The order polynomial of a product of families on disjoint index sets:
+    its block counts are the convolution of the factors' counts, that is the
+    product of the polynomials sum_r n_r x^r."""
+    from doldzeta import Poly
+    from doldzeta.identities import _falling_factorial_sum
+
+    combined = Poly.one()
+    for counts in block_count_lists:
+        combined = combined * Poly([0, *counts])
+    return _falling_factorial_sum(combined.coeffs)
+
+
 def stable_families(k):
     """All refinement-closed families on k points stable under the full
     symmetric group: downward-closed unions of partition orbits."""

@@ -52,6 +52,7 @@ def test_verify_fail_exit_code(capsys):
         "zeta": {"order": 3, "coeffs": ["1", "-1", "0", "0"]},
         "parity": "odd",
         "expected_traces": [1, 7],
+        "k_max": 3,
     }
     code, out, _ = run(capsys, "verify", "--plan", json.dumps(plan))
     assert code == 1
@@ -348,3 +349,82 @@ def test_large_coefficient_size_refused_before_building(capsys):
     assert (code, out) == (2, "")
     assert json.loads(err) == {"error": "enumeration-limit", "size": 2 ** 4 * 10 ** 16,
                                "limit": 10 ** 7}
+
+
+CIRCLE = '{"degrees":{"0":[["1"]],"1":[["-1"]]}}'
+
+
+def test_plan_lefschetz_shorter_than_k_max_refused_like_the_command(capsys):
+    plan = {"identity": "config-trace", "parity": "odd", "lefschetz": [1, 3], "k_max": 6}
+    from_plan = run(capsys, "verify", "--plan", json.dumps(plan))
+    from_flags = run(capsys, "config-trace", "--lefschetz", "[1,3]", "--parity", "odd", "-N", "6")
+    assert from_plan[0] == 2 and from_plan[1] == ""
+    assert from_plan == from_flags
+
+
+def test_plan_zeta_is_cut_to_k_max(capsys):
+    zeta = {"order": 400, "coeffs": ["1", "-1"] + ["0"] * 399}
+    plan = {"identity": "config-trace", "parity": "odd", "zeta": zeta, "k_max": 3}
+    code, out, _ = run(capsys, "verify", "--plan", json.dumps(plan))
+    assert code == 0
+    assert json.loads(out)["series"] == {"order": 3, "coeffs": ["1", "-1", "0", "0"]}
+
+
+def test_plan_profile_source_matches_the_map_it_comes_from(capsys):
+    # a 3-cycle and a fixed point
+    base = {"identity": "config-trace", "parity": "even", "k_max": 6}
+    by_map = run(capsys, "verify", "--plan",
+                 json.dumps({**base, "map": {"size": 4, "map": [1, 2, 0, 3]}}))
+    by_profile = run(capsys, "verify", "--plan",
+                     json.dumps({**base, "profile": {"horizon": 6, "values": [1, 0, 1, 0, 0, 0]}}))
+    assert by_map[0] == 0
+    assert by_profile == by_map
+
+
+def test_plan_lefschetz_goes_through_the_sequence_reader(capsys):
+    plan = {"identity": "config-trace", "parity": "odd", "lefschetz": "abc"}
+    assert run(capsys, "verify", "--plan", json.dumps(plan)) == (
+        2, "", "error: a Lefschetz sequence must be a list or an object, got str\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["symmetric", "-N", "4"],
+         "the 'symmetric' command takes exactly one of "
+         "--map/--lefschetz/--profile/--zeta/--graded, got 0"),
+        (["zeta", "--map", '{"size":1,"map":[0]}', "--graded", CIRCLE],
+         "the 'zeta' command takes exactly one of --map/--lefschetz/--profile/--graded, got 2"),
+        (["verify", "--plan", json.dumps({"identity": "config-trace", "parity": "odd",
+                                          "map": {"size": 1, "map": [0]},
+                                          "lefschetz": [1] * 6})],
+         "the 'config-trace' plan takes exactly one of "
+         "'map'/'lefschetz'/'profile'/'zeta'/'graded', got 2"),
+    ],
+)
+def test_exactly_one_zeta_input(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_reduced_graded_zeta_matches_reduced_lefschetz_input(capsys):
+    # degree 2 on the circle's H^1: L(f^k) = 1 - 2^k
+    graded = '{"degrees":{"0":[["1"]],"1":[["2"]]}}'
+    lefschetz = json.dumps([1 - 2 ** k for k in range(1, 9)])
+    by_graded = run(capsys, "zeta", "--graded", graded, "--reduced", "-N", "8")
+    by_numbers = run(capsys, "zeta", "--lefschetz", lefschetz, "--reduced", "-N", "8")
+    assert by_graded[0] == 0
+    assert by_graded == by_numbers
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["graded", "--matrices", '{"degrees":[1]}'],
+         "a graded endomorphism's 'degrees' must be an object, got list"),
+        (["dold", "--map", '{"size":2,"map":5}'], "a self-map's 'map' must be a list, got int"),
+        (["gsymm", "--group", '{"degree":2,"generators":5}'],
+         "a group's 'generators' must be a list, got int"),
+    ],
+)
+def test_reader_wrong_type_names_object_and_key(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")

@@ -15,11 +15,25 @@ from doldzeta import (
     graded_zeta,
     koszul_invariant_trace,
     koszul_sign,
-    lefschetz_from_graded,
     poincare_generating,
 )
-from doldzeta.graded import signed_permutation_matrix
 from doldzeta.series import Poly
+
+
+def signed_permutation_matrix(sigma, degrees):
+    """The action of a permutation on tensor-power basis tuples, as a map
+    source index-tuple -> (target index-tuple, Koszul sign)."""
+    k = len(sigma)
+    inv = [0] * k
+    for pos, img in enumerate(sigma):
+        inv[img] = pos
+
+    def act(e):
+        source_degrees = [degrees[b] for b in e]
+        target = tuple(e[inv[j]] for j in range(k))
+        return target, koszul_sign(sigma, source_degrees)
+
+    return act
 
 
 def random_endomorphism(rng, total_dim=4, max_degree=3, span=2):
@@ -90,7 +104,7 @@ class TestCharacteristicFunction:
         endo = GradedEndomorphism({0: [[1]], 1: [[1]]})
         rf = characteristic_rational_function(endo)
         assert rf.numerator == Poly([1]) and rf.denominator == Poly([1])
-        assert all(lefschetz_from_graded(endo, k) == 0 for k in range(1, 5))
+        assert graded_lefschetz_numbers(endo, 4) == [0, 0, 0, 0]
 
 
 class TestZeta:
@@ -100,7 +114,7 @@ class TestZeta:
 
     def test_circle_conjugation(self):
         endo = GradedEndomorphism({0: [[1]], 1: [[-1]]})
-        assert [lefschetz_from_graded(endo, k) for k in (1, 2, 3, 4)] == [2, 0, 2, 0]
+        assert graded_lefschetz_numbers(endo, 4) == [2, 0, 2, 0]
         zeta = graded_zeta(endo, 4)
         expected = PowerSeries([1, -2, 1], order=4) * PowerSeries([1, 0, -1], order=4).inverse()
         assert zeta == expected
@@ -108,7 +122,7 @@ class TestZeta:
     def test_empty(self):
         endo = GradedEndomorphism({})
         assert graded_zeta(endo, 3) == PowerSeries.one(3)
-        assert lefschetz_from_graded(endo, 2) == 0
+        assert graded_lefschetz_numbers(endo, 2) == [0, 0]
 
     def test_dual_form_agreement_random(self):
         rng = random.Random(5)
@@ -230,15 +244,15 @@ class TestLefschetzNumbers:
             ]
             got = graded_lefschetz_numbers(endo, order)
             assert got == want
-            assert [lefschetz_from_graded(endo, k) for k in (1, order)] == [want[0], want[-1]]
 
     def test_empty_and_zero_length(self):
         assert graded_lefschetz_numbers(GradedEndomorphism({}), 3) == [0, 0, 0]
         assert graded_lefschetz_numbers(GradedEndomorphism({0: [[2]]}), 0) == []
 
     def test_iterate_index_must_be_positive(self):
+        # the number of iterates asked for must be >= 0
         with pytest.raises(ValueError):
-            lefschetz_from_graded(GradedEndomorphism({0: [[2]]}), 0)
+            graded_lefschetz_numbers(GradedEndomorphism({0: [[2]]}), -1)
 
 
 def test_tampered_determinant_trips_the_dual_form_check(monkeypatch):
@@ -252,8 +266,6 @@ def test_tampered_determinant_trips_the_dual_form_check(monkeypatch):
         graded_zeta(endo, 4)
 
 
-def test_integer_trace_assertion_is_optional():
+def test_traces_of_a_rational_matrix_stay_rational():
     endo = GradedEndomorphism({0: [["1/2"]]})
-    assert lefschetz_from_graded(endo, 1) == Fraction(1, 2)
-    with pytest.raises(ValueError):
-        lefschetz_from_graded(endo, 1, require_integer=True)
+    assert graded_lefschetz_numbers(endo, 2) == [Fraction(1, 2), Fraction(1, 4)]

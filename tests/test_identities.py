@@ -29,7 +29,6 @@ from doldzeta import (
     compose_lefschetz,
     configuration_trace_series,
     cycle_profile,
-    disjoint_union_combine,
     dold_polynomial_of_functor,
     expression_polynomial,
     fixed_partition_orbits,
@@ -49,7 +48,7 @@ from doldzeta import (
 from doldzeta.oracles import EnumerationLimitError
 from doldzeta.series import RationalFunction, egf_unpack
 
-from conftest import seeded_maps
+from conftest import disjoint_union_combine, seeded_maps
 
 
 def ints(series):

@@ -15,13 +15,14 @@ import pytest
 from doldzeta import MultiPoly, Poly, PowerSeries
 from doldzeta.identities import (
     _orbit_factor_polys,
-    disjoint_union_combine,
     falling_binomial,
     falling_factorial,
     rising_binomial,
     symmetric_power_polys,
 )
 from doldzeta.series import _convolve_into, _terms
+
+from conftest import disjoint_union_combine
 
 
 # ---------------------------------------------------------------------------

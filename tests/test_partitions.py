@@ -11,9 +11,8 @@ from doldzeta import (
     PermutationGroup,
     SetPartition,
     all_partitions,
+    general_lefschetz_polynomial,
     minimal_excluded_step,
-    orbit_and_stabilizer,
-    validate_family,
 )
 from doldzeta.partitions import (
     compose_perms,
@@ -117,20 +116,24 @@ class TestFamilies:
         assert info.value.missing in all_partitions(3)
 
     def test_validate_family_accepts_monotone_predicates(self):
+        # the validating constructor accepts what the unchecked ones build
         for k in (2, 3, 4):
             for bound in range(1, k + 1):
                 fam = PartitionFamily.max_block(k, bound)
-                assert validate_family(fam, PermutationGroup.symmetric(k))
+                assert PartitionFamily(k, fam.members) == fam
+                assert fam.is_stable_under(PermutationGroup.symmetric(k).elements)
         target = SetPartition([[0, 1], [2, 3]])
         fam = PartitionFamily.refining(target)
-        assert validate_family(fam)
+        assert PartitionFamily(4, fam.members) == fam
         assert fam.block_counts() == (0, 1, 2, 1)
 
     def test_stability_check(self):
         target = SetPartition([[0, 1], [2]])
         fam = PartitionFamily.refining(target)
-        with pytest.raises(ValueError):
-            validate_family(fam, PermutationGroup.symmetric(3))
+        s3 = PermutationGroup.symmetric(3)
+        assert not fam.is_stable_under(s3.elements)
+        with pytest.raises(ValueError, match="not stable"):
+            general_lefschetz_polynomial(s3, fam)
 
     def test_json_round_trip(self):
         fam = PartitionFamily.max_block(3, 2)
@@ -174,10 +177,17 @@ class TestGroups:
     def test_orbit_stabilizer_on_a_pairing(self):
         group = PermutationGroup.symmetric(4)
         pairing = SetPartition([[0, 1], [2, 3]])
-        orbit, stab = orbit_and_stabilizer(group, pairing)
-        assert len(orbit) == 3
-        assert stab.order == 8
-        assert len(orbit) * stab.order == group.order
+        # everything but the pairings and {K}: the pairings are the minimal
+        # partitions outside, and this one is the least of them
+        fam = PartitionFamily.from_predicate(
+            4, lambda p: sorted(map(len, p.blocks)) not in ([2, 2], [4])
+        )
+        step = minimal_excluded_step(fam, group)
+        assert step.partition == pairing
+        orbit_size = len(step.extended_family) - len(fam)
+        assert orbit_size == 3
+        assert len(step.stabilizer) == 8
+        assert orbit_size * len(step.stabilizer) == group.order
 
     def test_direct_product(self):
         s2 = PermutationGroup.symmetric(2)
@@ -203,7 +213,7 @@ class TestMinimalStep:
         fam = PartitionFamily.max_block(3, 1)
         step = minimal_excluded_step(fam, PermutationGroup.symmetric(3))
         assert step.partition.block_count == 2
-        assert len(step.orbit) == 3
+        assert len(step.extended_family) - len(fam) == 3
         assert len(step.extended_family) == 4
         assert step.extended_family == PartitionFamily.max_block(3, 2)
 
