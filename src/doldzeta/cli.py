@@ -321,8 +321,11 @@ def cmd_config_trace(args) -> int:
 def cmd_verify(args) -> int:
     text = args.plan
     if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as handle:
-            text = handle.read()
+        try:
+            with open(text[1:], "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except OSError as exc:
+            raise CliUsageError(f"cannot read the plan file {text[1:]}: {exc.strerror}") from exc
     plan = _load_json(text, "--plan")
     report = verify_identity(plan)
     if not args.timings:

@@ -14,7 +14,8 @@ allowed wherever the arithmetic makes sense.
 
 from __future__ import annotations
 
-from .series import PowerSeries, _field, exponent_product, series_exp_neg_weighted
+from .series import PowerSeries, exponent_product, series_exp_neg_weighted
+from .series import _field, _integer, _integers
 
 
 class HorizonError(ValueError):
@@ -95,7 +96,8 @@ class FiniteSelfMap:
     @classmethod
     def from_json(cls, obj: dict) -> "FiniteSelfMap":
         where = "a self-map"
-        return cls(_field(obj, "map", where, list), size=int(_field(obj, "size", where)))
+        mapping = _integers(_field(obj, "map", where), f"{where}'s 'map'")
+        return cls(mapping, size=_integer(_field(obj, "size", where), f"{where}'s 'size'"))
 
     def to_json(self) -> dict:
         return {"size": self.size, "map": list(self.mapping)}
@@ -155,27 +157,14 @@ class FiniteSelfMap:
         return f"FiniteSelfMap({list(self.mapping)})"
 
 
-def _horizon_values(obj, where: str):
-    """The values and the declared horizon (None for a bare list) of
-    `{"horizon": N, "values": [...]}` or of a bare list of values."""
-    if isinstance(obj, dict):
-        return _field(obj, "values", where, list), int(_field(obj, "horizon", where))
-    if not isinstance(obj, list):
-        raise ValueError(f"{where} must be a list or an object, got {type(obj).__name__}")
-    return obj, None
-
-
-class DoldProfile:
-    """The vector (D_1, ..., D_N) of periodic-orbit counts up to a horizon.
-
-    Profiles from an actual map are nonnegative; abstract profiles (obtained
-    by inverting a Lefschetz sequence) may have negative integer entries.
-    """
+class _HorizonVector:
+    """Integer values indexed 1..horizon, read and checked alike for the two
+    kinds below; `noun` names the kind in messages."""
 
     __slots__ = ("horizon", "values")
 
     def __init__(self, values, horizon=None):
-        values = tuple(int(v) for v in values)
+        values = tuple(_integer(v, f"an entry of {self.noun}") for v in values)
         if horizon is None:
             horizon = len(values)
         if horizon != len(values):
@@ -184,6 +173,38 @@ class DoldProfile:
             raise ValueError("horizon must be >= 1")
         self.horizon = horizon
         self.values = values
+
+    def to_json(self) -> dict:
+        return {"horizon": self.horizon, "values": list(self.values)}
+
+    @classmethod
+    def from_json(cls, obj):
+        """From `{"horizon": N, "values": [...]}` or a bare list of values."""
+        if isinstance(obj, list):
+            return cls(obj)
+        if not isinstance(obj, dict):
+            raise ValueError(f"{cls.noun} must be a list or an object, got {type(obj).__name__}")
+        horizon = _integer(_field(obj, "horizon", cls.noun), f"{cls.noun}'s 'horizon'")
+        return cls(_field(obj, "values", cls.noun, list), horizon)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.values == other.values
+
+    def __repr__(self):
+        return f"{type(self).__name__}({list(self.values)})"
+
+
+class DoldProfile(_HorizonVector):
+    """The vector (D_1, ..., D_N) of periodic-orbit counts up to a horizon.
+
+    Profiles from an actual map are nonnegative; abstract profiles (obtained
+    by inverting a Lefschetz sequence) may have negative integer entries.
+    """
+
+    __slots__ = ()
+    noun = "an orbit profile"
 
     def count(self, m: int) -> int:
         if not 1 <= m <= self.horizon:
@@ -193,57 +214,17 @@ class DoldProfile:
     def is_realizable(self) -> bool:
         return all(v >= 0 for v in self.values)
 
-    def to_json(self) -> dict:
-        return {"horizon": self.horizon, "values": list(self.values)}
 
-    @classmethod
-    def from_json(cls, obj) -> "DoldProfile":
-        return cls(*_horizon_values(obj, "an orbit profile"))
-
-    def __eq__(self, other):
-        if not isinstance(other, DoldProfile):
-            return NotImplemented
-        return self.values == other.values
-
-    def __repr__(self):
-        return f"DoldProfile({list(self.values)})"
-
-
-class LefschetzSequence:
+class LefschetzSequence(_HorizonVector):
     """The vector (L(f^1), ..., L(f^N)) of fixed-point counts of the iterates."""
 
-    __slots__ = ("horizon", "values")
-
-    def __init__(self, values, horizon=None):
-        values = tuple(int(v) for v in values)
-        if horizon is None:
-            horizon = len(values)
-        if horizon != len(values):
-            raise ValueError("declared horizon disagrees with the value list")
-        if horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        self.horizon = horizon
-        self.values = values
+    __slots__ = ()
+    noun = "a Lefschetz sequence"
 
     def value(self, k: int) -> int:
         if not 1 <= k <= self.horizon:
             raise HorizonError(f"L(f^{k}) requested beyond horizon {self.horizon}")
         return self.values[k - 1]
-
-    def to_json(self) -> dict:
-        return {"horizon": self.horizon, "values": list(self.values)}
-
-    @classmethod
-    def from_json(cls, obj) -> "LefschetzSequence":
-        return cls(*_horizon_values(obj, "a Lefschetz sequence"))
-
-    def __eq__(self, other):
-        if not isinstance(other, LefschetzSequence):
-            return NotImplemented
-        return self.values == other.values
-
-    def __repr__(self):
-        return f"LefschetzSequence({list(self.values)})"
 
 
 def cycle_profile(f: FiniteSelfMap, horizon: int) -> DoldProfile:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import product as iter_product
-from math import factorial, gcd, lcm
+from math import gcd, lcm
 from time import perf_counter
 
 from .dynamics import (
@@ -60,7 +60,6 @@ from .partitions import (
     PartitionFamily,
     PermutationGroup,
     minimal_excluded_step,
-    natural_gset,
     perm_cycle_type,
     validate_gset,
 )
@@ -69,6 +68,7 @@ from .series import (
     PowerSeries,
     _convolve_into,
     _field,
+    _integers,
     _terms,
     egf_pack,
     egf_unpack,
@@ -213,32 +213,20 @@ def configuration_trace_series(
 # symbolic orbit products
 
 
-def falling_binomial(var: int, j: int, nvars: int) -> MultiPoly:
-    """C(t_var, j) = t(t-1)...(t-j+1)/j! as a polynomial in t_var."""
-    poly = MultiPoly.constant(1, nvars)
-    t = MultiPoly.variable(var, nvars)
-    for i in range(j):
-        poly = poly * (t - MultiPoly.constant(i, nvars))
-    return poly / factorial(j)
-
-
-def rising_binomial(var: int, j: int, nvars: int) -> MultiPoly:
-    """C(t_var + j - 1, j) = t(t+1)...(t+j-1)/j!."""
-    poly = MultiPoly.constant(1, nvars)
-    t = MultiPoly.variable(var, nvars)
-    for i in range(j):
-        poly = poly * (t + MultiPoly.constant(i, nvars))
-    return poly / factorial(j)
-
-
 def _orbit_factor_polys(m: int, bound, nvars: int, order: int) -> list:
     """q-coefficients of (1 + q^m + ... + q^{lm}) ** t_m, or of
-    (1 - q^m)^{-t_m} when the bound is None, as polynomials in t_m."""
+    (1 - q^m)^{-t_m} when the bound is None, as polynomials in t_m.
+
+    The binomials C(t, j) and C(t + j - 1, j) in t = t_m are built one from
+    the last, by one product with (t - j + 1)/j or (t + j - 1)/j."""
     out = [MultiPoly.zero(nvars) for _ in range(order + 1)]
     out[0] = MultiPoly.constant(1, nvars)
+    t = MultiPoly.variable(m, nvars)
+    binom = out[0]
     if bound is None:
         for j in range(1, order // m + 1):
-            out[m * j] = rising_binomial(m, j, nvars)
+            binom = binom * (t + (j - 1)) / j
+            out[m * j] = binom
         return out
     base = [(m * i, 1) for i in range(1, bound + 1) if m * i <= order]
     power = [1] + [0] * order
@@ -248,7 +236,7 @@ def _orbit_factor_polys(m: int, bound, nvars: int, order: int) -> list:
         power = _convolve_into([0] * (order + 1), _terms(power), base)
         if not any(power):
             break
-        binom = falling_binomial(m, j, nvars)
+        binom = binom * (t - (j - 1)) / j
         for idx, c in enumerate(power):
             if c:
                 out[idx] = out[idx] + c * binom
@@ -321,7 +309,7 @@ def _burnside_average(group: PermutationGroup, gset, traces) -> MultiPoly:
     product is built per cycle type rather than per element (the cycle-index
     collapse).  The arguments are trusted: callers validate them.
     """
-    k = len(gset[0]) if gset else 0
+    k = len(gset[0])
     class_weights = {}
     for g, perm in zip(group.elements, gset):
         weight = traces[group.inverse(g)] if traces is not None else Fraction(1)
@@ -348,10 +336,8 @@ def gsymm_polynomial(
     the average over the group, optionally weighted by the trace of g^{-1}
     on a coefficient space.
     """
-    if gset is None:
-        gset = group.elements
     gset = validate_gset(group, gset)
-    k = len(gset[0]) if gset else 0
+    k = len(gset[0])
     traces = _validate_traces(group, coeff_traces)
     return LefschetzPolynomial(_burnside_average(group, gset, traces), k)
 
@@ -382,11 +368,7 @@ def general_lefschetz_polynomial(
     correct by construction and are not checked again.
     """
     k = family.ground
-    if gset is None:
-        gset = natural_gset(group, k)
-    gset = validate_gset(group, gset)
-    if any(len(perm) != k for perm in gset):
-        raise ValueError("action table degree disagrees with the family's ground size")
+    gset = validate_gset(group, gset, k)
     traces = _validate_traces(group, coeff_traces)
     if not family.is_stable_under(gset):
         raise ValueError("family is not stable under the group action")
@@ -764,7 +746,7 @@ def _parse_group_and_action(group_obj, gset_obj, where: str):
             raise ValueError(
                 f"{where} names element {i}, but the group has {group.order} elements"
             )
-        table[i] = tuple(int(x) for x in perm)
+        table[i] = _integers(perm, f"a permutation in the action of {where}")
     if any(entry is None or len(entry) != size for entry in table):
         raise ValueError("the G-set action must cover every group element")
     return group, tuple(table)
@@ -884,13 +866,14 @@ def _verify_partition_family(plan, k_max, max_enum):
     f = _plan_map(plan)
     group, gset = _plan_group_and_action(plan)
     family = PartitionFamily.from_json(_plan_field(plan, "family"))
+    gset = validate_gset(group, gset, family.ground)
     coefficient = None
     traces = None
     if "coefficient_size" in plan:
         size = int(plan["coefficient_size"])
         # the oracle's candidate count, refused before the smash power
         # builds its size^k tuples
-        k = len(gset[0]) if gset else group.degree
+        k = len(gset[0])
         _guard(f.size ** k * max(1, size) ** k, max_enum)
         coefficient = PointedFiniteSet.smash_power(size, group, gset)
         traces = coefficient_traces(group, size, gset)

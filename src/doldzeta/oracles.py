@@ -7,8 +7,11 @@ partition.  Counting the fixed points of the induced map by exhaustive
 enumeration gives the ground truth against which every closed-form series
 in this package is verified.
 
-All enumerations sit behind a size guard (default 10^7 candidate points,
-overridable through the DOLD_ZETA_MAX_ENUM environment variable).
+The orbit-space oracles count each fixed orbit once, at its least point,
+walking the candidates lazily, so their memory does not grow with the
+number of candidates.  All enumerations sit behind a size guard (default
+10^7 candidate points, overridable through the DOLD_ZETA_MAX_ENUM
+environment variable).
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .partitions import (
     PermutationGroup,
     fiber_partition,
     invert_perm,
-    natural_gset,
     perm_cycle_count,
     validate_gset,
 )
@@ -102,9 +104,8 @@ class PointedFiniteSet:
         group element g with c(g) cycles on the factors, the trace is
         points^{c(g)}.
         """
-        if gset is None:
-            gset = natural_gset(group, group.degree)
-        k = len(gset[0]) if gset else group.degree
+        gset = validate_gset(group, gset)
+        k = len(gset[0])
         if points < 0:
             raise ValueError("the number of non-basepoint elements must be >= 0")
         size = points ** k + 1
@@ -197,24 +198,41 @@ def fixed_bounded_tuples(f: FiniteSelfMap, k: int, bound: int, max_enum=None) ->
     return count
 
 
-def _orbit_ids(points, movers):
-    """Partition `points` into orbits under the given family of bijections."""
-    ids = {}
-    next_id = 0
-    for p in points:
-        if p in ids:
+def _fixed_orbit_count(f, group, gset, k, admissible=None, coefficient=None) -> int:
+    """Orbits of pairs (a, y) fixed by [a, y] |-> [f o a, y], with a: K -> M
+    passing `admissible` (any map when None) and y a non-basepoint element of
+    the coefficient set (one point fixed by all of G when None); g sends
+    (a, y) to (a o g^{-1}, g y).
+
+    Each orbit is counted once, at its least point: (a, y) counts when no
+    image is smaller and the orbit of (f o a, y) has the same least point.
+    The induced map commutes with the action, so it carries orbits onto
+    orbits, and the second test holds exactly when (a, y) lies in the orbit
+    of (f o a, y).  Nothing is stored per candidate.
+    """
+    coefficient = coefficient or PointedFiniteSet(2)
+    ys = range(1, coefficient.size)
+    moves = [
+        (invert_perm(perm), tuple(coefficient.act(g, y) for y in range(coefficient.size)))
+        for g, perm in zip(group.elements, gset)
+    ]
+    push = f.mapping.__getitem__
+    count = 0
+    for a in product(range(f.size), repeat=k):
+        image = tuple(map(push, a))
+        # f o a shares an orbit with a only as a rearrangement of its values
+        if sorted(image) != sorted(a) or (admissible is not None and not admissible(a)):
             continue
-        stack = [p]
-        ids[p] = next_id
-        while stack:
-            q = stack.pop()
-            for move in movers:
-                r = move(q)
-                if r not in ids:
-                    ids[r] = next_id
-                    stack.append(r)
-        next_id += 1
-    return ids
+        for y in ys:
+            point = (a, y)
+            if any((tuple(map(a.__getitem__, inv)), y_perm[y]) < point for inv, y_perm in moves):
+                continue
+            if any(
+                y_perm[y] == y and tuple(map(image.__getitem__, inv)) == a
+                for inv, y_perm in moves
+            ):
+                count += 1
+    return count
 
 
 def fixed_partition_orbits(
@@ -234,43 +252,19 @@ def fixed_partition_orbits(
     (a by precomposition, y through its own action) and the induced map
     sends [a, y] to [f o a, y].  An orbit counts as fixed when the image of
     a representative lands back in the same orbit, equivalently when some
-    g in G satisfies f o a = a o g and g fixes y.
+    g in G satisfies f o a = a o g and g fixes y.  The family must be stable
+    under the action, so that an orbit is admissible as a whole; stability
+    under the images of the group's generators implies it.
     """
-    k = family.ground
-    if gset is None:
-        gset = natural_gset(group, k)
-    gset = validate_gset(group, gset)
-    if any(len(perm) != k for perm in gset):
-        raise ValueError("the action table must give one degree-k permutation per element")
-    n = f.size
-    ys = list(range(1, coefficient.size)) if coefficient is not None else [None]
-    _guard(n ** k * max(1, len(ys)), max_enum)
-
-    admissible = [
-        a for a in product(range(n), repeat=k) if fiber_partition(a) in family
-    ]
-    points = [(a, y) for a in admissible for y in ys]
-
-    inverses = [invert_perm(perm) for perm in gset]
-    movers = []
-    for g, inv in zip(group.elements, inverses):
-        def move(point, g=g, inv=inv):
-            a, y = point
-            image_a = tuple(a[inv[i]] for i in range(k))
-            image_y = coefficient.act(g, y) if coefficient is not None else None
-            return (image_a, image_y)
-
-        movers.append(move)
-
-    ids = _orbit_ids(points, movers)
-    fixed = set()
-    for (a, y), oid in ids.items():
-        if oid in fixed:
-            continue
-        target = (tuple(f(x) for x in a), y)
-        if ids.get(target) == oid:
-            fixed.add(oid)
-    return len(fixed)
+    gset = validate_gset(group, gset, family.ground)
+    table = dict(zip(group.elements, gset))
+    if not family.is_stable_under([table[s] for s in group.generators]):
+        raise ValueError("family is not stable under the group action")
+    k = len(gset[0])
+    _guard(f.size ** k * max(1, coefficient.size - 1 if coefficient else 1), max_enum)
+    return _fixed_orbit_count(
+        f, group, gset, k, lambda a: fiber_partition(a) in family, coefficient
+    )
 
 
 def fixed_gmap_space(
@@ -281,35 +275,21 @@ def fixed_gmap_space(
 ) -> int:
     """Fixed points of a |-> f o a on the orbit space map(K, M)/G.
 
-    Computed twice: by explicit orbit enumeration, and as the Burnside
-    average (1/|G|) sum_g #{a : f o a = a o g}.  The two counts must agree;
-    a mismatch is an internal logic error.
+    Computed twice: by counting the fixed orbits at their least points, and
+    as the Burnside average (1/|G|) sum_g #{a : f o a = a o g}.  The two
+    counts must agree; a mismatch is an internal logic error.
     """
-    if gset is None:
-        gset = group.elements
     gset = validate_gset(group, gset)
-    k = len(gset[0]) if gset else group.degree
+    k = len(gset[0])
     n = f.size
     _guard(n ** k, max_enum)
+    orbit_count = _fixed_orbit_count(f, group, gset, k)
 
-    maps = list(product(range(n), repeat=k))
-    inverses = [invert_perm(perm) for perm in gset]
-    movers = [
-        (lambda a, inv=inv: tuple(a[inv[i]] for i in range(k))) for inv in inverses
-    ]
-    ids = _orbit_ids(maps, movers)
-    fixed = set()
-    for a, oid in ids.items():
-        if oid not in fixed:
-            image = tuple(f(x) for x in a)
-            if ids[image] == oid:
-                fixed.add(oid)
-    orbit_count = len(fixed)
-
+    push = f.mapping.__getitem__
     total = 0
     for perm in gset:
-        for a in maps:
-            if all(f(a[i]) == a[perm[i]] for i in range(k)):
+        for a in product(range(n), repeat=k):
+            if tuple(map(push, a)) == tuple(map(a.__getitem__, perm)):
                 total += 1
     if total % group.order:
         raise RuntimeError("Burnside sum is not divisible by the group order")
@@ -363,6 +343,5 @@ def coefficient_traces(group: PermutationGroup, euler: int, gset=None) -> dict:
     reduced Euler characteristic `euler`: g has trace euler^{c(g)}, with c(g)
     the number of cycles of g on the smash factors.  For euler >= 0 this is a
     literal fixed-tuple count; the same formula extends to all integers."""
-    if gset is None:
-        gset = natural_gset(group, group.degree)
+    gset = validate_gset(group, gset)
     return {g: euler ** perm_cycle_count(perm) for g, perm in zip(group.elements, gset)}

@@ -15,7 +15,7 @@ import functools
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
-from .series import _field
+from .series import _field, _integers
 
 
 MAX_GROUND = 8  # Bell(8) = 4140 partitions; beyond that the oracles are hopeless anyway
@@ -374,35 +374,42 @@ class PermutationGroup:
     @classmethod
     def from_json(cls, obj: dict) -> "PermutationGroup":
         degree = int(_field(obj, "degree", "a group"))
-        if "elements" in obj:
-            return cls(degree, _field(obj, "elements", "a group", list))
-        return cls.from_generators(degree, _field(obj, "generators", "a group", list))
+        key = "elements" if "elements" in obj else "generators"
+        perms = [
+            _integers(perm, f"a permutation in a group's {key!r}")
+            for perm in _field(obj, key, "a group", list)
+        ]
+        if key == "elements":
+            return cls(degree, perms)
+        return cls.from_generators(degree, perms)
 
 
-def natural_gset(group: PermutationGroup, ground: int):
-    """The group's own permutations, as its action on {0..ground-1}."""
-    if group.degree != ground:
-        raise ValueError(
-            f"group degree {group.degree} does not match the ground size {ground}; "
-            "pass an explicit action"
-        )
-    return group.elements
+def validate_gset(group: PermutationGroup, gset=None, ground=None):
+    """The action table of `group` on `ground` points (any number when
+    None): the natural one for None, otherwise the given table, checked.
 
-
-def validate_gset(group: PermutationGroup, gset):
-    """Check that an action table (one permutation per group element, in
-    element order) is a genuine homomorphism; a mis-ordered table would
-    silently corrupt every orbit count built on it.
-
-    The law phi(g h) = phi(g) phi(h) is checked for every g and every h in
-    the group's generating set, together with phi(id) = id; by induction on
-    the word length of h it then holds for all pairs.  The identity check is
-    what catches a bad table for the trivial group, whose generating set is
-    empty."""
+    A table holds one permutation per group element, in element order, and
+    must be a genuine homomorphism: a mis-ordered table would silently
+    corrupt every orbit count built on it.  The law phi(g h) = phi(g) phi(h)
+    is checked for every g and every h in the group's generating set,
+    together with phi(id) = id; by induction on the word length of h it then
+    holds for all pairs.  The identity check is what catches a bad table for
+    the trivial group, whose generating set is empty."""
+    if gset is None:
+        if ground is not None and ground != group.degree:
+            raise ValueError(
+                f"group degree {group.degree} does not match the ground size {ground}; "
+                "pass an explicit action"
+            )
+        return group.elements
     gset = tuple(tuple(int(x) for x in perm) for perm in gset)
     if len(gset) != group.order:
         raise ValueError("the action table must align with the group's element list")
-    size = len(gset[0]) if gset else 0
+    size = len(gset[0])
+    if ground is not None and size != ground:
+        raise ValueError(
+            f"the action table permutes {size} points, not the {ground} of the ground set"
+        )
     table = dict(zip(group.elements, gset))
     for perm in gset:
         if sorted(perm) != list(range(size)):
@@ -559,7 +566,7 @@ def minimal_excluded_step(
     if family.is_full():
         raise NoExcludedPartitionError("the family already contains every partition")
     if gset is None:
-        gset = natural_gset(group, family.ground)
+        gset = validate_gset(group, None, family.ground)
     missing = [p for p in all_partitions(family.ground) if p not in family.members]
     minimal = [
         p

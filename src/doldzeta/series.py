@@ -59,6 +59,29 @@ def _field(obj, key: str, where: str, kind=None):
     return value
 
 
+def _integer(value, where: str) -> int:
+    """`value` as an int when it is an integer: an int, an integral number
+    such as Fraction(4, 2), or a decimal string.  Anything else, a bool or
+    1.5 included, is refused with a ValueError naming `where`, never
+    truncated."""
+    if not isinstance(value, bool):
+        try:
+            number = int(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        else:
+            if number == value or isinstance(value, str):
+                return number
+    raise ValueError(f"{where} must be an integer, got {value!r}")
+
+
+def _integers(values, where: str) -> tuple:
+    """A JSON list of integers as a tuple of ints; `where` names the list."""
+    if not isinstance(values, list):
+        raise ValueError(f"{where} must be a list, got {type(values).__name__}")
+    return tuple(_integer(v, f"an entry of {where}") for v in values)
+
+
 def _terms(coeffs, nonzero=bool) -> list:
     """The (index, coefficient) pairs of the entries that pass `nonzero`, in
     index order."""

@@ -424,7 +424,41 @@ def test_reduced_graded_zeta_matches_reduced_lefschetz_input(capsys):
         (["dold", "--map", '{"size":2,"map":5}'], "a self-map's 'map' must be a list, got int"),
         (["gsymm", "--group", '{"degree":2,"generators":5}'],
          "a group's 'generators' must be a list, got int"),
+        (["dold", "--map", '{"size":2,"map":["a",0]}'],
+         "an entry of a self-map's 'map' must be an integer, got 'a'"),
+        (["gsymm", "--group", '{"degree":2,"generators":[5]}'],
+         "a permutation in a group's 'generators' must be a list, got int"),
     ],
 )
 def test_reader_wrong_type_names_object_and_key(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["zeta", "--profile", '{"horizon":2,"values":[1.5,0]}', "-N", "2"],
+         "an entry of an orbit profile must be an integer, got 1.5"),
+        (["symmetric", "--lefschetz", "[1.7,3,1]", "-N", "3"],
+         "an entry of a Lefschetz sequence must be an integer, got 1.7"),
+        (["symmetric", "--lefschetz", "[true,3,1]", "-N", "3"],
+         "an entry of a Lefschetz sequence must be an integer, got True"),
+        (["zeta", "--profile", '["x",0]', "-N", "2"],
+         "an entry of an orbit profile must be an integer, got 'x'"),
+    ],
+)
+def test_non_integer_values_are_refused_not_truncated(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_integral_values_of_any_type_are_read_as_integers(capsys):
+    by_ints = run(capsys, "zeta", "--profile", "[1,0]", "-N", "2")
+    assert by_ints[0] == 0
+    assert run(capsys, "zeta", "--profile", '[1.0,"0"]', "-N", "2") == by_ints
+
+
+def test_unreadable_plan_file_is_a_usage_error(capsys, tmp_path):
+    missing = tmp_path / "plan.json"
+    code, out, err = run(capsys, "verify", "--plan", f"@{missing}")
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read the plan file {missing}: No such file or directory\n"

@@ -12,10 +12,12 @@ from itertools import combinations, permutations
 import pytest
 
 from doldzeta import (
+    FiniteSelfMap,
     PartitionFamily,
     PermutationGroup,
     SetPartition,
     fixed_gmap_space,
+    fixed_partition_orbits,
     general_lefschetz_polynomial,
     gsymm_polynomial,
     minimal_excluded_step,
@@ -234,6 +236,34 @@ def test_trivial_group_needs_the_identity_table(table):
     assert validate_gset(group, (identity_perm(len(table[0])),))
 
 
+def test_action_on_the_wrong_ground_refused_alike():
+    # S2 acting on 3 points, asked to act on the 2 points of the family
+    group = PermutationGroup.symmetric(2)
+    table = ((0, 1, 2), (1, 0, 2))
+    family = PartitionFamily.full(2)
+    messages = []
+    for call in (
+        lambda: general_lefschetz_polynomial(group, family, gset=table),
+        lambda: fixed_partition_orbits(FiniteSelfMap([1, 0]), group, family, gset=table),
+    ):
+        with pytest.raises(ValueError) as info:
+            call()
+        messages.append(str(info.value))
+    assert messages == ["the action table permutes 3 points, not the 2 of the ground set"] * 2
+
+
+def test_natural_action_needs_the_group_degree():
+    family = PartitionFamily.full(2)
+    for call in (
+        lambda: general_lefschetz_polynomial(PermutationGroup.symmetric(3), family),
+        lambda: fixed_partition_orbits(
+            FiniteSelfMap([0]), PermutationGroup.symmetric(3), family
+        ),
+    ):
+        with pytest.raises(ValueError, match="group degree 3 does not match the ground size 2"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # the Burnside average summed by cycle type
 
@@ -276,6 +306,8 @@ def test_entry_checks_refuse_bad_input():
     unstable = PartitionFamily(3, [SetPartition.discrete(3), SetPartition([[0, 1], [2]])])
     with pytest.raises(ValueError, match="not stable"):
         general_lefschetz_polynomial(s3, unstable)
+    with pytest.raises(ValueError, match="not stable"):
+        fixed_partition_orbits(FiniteSelfMap.identity(3), s3, unstable)
     partial = {g: 1 for g in s3.elements[:-1]}
     with pytest.raises(ValueError, match="every group element"):
         general_lefschetz_polynomial(s3, PartitionFamily.max_block(3, 1), partial)

@@ -9,15 +9,14 @@ negative coefficients, orders up to 64, and MultiPoly series up to k = 6.
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from doldzeta import MultiPoly, Poly, PowerSeries
 from doldzeta.identities import (
     _orbit_factor_polys,
-    falling_binomial,
     falling_factorial,
-    rising_binomial,
     symmetric_power_polys,
 )
 from doldzeta.series import _convolve_into, _terms
@@ -68,6 +67,25 @@ def reference_convolve_poly_series(a, b, order, nvars):
             if not pb.is_zero:
                 out[i + j] = out[i + j] + pa * pb
     return out
+
+
+def falling_binomial(var, j, nvars):
+    """C(t_var, j) = t(t-1)...(t-j+1)/j!, built from scratch for each j as
+    _orbit_factor_polys did before it built each binomial from the last."""
+    poly = MultiPoly.constant(1, nvars)
+    t = MultiPoly.variable(var, nvars)
+    for i in range(j):
+        poly = poly * (t - MultiPoly.constant(i, nvars))
+    return poly / factorial(j)
+
+
+def rising_binomial(var, j, nvars):
+    """C(t_var + j - 1, j) = t(t+1)...(t+j-1)/j!, built from scratch."""
+    poly = MultiPoly.constant(1, nvars)
+    t = MultiPoly.variable(var, nvars)
+    for i in range(j):
+        poly = poly * (t + MultiPoly.constant(i, nvars))
+    return poly / factorial(j)
 
 
 def reference_orbit_factor_polys(m, bound, nvars, order):
@@ -240,7 +258,9 @@ class TestSymmetricPowerPolys:
             assert got == reference_symmetric_power_polys(bound, order)
 
     def test_orbit_factors_at_larger_orders(self):
-        for m, bound, order in ((1, 1, 24), (2, 3, 64), (3, 2, 64), (7, 5, 64), (64, 1, 64)):
+        cases = ((1, 1, 24), (2, 3, 64), (3, 2, 64), (7, 5, 64), (64, 1, 64),
+                 (1, None, 24), (5, None, 64))
+        for m, bound, order in cases:
             got = _orbit_factor_polys(m, bound, m, order)
             assert got == reference_orbit_factor_polys(m, bound, m, order)
 

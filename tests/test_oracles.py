@@ -1,6 +1,7 @@
 """Brute-force counting oracles and their internal coherence."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -17,7 +18,9 @@ from doldzeta import (
     fixed_partition_orbits,
     induced_bounded_multiset_map,
 )
+from doldzeta import oracles
 from doldzeta.dynamics import cycle_profile
+from doldzeta.partitions import fiber_partition, invert_perm, perm_cycle_count
 from doldzeta.series import PowerSeries
 
 from conftest import seeded_maps
@@ -228,3 +231,95 @@ class TestInducedMap:
         images = {m: induced(i + 1) for i, m in enumerate(multisets)}
         assert images[(1, 1)] == 0 and images[(1, 2)] == 0
         assert images[(2, 2)] == multisets.index((2, 2)) + 1
+
+
+# ---------------------------------------------------------------------------
+# the least-point orbit counter against the orbit-id enumeration it replaced
+
+
+def reference_orbit_ids(points, movers):
+    """Partition `points` into orbits under the given family of bijections."""
+    ids = {}
+    next_id = 0
+    for p in points:
+        if p in ids:
+            continue
+        stack = [p]
+        ids[p] = next_id
+        while stack:
+            q = stack.pop()
+            for move in movers:
+                r = move(q)
+                if r not in ids:
+                    ids[r] = next_id
+                    stack.append(r)
+        next_id += 1
+    return ids
+
+
+def reference_partition_orbits(f, group, family, coefficient=None, gset=None):
+    """The old fixed_partition_orbits: a list of every admissible point, an
+    orbit id for each, and an orbit counted when f o a lands in it again."""
+    k = family.ground
+    gset = group.elements if gset is None else gset
+    ys = list(range(1, coefficient.size)) if coefficient is not None else [None]
+    admissible = [a for a in product(range(f.size), repeat=k) if fiber_partition(a) in family]
+    points = [(a, y) for a in admissible for y in ys]
+    movers = []
+    for g, perm in zip(group.elements, gset):
+        def move(point, g=g, inv=invert_perm(perm)):
+            a, y = point
+            image_y = coefficient.act(g, y) if coefficient is not None else None
+            return tuple(a[inv[i]] for i in range(k)), image_y
+
+        movers.append(move)
+    ids = reference_orbit_ids(points, movers)
+    fixed = {oid for (a, y), oid in ids.items() if ids.get((tuple(f(x) for x in a), y)) == oid}
+    return len(fixed)
+
+
+def sign_action(group):
+    """The group acting on two points through the sign of its permutations."""
+    return tuple(
+        (1, 0) if (group.degree - perm_cycle_count(g)) % 2 else (0, 1) for g in group.elements
+    )
+
+
+ORACLE_GROUPS = [
+    *[(f"S{k}", PermutationGroup.symmetric(k), None) for k in (2, 3, 4)],
+    *[(f"C{k}", PermutationGroup.cyclic(k), None) for k in (2, 3, 4)],
+    *[(f"1_{k}", PermutationGroup.trivial(k), None) for k in (2, 3, 4)],
+    ("S2xC2", PermutationGroup.direct_product(
+        PermutationGroup.symmetric(2), PermutationGroup.cyclic(2)), None),
+    ("S3 by sign", PermutationGroup.symmetric(3), sign_action(PermutationGroup.symmetric(3))),
+]
+
+
+@pytest.mark.parametrize("name, group, gset", ORACLE_GROUPS, ids=[c[0] for c in ORACLE_GROUPS])
+def test_least_point_counter_matches_orbit_enumeration(name, group, gset):
+    k = group.degree if gset is None else len(gset[0])
+    families = [
+        PartitionFamily.full(k),
+        PartitionFamily.discrete_only(k),
+        PartitionFamily.max_block(k, 2),
+    ]
+    coefficients = [None] + [PointedFiniteSet.smash_power(p, group, gset) for p in (0, 1, 2)]
+    nonzero = 0
+    for f in seeded_maps(sum(map(ord, name)), 8, 4, min_size=1):
+        for family in families:
+            for coefficient in coefficients:
+                want = reference_partition_orbits(f, group, family, coefficient, gset)
+                assert fixed_partition_orbits(f, group, family, coefficient, gset) == want
+                nonzero += want > 0
+        want = reference_partition_orbits(f, group, families[0], None, gset)
+        assert fixed_gmap_space(f, group, gset) == want
+    assert nonzero
+
+
+def test_burnside_cross_check_fires_on_a_wrong_orbit_count(monkeypatch):
+    real = oracles._fixed_orbit_count
+    monkeypatch.setattr(oracles, "_fixed_orbit_count", lambda *args: real(*args) + 1)
+    f = FiniteSelfMap([1, 0, 2])
+    with pytest.raises(RuntimeError, match=r"orbit enumeration \(3\) disagrees with the "
+                                           r"Burnside average \(2\)"):
+        fixed_gmap_space(f, PermutationGroup.symmetric(2))
