@@ -36,6 +36,7 @@ from .graded import (
 )
 from .identities import (
     DEFAULT_ORDER,
+    MAX_PLAN_ORDER,
     _ZETA_SOURCES,
     _parse_group_and_action,
     _read_zeta,
@@ -54,7 +55,7 @@ from .partitions import (
     NotRefinementClosedError,
     PartitionFamily,
 )
-from .series import NotAUnitError, NotExpandableError, PowerSeries, egf_unpack, rat_str
+from .series import NotAUnitError, NotExpandableError, PowerSeries, _integers, egf_unpack, rat_str
 
 USAGE_ERRORS = (
     ValueError,
@@ -121,8 +122,8 @@ def _series_text(series: PowerSeries) -> list:
 
 def _parse_order(value: str) -> int:
     order = int(value)
-    if not 1 <= order <= 64:
-        raise argparse.ArgumentTypeError("order must lie in 1..64")
+    if not 1 <= order <= MAX_PLAN_ORDER:
+        raise argparse.ArgumentTypeError(f"order must lie in 1..{MAX_PLAN_ORDER}")
     return order
 
 
@@ -148,10 +149,10 @@ def _zeta_from_args(args, reduced=False) -> PowerSeries:
 
 def _traces_from_args(args, group, gset):
     if getattr(args, "traces", None):
-        values = _load_json(args.traces, "--traces")
+        values = _integers(_load_json(args.traces, "--traces"), "--traces")
         if len(values) != group.order:
             raise CliUsageError("need one trace per group element, in element order")
-        return {g: int(v) for g, v in zip(group.elements, values)}
+        return dict(zip(group.elements, values))
     if getattr(args, "coefficient_size", None) is not None:
         return coefficient_traces(group, args.coefficient_size, gset)
     return None
@@ -407,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("-N", "--order", type=_parse_order, default=DEFAULT_ORDER,
-                       help="truncation order (1..64, default 12)")
+                       help=f"truncation order (1..{MAX_PLAN_ORDER}, default {DEFAULT_ORDER})")
         p.add_argument("--format", choices=("json", "text"), default="json")
 
     p = sub.add_parser("dold", help="orbit profile, Lefschetz numbers and zeta of a finite map")

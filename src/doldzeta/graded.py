@@ -76,10 +76,6 @@ class GradedEndomorphism:
     def dimension(self, degree: int) -> int:
         return len(self.matrices.get(degree, ()))
 
-    @property
-    def total_dimension(self) -> int:
-        return sum(len(rows) for rows in self.matrices.values())
-
     def matrix(self, degree: int):
         return self.matrices[degree]
 

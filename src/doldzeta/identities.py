@@ -59,6 +59,7 @@ from .oracles import (
 from .partitions import (
     PartitionFamily,
     PermutationGroup,
+    _require_stable,
     minimal_excluded_step,
     perm_cycle_type,
     validate_gset,
@@ -68,6 +69,7 @@ from .series import (
     PowerSeries,
     _convolve_into,
     _field,
+    _integer,
     _integers,
     _terms,
     egf_pack,
@@ -370,12 +372,11 @@ def general_lefschetz_polynomial(
     k = family.ground
     gset = validate_gset(group, gset, k)
     traces = _validate_traces(group, coeff_traces)
-    if not family.is_stable_under(gset):
-        raise ValueError("family is not stable under the group action")
+    _require_stable(family, group, gset)
     memo = {}
 
     def rec(grp, fam, act):
-        key = (grp.elements, act, tuple(fam.sorted_members()))
+        key = (grp.elements, act, fam.members)
         cached = memo.get(key)
         if cached is not None:
             return cached
@@ -723,25 +724,19 @@ def compare_series_with_counts(series, counts):
     return None
 
 
-def _parse_bound(value):
-    if value is None or value == "inf":
-        return None
-    return int(value)
-
-
 def _parse_group_and_action(group_obj, gset_obj, where: str):
     """A group from its JSON object and, when `gset_obj` is not None, its
     action table from a G-set object; `where` names the G-set in messages."""
     group = PermutationGroup.from_json(group_obj)
     if gset_obj is None:
         return group, None
-    size = int(_field(gset_obj, "size", where))
+    size = _integer(_field(gset_obj, "size", where), f"{where}'s 'size'")
     action = _field(gset_obj, "action", where)
     if not isinstance(action, dict):
         raise ValueError(f"the action of {where} must map element indices to permutations")
     table = [None] * group.order
     for idx, perm in action.items():
-        i = int(idx)
+        i = _integer(idx, f"an element index in the action of {where}")
         if not 0 <= i < group.order:
             raise ValueError(
                 f"{where} names element {i}, but the group has {group.order} elements"
@@ -792,16 +787,29 @@ def _read_zeta(source: dict, order: int, where: str, names: dict, reduced=False)
 MAX_PLAN_ORDER = 64
 
 
+def _plan_field(plan: dict, key: str):
+    return _field(plan, key, f"the {plan['identity']!r} plan")
+
+
+def _plan_integer(plan: dict, key: str, default=None) -> int:
+    """A plan's integer field, refused (never truncated) when it is not an
+    integer; a field without a default is required."""
+    value = _plan_field(plan, key) if default is None else plan.get(key, default)
+    return _integer(value, f"the {plan['identity']!r} plan's {key!r}")
+
+
+def _plan_bound(plan: dict, default=None):
+    """A plan's multiplicity bound 'l': an integer, or "inf" or null for none."""
+    value = _plan_field(plan, "l") if default is None else plan.get("l", default)
+    return None if value is None or value == "inf" else _plan_integer(plan, "l")
+
+
 def _plan_order(plan: dict, key: str, default: int) -> int:
     """A plan's size field, bounded like the CLI's -N."""
-    value = int(plan.get(key, default))
+    value = _plan_integer(plan, key, default)
     if not 1 <= value <= MAX_PLAN_ORDER:
         raise ValueError(f"plan field {key!r} must lie in 1..{MAX_PLAN_ORDER}, got {value}")
     return value
-
-
-def _plan_field(plan: dict, key: str):
-    return _field(plan, key, f"the {plan['identity']!r} plan")
 
 
 def _plan_map(plan: dict) -> FiniteSelfMap:
@@ -834,7 +842,7 @@ def _polynomial_report(lp: LefschetzPolynomial, f: FiniteSelfMap, oracle) -> dic
 
 def _verify_multisets(plan, k_max, max_enum, bounded):
     f = _plan_map(plan)
-    bound = _parse_bound(_plan_field(plan, "l")) if bounded else None
+    bound = _plan_bound(plan) if bounded else None
     rhs = rhs_symmetric_power(zeta_of_map(f, k_max), bound)
     counts = [fixed_bounded_multisets(f, k, bound, max_enum) for k in range(k_max + 1)]
     return _series_report(rhs, counts)
@@ -849,7 +857,7 @@ def _verify_subsets(plan, k_max, max_enum):
 
 def _verify_tuples(plan, k_max, max_enum):
     f = _plan_map(plan)
-    bound = int(_plan_field(plan, "l"))
+    bound = _plan_integer(plan, "l")
     rhs = rhs_bounded_tuples(len(f.fixed_points()), bound, k_max)
     counts = [fixed_bounded_tuples(f, k, bound, max_enum) for k in range(k_max + 1)]
     return _series_report(rhs, counts, egf_unpack(rhs))
@@ -870,7 +878,7 @@ def _verify_partition_family(plan, k_max, max_enum):
     coefficient = None
     traces = None
     if "coefficient_size" in plan:
-        size = int(plan["coefficient_size"])
+        size = _plan_integer(plan, "coefficient_size")
         # the oracle's candidate count, refused before the smash power
         # builds its size^k tuples
         k = len(gset[0])
@@ -889,8 +897,8 @@ def _verify_coefficient_space(plan, k_max, max_enum):
         profile = cycle_profile(_plan_map(plan), _plan_order(plan, "N", 4))
     return coefficient_identities_check(
         profile,
-        int(_plan_field(plan, "euler")),
-        _parse_bound(plan.get("l", "inf")),
+        _plan_integer(plan, "euler"),
+        _plan_bound(plan, "inf"),
         _plan_order(plan, "N", min(profile.horizon, 4)),
     )
 
@@ -900,7 +908,7 @@ _PLAN_ZETA_NAMES = {key: repr(key) for key in _ZETA_SOURCES}
 
 def _verify_configuration_traces(plan, k_max, max_enum):
     zeta = _read_zeta(plan, k_max, f"the {plan['identity']!r} plan", _PLAN_ZETA_NAMES)
-    epsilon = int(plan.get("epsilon", 1))
+    epsilon = _plan_integer(plan, "epsilon", 1)
     series = configuration_trace_series(zeta, _plan_field(plan, "parity"), epsilon)
     traces = [series[k] * epsilon ** k for k in range(k_max + 1)]
     mismatch = None
@@ -941,10 +949,10 @@ def verify_identity(plan: dict, max_enum=None) -> dict:
     if "identity" not in plan:
         raise ValueError('the plan has no "identity" key naming the statement to check')
     identity = plan["identity"]
-    k_max = _plan_order(plan, "k_max", 6)
     verifier = _VERIFIERS.get(identity) if isinstance(identity, str) else None
     if verifier is None:
         raise ValueError(f"unknown identity {identity!r}")
+    k_max = _plan_order(plan, "k_max", 6)
     report = verifier(plan, k_max, max_enum)
     report["identity"] = identity
     report["elapsed_s"] = round(perf_counter() - started, 6)

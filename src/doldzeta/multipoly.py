@@ -53,16 +53,6 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def constant_value(self) -> Fraction:
-        """The value of a constant polynomial (errors if any variable occurs)."""
-        if not self.terms:
-            return Fraction(0)
-        if len(self.terms) == 1:
-            (exps, c), = self.terms.items()
-            if not any(exps):
-                return c
-        raise ValueError("polynomial is not constant")
-
     def _require_same_space(self, other: "MultiPoly"):
         if self.nvars != other.nvars:
             raise ValueError("polynomials live in different variable spaces")

@@ -23,6 +23,7 @@ from .dynamics import FiniteSelfMap
 from .partitions import (
     PartitionFamily,
     PermutationGroup,
+    _require_stable,
     fiber_partition,
     invert_perm,
     perm_cycle_count,
@@ -253,13 +254,10 @@ def fixed_partition_orbits(
     sends [a, y] to [f o a, y].  An orbit counts as fixed when the image of
     a representative lands back in the same orbit, equivalently when some
     g in G satisfies f o a = a o g and g fixes y.  The family must be stable
-    under the action, so that an orbit is admissible as a whole; stability
-    under the images of the group's generators implies it.
+    under the action, so that an orbit is admissible as a whole.
     """
     gset = validate_gset(group, gset, family.ground)
-    table = dict(zip(group.elements, gset))
-    if not family.is_stable_under([table[s] for s in group.generators]):
-        raise ValueError("family is not stable under the group action")
+    _require_stable(family, group, gset)
     k = len(gset[0])
     _guard(f.size ** k * max(1, coefficient.size - 1 if coefficient else 1), max_enum)
     return _fixed_orbit_count(

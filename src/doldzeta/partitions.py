@@ -1,12 +1,20 @@
 """Set partitions, the refinement order, stable families and permutation groups.
 
 Partitions of {0..k-1} are ordered by refinement: the discrete partition
-(all singletons) is the least element and {K} the greatest.  A family of
-partitions is admissible when it is closed downwards under refinement and,
-when paired with a group action, stable under it.  The key combinatorial
-step for the recursive Lefschetz-polynomial calculus picks a minimal
-partition outside such a family, adjoins its orbit, and hands back the
-stabilizer acting on the blocks.
+(all singletons) is the least element and {K} the greatest.  A partition is
+stored as its restricted growth string, the block index of each point with
+the blocks numbered by their least elements, so images, fibers and splits
+are relabellings of tuples.  A family of partitions is admissible when it
+is closed downwards under refinement and, when paired with a group action,
+stable under it.  The key combinatorial step for the recursive
+Lefschetz-polynomial calculus picks a minimal partition outside such a
+family, adjoins its orbit, and hands back the stabilizer acting on the
+blocks.
+
+Input is checked once, where it enters: the blocks constructor, the
+validating family constructor, `validate_gset` and `_require_stable`.  The
+partitions and families built inside the recursion are correct by
+construction and are not checked again.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ import functools
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
-from .series import _field, _integers
+from .series import _field, _integer, _integers
 
 
 MAX_GROUND = 8  # Bell(8) = 4140 partitions; beyond that the oracles are hopeless anyway
@@ -38,95 +46,88 @@ class NoExcludedPartitionError(ValueError):
 
 
 class SetPartition:
-    """A partition of {0..k-1} in canonical form.
+    """A partition of {0..k-1}, stored as its restricted growth string.
 
-    Blocks are stored sorted internally and ordered by their minima, so two
-    equal partitions have identical representations.
+    `labels[x]` is the index of the block holding x, the blocks numbered
+    0, 1, 2, ... in the order of their least elements, so two equal
+    partitions have identical labels.  The blocks constructor checks its
+    input; the builders in this module pass values they made themselves to
+    `_fibers`, which relabels them and checks nothing.
     """
 
-    __slots__ = ("blocks", "ground")
+    __slots__ = ("labels",)
 
     def __init__(self, blocks):
-        canon = tuple(sorted(tuple(sorted(int(x) for x in b)) for b in blocks))
-        seen = []
-        for b in canon:
-            if not b:
-                raise ValueError("blocks must be nonempty")
-            seen.extend(b)
-        ground = len(seen)
-        if sorted(seen) != list(range(ground)):
-            raise ValueError(f"blocks {canon} do not partition a range 0..k-1")
-        self.blocks = canon
-        self.ground = ground
+        blocks = [[int(x) for x in b] for b in blocks]
+        if not all(blocks):
+            raise ValueError("blocks must be nonempty")
+        where = {}
+        for index, block in enumerate(sorted(blocks, key=min)):
+            for x in block:
+                where[x] = index
+        ground = sum(map(len, blocks))
+        # a repeated element leaves fewer keys than elements
+        if sorted(where) != list(range(ground)):
+            raise ValueError(f"blocks {blocks} do not partition a range 0..k-1")
+        self.labels = tuple(where[x] for x in range(ground))
+
+    @classmethod
+    def _fibers(cls, values) -> "SetPartition":
+        """The partition of range(len(values)) by equal values, unchecked."""
+        first = {}
+        part = object.__new__(cls)
+        part.labels = tuple([first.setdefault(v, len(first)) for v in values])
+        return part
 
     @classmethod
     def discrete(cls, k: int) -> "SetPartition":
-        return cls([(i,) for i in range(k)])
+        return cls._fibers(range(k))
 
     @classmethod
     def whole(cls, k: int) -> "SetPartition":
-        return cls([tuple(range(k))])
+        return cls._fibers([0] * k)
+
+    @property
+    def ground(self) -> int:
+        return len(self.labels)
 
     @property
     def block_count(self) -> int:
-        return len(self.blocks)
+        return max(self.labels, default=-1) + 1
 
     @property
-    def is_discrete(self) -> bool:
-        return len(self.blocks) == self.ground
-
-    def block_index_of(self):
-        """element -> index of its block, in canonical block order."""
-        where = [0] * self.ground
-        for i, b in enumerate(self.blocks):
-            for x in b:
-                where[x] = i
-        return where
+    def blocks(self) -> tuple:
+        """The blocks as sorted tuples, in the order of their least elements."""
+        blocks = [[] for _ in range(self.block_count)]
+        for x, label in enumerate(self.labels):
+            blocks[label].append(x)
+        return tuple(map(tuple, blocks))
 
     def refines(self, other: "SetPartition") -> bool:
         """True when every block of self lies inside a block of other (self <= other)."""
         if self.ground != other.ground:
             raise ValueError("partitions of different ground sets are incomparable")
-        where = other.block_index_of()
-        return all(len({where[x] for x in b}) == 1 for b in self.blocks)
-
-    def join(self, other: "SetPartition") -> "SetPartition":
-        """Least upper bound: connected components of the union of all blocks."""
-        if self.ground != other.ground:
-            raise ValueError("partitions of different ground sets have no join")
-        parent = list(range(self.ground))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for block in self.blocks + other.blocks:
-            root = find(block[0])
-            for x in block[1:]:
-                parent[find(x)] = root
-        groups = {}
-        for x in range(self.ground):
-            groups.setdefault(find(x), []).append(x)
-        return SetPartition(groups.values())
+        return len(set(zip(self.labels, other.labels))) == self.block_count
 
     def apply(self, perm) -> "SetPartition":
         """Image of the partition under a permutation of the ground set."""
         if len(perm) != self.ground:
             raise ValueError("permutation degree disagrees with the ground set")
-        return SetPartition([[perm[x] for x in b] for b in self.blocks])
+        image = [0] * len(perm)
+        for x, label in zip(perm, self.labels):
+            image[x] = label
+        return SetPartition._fibers(image)
 
     def __eq__(self, other):
         if not isinstance(other, SetPartition):
             return NotImplemented
-        return self.blocks == other.blocks
+        return self.labels == other.labels
 
     def __hash__(self):
-        return hash(self.blocks)
+        return hash(self.labels)
 
     def __lt__(self, other):
-        return self.blocks < other.blocks
+        return self.labels < other.labels
 
     def __repr__(self):
         inner = ", ".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks)
@@ -137,55 +138,41 @@ class SetPartition:
 
     @classmethod
     def from_json(cls, obj) -> "SetPartition":
-        return cls(obj)
-
-
-def _partitions_of(elements):
-    if not elements:
-        yield ()
-        return
-    first, rest = elements[0], elements[1:]
-    for sub in _partitions_of(rest):
-        yield ((first,),) + sub
-        for i in range(len(sub)):
-            yield sub[:i] + ((first,) + sub[i],) + sub[i + 1:]
+        if not isinstance(obj, list):
+            raise ValueError(f"a partition must be a list of blocks, got {type(obj).__name__}")
+        return cls(_integers(block, "a partition block") for block in obj)
 
 
 @functools.lru_cache(maxsize=None)
 def all_partitions(k: int):
-    """All Bell(k) partitions of {0..k-1}, materialized once per k."""
+    """All Bell(k) partitions of {0..k-1}, materialized once per k, in the
+    order of their labels: each growth string extends a shorter one by an
+    existing block or one new block."""
     if not 1 <= k <= MAX_GROUND:
         raise ValueError(f"partition lattice supported for 1 <= k <= {MAX_GROUND}")
-    return tuple(sorted(SetPartition(blocks) for blocks in _partitions_of(tuple(range(k)))))
+    strings = [(0,)]
+    for _ in range(k - 1):
+        strings = [s + (label,) for s in strings for label in range(max(s) + 2)]
+    return tuple(SetPartition._fibers(s) for s in strings)
 
 
 def refinements_of(partition: SetPartition):
-    """All partitions <= the given one (refine each block independently)."""
-    block_choices = []
-    for b in partition.blocks:
-        block_choices.append([
-            [tuple(b[i] for i in piece) for piece in sub]
-            for sub in _partitions_of(tuple(range(len(b))))
-        ])
-    results = [[]]
-    for choices in block_choices:
-        results = [acc + choice for acc in results for choice in choices]
-    return [SetPartition(blocks) for blocks in results]
+    """All partitions <= the given one."""
+    return [p for p in all_partitions(partition.ground) if p.refines(partition)]
 
 
 def _single_splits(partition: SetPartition):
-    """Partitions obtained by splitting one block into two nonempty pieces."""
-    for bi, b in enumerate(partition.blocks):
-        if len(b) < 2:
-            continue
-        rest = partition.blocks[:bi] + partition.blocks[bi + 1:]
-        others = b[1:]
-        for r in range(len(others) + 1):
-            for keep in combinations(others, r):
-                left = (b[0],) + keep
-                right = tuple(x for x in b if x not in left)
-                if right:
-                    yield SetPartition(rest + (left, right))
+    """Partitions obtained by splitting one block into two nonempty pieces:
+    the piece without the block's least element moves to a new block."""
+    fresh = partition.block_count
+    for block in partition.blocks:
+        rest = block[1:]
+        for r in range(1, len(rest) + 1):
+            for moved in combinations(rest, r):
+                values = list(partition.labels)
+                for x in moved:
+                    values[x] = fresh
+                yield SetPartition._fibers(values)
 
 
 def identity_perm(k: int):
@@ -373,7 +360,7 @@ class PermutationGroup:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PermutationGroup":
-        degree = int(_field(obj, "degree", "a group"))
+        degree = _integer(_field(obj, "degree", "a group"), "a group's 'degree'")
         key = "elements" if "elements" in obj else "generators"
         perms = [
             _integers(perm, f"a permutation in a group's {key!r}")
@@ -423,11 +410,22 @@ def validate_gset(group: PermutationGroup, gset=None, ground=None):
     return gset
 
 
+def _require_stable(family: "PartitionFamily", group: PermutationGroup, gset):
+    """Refuse a family that the validated action table `gset` does not map
+    into itself.  The images of the generators decide it: every element is
+    a word in them, and a permutation of a finite family that maps it into
+    itself maps it onto itself."""
+    table = dict(zip(group.elements, gset))
+    if not family.is_stable_under([table[s] for s in group.generators]):
+        raise ValueError("family is not stable under the group action")
+
+
 class PartitionFamily:
     """A nonempty, refinement-closed set of partitions of {0..k-1}.
 
-    Closure is validated (not assumed) by checking closure under single
-    block splits, which generate the full refinement order.
+    The validating constructor checks closure under single block splits,
+    which generate the full refinement order; the builders below and the
+    family recursion make closed families and skip the check.
     """
 
     __slots__ = ("ground", "members")
@@ -436,15 +434,15 @@ class PartitionFamily:
         members = frozenset(members)
         if not members:
             raise ValueError("a partition family must be nonempty")
-        for p in members:
-            if not isinstance(p, SetPartition) or p.ground != ground:
-                raise ValueError(f"{p!r} is not a partition of 0..{ground - 1}")
         self.ground = ground
         self.members = members
         if validate:
             self._validate_closure()
 
     def _validate_closure(self):
+        for p in self.members:
+            if not isinstance(p, SetPartition) or p.ground != self.ground:
+                raise ValueError(f"{p!r} is not a partition of 0..{self.ground - 1}")
         if SetPartition.discrete(self.ground) not in self.members:
             raise NotRefinementClosedError(
                 next(iter(self.members)), SetPartition.discrete(self.ground)
@@ -484,12 +482,12 @@ class PartitionFamily:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PartitionFamily":
-        k = int(_field(obj, "ground", "a partition family"))
+        k = _integer(_field(obj, "ground", "a partition family"), "a partition family's 'ground'")
         if "members" in obj:
             members = _field(obj, "members", "a partition family", list)
             return cls(k, [SetPartition.from_json(p) for p in members])
         if "max_block" in obj:
-            return cls.max_block(k, int(obj["max_block"]))
+            return cls.max_block(k, _integer(obj["max_block"], "a partition family's 'max_block'"))
         if "refines" in obj:
             target = SetPartition.from_json(obj["refines"])
             if target.ground != k:
@@ -498,10 +496,7 @@ class PartitionFamily:
         raise ValueError("family object needs 'members', 'max_block' or 'refines'")
 
     def to_json(self) -> dict:
-        return {"ground": self.ground, "members": [p.to_json() for p in self.sorted_members()]}
-
-    def sorted_members(self):
-        return sorted(self.members)
+        return {"ground": self.ground, "members": [p.to_json() for p in sorted(self.members)]}
 
     def __contains__(self, partition) -> bool:
         return partition in self.members
@@ -525,9 +520,6 @@ class PartitionFamily:
 
     def is_stable_under(self, gset) -> bool:
         return all(p.apply(perm) in self.members for p in self.members for perm in gset)
-
-    def extended_with(self, partitions) -> "PartitionFamily":
-        return PartitionFamily(self.ground, self.members | frozenset(partitions))
 
     def block_counts(self) -> tuple:
         """n_r = number of members with exactly r blocks, for r = 1..k."""
@@ -558,42 +550,42 @@ def minimal_excluded_step(
 ) -> MinimalStep:
     """Pick a minimal partition outside the family and adjoin its orbit.
 
-    Minimal means every proper refinement already belongs to the family.  Ties
-    are broken canonically (least in block order) unless an `rng` is supplied,
-    in which case the choice is randomized; any choice yields the same
-    Lefschetz polynomial downstream.
+    Minimal means every proper refinement already belongs to the family; as
+    the family is refinement-closed, it suffices that every single split
+    does.  Ties are broken canonically (least labels) unless an `rng` is
+    supplied, in which case the choice is randomized; any choice yields the
+    same Lefschetz polynomial downstream.
+
+    The family must be stable under the action.  The enlarged family is then
+    refinement-closed and stable by construction and is not checked again:
+    each split of g.p is g applied to a split of p, which lies in the family.
     """
     if family.is_full():
         raise NoExcludedPartitionError("the family already contains every partition")
     if gset is None:
         gset = validate_gset(group, None, family.ground)
-    missing = [p for p in all_partitions(family.ground) if p not in family.members]
+    members = family.members
     minimal = [
         p
-        for p in missing
-        if not any(q is not p and q.refines(p) for q in missing)
+        for p in all_partitions(family.ground)
+        if p not in members and all(split in members for split in _single_splits(p))
     ]
-    chosen = rng.choice(minimal) if rng is not None else min(minimal)
+    chosen = rng.choice(minimal) if rng is not None else minimal[0]
+    # a stabilizer element maps each block onto the block holding the image
+    # of its least element
+    heads = [block[0] for block in chosen.blocks]
     orbit = set()
     stab = []
-    stab_action = []
+    block_action = []
     for g, perm in zip(group.elements, gset):
         image = chosen.apply(perm)
         orbit.add(image)
         if image == chosen:
             stab.append(g)
-            stab_action.append(perm)
-    extended = family.extended_with(orbit)
-    block_lookup = {b: i for i, b in enumerate(chosen.blocks)}
-    block_action = []
-    for perm in stab_action:
-        images = []
-        for b in chosen.blocks:
-            images.append(block_lookup[tuple(sorted(perm[x] for x in b))])
-        block_action.append(tuple(images))
+            block_action.append(tuple(chosen.labels[perm[x]] for x in heads))
     return MinimalStep(
         partition=chosen,
-        extended_family=extended,
+        extended_family=PartitionFamily(family.ground, members | orbit, validate=False),
         stabilizer=tuple(stab),
         block_action=tuple(block_action),
         block_ground=chosen.block_count,
@@ -602,7 +594,4 @@ def minimal_excluded_step(
 
 def fiber_partition(values) -> SetPartition:
     """The partition of the index set by equal values."""
-    groups = {}
-    for i, v in enumerate(values):
-        groups.setdefault(v, []).append(i)
-    return SetPartition(groups.values())
+    return SetPartition._fibers(values)

@@ -244,6 +244,10 @@ MAP = {"size": 2, "map": [1, 0]}
 S2 = {"degree": 2, "elements": [[0, 1], [1, 0]]}
 
 
+def plan_argv(plan):
+    return ["verify", "--plan", json.dumps(plan)]
+
+
 @pytest.mark.parametrize(
     "plan, message",
     [
@@ -445,6 +449,40 @@ def test_reader_wrong_type_names_object_and_key(capsys, argv, message):
          "an entry of a Lefschetz sequence must be an integer, got True"),
         (["zeta", "--profile", '["x",0]', "-N", "2"],
          "an entry of an orbit profile must be an integer, got 'x'"),
+        # plan fields, family and G-set keys, and --traces
+        (plan_argv({"identity": "main", "l": 1.5, "map": MAP}),
+         "the 'main' plan's 'l' must be an integer, got 1.5"),
+        (plan_argv({"identity": "sub", "l": 0.5, "map": MAP}),
+         "the 'sub' plan's 'l' must be an integer, got 0.5"),
+        (plan_argv({"identity": "md", "k_max": 3.9, "map": MAP}),
+         "the 'md' plan's 'k_max' must be an integer, got 3.9"),
+        (plan_argv({"identity": "coeffic", "map": MAP, "euler": 1, "N": 2.5}),
+         "the 'coeffic' plan's 'N' must be an integer, got 2.5"),
+        (plan_argv({"identity": "coeffic", "map": MAP, "euler": "x"}),
+         "the 'coeffic' plan's 'euler' must be an integer, got 'x'"),
+        (plan_argv({"identity": "config-trace", "parity": "odd", "epsilon": -1.5,
+                    "graded": {"degrees": {"0": [["1"]]}}}),
+         "the 'config-trace' plan's 'epsilon' must be an integer, got -1.5"),
+        (plan_argv({"identity": "partition", "map": MAP, "group": S2,
+                    "family": {"ground": 2, "max_block": 1}, "coefficient_size": 2.5}),
+         "the 'partition' plan's 'coefficient_size' must be an integer, got 2.5"),
+        (["partition", "--group", json.dumps(S2), "--family", '{"ground":2,"max_block":1.7}'],
+         "a partition family's 'max_block' must be an integer, got 1.7"),
+        (["partition", "--group", json.dumps(S2), "--family", '{"ground":2.0001,"max_block":1}'],
+         "a partition family's 'ground' must be an integer, got 2.0001"),
+        (["partition", "--group", json.dumps(S2), "--family", '{"ground":2,"refines":[[0,0.9]]}'],
+         "an entry of a partition block must be an integer, got 0.9"),
+        (["gsymm", "--group", '{"degree":2.5,"generators":[]}'],
+         "a group's 'degree' must be an integer, got 2.5"),
+        (["gsymm", "--group", json.dumps(S2), "--gset", '{"size":2.5,"action":{}}'],
+         "--gset's 'size' must be an integer, got 2.5"),
+        (["gsymm", "--group", json.dumps(S2), "--gset",
+          '{"size":2,"action":{"0":[0,1],"1.5":[1,0]}}'],
+         "an element index in the action of --gset must be an integer, got '1.5'"),
+        (["gsymm", "--group", json.dumps(S2), "--traces", '["a",1]'],
+         "an entry of --traces must be an integer, got 'a'"),
+        (["gsymm", "--group", json.dumps(S2), "--traces", "5"],
+         "--traces must be a list, got int"),
     ],
 )
 def test_non_integer_values_are_refused_not_truncated(capsys, argv, message):

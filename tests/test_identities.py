@@ -181,17 +181,13 @@ class TestPartitionRecursion:
         assert lp.poly == t(1, 2) ** 2 - t(1, 2)
 
     def test_agrees_with_symbolic_product_for_max_block(self):
-        for k in (2, 3, 4):
+        # the bounded symmetric power two ways: the family recursion with
+        # Burnside averages, and the orbit-factor product
+        for k in range(2, 7):
             group = PermutationGroup.symmetric(k)
             for bound in range(1, k + 1):
-                family = (
-                    PartitionFamily.full(k)
-                    if bound >= k
-                    else PartitionFamily.max_block(k, bound)
-                )
-                lp = general_lefschetz_polynomial(group, family)
-                symbolic = symmetric_power_polys(bound, k)[k]
-                assert lp.poly == symbolic.resize(k)
+                lp = general_lefschetz_polynomial(group, PartitionFamily.max_block(k, bound))
+                assert lp == bounded_power_polynomial(k, bound)
 
     def test_choice_independence(self):
         group = PermutationGroup.symmetric(4)

@@ -42,11 +42,6 @@ class TestLattice:
         for p in all_partitions(4):
             assert d.refines(p)
 
-    def test_join_example(self):
-        a = SetPartition([[0, 1], [2]])
-        b = SetPartition([[0], [1, 2]])
-        assert a.join(b) == SetPartition.whole(3)
-
     def test_counts_match_bell_numbers(self):
         for k in range(1, 7):
             assert len(all_partitions(k)) == bell(k)
@@ -65,22 +60,9 @@ class TestLattice:
                 if a.refines(b) and b.refines(a):
                     assert a == b
 
-    def test_join_is_least_upper_bound(self):
-        parts = all_partitions(4)
-        rng = random.Random(3)
-        for _ in range(80):
-            a, b = rng.choice(parts), rng.choice(parts)
-            j = a.join(b)
-            assert a.refines(j) and b.refines(j)
-            for c in parts:
-                if a.refines(c) and b.refines(c):
-                    assert j.refines(c)
-
     def test_mismatched_grounds_rejected(self):
         with pytest.raises(ValueError):
             SetPartition.discrete(2).refines(SetPartition.discrete(3))
-        with pytest.raises(ValueError):
-            SetPartition.discrete(2).join(SetPartition.discrete(3))
 
     def test_fiber_partition(self):
         assert fiber_partition((5, 5, 7)) == SetPartition([[0, 1], [2]])
