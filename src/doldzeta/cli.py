@@ -7,6 +7,14 @@ polynomials, graded (cohomological) inputs, configuration-space trace
 series, verification plans pitting closed forms against brute-force
 oracles, and a self-test.
 
+Commands compute and `main` prints.  Each `cmd_*` function returns its
+JSON payload and a function giving its `--format text` lines (so JSON runs
+render no text); `verify` and `selftest` also return their exit code.
+`main` alone writes to stdout and stderr: the JSON, or the text lines, or
+one error.  A flag is declared only on the commands that read it: `-N` on
+those that truncate a series, `--format` on all but `selftest`, which
+prints text only.
+
 Exit codes: 0 on success (and on PASS for `verify`/`selftest`), 1 on a
 verification FAIL, 2 on usage errors including malformed JSON.
 """
@@ -20,9 +28,7 @@ import sys
 from .dynamics import (
     DoldProfile,
     FiniteSelfMap,
-    HorizonError,
     InconsistentInputError,
-    NotRealizableError,
     cycle_profile,
     lefschetz_sequence,
     zeta_series,
@@ -38,9 +44,9 @@ from .identities import (
     DEFAULT_ORDER,
     MAX_PLAN_ORDER,
     _ZETA_SOURCES,
+    _configuration_traces,
     _parse_group_and_action,
     _read_zeta,
-    configuration_trace_series,
     general_lefschetz_polynomial,
     gsymm_polynomial,
     order_polynomial,
@@ -50,23 +56,16 @@ from .identities import (
     verify_identity,
 )
 from .oracles import EnumerationLimitError, coefficient_traces
-from .partitions import (
-    NoExcludedPartitionError,
-    NotRefinementClosedError,
-    PartitionFamily,
-)
+from .partitions import PartitionFamily
 from .series import NotAUnitError, NotExpandableError, PowerSeries, _integers, egf_unpack, rat_str
 
 USAGE_ERRORS = (
     ValueError,
     KeyError,
     TypeError,
-    HorizonError,
-    NotRealizableError,
     NotAUnitError,
     NotExpandableError,
-    NotRefinementClosedError,
-    NoExcludedPartitionError,
+    InconsistentInputError,
 )
 
 
@@ -74,22 +73,10 @@ def _load_json(text: str, what: str):
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise CliUsageError(
+        raise ValueError(
             f"malformed JSON for {what} at line {exc.lineno} column {exc.colno} "
             f"(char {exc.pos}): {exc.msg}"
         ) from exc
-
-
-class CliUsageError(Exception):
-    pass
-
-
-def _emit(payload: dict, fmt: str):
-    if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in _render_text(payload):
-            print(line)
 
 
 def _render_text(payload, prefix=""):
@@ -120,6 +107,11 @@ def _series_text(series: PowerSeries) -> list:
     ]
 
 
+def _with_value(line: str, label: str, payload: dict) -> list:
+    """`line`, then the payload's "value" under `label` when it has one."""
+    return [line] + ([f"{label}  {payload['value']}"] if "value" in payload else [])
+
+
 def _parse_order(value: str) -> int:
     order = int(value)
     if not 1 <= order <= MAX_PLAN_ORDER:
@@ -147,18 +139,7 @@ def _zeta_from_args(args, reduced=False) -> PowerSeries:
     return _read_zeta(source, args.order, f"the {args.command!r} command", names, reduced)
 
 
-def _traces_from_args(args, group, gset):
-    if getattr(args, "traces", None):
-        values = _integers(_load_json(args.traces, "--traces"), "--traces")
-        if len(values) != group.order:
-            raise CliUsageError("need one trace per group element, in element order")
-        return dict(zip(group.elements, values))
-    if getattr(args, "coefficient_size", None) is not None:
-        return coefficient_traces(group, args.coefficient_size, gset)
-    return None
-
-
-def cmd_dold(args) -> int:
+def cmd_dold(args):
     f = FiniteSelfMap.from_json(_load_json(args.map, "--map"))
     profile = cycle_profile(f, args.order)
     seq = lefschetz_sequence(f, args.order)
@@ -168,75 +149,55 @@ def cmd_dold(args) -> int:
         "lefschetz": seq.to_json(),
         "zeta": zeta.to_json(),
     }
-    if args.format == "text":
-        print("profile  " + " ".join(str(v) for v in profile.values))
-        print("lefschetz  " + " ".join(str(v) for v in seq.values))
-        for line in _series_text(zeta):
-            print(line)
-    else:
-        _emit(payload, "json")
-    return 0
+    return payload, lambda: [
+        "profile  " + " ".join(str(v) for v in profile.values),
+        "lefschetz  " + " ".join(str(v) for v in seq.values),
+        *_series_text(zeta),
+    ]
 
 
-def cmd_zeta(args) -> int:
+def cmd_zeta(args):
     zeta = _zeta_from_args(args, args.reduced)
-    if args.format == "text":
-        for line in _series_text(zeta):
-            print(line)
-    else:
-        _emit({"zeta": zeta.to_json()}, "json")
-    return 0
+    return {"zeta": zeta.to_json()}, lambda: _series_text(zeta)
 
 
-def cmd_symmetric(args) -> int:
-    zeta = _zeta_from_args(args)
-    series = rhs_symmetric_power(zeta, args.bound)
-    if args.format == "text":
-        for line in _series_text(series):
-            print(line)
-    else:
-        _emit({"bound": "inf" if args.bound is None else args.bound,
-               "series": series.to_json()}, "json")
-    return 0
+def cmd_symmetric(args):
+    series = rhs_symmetric_power(_zeta_from_args(args), args.bound)
+    payload = {"bound": "inf" if args.bound is None else args.bound, "series": series.to_json()}
+    return payload, lambda: _series_text(series)
 
 
-def cmd_borsuk_ulam(args) -> int:
-    zeta = _zeta_from_args(args)
-    series = rhs_borsuk_ulam(zeta)
-    if args.format == "text":
-        for line in _series_text(series):
-            print(line)
-    else:
-        _emit({"series": series.to_json()}, "json")
-    return 0
+def cmd_borsuk_ulam(args):
+    series = rhs_borsuk_ulam(_zeta_from_args(args))
+    return {"series": series.to_json()}, lambda: _series_text(series)
 
 
-def cmd_tuples(args) -> int:
+def cmd_tuples(args):
     series = rhs_bounded_tuples(args.lefschetz_number, args.bound, args.order)
-    counts = egf_unpack(series)
-    payload = {
-        "egf": series.to_json(),
-        "counts": [rat_str(c) for c in counts],
-    }
-    if args.format == "text":
-        for k, c in enumerate(counts):
-            print(f"k={k}  {rat_str(c)}")
-    else:
-        _emit(payload, "json")
-    return 0
+    counts = [rat_str(c) for c in egf_unpack(series)]
+    payload = {"egf": series.to_json(), "counts": counts}
+    return payload, lambda: [f"k={k}  {c}" for k, c in enumerate(counts)]
 
 
 def _group_inputs(args):
     """The group, its action table (None for the natural one) and the
-    coefficient traces of a `gsymm` or `partition` command."""
+    coefficient traces (None for none) of a `gsymm` or `partition` command."""
     gset = _load_json(args.gset, "--gset") if args.gset else None
     group, gset = _parse_group_and_action(_load_json(args.group, "--group"), gset, "--gset")
-    return group, gset, _traces_from_args(args, group, gset)
+    traces = None
+    if args.traces:
+        values = _integers(_load_json(args.traces, "--traces"), "--traces")
+        if len(values) != group.order:
+            raise ValueError("need one trace per group element, in element order")
+        traces = dict(zip(group.elements, values))
+    elif args.coefficient_size is not None:
+        traces = coefficient_traces(group, args.coefficient_size, gset)
+    return group, gset, traces
 
 
-def _emit_polynomial(args, lp) -> int:
-    """Print a fixed-point polynomial and, given --profile or --map, its
-    value there."""
+def _polynomial_result(args, lp):
+    """A fixed-point polynomial and, given --profile or --map, its value
+    there."""
     payload = {"polynomial": lp.to_json()}
     if args.profile:
         profile = DoldProfile.from_json(_load_json(args.profile, "--profile"))
@@ -244,27 +205,21 @@ def _emit_polynomial(args, lp) -> int:
     elif args.map:
         f = FiniteSelfMap.from_json(_load_json(args.map, "--map"))
         payload["value"] = rat_str(lp.evaluate_map(f))
-    if args.format == "text":
-        print(str(lp.poly))
-        if "value" in payload:
-            print(f"value  {payload['value']}")
-    else:
-        _emit(payload, "json")
-    return 0
+    return payload, lambda: _with_value(str(lp.poly), "value", payload)
 
 
-def cmd_gsymm(args) -> int:
+def cmd_gsymm(args):
     group, gset, traces = _group_inputs(args)
-    return _emit_polynomial(args, gsymm_polynomial(group, gset, traces))
+    return _polynomial_result(args, gsymm_polynomial(group, gset, traces))
 
 
-def cmd_partition(args) -> int:
+def cmd_partition(args):
     group, gset, traces = _group_inputs(args)
     family = PartitionFamily.from_json(_load_json(args.family, "--family"))
-    return _emit_polynomial(args, general_lefschetz_polynomial(group, family, traces, gset))
+    return _polynomial_result(args, general_lefschetz_polynomial(group, family, traces, gset))
 
 
-def cmd_order_poly(args) -> int:
+def cmd_order_poly(args):
     family = PartitionFamily.from_json(_load_json(args.family, "--family"))
     poly = order_polynomial(family)
     payload = {
@@ -273,16 +228,10 @@ def cmd_order_poly(args) -> int:
     }
     if args.at is not None:
         payload["value"] = rat_str(poly(args.at))
-    if args.format == "text":
-        print(poly.render("t"))
-        if args.at is not None:
-            print(f"value at {args.at}  {payload['value']}")
-    else:
-        _emit(payload, "json")
-    return 0
+    return payload, lambda: _with_value(poly.render("t"), f"value at {args.at}", payload)
 
 
-def cmd_graded(args) -> int:
+def cmd_graded(args):
     endo = GradedEndomorphism.from_json(_load_json(args.matrices, "--matrices"))
     char = characteristic_rational_function(endo)
     zeta = graded_zeta(endo, args.order)
@@ -293,46 +242,31 @@ def cmd_graded(args) -> int:
         "poincare": poincare.to_json(),
         "lefschetz": [rat_str(v) for v in graded_lefschetz_numbers(endo, args.order)],
     }
-    if args.format == "text":
-        print(f"characteristic  ({char.numerator.render('t')}) / ({char.denominator.render('t')})")
-        for line in _series_text(zeta):
-            print(line)
-    else:
-        _emit(payload, "json")
-    return 0
+    return payload, lambda: [
+        f"characteristic  ({char.numerator.render('t')}) / ({char.denominator.render('t')})",
+        *_series_text(zeta),
+    ]
 
 
-def cmd_config_trace(args) -> int:
-    zeta = _zeta_from_args(args)
-    series = configuration_trace_series(zeta, args.parity, args.epsilon)
-    traces = [series[k] * (args.epsilon ** k) for k in range(series.order + 1)]
-    payload = {
-        "series": series.to_json(),
-        "lefschetz_traces": [rat_str(t) for t in traces],
-    }
-    if args.format == "text":
-        for line in _series_text(series):
-            print(line)
-        print("traces  " + " ".join(rat_str(t) for t in traces))
-    else:
-        _emit(payload, "json")
-    return 0
+def cmd_config_trace(args):
+    series, traces = _configuration_traces(_zeta_from_args(args), args.parity, args.epsilon)
+    traces = [rat_str(t) for t in traces]
+    payload = {"series": series.to_json(), "lefschetz_traces": traces}
+    return payload, lambda: [*_series_text(series), "traces  " + " ".join(traces)]
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     text = args.plan
     if text.startswith("@"):
         try:
             with open(text[1:], "r", encoding="utf-8") as handle:
                 text = handle.read()
         except OSError as exc:
-            raise CliUsageError(f"cannot read the plan file {text[1:]}: {exc.strerror}") from exc
-    plan = _load_json(text, "--plan")
-    report = verify_identity(plan)
+            raise ValueError(f"cannot read the plan file {text[1:]}: {exc.strerror}") from exc
+    report = verify_identity(_load_json(text, "--plan"))
     if not args.timings:
         report.pop("elapsed_s", None)
-    _emit(report, args.format)
-    return 0 if report["pass"] else 1
+    return report, lambda: _render_text(report), 0 if report["pass"] else 1
 
 
 SELFTEST_PLANS = [
@@ -376,17 +310,13 @@ SELFTEST_PLANS = [
 ]
 
 
-def cmd_selftest(args) -> int:
-    failures = 0
-    for name, plan in SELFTEST_PLANS:
-        report = verify_identity(plan)
-        verdict = "PASS" if report["pass"] else "FAIL"
-        if not report["pass"]:
-            failures += 1
-            print(f"{verdict}  {name}: {report['first_mismatch']}")
-        else:
-            print(f"{verdict}  {name}")
-    return 0 if failures == 0 else 1
+def cmd_selftest(args):
+    reports = [(name, verify_identity(plan)) for name, plan in SELFTEST_PLANS]
+    lines = [
+        f"PASS  {name}" if report["pass"] else f"FAIL  {name}: {report['first_mismatch']}"
+        for name, report in reports
+    ]
+    return None, lambda: lines, 0 if all(report["pass"] for _, report in reports) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -406,102 +336,92 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(f"--{key}")
         p.set_defaults(input_flags=keys)
 
-    def common(p):
-        p.add_argument("-N", "--order", type=_parse_order, default=DEFAULT_ORDER,
-                       help=f"truncation order (1..{MAX_PLAN_ORDER}, default {DEFAULT_ORDER})")
+    def group_flags(p):
+        """The group, its action and the coefficient of `gsymm` and `partition`."""
+        p.add_argument("--group", required=True)
+        p.add_argument("--gset")
+        p.add_argument("--traces")
+        p.add_argument("--coefficient-size", type=int)
+
+    def common(p, func, order=True):
+        """--format on every command, and -N on those that read an order."""
+        if order:
+            p.add_argument("-N", "--order", type=_parse_order, default=DEFAULT_ORDER,
+                           help=f"truncation order (1..{MAX_PLAN_ORDER}, default {DEFAULT_ORDER})")
         p.add_argument("--format", choices=("json", "text"), default="json")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("dold", help="orbit profile, Lefschetz numbers and zeta of a finite map")
     p.add_argument("--map", required=True, help='{"size": n, "map": [...]}')
     p.add_argument("--reduced", action="store_true")
-    common(p)
-    p.set_defaults(func=cmd_dold)
+    common(p, cmd_dold)
 
     p = sub.add_parser("zeta", help="zeta function from a profile, Lefschetz data, map or graded input")
     input_flags(p, tuple(key for key in _ZETA_SOURCES if key != "zeta"))
     p.add_argument("--reduced", action="store_true")
-    common(p)
-    p.set_defaults(func=cmd_zeta)
+    common(p, cmd_zeta)
 
     p = sub.add_parser("symmetric", help="fixed-point series of bounded symmetric powers")
     input_flags(p)
     p.add_argument("-l", "--bound", type=_parse_bound_flag, default=None,
                    help="multiplicity bound (default: unbounded)")
-    common(p)
-    p.set_defaults(func=cmd_symmetric)
+    common(p, cmd_symmetric)
 
     p = sub.add_parser("borsuk-ulam", help="fixed-point series of bounded subset spaces")
     input_flags(p)
-    common(p)
-    p.set_defaults(func=cmd_borsuk_ulam)
+    common(p, cmd_borsuk_ulam)
 
     p = sub.add_parser("tuples", help="bounded tuple spaces (exponential generating function)")
     p.add_argument("--lefschetz-number", type=int, required=True,
                    help="number of fixed points (any integer formally)")
     p.add_argument("-l", "--bound", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_tuples)
+    common(p, cmd_tuples)
 
     p = sub.add_parser("gsymm", help="group-average fixed-point polynomial of map(K, -)/G")
-    p.add_argument("--group", required=True)
-    p.add_argument("--gset")
-    p.add_argument("--traces")
-    p.add_argument("--coefficient-size", type=int)
+    group_flags(p)
     input_flags(p, ("profile", "map"))
-    common(p)
-    p.set_defaults(func=cmd_gsymm)
+    common(p, cmd_gsymm, order=False)
 
     p = sub.add_parser("partition", help="fixed-point polynomial of a partition-constrained functor")
-    p.add_argument("--group", required=True)
+    group_flags(p)
     p.add_argument("--family", required=True)
-    p.add_argument("--gset")
-    p.add_argument("--traces")
-    p.add_argument("--coefficient-size", type=int)
     input_flags(p, ("profile", "map"))
-    common(p)
-    p.set_defaults(func=cmd_partition)
+    common(p, cmd_partition, order=False)
 
     p = sub.add_parser("order-poly", help="falling-factorial counting polynomial of a family")
     p.add_argument("--family", required=True)
     p.add_argument("--at", type=int)
-    common(p)
-    p.set_defaults(func=cmd_order_poly)
+    common(p, cmd_order_poly, order=False)
 
     p = sub.add_parser("graded", help="characteristic function, zeta and bivariate series of a graded matrix")
     p.add_argument("--matrices", required=True,
                    help='{"degrees": {"0": [["1"]], "1": [["-1"]]}}')
-    common(p)
-    p.set_defaults(func=cmd_graded)
+    common(p, cmd_graded)
 
     p = sub.add_parser("config-trace", help="configuration-space trace series")
     input_flags(p)
     p.add_argument("--parity", choices=("odd", "even"), required=True)
     p.add_argument("--epsilon", type=int, choices=(1, -1), default=1)
-    common(p)
-    p.set_defaults(func=cmd_config_trace)
+    common(p, cmd_config_trace)
 
     p = sub.add_parser("verify", help="run a verification plan (closed form vs oracle)")
     p.add_argument("--plan", required=True, help="inline JSON, or @path to a file")
     p.add_argument("--timings", action="store_true",
                    help="include elapsed times (breaks byte-identical output)")
-    common(p)
-    p.set_defaults(func=cmd_verify)
+    common(p, cmd_verify, order=False)
 
+    # the self-test prints its PASS/FAIL lines only
     p = sub.add_parser("selftest", help="run the built-in verification plans")
-    common(p)
-    p.set_defaults(func=cmd_selftest)
+    p.set_defaults(func=cmd_selftest, format="text")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except CliUsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        payload, text, *code = args.func(args)
+        lines = [json.dumps(payload, indent=2, sort_keys=True)] if args.format == "json" else text()
     except EnumerationLimitError as exc:
         print(
             json.dumps(
@@ -511,12 +431,12 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 2
-    except InconsistentInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    for line in lines:
+        print(line)
+    return code[0] if code else 0
 
 
 if __name__ == "__main__":

@@ -75,21 +75,6 @@ class FiniteSelfMap:
         return cls(range(n))
 
     @classmethod
-    def from_cycle_lengths(cls, lengths, tails: int = 0) -> "FiniteSelfMap":
-        """Disjoint cycles of the given lengths, plus `tails` extra points
-        feeding into the first cycle point (or fixed, if there are no cycles)."""
-        mapping = []
-        start = 0
-        for length in lengths:
-            if length < 1:
-                raise ValueError("cycle lengths must be >= 1")
-            mapping.extend(start + (i + 1) % length for i in range(length))
-            start += length
-        for _ in range(tails):
-            mapping.append(0 if mapping else len(mapping))
-        return cls(mapping)
-
-    @classmethod
     def random(cls, rng, size: int) -> "FiniteSelfMap":
         return cls([rng.randrange(size) for _ in range(size)] if size else [])
 
@@ -110,14 +95,6 @@ class FiniteSelfMap:
         if self.size != other.size:
             raise ValueError("cannot compose maps of different sizes")
         return FiniteSelfMap([self.mapping[y] for y in other.mapping], size=self.size)
-
-    def iterate(self, j: int) -> "FiniteSelfMap":
-        if j < 0:
-            raise ValueError("iteration count must be >= 0")
-        result = FiniteSelfMap.identity(self.size)
-        for _ in range(j):
-            result = self.compose(result)
-        return result
 
     def pointed(self) -> "FiniteSelfMap":
         """Adjoin a fixed basepoint at index 0, shifting everything else up."""
@@ -210,9 +187,6 @@ class DoldProfile(_HorizonVector):
         if not 1 <= m <= self.horizon:
             raise HorizonError(f"D_{m} requested beyond horizon {self.horizon}")
         return self.values[m - 1]
-
-    def is_realizable(self) -> bool:
-        return all(v >= 0 for v in self.values)
 
 
 class LefschetzSequence(_HorizonVector):

@@ -30,6 +30,7 @@ from .series import (
     PowerSeries,
     RationalFunction,
     _field,
+    _integer,
     rat,
     rat_str,
     series_exp_neg_weighted,
@@ -47,7 +48,7 @@ class GradedEndomorphism:
     def __init__(self, matrices):
         clean = {}
         for degree, rows in matrices.items():
-            degree = int(degree)
+            degree = _integer(degree, "a degree of a graded endomorphism")
             if degree < 0:
                 raise ValueError("negative degrees are not allowed")
             rows = tuple(tuple(rat(c) for c in row) for row in rows)
@@ -59,8 +60,7 @@ class GradedEndomorphism:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GradedEndomorphism":
-        degrees = _field(obj, "degrees", "a graded endomorphism", dict)
-        return cls({int(d): rows for d, rows in degrees.items()})
+        return cls(_field(obj, "degrees", "a graded endomorphism", dict))
 
     def to_json(self) -> dict:
         return {
@@ -78,20 +78,6 @@ class GradedEndomorphism:
 
     def matrix(self, degree: int):
         return self.matrices[degree]
-
-    def direct_sum(self, other: "GradedEndomorphism") -> "GradedEndomorphism":
-        out = {}
-        for degree in set(self.matrices) | set(other.matrices):
-            a = self.matrices.get(degree, ())
-            b = other.matrices.get(degree, ())
-            na, nb = len(a), len(b)
-            rows = []
-            for row in a:
-                rows.append(tuple(row) + (Fraction(0),) * nb)
-            for row in b:
-                rows.append((Fraction(0),) * na + tuple(row))
-            out[degree] = rows
-        return GradedEndomorphism(out)
 
     def __eq__(self, other):
         if not isinstance(other, GradedEndomorphism):

@@ -211,6 +211,13 @@ def configuration_trace_series(
     return zeta.substitute_power(2) * zeta.inverse()
 
 
+def _configuration_traces(zeta: PowerSeries, parity: str, epsilon: int):
+    """The configuration trace series and the traces it encodes: its q^k
+    coefficients with the sign epsilon^k divided out."""
+    series = configuration_trace_series(zeta, parity, epsilon)
+    return series, [series[k] * epsilon ** k for k in range(series.order + 1)]
+
+
 # ---------------------------------------------------------------------------
 # symbolic orbit products
 
@@ -909,8 +916,7 @@ _PLAN_ZETA_NAMES = {key: repr(key) for key in _ZETA_SOURCES}
 def _verify_configuration_traces(plan, k_max, max_enum):
     zeta = _read_zeta(plan, k_max, f"the {plan['identity']!r} plan", _PLAN_ZETA_NAMES)
     epsilon = _plan_integer(plan, "epsilon", 1)
-    series = configuration_trace_series(zeta, _plan_field(plan, "parity"), epsilon)
-    traces = [series[k] * epsilon ** k for k in range(k_max + 1)]
+    series, traces = _configuration_traces(zeta, _plan_field(plan, "parity"), epsilon)
     mismatch = None
     for k, want in enumerate([rat(v) for v in plan.get("expected_traces", ())]):
         if k > k_max or traces[k] != want:

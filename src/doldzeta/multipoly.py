@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .series import _field, _power, rat, rat_str
+from .series import _field, _integer, _integers, _power, rat, rat_str
 
 
 class MultiPoly:
@@ -222,8 +222,9 @@ class MultiPoly:
 
     @classmethod
     def from_json(cls, obj: dict) -> "MultiPoly":
-        nvars = int(_field(obj, "variables", "a polynomial"))
+        nvars = _integer(_field(obj, "variables", "a polynomial"), "a polynomial's 'variables'")
         terms = {}
         for t in _field(obj, "terms", "a polynomial", list):
-            terms[tuple(_field(t, "exponents", "a term"))] = rat(_field(t, "coeff", "a term"))
+            exponents = _integers(_field(t, "exponents", "a term"), "a term's 'exponents'")
+            terms[exponents] = rat(_field(t, "coeff", "a term"))
         return cls(nvars, terms)

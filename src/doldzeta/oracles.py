@@ -29,6 +29,7 @@ from .partitions import (
     perm_cycle_count,
     validate_gset,
 )
+from .series import _integer
 
 DEFAULT_MAX_ENUM = 10_000_000
 
@@ -47,9 +48,9 @@ class EnumerationLimitError(ValueError):
 
 def enumeration_limit(override=None) -> int:
     if override is not None:
-        return int(override)
+        return _integer(override, "the enumeration limit")
     env = os.environ.get("DOLD_ZETA_MAX_ENUM")
-    return int(env) if env else DEFAULT_MAX_ENUM
+    return _integer(env, "the variable DOLD_ZETA_MAX_ENUM") if env else DEFAULT_MAX_ENUM
 
 
 def _guard(size: int, max_enum=None):
@@ -78,10 +79,6 @@ class PointedFiniteSet:
                     raise ValueError("action must permute the set and fix the basepoint")
                 table[tuple(g)] = perm
             self.action = table
-
-    @property
-    def reduced_euler(self) -> int:
-        return self.size - 1
 
     def act(self, g, y: int) -> int:
         if self.action is None:

@@ -58,7 +58,7 @@ class SetPartition:
     __slots__ = ("labels",)
 
     def __init__(self, blocks):
-        blocks = [[int(x) for x in b] for b in blocks]
+        blocks = [[_integer(x, "an entry of a partition block") for x in b] for b in blocks]
         if not all(blocks):
             raise ValueError("blocks must be nonempty")
         where = {}
@@ -82,10 +82,6 @@ class SetPartition:
     @classmethod
     def discrete(cls, k: int) -> "SetPartition":
         return cls._fibers(range(k))
-
-    @classmethod
-    def whole(cls, k: int) -> "SetPartition":
-        return cls._fibers([0] * k)
 
     @property
     def ground(self) -> int:
@@ -306,30 +302,10 @@ class PermutationGroup:
         return group
 
     @classmethod
-    def trivial(cls, degree: int) -> "PermutationGroup":
-        return cls(degree, [identity_perm(degree)], validate=False)
-
-    @classmethod
     def symmetric(cls, k: int) -> "PermutationGroup":
         if k > 6:
             raise ValueError("full symmetric groups are materialized only up to degree 6")
         return cls(k, permutations(range(k)), validate=False)
-
-    @classmethod
-    def cyclic(cls, k: int) -> "PermutationGroup":
-        shift = tuple((i + 1) % k for i in range(k))
-        return cls.from_generators(k, [shift])
-
-    @classmethod
-    def direct_product(cls, left: "PermutationGroup", right: "PermutationGroup"):
-        """The product group acting on the disjoint union of the two ground sets."""
-        d = left.degree + right.degree
-        elems = [
-            tuple(g) + tuple(x + left.degree for x in h)
-            for g in left.elements
-            for h in right.elements
-        ]
-        return cls(d, elems, validate=False)
 
     @property
     def order(self) -> int:
@@ -475,10 +451,6 @@ class PartitionFamily:
     def refining(cls, partition: SetPartition) -> "PartitionFamily":
         """All refinements of a fixed partition."""
         return cls(partition.ground, refinements_of(partition), validate=False)
-
-    @classmethod
-    def from_predicate(cls, k: int, predicate) -> "PartitionFamily":
-        return cls(k, [p for p in all_partitions(k) if predicate(p)])
 
     @classmethod
     def from_json(cls, obj: dict) -> "PartitionFamily":

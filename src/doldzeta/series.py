@@ -243,7 +243,7 @@ class PowerSeries:
     @classmethod
     def from_json(cls, obj: dict) -> "PowerSeries":
         coeffs = [rat(c) for c in _field(obj, "coeffs", "a series", list)]
-        order = int(_field(obj, "order", "a series"))
+        order = _integer(_field(obj, "order", "a series"), "a series's 'order'")
         if order > len(coeffs) - 1:
             raise ValueError(
                 f"series of order {order} needs {order + 1} coefficients, got {len(coeffs)}"
@@ -518,12 +518,6 @@ class RationalFunction:
         self.numerator = numerator * scale
         self.denominator = denominator * scale
 
-    def expand(self, order: int) -> PowerSeries:
-        """Exact Taylor expansion of numerator/denominator to the given order."""
-        num = self.numerator.series(order)
-        den = self.denominator.series(order)
-        return num * den.inverse()
-
     def __mul__(self, other):
         if not isinstance(other, RationalFunction):
             return NotImplemented
@@ -632,10 +626,6 @@ class BivariateSeries:
             out.append(acc * -inv0)
             out_terms.append(_terms(out[-1].coeffs))
         return BivariateSeries(out, order=self.order)
-
-    def at_one(self) -> PowerSeries:
-        """Evaluate the T-polynomials at T = 1, collapsing to a plain series."""
-        return PowerSeries([c(1) for c in self.coeffs], order=self.order)
 
     def __eq__(self, other):
         if not isinstance(other, BivariateSeries):

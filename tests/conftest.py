@@ -24,6 +24,53 @@ def seeded_maps(seed, count, max_size, min_size=0):
     return maps
 
 
+def trivial_group(degree):
+    """The group of the identity alone on `degree` points."""
+    from doldzeta import PermutationGroup
+
+    return PermutationGroup(degree, [tuple(range(degree))])
+
+
+def cyclic_group(k):
+    """The rotations of k points, generated by i -> i + 1 mod k."""
+    from doldzeta import PermutationGroup
+
+    return PermutationGroup.from_generators(k, [tuple((i + 1) % k for i in range(k))])
+
+
+def direct_product(left, right):
+    """The product group acting on the disjoint union of the two ground
+    sets, the right one shifted past the left."""
+    from doldzeta import PermutationGroup
+
+    elements = [
+        tuple(g) + tuple(x + left.degree for x in h)
+        for g in left.elements
+        for h in right.elements
+    ]
+    return PermutationGroup(left.degree + right.degree, elements)
+
+
+def family_from_predicate(k, predicate):
+    """The partitions of k points that satisfy `predicate`, as a family;
+    the constructor refuses one that is not refinement-closed."""
+    from doldzeta import PartitionFamily, all_partitions
+
+    return PartitionFamily(k, [p for p in all_partitions(k) if predicate(p)])
+
+
+def expand(rf, order):
+    """The Taylor series of a rational function to `order`."""
+    return rf.numerator.series(order) * rf.denominator.series(order).inverse()
+
+
+def at_one(bivariate):
+    """A bivariate series with its T-polynomials evaluated at T = 1."""
+    from doldzeta import PowerSeries
+
+    return PowerSeries([c(1) for c in bivariate.coeffs], order=bivariate.order)
+
+
 def disjoint_union_combine(block_count_lists):
     """The order polynomial of a product of families on disjoint index sets:
     its block counts are the convolution of the factors' counts, that is the

@@ -49,7 +49,14 @@ from doldzeta.identities import (
 )
 from doldzeta.series import Poly, RationalFunction, egf_unpack
 
-from conftest import seeded_maps, stable_families
+from conftest import (
+    at_one,
+    cyclic_group,
+    expand,
+    seeded_maps,
+    stable_families,
+    trivial_group,
+)
 
 
 def criterion(number, name):
@@ -108,7 +115,7 @@ def test_sphere_case_table():
 
 @criterion(4, "subset spaces and the odd-sphere pair pattern")
 def test_subset_spaces():
-    zeta = RationalFunction(Poly([1, -1]), Poly([1, -2])).expand(8)
+    zeta = expand(RationalFunction(Poly([1, -1]), Poly([1, -2])), 8)
     series = rhs_borsuk_ulam(zeta)
     for power in (1, 2, 3, 4):
         assert series[2 * power - 1] == 1 - 2 ** power
@@ -137,10 +144,10 @@ def order_two_groups_zoo():
     def natural(group):
         zoo.append((group, group.elements))
 
-    natural(PermutationGroup.trivial(2))
+    natural(trivial_group(2))
     natural(PermutationGroup.symmetric(2))
-    natural(PermutationGroup.cyclic(3))
-    natural(PermutationGroup.cyclic(4))
+    natural(cyclic_group(3))
+    natural(cyclic_group(4))
     natural(PermutationGroup.from_generators(4, [(1, 0, 3, 2), (2, 3, 0, 1)]))  # V4
     natural(PermutationGroup.symmetric(3))
     # S3 acting on 3 + 1 fixed points
@@ -151,7 +158,7 @@ def order_two_groups_zoo():
     double = {(0, 1): (0, 1, 2, 3), (1, 0): (1, 0, 3, 2)}
     zoo.append((c2, tuple(double[g] for g in c2.elements)))
     # C5 can only act trivially on <= 4 points
-    c5 = PermutationGroup.cyclic(5)
+    c5 = cyclic_group(5)
     zoo.append((c5, tuple((0, 1, 2, 3) for _ in c5.elements)))
     # C6 as a degree-5 permutation group, acting on 4 points through its
     # 2-element quotient (read off each element's effect on the swapped pair)
@@ -184,7 +191,7 @@ def family_group_pairs():
     pairs.append((young, PartitionFamily.refining(pairing), None))
     pairs.append((dihedral, PartitionFamily.refining(pairing), None))
     lopsided = SetPartition([[0, 1], [2]])
-    pairs.append((PermutationGroup.trivial(3), PartitionFamily.refining(lopsided), None))
+    pairs.append((trivial_group(3), PartitionFamily.refining(lopsided), None))
     pairs.append(
         (PermutationGroup.from_generators(3, [(1, 0, 2)]), PartitionFamily.refining(lopsided), None)
     )
@@ -320,7 +327,7 @@ def test_macdonald_formula():
         for k in range(5):
             assert koszul_invariant_trace(endo, k) == series.coeffs[k]
         zeta = graded_zeta(endo, 4)
-        assert series.at_one() * zeta == PowerSeries.one(4)
+        assert at_one(series) * zeta == PowerSeries.one(4)
     conjugation = GradedEndomorphism({0: [[1]], 1: [[-1]]})
     zeta = graded_zeta(conjugation, 6)
     expected = PowerSeries([1, -2, 1], order=6) * PowerSeries([1, 0, -1], order=6).inverse()

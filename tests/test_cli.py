@@ -163,6 +163,23 @@ def test_order_out_of_range_rejected(capsys):
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--plan", '{"identity":"md","map":{"size":2,"map":[1,0]}}', "-N", "3"],
+        ["gsymm", "--group", '{"degree":2,"elements":[[0,1],[1,0]]}', "-N", "5"],
+        ["order-poly", "--family", '{"ground":3,"max_block":1}', "-N", "5"],
+        ["selftest", "--format", "json"],
+    ],
+    ids=["verify -N", "gsymm -N", "order-poly -N", "selftest --format"],
+)
+def test_flags_a_command_does_not_read_are_refused(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_enumeration_guard_surfaces_structured_error(capsys, monkeypatch):
     monkeypatch.setenv("DOLD_ZETA_MAX_ENUM", "10")
     plan = {"identity": "md", "map": {"size": 6, "map": [0, 1, 2, 3, 4, 5]}, "k_max": 6}
@@ -483,10 +500,22 @@ def test_reader_wrong_type_names_object_and_key(capsys, argv, message):
          "an entry of --traces must be an integer, got 'a'"),
         (["gsymm", "--group", json.dumps(S2), "--traces", "5"],
          "--traces must be a list, got int"),
+        (["symmetric", "--zeta", '{"order":4.7,"coeffs":["1","-1","0","0","0"]}', "-N", "4"],
+         "a series's 'order' must be an integer, got 4.7"),
+        (["graded", "--matrices", '{"degrees":{"1.5":[["1"]]}}'],
+         "a degree of a graded endomorphism must be an integer, got '1.5'"),
     ],
 )
 def test_non_integer_values_are_refused_not_truncated(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("value", ["1e3", "1000.5", "x"])
+def test_enumeration_limit_variable_must_be_an_integer(capsys, monkeypatch, value):
+    monkeypatch.setenv("DOLD_ZETA_MAX_ENUM", value)
+    code, out, err = run(capsys, *plan_argv({"identity": "md", "map": MAP}))
+    assert (code, out) == (2, "")
+    assert err == f"error: the variable DOLD_ZETA_MAX_ENUM must be an integer, got {value!r}\n"
 
 
 def test_integral_values_of_any_type_are_read_as_integers(capsys):

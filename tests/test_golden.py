@@ -1,8 +1,11 @@
 """Golden outputs: the exact stdout and exit code of `selftest`, of every
-README example command and of `verify --plan` on each built-in plan.
+README example command (as JSON and, where it has one, in its text form)
+and of `verify --plan` on each built-in plan.
 
-The files under tests/golden/ were written from the code before the series
-kernels were unified; any refactor must leave every byte the same.  To
+The JSON files under tests/golden/ were written from the code before the
+series kernels were unified, and the `-text` files from the code before
+the commands stopped printing their own output; any refactor must leave
+every byte the same.  To
 regenerate them after an intended output change, run
 
     PYTHONPATH=src python tests/test_golden.py --write
@@ -57,7 +60,15 @@ PLAN_CASES = [
     for i, (_, plan) in enumerate(SELFTEST_PLANS)
 ]
 
-CASES = README_EXAMPLES + PLAN_CASES
+# every README command but `selftest` (which prints text only) again in
+# its `--format text` form
+TEXT_CASES = [
+    (f"{name}-text", argv + ["--format", "text"])
+    for name, argv in README_EXAMPLES
+    if argv[0] != "selftest"
+]
+
+CASES = README_EXAMPLES + TEXT_CASES + PLAN_CASES
 
 
 def render(argv) -> str:
@@ -71,6 +82,7 @@ def render(argv) -> str:
 def test_cases_cover_every_selftest_plan():
     assert len(PLAN_CASES) == len(SELFTEST_PLANS) == 9
     assert len(README_EXAMPLES) == 11
+    assert len(TEXT_CASES) == 10
 
 
 @pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])

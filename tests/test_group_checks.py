@@ -32,7 +32,7 @@ from doldzeta.partitions import (
     validate_gset,
 )
 
-from conftest import seeded_maps
+from conftest import seeded_maps, trivial_group
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +179,7 @@ def test_generating_set_is_small_and_generates():
         gens = group.generators
         assert 2 ** len(gens) <= group.order
         assert PermutationGroup.from_generators(k, gens) == group
-    assert PermutationGroup.trivial(4).generators == ()
+    assert trivial_group(4).generators == ()
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +228,7 @@ def test_perturbed_tables_judged_like_the_reference():
 
 @pytest.mark.parametrize("table", [((1, 0),), ((1, 2, 0),), ((0, 2, 1),)])
 def test_trivial_group_needs_the_identity_table(table):
-    group = PermutationGroup.trivial(3)
+    group = trivial_group(3)
     assert group.generators == ()
     assert not homomorphism_by_all_products(group, table)
     with pytest.raises(ValueError, match="not a homomorphism"):
@@ -293,7 +293,7 @@ def test_entry_checks_refuse_bad_input():
     s3 = PermutationGroup.symmetric(3)
     with pytest.raises(ValueError, match="not closed"):
         PermutationGroup(3, [(0, 1, 2), (1, 0, 2), (0, 2, 1)])
-    trivial = PermutationGroup.trivial(2)
+    trivial = trivial_group(2)
     for call in (
         lambda: gsymm_polynomial(trivial, [(1, 0)]),
         lambda: general_lefschetz_polynomial(

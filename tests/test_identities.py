@@ -48,7 +48,15 @@ from doldzeta import (
 from doldzeta.oracles import EnumerationLimitError
 from doldzeta.series import RationalFunction, egf_unpack
 
-from conftest import disjoint_union_combine, seeded_maps
+from conftest import (
+    cyclic_group,
+    direct_product,
+    disjoint_union_combine,
+    expand,
+    family_from_predicate,
+    seeded_maps,
+    trivial_group,
+)
 
 
 def ints(series):
@@ -68,7 +76,7 @@ class TestSymmetricPowerSeries:
         assert ints(rhs_symmetric_power(zeta, None)) == [1] * 6
 
     def test_circle_degree_two(self):
-        series = rhs_symmetric_power(SPHERE_ZETA.expand(5), 1)
+        series = rhs_symmetric_power(expand(SPHERE_ZETA, 5), 1)
         assert ints(series) == [1, -1, 0, -2, 0, -4]
 
     def test_two_cycle_bound_one(self):
@@ -86,7 +94,7 @@ class TestBorsukUlamSeries:
         assert ints(rhs_borsuk_ulam(zeta)) == [0, 1, 1, 1, 1]
 
     def test_odd_sphere_pairs(self):
-        series = rhs_borsuk_ulam(SPHERE_ZETA.expand(8))
+        series = rhs_borsuk_ulam(expand(SPHERE_ZETA, 8))
         for power in (1, 2, 3, 4):
             expected = 1 - 2 ** power
             assert series[2 * power - 1] == expected
@@ -117,7 +125,7 @@ class TestBoundedTupleSeries:
 
 class TestGroupAverage:
     def test_trivial_group_is_a_power(self):
-        group = PermutationGroup.trivial(3)
+        group = trivial_group(3)
         lp = gsymm_polynomial(group)
         assert lp.poly == t(1, 3) ** 3
 
@@ -141,8 +149,8 @@ class TestGroupAverage:
     def test_multiplicative_over_product_groups(self):
         rng = random.Random(21)
         s2 = PermutationGroup.symmetric(2)
-        c3 = PermutationGroup.cyclic(3)
-        product = PermutationGroup.direct_product(s2, c3)
+        c3 = cyclic_group(3)
+        product = direct_product(s2, c3)
         left = gsymm_polynomial(product).poly
         right = gsymm_polynomial(s2).poly.extend(5) * gsymm_polynomial(c3).poly.extend(5)
         assert left == right
@@ -176,7 +184,7 @@ class TestPartitionRecursion:
 
     def test_injective_pairs_trivial_group(self):
         lp = general_lefschetz_polynomial(
-            PermutationGroup.trivial(2), PartitionFamily.discrete_only(2)
+            trivial_group(2), PartitionFamily.discrete_only(2)
         )
         assert lp.poly == t(1, 2) ** 2 - t(1, 2)
 
@@ -265,7 +273,7 @@ class TestOrderPolynomial:
             right_discrete = all(len(b) == 1 for b in blocks if b <= {2, 3})
             return split and right_discrete
 
-        product_family = PartitionFamily.from_predicate(4, in_product)
+        product_family = family_from_predicate(4, in_product)
         assert combined == order_polynomial(product_family)
 
     def test_matches_general_polynomial_under_specialization(self):
@@ -275,7 +283,7 @@ class TestOrderPolynomial:
                 PartitionFamily.full(k),
                 PartitionFamily.max_block(k, 1),
             ):
-                lp = general_lefschetz_polynomial(PermutationGroup.trivial(k), family)
+                lp = general_lefschetz_polynomial(trivial_group(k), family)
                 ell = order_polynomial(family)
                 for value in range(-4, 5):
                     point = [value] + [0] * (k - 1)

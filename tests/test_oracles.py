@@ -23,7 +23,7 @@ from doldzeta.dynamics import cycle_profile
 from doldzeta.partitions import fiber_partition, invert_perm, perm_cycle_count
 from doldzeta.series import PowerSeries
 
-from conftest import seeded_maps
+from conftest import cyclic_group, direct_product, seeded_maps, trivial_group
 
 
 class TestBoundedMultisets:
@@ -112,7 +112,7 @@ class TestPartitionOrbits:
     def test_injective_pairs_trivial_group(self):
         f = FiniteSelfMap.identity(3)
         count = fixed_partition_orbits(
-            f, PermutationGroup.trivial(2), PartitionFamily.discrete_only(2)
+            f, trivial_group(2), PartitionFamily.discrete_only(2)
         )
         assert count == 6
 
@@ -141,7 +141,7 @@ class TestPartitionOrbits:
                 if bound >= k
                 else PartitionFamily.max_block(k, bound)
             )
-            group = PermutationGroup.trivial(k)
+            group = trivial_group(k)
             assert fixed_partition_orbits(f, group, family) == fixed_bounded_tuples(
                 f, k, bound
             )
@@ -164,7 +164,7 @@ class TestPartitionOrbits:
 class TestGmapSpace:
     def test_trivial_group_power(self):
         f = FiniteSelfMap([1, 0, 2])
-        group = PermutationGroup.trivial(3)
+        group = trivial_group(3)
         assert fixed_gmap_space(f, group) == len(f.fixed_points()) ** 3
 
     def test_multisets_of_size_two(self):
@@ -172,7 +172,7 @@ class TestGmapSpace:
 
     def test_cyclic_action_with_three_cycle(self):
         f = FiniteSelfMap([1, 2, 0])
-        group = PermutationGroup.cyclic(3)
+        group = cyclic_group(3)
         # Burnside: (0 + 3 + 3)/3 = 2 fixed orbits on 27 maps
         assert fixed_gmap_space(f, group) == 2
 
@@ -202,7 +202,10 @@ class TestPointedSets:
             assert y.act(g, 0) == 0
 
     def test_reduced_euler(self):
-        assert PointedFiniteSet(4).reduced_euler == 3
+        # the identity's trace is the reduced Euler characteristic size - 1
+        assert PointedFiniteSet(4).trace((0,)) == 3
+        square = PointedFiniteSet.smash_power(2, PermutationGroup.symmetric(2))
+        assert square.trace((0, 1)) == square.size - 1 == 4
 
 
 class TestInducedMap:
@@ -287,10 +290,9 @@ def sign_action(group):
 
 ORACLE_GROUPS = [
     *[(f"S{k}", PermutationGroup.symmetric(k), None) for k in (2, 3, 4)],
-    *[(f"C{k}", PermutationGroup.cyclic(k), None) for k in (2, 3, 4)],
-    *[(f"1_{k}", PermutationGroup.trivial(k), None) for k in (2, 3, 4)],
-    ("S2xC2", PermutationGroup.direct_product(
-        PermutationGroup.symmetric(2), PermutationGroup.cyclic(2)), None),
+    *[(f"C{k}", cyclic_group(k), None) for k in (2, 3, 4)],
+    *[(f"1_{k}", trivial_group(k), None) for k in (2, 3, 4)],
+    ("S2xC2", direct_product(PermutationGroup.symmetric(2), cyclic_group(2)), None),
     ("S3 by sign", PermutationGroup.symmetric(3), sign_action(PermutationGroup.symmetric(3))),
 ]
 

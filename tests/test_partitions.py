@@ -21,7 +21,12 @@ from doldzeta.partitions import (
     perm_cycle_type,
 )
 
-from conftest import stable_families
+from conftest import direct_product, family_from_predicate, stable_families, trivial_group
+
+
+def whole_partition(k):
+    """The partition of k points with one block."""
+    return SetPartition([list(range(k))])
 
 
 def bell(k):
@@ -64,6 +69,11 @@ class TestLattice:
         with pytest.raises(ValueError):
             SetPartition.discrete(2).refines(SetPartition.discrete(3))
 
+    def test_non_integer_block_entries_are_refused_not_truncated(self):
+        with pytest.raises(ValueError, match="an entry of a partition block must be an integer, got 1.9"):
+            SetPartition([[0, 1.9], [2]])
+        assert SetPartition([[0, 1.0], [2]]) == SetPartition([[0, 1], [2]])
+
     def test_fiber_partition(self):
         assert fiber_partition((5, 5, 7)) == SetPartition([[0, 1], [2]])
 
@@ -83,14 +93,14 @@ class TestFamilies:
         assert fam.block_counts() == (0, 3, 6, 1)
 
     def test_from_predicate_validates(self):
-        good = PartitionFamily.from_predicate(3, lambda p: p.block_count >= 2)
+        good = family_from_predicate(3, lambda p: p.block_count >= 2)
         assert len(good) == 4
         with pytest.raises(NotRefinementClosedError) as info:
-            PartitionFamily.from_predicate(3, lambda p: p.block_count == 1)
+            family_from_predicate(3, lambda p: p.block_count == 1)
         assert info.value.member.block_count == 1
 
     def test_witness_pair_reported(self):
-        whole = SetPartition.whole(3)
+        whole = whole_partition(3)
         discrete = SetPartition.discrete(3)
         with pytest.raises(NotRefinementClosedError) as info:
             PartitionFamily(3, [whole, discrete])
@@ -161,7 +171,7 @@ class TestGroups:
         pairing = SetPartition([[0, 1], [2, 3]])
         # everything but the pairings and {K}: the pairings are the minimal
         # partitions outside, and this one is the least of them
-        fam = PartitionFamily.from_predicate(
+        fam = family_from_predicate(
             4, lambda p: sorted(map(len, p.blocks)) not in ([2, 2], [4])
         )
         step = minimal_excluded_step(fam, group)
@@ -173,7 +183,7 @@ class TestGroups:
 
     def test_direct_product(self):
         s2 = PermutationGroup.symmetric(2)
-        prod = PermutationGroup.direct_product(s2, s2)
+        prod = direct_product(s2, s2)
         assert prod.degree == 4 and prod.order == 4
 
     def test_json_round_trip(self):
@@ -186,8 +196,8 @@ class TestGroups:
 class TestMinimalStep:
     def test_two_points_trivial_group(self):
         fam = PartitionFamily.discrete_only(2)
-        step = minimal_excluded_step(fam, PermutationGroup.trivial(2))
-        assert step.partition == SetPartition.whole(2)
+        step = minimal_excluded_step(fam, trivial_group(2))
+        assert step.partition == whole_partition(2)
         assert step.extended_family.is_full()
         assert step.block_ground == 1
 
