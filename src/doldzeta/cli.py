@@ -45,7 +45,8 @@ from .identities import (
     MAX_PLAN_ORDER,
     _ZETA_SOURCES,
     _configuration_traces,
-    _parse_group_and_action,
+    _one_given,
+    _read_group_inputs,
     _read_zeta,
     general_lefschetz_polynomial,
     gsymm_polynomial,
@@ -55,9 +56,9 @@ from .identities import (
     rhs_symmetric_power,
     verify_identity,
 )
-from .oracles import EnumerationLimitError, coefficient_traces
+from .oracles import EnumerationLimitError
 from .partitions import PartitionFamily
-from .series import NotAUnitError, NotExpandableError, PowerSeries, _integers, egf_unpack, rat_str
+from .series import NotAUnitError, NotExpandableError, PowerSeries, egf_unpack, rat_str
 
 USAGE_ERRORS = (
     ValueError,
@@ -113,30 +114,34 @@ def _with_value(line: str, label: str, payload: dict) -> list:
 
 
 def _parse_order(value: str) -> int:
-    order = int(value)
-    if not 1 <= order <= MAX_PLAN_ORDER:
-        raise argparse.ArgumentTypeError(f"order must lie in 1..{MAX_PLAN_ORDER}")
-    return order
+    if value.strip().isdecimal() and 1 <= int(value) <= MAX_PLAN_ORDER:
+        return int(value)
+    raise argparse.ArgumentTypeError(f"the order must be an integer in 1..{MAX_PLAN_ORDER}, got {value!r}")
 
 
 def _parse_bound_flag(value: str):
     if value in ("inf", "none", "unbounded"):
         return None
-    bound = int(value)
-    if bound < 0:
-        raise argparse.ArgumentTypeError("bound must be >= 0 (or 'inf')")
-    return bound
+    if value.strip().isdecimal():
+        return int(value)
+    raise argparse.ArgumentTypeError(f"the bound must be an integer >= 0, or 'inf' for none, got {value!r}")
 
 
-def _zeta_from_args(args, reduced=False) -> PowerSeries:
-    """The zeta series of the one zeta-input flag given to the command."""
-    names = {key: f"--{key}" for key in args.input_flags}
+def _json_flags(args, keys):
+    """The given flags among `keys` read as JSON, their names, and the command's."""
+    names = {key: f"--{key}" for key in keys}
     source = {
         key: _load_json(getattr(args, key), name)
         for key, name in names.items()
         if getattr(args, key) is not None
     }
-    return _read_zeta(source, args.order, f"the {args.command!r} command", names, reduced)
+    return source, names, f"the {args.command!r} command"
+
+
+def _zeta_from_args(args, reduced=False) -> PowerSeries:
+    """The zeta series of the one zeta-input flag given to the command."""
+    source, names, where = _json_flags(args, args.input_flags)
+    return _read_zeta(source, args.order, where, names, reduced)
 
 
 def cmd_dold(args):
@@ -179,43 +184,33 @@ def cmd_tuples(args):
     return payload, lambda: [f"k={k}  {c}" for k, c in enumerate(counts)]
 
 
-def _group_inputs(args):
-    """The group, its action table (None for the natural one) and the
-    coefficient traces (None for none) of a `gsymm` or `partition` command."""
-    gset = _load_json(args.gset, "--gset") if args.gset else None
-    group, gset = _parse_group_and_action(_load_json(args.group, "--group"), gset, "--gset")
-    traces = None
-    if args.traces:
-        values = _integers(_load_json(args.traces, "--traces"), "--traces")
-        if len(values) != group.order:
-            raise ValueError("need one trace per group element, in element order")
-        traces = dict(zip(group.elements, values))
-    elif args.coefficient_size is not None:
-        traces = coefficient_traces(group, args.coefficient_size, gset)
-    return group, gset, traces
+def _group_from_args(args):
+    """The group inputs of a `gsymm` or `partition` command, read as a plan's."""
+    source, names, where = _json_flags(args, args.group_flags)
+    source["coefficient_size"] = args.coefficient_size
+    names["coefficient_size"] = "--coefficient-size"
+    return _read_group_inputs(source, where, names)
 
 
 def _polynomial_result(args, lp):
-    """A fixed-point polynomial and, given --profile or --map, its value
-    there."""
+    """A fixed-point polynomial and its value at --profile or --map, if given."""
     payload = {"polynomial": lp.to_json()}
-    if args.profile:
-        profile = DoldProfile.from_json(_load_json(args.profile, "--profile"))
-        payload["value"] = rat_str(lp.evaluate(profile))
-    elif args.map:
-        f = FiniteSelfMap.from_json(_load_json(args.map, "--map"))
-        payload["value"] = rat_str(lp.evaluate_map(f))
+    source, names, where = _json_flags(args, args.input_flags)
+    point = _one_given(source, names, where, required=False)
+    if point == "profile":
+        payload["value"] = rat_str(lp.evaluate(DoldProfile.from_json(source[point])))
+    elif point == "map":
+        payload["value"] = rat_str(lp.evaluate_map(FiniteSelfMap.from_json(source[point])))
     return payload, lambda: _with_value(str(lp.poly), "value", payload)
 
 
 def cmd_gsymm(args):
-    group, gset, traces = _group_inputs(args)
+    group, gset, _, traces = _group_from_args(args)
     return _polynomial_result(args, gsymm_polynomial(group, gset, traces))
 
 
 def cmd_partition(args):
-    group, gset, traces = _group_inputs(args)
-    family = PartitionFamily.from_json(_load_json(args.family, "--family"))
+    group, gset, family, traces = _group_from_args(args)
     return _polynomial_result(args, general_lefschetz_polynomial(group, family, traces, gset))
 
 
@@ -336,12 +331,13 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(f"--{key}")
         p.set_defaults(input_flags=keys)
 
-    def group_flags(p):
-        """The group, its action and the coefficient of `gsymm` and `partition`."""
+    def group_flags(p, keys=("group", "gset", "traces")):
+        """The group, its action and the coefficient; `keys` are the JSON ones."""
         p.add_argument("--group", required=True)
         p.add_argument("--gset")
         p.add_argument("--traces")
         p.add_argument("--coefficient-size", type=int)
+        p.set_defaults(group_flags=keys)
 
     def common(p, func, order=True):
         """--format on every command, and -N on those that read an order."""
@@ -383,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, cmd_gsymm, order=False)
 
     p = sub.add_parser("partition", help="fixed-point polynomial of a partition-constrained functor")
-    group_flags(p)
+    group_flags(p, ("group", "gset", "traces", "family"))
     p.add_argument("--family", required=True)
     input_flags(p, ("profile", "map"))
     common(p, cmd_partition, order=False)

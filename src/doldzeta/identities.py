@@ -157,11 +157,9 @@ def _require_unit(zeta: PowerSeries):
         raise ValueError("zeta-type series must have constant term 1")
 
 
-def rhs_symmetric_power(zeta: PowerSeries, bound=None, order=None) -> PowerSeries:
+def rhs_symmetric_power(zeta: PowerSeries, bound=None) -> PowerSeries:
     """Z(q^{l+1}) Z(q)^{-1} for a finite bound l, and Z(q)^{-1} when unbounded."""
     _require_unit(zeta)
-    if order is not None:
-        zeta = zeta.truncated(order)
     if bound is None:
         return zeta.inverse()
     if bound < 0:
@@ -169,12 +167,10 @@ def rhs_symmetric_power(zeta: PowerSeries, bound=None, order=None) -> PowerSerie
     return zeta.substitute_power(bound + 1) * zeta.inverse()
 
 
-def rhs_borsuk_ulam(zeta: PowerSeries, order=None) -> PowerSeries:
+def rhs_borsuk_ulam(zeta: PowerSeries) -> PowerSeries:
     """(1-q)^{-1} (Z(q^2) Z(q)^{-1} - 1): the q^k coefficient counts the
     invariant nonempty subsets of size at most k (zero at k = 0)."""
     _require_unit(zeta)
-    if order is not None:
-        zeta = zeta.truncated(order)
     n = zeta.order
     ratio = zeta.substitute_power(2) * zeta.inverse()
     geometric = PowerSeries([1] * (n + 1), order=n)
@@ -191,9 +187,7 @@ def rhs_bounded_tuples(lefschetz_number: int, bound: int, order: int) -> PowerSe
     return base ** int(lefschetz_number)
 
 
-def configuration_trace_series(
-    zeta: PowerSeries, parity: str, epsilon: int = 1, order=None
-) -> PowerSeries:
+def configuration_trace_series(zeta: PowerSeries, parity: str, epsilon: int = 1) -> PowerSeries:
     """Generating function of the signed cohomology traces on unordered
     configuration spaces of a closed orientable r-manifold: Z(q) when r is
     odd and Z(q^2) Z(q)^{-1} when r is even.  The q^k coefficient equals
@@ -204,8 +198,6 @@ def configuration_trace_series(
         raise ValueError("parity must be 'odd' or 'even'")
     if epsilon not in (1, -1):
         raise ValueError("epsilon must be +1 or -1")
-    if order is not None:
-        zeta = zeta.truncated(order)
     if parity == "odd":
         return zeta
     return zeta.substitute_power(2) * zeta.inverse()
@@ -303,9 +295,8 @@ def _validate_traces(group: PermutationGroup, coeff_traces):
     if coeff_traces is None:
         return None
     table = {tuple(g): rat(v) for g, v in coeff_traces.items()}
-    for g in group.elements:
-        if g not in table:
-            raise ValueError("coefficient traces must be defined on every group element")
+    if any(g not in table for g in group.elements):
+        raise ValueError("coefficient traces must be defined on every group element")
     return table
 
 
@@ -659,10 +650,8 @@ def coefficient_identities_check(
             lhs.append(Fraction(0))
             continue
         group = PermutationGroup.symmetric(k)
-        if bound is None or bound >= k:
-            family = PartitionFamily.full(k)
-        else:
-            family = PartitionFamily.max_block(k, bound)
+        full = bound is None or bound >= k
+        family = PartitionFamily.full(k) if full else PartitionFamily.max_block(k, bound)
         traces = coefficient_traces(group, euler)
         lp = general_lefschetz_polynomial(group, family, traces)
         lhs.append(lp.evaluate(profile))
@@ -671,22 +660,17 @@ def coefficient_identities_check(
     lhs_int = [int(v) for v in lhs]
 
     counts = {m: profile.count(m) for m in range(1, order + 1)}
+    zeta_power = exponent_product({m: -euler * d for m, d in counts.items()}, order)
     clauses = []
-    power_series_rhs = None
-    if bound is None or (euler <= 0 and bound >= -euler):
-        power_series_rhs = exponent_product(
-            {m: -euler * counts[m] for m in counts}, order
-        )
     if bound is None:
-        clauses.append(("unbounded-multiplicity", power_series_rhs))
+        clauses.append(("unbounded-multiplicity", zeta_power))
     if bound == 1:
         rhs = PowerSeries.one(order)
         for m, d in counts.items():
-            base = PowerSeries.one(order) + PowerSeries.monomial(m, order, euler)
-            rhs = rhs * base ** d
+            rhs = rhs * (PowerSeries.one(order) + PowerSeries.monomial(m, order, euler)) ** d
         clauses.append(("multiplicity-one", rhs))
     if bound is not None and euler <= 0 and bound >= -euler:
-        clauses.append(("bounded-multiplicity", power_series_rhs))
+        clauses.append(("bounded-multiplicity", zeta_power))
     if not clauses:
         raise ValueError(
             "no closed form applies: need an unbounded multiplicity, bound 1, "
@@ -694,19 +678,12 @@ def coefficient_identities_check(
         )
 
     results = []
-    overall = True
     for name, rhs in clauses:
-        mismatch = None
-        for k in range(order + 1):
-            if lhs_int[k] != rhs[k]:
-                mismatch = {
-                    "k": k,
-                    "polynomial_side": lhs_int[k],
-                    "series_side": rat_str(rhs[k]),
-                }
-                break
+        k = next((k for k in range(order + 1) if lhs_int[k] != rhs[k]), None)
+        mismatch = None if k is None else {
+            "k": k, "polynomial_side": lhs_int[k], "series_side": rat_str(rhs[k])
+        }
         results.append({"clause": name, "pass": mismatch is None, "first_mismatch": mismatch})
-        overall = overall and mismatch is None
     return {
         "identity": "coefficient-space",
         "euler": euler,
@@ -714,7 +691,7 @@ def coefficient_identities_check(
         "order": order,
         "polynomial_side": lhs_int,
         "clauses": results,
-        "pass": overall,
+        "pass": all(result["pass"] for result in results),
     }
 
 
@@ -731,27 +708,14 @@ def compare_series_with_counts(series, counts):
     return None
 
 
-def _parse_group_and_action(group_obj, gset_obj, where: str):
-    """A group from its JSON object and, when `gset_obj` is not None, its
-    action table from a G-set object; `where` names the G-set in messages."""
-    group = PermutationGroup.from_json(group_obj)
-    if gset_obj is None:
-        return group, None
-    size = _integer(_field(gset_obj, "size", where), f"{where}'s 'size'")
-    action = _field(gset_obj, "action", where)
-    if not isinstance(action, dict):
-        raise ValueError(f"the action of {where} must map element indices to permutations")
-    table = [None] * group.order
-    for idx, perm in action.items():
-        i = _integer(idx, f"an element index in the action of {where}")
-        if not 0 <= i < group.order:
-            raise ValueError(
-                f"{where} names element {i}, but the group has {group.order} elements"
-            )
-        table[i] = _integers(perm, f"a permutation in the action of {where}")
-    if any(entry is None or len(entry) != size for entry in table):
-        raise ValueError("the G-set action must cover every group element")
-    return group, tuple(table)
+def _one_given(source: dict, names: dict, where: str, required=True):
+    """The one key of `names` that `source` gives (not None): exactly one
+    when `required`, otherwise at most one, with None for none."""
+    given = [key for key in names if source.get(key) is not None]
+    if len(given) > 1 or (required and not given):
+        count = "exactly" if required else "at most"
+        raise ValueError(f"{where} takes {count} one of {'/'.join(names.values())}, got {len(given)}")
+    return given[0] if given else None
 
 
 _ZETA_SOURCES = ("map", "lefschetz", "profile", "zeta", "graded")
@@ -768,12 +732,7 @@ def _read_zeta(source: dict, order: int, where: str, names: dict, reduced=False)
     least that order; it is cut to it.  With `reduced` the result is divided
     by 1 - q, inside `zeta_series` for map, profile and Lefschetz input.
     """
-    given = [key for key in names if source.get(key) is not None]
-    if len(given) != 1:
-        raise ValueError(
-            f"{where} takes exactly one of {'/'.join(names.values())}, got {len(given)}"
-        )
-    key = given[0]
+    key = _one_given(source, names, where)
     obj = source[key]
     if key == "map":
         return zeta_of_map(FiniteSelfMap.from_json(obj), order, reduced)
@@ -789,6 +748,48 @@ def _read_zeta(source: dict, order: int, where: str, names: dict, reduced=False)
     else:
         zeta = graded_zeta(GradedEndomorphism.from_json(obj), order)
     return zeta * PowerSeries([1] * (order + 1)) if reduced else zeta
+
+
+def _read_group_inputs(source: dict, where: str, names: dict):
+    """The group, its action table, the partition family and the coefficient
+    traces in `source`, under those of the keys "group", "gset", "family",
+    "traces" and "coefficient_size" that `names` maps to the caller's names.
+
+    The group is required, and so is the family when taken.  The table (the
+    natural one without a G-set) is checked here, once, against the family's
+    ground.  The traces come from at most one of "traces", one per group
+    element in element order, and "coefficient_size", a smash power's.  What
+    is not taken or not given is None."""
+    group = PermutationGroup.from_json(_field(source, "group", where))
+    family = PartitionFamily.from_json(_field(source, "family", where)) if "family" in names else None
+    gset = source.get("gset") if "gset" in names else None
+    if gset is not None:
+        name = names["gset"]
+        size = _integer(_field(gset, "size", name), f"{name}'s 'size'")
+        action = _field(gset, "action", name)
+        if not isinstance(action, dict):
+            raise ValueError(f"the action of {name} must map element indices to permutations")
+        table = [None] * group.order
+        for idx, perm in action.items():
+            i = _integer(idx, f"an element index in the action of {name}")
+            if not 0 <= i < group.order:
+                raise ValueError(f"{name} names element {i}, but the group has {group.order} elements")
+            table[i] = _integers(perm, f"a permutation in the action of {name}")
+        if any(entry is None or len(entry) != size for entry in table):
+            raise ValueError("the G-set action must cover every group element")
+        gset = table
+    gset = validate_gset(group, gset, None if family is None else family.ground)
+    coefficients = {key: names[key] for key in ("traces", "coefficient_size") if key in names}
+    given = _one_given(source, coefficients, where, required=False)
+    traces = None
+    if given == "traces":
+        values = _integers(source["traces"], names["traces"])
+        if len(values) != group.order:
+            raise ValueError("need one trace per group element, in element order")
+        traces = dict(zip(group.elements, values))
+    elif given == "coefficient_size":
+        traces = coefficient_traces(group, _integer(source[given], names[given]), gset)
+    return group, gset, family, traces
 
 
 MAX_PLAN_ORDER = 64
@@ -823,9 +824,11 @@ def _plan_map(plan: dict) -> FiniteSelfMap:
     return FiniteSelfMap.from_json(_plan_field(plan, "map"))
 
 
-def _plan_group_and_action(plan: dict):
-    where = f"the {plan['identity']!r} plan's gset"
-    return _parse_group_and_action(_plan_field(plan, "group"), plan.get("gset"), where)
+def _plan_group_inputs(plan: dict, *keys):
+    """A plan's group inputs under `keys`; its G-set is named unquoted."""
+    where = f"the {plan['identity']!r} plan"
+    names = {key: f"{where}'s {key if key == 'gset' else repr(key)}" for key in keys}
+    return _read_group_inputs(plan, where, names)
 
 
 def _verdict(mismatch, **fields) -> dict:
@@ -872,26 +875,20 @@ def _verify_tuples(plan, k_max, max_enum):
 
 def _verify_group_average(plan, k_max, max_enum):
     f = _plan_map(plan)
-    group, gset = _plan_group_and_action(plan)
+    group, gset, _, _ = _plan_group_inputs(plan, "group", "gset")
     lp = gsymm_polynomial(group, gset)
     return _polynomial_report(lp, f, fixed_gmap_space(f, group, gset, max_enum))
 
 
 def _verify_partition_family(plan, k_max, max_enum):
     f = _plan_map(plan)
-    group, gset = _plan_group_and_action(plan)
-    family = PartitionFamily.from_json(_plan_field(plan, "family"))
-    gset = validate_gset(group, gset, family.ground)
+    group, gset, family, traces = _plan_group_inputs(plan, "group", "gset", "family", "coefficient_size")
     coefficient = None
-    traces = None
-    if "coefficient_size" in plan:
+    if traces is not None:
         size = _plan_integer(plan, "coefficient_size")
-        # the oracle's candidate count, refused before the smash power
-        # builds its size^k tuples
-        k = len(gset[0])
-        _guard(f.size ** k * max(1, size) ** k, max_enum)
+        # the oracle's candidate count, refused before the smash power builds size^k tuples
+        _guard((f.size * max(1, size)) ** family.ground, max_enum)
         coefficient = PointedFiniteSet.smash_power(size, group, gset)
-        traces = coefficient_traces(group, size, gset)
     lp = general_lefschetz_polynomial(group, family, traces, gset)
     oracle = fixed_partition_orbits(f, group, family, coefficient, gset, max_enum)
     return _polynomial_report(lp, f, oracle)
@@ -927,16 +924,17 @@ def _verify_configuration_traces(plan, k_max, max_enum):
     )
 
 
-# identity -> handler(plan, k_max, max_enum) returning the report
+# identity -> (handler(plan, k_max, max_enum) returning the report, the keys
+# it reads besides "identity" and "k_max")
 _VERIFIERS = {
-    "md": partial(_verify_multisets, bounded=False),
-    "main": partial(_verify_multisets, bounded=True),
-    "prod": _verify_subsets,
-    "sub": _verify_tuples,
-    "gsymm": _verify_group_average,
-    "partition": _verify_partition_family,
-    "coeffic": _verify_coefficient_space,
-    "config-trace": _verify_configuration_traces,
+    "md": (partial(_verify_multisets, bounded=False), {"map"}),
+    "main": (partial(_verify_multisets, bounded=True), {"map", "l"}),
+    "prod": (_verify_subsets, {"map"}),
+    "sub": (_verify_tuples, {"map", "l"}),
+    "gsymm": (_verify_group_average, {"map", "group", "gset"}),
+    "partition": (_verify_partition_family, {"map", "group", "gset", "family", "coefficient_size"}),
+    "coeffic": (_verify_coefficient_space, {"profile", "map", "N", "euler", "l"}),
+    "config-trace": (_verify_configuration_traces, {*_ZETA_SOURCES, "parity", "epsilon", "expected_traces"}),
 }
 
 
@@ -945,9 +943,10 @@ def verify_identity(plan: dict, max_enum=None) -> dict:
 
     Plans are dictionaries with an "identity" key selecting the statement to
     check ("md", "main", "prod", "sub", "gsymm", "partition", "coeffic" or
-    "config-trace") plus the statement's inputs.  The sizes "k_max" and "N"
-    lie in 1..64.  The report carries the overall verdict, the first
-    mismatch if any, and the elapsed time.
+    "config-trace") plus the statement's inputs; a key the statement does not
+    read is refused.  The sizes "k_max" and "N" lie in 1..64.  The report
+    carries the overall verdict, the first mismatch if any, and the elapsed
+    time.
     """
     started = perf_counter()
     if not isinstance(plan, dict):
@@ -955,9 +954,15 @@ def verify_identity(plan: dict, max_enum=None) -> dict:
     if "identity" not in plan:
         raise ValueError('the plan has no "identity" key naming the statement to check')
     identity = plan["identity"]
-    verifier = _VERIFIERS.get(identity) if isinstance(identity, str) else None
-    if verifier is None:
+    entry = _VERIFIERS.get(identity) if isinstance(identity, str) else None
+    if entry is None:
         raise ValueError(f"unknown identity {identity!r}")
+    verifier, keys = entry
+    keys = sorted(keys | {"identity", "k_max"})
+    unknown = ", ".join(repr(key) for key in plan if key not in keys)
+    if unknown:
+        takes = ", ".join(map(repr, keys))
+        raise ValueError(f"the {identity!r} plan does not take {unknown}; it takes {takes}")
     k_max = _plan_order(plan, "k_max", 6)
     report = verifier(plan, k_max, max_enum)
     report["identity"] = identity

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import os
 from itertools import combinations, combinations_with_replacement, product
+from math import comb
 
 from .dynamics import FiniteSelfMap
 from .partitions import (
@@ -85,13 +86,6 @@ class PointedFiniteSet:
             return y
         return self.action[tuple(g)][y]
 
-    def trace(self, g) -> int:
-        """Number of non-basepoint fixed points of the group element."""
-        if self.action is None:
-            return self.size - 1
-        perm = self.action[tuple(g)]
-        return sum(1 for y in range(1, self.size) if perm[y] == y)
-
     @classmethod
     def smash_power(cls, points: int, group: PermutationGroup, gset=None) -> "PointedFiniteSet":
         """The k-fold smash power of a pointed set with `points` non-basepoint
@@ -142,8 +136,6 @@ def fixed_bounded_multisets(f: FiniteSelfMap, k: int, bound=None, max_enum=None)
         return 0
     if bound is not None and bound <= 0:
         return 0
-    from math import comb
-
     _guard(comb(n + k - 1, k), max_enum)
     count = 0
     for combo in combinations_with_replacement(range(n), k):
@@ -166,8 +158,6 @@ def fixed_invariant_subsets(f: FiniteSelfMap, k: int, max_enum=None) -> int:
     if k < 1:
         return 0
     n = f.size
-    from math import comb
-
     _guard(sum(comb(n, j) for j in range(1, min(k, n) + 1)), max_enum)
     count = 0
     for j in range(1, min(k, n) + 1):
@@ -312,8 +302,6 @@ def induced_bounded_multiset_map(
         raise ValueError("expected a pointed map fixing index 0")
     if k < 1:
         raise ValueError("multiset size must be >= 1")
-    from math import comb
-
     n = pointed_map.size
     _guard(comb(max(n - 1, 0) + k - 1, k) if n > 1 else 0, max_enum)
     multisets = []

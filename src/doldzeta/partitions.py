@@ -12,9 +12,9 @@ family, adjoins its orbit, and hands back the stabilizer acting on the
 blocks.
 
 Input is checked once, where it enters: the blocks constructor, the
-validating family constructor, `validate_gset` and `_require_stable`.  The
-partitions and families built inside the recursion are correct by
-construction and are not checked again.
+validating family constructor, `validate_gset` (whose tables carry the mark
+of the check) and `_require_stable`.  The partitions and families built
+inside the recursion are correct by construction and are not checked again.
 """
 
 from __future__ import annotations
@@ -311,14 +311,8 @@ class PermutationGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, perm) -> bool:
-        return tuple(perm) in self._index
-
     def inverse(self, g):
         return invert_perm(tuple(g))
-
-    def compose(self, g, h):
-        return compose_perms(tuple(g), tuple(h))
 
     def __eq__(self, other):
         if not isinstance(other, PermutationGroup):
@@ -347,32 +341,25 @@ class PermutationGroup:
         return cls.from_generators(degree, perms)
 
 
-def validate_gset(group: PermutationGroup, gset=None, ground=None):
-    """The action table of `group` on `ground` points (any number when
-    None): the natural one for None, otherwise the given table, checked.
+class _CheckedAction(tuple):
+    """An action table that `validate_gset` checked for `group` (a tuple: it cannot change)."""
 
-    A table holds one permutation per group element, in element order, and
-    must be a genuine homomorphism: a mis-ordered table would silently
-    corrupt every orbit count built on it.  The law phi(g h) = phi(g) phi(h)
-    is checked for every g and every h in the group's generating set,
-    together with phi(id) = id; by induction on the word length of h it then
-    holds for all pairs.  The identity check is what catches a bad table for
-    the trivial group, whose generating set is empty."""
-    if gset is None:
-        if ground is not None and ground != group.degree:
-            raise ValueError(
-                f"group degree {group.degree} does not match the ground size {ground}; "
-                "pass an explicit action"
-            )
-        return group.elements
+    def __new__(cls, table, group):
+        action = super().__new__(cls, table)
+        action.group = group
+        return action
+
+
+def _require_homomorphism(group: PermutationGroup, gset) -> tuple:
+    """The table as a tuple, refused unless it is a homomorphism: a
+    mis-ordered table would silently corrupt every orbit count built on it.
+    phi(g h) = phi(g) phi(h) is checked for every g and every generator h,
+    with phi(id) = id (which catches a bad table for the trivial group, with
+    no generators); by induction on the word length of h it holds for all."""
     gset = tuple(tuple(int(x) for x in perm) for perm in gset)
     if len(gset) != group.order:
         raise ValueError("the action table must align with the group's element list")
     size = len(gset[0])
-    if ground is not None and size != ground:
-        raise ValueError(
-            f"the action table permutes {size} points, not the {ground} of the ground set"
-        )
     table = dict(zip(group.elements, gset))
     for perm in gset:
         if sorted(perm) != list(range(size)):
@@ -383,6 +370,29 @@ def validate_gset(group: PermutationGroup, gset=None, ground=None):
         for g in group.elements
     ):
         raise ValueError("action table is not a homomorphism (check the element order)")
+    return gset
+
+
+def validate_gset(group: PermutationGroup, gset=None, ground=None):
+    """The action table of `group` on `ground` points (any number when
+    None): the natural one for None, otherwise the given table, checked.
+
+    A table holds one permutation per group element, in element order.  The
+    table returned is marked as checked for the group: passed in again, only
+    its size is compared with `ground`."""
+    if gset is None:
+        if ground is not None and ground != group.degree:
+            raise ValueError(
+                f"group degree {group.degree} does not match the ground size {ground}; "
+                "pass an explicit action"
+            )
+        return _CheckedAction(group.elements, group)
+    if not (isinstance(gset, _CheckedAction) and gset.group == group):
+        gset = _CheckedAction(_require_homomorphism(group, gset), group)
+    if ground is not None and len(gset[0]) != ground:
+        raise ValueError(
+            f"the action table permutes {len(gset[0])} points, not the {ground} of the ground set"
+        )
     return gset
 
 

@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import HealthCheck, settings
 
 settings.register_profile(
@@ -10,6 +11,23 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 settings.load_profile("ci")
+
+
+@pytest.fixture
+def action_checks(monkeypatch):
+    """The arguments of every full check of an action table, one tuple per
+    check, from here to the end of the test."""
+    from doldzeta import partitions
+
+    calls = []
+    check = partitions._require_homomorphism
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(partitions, "_require_homomorphism", counted)
+    return calls
 
 
 def seeded_maps(seed, count, max_size, min_size=0):

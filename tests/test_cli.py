@@ -1,6 +1,7 @@
 """Command-line interface: schemas, determinism, exit codes."""
 
 import json
+from itertools import permutations
 
 import pytest
 
@@ -529,3 +530,82 @@ def test_unreadable_plan_file_is_a_usage_error(capsys, tmp_path):
     code, out, err = run(capsys, "verify", "--plan", f"@{missing}")
     assert (code, out) == (2, "")
     assert err == f"error: cannot read the plan file {missing}: No such file or directory\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gsymm", "--group", json.dumps(S2), "--traces", "[1,1]", "--coefficient-size", "3"],
+         "the 'gsymm' command takes at most one of --traces/--coefficient-size, got 2"),
+        (["gsymm", "--group", json.dumps(S2), "--profile", '{"horizon":2,"values":[2,0]}',
+          "--map", json.dumps(MAP)],
+         "the 'gsymm' command takes at most one of --profile/--map, got 2"),
+        (["partition", "--group", json.dumps(S2), "--family", '{"ground":2,"max_block":1}',
+          "--profile", '{"horizon":2,"values":[2,0]}', "--map", json.dumps(MAP)],
+         "the 'partition' command takes at most one of --profile/--map, got 2"),
+    ],
+    ids=["traces and coefficient size", "gsymm profile and map", "partition profile and map"],
+)
+def test_two_inputs_where_one_would_be_dropped_are_refused(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "plan, unknown, takes",
+    [
+        ({"identity": "md", "map": MAP, "kmax": 60}, "'kmax'", "'identity', 'k_max', 'map'"),
+        ({"identity": "gsymm", "map": MAP, "group": S2, "coefficient_size": 2},
+         "'coefficient_size'", "'group', 'gset', 'identity', 'k_max', 'map'"),
+    ],
+)
+def test_plan_keys_the_identity_does_not_read_are_refused(capsys, plan, unknown, takes):
+    message = f"the {plan['identity']!r} plan does not take {unknown}; it takes {takes}"
+    assert run(capsys, *plan_argv(plan)) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["dold", "--map", json.dumps(MAP), "-N", "abc"],
+         "argument -N/--order: the order must be an integer in 1..64, got 'abc'"),
+        (["dold", "--map", json.dumps(MAP), "-N", "65"],
+         "argument -N/--order: the order must be an integer in 1..64, got '65'"),
+        (["symmetric", "--lefschetz", "[1]", "-l", "x", "-N", "1"],
+         "argument -l/--bound: the bound must be an integer >= 0, or 'inf' for none, got 'x'"),
+    ],
+)
+def test_flag_type_errors_say_what_the_flag_takes(capsys, argv, message):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: {message}\n")
+    assert "_parse" not in err
+
+
+S3_ELEMENTS = sorted(permutations(range(3)))
+S3 = {"degree": 3, "elements": [list(g) for g in S3_ELEMENTS]}
+# the natural action of S3, given explicitly as a table
+S3_GSET = {"size": 3, "action": {str(i): list(g) for i, g in enumerate(S3_ELEMENTS)}}
+
+
+def test_a_plans_action_table_is_checked_once(capsys, action_checks):
+    plan = {
+        "identity": "partition",
+        "map": {"size": 3, "map": [1, 0, 2]},
+        "group": S3,
+        "gset": S3_GSET,
+        "family": {"ground": 3, "max_block": 1},
+        "coefficient_size": 2,
+    }
+    code, out, _ = run(capsys, *plan_argv(plan))
+    assert code == 0 and json.loads(out)["pass"]
+    assert len(action_checks) == 1
+
+
+def test_a_commands_action_table_is_checked_once(capsys, action_checks):
+    code, out, _ = run(capsys, "partition", "--group", json.dumps(S3), "--gset",
+                       json.dumps(S3_GSET), "--family", '{"ground":3,"max_block":1}',
+                       "--coefficient-size", "2", "--map", json.dumps(MAP))
+    assert code == 0 and "value" in json.loads(out)
+    assert len(action_checks) == 1

@@ -23,17 +23,24 @@ TEST_ORACLES = {
 }
 
 
-def readme_identities():
-    """The identities in the first column of the README's plan-key table."""
+def readme_plan_keys():
+    """identity -> the keys named in its row of the README's plan-key table."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     table = text.split("| identity | checks | plan keys |", 1)[1].split("\n\n", 1)[0]
-    return re.findall(r"^\| `([a-z-]+)` \|", table, flags=re.M)
+    rows = re.findall(r"^\| `([a-z-]+)` \|[^|]*\|([^|]*)\|$", table, flags=re.M)
+    return {identity: set(re.findall(r"`([a-z_A-Z]+)`", keys)) for identity, keys in rows}
 
 
 def test_handler_table_matches_selftest_plans_and_readme():
     handlers = set(_VERIFIERS)
     assert {plan["identity"] for _, plan in SELFTEST_PLANS} == handlers
-    assert sorted(readme_identities()) == sorted(handlers)
+    readme = readme_plan_keys()
+    assert sorted(readme) == sorted(handlers)
+    # every plan takes "identity" and "k_max" besides the keys of its row
+    every = {"identity", "k_max"}
+    assert {identity: keys | every for identity, (_, keys) in _VERIFIERS.items()} == {
+        identity: keys | every for identity, keys in readme.items()
+    }
 
 
 def referenced_names(paths):

@@ -19,6 +19,7 @@ from doldzeta.partitions import (
     fiber_partition,
     invert_perm,
     perm_cycle_type,
+    validate_gset,
 )
 
 from conftest import direct_product, family_from_predicate, stable_families, trivial_group
@@ -185,6 +186,21 @@ class TestGroups:
         s2 = PermutationGroup.symmetric(2)
         prod = direct_product(s2, s2)
         assert prod.degree == 4 and prod.order == 4
+
+    def test_a_checked_table_is_checked_again_only_for_another_group(self, action_checks):
+        s3 = PermutationGroup.symmetric(3)
+        table = validate_gset(s3, s3.elements)
+        assert validate_gset(s3, table, 3) is table
+        assert validate_gset(PermutationGroup.symmetric(3), table) is table
+        assert len(action_checks) == 1
+        with pytest.raises(ValueError, match="permutes 3 points, not the 2"):
+            validate_gset(s3, table, 2)
+        # the same six permutations, read as a table for the cyclic group of
+        # order 6, which is not isomorphic to S3
+        c6 = PermutationGroup.from_generators(5, [(1, 2, 0, 4, 3)])
+        with pytest.raises(ValueError, match="not a homomorphism"):
+            validate_gset(c6, table)
+        assert len(action_checks) == 2
 
     def test_json_round_trip(self):
         g = PermutationGroup.symmetric(3)
