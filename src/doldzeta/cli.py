@@ -10,13 +10,14 @@ oracles, and a self-test.
 Commands compute and `main` prints.  Each `cmd_*` function returns its
 JSON payload and a function giving its `--format text` lines (so JSON runs
 render no text); `verify` and `selftest` also return their exit code.
-`main` alone writes to stdout and stderr: the JSON, or the text lines, or
-one error.  A flag is declared only on the commands that read it: `-N` on
-those that truncate a series, `--format` on all but `selftest`, which
-prints text only.
+`main` alone writes to stdout and stderr: the JSON, the text lines, or one
+error line, argparse's refusals included.  `main(argv)` may be called again
+in one process: it builds the parser once and finds `cmd_<command>` by name
+at each call.  A flag is declared only on the commands that read it: `-N` on
+those that truncate a series, `--format` on all but `selftest` (text only).
 
-Exit codes: 0 on success (and on PASS for `verify`/`selftest`), 1 on a
-verification FAIL, 2 on usage errors including malformed JSON.
+Exit codes: 0 on success, on PASS for `verify`/`selftest` and for `--help`,
+1 on a verification FAIL, 2 on usage errors including malformed JSON.
 """
 
 from __future__ import annotations
@@ -314,8 +315,16 @@ def cmd_selftest(args):
     return None, lambda: lines, 0 if all(report["pass"] for _, report in reports) else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose refusals (and its subparsers', which share its class)
+    raise, so that they leave through `main`'s one error handler."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dold-zeta",
         description=(
             "Exact zeta functions of self-maps and fixed-point counts of the "
@@ -339,93 +348,92 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--coefficient-size", type=int)
         p.set_defaults(group_flags=keys)
 
-    def common(p, func, order=True):
+    def common(p, order=True):
         """--format on every command, and -N on those that read an order."""
         if order:
             p.add_argument("-N", "--order", type=_parse_order, default=DEFAULT_ORDER,
                            help=f"truncation order (1..{MAX_PLAN_ORDER}, default {DEFAULT_ORDER})")
         p.add_argument("--format", choices=("json", "text"), default="json")
-        p.set_defaults(func=func)
 
     p = sub.add_parser("dold", help="orbit profile, Lefschetz numbers and zeta of a finite map")
     p.add_argument("--map", required=True, help='{"size": n, "map": [...]}')
     p.add_argument("--reduced", action="store_true")
-    common(p, cmd_dold)
+    common(p)
 
     p = sub.add_parser("zeta", help="zeta function from a profile, Lefschetz data, map or graded input")
     input_flags(p, tuple(key for key in _ZETA_SOURCES if key != "zeta"))
     p.add_argument("--reduced", action="store_true")
-    common(p, cmd_zeta)
+    common(p)
 
     p = sub.add_parser("symmetric", help="fixed-point series of bounded symmetric powers")
     input_flags(p)
     p.add_argument("-l", "--bound", type=_parse_bound_flag, default=None,
                    help="multiplicity bound (default: unbounded)")
-    common(p, cmd_symmetric)
+    common(p)
 
     p = sub.add_parser("borsuk-ulam", help="fixed-point series of bounded subset spaces")
     input_flags(p)
-    common(p, cmd_borsuk_ulam)
+    common(p)
 
     p = sub.add_parser("tuples", help="bounded tuple spaces (exponential generating function)")
     p.add_argument("--lefschetz-number", type=int, required=True,
                    help="number of fixed points (any integer formally)")
     p.add_argument("-l", "--bound", type=int, required=True)
-    common(p, cmd_tuples)
+    common(p)
 
     p = sub.add_parser("gsymm", help="group-average fixed-point polynomial of map(K, -)/G")
     group_flags(p)
     input_flags(p, ("profile", "map"))
-    common(p, cmd_gsymm, order=False)
+    common(p, order=False)
 
     p = sub.add_parser("partition", help="fixed-point polynomial of a partition-constrained functor")
     group_flags(p, ("group", "gset", "traces", "family"))
     p.add_argument("--family", required=True)
     input_flags(p, ("profile", "map"))
-    common(p, cmd_partition, order=False)
+    common(p, order=False)
 
     p = sub.add_parser("order-poly", help="falling-factorial counting polynomial of a family")
     p.add_argument("--family", required=True)
     p.add_argument("--at", type=int)
-    common(p, cmd_order_poly, order=False)
+    common(p, order=False)
 
     p = sub.add_parser("graded", help="characteristic function, zeta and bivariate series of a graded matrix")
     p.add_argument("--matrices", required=True,
                    help='{"degrees": {"0": [["1"]], "1": [["-1"]]}}')
-    common(p, cmd_graded)
+    common(p)
 
     p = sub.add_parser("config-trace", help="configuration-space trace series")
     input_flags(p)
     p.add_argument("--parity", choices=("odd", "even"), required=True)
     p.add_argument("--epsilon", type=int, choices=(1, -1), default=1)
-    common(p, cmd_config_trace)
+    common(p)
 
     p = sub.add_parser("verify", help="run a verification plan (closed form vs oracle)")
     p.add_argument("--plan", required=True, help="inline JSON, or @path to a file")
     p.add_argument("--timings", action="store_true",
                    help="include elapsed times (breaks byte-identical output)")
-    common(p, cmd_verify, order=False)
+    common(p, order=False)
 
     # the self-test prints its PASS/FAIL lines only
     p = sub.add_parser("selftest", help="run the built-in verification plans")
-    p.set_defaults(func=cmd_selftest, format="text")
+    p.set_defaults(format="text")
 
     return parser
 
 
+_parser = None  # built by the first `main` call, so that an import does not pay for it
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    _parser = _parser or build_parser()
     try:
-        payload, text, *code = args.func(args)
+        args = _parser.parse_args(argv)
+        payload, text, *code = globals()[f"cmd_{args.command.replace('-', '_')}"](args)
         lines = [json.dumps(payload, indent=2, sort_keys=True)] if args.format == "json" else text()
     except EnumerationLimitError as exc:
-        print(
-            json.dumps(
-                {"error": "enumeration-limit", "size": exc.size, "limit": exc.limit},
-                sort_keys=True,
-            ),
-            file=sys.stderr,
-        )
+        error = {"error": "enumeration-limit", "size": exc.size, "limit": exc.limit}
+        print(json.dumps(error, sort_keys=True), file=sys.stderr)
         return 2
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -364,13 +364,14 @@ def general_lefschetz_polynomial(
     an `rng` randomizes the choice (used to test exactly that).
 
     The group, its action, the traces and the family's stability are
-    validated here, once; the stabilizer actions the recursion builds are
-    correct by construction and are not checked again.
+    validated here, once, unless the table and family carry the mark of an
+    earlier check; the stabilizer actions the recursion builds are correct
+    by construction and are not checked again.
     """
     k = family.ground
     gset = validate_gset(group, gset, k)
     traces = _validate_traces(group, coeff_traces)
-    _require_stable(family, group, gset)
+    family = _require_stable(family, group, gset)
     memo = {}
 
     def rec(grp, fam, act):
@@ -757,9 +758,11 @@ def _read_group_inputs(source: dict, where: str, names: dict):
 
     The group is required, and so is the family when taken.  The table (the
     natural one without a G-set) is checked here, once, against the family's
-    ground.  The traces come from at most one of "traces", one per group
-    element in element order, and "coefficient_size", a smash power's.  What
-    is not taken or not given is None."""
+    ground, and the family once for stability under the table; both come back
+    marked, so the functions they are passed to do not check them again.  The
+    traces come from at most one of "traces", one per group element in
+    element order, and "coefficient_size", a smash power's.  What is not
+    taken or not given is None."""
     group = PermutationGroup.from_json(_field(source, "group", where))
     family = PartitionFamily.from_json(_field(source, "family", where)) if "family" in names else None
     gset = source.get("gset") if "gset" in names else None
@@ -789,6 +792,8 @@ def _read_group_inputs(source: dict, where: str, names: dict):
         traces = dict(zip(group.elements, values))
     elif given == "coefficient_size":
         traces = coefficient_traces(group, _integer(source[given], names[given]), gset)
+    if family is not None:
+        family = _require_stable(family, group, gset)
     return group, gset, family, traces
 
 

@@ -244,7 +244,7 @@ def fixed_partition_orbits(
     under the action, so that an orbit is admissible as a whole.
     """
     gset = validate_gset(group, gset, family.ground)
-    _require_stable(family, group, gset)
+    family = _require_stable(family, group, gset)
     k = len(gset[0])
     _guard(f.size ** k * max(1, coefficient.size - 1 if coefficient else 1), max_enum)
     return _fixed_orbit_count(

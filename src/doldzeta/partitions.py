@@ -12,9 +12,10 @@ family, adjoins its orbit, and hands back the stabilizer acting on the
 blocks.
 
 Input is checked once, where it enters: the blocks constructor, the
-validating family constructor, `validate_gset` (whose tables carry the mark
-of the check) and `_require_stable`.  The partitions and families built
-inside the recursion are correct by construction and are not checked again.
+validating family constructor, `validate_gset` and `_require_stable` (whose
+tables and families carry the mark of the check).  The partitions and
+families built inside the recursion are correct by construction and are not
+checked again.
 """
 
 from __future__ import annotations
@@ -397,13 +398,17 @@ def validate_gset(group: PermutationGroup, gset=None, ground=None):
 
 
 def _require_stable(family: "PartitionFamily", group: PermutationGroup, gset):
-    """Refuse a family that the validated action table `gset` does not map
-    into itself.  The images of the generators decide it: every element is
-    a word in them, and a permutation of a finite family that maps it into
-    itself maps it onto itself."""
+    """The family marked as stable under the validated action table `gset`,
+    refused when the table does not map it into itself.  The images of the
+    generators decide it: every element is a word in them, and a permutation
+    of a finite family that maps it into itself maps it onto itself.  A
+    family marked for an equal table is returned unchecked."""
+    if isinstance(family, _StableFamily) and family.action == gset:
+        return family
     table = dict(zip(group.elements, gset))
     if not family.is_stable_under([table[s] for s in group.generators]):
         raise ValueError("family is not stable under the group action")
+    return _StableFamily(family, gset)
 
 
 class PartitionFamily:
@@ -509,6 +514,16 @@ class PartitionFamily:
         for p in self.members:
             counts[p.block_count - 1] += 1
         return tuple(counts)
+
+
+class _StableFamily(PartitionFamily):
+    """A family that `_require_stable` found stable under the table `action`."""
+
+    __slots__ = ("action",)
+
+    def __init__(self, family: PartitionFamily, action):
+        super().__init__(family.ground, family.members, validate=False)
+        self.action = action
 
 
 @dataclass(frozen=True)

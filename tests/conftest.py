@@ -30,6 +30,23 @@ def action_checks(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def stability_checks(monkeypatch):
+    """The (family, generator images) of every check of a family's
+    stability, one tuple per check, from here to the end of the test."""
+    from doldzeta.partitions import PartitionFamily
+
+    calls = []
+    check = PartitionFamily.is_stable_under
+
+    def counted(family, images):
+        calls.append((family, images))
+        return check(family, images)
+
+    monkeypatch.setattr(PartitionFamily, "is_stable_under", counted)
+    return calls
+
+
 def seeded_maps(seed, count, max_size, min_size=0):
     """A deterministic population of random finite self-maps."""
     from doldzeta import FiniteSelfMap

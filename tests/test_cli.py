@@ -1,10 +1,16 @@
 """Command-line interface: schemas, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
+import doldzeta
+from doldzeta import cli
 from doldzeta.cli import main
 
 
@@ -159,9 +165,10 @@ def test_selftest_passes(capsys):
 
 
 def test_order_out_of_range_rejected(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["dold", "--map", '{"size":1,"map":[0]}', "-N", "99"])
-    assert excinfo.value.code == 2
+    code, out, err = run(capsys, "dold", "--map", '{"size":1,"map":[0]}', "-N", "99")
+    assert (code, out) == (2, "")
+    assert err == "error: argument -N/--order: the order must be an integer in 1..64, got '99'\n"
+    assert "usage:" not in err
 
 
 @pytest.mark.parametrize(
@@ -175,10 +182,10 @@ def test_order_out_of_range_rejected(capsys):
     ids=["verify -N", "gsymm -N", "order-poly -N", "selftest --format"],
 )
 def test_flags_a_command_does_not_read_are_refused(capsys, argv):
-    with pytest.raises(SystemExit) as excinfo:
-        main(argv)
-    assert excinfo.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: unrecognized arguments: ") and err.count("\n") == 1
+    assert "usage:" not in err
 
 
 def test_enumeration_guard_surfaces_structured_error(capsys, monkeypatch):
@@ -575,12 +582,7 @@ def test_plan_keys_the_identity_does_not_read_are_refused(capsys, plan, unknown,
     ],
 )
 def test_flag_type_errors_say_what_the_flag_takes(capsys, argv, message):
-    with pytest.raises(SystemExit) as excinfo:
-        main(argv)
-    assert excinfo.value.code == 2
-    err = capsys.readouterr().err
-    assert err.endswith(f"error: {message}\n")
-    assert "_parse" not in err
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 S3_ELEMENTS = sorted(permutations(range(3)))
@@ -589,7 +591,7 @@ S3 = {"degree": 3, "elements": [list(g) for g in S3_ELEMENTS]}
 S3_GSET = {"size": 3, "action": {str(i): list(g) for i, g in enumerate(S3_ELEMENTS)}}
 
 
-def test_a_plans_action_table_is_checked_once(capsys, action_checks):
+def test_a_plans_action_table_is_checked_once(capsys, action_checks, stability_checks):
     plan = {
         "identity": "partition",
         "map": {"size": 3, "map": [1, 0, 2]},
@@ -601,11 +603,94 @@ def test_a_plans_action_table_is_checked_once(capsys, action_checks):
     code, out, _ = run(capsys, *plan_argv(plan))
     assert code == 0 and json.loads(out)["pass"]
     assert len(action_checks) == 1
+    assert len(stability_checks) == 1  # and the family's stability under it
 
 
-def test_a_commands_action_table_is_checked_once(capsys, action_checks):
+def test_a_commands_action_table_is_checked_once(capsys, action_checks, stability_checks):
     code, out, _ = run(capsys, "partition", "--group", json.dumps(S3), "--gset",
                        json.dumps(S3_GSET), "--family", '{"ground":3,"max_block":1}',
                        "--coefficient-size", "2", "--map", json.dumps(MAP))
     assert code == 0 and "value" in json.loads(out)
     assert len(action_checks) == 1
+    assert len(stability_checks) == 1
+
+
+@pytest.mark.parametrize("plan_or_command", ["plan", "command"])
+def test_an_unstable_family_is_still_refused(capsys, plan_or_command):
+    # {01|2} without {02|1} and {0|12}: not stable under the rotations of 3 points
+    family = {"ground": 3, "members": [[[0], [1], [2]], [[0, 1], [2]]]}
+    c3 = {"degree": 3, "generators": [[1, 2, 0]]}
+    if plan_or_command == "plan":
+        argv = plan_argv({"identity": "partition", "map": MAP, "group": c3, "family": family})
+    else:
+        argv = ["partition", "--group", json.dumps(c3), "--family", json.dumps(family)]
+    assert run(capsys, *argv) == (2, "", "error: family is not stable under the group action\n")
+
+
+# ---------------------------------------------------------------------------
+# many commands in one process
+
+
+SRC = str(Path(doldzeta.__file__).resolve().parent.parent)
+
+# a command that sets a default for its own use (selftest's text format), then
+# commands that must not see it, a bound given and then left out, and a refusal
+ONE_PROCESS_SEQUENCE = [
+    ["selftest"],
+    ["dold", "--map", '{"size":3,"map":[1,2,0]}', "-N", "6"],
+    ["zeta", "--map", '{"size":4,"map":[1,0,3,3]}', "-N", "5"],
+    ["symmetric", "--lefschetz", "[-1,-3,-7,-15,-31]", "-l", "1", "-N", "4"],
+    ["symmetric", "--lefschetz", "[-1,-3,-7,-15,-31]", "-N", "4"],
+    ["gsymm", "--group", json.dumps(S3), "--map", '{"size":2,"map":[1,0]}'],
+    ["dold", "--map", '{"size":1,"map":[0]}', "-N", "abc"],
+]
+
+
+def fresh_run(argv):
+    """Exit code, stdout and stderr of the command in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-m", "doldzeta.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_no_state_carries_from_one_command_to_the_next(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_parser", None)
+    in_process = [run(capsys, *argv) for argv in ONE_PROCESS_SEQUENCE]
+    assert in_process == [fresh_run(argv) for argv in ONE_PROCESS_SEQUENCE]
+    assert in_process[0][1].startswith("PASS")
+    assert json.loads(in_process[1][1])["zeta"]
+    assert json.loads(in_process[3][1])["bound"] == 1
+    assert json.loads(in_process[4][1])["bound"] == "inf"
+    assert in_process[-1][0] == 2
+
+
+def test_the_parser_is_built_once_and_dispatch_sees_rebound_commands(capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    monkeypatch.setattr(cli, "_parser", None)
+    argv = ["zeta", "--lefschetz", "[1,1,1]", "-N", "3"]
+    code, before, _ = run(capsys, *argv)
+    assert code == 0
+
+    seen = []
+    original = cli.cmd_zeta
+
+    def wrapped(args):
+        seen.append(args.command)
+        return original(args)
+
+    monkeypatch.setattr(cli, "cmd_zeta", wrapped)
+    assert run(capsys, *argv) == (0, before, "")
+    assert seen == ["zeta"]
+    for _ in range(5):
+        run(capsys, "order-poly", "--family", '{"ground":3,"max_block":1}')
+        run(capsys, *argv)
+    assert seen == ["zeta"] * 6
+    assert len(built) == 1

@@ -1,6 +1,7 @@
 """Golden outputs: the exact stdout and exit code of `selftest`, of every
-README example command (as JSON and, where it has one, in its text form)
-and of `verify --plan` on each built-in plan.
+README example command (as JSON and, where it has one, in its text form),
+of `verify --plan` on each built-in plan, and of the top-level `--help`
+(which must list every command).
 
 The JSON files under tests/golden/ were written from the code before the
 series kernels were unified, and the `-text` files from the code before
@@ -14,8 +15,10 @@ regenerate them after an intended output change, run
 import contextlib
 import io
 import json
+import os
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -68,14 +71,18 @@ TEXT_CASES = [
     if argv[0] != "selftest"
 ]
 
-CASES = README_EXAMPLES + TEXT_CASES + PLAN_CASES
+CASES = README_EXAMPLES + TEXT_CASES + PLAN_CASES + [("help", ["--help"])]
 
 
 def render(argv) -> str:
-    """The exit code line followed by the exact stdout of one in-process run."""
+    """The exit code line followed by the exact stdout of one in-process run;
+    help text is wrapped at 80 columns whatever the terminal."""
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(list(argv))
+    with contextlib.redirect_stdout(out), mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # --help exits from inside the parser
+            code = exc.code
     return f"exit {code}\n{out.getvalue()}"
 
 
@@ -83,6 +90,14 @@ def test_cases_cover_every_selftest_plan():
     assert len(PLAN_CASES) == len(SELFTEST_PLANS) == 9
     assert len(README_EXAMPLES) == 11
     assert len(TEXT_CASES) == 10
+
+
+def test_help_lists_every_command():
+    commands = {argv[0] for _, argv in README_EXAMPLES} | {"zeta"}
+    help_text = (GOLDEN / "help.txt").read_text(encoding="utf-8")
+    assert help_text.startswith("exit 0\nusage: dold-zeta")
+    assert all(f"\n    {command} " in help_text for command in commands)
+    assert len(commands) == 12
 
 
 @pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])

@@ -14,7 +14,9 @@ from doldzeta import (
     general_lefschetz_polynomial,
     minimal_excluded_step,
 )
+from doldzeta.oracles import fixed_partition_orbits
 from doldzeta.partitions import (
+    _require_stable,
     compose_perms,
     fiber_partition,
     invert_perm,
@@ -22,7 +24,13 @@ from doldzeta.partitions import (
     validate_gset,
 )
 
-from conftest import direct_product, family_from_predicate, stable_families, trivial_group
+from conftest import (
+    direct_product,
+    family_from_predicate,
+    seeded_maps,
+    stable_families,
+    trivial_group,
+)
 
 
 def whole_partition(k):
@@ -201,6 +209,30 @@ class TestGroups:
         with pytest.raises(ValueError, match="not a homomorphism"):
             validate_gset(c6, table)
         assert len(action_checks) == 2
+
+    def test_a_stable_family_is_checked_again_only_for_another_table(self, stability_checks):
+        s3 = PermutationGroup.symmetric(3)
+        table = validate_gset(s3, None, 3)
+        family = _require_stable(PartitionFamily.max_block(3, 2), s3, table)
+        assert _require_stable(family, s3, table) is family
+        assert _require_stable(family, s3, validate_gset(s3, None, 3)) is family
+        assert family == PartitionFamily.max_block(3, 2)
+        assert len(stability_checks) == 1
+        # S3 acting through the sign: swapping 0 and 1 on two of the three points
+        sign = validate_gset(s3, [(0, 1, 2) if not perm_cycle_type(g).get(2) else (1, 0, 2)
+                                  for g in s3.elements])
+        assert _require_stable(family, s3, sign) is not family
+        assert len(stability_checks) == 2
+
+    def test_an_unchecked_unstable_family_is_refused(self, stability_checks):
+        c3 = PermutationGroup.from_generators(3, [(1, 2, 0)])
+        family = PartitionFamily(3, [SetPartition.discrete(3), SetPartition([[0, 1], [2]])])
+        f = seeded_maps(11, 1, 3, min_size=2)[0]
+        with pytest.raises(ValueError, match="not stable"):
+            general_lefschetz_polynomial(c3, family)
+        with pytest.raises(ValueError, match="not stable"):
+            fixed_partition_orbits(f, c3, family)
+        assert len(stability_checks) == 2
 
     def test_json_round_trip(self):
         g = PermutationGroup.symmetric(3)
