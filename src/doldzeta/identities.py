@@ -27,6 +27,7 @@ composites substitute the iterate-transported orbit-count polynomials.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -45,7 +46,7 @@ from .dynamics import (
     zeta_series,
 )
 from .graded import GradedEndomorphism, graded_zeta
-from .multipoly import MultiPoly
+from .multipoly import MultiPoly, _numerator_sum
 from .oracles import (
     PointedFiniteSet,
     _guard,
@@ -129,12 +130,19 @@ def integer_lattice_check(
 ) -> bool:
     """Check integrality of the polynomial's values on the lattice
     [-box, box]^nvars, exhaustively when that is at most max_points points
-    and on a seeded sample otherwise."""
+    and on a seeded sample otherwise.
+
+    With D the common denominator of the coefficients, D*p is evaluated over
+    the integers at each point and tested for divisibility by D."""
+    if box < 0:
+        raise ValueError("lattice box must be >= 0")
+    if max_points < 1:
+        raise ValueError("max_points must be >= 1")
+    d, numerators = poly._numerators()
+    if d == 1:  # integer coefficients: integer values at every point
+        return True
     n = poly.nvars
-    if n == 0:
-        return poly.evaluate([]).denominator == 1
-    total = (2 * box + 1) ** n
-    if total <= max_points:
+    if (2 * box + 1) ** n <= max_points:
         points = iter_product(range(-box, box + 1), repeat=n)
     else:
         rng = random.Random(seed)
@@ -142,10 +150,42 @@ def integer_lattice_check(
             tuple(rng.randint(-box, box) for _ in range(n))
             for _ in range(min(max_points, 10_000))
         )
-    for point in points:
-        if poly.evaluate(point).denominator != 1:
-            return False
-    return True
+    return all(_numerator_sum(numerators, point) % d == 0 for point in points)
+
+
+def _surjections(e: int) -> list:
+    """j! S(e, j) for j = 0..e: the surjections from an e-set onto a j-set,
+    so that t^e = sum_j j! S(e, j) C(t, j)."""
+    row = [1]
+    for _ in range(e):
+        padded = row + [0]
+        row = [0] + [j * (padded[j - 1] + padded[j]) for j in range(1, len(padded))]
+    return row
+
+
+def _integer_valued(poly: MultiPoly) -> bool:
+    """Whether the polynomial takes integer values on all of Z^nvars.
+
+    Exact, by Polya's criterion: that holds if and only if its coefficients in
+    the basis prod_i C(t_i, j_i) are integers.  Each monomial of D*p is
+    rewritten in that basis with t^e = sum_j j! S(e, j) C(t, j), and every
+    resulting coefficient must be divisible by D."""
+    d, numerators = poly._numerators()
+    if d == 1:
+        return True
+    binomial = {}
+    for value, factors in numerators:
+        expansion = {(): value}
+        for i, e in factors:
+            row = _surjections(e)
+            expansion = {
+                key + ((i, j),): c * row[j]
+                for key, c in expansion.items()
+                for j in range(1, e + 1)
+            }
+        for key, c in expansion.items():
+            binomial[key] = binomial.get(key, 0) + c
+    return all(c % d == 0 for c in binomial.values())
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +496,7 @@ def dold_polynomial_of_functor(lp: LefschetzPolynomial, m: int) -> MultiPoly:
         images = iterate_profile_images(d, k, target)
         acc = acc + mobius(m // d) * lp.poly.substitute(images)
     result = acc / m
-    if not integer_lattice_check(result, box=2, max_points=400):
+    if not _integer_valued(result):
         raise RuntimeError("orbit-count polynomial failed the integrality check")
     return result
 
@@ -548,11 +588,12 @@ def expression_polynomial(expr) -> LefschetzPolynomial:
     if isinstance(expr, BoundedSymmetricPower):
         return bounded_power_polynomial(expr.power, expr.bound)
     if isinstance(expr, Wedge):
-        parts = [expression_polynomial(p) for p in expr.parts]
-        bound = max((p.degree_bound for p in parts), default=0)
+        # each distinct part is built once and added times its multiplicity
+        parts = [(expression_polynomial(p), n) for p, n in Counter(expr.parts).items()]
+        bound = max((p.degree_bound for p, _ in parts), default=0)
         total = MultiPoly.zero(bound)
-        for p in parts:
-            total = total + p.poly.extend(bound)
+        for p, n in parts:
+            total = total + n * p.poly.extend(bound)
         return LefschetzPolynomial(total, bound)
     if isinstance(expr, Smash):
         parts = [expression_polynomial(p) for p in expr.parts]

@@ -8,8 +8,20 @@ with the variable count declared at construction.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .series import _field, _integer, _integers, _power, rat, rat_str
+
+
+def _numerator_sum(numerators, point):
+    """D*p at the point, for the numerators of MultiPoly._numerators: an int
+    at an integer point."""
+    total = 0
+    for value, factors in numerators:
+        for i, e in factors:
+            value *= point[i] ** e
+        total += value
+    return total
 
 
 class MultiPoly:
@@ -104,19 +116,27 @@ class MultiPoly:
             return 0
         return max(sum((i + 1) * e for i, e in enumerate(exps)) for exps in self.terms)
 
+    def _numerators(self):
+        """The common denominator D of the coefficients and the terms of D*p
+        as integers: D and a list of (numerator, ((i, e), ...)) over the
+        nonzero exponents e of t_{i+1}."""
+        d = lcm(*(c.denominator for c in self.terms.values()))
+        return d, [
+            (c.numerator * (d // c.denominator), tuple((i, e) for i, e in enumerate(exps) if e))
+            for exps, c in self.terms.items()
+        ]
+
     def evaluate(self, point) -> Fraction:
-        """Exact evaluation; `point` supplies values for t_1..t_nvars (or more)."""
+        """Exact evaluation; `point` supplies values for t_1..t_nvars (or more).
+
+        D*p is summed over the integer numerators and divided by D once;
+        integral coordinates enter as ints, rational ones as Fractions."""
         point = [rat(v) for v in point]
         if len(point) < self.nvars:
             raise ValueError(f"need {self.nvars} coordinates, got {len(point)}")
-        total = Fraction(0)
-        for exps, c in self.terms.items():
-            v = c
-            for i, e in enumerate(exps):
-                if e:
-                    v *= point[i] ** e
-            total += v
-        return total
+        point = [v.numerator if v.denominator == 1 else v for v in point]
+        d, numerators = self._numerators()
+        return Fraction(_numerator_sum(numerators, point), d)
 
     def extend(self, nvars: int) -> "MultiPoly":
         """Reinterpret in a larger variable space t_1..t_nvars."""

@@ -1,7 +1,10 @@
 """Closed forms versus oracles, and the polynomial calculus."""
 
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import groupby
+from math import factorial
 
 import pytest
 
@@ -45,6 +48,8 @@ from doldzeta import (
     verify_identity,
     zeta_of_map,
 )
+from doldzeta import identities
+from doldzeta.identities import _integer_valued
 from doldzeta.oracles import EnumerationLimitError
 from doldzeta.series import RationalFunction, egf_unpack
 
@@ -362,6 +367,100 @@ class TestFunctorExpressions:
         )
 
 
+def expression_label(expr) -> str:
+    """A short name for an expression made of identities, spheres, powers and
+    smash products."""
+    if isinstance(expr, IdentityFunctor):
+        return "X"
+    if isinstance(expr, ConstantSphereSmash):
+        return "S+" if expr.parity == "even" else "S-"
+    if isinstance(expr, BoundedSymmetricPower):
+        return f"SP{expr.power}_{expr.bound}"
+    if isinstance(expr, Smash):
+        return "(" + "^".join(expression_label(p) for p in expr.parts) + ")"
+    raise TypeError(expr)
+
+
+def binomial_target(k, pieces):
+    """sum of coefficient * prod C(t_var, j) over pieces (coefficient, (var, j), ...)."""
+    total = MultiPoly.zero(k)
+    for coefficient, *piece in pieces:
+        prod = MultiPoly.constant(1, k)
+        for var, j in piece:
+            prod = prod * binomial(t(var, k), j)
+        total = total + coefficient * prod
+    return total
+
+
+class TestWedgeGrouping:
+    ATOMS = (
+        IdentityFunctor(),
+        ConstantSphereSmash("odd"),
+        BoundedSymmetricPower(2, 1),
+        BoundedSymmetricPower(3, 2),
+        Smash((ConstantSphereSmash("odd"), BoundedSymmetricPower(2, 2))),
+        Smash((IdentityFunctor(), IdentityFunctor())),
+        Compose(BoundedSymmetricPower(2, 1), IdentityFunctor()),
+    )
+
+    def test_repeated_shuffled_parts_sum_part_by_part(self):
+        rng = random.Random(2024)
+        for _ in range(25):
+            parts = [
+                atom
+                for atom in rng.sample(self.ATOMS, rng.randint(1, 4))
+                for _ in range(rng.randint(1, 4))
+            ]
+            rng.shuffle(parts)
+            lps = [expression_polynomial(p) for p in parts]
+            bound = max(lp.degree_bound for lp in lps)
+            expected = MultiPoly.zero(bound)
+            for lp in lps:
+                expected = expected + lp.poly.extend(bound)
+            got = expression_polynomial(Wedge(tuple(parts)))
+            assert got.degree_bound == bound
+            assert got.poly == expected
+
+    def test_each_distinct_part_is_built_once(self, monkeypatch):
+        builds = []
+        build = identities.bounded_power_polynomial
+        monkeypatch.setattr(
+            identities, "bounded_power_polynomial",
+            lambda k, bound: builds.append((k, bound)) or build(k, bound),
+        )
+        parts = (BoundedSymmetricPower(3, 1),) * 5 + (BoundedSymmetricPower(2, 1),) * 3
+        lp = expression_polynomial(Wedge(parts))
+        assert sorted(builds) == [(2, 1), (3, 1)]
+        assert lp.poly == 5 * build(3, 1).poly + 3 * build(2, 1).poly.extend(3)
+
+    @pytest.mark.parametrize(
+        "k, pieces, r, parts",
+        [
+            (
+                3,
+                [(2, (1, 1), (2, 1)), (-1, (1, 2)), (1, (3, 1))],
+                6,
+                [("SP3_1", 6), ("(X^SP2_1)", 6), ("(S-^(X^X^X))", 4), ("(X^X)", 3),
+                 ("X", 1)],
+            ),
+            (
+                4,
+                [(1, (1, 2), (2, 1)), (-2, (4, 1)), (1, (2, 2)), (-1, (1, 1), (3, 1))],
+                24,
+                [("(S-^SP4_1)", 48), ("(X^SP3_1)", 24), ("(SP2_1^SP2_1)", 36),
+                 ("(S-^(X^X^SP2_1))", 24), ("(X^X^X^X)", 1), ("(X^X^X)", 6),
+                 ("(S-^SP2_1)", 36), ("(X^X)", 23), ("(S-^X)", 30)],
+            ),
+        ],
+    )
+    def test_realizations_are_unchanged(self, k, pieces, r, parts):
+        got_r, expr = realize_polynomial(binomial_target(k, pieces), k)
+        assert got_r == r
+        # the parts as runs of equal parts, in order
+        labels = [expression_label(p) for p in expr.parts]
+        assert [(label, len(list(run))) for label, run in groupby(labels)] == parts
+
+
 class TestRealization:
     def test_identity_polynomial(self):
         r, expr = realize_polynomial(t(1, 1), 1)
@@ -526,15 +625,107 @@ class TestVerificationHarness:
         assert report["pass"]
 
 
+def binomial(x: MultiPoly, j: int) -> MultiPoly:
+    """C(x, j) = x (x - 1) ... (x - j + 1) / j!"""
+    out = MultiPoly.constant(1, x.nvars)
+    for r in range(j):
+        out = out * (x - r)
+    return out / factorial(j)
+
+
+LATTICE_DENOMINATORS = (1, 2, 3, 4, 6)
+
+
+def small_numerical_candidate(rng):
+    """A polynomial in at most 3 variables with exponents <= 3 and
+    denominators in LATTICE_DENOMINATORS: a sum of binomial products, which
+    is integer-valued, plus half the time one monomial that may not be."""
+    nvars = rng.randint(0, 3)
+    while True:
+        p = MultiPoly.zero(nvars)
+        for _ in range(rng.randint(1, 3)):
+            piece = MultiPoly.constant(rng.choice((-2, -1, 1, 2)), nvars)
+            for i in range(1, nvars + 1):
+                piece = piece * binomial(t(i, nvars), rng.randint(0, 3))
+            p = p + piece
+        if rng.random() < 0.5:
+            exps = tuple(rng.randint(0, 3) for _ in range(nvars))
+            coeff = Fraction(rng.randint(-3, 3), rng.choice(LATTICE_DENOMINATORS))
+            p = p + MultiPoly(nvars, {exps: coeff})
+        if all(c.denominator in LATTICE_DENOMINATORS for c in p.terms.values()):
+            return p
+
+
+def product_of_variables(n: int) -> MultiPoly:
+    return MultiPoly(n, {(1,) * n: Fraction(1)})
+
+
 class TestNumericality:
     def test_group_average_polynomials_are_numerical(self):
         for k in (2, 3):
             lp = gsymm_polynomial(PermutationGroup.symmetric(k))
             assert integer_lattice_check(lp.poly)
+            assert _integer_valued(lp.poly)
 
     def test_non_numerical_poly_detected(self):
         half = MultiPoly(1, {(1,): Fraction(1, 2)})
         assert not integer_lattice_check(half)
+        assert not _integer_valued(half)
+
+    def test_lattice_check_refuses_an_empty_box(self):
+        half_t2 = MultiPoly(2, {(0, 1): Fraction(1, 2)})
+        with pytest.raises(ValueError, match="box must be >= 0"):
+            integer_lattice_check(half_t2, box=-1)
+
+    def test_lattice_check_refuses_zero_samples(self):
+        half_t2 = MultiPoly(2, {(0, 1): Fraction(1, 2)})
+        with pytest.raises(ValueError, match="max_points must be >= 1"):
+            integer_lattice_check(half_t2, max_points=0)
+
+    def test_constants_in_zero_variables(self):
+        assert integer_lattice_check(MultiPoly.constant(3, 0))
+        assert not integer_lattice_check(MultiPoly.constant(Fraction(3, 2), 0))
+        assert _integer_valued(MultiPoly.constant(-3, 0))
+        assert not _integer_valued(MultiPoly.constant(Fraction(3, 2), 0))
+
+    def test_exact_test_agrees_with_the_exhaustive_lattice(self):
+        # exponents <= 3 in each variable: integrality on {0..3}^n already
+        # decides it, and [-4, 4]^n contains that box
+        rng = random.Random(1915)
+        verdicts = Counter()
+        for _ in range(400):
+            p = small_numerical_candidate(rng)
+            exact = _integer_valued(p)
+            assert exact == integer_lattice_check(p, box=4), p
+            verdicts[exact] += 1
+        assert verdicts[True] >= 100 and verdicts[False] >= 100
+
+    @pytest.mark.parametrize("n", [3, 6, 8])
+    def test_half_a_product_of_variables_is_refused(self, n):
+        # prod t_i / 2 is odd where every t_i is 1; a sampled box-2 check
+        # can miss that point once n grows
+        assert not _integer_valued(product_of_variables(n) / 2)
+        assert _integer_valued(product_of_variables(n))
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_the_self_check_is_exact(self, n):
+        # for m = 1 the orbit-count polynomial is the input itself; for n = 8
+        # a seeded sample of 400 points of [-2, 2]^36 has none where
+        # t_1..t_8 are all odd, so a sampled check would accept it
+        lp = LefschetzPolynomial(product_of_variables(n) / 2, n * (n + 1) // 2)
+        with pytest.raises(RuntimeError, match="integrality check"):
+            dold_polynomial_of_functor(lp, 1)
+
+    def test_a_halved_orbit_count_polynomial_is_refused(self, monkeypatch):
+        true_mobius = identities.mobius
+        monkeypatch.setattr(identities, "mobius", lambda n: Fraction(true_mobius(n), 2))
+        for lp, m in (
+            (LefschetzPolynomial(t(1, 1), 1), 1),
+            (bounded_power_polynomial(2, 1), 2),
+            (bounded_power_polynomial(3, 1), 3),
+        ):
+            with pytest.raises(RuntimeError, match="integrality check"):
+                dold_polynomial_of_functor(lp, m)
 
 
 def test_components_functor_is_not_polynomial():

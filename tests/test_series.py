@@ -276,6 +276,27 @@ class TestEgf:
             assert unpacked[k] == sum(comb(k, i) * a[i] * b[k - i] for i in range(k + 1))
 
 
+def random_multipoly(rng, nvars):
+    terms = {}
+    for _ in range(rng.randint(0, 6)):
+        exps = tuple(rng.randint(0, 4) for _ in range(nvars))
+        terms[exps] = Fraction(rng.randint(-20, 20), rng.choice((1, 2, 3, 4, 6, 7, 12)))
+    return MultiPoly(nvars, terms)
+
+
+def fraction_evaluate(poly, point):
+    """The reference: each term evaluated and summed in Fraction arithmetic."""
+    point = [rat(v) for v in point]
+    total = Fraction(0)
+    for exps, c in poly.terms.items():
+        v = c
+        for i, e in enumerate(exps):
+            if e:
+                v *= point[i] ** e
+        total += v
+    return total
+
+
 class TestMultiPoly:
     def test_square_evaluation(self):
         p = MultiPoly.variable(1, 1) ** 2
@@ -301,6 +322,29 @@ class TestMultiPoly:
         p = MultiPoly.variable(1, 1) ** 2
         image = MultiPoly.variable(1, 2) + 2 * MultiPoly.variable(2, 2)
         assert p.substitute([image]).evaluate([1, 1]) == 9
+
+    def test_evaluate_matches_per_term_fractions(self):
+        """The integer-numerator evaluation against the per-term Fraction
+        evaluation it replaced, at integer, rational and over-long points
+        and in zero variables."""
+        rng = random.Random(20261018)
+        for case in range(200):
+            nvars = 0 if case % 10 == 0 else rng.randint(1, 4)
+            p = random_multipoly(rng, nvars)
+            points = [
+                [rng.randint(-6, 6) for _ in range(nvars)],
+                [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(nvars)],
+                [str(Fraction(rng.randint(-12, 12), 3)) for _ in range(nvars)],
+                [rng.randint(-6, 6) for _ in range(nvars + rng.randint(1, 3))],
+            ]
+            for point in points:
+                value = p.evaluate(point)
+                assert isinstance(value, Fraction)
+                assert value == fraction_evaluate(p, point)
+
+    def test_evaluate_needs_every_coordinate(self):
+        with pytest.raises(ValueError, match="need 2 coordinates"):
+            MultiPoly.variable(2, 2).evaluate([1])
 
     def test_json_round_trip(self):
         t1 = MultiPoly.variable(1, 2)
