@@ -15,7 +15,6 @@ from .series import (
     exponent_product,
     rat,
     rat_str,
-    series_exp_neg_weighted,
 )
 from .multipoly import MultiPoly
 from .dynamics import (
@@ -89,7 +88,6 @@ from .graded import (
     graded_lefschetz_numbers,
     graded_zeta,
     koszul_invariant_trace,
-    koszul_sign,
     poincare_generating,
 )
 

@@ -7,15 +7,16 @@ D_m from the L(f^k).  Both data determine the zeta function
 
     Z(f; q) = prod_m (1 - q^m)^{D_m} = exp(-sum_k L(f^k) q^k / k),
 
-and this module computes it by both routes and insists that they agree.
-Profiles not arising from an actual map (negative entries included) are
-allowed wherever the arithmetic makes sense.
+and this module computes the product and insists that it satisfies the
+recurrence of the exponential.  Profiles not arising from an actual map
+(negative entries included) are allowed wherever the arithmetic makes
+sense.
 """
 
 from __future__ import annotations
 
-from .series import PowerSeries, exponent_product, series_exp_neg_weighted
-from .series import _field, _integer, _integers
+from .series import PowerSeries, exponent_product
+from .series import _exp_form_holds, _field, _integer, _integers
 
 
 class HorizonError(ValueError):
@@ -71,21 +72,10 @@ class FiniteSelfMap:
         self.mapping = mapping
 
     @classmethod
-    def identity(cls, n: int) -> "FiniteSelfMap":
-        return cls(range(n))
-
-    @classmethod
-    def random(cls, rng, size: int) -> "FiniteSelfMap":
-        return cls([rng.randrange(size) for _ in range(size)] if size else [])
-
-    @classmethod
     def from_json(cls, obj: dict) -> "FiniteSelfMap":
         where = "a self-map"
         mapping = _integers(_field(obj, "map", where), f"{where}'s 'map'")
         return cls(mapping, size=_integer(_field(obj, "size", where), f"{where}'s 'size'"))
-
-    def to_json(self) -> dict:
-        return {"size": self.size, "map": list(self.mapping)}
 
     def __call__(self, x: int) -> int:
         return self.mapping[x]
@@ -95,10 +85,6 @@ class FiniteSelfMap:
         if self.size != other.size:
             raise ValueError("cannot compose maps of different sizes")
         return FiniteSelfMap([self.mapping[y] for y in other.mapping], size=self.size)
-
-    def pointed(self) -> "FiniteSelfMap":
-        """Adjoin a fixed basepoint at index 0, shifting everything else up."""
-        return FiniteSelfMap([0] + [x + 1 for x in self.mapping], size=self.size + 1)
 
     def fixed_points(self) -> list:
         return [x for x in range(self.size) if self.mapping[x] == x]
@@ -250,9 +236,10 @@ def zeta_series(data, order: int, reduced: bool = False) -> PowerSeries:
     """The zeta function Z = prod_m (1-q^m)^{D_m} = exp(-sum L(f^k) q^k / k).
 
     Accepts either a DoldProfile or a LefschetzSequence, derives the other by
-    (inverse) Moebius inversion, computes both closed forms and insists they
-    agree before returning the common value.  With `reduced`, D_1 is lowered
-    by one (equivalently, the result is divided by 1 - q).
+    (inverse) Moebius inversion, computes the product form from the orbit
+    counts and insists, over the integers, that it is the exponential form
+    of the Lefschetz numbers before returning it.  With `reduced`, D_1 is
+    lowered by one (equivalently, the result is divided by 1 - q).
     """
     if isinstance(data, DoldProfile):
         profile = data
@@ -270,10 +257,8 @@ def zeta_series(data, order: int, reduced: bool = False) -> PowerSeries:
     exponents = {m: profile.count(m) for m in range(1, order + 1)}
     exponents[1] = exponents.get(1, 0) - shift
     product_form = exponent_product(exponents, order)
-    exp_form = series_exp_neg_weighted(
-        [seq.value(k) - shift for k in range(1, order + 1)], order
-    )
-    if product_form.coeffs != exp_form.coeffs:
+    lefschetz = [seq.value(k) - shift for k in range(1, order + 1)]
+    if not _exp_form_holds([c.numerator for c in product_form.coeffs], lefschetz):
         raise InconsistentInputError(
             "orbit-product and exponential forms of the zeta function disagree"
         )

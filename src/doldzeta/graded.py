@@ -29,11 +29,10 @@ from .series import (
     Poly,
     PowerSeries,
     RationalFunction,
+    _exp_form_holds,
     _field,
     _integer,
     rat,
-    rat_str,
-    series_exp_neg_weighted,
 )
 
 KOSZUL_GUARD = 100_000
@@ -62,19 +61,8 @@ class GradedEndomorphism:
     def from_json(cls, obj: dict) -> "GradedEndomorphism":
         return cls(_field(obj, "degrees", "a graded endomorphism", dict))
 
-    def to_json(self) -> dict:
-        return {
-            "degrees": {
-                str(d): [[rat_str(c) for c in row] for row in rows]
-                for d, rows in sorted(self.matrices.items())
-            }
-        }
-
     def degrees(self) -> list:
         return sorted(self.matrices)
-
-    def dimension(self, degree: int) -> int:
-        return len(self.matrices.get(degree, ()))
 
     def matrix(self, degree: int):
         return self.matrices[degree]
@@ -85,7 +73,7 @@ class GradedEndomorphism:
         return self.matrices == other.matrices
 
     def __repr__(self):
-        dims = ", ".join(f"{d}:{self.dimension(d)}" for d in self.degrees())
+        dims = ", ".join(f"{d}:{len(rows)}" for d, rows in sorted(self.matrices.items()))
         return f"GradedEndomorphism(dims={{{dims}}})"
 
 
@@ -180,8 +168,7 @@ def graded_zeta(endo: GradedEndomorphism, order: int) -> PowerSeries:
     for degree in endo.degrees():
         factor = det_one_minus_t(endo.matrix(degree)).series(order)
         result = result * (factor if degree % 2 == 0 else factor.inverse())
-    exp_form = series_exp_neg_weighted(graded_lefschetz_numbers(endo, order), order)
-    if result.coeffs != exp_form.coeffs:
+    if not _exp_form_holds(result.coeffs, graded_lefschetz_numbers(endo, order)):
         raise RuntimeError("determinant and exponential forms of zeta disagree")
     return result
 
@@ -198,7 +185,7 @@ def poincare_generating(endo: GradedEndomorphism, order: int) -> BivariateSeries
     return result
 
 
-def koszul_sign(sigma, degrees) -> int:
+def _koszul_sign(sigma, degrees) -> int:
     """Sign picked up when a permutation reorders graded tensor factors:
     -1 to the number of inverted pairs whose two factors both have odd degree."""
     count = 0
@@ -228,7 +215,7 @@ def koszul_invariant_trace(endo: GradedEndomorphism, k: int) -> Poly:
         return Poly.one()
     basis = []
     for degree in endo.degrees():
-        for idx in range(endo.dimension(degree)):
+        for idx in range(len(endo.matrix(degree))):
             basis.append((degree, idx))
     dim = len(basis)
     if dim == 0:
@@ -260,7 +247,7 @@ def koszul_invariant_trace(endo: GradedEndomorphism, k: int) -> Poly:
                     break
             if entry == 0:
                 continue
-            entry *= koszul_sign(sigma, source_degrees)
+            entry *= _koszul_sign(sigma, source_degrees)
             total_degree = sum(source_degrees)
             signed = entry if total_degree % 2 == 0 else -entry
             coeffs[total_degree] = coeffs.get(total_degree, Fraction(0)) + signed

@@ -110,9 +110,6 @@ class LefschetzPolynomial:
         horizon = max(self.degree_bound, 1)
         return self.evaluate(cycle_profile(f, horizon))
 
-    def weighted_degree(self) -> int:
-        return self.poly.weighted_degree()
-
     def __eq__(self, other):
         if not isinstance(other, LefschetzPolynomial):
             return NotImplemented
@@ -941,7 +938,8 @@ def _verify_partition_family(plan, k_max, max_enum):
 
 
 def _verify_coefficient_space(plan, k_max, max_enum):
-    if "profile" in plan:
+    points = {key: repr(key) for key in ("profile", "map")}
+    if _one_given(plan, points, f"the {plan['identity']!r} plan", required=False) == "profile":
         profile = DoldProfile.from_json(plan["profile"])
     else:
         profile = cycle_profile(_plan_map(plan), _plan_order(plan, "N", 4))
@@ -957,11 +955,13 @@ _PLAN_ZETA_NAMES = {key: repr(key) for key in _ZETA_SOURCES}
 
 
 def _verify_configuration_traces(plan, k_max, max_enum):
-    zeta = _read_zeta(plan, k_max, f"the {plan['identity']!r} plan", _PLAN_ZETA_NAMES)
+    where = f"the {plan['identity']!r} plan"
+    zeta = _read_zeta(plan, k_max, where, _PLAN_ZETA_NAMES)
     epsilon = _plan_integer(plan, "epsilon", 1)
     series, traces = _configuration_traces(zeta, _plan_field(plan, "parity"), epsilon)
+    expected = _field(plan, "expected_traces", where, list) if "expected_traces" in plan else []
     mismatch = None
-    for k, want in enumerate([rat(v) for v in plan.get("expected_traces", ())]):
+    for k, want in enumerate([rat(v) for v in expected]):
         if k > k_max or traces[k] != want:
             mismatch = {"k": k, "expected": rat_str(want)}
             break

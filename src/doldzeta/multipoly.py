@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .series import _field, _integer, _integers, _power, rat, rat_str
+from .series import _power, rat, rat_str
 
 
 def _numerator_sum(numerators, point):
@@ -239,12 +239,3 @@ class MultiPoly:
                 for e, c in self.sorted_terms()
             ],
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "MultiPoly":
-        nvars = _integer(_field(obj, "variables", "a polynomial"), "a polynomial's 'variables'")
-        terms = {}
-        for t in _field(obj, "terms", "a polynomial", list):
-            exponents = _integers(_field(t, "exponents", "a term"), "a term's 'exponents'")
-            terms[exponents] = rat(_field(t, "coeff", "a term"))
-        return cls(nvars, terms)

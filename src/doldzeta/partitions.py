@@ -130,9 +130,6 @@ class SetPartition:
         inner = ", ".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks)
         return f"SetPartition({inner})"
 
-    def to_json(self) -> list:
-        return [list(b) for b in self.blocks]
-
     @classmethod
     def from_json(cls, obj) -> "SetPartition":
         if not isinstance(obj, list):
@@ -227,6 +224,10 @@ class PermutationGroup:
         self._index = {e: i for i, e in enumerate(self.elements)}
         self._generators = None
         if validate:
+            if self.order > DEFAULT_MAX_GROUP_ORDER:
+                raise ValueError(
+                    f"a group of {self.order} elements exceeds the order cap {DEFAULT_MAX_GROUP_ORDER}"
+                )
             self._validate()
 
     def _validate(self):
@@ -325,9 +326,6 @@ class PermutationGroup:
 
     def __repr__(self):
         return f"PermutationGroup(degree={self.degree}, order={self.order})"
-
-    def to_json(self) -> dict:
-        return {"degree": self.degree, "elements": [list(e) for e in self.elements]}
 
     @classmethod
     def from_json(cls, obj: dict) -> "PermutationGroup":
@@ -481,9 +479,6 @@ class PartitionFamily:
                 raise ValueError("partition in 'refines' has the wrong ground size")
             return cls.refining(target)
         raise ValueError("family object needs 'members', 'max_block' or 'refines'")
-
-    def to_json(self) -> dict:
-        return {"ground": self.ground, "members": [p.to_json() for p in sorted(self.members)]}
 
     def __contains__(self, partition) -> bool:
         return partition in self.members

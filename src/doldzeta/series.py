@@ -142,10 +142,6 @@ class PowerSeries:
         self.order = order
 
     @classmethod
-    def zero(cls, order: int) -> "PowerSeries":
-        return cls([], order=order)
-
-    @classmethod
     def one(cls, order: int) -> "PowerSeries":
         return cls([1], order=order)
 
@@ -251,33 +247,17 @@ class PowerSeries:
         return cls(coeffs, order=order)
 
 
-def exp_series(s: PowerSeries) -> PowerSeries:
-    """exp of a series with zero constant term, exact to the truncation order."""
-    if s.coeffs[0] != 0:
-        raise ValueError("exp is only defined here for series with zero constant term")
-    out = [Fraction(1)] + [Fraction(0)] * s.order
-    for n in range(1, s.order + 1):
-        acc = Fraction(0)
-        for j in range(1, n + 1):
-            if s.coeffs[j] != 0:
-                acc += j * s.coeffs[j] * out[n - j]
-        out[n] = acc / n
-    return PowerSeries(out, order=s.order)
+def _exp_form_holds(coeffs, lefschetz) -> bool:
+    """Whether the series z_0..z_N with these coefficients is
+    exp(-sum_k L_k q^k / k) for lefschetz = [L_1, ..., L_N].
 
-
-def series_exp_neg_weighted(values, order=None) -> PowerSeries:
-    """exp(-sum_{k>=1} a_k q^k / k) for a coefficient list [a_1, ..., a_N].
-
-    This is the standard passage from the numbers of fixed points of the
-    iterates of a map to its zeta function.
+    It is exactly when z_0 = 1 and n z_n + sum_{j=1..n} L_j z_{n-j} = 0 for
+    n = 1..N, the recurrence q Z' = -(sum_k L_k q^k) Z that determines the
+    exponential's coefficients one by one.  No division is made, so integer
+    inputs are checked over the integers.
     """
-    values = [rat(v) for v in values]
-    if order is None:
-        order = len(values)
-    if len(values) < order:
-        raise ValueError(f"need {order} values, got {len(values)}")
-    s = [Fraction(0)] + [-values[k - 1] / k for k in range(1, order + 1)]
-    return exp_series(PowerSeries(s, order=order))
+    sums = _convolve_into([0] * len(coeffs), _terms([0, *lefschetz]), _terms(coeffs))
+    return coeffs[0] == 1 and all(n * z + s == 0 for n, (z, s) in enumerate(zip(coeffs, sums)))
 
 
 def exponent_product(exponents, order: int) -> PowerSeries:
@@ -454,7 +434,7 @@ class Poly:
         return a * (Fraction(1) / a.coeffs[-1])
 
     def series(self, order: int) -> PowerSeries:
-        return PowerSeries(list(self.coeffs), order=order) if self.coeffs else PowerSeries.zero(order)
+        return PowerSeries(list(self.coeffs), order=order)
 
     def __eq__(self, other):
         if isinstance(other, Poly):
@@ -488,10 +468,6 @@ class Poly:
 
     def to_json(self) -> list:
         return [rat_str(c) for c in self.coeffs]
-
-    @classmethod
-    def from_json(cls, obj) -> "Poly":
-        return cls([rat(c) for c in obj])
 
 
 class RationalFunction:
@@ -540,10 +516,6 @@ class RationalFunction:
             "numerator": self.numerator.to_json(),
             "denominator": self.denominator.to_json(),
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "RationalFunction":
-        return cls(Poly.from_json(obj["numerator"]), Poly.from_json(obj["denominator"]))
 
 
 def _t_product_sum(pairs) -> Poly:

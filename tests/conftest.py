@@ -47,16 +47,31 @@ def stability_checks(monkeypatch):
     return calls
 
 
-def seeded_maps(seed, count, max_size, min_size=0):
-    """A deterministic population of random finite self-maps."""
+def identity_map(n):
+    """The identity self-map of n points."""
     from doldzeta import FiniteSelfMap
 
+    return FiniteSelfMap(range(n))
+
+
+def random_map(rng, size):
+    """A self-map of `size` points with uniformly drawn values."""
+    from doldzeta import FiniteSelfMap
+
+    return FiniteSelfMap([rng.randrange(size) for _ in range(size)])
+
+
+def pointed(f):
+    """f with a fixed basepoint adjoined at index 0, every other point shifted up."""
+    from doldzeta import FiniteSelfMap
+
+    return FiniteSelfMap([0] + [x + 1 for x in f.mapping])
+
+
+def seeded_maps(seed, count, max_size, min_size=0):
+    """A deterministic population of random finite self-maps."""
     rng = random.Random(seed)
-    maps = []
-    for _ in range(count):
-        n = rng.randint(min_size, max_size)
-        maps.append(FiniteSelfMap.random(rng, n))
-    return maps
+    return [random_map(rng, rng.randint(min_size, max_size)) for _ in range(count)]
 
 
 def trivial_group(degree):

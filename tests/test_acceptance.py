@@ -53,6 +53,7 @@ from conftest import (
     at_one,
     cyclic_group,
     expand,
+    identity_map,
     seeded_maps,
     stable_families,
     trivial_group,
@@ -221,7 +222,7 @@ def test_partition_family_recursion():
 @criterion(8, "bounded tuple spaces and block-count polynomials")
 def test_bounded_tuples_and_order_polynomials():
     for fixed_count in range(5):
-        base = FiniteSelfMap.identity(fixed_count)
+        base = identity_map(fixed_count)
         for bound in (1, 2, 3):
             series = rhs_bounded_tuples(fixed_count, bound, 6)
             unpacked = egf_unpack(series)

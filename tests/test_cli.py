@@ -694,3 +694,37 @@ def test_the_parser_is_built_once_and_dispatch_sees_rebound_commands(capsys, mon
         run(capsys, *argv)
     assert seen == ["zeta"] * 6
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("expected", ["12", {"1": 2}])
+def test_config_trace_expected_traces_must_be_a_list(capsys, expected):
+    # a string or an object would be read entry by entry ("12" as [1, 2])
+    plan = {"identity": "config-trace", "graded": json.loads(CIRCLE), "parity": "odd",
+            "epsilon": -1, "expected_traces": expected}
+    code, out, err = run(capsys, "verify", "--plan", json.dumps(plan))
+    assert (code, out) == (2, "")
+    assert err == ("error: the 'config-trace' plan's 'expected_traces' must be a list, "
+                   f"got {type(expected).__name__}\n")
+
+
+def test_coeffic_plan_takes_at_most_one_of_profile_and_map(capsys):
+    # the map's orbit counts differ from the profile's, so dropping either one would pass
+    plan = {"identity": "coeffic", "profile": {"horizon": 4, "values": [1, 0, 0, 0]},
+            "map": {"size": 2, "map": [1, 0]}, "euler": -1, "l": 1, "N": 4}
+    assert run(capsys, "verify", "--plan", json.dumps(plan)) == (
+        2, "", "error: the 'coeffic' plan takes at most one of 'profile'/'map', got 2\n"
+    )
+
+
+def test_group_element_list_has_the_generators_order_cap(capsys):
+    from itertools import permutations
+
+    s6 = [list(p) for p in permutations(range(6))]
+    argv = ["gsymm", "--map", json.dumps({"size": 2, "map": [1, 0]}), "--group"]
+    code, _, _ = run(capsys, *argv, json.dumps({"degree": 6, "elements": s6}))
+    assert code == 0
+    # S6 x S2 on 8 points: 1440 elements, refused before any closure check
+    s6_s2 = [p + [6, 7] for p in s6] + [p + [7, 6] for p in s6]
+    assert run(capsys, *argv, json.dumps({"degree": 8, "elements": s6_s2})) == (
+        2, "", "error: a group of 1440 elements exceeds the order cap 720\n"
+    )

@@ -23,7 +23,7 @@ from doldzeta import (
 from doldzeta.identities import iterate_profile_images
 from doldzeta.series import PowerSeries, RationalFunction, Poly
 
-from conftest import expand, seeded_maps
+from conftest import expand, identity_map, seeded_maps
 
 
 def map_from_cycle_lengths(lengths):
@@ -37,7 +37,7 @@ def map_from_cycle_lengths(lengths):
 
 def iterate(f, j):
     """The j-th iterate of f, by j compositions."""
-    result = FiniteSelfMap.identity(f.size)
+    result = identity_map(f.size)
     for _ in range(j):
         result = f.compose(result)
     return result
@@ -57,7 +57,7 @@ def test_divisors():
 
 class TestCycleProfile:
     def test_identity(self):
-        p = cycle_profile(FiniteSelfMap.identity(3), 4)
+        p = cycle_profile(identity_map(3), 4)
         assert p.values == (3, 0, 0, 0)
 
     def test_three_cycle(self):
@@ -77,7 +77,7 @@ class TestCycleProfile:
 
 class TestLefschetzSequence:
     def test_identity(self):
-        assert lefschetz_sequence(FiniteSelfMap.identity(4), 3).values == (4, 4, 4)
+        assert lefschetz_sequence(identity_map(4), 3).values == (4, 4, 4)
 
     def test_four_cycle(self):
         f = map_from_cycle_lengths([4])
@@ -167,7 +167,7 @@ class TestIterateProfile:
 class TestZeta:
     def test_identity_map(self):
         # three fixed points: (1 - q)^3
-        z = zeta_of_map(FiniteSelfMap.identity(3), 3)
+        z = zeta_of_map(identity_map(3), 3)
         assert ints(z) == [1, -3, 3, -1]
 
     def test_sphere_lefschetz_data(self):
@@ -224,8 +224,8 @@ def test_realizability_predicate():
 
 class TestJson:
     def test_map_round_trip(self):
-        f = FiniteSelfMap([1, 0, 3, 3])
-        assert FiniteSelfMap.from_json(f.to_json()) == f
+        f = FiniteSelfMap.from_json({"size": 4, "map": [1, 0, 3, 3]})
+        assert f == FiniteSelfMap([1, 0, 3, 3]) and f.size == 4
 
     def test_profile_round_trip(self):
         d = DoldProfile([1, -1, 2])

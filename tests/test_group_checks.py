@@ -32,7 +32,7 @@ from doldzeta.partitions import (
     validate_gset,
 )
 
-from conftest import seeded_maps, trivial_group
+from conftest import identity_map, seeded_maps, trivial_group
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +307,7 @@ def test_entry_checks_refuse_bad_input():
     with pytest.raises(ValueError, match="not stable"):
         general_lefschetz_polynomial(s3, unstable)
     with pytest.raises(ValueError, match="not stable"):
-        fixed_partition_orbits(FiniteSelfMap.identity(3), s3, unstable)
+        fixed_partition_orbits(identity_map(3), s3, unstable)
     partial = {g: 1 for g in s3.elements[:-1]}
     with pytest.raises(ValueError, match="every group element"):
         general_lefschetz_polynomial(s3, PartitionFamily.max_block(3, 1), partial)

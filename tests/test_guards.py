@@ -1,15 +1,20 @@
 """Guards on the package's shape: one verification handler per documented
-identity, and no exported name or public method of an exported class that
-only the tests call."""
+identity, and no exported function or public method of an exported class
+that only the tests call."""
 
 import ast
+import contextlib
+import inspect
+import io
 import re
+import sys
 import types
 from pathlib import Path
 
 import doldzeta
-from doldzeta.cli import SELFTEST_PLANS
-from doldzeta.identities import _VERIFIERS
+from doldzeta.cli import SELFTEST_PLANS, main
+from doldzeta.identities import _VERIFIERS, _ZETA_SOURCES
+from test_golden import CASES
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -20,6 +25,15 @@ TEST_ORACLES = {
     "counts the iterate transport of the polynomial calculus is checked against",
     "koszul_invariant_trace": "the Koszul-signed trace on symmetric-group invariants, "
     "the independent oracle for the bivariate determinant formula",
+}
+
+# one input per zeta-source flag, each read to order 4 by a `symmetric` run
+ZETA_INPUTS = {
+    "map": '{"size":3,"map":[1,2,0]}',
+    "lefschetz": "[-1,-3,-7,-15]",
+    "profile": '{"horizon":4,"values":[3,0,0,0]}',
+    "zeta": '{"order":4,"coeffs":["1","-3","3","-1","0"]}',
+    "graded": '{"degrees":{"0":[["1"]],"1":[["-1"]]}}',
 }
 
 
@@ -55,27 +69,88 @@ def referenced_names(paths):
     return names
 
 
-METHODS = (types.FunctionType, classmethod, staticmethod, property)
+def run_command(argv) -> int:
+    """The exit code of one in-process `dold-zeta` run, its output dropped."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(list(argv))
+        except SystemExit as exc:  # --help exits from inside the parser
+            return exc.code
 
 
-def test_every_export_has_a_caller_outside_the_tests():
-    sources = [p for p in (ROOT / "src" / "doldzeta").glob("*.py") if p.name != "__init__.py"]
-    used = referenced_names(sources + sorted((ROOT / "bench").glob("*.py")))
+def run_corpus():
+    """Every golden command (the README examples, as JSON and as text, each
+    built-in plan and --help), one `symmetric` run per zeta source, and one
+    pass of every benchmark workload at its default seed, library calls
+    included; each command must succeed."""
+    import worker
+    import workloads
+
+    assert sorted(ZETA_INPUTS) == sorted(_ZETA_SOURCES)
+    commands = [argv for _, argv in CASES] + [
+        ["symmetric", f"--{key}", value, "-N", "4"] for key, value in ZETA_INPUTS.items()
+    ]
+    ops = [op for name in workloads.WORKLOADS for op in workloads.build(name, workloads.DEFAULT_SEED)]
+    commands += [op["argv"] for op in ops if op["kind"] == "cli"]
+    assert [argv for argv in commands if run_command(argv) != 0] == []
+    for op in ops:
+        if op["kind"] != "cli":
+            worker._library_call(op)()
+
+
+def called_code(run) -> set:
+    """The code objects of every Python function called while `run` runs."""
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return called
+
+
+def public_code(exports) -> dict:
+    """Each exported function, and each public method, classmethod or
+    property of an exported class ("Class.method"), with its code object."""
+    code = {}
+    for name, value in exports.items():
+        if inspect.isfunction(inspect.unwrap(value)):
+            code[name] = inspect.unwrap(value).__code__
+        elif isinstance(value, type):
+            for attr, member in vars(value).items():
+                member = member.fget if isinstance(member, property) else member
+                member = getattr(member, "__func__", member)
+                if not attr.startswith("_") and isinstance(member, types.FunctionType):
+                    code[f"{name}.{attr}"] = member.__code__
+    return code
+
+
+def test_every_export_has_a_caller_outside_the_tests(monkeypatch):
     exports = {
         name: value for name, value in vars(doldzeta).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
-    # a method counts as called when its name is read as an attribute
-    # anywhere outside the tests, so a shared name such as `from_json` passes
-    methods = {
-        f"{name}.{method}": method
-        for name, cls in exports.items() if isinstance(cls, type)
-        for method, value in vars(cls).items()
-        if not method.startswith("_") and isinstance(value, METHODS)
-    }
-    callable_names = {**{name: name for name in exports}, **methods}
-    assert set(TEST_ORACLES) <= set(callable_names)
+    # a class or constant is used when the program or the benchmark names it
+    sources = [p for p in (ROOT / "src" / "doldzeta").glob("*.py") if p.name != "__init__.py"]
+    named = referenced_names(sources + sorted((ROOT / "bench").glob("*.py")))
+    assert sorted(name for name, value in exports.items()
+                  if not inspect.isfunction(inspect.unwrap(value)) and name not in named) == []
+    # a function or method is used when the corpus calls it; a cached one
+    # starts empty, so that a call runs its code
+    for value in exports.values():
+        getattr(value, "cache_clear", lambda: None)()
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    called = called_code(run_corpus)
+    code = public_code(exports)
+    assert set(TEST_ORACLES) <= set(code)
+    reached = {key for key, obj in code.items() if obj in called}
     # an oracle that gains a library caller leaves the allowlist
-    assert sorted(key for key in TEST_ORACLES if callable_names[key] in used) == []
-    uncalled = {key for key, name in callable_names.items() if name not in used}
-    assert sorted(uncalled - set(TEST_ORACLES)) == []
+    called_oracles = sorted(reached & set(TEST_ORACLES))
+    assert not called_oracles, "called outside the tests: " + ", ".join(called_oracles)
+    uncalled = sorted(set(code) - reached - set(TEST_ORACLES))
+    assert not uncalled, "called by the tests only: " + ", ".join(uncalled)

@@ -59,6 +59,7 @@ from conftest import (
     disjoint_union_combine,
     expand,
     family_from_predicate,
+    pointed,
     seeded_maps,
     trivial_group,
 )
@@ -312,7 +313,7 @@ class TestIterateAndComposition:
         for f in seeded_maps(55, 12, 4, min_size=1):
             for power, bound in ((2, None), (2, 1), (3, 1)):
                 lp = bounded_power_polynomial(power, bound)
-                induced = induced_bounded_multiset_map(f.pointed(), power, bound)
+                induced = induced_bounded_multiset_map(pointed(f), power, bound)
                 induced_profile = cycle_profile(induced, 3 * power)
                 reduced = [induced_profile.count(1) - 1] + [
                     induced_profile.count(m) for m in range(2, 3 * power + 1)
@@ -332,7 +333,7 @@ class TestIterateAndComposition:
         s2 = gsymm_polynomial(PermutationGroup.symmetric(2))
         composite = compose_lefschetz(s2, s2)
         for f in seeded_maps(66, 10, 3, min_size=1):
-            once = induced_bounded_multiset_map(f.pointed(), 2, None)
+            once = induced_bounded_multiset_map(pointed(f), 2, None)
             twice = induced_bounded_multiset_map(once, 2, None)
             brute = sum(1 for x in range(1, twice.size) if twice(x) == x)
             assert composite.evaluate_map(f) == brute
@@ -341,7 +342,7 @@ class TestIterateAndComposition:
         cubic = LefschetzPolynomial(t(1, 1) ** 3, 3)
         ident = LefschetzPolynomial(t(1, 1), 1)
         composed = compose_lefschetz(cubic, ident)
-        assert composed.weighted_degree() == 3
+        assert composed.poly.weighted_degree() == 3
 
 
 class TestFunctorExpressions:

@@ -211,7 +211,7 @@ class TestProducts:
 
     def test_series_product_of_zero_lists(self):
         for order in (0, 1, 5, 64):
-            zero = PowerSeries.zero(order)
+            zero = PowerSeries([], order=order)
             one = PowerSeries.one(order + 2)
             assert (zero * one).coeffs == reference_series_product(zero, one).coeffs
             assert (one * zero).order == order

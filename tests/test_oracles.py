@@ -24,12 +24,12 @@ from doldzeta.dynamics import cycle_profile
 from doldzeta.partitions import fiber_partition, invert_perm, perm_cycle_count
 from doldzeta.series import PowerSeries
 
-from conftest import cyclic_group, direct_product, seeded_maps, trivial_group
+from conftest import cyclic_group, direct_product, identity_map, pointed, seeded_maps, trivial_group
 
 
 class TestBoundedMultisets:
     def test_single_point(self):
-        f = FiniteSelfMap.identity(1)
+        f = identity_map(1)
         for k in range(5):
             assert fixed_bounded_multisets(f, k, None) == 1
 
@@ -48,7 +48,7 @@ class TestBoundedMultisets:
         assert fixed_bounded_multisets(FiniteSelfMap([1, 0]), 0, 3) == 1
 
     def test_bound_zero(self):
-        assert fixed_bounded_multisets(FiniteSelfMap.identity(2), 3, 0) == 0
+        assert fixed_bounded_multisets(identity_map(2), 3, 0) == 0
 
     def test_monotone_in_bound(self):
         for f in seeded_maps(31, 25, 5):
@@ -59,7 +59,7 @@ class TestBoundedMultisets:
 
 class TestInvariantSubsets:
     def test_identity_on_two_points(self):
-        assert fixed_invariant_subsets(FiniteSelfMap.identity(2), 2) == 3
+        assert fixed_invariant_subsets(identity_map(2), 2) == 3
 
     def test_two_cycle(self):
         f = FiniteSelfMap([1, 0])
@@ -70,7 +70,7 @@ class TestInvariantSubsets:
         from math import comb
 
         for chi in (1, 2, 3, 4):
-            f = FiniteSelfMap.identity(chi)
+            f = identity_map(chi)
             for k in range(1, 5):
                 expected = sum(comb(chi, j) for j in range(1, k + 1))
                 assert fixed_invariant_subsets(f, k) == expected
@@ -85,14 +85,14 @@ class TestInvariantSubsets:
 
 class TestBoundedTuples:
     def test_unconstrained_power(self):
-        f = FiniteSelfMap.identity(2)
+        f = identity_map(2)
         assert fixed_bounded_tuples(f, 3, 5) == 8
 
     def test_injective_pairs(self):
-        assert fixed_bounded_tuples(FiniteSelfMap.identity(2), 2, 1) == 2
+        assert fixed_bounded_tuples(identity_map(2), 2, 1) == 2
 
     def test_pigeonhole(self):
-        assert fixed_bounded_tuples(FiniteSelfMap.identity(2), 3, 1) == 0
+        assert fixed_bounded_tuples(identity_map(2), 3, 1) == 0
 
     def test_only_fixed_points_count(self):
         f = FiniteSelfMap([0, 2, 1])  # one fixed point, one 2-cycle
@@ -101,7 +101,7 @@ class TestBoundedTuples:
 
 class TestPartitionOrbits:
     def test_symmetric_square_of_point(self):
-        f = FiniteSelfMap.identity(1)
+        f = identity_map(1)
         count = fixed_partition_orbits(f, PermutationGroup.symmetric(2), PartitionFamily.full(2))
         assert count == 1
 
@@ -111,7 +111,7 @@ class TestPartitionOrbits:
         assert count == 1  # the orbit of (a, b); the diagonal pairs swap
 
     def test_injective_pairs_trivial_group(self):
-        f = FiniteSelfMap.identity(3)
+        f = identity_map(3)
         count = fixed_partition_orbits(
             f, trivial_group(2), PartitionFamily.discrete_only(2)
         )
@@ -149,14 +149,14 @@ class TestPartitionOrbits:
 
     def test_coefficient_set_kills_everything_when_trivial(self):
         # a one-point coefficient space has no non-basepoint elements
-        f = FiniteSelfMap.identity(2)
+        f = identity_map(2)
         group = PermutationGroup.symmetric(2)
         coefficient = PointedFiniteSet.smash_power(0, group)
         count = fixed_partition_orbits(f, group, PartitionFamily.full(2), coefficient)
         assert count == 0
 
     def test_enumeration_guard(self):
-        f = FiniteSelfMap.identity(30)
+        f = identity_map(30)
         group = PermutationGroup.symmetric(5)
         with pytest.raises(EnumerationLimitError):
             fixed_partition_orbits(f, group, PartitionFamily.full(5), max_enum=1000)
@@ -169,7 +169,7 @@ class TestGmapSpace:
         assert fixed_gmap_space(f, group) == len(f.fixed_points()) ** 3
 
     def test_multisets_of_size_two(self):
-        assert fixed_gmap_space(FiniteSelfMap.identity(2), PermutationGroup.symmetric(2)) == 3
+        assert fixed_gmap_space(identity_map(2), PermutationGroup.symmetric(2)) == 3
 
     def test_cyclic_action_with_three_cycle(self):
         f = FiniteSelfMap([1, 2, 0])
@@ -216,7 +216,7 @@ class TestPointedSets:
 
 class TestInducedMap:
     def test_symmetric_square_of_pointed_two_cycle(self):
-        g = FiniteSelfMap([1, 0]).pointed()
+        g = pointed(FiniteSelfMap([1, 0]))
         induced = induced_bounded_multiset_map(g, 2, None)
         # multisets over {a, b}: {aa}, {ab}, {bb}; the swap exchanges aa and bb
         profile = cycle_profile(induced, 4)
@@ -227,7 +227,7 @@ class TestInducedMap:
     def test_bound_violation_goes_to_basepoint(self):
         # the doubling collapse: pushforward of {a, b} along a map sending
         # both to one point violates the bound 1, so {a, b} hits the basepoint
-        g = FiniteSelfMap([0, 0]).pointed()  # both points to the first
+        g = pointed(FiniteSelfMap([0, 0]))  # both points to the first
         induced = induced_bounded_multiset_map(g, 2, 1)
         assert induced.size == 2  # basepoint plus the single configuration {a, b}
         assert induced(1) == 0
