@@ -939,7 +939,7 @@ def _verify_partition_family(plan, k_max, max_enum):
 
 def _verify_coefficient_space(plan, k_max, max_enum):
     points = {key: repr(key) for key in ("profile", "map")}
-    if _one_given(plan, points, f"the {plan['identity']!r} plan", required=False) == "profile":
+    if _one_given(plan, points, f"the {plan['identity']!r} plan") == "profile":
         profile = DoldProfile.from_json(plan["profile"])
     else:
         profile = cycle_profile(_plan_map(plan), _plan_order(plan, "N", 4))

@@ -7,17 +7,21 @@ partition.  Counting the fixed points of the induced map by exhaustive
 enumeration gives the ground truth against which every closed-form series
 in this package is verified.
 
-The orbit-space oracles count each fixed orbit once, at its least point,
-walking the candidates lazily, so their memory does not grow with the
-number of candidates.  All enumerations sit behind a size guard (default
-10^7 candidate points, overridable through the DOLD_ZETA_MAX_ENUM
-environment variable).
+Whether f o a can be a's own rearrangement, as a fixed multiset, subset or
+orbit requires, depends only on the multiset of a's values.  So the oracles
+test each multiset once, as a sorted tuple, and spread only those that pass
+into their orderings, which they then visit one by one.  The orbit-space
+oracles count each fixed orbit once, at its least point, and the Burnside
+cross-check in `fixed_gmap_space` walks the same candidates; nothing is
+stored per candidate.  Every enumeration sits behind a size guard that
+counts the full nominal space, not the smaller walk (default 10^7 candidate
+points, overridable through the DOLD_ZETA_MAX_ENUM environment variable).
 """
 
 from __future__ import annotations
 
 import os
-from itertools import combinations, combinations_with_replacement, product
+from itertools import chain, combinations, combinations_with_replacement, product
 from math import comb
 
 from .dynamics import FiniteSelfMap
@@ -58,6 +62,49 @@ def _guard(size: int, max_enum=None):
     limit = enumeration_limit(max_enum)
     if size > limit:
         raise EnumerationLimitError(size, limit)
+
+
+def _fixed_multisets(f: FiniteSelfMap, candidates):
+    """The sorted tuples among `candidates` that f carries onto themselves as
+    multisets: those whose values, pushed along f and sorted, come back."""
+    push = f.mapping.__getitem__
+    for values in candidates:
+        if sorted(map(push, values)) == list(values):
+            yield values
+
+
+def _arrangements(values):
+    """Each distinct ordering of the sorted tuple `values` once, in
+    lexicographic order (next permutation)."""
+    a = list(values)
+    last = len(a) - 1
+    while True:
+        yield tuple(a)
+        i = last - 1
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = last
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = reversed(a[i + 1:])
+
+
+def _rearranged_maps(f: FiniteSelfMap, k: int):
+    """The maps a: {0..k-1} -> M whose composite f o a is a rearrangement of
+    a, each once: the orderings of the fixed multisets of size k."""
+    fixed = _fixed_multisets(f, combinations_with_replacement(range(f.size), k))
+    return chain.from_iterable(map(_arrangements, fixed))
+
+
+def _within(values, bound) -> bool:
+    """No value of the sorted tuple repeats more than `bound` times (None:
+    no bound)."""
+    if bound is None:
+        return True
+    return bound > 0 and all(values[i] != values[i + bound] for i in range(len(values) - bound))
 
 
 class PointedFiniteSet:
@@ -137,20 +184,8 @@ def fixed_bounded_multisets(f: FiniteSelfMap, k: int, bound=None, max_enum=None)
     if bound is not None and bound <= 0:
         return 0
     _guard(comb(n + k - 1, k), max_enum)
-    count = 0
-    for combo in combinations_with_replacement(range(n), k):
-        mult = [0] * n
-        for x in combo:
-            mult[x] += 1
-        if bound is not None and max(mult) > bound:
-            continue
-        push = [0] * n
-        for x, m in enumerate(mult):
-            if m:
-                push[f(x)] += m
-        if push == mult:
-            count += 1
-    return count
+    fixed = _fixed_multisets(f, combinations_with_replacement(range(n), k))
+    return sum(1 for values in fixed if _within(values, bound))
 
 
 def fixed_invariant_subsets(f: FiniteSelfMap, k: int, max_enum=None) -> int:
@@ -159,13 +194,9 @@ def fixed_invariant_subsets(f: FiniteSelfMap, k: int, max_enum=None) -> int:
         return 0
     n = f.size
     _guard(sum(comb(n, j) for j in range(1, min(k, n) + 1)), max_enum)
-    count = 0
-    for j in range(1, min(k, n) + 1):
-        for combo in combinations(range(n), j):
-            subset = set(combo)
-            if {f(x) for x in subset} == subset:
-                count += 1
-    return count
+    # f(A) = A for a set A exactly when f permutes A: A is a fixed multiset
+    subsets = chain.from_iterable(combinations(range(n), j) for j in range(1, min(k, n) + 1))
+    return sum(1 for _ in _fixed_multisets(f, subsets))
 
 
 def fixed_bounded_tuples(f: FiniteSelfMap, k: int, bound: int, max_enum=None) -> int:
@@ -180,9 +211,9 @@ def fixed_bounded_tuples(f: FiniteSelfMap, k: int, bound: int, max_enum=None) ->
     fixed = f.fixed_points()
     _guard(len(fixed) ** k, max_enum)
     count = 0
-    for tup in product(fixed, repeat=k):
-        if bound is None or max(tup.count(x) for x in set(tup)) <= bound:
-            count += 1
+    for values in combinations_with_replacement(fixed, k):
+        if _within(values, bound):
+            count += sum(1 for _ in _arrangements(values))
     return count
 
 
@@ -206,11 +237,11 @@ def _fixed_orbit_count(f, group, gset, k, admissible=None, coefficient=None) -> 
     ]
     push = f.mapping.__getitem__
     count = 0
-    for a in product(range(f.size), repeat=k):
-        image = tuple(map(push, a))
-        # f o a shares an orbit with a only as a rearrangement of its values
-        if sorted(image) != sorted(a) or (admissible is not None and not admissible(a)):
+    # f o a shares an orbit with a only as a rearrangement of its values
+    for a in _rearranged_maps(f, k):
+        if admissible is not None and not admissible(a):
             continue
+        image = tuple(map(push, a))
         for y in ys:
             point = (a, y)
             if any((tuple(map(a.__getitem__, inv)), y_perm[y]) < point for inv, y_perm in moves):
@@ -266,16 +297,15 @@ def fixed_gmap_space(
     """
     gset = validate_gset(group, gset)
     k = len(gset[0])
-    n = f.size
-    _guard(n ** k, max_enum)
+    _guard(f.size ** k, max_enum)
     orbit_count = _fixed_orbit_count(f, group, gset, k)
 
+    # f o a = a o g makes f o a a rearrangement of a, so no other map counts
     push = f.mapping.__getitem__
     total = 0
-    for perm in gset:
-        for a in product(range(n), repeat=k):
-            if tuple(map(push, a)) == tuple(map(a.__getitem__, perm)):
-                total += 1
+    for a in _rearranged_maps(f, k):
+        image = tuple(map(push, a))
+        total += sum(image == tuple(map(a.__getitem__, perm)) for perm in gset)
     if total % group.order:
         raise RuntimeError("Burnside sum is not divisible by the group order")
     burnside = total // group.order
@@ -306,15 +336,13 @@ def induced_bounded_multiset_map(
     _guard(comb(max(n - 1, 0) + k - 1, k) if n > 1 else 0, max_enum)
     multisets = []
     for combo in combinations_with_replacement(range(1, n), k):
-        if bound is None or max(combo.count(x) for x in set(combo)) <= bound:
+        if _within(combo, bound):
             multisets.append(combo)
     index = {m: i + 1 for i, m in enumerate(multisets)}
     mapping = [0]
     for m in multisets:
         image = tuple(sorted(pointed_map(x) for x in m))
-        if 0 in image:
-            mapping.append(0)
-        elif bound is not None and max(image.count(x) for x in set(image)) > bound:
+        if 0 in image or not _within(image, bound):
             mapping.append(0)
         else:
             mapping.append(index[image])

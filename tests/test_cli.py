@@ -196,6 +196,18 @@ def test_enumeration_guard_surfaces_structured_error(capsys, monkeypatch):
     assert json.loads(err)["error"] == "enumeration-limit"
 
 
+def test_enumeration_guard_counts_every_map_not_the_walk(capsys, monkeypatch):
+    # four fixed points and a 6-cycle: the oracle visits far fewer than 10^5 maps
+    plan = {"identity": "gsymm", "map": {"size": 10, "map": [0, 1, 2, 3, 5, 6, 7, 8, 9, 4]},
+            "group": {"degree": 5, "elements": [[0, 1, 2, 3, 4]]}}
+    monkeypatch.setenv("DOLD_ZETA_MAX_ENUM", "99999")
+    assert run(capsys, "verify", "--plan", json.dumps(plan)) == (
+        2, "", '{"error": "enumeration-limit", "limit": 99999, "size": 100000}\n'
+    )
+    monkeypatch.setenv("DOLD_ZETA_MAX_ENUM", "100000")
+    assert run(capsys, "verify", "--plan", json.dumps(plan))[0] == 0
+
+
 def test_text_format(capsys):
     code, out, _ = run(
         capsys, "dold", "--map", '{"size":2,"map":[1,0]}', "-N", "3", "--format", "text"
@@ -707,12 +719,19 @@ def test_config_trace_expected_traces_must_be_a_list(capsys, expected):
                    f"got {type(expected).__name__}\n")
 
 
-def test_coeffic_plan_takes_at_most_one_of_profile_and_map(capsys):
-    # the map's orbit counts differ from the profile's, so dropping either one would pass
-    plan = {"identity": "coeffic", "profile": {"horizon": 4, "values": [1, 0, 0, 0]},
-            "map": {"size": 2, "map": [1, 0]}, "euler": -1, "l": 1, "N": 4}
+@pytest.mark.parametrize(
+    "points",
+    [
+        # the map's orbit counts differ from the profile's, so dropping either one would pass
+        {"profile": {"horizon": 4, "values": [1, 0, 0, 0]}, "map": {"size": 2, "map": [1, 0]}},
+        {},
+    ],
+    ids=["both", "neither"],
+)
+def test_coeffic_plan_takes_exactly_one_of_profile_and_map(capsys, points):
+    plan = {"identity": "coeffic", **points, "euler": -1, "l": 1, "N": 4}
     assert run(capsys, "verify", "--plan", json.dumps(plan)) == (
-        2, "", "error: the 'coeffic' plan takes at most one of 'profile'/'map', got 2\n"
+        2, "", f"error: the 'coeffic' plan takes exactly one of 'profile'/'map', got {len(points)}\n"
     )
 
 

@@ -1,7 +1,8 @@
 """Brute-force counting oracles and their internal coherence."""
 
 import random
-from itertools import product
+from itertools import combinations, combinations_with_replacement, permutations, product
+from math import comb
 
 import pytest
 
@@ -331,3 +332,138 @@ def test_burnside_cross_check_fires_on_a_wrong_orbit_count(monkeypatch):
     with pytest.raises(RuntimeError, match=r"orbit enumeration \(3\) disagrees with the "
                                            r"Burnside average \(2\)"):
         fixed_gmap_space(f, PermutationGroup.symmetric(2))
+
+
+# ---------------------------------------------------------------------------
+# the multiset walks against the walks over all candidates they replaced
+
+
+def reference_rearranged_maps(f, k):
+    """Every map a in M^k with sorted(f o a) == sorted(a), from the full product."""
+    return [
+        a for a in product(range(f.size), repeat=k) if sorted(f(x) for x in a) == sorted(a)
+    ]
+
+
+def reference_bounded_multisets(f, k, bound):
+    """The old fixed_bounded_multisets: a multiplicity array per multiset."""
+    if k == 0:
+        return 1
+    if bound is not None and bound <= 0:
+        return 0
+    count = 0
+    for combo in combinations_with_replacement(range(f.size), k):
+        mult = [0] * f.size
+        for x in combo:
+            mult[x] += 1
+        if bound is not None and max(mult) > bound:
+            continue
+        push = [0] * f.size
+        for x, m in enumerate(mult):
+            push[f(x)] += m
+        count += push == mult
+    return count
+
+
+def reference_invariant_subsets(f, k):
+    """The old fixed_invariant_subsets: f(A) == A as sets."""
+    return sum(
+        {f(x) for x in combo} == set(combo)
+        for j in range(1, min(k, f.size) + 1)
+        for combo in combinations(range(f.size), j)
+    )
+
+
+def reference_bounded_tuples(f, k, bound):
+    """The old fixed_bounded_tuples: every tuple over the fixed points."""
+    if k == 0:
+        return 1
+    if bound is not None and bound <= 0:
+        return 0
+    return sum(
+        bound is None or max(tup.count(x) for x in tup) <= bound
+        for tup in product(f.fixed_points(), repeat=k)
+    )
+
+
+def multiset_walk_cases():
+    """Seeded maps of up to 8 points, empty and identity maps among them,
+    each with every size k <= 5."""
+    maps = [FiniteSelfMap([]), identity_map(1), identity_map(4), FiniteSelfMap([1, 0, 2, 2])]
+    maps += seeded_maps(1414, 30, 8)
+    return [(f, k) for f in maps for k in range(6)]
+
+
+def multiset_walk_mismatches():
+    """The cases where a multiset walk disagrees with its reference."""
+    bad = []
+    for f, k in multiset_walk_cases():
+        maps = list(oracles._rearranged_maps(f, k))
+        if len(maps) != len(set(maps)) or set(maps) != set(reference_rearranged_maps(f, k)):
+            bad.append(("rearranged maps", f.mapping, k))
+        if fixed_invariant_subsets(f, k) != reference_invariant_subsets(f, k):
+            bad.append(("subsets", f.mapping, k))
+        for bound in (None, 1, 2, 3):
+            if fixed_bounded_multisets(f, k, bound) != reference_bounded_multisets(f, k, bound):
+                bad.append(("multisets", f.mapping, k, bound))
+            if fixed_bounded_tuples(f, k, bound) != reference_bounded_tuples(f, k, bound):
+                bad.append(("tuples", f.mapping, k, bound))
+    return bad
+
+
+def test_arrangements_are_each_distinct_ordering_once_in_order():
+    rng = random.Random(1)
+    for _ in range(200):
+        values = tuple(sorted(rng.randrange(4) for _ in range(rng.randint(0, 6))))
+        assert list(oracles._arrangements(values)) == sorted(set(permutations(values)))
+
+
+def test_multiset_walks_match_the_full_walks():
+    cases = multiset_walk_cases()
+    assert any(f.size == 0 for f, _ in cases) and max(f.size for f, _ in cases) == 8
+    assert {k for _, k in cases} == set(range(6))
+    assert multiset_walk_mismatches() == []
+
+
+REAL_ARRANGEMENTS = oracles._arrangements
+
+
+def skip_last(values):
+    orderings = list(REAL_ARRANGEMENTS(values))
+    return orderings[:-1] if len(orderings) > 1 else orderings
+
+
+def repeat_first(values):
+    orderings = list(REAL_ARRANGEMENTS(values))
+    return orderings + orderings[:1]
+
+
+@pytest.mark.parametrize("mutant", [skip_last, repeat_first, permutations])
+def test_a_wrong_arrangements_fails_the_walk_tests(monkeypatch, mutant):
+    monkeypatch.setattr(oracles, "_arrangements", mutant)
+    kinds = {case[0] for case in multiset_walk_mismatches()}
+    assert {"rearranged maps", "tuples"} <= kinds
+
+
+# ---------------------------------------------------------------------------
+# the guards count the nominal candidate space, not the smaller walk
+
+
+GUARDED = [
+    ("multisets", lambda f, m: fixed_bounded_multisets(f, 5, 2, max_enum=m), comb(14, 5)),
+    ("subsets", lambda f, m: fixed_invariant_subsets(f, 3, max_enum=m), 10 + 45 + 120),
+    ("tuples", lambda f, m: fixed_bounded_tuples(f, 5, 2, max_enum=m), 4 ** 5),
+    ("gmap", lambda f, m: fixed_gmap_space(f, trivial_group(5), max_enum=m), 10 ** 5),
+    ("partition", lambda f, m: fixed_partition_orbits(
+        f, PermutationGroup.symmetric(4), PartitionFamily.full(4), max_enum=m), 10 ** 4),
+]
+
+
+@pytest.mark.parametrize("name, oracle, nominal", GUARDED, ids=[c[0] for c in GUARDED])
+def test_guards_count_the_nominal_space(name, oracle, nominal):
+    # four fixed points and a 6-cycle: the walks visit a small part of the space
+    f = FiniteSelfMap([0, 1, 2, 3, 5, 6, 7, 8, 9, 4])
+    with pytest.raises(EnumerationLimitError) as refused:
+        oracle(f, nominal - 1)
+    assert (refused.value.size, refused.value.limit) == (nominal, nominal - 1)
+    oracle(f, nominal)
