@@ -17,8 +17,11 @@ classical closed forms implemented here are:
 Each of these fixed-point counts is a fixed numerical polynomial in the
 orbit counts t_1..t_k of the input map (t_m = number of periodic orbits of
 least period m, equivalently the reduced orbit counts of the pointed
-extension).  This module computes those polynomials: directly for the group
-average, and by a recursion over partition families in general, peeling one
+extension).  This module computes those polynomials: for bounded symmetric
+powers by the recurrence of the Lefschetz form exp(sum_i s_i q^i / i) of
+their generating series (Macdonald, 1962), in which s_i is a combination of
+the iterate fixed-point counts L_n = sum_{m|n} m t_m; directly for the group
+average; and by a recursion over partition families in general, peeling one
 group orbit of partitions at a time and correcting by a smaller functor on
 the blocks.  Wedges add polynomials, smash products multiply them, and
 composites substitute the iterate-transported orbit-count polynomials.
@@ -68,11 +71,9 @@ from .partitions import (
 from .series import (
     Poly,
     PowerSeries,
-    _convolve_into,
     _field,
     _integer,
     _integers,
-    _terms,
     egf_pack,
     egf_unpack,
     exponent_product,
@@ -248,74 +249,7 @@ def _configuration_traces(zeta: PowerSeries, parity: str, epsilon: int):
 
 
 # ---------------------------------------------------------------------------
-# symbolic orbit products
-
-
-def _orbit_factor_polys(m: int, bound, nvars: int, order: int) -> list:
-    """q-coefficients of (1 + q^m + ... + q^{lm}) ** t_m, or of
-    (1 - q^m)^{-t_m} when the bound is None, as polynomials in t_m.
-
-    The binomials C(t, j) and C(t + j - 1, j) in t = t_m are built one from
-    the last, by one product with (t - j + 1)/j or (t + j - 1)/j."""
-    out = [MultiPoly.zero(nvars) for _ in range(order + 1)]
-    out[0] = MultiPoly.constant(1, nvars)
-    t = MultiPoly.variable(m, nvars)
-    binom = out[0]
-    if bound is None:
-        for j in range(1, order // m + 1):
-            binom = binom * (t + (j - 1)) / j
-            out[m * j] = binom
-        return out
-    base = [(m * i, 1) for i in range(1, bound + 1) if m * i <= order]
-    power = [1] + [0] * order
-    j = 0
-    while True:
-        j += 1
-        power = _convolve_into([0] * (order + 1), _terms(power), base)
-        if not any(power):
-            break
-        binom = binom * (t - (j - 1)) / j
-        for idx, c in enumerate(power):
-            if c:
-                out[idx] = out[idx] + c * binom
-    return out
-
-
-def _nonzero_poly(p: MultiPoly) -> bool:
-    return not p.is_zero
-
-
-def symmetric_power_polys(bound, order: int) -> list:
-    """q-coefficients of prod_{m=1}^{order} (orbit factor for period m), in
-    variables t_1..t_order.  The q^k coefficient is the fixed-point count of
-    the bounded k-th symmetric power as a polynomial in the orbit counts."""
-    nvars = order
-    zero = MultiPoly.zero(nvars)
-    result = [MultiPoly.constant(1, nvars)] + [zero] * order
-    for m in range(1, order + 1):
-        factor = _orbit_factor_polys(m, bound, nvars, order)
-        result = _convolve_into(
-            [zero] * (order + 1),
-            _terms(result, _nonzero_poly),
-            _terms(factor, _nonzero_poly),
-        )
-    return result
-
-
-def bounded_power_polynomial(k: int, bound) -> LefschetzPolynomial:
-    """The fixed-point polynomial of the compactified k-th symmetric power
-    with multiplicity bound l: the coefficient of q^k in
-    prod_{m=1}^{k} (1 + q^m + ... + q^{lm})^{t_m}."""
-    if k < 0:
-        raise ValueError("power must be >= 0")
-    if k == 0:
-        return LefschetzPolynomial(MultiPoly.constant(1, 0), 0)
-    polys = symmetric_power_polys(bound, k)
-    return LefschetzPolynomial(polys[k], k)
-
-
-# ---------------------------------------------------------------------------
-# group averages and the partition-family recursion
+# symmetric powers from their Lefschetz forms
 
 
 def _divisor_sum_linear(n: int, nvars: int) -> MultiPoly:
@@ -326,6 +260,46 @@ def _divisor_sum_linear(n: int, nvars: int) -> MultiPoly:
         exps[m - 1] = 1
         terms[tuple(exps)] = Fraction(m)
     return MultiPoly(nvars, terms)
+
+
+def symmetric_power_polys(bound, order: int) -> list:
+    """q-coefficients of G(q) = prod_m F(q^m)^{t_m} in variables
+    t_1..t_order, where F(x) = 1 + x + ... + x^l, or 1/(1 - x) when the
+    bound l is None.  The q^k coefficient is the fixed-point count of the
+    bounded k-th symmetric power as a polynomial in the orbit counts.
+
+    G is the exponential of its Lefschetz form: q G'/G = sum_i s_i q^i with
+    s_i = L_i - (l+1) L_{i/(l+1)} when (l+1) divides i and s_i = L_i
+    otherwise, where L_n = sum_{m|n} m t_m counts the fixed points of the
+    n-th iterate.  So g_0 = 1 and n g_n = sum_{i=1..n} s_i g_{n-i}."""
+    if bound is not None and bound < 0:
+        raise ValueError("multiplicity bound must be >= 0")
+    lefschetz = [None] + [_divisor_sum_linear(n, order) for n in range(1, order + 1)]
+    s = list(lefschetz)
+    if bound is not None:
+        step = bound + 1
+        for i in range(step, order + 1, step):
+            s[i] = s[i] - step * lefschetz[i // step]
+    g = [MultiPoly.constant(1, order)]
+    for n in range(1, order + 1):
+        total = MultiPoly.zero(order)
+        for i in range(1, n + 1):
+            total = total + s[i] * g[n - i]
+        g.append(total / n)
+    return g
+
+
+def bounded_power_polynomial(k: int, bound) -> LefschetzPolynomial:
+    """The fixed-point polynomial of the compactified k-th symmetric power
+    with multiplicity bound l: the coefficient of q^k in
+    prod_{m=1}^{k} (1 + q^m + ... + q^{lm})^{t_m}."""
+    if k < 0:
+        raise ValueError("power must be >= 0")
+    return LefschetzPolynomial(symmetric_power_polys(bound, k)[k], k)
+
+
+# ---------------------------------------------------------------------------
+# group averages and the partition-family recursion
 
 
 def _validate_traces(group: PermutationGroup, coeff_traces):
@@ -619,7 +593,7 @@ def realize_polynomial(p: MultiPoly, k: int):
     p = p.resize(k)
     if p.weighted_degree() > k:
         raise ValueError("polynomial weight exceeds the requested degree")
-    basis = symmetric_power_polys(1, k) if k else [MultiPoly.constant(1, 0)]
+    basis = symmetric_power_polys(1, k)
     remainder = p
     combo = {}
     while not remainder.is_zero:

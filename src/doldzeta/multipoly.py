@@ -149,6 +149,8 @@ class MultiPoly:
 
     def resize(self, nvars: int) -> "MultiPoly":
         """Pad or (when the dropped variables are unused) trim the space."""
+        if nvars < 0:
+            raise ValueError("variable count must be >= 0")
         if nvars >= self.nvars:
             return self.extend(nvars)
         for exps in self.terms:

@@ -122,7 +122,7 @@ class PointedFiniteSet:
         if action is not None:
             table = {}
             for g, perm in action.items():
-                perm = tuple(int(y) for y in perm)
+                perm = tuple(_integer(y, "an entry of a pointed set's action") for y in perm)
                 if sorted(perm) != list(range(size)) or perm[0] != 0:
                     raise ValueError("action must permute the set and fix the basepoint")
                 table[tuple(g)] = perm

@@ -34,6 +34,7 @@ from doldzeta import (
     cycle_profile,
     dold_polynomial_of_functor,
     expression_polynomial,
+    fixed_bounded_multisets,
     fixed_partition_orbits,
     general_lefschetz_polynomial,
     gsymm_polynomial,
@@ -92,6 +93,29 @@ class TestSymmetricPowerSeries:
     def test_bound_zero_collapses(self):
         zeta = PowerSeries([1, -2, 1, 0, 0], order=4)
         assert ints(rhs_symmetric_power(zeta, 0)) == [1, 0, 0, 0, 0]
+
+
+class TestSymmetricPowerPolynomials:
+    @pytest.mark.parametrize("bound", [None, 1, 2, 3])
+    def test_matches_oracle_and_series(self, bound):
+        polys = [bounded_power_polynomial(k, bound) for k in range(6)]
+        for f in seeded_maps(61, 25, 6):
+            series = rhs_symmetric_power(zeta_of_map(f, 5), bound)
+            for k, lp in enumerate(polys):
+                count = lp.evaluate_map(f)
+                assert count == fixed_bounded_multisets(f, k, bound) == series[k]
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 5])
+    def test_negative_bound_refused(self, k):
+        builds = (
+            lambda: symmetric_power_polys(-1, k),
+            lambda: bounded_power_polynomial(k, -1),
+            lambda: expression_polynomial(BoundedSymmetricPower(k, -1)),
+            lambda: bounded_power_polynomial(k, -3),
+        )
+        for build in builds:
+            with pytest.raises(ValueError, match=r"^multiplicity bound must be >= 0$"):
+                build()
 
 
 class TestBorsukUlamSeries:
@@ -196,7 +220,7 @@ class TestPartitionRecursion:
 
     def test_agrees_with_symbolic_product_for_max_block(self):
         # the bounded symmetric power two ways: the family recursion with
-        # Burnside averages, and the orbit-factor product
+        # Burnside averages, and the recurrence of the Lefschetz form
         for k in range(2, 7):
             group = PermutationGroup.symmetric(k)
             for bound in range(1, k + 1):
@@ -493,6 +517,17 @@ class TestRealization:
             r, expr = realize_polynomial(p, 3)
             assert r >= 1
             assert expression_polynomial(expr).poly == p * r
+
+
+def test_negative_variable_count_refused():
+    builds = (
+        lambda: LefschetzPolynomial(t(1, 1), -1),
+        lambda: realize_polynomial(t(1, 1), -2),
+        lambda: t(2, 3).resize(-1),
+    )
+    for build in builds:
+        with pytest.raises(ValueError, match=r"^variable count must be >= 0$"):
+            build()
 
 
 class TestCoefficientSpaces:

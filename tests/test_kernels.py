@@ -1,10 +1,14 @@
-"""The shared product kernel and power routine against the loops they replaced.
+"""The shared product kernel and power routine against the loops they replaced,
+and the symmetric-power polynomials against the orbit products they replaced.
 
 Each reference below is the hand-written loop that one caller used before
 every truncated product went through `series._convolve_into` and every power
-through `series._power`.  The tests require exact equality on seeded random
-inputs: mixed orders, zero and all-zero coefficient lists, Fraction and
-negative coefficients, orders up to 64, and MultiPoly series up to k = 6.
+through `series._power`.  `reference_symmetric_power_polys` multiplies out
+one orbit factor per period, as `identities.symmetric_power_polys` did before
+it ran the recurrence of the Lefschetz form.  The tests require exact
+equality on seeded random inputs: mixed orders, zero and all-zero
+coefficient lists, Fraction and negative coefficients, orders up to 64,
+MultiPoly series up to k = 6 and symmetric-power polynomials up to k = 9.
 """
 
 import random
@@ -14,11 +18,7 @@ from math import factorial
 import pytest
 
 from doldzeta import MultiPoly, Poly, PowerSeries
-from doldzeta.identities import (
-    _orbit_factor_polys,
-    falling_factorial,
-    symmetric_power_polys,
-)
+from doldzeta.identities import falling_factorial, symmetric_power_polys
 from doldzeta.series import _convolve_into, _terms
 
 from conftest import disjoint_union_combine
@@ -70,8 +70,7 @@ def reference_convolve_poly_series(a, b, order, nvars):
 
 
 def falling_binomial(var, j, nvars):
-    """C(t_var, j) = t(t-1)...(t-j+1)/j!, built from scratch for each j as
-    _orbit_factor_polys did before it built each binomial from the last."""
+    """C(t_var, j) = t(t-1)...(t-j+1)/j!, built from scratch for each j."""
     poly = MultiPoly.constant(1, nvars)
     t = MultiPoly.variable(var, nvars)
     for i in range(j):
@@ -89,7 +88,9 @@ def rising_binomial(var, j, nvars):
 
 
 def reference_orbit_factor_polys(m, bound, nvars, order):
-    """The old _orbit_factor_polys, with its inline power loop."""
+    """q-coefficients of (1 + q^m + ... + q^{lm}) ** t_m, or of
+    (1 - q^m)^{-t_m} when the bound is None, as polynomials in t_m: the
+    orbit factor of the old product, with its inline power loop."""
     out = [MultiPoly.zero(nvars) for _ in range(order + 1)]
     out[0] = MultiPoly.constant(1, nvars)
     if bound is None:
@@ -245,24 +246,10 @@ class TestProducts:
 
 class TestSymmetricPowerPolys:
     @pytest.mark.parametrize("bound", [None, 0, 1, 2, 3])
-    def test_orbit_factors(self, bound):
-        for order in range(1, 7):
-            for m in range(1, order + 1):
-                got = _orbit_factor_polys(m, bound, order, order)
-                assert got == reference_orbit_factor_polys(m, bound, order, order)
-
-    @pytest.mark.parametrize("bound", [None, 0, 1, 2, 3])
     def test_products_up_to_six(self, bound):
-        for order in range(1, 7):
+        for order in range(1, 10):
             got = symmetric_power_polys(bound, order)
             assert got == reference_symmetric_power_polys(bound, order)
-
-    def test_orbit_factors_at_larger_orders(self):
-        cases = ((1, 1, 24), (2, 3, 64), (3, 2, 64), (7, 5, 64), (64, 1, 64),
-                 (1, None, 24), (5, None, 64))
-        for m, bound, order in cases:
-            got = _orbit_factor_polys(m, bound, m, order)
-            assert got == reference_orbit_factor_polys(m, bound, m, order)
 
 
 class TestDisjointUnionCombine:

@@ -214,6 +214,12 @@ class TestPointedSets:
         square = PointedFiniteSet.smash_power(2, PermutationGroup.symmetric(2))
         assert fixed_non_basepoints(square, (0, 1)) == square.size - 1 == 4
 
+    def test_action_entries_are_not_truncated(self):
+        with pytest.raises(ValueError, match="an entry of a pointed set's action must be an integer, got 1.9"):
+            PointedFiniteSet(3, {(0,): [0, 1.9, 2]})
+        # integral values are read as the integers they are
+        assert PointedFiniteSet(3, {(0,): [0, 2.0, 1]}).action == {(0,): (0, 2, 1)}
+
 
 class TestInducedMap:
     def test_symmetric_square_of_pointed_two_cycle(self):
