@@ -34,13 +34,11 @@ from .dynamics import (
     zeta_series,
 )
 from .partitions import (
-    NoExcludedPartitionError,
     NotRefinementClosedError,
     PartitionFamily,
     PermutationGroup,
     SetPartition,
     all_partitions,
-    minimal_excluded_step,
 )
 from .oracles import (
     EnumerationLimitError,

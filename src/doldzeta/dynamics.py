@@ -266,5 +266,6 @@ def zeta_series(data, order: int, reduced: bool = False) -> PowerSeries:
 
 
 def zeta_of_map(f: FiniteSelfMap, order: int, reduced: bool = False) -> PowerSeries:
-    """Zeta function of a finite self-map, straight from its cycle structure."""
-    return zeta_series(cycle_profile(f, order), order, reduced=reduced)
+    """Zeta function of a finite self-map, straight from its cycle structure.
+    The order-0 series is 1; its profile is still read to horizon 1."""
+    return zeta_series(cycle_profile(f, max(order, 1)), order, reduced=reduced)

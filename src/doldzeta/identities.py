@@ -21,9 +21,11 @@ extension).  This module computes those polynomials: for bounded symmetric
 powers by the recurrence of the Lefschetz form exp(sum_i s_i q^i / i) of
 their generating series (Macdonald, 1962), in which s_i is a combination of
 the iterate fixed-point counts L_n = sum_{m|n} m t_m; directly for the group
-average; and by a recursion over partition families in general, peeling one
-group orbit of partitions at a time and correcting by a smaller functor on
-the blocks.  Wedges add polynomials, smash products multiply them, and
+average; and for a partition family as the group average minus one
+configuration term per group orbit of excluded partitions.  That term counts
+the fixed maps whose fiber partition lies in the orbit: each n-cycle of
+blocks goes injectively onto its own orbit of least period n, in one of n
+phases.  Wedges add polynomials, smash products multiply them, and
 composites substitute the iterate-transported orbit-count polynomials.
 """
 
@@ -64,7 +66,7 @@ from .partitions import (
     PartitionFamily,
     PermutationGroup,
     _require_stable,
-    minimal_excluded_step,
+    all_partitions,
     perm_cycle_type,
     validate_gset,
 )
@@ -143,9 +145,9 @@ def integer_lattice_check(
     if (2 * box + 1) ** n <= max_points:
         points = iter_product(range(-box, box + 1), repeat=n)
     else:
-        rng = random.Random(seed)
+        sample = random.Random(seed)
         points = (
-            tuple(rng.randint(-box, box) for _ in range(n))
+            tuple(sample.randint(-box, box) for _ in range(n))
             for _ in range(min(max_points, 10_000))
         )
     return all(_numerator_sum(numerators, point) % d == 0 for point in points)
@@ -299,7 +301,7 @@ def bounded_power_polynomial(k: int, bound) -> LefschetzPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# group averages and the partition-family recursion
+# group averages and partition families
 
 
 def _validate_traces(group: PermutationGroup, coeff_traces):
@@ -311,30 +313,59 @@ def _validate_traces(group: PermutationGroup, coeff_traces):
     return table
 
 
-def _burnside_average(group: PermutationGroup, gset, traces) -> MultiPoly:
-    """(1/|G|) sum_g w(g) prod_n (sum_{m|n} m t_m)^{d_g(n)}, where g has
-    d_g(n) orbits of length n under the action and w(g) is the trace of
-    g^{-1} (1 without traces).
+def _cycle_type_sum(weighted_perms, nvars: int, factor) -> MultiPoly:
+    """sum over the (perm, w) pairs of w prod_n factor(n, c_n, nvars), where
+    perm has c_n cycles of length n.
 
-    The weights are first summed over the elements of each cycle type, so one
-    product is built per cycle type rather than per element (the cycle-index
-    collapse).  The arguments are trusted: callers validate them.
-    """
-    k = len(gset[0])
+    The weights are first summed over each cycle type, so one product is
+    built per cycle type rather than per permutation (the cycle-index
+    collapse)."""
     class_weights = {}
-    for g, perm in zip(group.elements, gset):
-        weight = traces[group.inverse(g)] if traces is not None else Fraction(1)
+    for perm, weight in weighted_perms:
         if weight == 0:
             continue
         shape = tuple(sorted(perm_cycle_type(perm).items()))
         class_weights[shape] = class_weights.get(shape, 0) + weight
-    total = MultiPoly.zero(k)
+    total = MultiPoly.zero(nvars)
     for shape, weight in class_weights.items():
-        term = MultiPoly.constant(weight, k)
+        term = MultiPoly.constant(weight, nvars)
         for n, count in shape:
-            term = term * _divisor_sum_linear(n, k) ** count
+            term = term * factor(n, count, nvars)
         total = total + term
-    return total / group.order
+    return total
+
+
+def _orbit_factor(n: int, count: int, nvars: int) -> MultiPoly:
+    """(sum_{m|n} m t_m)^count: the points fixed by f^n, for each of `count`
+    cycles of length n."""
+    return _divisor_sum_linear(n, nvars) ** count
+
+
+def _configuration_factor(n: int, count: int, nvars: int) -> MultiPoly:
+    """n^c t_n (t_n - 1) ... (t_n - c + 1) with c = count: the injective maps
+    that send c cycles of length n each onto its own orbit of least period
+    n, in one of n phases."""
+    exps = [0] * nvars
+    terms = {}
+    for d, c in enumerate(falling_factorial(count).coeffs):
+        exps[n - 1] = d
+        terms[tuple(exps)] = n ** count * c
+    return MultiPoly(nvars, terms)
+
+
+def _weight(group: PermutationGroup, traces, g) -> Fraction:
+    """The trace of g^{-1}, or 1 without traces."""
+    return traces[group.inverse(g)] if traces is not None else Fraction(1)
+
+
+def _burnside_average(group: PermutationGroup, gset, traces) -> MultiPoly:
+    """(1/|G|) sum_g w(g) prod_n (sum_{m|n} m t_m)^{d_g(n)}, where g has
+    d_g(n) orbits of length n under the action and w(g) is the trace of
+    g^{-1} (1 without traces).  The arguments are trusted: callers validate
+    them.
+    """
+    weighted = ((perm, _weight(group, traces, g)) for g, perm in zip(group.elements, gset))
+    return _cycle_type_sum(weighted, len(gset[0]), _orbit_factor) / group.order
 
 
 def gsymm_polynomial(
@@ -358,54 +389,48 @@ def general_lefschetz_polynomial(
     family: PartitionFamily,
     coeff_traces=None,
     gset=None,
-    rng=None,
 ) -> LefschetzPolynomial:
     """The fixed-point polynomial of the compactified space of maps K -> X
     with fiber partition in the family, modulo the group.
 
-    Recursion: if the family is the full partition lattice this is the group
-    average above.  Otherwise adjoin the orbit of a minimal excluded
-    partition; the enlarged family's polynomial splits off a correction
-    living on the blocks of the chosen partition, acted on by its stabilizer,
-    with fibers forced discrete:
+    The group average counts the fixed maps of every fiber partition.  The
+    fixed maps whose fiber partition lies in the G-orbit of an excluded
+    partition pi are the configurations of the blocks of pi under its
+    stabilizer G_pi, so each excluded orbit subtracts
 
-        L(family) = L(family + orbit) - L(stabilizer on blocks, discrete).
+        (1/|G_pi|) sum_{g in G_pi} w(g) prod_n n^{c_n} t_n (t_n - 1) ... (t_n - c_n + 1),
 
-    The result does not depend on which minimal partition is chosen; passing
-    an `rng` randomizes the choice (used to test exactly that).
+    where g makes c_n cycles of length n on the blocks of pi and w(g) is the
+    trace of g^{-1} (1 without traces).  The weights are summed by block
+    cycle type across all the excluded orbits first.
 
     The group, its action, the traces and the family's stability are
     validated here, once, unless the table and family carry the mark of an
-    earlier check; the stabilizer actions the recursion builds are correct
-    by construction and are not checked again.
+    earlier check.
     """
     k = family.ground
     gset = validate_gset(group, gset, k)
     traces = _validate_traces(group, coeff_traces)
     family = _require_stable(family, group, gset)
-    memo = {}
-
-    def rec(grp, fam, act):
-        key = (grp.elements, act, fam.members)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        if fam.is_full():
-            value = _burnside_average(grp, act, traces)
-        else:
-            step = minimal_excluded_step(fam, grp, act, rng)
-            enlarged = rec(grp, step.extended_family, act)
-            stabilizer = PermutationGroup(grp.degree, step.stabilizer, validate=False)
-            correction = rec(
-                stabilizer,
-                PartitionFamily.discrete_only(step.block_ground),
-                step.block_action,
-            )
-            value = enlarged - correction.extend(fam.ground)
-        memo[key] = value
-        return value
-
-    return LefschetzPolynomial(rec(group, family, gset), k)
+    seen = set(family.members)
+    excluded = []
+    for partition in all_partitions(k):
+        if partition in seen:
+            continue
+        # a stabilizer element maps each block onto the block holding the
+        # image of its least element
+        heads = [block[0] for block in partition.blocks]
+        stabilizer = []
+        for g, perm in zip(group.elements, gset):
+            image = partition.apply(perm)
+            seen.add(image)
+            if image == partition:
+                stabilizer.append((g, tuple(partition.labels[perm[x]] for x in heads)))
+        excluded.extend(
+            (blocks, _weight(group, traces, g) / len(stabilizer)) for g, blocks in stabilizer
+        )
+    configurations = _cycle_type_sum(excluded, k, _configuration_factor)
+    return LefschetzPolynomial(_burnside_average(group, gset, traces) - configurations, k)
 
 
 def falling_factorial(r: int) -> Poly:
@@ -550,7 +575,21 @@ class Compose:
 
 def expression_polynomial(expr) -> LefschetzPolynomial:
     """Evaluate a functor expression to its fixed-point polynomial: wedges
-    add, smash products multiply, composition substitutes."""
+    add, smash products multiply, composition substitutes.  Each distinct
+    sub-expression is evaluated once per call."""
+    memo = {}
+
+    def build(e):
+        lp = memo.get(e)
+        if lp is None:
+            lp = memo[e] = _expression_node(e, build)
+        return lp
+
+    return build(expr)
+
+
+def _expression_node(expr, build) -> LefschetzPolynomial:
+    """The polynomial of one expression node, its parts evaluated by `build`."""
     if isinstance(expr, IdentityFunctor):
         return LefschetzPolynomial(MultiPoly.variable(1, 1), 1)
     if isinstance(expr, ConstantSphereSmash):
@@ -559,24 +598,22 @@ def expression_polynomial(expr) -> LefschetzPolynomial:
     if isinstance(expr, BoundedSymmetricPower):
         return bounded_power_polynomial(expr.power, expr.bound)
     if isinstance(expr, Wedge):
-        # each distinct part is built once and added times its multiplicity
-        parts = [(expression_polynomial(p), n) for p, n in Counter(expr.parts).items()]
+        # each distinct part is added once, times its multiplicity
+        parts = [(build(p), n) for p, n in Counter(expr.parts).items()]
         bound = max((p.degree_bound for p, _ in parts), default=0)
         total = MultiPoly.zero(bound)
         for p, n in parts:
             total = total + n * p.poly.extend(bound)
         return LefschetzPolynomial(total, bound)
     if isinstance(expr, Smash):
-        parts = [expression_polynomial(p) for p in expr.parts]
+        parts = [build(p) for p in expr.parts]
         bound = sum(p.degree_bound for p in parts)
         total = MultiPoly.constant(1, bound)
         for p in parts:
             total = total * p.poly.extend(bound)
         return LefschetzPolynomial(total, bound)
     if isinstance(expr, Compose):
-        return compose_lefschetz(
-            expression_polynomial(expr.outer), expression_polynomial(expr.inner)
-        )
+        return compose_lefschetz(build(expr.outer), build(expr.inner))
     raise TypeError(f"not a functor expression: {expr!r}")
 
 

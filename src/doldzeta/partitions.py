@@ -6,22 +6,18 @@ stored as its restricted growth string, the block index of each point with
 the blocks numbered by their least elements, so images, fibers and splits
 are relabellings of tuples.  A family of partitions is admissible when it
 is closed downwards under refinement and, when paired with a group action,
-stable under it.  The key combinatorial step for the recursive
-Lefschetz-polynomial calculus picks a minimal partition outside such a
-family, adjoins its orbit, and hands back the stabilizer acting on the
-blocks.
+stable under it.
 
 Input is checked once, where it enters: the blocks constructor, the
 validating family constructor, `validate_gset` and `_require_stable` (whose
 tables and families carry the mark of the check).  The partitions and
-families built inside the recursion are correct by construction and are not
+families built inside this package are correct by construction and are not
 checked again.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from .series import _field, _integer, _integers
@@ -40,10 +36,6 @@ class NotRefinementClosedError(ValueError):
         super().__init__(
             f"family contains {member} but not its refinement {missing}"
         )
-
-
-class NoExcludedPartitionError(ValueError):
-    """Asked for a partition outside the family, but the family is everything."""
 
 
 class SetPartition:
@@ -413,8 +405,8 @@ class PartitionFamily:
     """A nonempty, refinement-closed set of partitions of {0..k-1}.
 
     The validating constructor checks closure under single block splits,
-    which generate the full refinement order; the builders below and the
-    family recursion make closed families and skip the check.
+    which generate the full refinement order; the builders below make
+    closed families and skip the check.
     """
 
     __slots__ = ("ground", "members")
@@ -444,10 +436,6 @@ class PartitionFamily:
     @classmethod
     def full(cls, k: int) -> "PartitionFamily":
         return cls(k, all_partitions(k), validate=False)
-
-    @classmethod
-    def discrete_only(cls, k: int) -> "PartitionFamily":
-        return cls(k, [SetPartition.discrete(k)], validate=False)
 
     @classmethod
     def max_block(cls, k: int, bound: int) -> "PartitionFamily":
@@ -497,9 +485,6 @@ class PartitionFamily:
     def __repr__(self):
         return f"PartitionFamily(ground={self.ground}, size={len(self.members)})"
 
-    def is_full(self) -> bool:
-        return len(self.members) == len(all_partitions(self.ground))
-
     def is_stable_under(self, gset) -> bool:
         return all(p.apply(perm) in self.members for p in self.members for perm in gset)
 
@@ -519,69 +504,6 @@ class _StableFamily(PartitionFamily):
     def __init__(self, family: PartitionFamily, action):
         super().__init__(family.ground, family.members, validate=False)
         self.action = action
-
-
-@dataclass(frozen=True)
-class MinimalStep:
-    """Output of one step of the family recursion: a minimal excluded
-    partition, the family with its orbit adjoined, and the stabilizer with
-    its induced (possibly non-faithful) action on the blocks."""
-
-    partition: SetPartition
-    extended_family: PartitionFamily
-    stabilizer: tuple          # elements of the ambient group fixing the partition
-    block_action: tuple        # their induced permutations of the blocks
-    block_ground: int          # number of blocks, the new ground size
-
-
-def minimal_excluded_step(
-    family: PartitionFamily,
-    group: PermutationGroup,
-    gset=None,
-    rng=None,
-) -> MinimalStep:
-    """Pick a minimal partition outside the family and adjoin its orbit.
-
-    Minimal means every proper refinement already belongs to the family; as
-    the family is refinement-closed, it suffices that every single split
-    does.  Ties are broken canonically (least labels) unless an `rng` is
-    supplied, in which case the choice is randomized; any choice yields the
-    same Lefschetz polynomial downstream.
-
-    The family must be stable under the action.  The enlarged family is then
-    refinement-closed and stable by construction and is not checked again:
-    each split of g.p is g applied to a split of p, which lies in the family.
-    """
-    if family.is_full():
-        raise NoExcludedPartitionError("the family already contains every partition")
-    if gset is None:
-        gset = validate_gset(group, None, family.ground)
-    members = family.members
-    minimal = [
-        p
-        for p in all_partitions(family.ground)
-        if p not in members and all(split in members for split in _single_splits(p))
-    ]
-    chosen = rng.choice(minimal) if rng is not None else minimal[0]
-    # a stabilizer element maps each block onto the block holding the image
-    # of its least element
-    heads = [block[0] for block in chosen.blocks]
-    orbit = set()
-    stab = []
-    block_action = []
-    for g, perm in zip(group.elements, gset):
-        image = chosen.apply(perm)
-        orbit.add(image)
-        if image == chosen:
-            stab.append(g)
-            block_action.append(tuple(chosen.labels[perm[x]] for x in heads))
-    return MinimalStep(
-        partition=chosen,
-        extended_family=PartitionFamily(family.ground, members | orbit, validate=False),
-        stabilizer=tuple(stab),
-        block_action=tuple(block_action),
-        block_ground=chosen.block_count,
-    )
 
 
 def fiber_partition(values) -> SetPartition:

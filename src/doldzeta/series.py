@@ -177,9 +177,6 @@ class PowerSeries:
     def __sub__(self, other):
         return self._binop(other, lambda a, b: a - b)
 
-    def __neg__(self):
-        return PowerSeries([-c for c in self.coeffs], order=self.order)
-
     def __mul__(self, other):
         if isinstance(other, PowerSeries):
             order = min(self.order, other.order)
@@ -413,9 +410,6 @@ class Poly:
                 rem[k - d + j] -= q * other.coeffs[j]
         return Poly(quot), Poly(rem)
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
     def __mod__(self, other):
         return divmod(self, other)[1]
 
@@ -494,13 +488,6 @@ class RationalFunction:
         self.numerator = numerator * scale
         self.denominator = denominator * scale
 
-    def __mul__(self, other):
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return RationalFunction(
-            self.numerator * other.numerator, self.denominator * other.denominator
-        )
-
     def __eq__(self, other):
         if not isinstance(other, RationalFunction):
             return NotImplemented
@@ -572,18 +559,6 @@ class BivariateSeries:
         return BivariateSeries([other * c for c in self.coeffs], order=self.order)
 
     __rmul__ = __mul__
-
-    def __add__(self, other):
-        order = min(self.order, other.order)
-        return BivariateSeries(
-            [self.coeffs[k] + other.coeffs[k] for k in range(order + 1)], order=order
-        )
-
-    def __sub__(self, other):
-        order = min(self.order, other.order)
-        return BivariateSeries(
-            [self.coeffs[k] - other.coeffs[k] for k in range(order + 1)], order=order
-        )
 
     def inverse(self) -> "BivariateSeries":
         c0 = self.coeffs[0]

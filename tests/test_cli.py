@@ -129,6 +129,25 @@ def test_partition_command(capsys):
     assert json.loads(out)["value"] == "1"
 
 
+def test_the_discrete_family_on_eight_points(capsys):
+    # one excluded orbit per non-discrete partition: 4139 under the trivial group
+    code, out, _ = run(
+        capsys,
+        "partition",
+        "--group",
+        '{"degree":8,"elements":[[0,1,2,3,4,5,6,7]]}',
+        "--family",
+        '{"ground":8,"max_block":1}',
+        "--format",
+        "text",
+    )
+    assert code == 0
+    assert out == (
+        "t1^8 - 28*t1^7 + 322*t1^6 - 1960*t1^5 + 6769*t1^4 - 13132*t1^3 + 13068*t1^2"
+        " - 5040*t1\n"
+    )
+
+
 def test_order_poly_command(capsys):
     code, out, _ = run(
         capsys, "order-poly", "--family", '{"ground":3,"max_block":1}', "--at", "3"

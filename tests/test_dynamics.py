@@ -169,6 +169,9 @@ class TestZeta:
         # three fixed points: (1 - q)^3
         z = zeta_of_map(identity_map(3), 3)
         assert ints(z) == [1, -3, 3, -1]
+        # the order-0 series is 1, reduced or not
+        for reduced in (False, True):
+            assert zeta_of_map(identity_map(3), 0, reduced) == PowerSeries.one(0)
 
     def test_sphere_lefschetz_data(self):
         z = zeta_series(LefschetzSequence([1 - 2 ** k for k in range(1, 5)]), 3)

@@ -20,7 +20,6 @@ from doldzeta import (
     fixed_partition_orbits,
     general_lefschetz_polynomial,
     gsymm_polynomial,
-    minimal_excluded_step,
 )
 from doldzeta.identities import _burnside_average, _divisor_sum_linear
 from doldzeta.multipoly import MultiPoly
@@ -33,6 +32,7 @@ from doldzeta.partitions import (
 )
 
 from conftest import identity_map, seeded_maps, trivial_group
+from family_recursion import minimal_excluded_step
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +113,8 @@ def sign_action(group):
 
 def block_action(rng, degree):
     """A stabilizer with its induced, generally non-faithful, action on the
-    blocks of a minimal excluded partition of a random block-bound family."""
+    blocks of a minimal excluded partition of a random block-bound family,
+    as the reference family recursion finds it."""
     group = random_subgroup(rng, degree)
     family = PartitionFamily.max_block(degree, rng.randint(1, degree - 1))
     step = minimal_excluded_step(family, group)
@@ -297,7 +298,7 @@ def test_entry_checks_refuse_bad_input():
     for call in (
         lambda: gsymm_polynomial(trivial, [(1, 0)]),
         lambda: general_lefschetz_polynomial(
-            trivial, PartitionFamily.discrete_only(2), gset=[(1, 0)]
+            trivial, PartitionFamily.max_block(2, 1), gset=[(1, 0)]
         ),
         lambda: fixed_gmap_space(seeded_maps(1, 1, 3, min_size=1)[0], trivial, [(1, 0)]),
     ):

@@ -64,6 +64,7 @@ from conftest import (
     seeded_maps,
     trivial_group,
 )
+from family_recursion import minimal_excluded_step, recursive_lefschetz_polynomial
 
 
 def ints(series):
@@ -100,8 +101,8 @@ class TestSymmetricPowerPolynomials:
     def test_matches_oracle_and_series(self, bound):
         polys = [bounded_power_polynomial(k, bound) for k in range(6)]
         for f in seeded_maps(61, 25, 6):
-            series = rhs_symmetric_power(zeta_of_map(f, 5), bound)
             for k, lp in enumerate(polys):
+                series = rhs_symmetric_power(zeta_of_map(f, k), bound)
                 count = lp.evaluate_map(f)
                 assert count == fixed_bounded_multisets(f, k, bound) == series[k]
 
@@ -213,14 +214,12 @@ class TestPartitionRecursion:
         assert lp.evaluate([2, 0]) == 1
 
     def test_injective_pairs_trivial_group(self):
-        lp = general_lefschetz_polynomial(
-            trivial_group(2), PartitionFamily.discrete_only(2)
-        )
+        lp = general_lefschetz_polynomial(trivial_group(2), PartitionFamily.max_block(2, 1))
         assert lp.poly == t(1, 2) ** 2 - t(1, 2)
 
     def test_agrees_with_symbolic_product_for_max_block(self):
-        # the bounded symmetric power two ways: the family recursion with
-        # Burnside averages, and the recurrence of the Lefschetz form
+        # the bounded symmetric power two ways: the orbit sum over the
+        # excluded partitions, and the recurrence of the Lefschetz form
         for k in range(2, 7):
             group = PermutationGroup.symmetric(k)
             for bound in range(1, k + 1):
@@ -228,17 +227,17 @@ class TestPartitionRecursion:
                 assert lp == bounded_power_polynomial(k, bound)
 
     def test_choice_independence(self):
+        # the reference recursion gives the orbit sum whichever minimal
+        # partition it peels first
         group = PermutationGroup.symmetric(4)
         family = PartitionFamily.max_block(4, 2)
         reference = general_lefschetz_polynomial(group, family)
         for seed in range(10):
             rng = random.Random(seed)
-            shuffled = general_lefschetz_polynomial(group, family, rng=rng)
+            shuffled = recursive_lefschetz_polynomial(group, family, rng=rng)
             assert shuffled == reference
 
     def test_additivity_at_a_recursion_node(self):
-        from doldzeta.partitions import minimal_excluded_step
-
         group = PermutationGroup.symmetric(3)
         family = PartitionFamily.max_block(3, 1)
         step = minimal_excluded_step(family, group)
@@ -247,7 +246,7 @@ class TestPartitionRecursion:
         stabilizer = PermutationGroup(group.degree, step.stabilizer)
         correction = general_lefschetz_polynomial(
             stabilizer,
-            PartitionFamily.discrete_only(step.block_ground),
+            PartitionFamily.max_block(step.block_ground, 1),
             gset=step.block_action,
         )
         assert whole.poly == part.poly + correction.poly.extend(3)
@@ -484,6 +483,19 @@ class TestWedgeGrouping:
         # the parts as runs of equal parts, in order
         labels = [expression_label(p) for p in expr.parts]
         assert [(label, len(list(run))) for label, run in groupby(labels)] == parts
+
+    def test_a_part_shared_by_distinct_parts_is_built_once(self, monkeypatch):
+        # SP2_1 sits in four distinct parts of the k = 4 realization above:
+        # one basis build, then one build per distinct power
+        calls = []
+        build = identities.symmetric_power_polys
+        monkeypatch.setattr(
+            identities, "symmetric_power_polys",
+            lambda bound, order: calls.append((bound, order)) or build(bound, order),
+        )
+        pieces = [(1, (1, 2), (2, 1)), (-2, (4, 1)), (1, (2, 2)), (-1, (1, 1), (3, 1))]
+        realize_polynomial(binomial_target(4, pieces), 4)
+        assert sorted(calls) == [(1, 2), (1, 3), (1, 4), (1, 4)]
 
 
 class TestRealization:

@@ -114,7 +114,7 @@ class TestPartitionOrbits:
     def test_injective_pairs_trivial_group(self):
         f = identity_map(3)
         count = fixed_partition_orbits(
-            f, trivial_group(2), PartitionFamily.discrete_only(2)
+            f, trivial_group(2), PartitionFamily.max_block(2, 1)
         )
         assert count == 6
 
@@ -315,7 +315,7 @@ def test_least_point_counter_matches_orbit_enumeration(name, group, gset):
     k = group.degree if gset is None else len(gset[0])
     families = [
         PartitionFamily.full(k),
-        PartitionFamily.discrete_only(k),
+        PartitionFamily.max_block(k, 1),
         PartitionFamily.max_block(k, 2),
     ]
     coefficients = [None] + [PointedFiniteSet.smash_power(p, group, gset) for p in (0, 1, 2)]

@@ -1,12 +1,13 @@
-"""Partitions stored as restricted growth strings, and the family recursion
-that no longer re-checks what it builds, each against the code it replaced,
-on seeded random inputs.
+"""Partitions stored as restricted growth strings, and the partition-family
+polynomial, each against the code it replaced, on seeded random inputs.
 
 The references below are the sorted-blocks partition operations, the
-pairwise scan for minimal excluded partitions and the stability check over
-every group element; the growth-string code must give the same blocks, the
-same minimal partitions and the same accept/reject outcome.  The families
-the recursion enlarges without validation are validated here."""
+stability check over every group element and, in `family_recursion`, the
+recursion over minimal excluded partitions with the pairwise scan for them.
+The growth-string code must give the same blocks and the same accept/reject
+outcome; the orbit sum (the group average minus one configuration term per
+excluded orbit) must give the same polynomial as the recursion, whose
+enlarged families are validated here."""
 
 import random
 from itertools import combinations
@@ -18,7 +19,8 @@ from doldzeta import (
     PermutationGroup,
     SetPartition,
     all_partitions,
-    minimal_excluded_step,
+    coefficient_traces,
+    general_lefschetz_polynomial,
 )
 from doldzeta.partitions import (
     _require_stable,
@@ -26,10 +28,17 @@ from doldzeta.partitions import (
     compose_perms,
     fiber_partition,
     invert_perm,
+    perm_cycle_type,
     refinements_of,
 )
 
 from conftest import stable_families
+from family_recursion import (
+    discrete_only,
+    is_full,
+    minimal_excluded_step,
+    recursive_lefschetz_polynomial,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +229,7 @@ def test_constructor_refuses_what_is_not_a_partition(blocks):
 
 
 # ---------------------------------------------------------------------------
-# minimal_excluded_step: single splits against the pairwise scan
+# the reference's minimal_excluded_step: single splits against the pairwise scan
 
 
 def test_minimal_partitions_match_the_pairwise_scan():
@@ -230,7 +239,7 @@ def test_minimal_partitions_match_the_pairwise_scan():
         k = rng.randint(2, 5)
         group = random_subgroup(rng, k)
         family = orbit_closure(random_closed_family(rng, k), group, group.elements)
-        if family.is_full():
+        if is_full(family):
             continue
         recorder = Recorder()
         step = minimal_excluded_step(family, group, rng=recorder)
@@ -268,7 +277,7 @@ def test_stability_judged_like_every_element():
 
 
 # ---------------------------------------------------------------------------
-# the families the recursion builds without validation
+# the families the reference recursion builds without validation
 
 
 def recursion_nodes(group, family, gset):
@@ -278,13 +287,13 @@ def recursion_nodes(group, family, gset):
     while nodes:
         grp, fam, act = nodes.pop()
         out.append((grp, fam, act))
-        if fam.is_full():
+        if is_full(fam):
             continue
         step = minimal_excluded_step(fam, grp, act)
         stabilizer = PermutationGroup(grp.degree, step.stabilizer, validate=False)
         nodes.append((grp, step.extended_family, act))
         nodes.append(
-            (stabilizer, PartitionFamily.discrete_only(step.block_ground), step.block_action)
+            (stabilizer, discrete_only(step.block_ground), step.block_action)
         )
     return out
 
@@ -309,3 +318,49 @@ def test_extended_families_under_subgroups_are_closed_and_stable():
         group = random_subgroup(rng, k)
         gset = random_action(rng, group)
         check_nodes(group, orbit_closure(random_closed_family(rng, k), group, gset), gset)
+
+
+# ---------------------------------------------------------------------------
+# the orbit sum against the recursion
+
+
+def random_table(rng, group):
+    """An action table of the group on at most 6 points: natural,
+    relabelled, on two copies of the points, with one or two fixed points
+    added, or through the sign on two points."""
+    d = group.degree
+    kind = rng.choice(["natural", "relabelled", "two copies", "fixed points", "sign"])
+    if kind == "natural":
+        return None
+    if kind == "relabelled":
+        return random_action(rng, group)
+    if kind == "two copies" and d <= 3:
+        return tuple(tuple(g) + tuple(x + d for x in g) for g in group.elements)
+    if kind == "sign":
+        odd = [(d - sum(perm_cycle_type(g).values())) % 2 for g in group.elements]
+        return tuple((1, 0) if o else (0, 1) for o in odd)
+    extra = tuple(range(d, min(d + rng.randint(1, 2), 6)))
+    return tuple(tuple(g) + extra for g in group.elements)
+
+
+def test_orbit_sum_matches_the_recursion():
+    rng = random.Random(606)
+    kinds = set()
+    for _ in range(320):
+        group = random_subgroup(rng, rng.randint(1, 5))
+        table = random_table(rng, group)
+        gset = group.elements if table is None else table
+        k = len(gset[0])
+        if rng.random() < 0.3:
+            family = PartitionFamily.max_block(k, rng.randint(1, k))
+        else:
+            family = orbit_closure(random_closed_family(rng, k), group, gset)
+        traces = None
+        if rng.random() < 0.6:
+            euler = rng.choice((-1, 0, 2))
+            traces = coefficient_traces(group, euler, rng.choice((None, table)))
+        kinds.add((table is None, traces is None, is_full(family)))
+        assert general_lefschetz_polynomial(group, family, traces, table) == (
+            recursive_lefschetz_polynomial(group, family, traces, table)
+        )
+    assert len(kinds) == 8

@@ -1,18 +1,17 @@
-"""Partition lattice, stable families, permutation groups, minimal steps."""
+"""Partition lattice, stable families, permutation groups, and the minimal
+excluded steps of the reference family recursion."""
 
 import random
 
 import pytest
 
 from doldzeta import (
-    NoExcludedPartitionError,
     NotRefinementClosedError,
     PartitionFamily,
     PermutationGroup,
     SetPartition,
     all_partitions,
     general_lefschetz_polynomial,
-    minimal_excluded_step,
 )
 from doldzeta.oracles import fixed_partition_orbits
 from doldzeta.partitions import (
@@ -30,6 +29,12 @@ from conftest import (
     seeded_maps,
     stable_families,
     trivial_group,
+)
+from family_recursion import (
+    NoExcludedPartitionError,
+    discrete_only,
+    is_full,
+    minimal_excluded_step,
 )
 
 
@@ -245,10 +250,10 @@ class TestGroups:
 
 class TestMinimalStep:
     def test_two_points_trivial_group(self):
-        fam = PartitionFamily.discrete_only(2)
+        fam = discrete_only(2)
         step = minimal_excluded_step(fam, trivial_group(2))
         assert step.partition == whole_partition(2)
-        assert step.extended_family.is_full()
+        assert is_full(step.extended_family)
         assert step.block_ground == 1
 
     def test_three_points_symmetric(self):
@@ -278,7 +283,7 @@ class TestMinimalStep:
     def test_induced_block_action_loses_no_elements(self):
         # the stabilizer can act non-faithfully on the blocks; the Burnside
         # average still runs over the whole stabilizer
-        fam = PartitionFamily.discrete_only(2)
+        fam = discrete_only(2)
         step = minimal_excluded_step(fam, PermutationGroup.symmetric(2))
         assert len(step.stabilizer) == 2
         assert set(step.block_action) == {(0,)}
@@ -292,7 +297,7 @@ class TestMinimalStep:
             for fam in families:
                 current = fam
                 guard = 0
-                while not current.is_full():
+                while not is_full(current):
                     step = minimal_excluded_step(current, group)
                     assert len(step.extended_family) > len(current)
                     assert step.block_ground < k
