@@ -4,7 +4,6 @@ partition-constrained configuration spaces, with brute-force enumeration
 oracles for every closed form."""
 
 from .series import (
-    BivariateSeries,
     NotAUnitError,
     NotExpandableError,
     Poly,

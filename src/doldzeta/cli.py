@@ -235,7 +235,7 @@ def cmd_graded(args):
     payload = {
         "characteristic": char.to_json(),
         "zeta": zeta.to_json(),
-        "poincare": poincare.to_json(),
+        "poincare": {"order": args.order, "coeffs": [c.to_json() for c in poincare]},
         "lefschetz": [rat_str(v) for v in graded_lefschetz_numbers(endo, args.order)],
     }
     return payload, lambda: [

@@ -25,31 +25,50 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from .series import (
-    BivariateSeries,
     Poly,
     PowerSeries,
     RationalFunction,
+    _convolve_into,
     _exp_form_holds,
     _field,
     _integer,
+    _terms,
     rat,
 )
 
 KOSZUL_GUARD = 100_000
 
+# Caps on a graded endomorphism, sized so that `graded -N 64` on the worst
+# input they allow takes about a second: Bareiss elimination grows with the
+# dimension, and the T-degrees of the Poincaré series with the top degree.
+MAX_GRADED_DIMENSION = 10
+MAX_GRADED_DEGREE = 16
+
 
 class GradedEndomorphism:
     """One exact rational square matrix per degree; zero-dimensional degrees
-    are simply absent.  Negative degrees are rejected."""
+    are simply absent.  Negative degrees are rejected, and so are degrees
+    above MAX_GRADED_DEGREE and total dimensions above MAX_GRADED_DIMENSION."""
 
     __slots__ = ("matrices",)
 
     def __init__(self, matrices):
         clean = {}
+        dimension = 0
         for degree, rows in matrices.items():
             degree = _integer(degree, "a degree of a graded endomorphism")
             if degree < 0:
                 raise ValueError("negative degrees are not allowed")
+            if degree > MAX_GRADED_DEGREE:
+                raise ValueError(
+                    f"degree {degree} of a graded endomorphism is above the guard {MAX_GRADED_DEGREE}"
+                )
+            rows = tuple(rows)
+            dimension += len(rows)
+            if dimension > MAX_GRADED_DIMENSION:
+                raise ValueError(
+                    f"a graded endomorphism's total dimension is above the guard {MAX_GRADED_DIMENSION}"
+                )
             rows = tuple(tuple(rat(c) for c in row) for row in rows)
             if any(len(row) != len(rows) for row in rows):
                 raise ValueError(f"matrix in degree {degree} is not square")
@@ -173,16 +192,28 @@ def graded_zeta(endo: GradedEndomorphism, order: int) -> PowerSeries:
     return result
 
 
-def poincare_generating(endo: GradedEndomorphism, order: int) -> BivariateSeries:
-    """P(q, T) = prod_j det(1 - q T^j A_j)^{-(-1)^j}: even degrees contribute
-    inverted determinant factors, odd degrees direct ones.  Evaluating the
-    T-polynomials at 1 inverts the zeta function."""
-    result = BivariateSeries.one(order)
+def poincare_generating(endo: GradedEndomorphism, order: int) -> tuple:
+    """The T-polynomials of q^0..q^order in P(q, T) = prod_j D_j(q T^j)^{-(-1)^j},
+    D_j(x) = det(1 - x A_j) = 1 + sum_k c_k x^k: odd degrees multiply, even
+    degrees divide.  Multiplying by D_j(q T^j) adds c_k T^{jk} times the
+    q^{n-k} row into the q^n row, from the top row down so that each row
+    reads rows not yet multiplied; dividing subtracts the same, from the
+    bottom row up so that each row reads rows already divided.  Evaluating
+    the T-polynomials at 1 inverts the zeta function."""
+    rows = [[1]] + [[] for _ in range(order)]  # T-coefficients of each q^n coefficient
+    terms = [_terms(row) for row in rows]
     for degree in endo.degrees():
         det = det_one_minus_t(endo.matrix(degree))
-        factor = BivariateSeries.from_monomial_substitution(det, degree, order)
-        result = result * (factor if degree % 2 else factor.inverse())
-    return result
+        sign, steps = (1, range(order, 0, -1)) if degree % 2 else (-1, range(1, order + 1))
+        shifts = [(k, [(degree * k, sign * c)]) for k, c in _terms(det.coeffs) if 0 < k <= order]
+        for n in steps:
+            parts = [(terms[n - k], shift) for k, shift in shifts if k <= n and terms[n - k]]
+            top = max((row[-1][0] + shift[0][0] + 1 for row, shift in parts), default=0)
+            out = rows[n] + [0] * (top - len(rows[n]))
+            for row, shift in parts:
+                _convolve_into(out, row, shift)
+            rows[n], terms[n] = out, _terms(out)
+    return tuple(Poly(row) for row in rows)
 
 
 def _koszul_sign(sigma, degrees) -> int:

@@ -67,6 +67,7 @@ from .partitions import (
     PermutationGroup,
     _require_stable,
     all_partitions,
+    invert_perm,
     perm_cycle_type,
     validate_gset,
 )
@@ -210,11 +211,9 @@ def rhs_symmetric_power(zeta: PowerSeries, bound=None) -> PowerSeries:
 def rhs_borsuk_ulam(zeta: PowerSeries) -> PowerSeries:
     """(1-q)^{-1} (Z(q^2) Z(q)^{-1} - 1): the q^k coefficient counts the
     invariant nonempty subsets of size at most k (zero at k = 0)."""
-    _require_unit(zeta)
     n = zeta.order
-    ratio = zeta.substitute_power(2) * zeta.inverse()
     geometric = PowerSeries([1] * (n + 1), order=n)
-    return geometric * (ratio - PowerSeries.one(n))
+    return geometric * (rhs_symmetric_power(zeta, 1) - PowerSeries.one(n))
 
 
 def rhs_bounded_tuples(lefschetz_number: int, bound: int, order: int) -> PowerSeries:
@@ -227,7 +226,7 @@ def rhs_bounded_tuples(lefschetz_number: int, bound: int, order: int) -> PowerSe
     return base ** int(lefschetz_number)
 
 
-def configuration_trace_series(zeta: PowerSeries, parity: str, epsilon: int = 1) -> PowerSeries:
+def configuration_trace_series(zeta: PowerSeries, parity: str) -> PowerSeries:
     """Generating function of the signed cohomology traces on unordered
     configuration spaces of a closed orientable r-manifold: Z(q) when r is
     odd and Z(q^2) Z(q)^{-1} when r is even.  The q^k coefficient equals
@@ -236,17 +235,15 @@ def configuration_trace_series(zeta: PowerSeries, parity: str, epsilon: int = 1)
     _require_unit(zeta)
     if parity not in ("odd", "even"):
         raise ValueError("parity must be 'odd' or 'even'")
-    if epsilon not in (1, -1):
-        raise ValueError("epsilon must be +1 or -1")
-    if parity == "odd":
-        return zeta
-    return zeta.substitute_power(2) * zeta.inverse()
+    return zeta if parity == "odd" else rhs_symmetric_power(zeta, 1)
 
 
 def _configuration_traces(zeta: PowerSeries, parity: str, epsilon: int):
     """The configuration trace series and the traces it encodes: its q^k
     coefficients with the sign epsilon^k divided out."""
-    series = configuration_trace_series(zeta, parity, epsilon)
+    series = configuration_trace_series(zeta, parity)
+    if epsilon not in (1, -1):
+        raise ValueError("epsilon must be +1 or -1")
     return series, [series[k] * epsilon ** k for k in range(series.order + 1)]
 
 
@@ -305,11 +302,24 @@ def bounded_power_polynomial(k: int, bound) -> LefschetzPolynomial:
 
 
 def _validate_traces(group: PermutationGroup, coeff_traces):
+    """The traces as a table on the group elements, refused unless they are
+    a class function: trace(s g s^-1) = trace(g) for every element g and
+    generator s, which makes them constant on each conjugacy class."""
     if coeff_traces is None:
         return None
     table = {tuple(g): rat(v) for g, v in coeff_traces.items()}
     if any(g not in table for g in group.elements):
         raise ValueError("coefficient traces must be defined on every group element")
+    for s in group.generators:
+        s_inv = invert_perm(s)
+        for g in group.elements:
+            conjugate = tuple(s[g[s_inv[i]]] for i in range(len(g)))  # s g s^-1
+            if table[conjugate] != table[g]:
+                raise ValueError(
+                    f"coefficient traces must be a class function, but {list(g)} has trace "
+                    f"{rat_str(table[g])} and its conjugate {list(conjugate)} has trace "
+                    f"{rat_str(table[conjugate])}"
+                )
     return table
 
 

@@ -7,10 +7,10 @@ different orders truncates to the shorter order.  Equality compares the
 shared coefficient prefix.
 
 The module also provides dense univariate polynomials (:class:`Poly`),
-rational functions with series expansion (:class:`RationalFunction`),
-series in q whose coefficients are polynomials in a second variable T
-(:class:`BivariateSeries`), and packing of coefficient lists into
-exponential generating functions.
+rational functions with series expansion (:class:`RationalFunction`), and
+packing of coefficient lists into exponential generating functions.
+:class:`PowerSeries` is the only series type; the Poincaré series of a
+graded map is kept in rows of T-coefficients by `graded`.
 
 Every truncated product in the package, whatever its coefficient ring,
 runs through one convolution kernel (:func:`_convolve_into`) and every
@@ -503,86 +503,3 @@ class RationalFunction:
             "numerator": self.numerator.to_json(),
             "denominator": self.denominator.to_json(),
         }
-
-
-def _t_product_sum(pairs) -> Poly:
-    """sum a * b over pairs of T-polynomials given by their terms, in one
-    accumulator sized to the largest T-degree among the pairs."""
-    pairs = [(a, b) for a, b in pairs if a and b]
-    top = max((a[-1][0] + b[-1][0] for a, b in pairs), default=-1)
-    acc = [0] * (top + 1)
-    for a, b in pairs:
-        _convolve_into(acc, a, b)
-    return Poly(acc)
-
-
-class BivariateSeries:
-    """A series in q, truncated at q^order, whose coefficients live in Q[T]."""
-
-    __slots__ = ("coeffs", "order")
-
-    def __init__(self, coeffs, order=None):
-        coeffs = [c if isinstance(c, Poly) else Poly(c) for c in coeffs]
-        if order is None:
-            if not coeffs:
-                raise ValueError("empty coefficient list needs an explicit order")
-            order = len(coeffs) - 1
-        coeffs = coeffs[: order + 1]
-        coeffs.extend([Poly.zero()] * (order + 1 - len(coeffs)))
-        self.coeffs = tuple(coeffs)
-        self.order = order
-
-    @classmethod
-    def one(cls, order: int) -> "BivariateSeries":
-        return cls([Poly.one()], order=order)
-
-    @classmethod
-    def from_monomial_substitution(cls, poly: Poly, t_exponent: int, order: int) -> "BivariateSeries":
-        """Substitute x -> q T^j into a univariate polynomial sum a_k x^k."""
-        coeffs = [Poly.zero()] * (order + 1)
-        for k, a in enumerate(poly.coeffs):
-            if k > order:
-                break
-            if a != 0:
-                mono = [Fraction(0)] * (t_exponent * k) + [a]
-                coeffs[k] = Poly(mono)
-        return cls(coeffs, order=order)
-
-    def __mul__(self, other):
-        if isinstance(other, BivariateSeries):
-            order = min(self.order, other.order)
-            left = [_terms(c.coeffs) for c in self.coeffs[: order + 1]]
-            right = [_terms(c.coeffs) for c in other.coeffs[: order + 1]]
-            out = [_t_product_sum([(left[i], right[n - i]) for i in range(n + 1)])
-                   for n in range(order + 1)]
-            return BivariateSeries(out, order=order)
-        return BivariateSeries([other * c for c in self.coeffs], order=self.order)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "BivariateSeries":
-        c0 = self.coeffs[0]
-        if c0.is_zero or c0.degree > 0:
-            raise NotAUnitError("leading q-coefficient must be a nonzero constant")
-        inv0 = Fraction(1) / c0.coefficient(0)
-        terms = [_terms(c.coeffs) for c in self.coeffs]
-        out = [Poly.constant(inv0)]
-        out_terms = [[(0, inv0)]]
-        for n in range(1, self.order + 1):
-            acc = _t_product_sum([(terms[i], out_terms[n - i]) for i in range(1, n + 1)])
-            out.append(acc * -inv0)
-            out_terms.append(_terms(out[-1].coeffs))
-        return BivariateSeries(out, order=self.order)
-
-    def __eq__(self, other):
-        if not isinstance(other, BivariateSeries):
-            return NotImplemented
-        shared = min(self.order, other.order)
-        return self.coeffs[: shared + 1] == other.coeffs[: shared + 1]
-
-    def __repr__(self):
-        inner = ", ".join(c.render("T") for c in self.coeffs)
-        return f"BivariateSeries([{inner}], order={self.order})"
-
-    def to_json(self) -> dict:
-        return {"order": self.order, "coeffs": [c.to_json() for c in self.coeffs]}

@@ -114,11 +114,12 @@ def expand(rf, order):
     return rf.numerator.series(order) * rf.denominator.series(order).inverse()
 
 
-def at_one(bivariate):
-    """A bivariate series with its T-polynomials evaluated at T = 1."""
+def at_one(polys):
+    """The series in q whose q^k coefficient is the k-th T-polynomial of a
+    Poincaré series evaluated at T = 1."""
     from doldzeta import PowerSeries
 
-    return PowerSeries([c(1) for c in bivariate.coeffs], order=bivariate.order)
+    return PowerSeries([c(1) for c in polys], order=len(polys) - 1)
 
 
 def disjoint_union_combine(block_count_lists):

@@ -326,14 +326,14 @@ def test_macdonald_formula():
         endo = random_endomorphism(rng, total_dim=4, max_degree=3, span=2)
         series = poincare_generating(endo, 4)
         for k in range(5):
-            assert koszul_invariant_trace(endo, k) == series.coeffs[k]
+            assert koszul_invariant_trace(endo, k) == series[k]
         zeta = graded_zeta(endo, 4)
         assert at_one(series) * zeta == PowerSeries.one(4)
     conjugation = GradedEndomorphism({0: [[1]], 1: [[-1]]})
     zeta = graded_zeta(conjugation, 6)
     expected = PowerSeries([1, -2, 1], order=6) * PowerSeries([1, 0, -1], order=6).inverse()
     assert zeta == expected
-    series = configuration_trace_series(zeta, "odd", -1)
+    series = configuration_trace_series(zeta, "odd")
     for k in range(1, 7):
         assert series[k] * (-1) ** k == 2
 

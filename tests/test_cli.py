@@ -589,6 +589,38 @@ def test_two_inputs_where_one_would_be_dropped_are_refused(capsys, argv, message
 
 
 @pytest.mark.parametrize(
+    "matrices, message",
+    [
+        ('{"degrees":{"100000":[["2"]]}}', "degree 100000 of a graded endomorphism is above the guard 16"),
+        (json.dumps({"degrees": {"0": [["1"] * 30] * 30}}),
+         "a graded endomorphism's total dimension is above the guard 10"),
+    ],
+    ids=["degree", "dimension"],
+)
+def test_graded_input_above_its_guards_is_refused(capsys, matrices, message):
+    assert run(capsys, "graded", "--matrices", matrices, "-N", "12") == (2, "", f"error: {message}\n")
+
+
+S3_BY_GENERATORS = '{"degree":3,"generators":[[1,0,2],[1,2,0]]}'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gsymm", "--group", S3_BY_GENERATORS, "--traces", "[1,2,0,-1,2,1]"],
+        ["partition", "--group", S3_BY_GENERATORS, "--family", '{"ground":3,"max_block":1}',
+         "--traces", "[1,2,0,-1,2,1]"],
+    ],
+    ids=["gsymm", "partition"],
+)
+def test_traces_that_are_not_a_class_function_are_refused(capsys, argv):
+    # in element order the transpositions (0 2 1), (1 0 2), (2 1 0) get 2, 0, 1
+    message = ("coefficient traces must be a class function, but [0, 2, 1] has trace 2 "
+               "and its conjugate [2, 1, 0] has trace 1")
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "plan, unknown, takes",
     [
         ({"identity": "md", "map": MAP, "kmax": 60}, "'kmax'", "'identity', 'k_max', 'map'"),

@@ -1,6 +1,7 @@
 """Golden outputs: the exact stdout and exit code of `selftest`, of every
 README example command (as JSON and, where it has one, in its text form),
-of `verify --plan` on each built-in plan, and of the top-level `--help`
+of `verify --plan` on each built-in plan, of `graded` on blocks in three
+degrees, and of the top-level `--help`
 (which must list every command).
 
 The JSON files under tests/golden/ were written from the code before the
@@ -71,7 +72,20 @@ TEXT_CASES = [
     if argv[0] != "selftest"
 ]
 
-CASES = README_EXAMPLES + TEXT_CASES + PLAN_CASES + [("help", ["--help"])]
+# `graded` with blocks in three degrees, so that the Poincaré series mixes
+# inverted even factors with direct odd ones at several T-shifts
+GRADED_CASES = [
+    (
+        "graded-three-degrees",
+        [
+            "graded",
+            "--matrices", '{"degrees":{"0":[["1","1"],["0","2"]],"1":[["-1"]],"2":[["1/2"]]}}',
+            "-N", "16",
+        ],
+    ),
+]
+
+CASES = README_EXAMPLES + TEXT_CASES + PLAN_CASES + GRADED_CASES + [("help", ["--help"])]
 
 
 def render(argv) -> str:

@@ -16,9 +16,10 @@ from doldzeta import (
     koszul_invariant_trace,
     poincare_generating,
 )
-from doldzeta.graded import _koszul_sign
+from doldzeta.graded import MAX_GRADED_DEGREE, _koszul_sign
 from doldzeta.series import Poly
 
+from bivariate_reference import bivariate_product, reference_poincare
 from conftest import at_one, expand
 
 
@@ -147,14 +148,14 @@ class TestPoincareGenerating:
     def test_even_line(self):
         endo = GradedEndomorphism({0: [[2]]})
         p = poincare_generating(endo, 3)
-        assert [c(1) for c in p.coeffs] == [1, 2, 4, 8]
+        assert [c(1) for c in p] == [1, 2, 4, 8]
 
     def test_odd_line_truncates(self):
         endo = GradedEndomorphism({1: [["1/2"]]})
         p = poincare_generating(endo, 3)
-        assert p.coeffs[0] == Poly([1])
-        assert p.coeffs[1] == Poly([0, Fraction(-1, 2)])
-        assert p.coeffs[2].is_zero and p.coeffs[3].is_zero
+        assert p[0] == Poly([1])
+        assert p[1] == Poly([0, Fraction(-1, 2)])
+        assert p[2].is_zero and p[3].is_zero
         assert koszul_invariant_trace(endo, 2).is_zero
 
     def test_odd_sphere_at_t_one(self):
@@ -168,8 +169,21 @@ class TestPoincareGenerating:
             a = random_endomorphism(rng, total_dim=2)
             b = random_endomorphism(rng, total_dim=2)
             left = poincare_generating(direct_sum(a, b), 5)
-            right = poincare_generating(a, 5) * poincare_generating(b, 5)
+            right = bivariate_product(poincare_generating(a, 5), poincare_generating(b, 5))
             assert left == right
+
+    def test_matches_bivariate_reference(self):
+        # degrees 0..4 and total dimension <= 4 put blocks at several
+        # T-shifts, with even (inverted) and odd (direct) factors mixed
+        rng = random.Random(17)
+        orders = [rng.randint(0, 16) for _ in range(40)] + [48, 48]
+        for order in orders:
+            endo = rational_endomorphism(rng, total_dim=4, max_degree=4)
+            assert poincare_generating(endo, order) == reference_poincare(endo, order)
+
+    def test_order_zero_and_no_degrees(self):
+        assert poincare_generating(GradedEndomorphism({0: [[2]], 1: [[3]]}), 0) == (Poly.one(),)
+        assert poincare_generating(GradedEndomorphism({}), 2) == (Poly.one(), Poly.zero(), Poly.zero())
 
 
 class TestKoszulOracle:
@@ -188,7 +202,7 @@ class TestKoszulOracle:
             endo = random_endomorphism(rng)
             p = poincare_generating(endo, 4)
             for k in range(5):
-                assert koszul_invariant_trace(endo, k) == p.coeffs[k]
+                assert koszul_invariant_trace(endo, k) == p[k]
 
     def test_sign_convention(self):
         # swapping two odd factors costs a sign; even factors are free
@@ -220,6 +234,22 @@ class TestKoszulOracle:
         endo = GradedEndomorphism({0: [[1] * 8 for _ in range(8)]})
         with pytest.raises(ValueError):
             koszul_invariant_trace(endo, 8)
+
+
+class TestInputGuards:
+    def test_the_caps_themselves_are_allowed(self):
+        endo = GradedEndomorphism({0: [[1] * 9 for _ in range(9)], MAX_GRADED_DEGREE: [[2]]})
+        assert endo.degrees() == [0, MAX_GRADED_DEGREE]
+
+    def test_a_degree_above_the_guard_is_refused(self):
+        with pytest.raises(ValueError, match="^degree 17 of a graded endomorphism is above the guard 16$"):
+            GradedEndomorphism({0: [[1]], MAX_GRADED_DEGREE + 1: [[1]]})
+
+    def test_a_total_dimension_above_the_guard_is_refused(self):
+        # no block alone is too large; together they are
+        blocks = {0: [[0] * 6 for _ in range(6)], 1: [[0] * 5 for _ in range(5)]}
+        with pytest.raises(ValueError, match="total dimension is above the guard 10$"):
+            GradedEndomorphism(blocks)
 
 
 def test_json_round_trip():

@@ -580,21 +580,27 @@ class TestCoefficientSpaces:
 class TestConfigurationTraces:
     def test_odd_dimension_returns_zeta(self):
         zeta = PowerSeries([1, -2, 2, -2], order=3)
-        series = configuration_trace_series(zeta, "odd", -1)
+        series = configuration_trace_series(zeta, "odd")
         assert series.coeffs == zeta.coeffs
         # epsilon^k decodes to the constant trace 2
         assert [series[k] * (-1) ** k for k in range(1, 4)] == [2, 2, 2]
 
     def test_pass_through_point(self):
         zeta = PowerSeries([1, -1, 0], order=2)
-        assert configuration_trace_series(zeta, "odd", 1).coeffs == zeta.coeffs
+        assert configuration_trace_series(zeta, "odd").coeffs == zeta.coeffs
 
     def test_even_dimension(self):
         zeta = PowerSeries([1, -3, 3, -1, 0], order=4)
-        series = configuration_trace_series(zeta, "even", 1)
+        series = configuration_trace_series(zeta, "even")
         expected = zeta.substitute_power(2) * zeta.inverse()
         assert series == expected
         assert series[1] == 3  # the Euler characteristic at k = 1
+
+    def test_epsilon_must_be_a_sign(self):
+        plan = {"identity": "config-trace", "graded": {"degrees": {"0": [["1"]], "1": [["-1"]]}},
+                "parity": "odd", "epsilon": 2}
+        with pytest.raises(ValueError, match=r"^epsilon must be \+1 or -1$"):
+            verify_identity(plan)
 
 
 class TestVerificationHarness:

@@ -21,7 +21,9 @@ from doldzeta import (
     all_partitions,
     coefficient_traces,
     general_lefschetz_polynomial,
+    gsymm_polynomial,
 )
+from doldzeta.identities import _validate_traces
 from doldzeta.partitions import (
     _require_stable,
     _single_splits,
@@ -364,3 +366,29 @@ def test_orbit_sum_matches_the_recursion():
             recursive_lefschetz_polynomial(group, family, traces, table)
         )
     assert len(kinds) == 8
+
+
+def test_coefficient_traces_pass_as_class_functions():
+    rng = random.Random(607)
+    for _ in range(80):
+        group = random_subgroup(rng, rng.randint(1, 5))
+        table = random_table(rng, group)
+        traces = coefficient_traces(group, rng.choice((-1, 0, 2, 3)), table)
+        assert _validate_traces(group, traces) == traces
+        # any function of the cycle type is a class function of the group too
+        by_type = {}
+        for g in group.elements:
+            shape = tuple(sorted(perm_cycle_type(g).items()))
+            by_type.setdefault(shape, rng.randint(-3, 3))
+        traces = {g: by_type[tuple(sorted(perm_cycle_type(g).items()))] for g in group.elements}
+        assert _validate_traces(group, traces) == traces
+
+
+def test_traces_that_are_not_a_class_function_are_refused():
+    # the transpositions (0 2 1), (1 0 2) and (2 1 0) get traces 2, 0 and 1
+    group = PermutationGroup.symmetric(3)
+    traces = dict(zip(group.elements, [1, 2, 0, -1, 2, 1]))
+    with pytest.raises(ValueError, match="must be a class function"):
+        general_lefschetz_polynomial(group, PartitionFamily.max_block(3, 1), traces)
+    with pytest.raises(ValueError, match="must be a class function"):
+        gsymm_polynomial(group, None, traces)

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doldzeta import (
-    BivariateSeries,
     MultiPoly,
     NotAUnitError,
     NotExpandableError,
@@ -24,7 +23,7 @@ from doldzeta import (
 from doldzeta.dynamics import DoldProfile, divisors, lefschetz_from_dold
 from doldzeta.series import _exp_form_holds
 
-from conftest import at_one, expand
+from conftest import expand
 
 
 def coeffs(series):
@@ -396,74 +395,6 @@ class TestMultiPoly:
                 {"exponents": [1, 0], "coeff": "-1/2"},
             ],
         }
-
-
-def reference_bivariate_product(a, b):
-    """Naive double loop over q-indices, one Poly sum per term."""
-    order = min(a.order, b.order)
-    out = [Poly.zero()] * (order + 1)
-    for i in range(order + 1):
-        for j in range(order + 1 - i):
-            out[i + j] = out[i + j] + a.coeffs[i] * b.coeffs[j]
-    return out
-
-
-def reference_bivariate_inverse(s):
-    """The recurrence c_n = -c_0^{-1} sum_{i>=1} s_i c_{n-i}, one Poly per step."""
-    inv0 = Fraction(1) / s.coeffs[0].coefficient(0)
-    out = [Poly.constant(inv0)]
-    for n in range(1, s.order + 1):
-        acc = Poly.zero()
-        for i in range(1, n + 1):
-            acc = acc + s.coeffs[i] * out[n - i]
-        out.append(acc * (-inv0))
-    return out
-
-
-def random_bivariate(rng, order, unit=False, density=0.6):
-    coeffs = []
-    for n in range(order + 1):
-        if n == 0 and unit:
-            coeffs.append(Poly.constant(Fraction(rng.choice((1, -1, 2, -3)), rng.randint(1, 3))))
-        elif rng.random() < density:
-            degree = rng.randint(0, 4)
-            coeffs.append(Poly([Fraction(rng.randint(-3, 3), rng.randint(1, 2))
-                                for _ in range(degree + 1)]))
-        else:
-            coeffs.append(Poly.zero())
-    return BivariateSeries(coeffs, order=order)
-
-
-class TestBivariate:
-    def test_inverse_and_t_one(self):
-        # 1 - qT inverted: coefficients T^k at q^k
-        s = BivariateSeries([Poly([1]), Poly([0, -1])], order=3)
-        inv = s.inverse()
-        assert inv.coeffs[2] == Poly([0, 0, 1])
-        assert coeffs(at_one(inv)) == [1, 1, 1, 1]
-
-    def test_product_against_reference(self):
-        rng = random.Random(21)
-        for order in [rng.randint(0, 16) for _ in range(30)] + [48, 64]:
-            a = random_bivariate(rng, order, density=rng.random())
-            b = random_bivariate(rng, rng.randint(order, order + 3), density=rng.random())
-            got = a * b
-            assert got.order == order
-            assert got.coeffs == tuple(reference_bivariate_product(a, b))
-
-    def test_inverse_against_reference(self):
-        rng = random.Random(22)
-        for order in [rng.randint(0, 12) for _ in range(30)] + [32, 64]:
-            # sparse inputs at the larger orders keep the T-degrees of the
-            # reference's coefficients small enough to run quickly
-            s = random_bivariate(rng, order, unit=True, density=0.5 if order <= 12 else 0.1)
-            got = s.inverse()
-            assert got.coeffs == tuple(reference_bivariate_inverse(s))
-            assert (got * s).coeffs == BivariateSeries.one(order).coeffs
-
-    def test_inverse_needs_a_constant_unit(self):
-        with pytest.raises(NotAUnitError):
-            BivariateSeries([Poly([0, 1])], order=2).inverse()
 
 
 def test_rat_parsing():
