@@ -21,8 +21,10 @@ from doldzeta import (
     rat_str,
 )
 from doldzeta.dynamics import DoldProfile, divisors, lefschetz_from_dold
+from doldzeta.graded import GradedEndomorphism, det_one_minus_t, poincare_generating
 from doldzeta.series import _exp_form_holds
 
+from bivariate_reference import bivariate_inverse, bivariate_product, monomial_substitution, one
 from conftest import expand
 
 
@@ -395,6 +397,51 @@ class TestMultiPoly:
                 {"exponents": [1, 0], "coeff": "-1/2"},
             ],
         }
+
+
+def random_graded_blocks(rng, degrees, total_dim=3):
+    """A graded endomorphism with exact rational blocks in some of `degrees`."""
+    chosen = sorted(rng.sample(degrees, rng.randint(1, min(len(degrees), total_dim))))
+    matrices = {}
+    remaining = total_dim
+    for i, degree in enumerate(chosen):
+        dim = rng.randint(1, remaining - (len(chosen) - i - 1))
+        remaining -= dim
+        matrices[degree] = [[Fraction(rng.randint(-2, 2), rng.choice((1, 1, 2, 3)))
+                             for _ in range(dim)] for _ in range(dim)]
+    return GradedEndomorphism(matrices)
+
+
+def substituted_factors(endo, order):
+    """det(1 - x A_j) with x -> q T^j, one bivariate series per degree j."""
+    return [monomial_substitution(det_one_minus_t(endo.matrix(d)), d, order)
+            for d in endo.degrees()]
+
+
+class TestBivariate:
+    """The multiplying (odd degree) and dividing (even degree) row folds of
+    `poincare_generating`, each against the naive bivariate product and
+    inverse of the reference construction."""
+
+    def test_product_against_reference(self):
+        rng = random.Random(21)
+        for order in [rng.randint(0, 16) for _ in range(30)] + [48, 64]:
+            endo = random_graded_blocks(rng, [1, 3, 5])
+            want = one(order)
+            for factor in substituted_factors(endo, order):
+                want = bivariate_product(want, factor)
+            assert poincare_generating(endo, order) == want
+
+    def test_inverse_against_reference(self):
+        rng = random.Random(22)
+        for order in [rng.randint(0, 12) for _ in range(30)] + [32, 48]:
+            endo = random_graded_blocks(rng, [0, 2, 4])
+            denominator = one(order)
+            for factor in substituted_factors(endo, order):
+                denominator = bivariate_product(denominator, factor)
+            got = poincare_generating(endo, order)
+            assert got == bivariate_inverse(denominator)
+            assert bivariate_product(got, denominator) == one(order)
 
 
 def test_rat_parsing():
