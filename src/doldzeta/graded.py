@@ -200,6 +200,8 @@ def poincare_generating(endo: GradedEndomorphism, order: int) -> tuple:
     reads rows not yet multiplied; dividing subtracts the same, from the
     bottom row up so that each row reads rows already divided.  Evaluating
     the T-polynomials at 1 inverts the zeta function."""
+    if order < 0:
+        raise ValueError("truncation order must be >= 0")
     rows = [[1]] + [[] for _ in range(order)]  # T-coefficients of each q^n coefficient
     terms = [_terms(row) for row in rows]
     for degree in endo.degrees():

@@ -8,12 +8,16 @@ enumeration gives the ground truth against which every closed-form series
 in this package is verified.
 
 Whether f o a can be a's own rearrangement, as a fixed multiset, subset or
-orbit requires, depends only on the multiset of a's values.  So the oracles
-test each multiset once, as a sorted tuple, and spread only those that pass
-into their orderings, which they then visit one by one.  The orbit-space
-oracles count each fixed orbit once, at its least point, and the Burnside
-cross-check in `fixed_gmap_space` walks the same candidates; nothing is
-stored per candidate.  Every enumeration sits behind a size guard that
+orbit requires, depends only on the multiset m of a's values.  So the
+oracles find the fixed multisets by one depth-first walk over nondecreasing
+value sequences, which keeps d = m - f_* m and spreads only those with
+d = 0 into their orderings, visited one by one.  The walk prunes and is
+still exhaustive: once it has passed y, m_y is final and (f_* m)_y can only
+grow, so a branch with d_y < 0 at a passed y holds no fixed multiset.  The
+tuple oracle walks the tuples of fixed points and counts each once.  The
+orbit-space oracles count each fixed orbit once, at its least point, and
+the Burnside cross-check in `fixed_gmap_space` walks the same candidates;
+nothing is stored per candidate.  Every enumeration sits behind a size guard that
 counts the full nominal space, not the smaller walk (default 10^7 candidate
 points, overridable through the DOLD_ZETA_MAX_ENUM environment variable).
 """
@@ -21,7 +25,7 @@ points, overridable through the DOLD_ZETA_MAX_ENUM environment variable).
 from __future__ import annotations
 
 import os
-from itertools import chain, combinations, combinations_with_replacement, product
+from itertools import chain, combinations_with_replacement, product
 from math import comb
 
 from .dynamics import FiniteSelfMap
@@ -64,13 +68,51 @@ def _guard(size: int, max_enum=None):
         raise EnumerationLimitError(size, limit)
 
 
-def _fixed_multisets(f: FiniteSelfMap, candidates):
-    """The sorted tuples among `candidates` that f carries onto themselves as
-    multisets: those whose values, pushed along f and sorted, come back."""
-    push = f.mapping.__getitem__
-    for values in candidates:
-        if sorted(map(push, values)) == list(values):
-            yield values
+def _fixed_multiset_walk(f: FiniteSelfMap, k: int, cap: int):
+    """Each multiset of size <= k with multiplicities <= cap that f
+    carries onto itself, as a sorted tuple, from a depth-first walk over the
+    nondecreasing value sequences.
+
+    Along the walk d[y] = m_y - (f_* m)_y for the multiset m at hand, and m
+    is fixed exactly when no d[y] is nonzero.  Values come in order, so once
+    the walk has passed y, m_y is final and (f_* m)_y can only grow: a
+    branch in which some passed d[y] is negative holds no fixed multiset.
+    So the walk skips x when f(x) < x and d[f(x)] <= 0, and tries no value
+    after x once d[x] < 0.
+    """
+    push = f.mapping
+    n = f.size
+    d = [0] * n
+    values = []
+
+    def grow(start, run, nonzero):
+        # extend `values`, whose last value `start` occurs `run` times
+        deeper = len(values) + 1 < k
+        for x in range(start, n):
+            y = push[x]
+            if (x > start or run < cap) and not (y < x and d[y] <= 0):
+                if y == x:
+                    nz = nonzero
+                else:
+                    dx, dy = d[x], d[y]
+                    nz = nonzero + (dx == 0) - (dx == -1) + (dy == 0) - (dy == 1)
+                    d[x] = dx + 1
+                    d[y] = dy - 1
+                values.append(x)
+                if not nz:
+                    yield tuple(values)
+                if deeper:
+                    yield from grow(x, run + 1 if x == start else 1, nz)
+                values.pop()
+                if y != x:
+                    d[x] -= 1
+                    d[y] += 1
+            if d[x] < 0:
+                return
+
+    yield ()
+    if k:
+        yield from grow(0, 0, 0)
 
 
 def _arrangements(values):
@@ -95,7 +137,7 @@ def _arrangements(values):
 def _rearranged_maps(f: FiniteSelfMap, k: int):
     """The maps a: {0..k-1} -> M whose composite f o a is a rearrangement of
     a, each once: the orderings of the fixed multisets of size k."""
-    fixed = _fixed_multisets(f, combinations_with_replacement(range(f.size), k))
+    fixed = (values for values in _fixed_multiset_walk(f, k, k) if len(values) == k)
     return chain.from_iterable(map(_arrangements, fixed))
 
 
@@ -184,8 +226,8 @@ def fixed_bounded_multisets(f: FiniteSelfMap, k: int, bound=None, max_enum=None)
     if bound is not None and bound <= 0:
         return 0
     _guard(comb(n + k - 1, k), max_enum)
-    fixed = _fixed_multisets(f, combinations_with_replacement(range(n), k))
-    return sum(1 for values in fixed if _within(values, bound))
+    cap = k if bound is None else bound
+    return sum(len(values) == k for values in _fixed_multiset_walk(f, k, cap))
 
 
 def fixed_invariant_subsets(f: FiniteSelfMap, k: int, max_enum=None) -> int:
@@ -195,8 +237,7 @@ def fixed_invariant_subsets(f: FiniteSelfMap, k: int, max_enum=None) -> int:
     n = f.size
     _guard(sum(comb(n, j) for j in range(1, min(k, n) + 1)), max_enum)
     # f(A) = A for a set A exactly when f permutes A: A is a fixed multiset
-    subsets = chain.from_iterable(combinations(range(n), j) for j in range(1, min(k, n) + 1))
-    return sum(1 for _ in _fixed_multisets(f, subsets))
+    return sum(1 for values in _fixed_multiset_walk(f, k, 1) if values)
 
 
 def fixed_bounded_tuples(f: FiniteSelfMap, k: int, bound: int, max_enum=None) -> int:
@@ -210,11 +251,22 @@ def fixed_bounded_tuples(f: FiniteSelfMap, k: int, bound: int, max_enum=None) ->
         return 0
     fixed = f.fixed_points()
     _guard(len(fixed) ** k, max_enum)
-    count = 0
-    for values in combinations_with_replacement(fixed, k):
-        if _within(values, bound):
-            count += sum(1 for _ in _arrangements(values))
-    return count
+    cap = k if bound is None else bound
+    uses = [0] * f.size
+
+    def extend(length):
+        # the tuples that extend one of `length` values, each visited once
+        if length == k:
+            return 1
+        count = 0
+        for x in fixed:
+            if uses[x] < cap:
+                uses[x] += 1
+                count += extend(length + 1)
+                uses[x] -= 1
+        return count
+
+    return extend(0)
 
 
 def _fixed_orbit_count(f, group, gset, k, admissible=None, coefficient=None) -> int:

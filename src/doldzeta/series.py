@@ -19,6 +19,7 @@ integer power through one square-and-multiply routine (:func:`_power`).
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import factorial
 
@@ -41,8 +42,17 @@ def rat(value) -> Fraction:
 
 
 def rat_str(value) -> str:
-    """Render a rational as "p/q", or as a bare "p" when the denominator is 1."""
-    return str(rat(value))
+    """Render a rational as "p/q", or as a bare "p" when the denominator is 1.
+    A numerator or denominator longer than Python's int-to-string limit is
+    refused with a ValueError that names the limit."""
+    value = rat(value)
+    try:
+        return str(value)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(
+            f"a number in the output has more than {limit} digits, the output's digit limit"
+        ) from None
 
 
 def _field(obj, key: str, where: str, kind=None):

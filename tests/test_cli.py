@@ -601,6 +601,16 @@ def test_graded_input_above_its_guards_is_refused(capsys, matrices, message):
     assert run(capsys, "graded", "--matrices", matrices, "-N", "12") == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_an_output_number_above_the_digit_limit_is_refused(capsys, fmt):
+    # 7^1500 has 1268 digits; the q^8 coefficient of the zeta, 7^12000, has 10142
+    matrices = json.dumps({"degrees": {"0": [[str(7 ** 1500)]]}})
+    limit = sys.get_int_max_str_digits()  # 4300 by default
+    message = f"a number in the output has more than {limit} digits, the output's digit limit"
+    argv = ["graded", "--matrices", matrices, "-N", "8", "--format", fmt]
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 S3_BY_GENERATORS = '{"degree":3,"generators":[[1,0,2],[1,2,0]]}'
 
 

@@ -185,6 +185,12 @@ class TestPoincareGenerating:
         assert poincare_generating(GradedEndomorphism({0: [[2]], 1: [[3]]}), 0) == (Poly.one(),)
         assert poincare_generating(GradedEndomorphism({}), 2) == (Poly.one(), Poly.zero(), Poly.zero())
 
+    def test_a_negative_order_is_refused_as_graded_zeta_refuses_it(self):
+        endo = GradedEndomorphism({0: [[2]]})
+        for build in (graded_zeta, poincare_generating):
+            with pytest.raises(ValueError, match="^truncation order must be >= 0$"):
+                build(endo, -1)
+
 
 class TestKoszulOracle:
     def test_k_one_is_alternating_trace(self):

@@ -1,6 +1,9 @@
 """Brute-force counting oracles and their internal coherence."""
 
+import inspect
 import random
+import textwrap
+from functools import cache
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import comb
 
@@ -392,29 +395,54 @@ def reference_bounded_tuples(f, k, bound):
     )
 
 
+# the full product of the rearranged-map reference is walked up to this size
+REARRANGED_BUDGET = 8 ** 5
+
+
 def multiset_walk_cases():
-    """Seeded maps of up to 8 points, empty and identity maps among them,
-    each with every size k <= 5."""
+    """Seeded maps of up to 10 points, empty and identity maps among them,
+    each with every size k <= 7, smallest cases first."""
     maps = [FiniteSelfMap([]), identity_map(1), identity_map(4), FiniteSelfMap([1, 0, 2, 2])]
-    maps += seeded_maps(1414, 30, 8)
-    return [(f, k) for f in maps for k in range(6)]
+    maps += seeded_maps(1414, 30, 8) + seeded_maps(1818, 12, 10, min_size=9)
+    maps.append(FiniteSelfMap([1, 2, 0, 4, 5, 3, 7, 6, 8, 9]))  # cycles 3, 3, 2, 1, 1
+    return sorted(
+        ((f, k) for f in maps for k in range(8)),
+        key=lambda case: comb(case[0].size + case[1], case[1]),
+    )
+
+
+@cache
+def reference(kind, f, k, bound=None):
+    """A reference count, or set of maps, computed once per case."""
+    if kind == "rearranged maps":
+        return set(reference_rearranged_maps(f, k))
+    if kind == "subsets":
+        return reference_invariant_subsets(f, k)
+    if kind == "multisets":
+        return reference_bounded_multisets(f, k, bound)
+    return reference_bounded_tuples(f, k, bound)
 
 
 def multiset_walk_mismatches():
-    """The cases where a multiset walk disagrees with its reference."""
-    bad = []
+    """The cases where a multiset or tuple walk disagrees with its
+    reference, one by one, as they are found."""
     for f, k in multiset_walk_cases():
-        maps = list(oracles._rearranged_maps(f, k))
-        if len(maps) != len(set(maps)) or set(maps) != set(reference_rearranged_maps(f, k)):
-            bad.append(("rearranged maps", f.mapping, k))
-        if fixed_invariant_subsets(f, k) != reference_invariant_subsets(f, k):
-            bad.append(("subsets", f.mapping, k))
+        if f.size ** k <= REARRANGED_BUDGET:
+            maps = list(oracles._rearranged_maps(f, k))
+            if len(maps) != len(set(maps)) or set(maps) != reference("rearranged maps", f, k):
+                yield ("rearranged maps", f.mapping, k)
+        if oracles.fixed_invariant_subsets(f, k) != reference("subsets", f, k):
+            yield ("subsets", f.mapping, k)
         for bound in (None, 1, 2, 3):
-            if fixed_bounded_multisets(f, k, bound) != reference_bounded_multisets(f, k, bound):
-                bad.append(("multisets", f.mapping, k, bound))
-            if fixed_bounded_tuples(f, k, bound) != reference_bounded_tuples(f, k, bound):
-                bad.append(("tuples", f.mapping, k, bound))
-    return bad
+            if oracles.fixed_bounded_multisets(f, k, bound) != reference("multisets", f, k, bound):
+                yield ("multisets", f.mapping, k, bound)
+            if oracles.fixed_bounded_tuples(f, k, bound) != reference("tuples", f, k, bound):
+                yield ("tuples", f.mapping, k, bound)
+
+
+def first_mismatch_of(kind):
+    """The first mismatch of the given kind, or None."""
+    return next((case for case in multiset_walk_mismatches() if case[0] == kind), None)
 
 
 def test_arrangements_are_each_distinct_ordering_once_in_order():
@@ -426,9 +454,34 @@ def test_arrangements_are_each_distinct_ordering_once_in_order():
 
 def test_multiset_walks_match_the_full_walks():
     cases = multiset_walk_cases()
-    assert any(f.size == 0 for f, _ in cases) and max(f.size for f, _ in cases) == 8
-    assert {k for _, k in cases} == set(range(6))
-    assert multiset_walk_mismatches() == []
+    assert any(f.size == 0 for f, _ in cases) and max(f.size for f, _ in cases) == 10
+    assert {k for _, k in cases} == set(range(8))
+    assert list(multiset_walk_mismatches()) == []
+
+
+def mutated(function, old, new):
+    """`function` compiled again from its source, with the one occurrence of
+    `old` replaced by `new`, in its own module's namespace."""
+    source = textwrap.dedent(inspect.getsource(function))
+    assert source.count(old) == 1, old
+    namespace = dict(function.__globals__)
+    exec(compile(source.replace(old, new), inspect.getsourcefile(function), "exec"), namespace)
+    return namespace[function.__name__]
+
+
+WALK_MUTANTS = {
+    "prune at y <= x": ("y < x and d[y] <= 0", "y <= x and d[y] <= 0"),
+    "cap off by one": ("run < cap", "run <= cap"),
+    "break at d[x] <= 0": ("if d[x] < 0:", "if d[x] <= 0:"),
+}
+
+
+@pytest.mark.parametrize("old, new", WALK_MUTANTS.values(), ids=list(WALK_MUTANTS))
+def test_a_wrong_multiset_walk_fails_the_walk_tests(monkeypatch, old, new):
+    monkeypatch.setattr(
+        oracles, "_fixed_multiset_walk", mutated(oracles._fixed_multiset_walk, old, new)
+    )
+    assert first_mismatch_of("multisets") is not None
 
 
 REAL_ARRANGEMENTS = oracles._arrangements
@@ -447,8 +500,21 @@ def repeat_first(values):
 @pytest.mark.parametrize("mutant", [skip_last, repeat_first, permutations])
 def test_a_wrong_arrangements_fails_the_walk_tests(monkeypatch, mutant):
     monkeypatch.setattr(oracles, "_arrangements", mutant)
-    kinds = {case[0] for case in multiset_walk_mismatches()}
-    assert {"rearranged maps", "tuples"} <= kinds
+    assert first_mismatch_of("rearranged maps") is not None
+
+
+TUPLE_MUTANTS = {
+    "cap off by one": ("uses[x] < cap", "uses[x] <= cap"),
+    "first fixed point skipped": ("for x in fixed:", "for x in fixed[1:]:"),
+}
+
+
+@pytest.mark.parametrize("old, new", TUPLE_MUTANTS.values(), ids=list(TUPLE_MUTANTS))
+def test_a_wrong_tuple_walk_fails_the_walk_tests(monkeypatch, old, new):
+    monkeypatch.setattr(
+        oracles, "fixed_bounded_tuples", mutated(oracles.fixed_bounded_tuples, old, new)
+    )
+    assert first_mismatch_of("tuples") is not None
 
 
 # ---------------------------------------------------------------------------
