@@ -41,7 +41,6 @@ from .partitions import (
 )
 from .oracles import (
     EnumerationLimitError,
-    PointedFiniteSet,
     coefficient_traces,
     fixed_bounded_multisets,
     fixed_bounded_tuples,

@@ -79,6 +79,11 @@ def _load_json(text: str, what: str):
             f"malformed JSON for {what} at line {exc.lineno} column {exc.colno} "
             f"(char {exc.pos}): {exc.msg}"
         ) from exc
+    except ValueError:  # an integer longer than Python's int-to-string limit
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(
+            f"an integer in {what} has more than {limit} digits, the input's digit limit"
+        ) from None
 
 
 def _render_text(payload, prefix=""):

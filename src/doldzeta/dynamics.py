@@ -60,9 +60,8 @@ class FiniteSelfMap:
     __slots__ = ("size", "mapping")
 
     def __init__(self, mapping, size=None):
-        mapping = tuple(int(x) for x in mapping)
-        if size is None:
-            size = len(mapping)
+        mapping = tuple(_integer(x, "a value of a self-map") for x in mapping)
+        size = len(mapping) if size is None else _integer(size, "a self-map's size")
         if size != len(mapping):
             raise ValueError("declared size disagrees with the value table")
         for x in mapping:

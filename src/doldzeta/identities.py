@@ -53,8 +53,6 @@ from .dynamics import (
 from .graded import GradedEndomorphism, graded_zeta
 from .multipoly import MultiPoly, _numerator_sum
 from .oracles import (
-    PointedFiniteSet,
-    _guard,
     coefficient_traces,
     fixed_bounded_multisets,
     fixed_bounded_tuples,
@@ -820,8 +818,10 @@ def _read_group_inputs(source: dict, where: str, names: dict):
     ground, and the family once for stability under the table; both come back
     marked, so the functions they are passed to do not check them again.  The
     traces come from at most one of "traces", one per group element in
-    element order, and "coefficient_size", a smash power's.  What is not
-    taken or not given is None."""
+    element order, and "coefficient_size", the number of non-basepoint points
+    of a pointed set whose k-fold smash power the group permutes; the traces
+    are then those of `coefficient_traces`.  What is not taken or not given
+    is None."""
     group = PermutationGroup.from_json(_field(source, "group", where))
     family = PartitionFamily.from_json(_field(source, "family", where)) if "family" in names else None
     gset = source.get("gset") if "gset" in names else None
@@ -914,51 +914,45 @@ def _polynomial_report(lp: LefschetzPolynomial, f: FiniteSelfMap, oracle) -> dic
     return _verdict(mismatch, polynomial=lp.to_json(), value=rat_str(value), oracle=oracle)
 
 
-def _verify_multisets(plan, k_max, max_enum, bounded):
+def _verify_multisets(plan, k_max, bounded):
     f = _plan_map(plan)
     bound = _plan_bound(plan) if bounded else None
     rhs = rhs_symmetric_power(zeta_of_map(f, k_max), bound)
-    counts = [fixed_bounded_multisets(f, k, bound, max_enum) for k in range(k_max + 1)]
+    counts = [fixed_bounded_multisets(f, k, bound) for k in range(k_max + 1)]
     return _series_report(rhs, counts)
 
 
-def _verify_subsets(plan, k_max, max_enum):
+def _verify_subsets(plan, k_max):
     f = _plan_map(plan)
     rhs = rhs_borsuk_ulam(zeta_of_map(f, k_max))
-    counts = [0] + [fixed_invariant_subsets(f, k, max_enum) for k in range(1, k_max + 1)]
+    counts = [0] + [fixed_invariant_subsets(f, k) for k in range(1, k_max + 1)]
     return _series_report(rhs, counts)
 
 
-def _verify_tuples(plan, k_max, max_enum):
+def _verify_tuples(plan, k_max):
     f = _plan_map(plan)
     bound = _plan_integer(plan, "l")
     rhs = rhs_bounded_tuples(len(f.fixed_points()), bound, k_max)
-    counts = [fixed_bounded_tuples(f, k, bound, max_enum) for k in range(k_max + 1)]
+    counts = [fixed_bounded_tuples(f, k, bound) for k in range(k_max + 1)]
     return _series_report(rhs, counts, egf_unpack(rhs))
 
 
-def _verify_group_average(plan, k_max, max_enum):
+def _verify_group_average(plan, k_max):
     f = _plan_map(plan)
     group, gset, _, _ = _plan_group_inputs(plan, "group", "gset")
     lp = gsymm_polynomial(group, gset)
-    return _polynomial_report(lp, f, fixed_gmap_space(f, group, gset, max_enum))
+    return _polynomial_report(lp, f, fixed_gmap_space(f, group, gset))
 
 
-def _verify_partition_family(plan, k_max, max_enum):
+def _verify_partition_family(plan, k_max):
     f = _plan_map(plan)
     group, gset, family, traces = _plan_group_inputs(plan, "group", "gset", "family", "coefficient_size")
-    coefficient = None
-    if traces is not None:
-        size = _plan_integer(plan, "coefficient_size")
-        # the oracle's candidate count, refused before the smash power builds size^k tuples
-        _guard((f.size * max(1, size)) ** family.ground, max_enum)
-        coefficient = PointedFiniteSet.smash_power(size, group, gset)
+    size = 1 if traces is None else _plan_integer(plan, "coefficient_size")
     lp = general_lefschetz_polynomial(group, family, traces, gset)
-    oracle = fixed_partition_orbits(f, group, family, coefficient, gset, max_enum)
-    return _polynomial_report(lp, f, oracle)
+    return _polynomial_report(lp, f, fixed_partition_orbits(f, group, family, size, gset))
 
 
-def _verify_coefficient_space(plan, k_max, max_enum):
+def _verify_coefficient_space(plan, k_max):
     points = {key: repr(key) for key in ("profile", "map")}
     if _one_given(plan, points, f"the {plan['identity']!r} plan") == "profile":
         profile = DoldProfile.from_json(plan["profile"])
@@ -975,7 +969,7 @@ def _verify_coefficient_space(plan, k_max, max_enum):
 _PLAN_ZETA_NAMES = {key: repr(key) for key in _ZETA_SOURCES}
 
 
-def _verify_configuration_traces(plan, k_max, max_enum):
+def _verify_configuration_traces(plan, k_max):
     where = f"the {plan['identity']!r} plan"
     zeta = _read_zeta(plan, k_max, where, _PLAN_ZETA_NAMES)
     epsilon = _plan_integer(plan, "epsilon", 1)
@@ -991,7 +985,7 @@ def _verify_configuration_traces(plan, k_max, max_enum):
     )
 
 
-# identity -> (handler(plan, k_max, max_enum) returning the report, the keys
+# identity -> (handler(plan, k_max) returning the report, the keys
 # it reads besides "identity" and "k_max")
 _VERIFIERS = {
     "md": (partial(_verify_multisets, bounded=False), {"map"}),
@@ -1005,7 +999,7 @@ _VERIFIERS = {
 }
 
 
-def verify_identity(plan: dict, max_enum=None) -> dict:
+def verify_identity(plan: dict) -> dict:
     """Run one closed-form-versus-oracle verification plan and report.
 
     Plans are dictionaries with an "identity" key selecting the statement to
@@ -1031,7 +1025,7 @@ def verify_identity(plan: dict, max_enum=None) -> dict:
         takes = ", ".join(map(repr, keys))
         raise ValueError(f"the {identity!r} plan does not take {unknown}; it takes {takes}")
     k_max = _plan_order(plan, "k_max", 6)
-    report = verifier(plan, k_max, max_enum)
+    report = verifier(plan, k_max)
     report["identity"] = identity
     report["elapsed_s"] = round(perf_counter() - started, 6)
     return report

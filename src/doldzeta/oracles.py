@@ -3,9 +3,10 @@
 Given a finite self-map f, each functor here has a concrete finite model:
 multisets of bounded multiplicity, subsets of bounded size, tuples with a
 repetition bound, or group orbits of maps with a constrained fiber
-partition.  Counting the fixed points of the induced map by exhaustive
-enumeration gives the ground truth against which every closed-form series
-in this package is verified.
+partition, smashed with the smash power of a pointed set given by its number
+of non-basepoint points.  Counting the fixed points of the induced map by
+exhaustive enumeration gives the ground truth against which every
+closed-form series in this package is verified.
 
 Whether f o a can be a's own rearrangement, as a fixed multiset, subset or
 orbit requires, depends only on the multiset m of a's values.  So the
@@ -17,9 +18,10 @@ grow, so a branch with d_y < 0 at a passed y holds no fixed multiset.  The
 tuple oracle walks the tuples of fixed points and counts each once.  The
 orbit-space oracles count each fixed orbit once, at its least point, and
 the Burnside cross-check in `fixed_gmap_space` walks the same candidates;
-nothing is stored per candidate.  Every enumeration sits behind a size guard that
-counts the full nominal space, not the smaller walk (default 10^7 candidate
-points, overridable through the DOLD_ZETA_MAX_ENUM environment variable).
+nothing is stored per candidate.  Every enumeration sits behind one size
+guard that counts the full nominal space, not the smaller walk: 10^7
+candidate points, or the DOLD_ZETA_MAX_ENUM environment variable, read at
+each guard.
 """
 
 from __future__ import annotations
@@ -55,15 +57,13 @@ class EnumerationLimitError(ValueError):
         )
 
 
-def enumeration_limit(override=None) -> int:
-    if override is not None:
-        return _integer(override, "the enumeration limit")
+def enumeration_limit() -> int:
     env = os.environ.get("DOLD_ZETA_MAX_ENUM")
     return _integer(env, "the variable DOLD_ZETA_MAX_ENUM") if env else DEFAULT_MAX_ENUM
 
 
-def _guard(size: int, max_enum=None):
-    limit = enumeration_limit(max_enum)
+def _guard(size: int):
+    limit = enumeration_limit()
     if size > limit:
         raise EnumerationLimitError(size, limit)
 
@@ -149,66 +149,7 @@ def _within(values, bound) -> bool:
     return bound > 0 and all(values[i] != values[i + bound] for i in range(len(values) - bound))
 
 
-class PointedFiniteSet:
-    """A finite pointed set (basepoint index 0), optionally with a group
-    action fixing the basepoint.  Its reduced Euler characteristic is
-    size - 1."""
-
-    __slots__ = ("size", "action")
-
-    def __init__(self, size: int, action=None):
-        if size < 1:
-            raise ValueError("a pointed set has at least its basepoint")
-        self.size = size
-        self.action = None
-        if action is not None:
-            table = {}
-            for g, perm in action.items():
-                perm = tuple(_integer(y, "an entry of a pointed set's action") for y in perm)
-                if sorted(perm) != list(range(size)) or perm[0] != 0:
-                    raise ValueError("action must permute the set and fix the basepoint")
-                table[tuple(g)] = perm
-            self.action = table
-
-    def act(self, g, y: int) -> int:
-        if self.action is None:
-            return y
-        return self.action[tuple(g)][y]
-
-    @classmethod
-    def smash_power(cls, points: int, group: PermutationGroup, gset=None) -> "PointedFiniteSet":
-        """The k-fold smash power of a pointed set with `points` non-basepoint
-        elements, with the group permuting the k factors through `gset`.
-
-        Non-basepoint elements are the tuples in {0..points-1}^k, encoded in
-        mixed radix; a factor permutation s sends x to x o s^{-1}.  For any
-        group element g with c(g) cycles on the factors, the trace is
-        points^{c(g)}.
-        """
-        gset = validate_gset(group, gset)
-        k = len(gset[0])
-        if points < 0:
-            raise ValueError("the number of non-basepoint elements must be >= 0")
-        size = points ** k + 1
-
-        def encode(tup):
-            y = 0
-            for x in tup:
-                y = y * points + x
-            return y + 1
-
-        tuples = list(product(range(points), repeat=k)) if points else []
-        action = {}
-        for g, perm in zip(group.elements, gset):
-            inv = invert_perm(perm)
-            images = [0] * size
-            for tup in tuples:
-                images[encode(tup)] = encode(tuple(tup[inv[j]] for j in range(k)))
-            action[g] = tuple(images)
-        return cls(size, action)
-
-
-def fixed_bounded_multisets(f: FiniteSelfMap, k: int, bound=None, max_enum=None) -> int:
+def fixed_bounded_multisets(f: FiniteSelfMap, k: int, bound=None) -> int:
     """Fixed points of the induced map on multisets of size k with all
     multiplicities <= bound (bound None means unbounded).
 
@@ -225,22 +166,22 @@ def fixed_bounded_multisets(f: FiniteSelfMap, k: int, bound=None, max_enum=None)
         return 0
     if bound is not None and bound <= 0:
         return 0
-    _guard(comb(n + k - 1, k), max_enum)
+    _guard(comb(n + k - 1, k))
     cap = k if bound is None else bound
     return sum(len(values) == k for values in _fixed_multiset_walk(f, k, cap))
 
 
-def fixed_invariant_subsets(f: FiniteSelfMap, k: int, max_enum=None) -> int:
+def fixed_invariant_subsets(f: FiniteSelfMap, k: int) -> int:
     """Nonempty subsets A with |A| <= k and f(A) = A (unions of periodic orbits)."""
     if k < 1:
         return 0
     n = f.size
-    _guard(sum(comb(n, j) for j in range(1, min(k, n) + 1)), max_enum)
+    _guard(sum(comb(n, j) for j in range(1, min(k, n) + 1)))
     # f(A) = A for a set A exactly when f permutes A: A is a fixed multiset
     return sum(1 for values in _fixed_multiset_walk(f, k, 1) if values)
 
 
-def fixed_bounded_tuples(f: FiniteSelfMap, k: int, bound: int, max_enum=None) -> int:
+def fixed_bounded_tuples(f: FiniteSelfMap, k: int, bound: int) -> int:
     """Fixed tuples of length k over the fixed-point set of f, in which no
     value is repeated more than `bound` times.  k = 0 counts 1."""
     if k < 0:
@@ -250,7 +191,7 @@ def fixed_bounded_tuples(f: FiniteSelfMap, k: int, bound: int, max_enum=None) ->
     if bound is not None and bound <= 0:
         return 0
     fixed = f.fixed_points()
-    _guard(len(fixed) ** k, max_enum)
+    _guard(len(fixed) ** k)
     cap = k if bound is None else bound
     uses = [0] * f.size
 
@@ -269,11 +210,12 @@ def fixed_bounded_tuples(f: FiniteSelfMap, k: int, bound: int, max_enum=None) ->
     return extend(0)
 
 
-def _fixed_orbit_count(f, group, gset, k, admissible=None, coefficient=None) -> int:
+def _fixed_orbit_count(f, gset, k, admissible=None, points=1) -> int:
     """Orbits of pairs (a, y) fixed by [a, y] |-> [f o a, y], with a: K -> M
-    passing `admissible` (any map when None) and y a non-basepoint element of
-    the coefficient set (one point fixed by all of G when None); g sends
-    (a, y) to (a o g^{-1}, g y).
+    passing `admissible` (any map when None) and y a tuple in {0..points-1}^k,
+    a non-basepoint element of the k-fold smash power of a pointed set with
+    `points` such elements (points = 1: one y, fixed by all of G); g sends
+    (a, y) to (a o g^{-1}, y o g^{-1}).
 
     Each orbit is counted once, at its least point: (a, y) counts when no
     image is smaller and the orbit of (f o a, y) has the same least point.
@@ -281,12 +223,13 @@ def _fixed_orbit_count(f, group, gset, k, admissible=None, coefficient=None) -> 
     orbits, and the second test holds exactly when (a, y) lies in the orbit
     of (f o a, y).  Nothing is stored per candidate.
     """
-    coefficient = coefficient or PointedFiniteSet(2)
-    ys = range(1, coefficient.size)
-    moves = [
-        (invert_perm(perm), tuple(coefficient.act(g, y) for y in range(coefficient.size)))
-        for g, perm in zip(group.elements, gset)
-    ]
+    tuples = list(product(range(points), repeat=k))
+    index = {y: i for i, y in enumerate(tuples)}
+    ys = range(len(tuples))
+    moves = []
+    for perm in gset:
+        inv = invert_perm(perm)
+        moves.append((inv, tuple(index[tuple(map(y.__getitem__, inv))] for y in tuples)))
     push = f.mapping.__getitem__
     count = 0
     # f o a shares an orbit with a only as a rearrangement of its values
@@ -310,28 +253,30 @@ def fixed_partition_orbits(
     f: FiniteSelfMap,
     group: PermutationGroup,
     family: PartitionFamily,
-    coefficient: PointedFiniteSet = None,
+    coefficient_size: int = 1,
     gset=None,
-    max_enum=None,
 ) -> int:
     """Fixed points of the induced map on the orbit space of maps a: K -> M
-    whose fiber partition lies in the family, optionally smashed with a
-    pointed coefficient set.
+    whose fiber partition lies in the family, smashed with the k-fold smash
+    power of a pointed set with `coefficient_size` non-basepoint elements
+    (1, the default, leaves the orbit space as it is).
 
-    Candidate points are pairs (a, y) with pi(a) in the family and y a
-    non-basepoint element of the coefficient set; the group acts diagonally
-    (a by precomposition, y through its own action) and the induced map
-    sends [a, y] to [f o a, y].  An orbit counts as fixed when the image of
-    a representative lands back in the same orbit, equivalently when some
-    g in G satisfies f o a = a o g and g fixes y.  The family must be stable
-    under the action, so that an orbit is admissible as a whole.
+    Candidate points are pairs (a, y) with pi(a) in the family and y a tuple
+    in {0..coefficient_size-1}^k; the group acts diagonally (on both by
+    precomposition with g^{-1}) and the induced map sends [a, y] to
+    [f o a, y].  An orbit counts as fixed when the image of a representative
+    lands back in the same orbit, equivalently when some g in G satisfies
+    f o a = a o g and y o g = y.  The family must be stable under the
+    action, so that an orbit is admissible as a whole.
     """
+    if coefficient_size < 0:
+        raise ValueError("the number of non-basepoint elements must be >= 0")
     gset = validate_gset(group, gset, family.ground)
     family = _require_stable(family, group, gset)
     k = len(gset[0])
-    _guard(f.size ** k * max(1, coefficient.size - 1 if coefficient else 1), max_enum)
+    _guard(f.size ** k * max(1, coefficient_size ** k))
     return _fixed_orbit_count(
-        f, group, gset, k, lambda a: fiber_partition(a) in family, coefficient
+        f, gset, k, lambda a: fiber_partition(a) in family, coefficient_size
     )
 
 
@@ -339,7 +284,6 @@ def fixed_gmap_space(
     f: FiniteSelfMap,
     group: PermutationGroup,
     gset=None,
-    max_enum=None,
 ) -> int:
     """Fixed points of a |-> f o a on the orbit space map(K, M)/G.
 
@@ -349,8 +293,8 @@ def fixed_gmap_space(
     """
     gset = validate_gset(group, gset)
     k = len(gset[0])
-    _guard(f.size ** k, max_enum)
-    orbit_count = _fixed_orbit_count(f, group, gset, k)
+    _guard(f.size ** k)
+    orbit_count = _fixed_orbit_count(f, gset, k)
 
     # f o a = a o g makes f o a a rearrangement of a, so no other map counts
     push = f.mapping.__getitem__
@@ -370,7 +314,7 @@ def fixed_gmap_space(
 
 
 def induced_bounded_multiset_map(
-    pointed_map: FiniteSelfMap, k: int, bound=None, max_enum=None
+    pointed_map: FiniteSelfMap, k: int, bound=None
 ) -> FiniteSelfMap:
     """The induced self-map on bounded multisets over the non-basepoint part
     of a pointed map (basepoint 0 absorbing).
@@ -385,7 +329,7 @@ def induced_bounded_multiset_map(
     if k < 1:
         raise ValueError("multiset size must be >= 1")
     n = pointed_map.size
-    _guard(comb(max(n - 1, 0) + k - 1, k) if n > 1 else 0, max_enum)
+    _guard(comb(max(n - 1, 0) + k - 1, k) if n > 1 else 0)
     multisets = []
     for combo in combinations_with_replacement(range(1, n), k):
         if _within(combo, bound):

@@ -210,9 +210,10 @@ class PermutationGroup:
     __slots__ = ("degree", "elements", "_index", "_generators")
 
     def __init__(self, degree: int, elements, validate: bool = True):
-        elems = sorted({tuple(int(x) for x in e) for e in elements})
+        if validate:  # the other constructors here pass tuples of ints they made
+            elements = [tuple(_integer(x, "an entry of a group element") for x in e) for e in elements]
         self.degree = degree
-        self.elements = tuple(elems)
+        self.elements = tuple(sorted(set(map(tuple, elements))))
         self._index = {e: i for i, e in enumerate(self.elements)}
         self._generators = None
         if validate:
@@ -270,9 +271,10 @@ class PermutationGroup:
         return self._generators
 
     @classmethod
-    def from_generators(cls, degree: int, generators, max_order: int = DEFAULT_MAX_GROUP_ORDER):
-        """Close a generating set under composition (breadth-first products)."""
-        gens = [tuple(int(x) for x in g) for g in generators]
+    def from_generators(cls, degree: int, generators):
+        """Close a generating set under composition (breadth-first products),
+        refused once the closure exceeds the order cap."""
+        gens = [tuple(_integer(x, "an entry of a group generator") for x in g) for g in generators]
         for g in gens:
             _require_permutation(g, degree)
         elements = {identity_perm(degree)}
@@ -286,9 +288,9 @@ class PermutationGroup:
                     if prod not in elements:
                         elements.add(prod)
                         new.append(prod)
-                        if max_order and len(elements) > max_order:
+                        if len(elements) > DEFAULT_MAX_GROUP_ORDER:
                             raise ValueError(
-                                f"group closure exceeded the order cap {max_order}"
+                                f"group closure exceeded the order cap {DEFAULT_MAX_GROUP_ORDER}"
                             )
             frontier = new
         group = cls(degree, elements, validate=False)
@@ -347,7 +349,7 @@ def _require_homomorphism(group: PermutationGroup, gset) -> tuple:
     phi(g h) = phi(g) phi(h) is checked for every g and every generator h,
     with phi(id) = id (which catches a bad table for the trivial group, with
     no generators); by induction on the word length of h it holds for all."""
-    gset = tuple(tuple(int(x) for x in perm) for perm in gset)
+    gset = tuple(tuple(_integer(x, "an entry of an action table") for x in perm) for perm in gset)
     if len(gset) != group.order:
         raise ValueError("the action table must align with the group's element list")
     size = len(gset[0])

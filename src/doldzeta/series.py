@@ -74,6 +74,8 @@ def _integer(value, where: str) -> int:
     such as Fraction(4, 2), or a decimal string.  Anything else, a bool or
     1.5 included, is refused with a ValueError naming `where`, never
     truncated."""
+    if type(value) is int:  # the common case, taken before the general one
+        return value
     if not isinstance(value, bool):
         try:
             number = int(value)

@@ -611,6 +611,21 @@ def test_an_output_number_above_the_digit_limit_is_refused(capsys, fmt):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, where",
+    [
+        (["zeta", "--lefschetz", "[" + "9" * 5000 + "]", "-N", "2"], "--lefschetz"),
+        (["verify", "--plan", '{"identity": "md", "map": {"size": 2, "map": [0, 1]}, '
+                              '"k_max": ' + "9" * 5000 + "}"], "--plan"),
+    ],
+    ids=["flag", "plan"],
+)
+def test_an_input_integer_above_the_digit_limit_is_refused(capsys, argv, where):
+    limit = sys.get_int_max_str_digits()  # 4300 by default
+    message = f"an integer in {where} has more than {limit} digits, the input's digit limit"
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 S3_BY_GENERATORS = '{"degree":3,"generators":[[1,0,2],[1,2,0]]}'
 
 

@@ -226,6 +226,11 @@ def test_realizability_predicate():
 
 
 class TestJson:
+    def test_non_integer_map_values_are_refused_not_truncated(self):
+        with pytest.raises(ValueError, match="a value of a self-map must be an integer, got 1.9"):
+            FiniteSelfMap([1.9, 0])
+        assert FiniteSelfMap([1.0, 0]) == FiniteSelfMap([1, 0])
+
     def test_map_round_trip(self):
         f = FiniteSelfMap.from_json({"size": 4, "map": [1, 0, 3, 3]})
         assert f == FiniteSelfMap([1, 0, 3, 3]) and f.size == 4

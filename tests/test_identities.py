@@ -19,7 +19,6 @@ from doldzeta import (
     MultiPoly,
     PartitionFamily,
     PermutationGroup,
-    PointedFiniteSet,
     Poly,
     PowerSeries,
     SetPartition,
@@ -254,11 +253,10 @@ class TestPartitionRecursion:
     def test_oracle_equivalence_with_coefficients(self):
         group = PermutationGroup.symmetric(2)
         family = PartitionFamily.max_block(2, 1)
-        coefficient = PointedFiniteSet.smash_power(2, group)
         traces = coefficient_traces(group, 2)
         lp = general_lefschetz_polynomial(group, family, traces)
         for f in seeded_maps(77, 20, 4, min_size=1):
-            oracle = fixed_partition_orbits(f, group, family, coefficient)
+            oracle = fixed_partition_orbits(f, group, family, 2)
             assert lp.evaluate_map(f) == oracle
 
     def test_refinement_family_with_young_subgroup(self):
@@ -569,11 +567,10 @@ class TestCoefficientSpaces:
         group = PermutationGroup.symmetric(2)
         family = PartitionFamily.full(2)
         for euler in (0, 1, 2):
-            coefficient = PointedFiniteSet.smash_power(euler, group)
             traces = coefficient_traces(group, euler)
             lp = general_lefschetz_polynomial(group, family, traces)
             for f in seeded_maps(200 + euler, 12, 4, min_size=1):
-                oracle = fixed_partition_orbits(f, group, family, coefficient)
+                oracle = fixed_partition_orbits(f, group, family, euler)
                 assert lp.evaluate_map(f) == oracle
 
 
@@ -651,7 +648,7 @@ class TestVerificationHarness:
         )
         assert report["pass"]
 
-    def test_partition_plan_coefficient_guard_honours_max_enum(self):
+    def test_partition_plan_coefficient_guard_honours_max_enum(self, monkeypatch):
         plan = {
             "identity": "partition",
             "map": {"size": 3, "map": [1, 0, 2]},
@@ -660,9 +657,11 @@ class TestVerificationHarness:
             "coefficient_size": 2,
         }
         # 3^2 maps times 2^2 coefficient points: 36 candidates
-        assert verify_identity(plan, max_enum=36)["pass"]
+        monkeypatch.setenv("DOLD_ZETA_MAX_ENUM", "36")
+        assert verify_identity(plan)["pass"]
+        monkeypatch.setenv("DOLD_ZETA_MAX_ENUM", "35")
         with pytest.raises(EnumerationLimitError) as info:
-            verify_identity(plan, max_enum=35)
+            verify_identity(plan)
         assert (info.value.size, info.value.limit) == (36, 35)
 
     def test_config_trace_plan(self):

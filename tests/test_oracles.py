@@ -14,7 +14,6 @@ from doldzeta import (
     FiniteSelfMap,
     PartitionFamily,
     PermutationGroup,
-    PointedFiniteSet,
     coefficient_traces,
     fixed_bounded_multisets,
     fixed_bounded_tuples,
@@ -155,15 +154,15 @@ class TestPartitionOrbits:
         # a one-point coefficient space has no non-basepoint elements
         f = identity_map(2)
         group = PermutationGroup.symmetric(2)
-        coefficient = PointedFiniteSet.smash_power(0, group)
-        count = fixed_partition_orbits(f, group, PartitionFamily.full(2), coefficient)
+        count = fixed_partition_orbits(f, group, PartitionFamily.full(2), 0)
         assert count == 0
 
-    def test_enumeration_guard(self):
+    def test_enumeration_guard(self, monkeypatch):
         f = identity_map(30)
         group = PermutationGroup.symmetric(5)
+        monkeypatch.setenv("DOLD_ZETA_MAX_ENUM", "1000")
         with pytest.raises(EnumerationLimitError):
-            fixed_partition_orbits(f, group, PartitionFamily.full(5), max_enum=1000)
+            fixed_partition_orbits(f, group, PartitionFamily.full(5))
 
 
 class TestGmapSpace:
@@ -190,38 +189,22 @@ class TestGmapSpace:
                 )
 
 
-def fixed_non_basepoints(pointed, g) -> int:
-    """Non-basepoint elements of a pointed set that g fixes, through `act`."""
-    return sum(1 for y in range(1, pointed.size) if pointed.act(g, y) == y)
+def smash_move(y, inv):
+    """The image of a non-basepoint y in {0..p-1}^k of a k-fold smash power
+    under the factor permutation whose inverse is inv: y o inv."""
+    return tuple(y[inv[i]] for i in range(len(y)))
 
 
 class TestPointedSets:
     def test_smash_power_traces(self):
+        # the reference's coefficient has the traces the polynomial is weighted by
         group = PermutationGroup.symmetric(3)
-        y = PointedFiniteSet.smash_power(2, group)
-        assert y.size == 2 ** 3 + 1
-        # the oracle's coefficient has the traces the polynomial is weighted by
-        traces = coefficient_traces(group, 2)
-        for g in group.elements:
-            assert fixed_non_basepoints(y, g) == 2 ** perm_cycle_count(g) == traces[g]
-
-    def test_action_fixes_basepoint(self):
-        group = PermutationGroup.symmetric(2)
-        y = PointedFiniteSet.smash_power(3, group)
-        for g in group.elements:
-            assert y.act(g, 0) == 0
-
-    def test_reduced_euler(self):
-        # the identity's trace is the reduced Euler characteristic size - 1
-        assert fixed_non_basepoints(PointedFiniteSet(4), (0,)) == 3
-        square = PointedFiniteSet.smash_power(2, PermutationGroup.symmetric(2))
-        assert fixed_non_basepoints(square, (0, 1)) == square.size - 1 == 4
-
-    def test_action_entries_are_not_truncated(self):
-        with pytest.raises(ValueError, match="an entry of a pointed set's action must be an integer, got 1.9"):
-            PointedFiniteSet(3, {(0,): [0, 1.9, 2]})
-        # integral values are read as the integers they are
-        assert PointedFiniteSet(3, {(0,): [0, 2.0, 1]}).action == {(0,): (0, 2, 1)}
+        for points in (2, 3):
+            traces = coefficient_traces(group, points)
+            ys = list(product(range(points), repeat=3))
+            for g in group.elements:
+                fixed = sum(smash_move(y, invert_perm(g)) == y for y in ys)
+                assert fixed == points ** perm_cycle_count(g) == traces[g]
 
 
 class TestInducedMap:
@@ -276,23 +259,23 @@ def reference_orbit_ids(points, movers):
     return ids
 
 
-def reference_partition_orbits(f, group, family, coefficient=None, gset=None):
+def reference_partition_orbits(f, group, family, points=None, gset=None):
     """The old fixed_partition_orbits: a list of every admissible point, an
-    orbit id for each, and an orbit counted when f o a lands in it again."""
+    orbit id for each, and an orbit counted when f o a lands in it again.
+    With `points`, each a is paired with every y in {0..points-1}^k."""
     k = family.ground
     gset = group.elements if gset is None else gset
-    ys = list(range(1, coefficient.size)) if coefficient is not None else [None]
+    ys = list(product(range(points), repeat=k)) if points is not None else [None]
     admissible = [a for a in product(range(f.size), repeat=k) if fiber_partition(a) in family]
-    points = [(a, y) for a in admissible for y in ys]
+    candidates = [(a, y) for a in admissible for y in ys]
     movers = []
-    for g, perm in zip(group.elements, gset):
-        def move(point, g=g, inv=invert_perm(perm)):
+    for perm in gset:
+        def move(point, inv=invert_perm(perm)):
             a, y = point
-            image_y = coefficient.act(g, y) if coefficient is not None else None
-            return tuple(a[inv[i]] for i in range(k)), image_y
+            return tuple(a[inv[i]] for i in range(k)), None if y is None else smash_move(y, inv)
 
         movers.append(move)
-    ids = reference_orbit_ids(points, movers)
+    ids = reference_orbit_ids(candidates, movers)
     fixed = {oid for (a, y), oid in ids.items() if ids.get((tuple(f(x) for x in a), y)) == oid}
     return len(fixed)
 
@@ -321,13 +304,13 @@ def test_least_point_counter_matches_orbit_enumeration(name, group, gset):
         PartitionFamily.max_block(k, 1),
         PartitionFamily.max_block(k, 2),
     ]
-    coefficients = [None] + [PointedFiniteSet.smash_power(p, group, gset) for p in (0, 1, 2)]
     nonzero = 0
     for f in seeded_maps(sum(map(ord, name)), 8, 4, min_size=1):
         for family in families:
-            for coefficient in coefficients:
-                want = reference_partition_orbits(f, group, family, coefficient, gset)
-                assert fixed_partition_orbits(f, group, family, coefficient, gset) == want
+            for points in (None, 0, 1, 2):
+                want = reference_partition_orbits(f, group, family, points, gset)
+                size = () if points is None else (points,)
+                assert fixed_partition_orbits(f, group, family, *size, gset=gset) == want
                 nonzero += want > 0
         want = reference_partition_orbits(f, group, families[0], None, gset)
         assert fixed_gmap_space(f, group, gset) == want
@@ -522,20 +505,22 @@ def test_a_wrong_tuple_walk_fails_the_walk_tests(monkeypatch, old, new):
 
 
 GUARDED = [
-    ("multisets", lambda f, m: fixed_bounded_multisets(f, 5, 2, max_enum=m), comb(14, 5)),
-    ("subsets", lambda f, m: fixed_invariant_subsets(f, 3, max_enum=m), 10 + 45 + 120),
-    ("tuples", lambda f, m: fixed_bounded_tuples(f, 5, 2, max_enum=m), 4 ** 5),
-    ("gmap", lambda f, m: fixed_gmap_space(f, trivial_group(5), max_enum=m), 10 ** 5),
-    ("partition", lambda f, m: fixed_partition_orbits(
-        f, PermutationGroup.symmetric(4), PartitionFamily.full(4), max_enum=m), 10 ** 4),
+    ("multisets", lambda f: fixed_bounded_multisets(f, 5, 2), comb(14, 5)),
+    ("subsets", lambda f: fixed_invariant_subsets(f, 3), 10 + 45 + 120),
+    ("tuples", lambda f: fixed_bounded_tuples(f, 5, 2), 4 ** 5),
+    ("gmap", lambda f: fixed_gmap_space(f, trivial_group(5)), 10 ** 5),
+    ("partition", lambda f: fixed_partition_orbits(
+        f, PermutationGroup.symmetric(4), PartitionFamily.full(4)), 10 ** 4),
 ]
 
 
 @pytest.mark.parametrize("name, oracle, nominal", GUARDED, ids=[c[0] for c in GUARDED])
-def test_guards_count_the_nominal_space(name, oracle, nominal):
+def test_guards_count_the_nominal_space(name, oracle, nominal, monkeypatch):
     # four fixed points and a 6-cycle: the walks visit a small part of the space
     f = FiniteSelfMap([0, 1, 2, 3, 5, 6, 7, 8, 9, 4])
+    monkeypatch.setenv("DOLD_ZETA_MAX_ENUM", str(nominal - 1))
     with pytest.raises(EnumerationLimitError) as refused:
-        oracle(f, nominal - 1)
+        oracle(f)
     assert (refused.value.size, refused.value.limit) == (nominal, nominal - 1)
-    oracle(f, nominal)
+    monkeypatch.setenv("DOLD_ZETA_MAX_ENUM", str(nominal))
+    oracle(f)

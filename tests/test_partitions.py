@@ -172,10 +172,25 @@ class TestGroups:
         assert PermutationGroup.from_generators(4, [(1, 0, 2, 3), (0, 2, 1, 3)]).order == 6
 
     def test_closure_cap(self):
-        with pytest.raises(ValueError):
-            PermutationGroup.from_generators(
-                6, [(1, 2, 3, 4, 5, 0), (1, 0, 2, 3, 4, 5)], max_order=100
-            )
+        # S7, of order 5040, from a 7-cycle and a transposition
+        with pytest.raises(ValueError, match="group closure exceeded the order cap 720"):
+            PermutationGroup.from_generators(7, [(1, 2, 3, 4, 5, 6, 0), (1, 0, 2, 3, 4, 5, 6)])
+
+    def test_non_integer_element_entries_are_refused_not_truncated(self):
+        with pytest.raises(ValueError, match="an entry of a group element must be an integer, got 1.5"):
+            PermutationGroup(2, [[0, 1], [1.5, 0]])
+        assert PermutationGroup(2, [[0, 1], [1.0, 0]]) == PermutationGroup.symmetric(2)
+
+    def test_non_integer_generator_entries_are_refused_not_truncated(self):
+        with pytest.raises(ValueError, match="an entry of a group generator must be an integer, got 1.2"):
+            PermutationGroup.from_generators(2, [[1.2, 0]])
+        assert PermutationGroup.from_generators(2, [[1.0, 0]]) == PermutationGroup.symmetric(2)
+
+    def test_non_integer_action_entries_are_refused_not_truncated(self):
+        group = PermutationGroup.symmetric(2)
+        with pytest.raises(ValueError, match="an entry of an action table must be an integer, got 1.7"):
+            validate_gset(group, [[0, 1], [1.7, 0.2]])
+        assert validate_gset(group, [[0, 1], [1.0, 0]]) == ((0, 1), (1, 0))
 
     def test_invalid_element_set_rejected(self):
         with pytest.raises(ValueError):
