@@ -59,7 +59,14 @@ from .identities import (
 )
 from .oracles import EnumerationLimitError
 from .partitions import PartitionFamily
-from .series import NotAUnitError, NotExpandableError, PowerSeries, egf_unpack, rat_str
+from .series import (
+    NotAUnitError,
+    NotExpandableError,
+    PowerSeries,
+    _digit_limit_error,
+    egf_unpack,
+    rat_str,
+)
 
 USAGE_ERRORS = (
     ValueError,
@@ -80,10 +87,7 @@ def _load_json(text: str, what: str):
             f"(char {exc.pos}): {exc.msg}"
         ) from exc
     except ValueError:  # an integer longer than Python's int-to-string limit
-        limit = sys.get_int_max_str_digits()
-        raise ValueError(
-            f"an integer in {what} has more than {limit} digits, the input's digit limit"
-        ) from None
+        raise _digit_limit_error(f"an integer in {what}") from None
 
 
 def _render_text(payload, prefix=""):

@@ -16,21 +16,28 @@ signs).  An independent oracle computes that coefficient directly by
 averaging the signed permutation action on the tensor power; the two
 computations must agree, and P(q, 1) * Z(q) = 1.
 
-Determinants of polynomial matrices use fraction-free Bareiss elimination.
+Determinants of polynomial matrices use fraction-free Bareiss elimination,
+and the series kernels stay fraction-free as well: the common denominator d
+of all matrix entries is cleared once, giving integer matrices B_j = d A_j.
+Since det(1 - x B_j) = det(1 - d x A_j), the integer series Z(q / d) and
+P(q d, T), and the integer traces of the powers of B_j, carry the answers
+scaled by d^n in their n-th coefficient; each output coefficient is divided
+by that power once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations, product
+from math import lcm
 
 from .series import (
     Poly,
     PowerSeries,
     RationalFunction,
-    _convolve_into,
     _exp_form_holds,
     _field,
+    _fold_monic,
     _integer,
     _terms,
     rat,
@@ -163,14 +170,22 @@ def characteristic_rational_function(endo: GradedEndomorphism) -> RationalFuncti
     return RationalFunction(num, den)
 
 
-def graded_lefschetz_numbers(endo: GradedEndomorphism, order: int) -> list:
-    """[L_1, ..., L_order] with L_k = sum_j (-1)^j tr(A_j^k), from the running
-    powers A_j, A_j^2, ...: one matrix product per degree and iterate."""
-    if order < 0:
-        raise ValueError("number of iterates must be >= 0")
-    totals = [Fraction(0)] * order
-    for degree in endo.degrees():
-        rows = endo.matrix(degree)
+def _cleared(endo: GradedEndomorphism) -> tuple:
+    """The common denominator d of all matrix entries and the integer
+    matrices B_j = d A_j, as d and a list of (degree, B_j)."""
+    d = lcm(*(c.denominator for rows in endo.matrices.values() for row in rows for c in row))
+    return d, [
+        (degree, tuple(tuple(c.numerator * (d // c.denominator) for c in row) for row in rows))
+        for degree, rows in sorted(endo.matrices.items())
+    ]
+
+
+def _integer_traces(blocks, order: int) -> list:
+    """[L_1, ..., L_order] with L_k = sum_j (-1)^j tr(B_j^k) for the integer
+    blocks (degree, B_j), from the running powers B_j, B_j^2, ...: one
+    matrix product per degree and iterate."""
+    totals = [0] * order
+    for degree, rows in blocks:
         sign = 1 if degree % 2 == 0 else -1
         power = rows
         for k in range(order):
@@ -180,42 +195,62 @@ def graded_lefschetz_numbers(endo: GradedEndomorphism, order: int) -> list:
     return totals
 
 
+def _determinant_terms(rows, order: int) -> list:
+    """The terms (k, c_k), 0 < k <= order, of det(1 - x B) = 1 + sum c_k x^k
+    for an integer matrix B."""
+    return [(k, c.numerator) for k, c in _terms(det_one_minus_t(rows).coeffs) if 0 < k <= order]
+
+
+def graded_lefschetz_numbers(endo: GradedEndomorphism, order: int) -> list:
+    """[L_1, ..., L_order] with L_k = sum_j (-1)^j tr(A_j^k) = L_k(B) / d^k."""
+    if order < 0:
+        raise ValueError("number of iterates must be >= 0")
+    d, blocks = _cleared(endo)
+    return [Fraction(t, d ** k) for k, t in enumerate(_integer_traces(blocks, order), 1)]
+
+
 def graded_zeta(endo: GradedEndomorphism, order: int) -> PowerSeries:
     """Z(q) = prod_j det(1 - q A_j)^{(-1)^j}, cross-checked against the
-    exponential form exp(-sum_k L_k q^k / k)."""
-    result = PowerSeries.one(order)
-    for degree in endo.degrees():
-        factor = det_one_minus_t(endo.matrix(degree)).series(order)
-        result = result * (factor if degree % 2 == 0 else factor.inverse())
-    if not _exp_form_holds(result.coeffs, graded_lefschetz_numbers(endo, order)):
+    exponential form exp(-sum_k L_k q^k / k).
+
+    Both forms are built for Z(q / d) = prod_j det(1 - q B_j)^{(-1)^j} over
+    the integers: even degrees multiply, odd degrees divide.  The check's
+    recurrence is homogeneous in q / d, so it is the same check."""
+    if order < 0:
+        raise ValueError("truncation order must be >= 0")
+    d, blocks = _cleared(endo)
+    scaled = [1] + [0] * order
+    for degree, rows in blocks:
+        _fold_monic(scaled, _determinant_terms(rows, order), divide=degree % 2 == 1)
+    if not _exp_form_holds(scaled, _integer_traces(blocks, order)):
         raise RuntimeError("determinant and exponential forms of zeta disagree")
-    return result
+    return PowerSeries([Fraction(z, d ** n) for n, z in enumerate(scaled)], order=order)
 
 
 def poincare_generating(endo: GradedEndomorphism, order: int) -> tuple:
     """The T-polynomials of q^0..q^order in P(q, T) = prod_j D_j(q T^j)^{-(-1)^j},
-    D_j(x) = det(1 - x A_j) = 1 + sum_k c_k x^k: odd degrees multiply, even
-    degrees divide.  Multiplying by D_j(q T^j) adds c_k T^{jk} times the
-    q^{n-k} row into the q^n row, from the top row down so that each row
-    reads rows not yet multiplied; dividing subtracts the same, from the
-    bottom row up so that each row reads rows already divided.  Evaluating
-    the T-polynomials at 1 inverts the zeta function."""
+    D_j(x) = det(1 - x A_j): odd degrees multiply, even degrees divide.
+
+    The rows of the integer series P(q d, T) are laid end to end in one list,
+    q^n T^t at index n W + t.  Every monomial q^n T^t of P has t <= top * n
+    for the top degree, so the width W = top * order + 1 exceeds every
+    T-degree, and a factor term c_k (q T^j)^k shifts an index by k (W + j)
+    without carrying into another row: each determinant folds in as one
+    monic integer series.  Row n is divided by d^n once.  Evaluating the
+    T-polynomials at 1 inverts the zeta function."""
     if order < 0:
         raise ValueError("truncation order must be >= 0")
-    rows = [[1]] + [[] for _ in range(order)]  # T-coefficients of each q^n coefficient
-    terms = [_terms(row) for row in rows]
-    for degree in endo.degrees():
-        det = det_one_minus_t(endo.matrix(degree))
-        sign, steps = (1, range(order, 0, -1)) if degree % 2 else (-1, range(1, order + 1))
-        shifts = [(k, [(degree * k, sign * c)]) for k, c in _terms(det.coeffs) if 0 < k <= order]
-        for n in steps:
-            parts = [(terms[n - k], shift) for k, shift in shifts if k <= n and terms[n - k]]
-            top = max((row[-1][0] + shift[0][0] + 1 for row, shift in parts), default=0)
-            out = rows[n] + [0] * (top - len(rows[n]))
-            for row, shift in parts:
-                _convolve_into(out, row, shift)
-            rows[n], terms[n] = out, _terms(out)
-    return tuple(Poly(row) for row in rows)
+    d, blocks = _cleared(endo)
+    top = max((degree for degree, _ in blocks), default=0)
+    width = top * order + 1
+    flat = [1] + [0] * ((order + 1) * width - 1)
+    for degree, rows in blocks:
+        factor = [(k * (width + degree), c) for k, c in _determinant_terms(rows, order)]
+        _fold_monic(flat, factor, divide=degree % 2 == 0)
+    return tuple(
+        Poly([Fraction(c, d ** n) for c in flat[n * width : n * width + top * n + 1]])
+        for n in range(order + 1)
+    )
 
 
 def _koszul_sign(sigma, degrees) -> int:

@@ -8,9 +8,8 @@ with the variable count declared at construction.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
-from .series import _power, rat, rat_str
+from .series import _numerators, _power, rat, rat_str
 
 
 def _numerator_sum(numerators, point):
@@ -120,10 +119,10 @@ class MultiPoly:
         """The common denominator D of the coefficients and the terms of D*p
         as integers: D and a list of (numerator, ((i, e), ...)) over the
         nonzero exponents e of t_{i+1}."""
-        d = lcm(*(c.denominator for c in self.terms.values()))
+        d, numerators = _numerators(self.terms.values())
         return d, [
-            (c.numerator * (d // c.denominator), tuple((i, e) for i, e in enumerate(exps) if e))
-            for exps, c in self.terms.items()
+            (x, tuple((i, e) for i, e in enumerate(exps) if e))
+            for x, exps in zip(numerators, self.terms)
         ]
 
     def evaluate(self, point) -> Fraction:

@@ -2,7 +2,10 @@
 
 Everything in this package is built on `fractions.Fraction`; no floats ever
 enter a computation.  A :class:`PowerSeries` stores the coefficients of
-q^0..q^N together with its truncation order N.  Arithmetic between series of
+q^0..q^N as Fractions together with its truncation order N, but multiplies
+and inverts them over integer numerators: the coefficients are put over one
+common denominator (:func:`_numerators`), the integer kernels run, and each
+output coefficient becomes a Fraction once.  Arithmetic between series of
 different orders truncates to the shorter order.  Equality compares the
 shared coefficient prefix.
 
@@ -15,13 +18,15 @@ graded map is kept in rows of T-coefficients by `graded`.
 Every truncated product in the package, whatever its coefficient ring,
 runs through one convolution kernel (:func:`_convolve_into`) and every
 integer power through one square-and-multiply routine (:func:`_power`).
+Every series division, and every multiplication by a determinant factor in
+`graded`, runs through one integer loop (:func:`_fold_monic`).
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 
 class NotAUnitError(ArithmeticError):
@@ -32,12 +37,34 @@ class NotExpandableError(ArithmeticError):
     """Raised for a rational function whose denominator vanishes at 0."""
 
 
+def _digit_limit_error(what: str, side: str = "input") -> ValueError:
+    """The refusal of a number longer than Python's int-to-string limit;
+    `what` names the number and `side` is "input" or "output"."""
+    limit = sys.get_int_max_str_digits()
+    return ValueError(f"{what} has more than {limit} digits, the {side}'s digit limit")
+
+
+def _over_digit_limit(text: str) -> bool:
+    """Whether a string holds more digits than Python's int-to-string limit."""
+    limit = sys.get_int_max_str_digits()
+    return bool(limit) and sum(map(text.count, "0123456789")) > limit
+
+
 def rat(value) -> Fraction:
     """Coerce an int, Fraction or "p/q" string to an exact rational."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int) or isinstance(value, str):
+    if isinstance(value, int):
         return Fraction(value)
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"a number in the input has a zero denominator: {value!r}") from None
+        except ValueError:
+            if _over_digit_limit(value):
+                raise _digit_limit_error("a number in the input") from None
+            raise
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
@@ -49,10 +76,7 @@ def rat_str(value) -> str:
     try:
         return str(value)
     except ValueError:
-        limit = sys.get_int_max_str_digits()
-        raise ValueError(
-            f"a number in the output has more than {limit} digits, the output's digit limit"
-        ) from None
+        raise _digit_limit_error("a number in the output", "output") from None
 
 
 def _field(obj, key: str, where: str, kind=None):
@@ -76,13 +100,19 @@ def _integer(value, where: str) -> int:
     truncated."""
     if type(value) is int:  # the common case, taken before the general one
         return value
-    if not isinstance(value, bool):
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            if _over_digit_limit(value):
+                raise _digit_limit_error(where) from None
+    elif not isinstance(value, bool):
         try:
             number = int(value)
         except (TypeError, ValueError, OverflowError):
             pass
         else:
-            if number == value or isinstance(value, str):
+            if number == value:
                 return number
     raise ValueError(f"{where} must be an integer, got {value!r}")
 
@@ -116,6 +146,42 @@ def _convolve_into(out: list, a, b) -> list:
                 break
             out[i + j] += x * y
     return out
+
+
+def _fold_monic(out: list, factor, divide: bool = False) -> list:
+    """Multiply `out`, in place, by the monic series 1 + sum_s c_s X^s, or
+    divide it by that series when `divide`, truncating at len(out), and
+    return `out`.  `factor` lists the terms (s, c_s) with s >= 1 in index
+    order; the coefficients are integers, and so the results are.
+
+    Each nonzero entry x at index n adds c_s x into the entry at n + s.
+    Multiplying runs from the top index down, so that an entry is read
+    before anything is added to it; dividing runs from the bottom up, so
+    that an entry is read once everything below has been subtracted from
+    it, when it is the quotient's.  A monic divisor needs no division,
+    which is what keeps the loop over the integers, and zero entries cost
+    one test, which keeps sparse layouts cheap.
+    """
+    size = len(out)
+    if divide:
+        factor, steps = [(s, -c) for s, c in factor], range(size)
+    else:
+        steps = range(size - 1, -1, -1)
+    for n in steps:
+        x = out[n]
+        if x:
+            for s, c in factor:
+                if n + s >= size:
+                    break
+                out[n + s] += c * x
+    return out
+
+
+def _numerators(values) -> tuple:
+    """The common denominator D of a list of rationals (Fractions or ints)
+    and their numerators over it: D and the list of the integers D * v."""
+    d = lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
 
 
 def _power(base, e: int, one):
@@ -192,8 +258,10 @@ class PowerSeries:
     def __mul__(self, other):
         if isinstance(other, PowerSeries):
             order = min(self.order, other.order)
-            out = _convolve_into([0] * (order + 1), _terms(self.coeffs), _terms(other.coeffs))
-            return PowerSeries(out, order=order)
+            da, a = _numerators(self.coeffs[: order + 1])
+            db, b = _numerators(other.coeffs[: order + 1])
+            out = _convolve_into([0] * (order + 1), _terms(a), _terms(b))
+            return PowerSeries([Fraction(x, da * db) for x in out], order=order)
         try:
             c = rat(other)
         except TypeError:
@@ -203,19 +271,21 @@ class PowerSeries:
     __rmul__ = __mul__
 
     def inverse(self) -> "PowerSeries":
-        """Multiplicative inverse up to the truncation order."""
-        a0 = self.coeffs[0]
+        """Multiplicative inverse up to the truncation order.
+
+        With the coefficients a_i = A_i / D over integers A_i, the numbers
+        B_n = b_n A_0^(n+1) / D of the inverse b are the coefficients of
+        1 / (1 + sum_{i>=1} A_i A_0^(i-1) q^i), a monic integer series, so
+        they are integers and are found by one integer division."""
+        d, a = _numerators(self.coeffs)
+        a0 = a[0]
         if a0 == 0:
             raise NotAUnitError("series has zero constant term")
-        inv0 = Fraction(1) / a0
-        out = [inv0] + [Fraction(0)] * self.order
-        for n in range(1, self.order + 1):
-            acc = Fraction(0)
-            for i in range(1, n + 1):
-                if self.coeffs[i] != 0:
-                    acc += self.coeffs[i] * out[n - i]
-            out[n] = -inv0 * acc
-        return PowerSeries(out, order=self.order)
+        factor = [(i, x * a0 ** (i - 1)) for i, x in _terms(a) if i]
+        out = _fold_monic([1] + [0] * self.order, factor, divide=True)
+        return PowerSeries(
+            [Fraction(x * d, a0 ** (n + 1)) for n, x in enumerate(out)], order=self.order
+        )
 
     def __pow__(self, exponent: int) -> "PowerSeries":
         if exponent < 0:
@@ -438,9 +508,6 @@ class Poly:
         if a.is_zero:
             return a
         return a * (Fraction(1) / a.coeffs[-1])
-
-    def series(self, order: int) -> PowerSeries:
-        return PowerSeries(list(self.coeffs), order=order)
 
     def __eq__(self, other):
         if isinstance(other, Poly):

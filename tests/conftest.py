@@ -109,9 +109,16 @@ def family_from_predicate(k, predicate):
     return PartitionFamily(k, [p for p in all_partitions(k) if predicate(p)])
 
 
+def poly_series(poly, order):
+    """A polynomial as a power series truncated at q^order."""
+    from doldzeta import PowerSeries
+
+    return PowerSeries(list(poly.coeffs), order=order)
+
+
 def expand(rf, order):
     """The Taylor series of a rational function to `order`."""
-    return rf.numerator.series(order) * rf.denominator.series(order).inverse()
+    return poly_series(rf.numerator, order) * poly_series(rf.denominator, order).inverse()
 
 
 def at_one(polys):

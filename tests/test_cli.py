@@ -626,6 +626,42 @@ def test_an_input_integer_above_the_digit_limit_is_refused(capsys, argv, where):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["zeta", "--lefschetz", '["' + "9" * 5000 + '"]', "-N", "2"],
+         "an entry of a Lefschetz sequence"),
+        (["graded", "--matrices", '{"degrees":{"0":[["' + "9" * 5000 + '"]]}}', "-N", "2"],
+         "a number in the input"),
+        (["graded", "--matrices", '{"degrees":{"0":[["1/' + "9" * 5000 + '"]]}}', "-N", "2"],
+         "a number in the input"),
+    ],
+    ids=["integer", "rational", "denominator"],
+)
+def test_a_quoted_number_above_the_digit_limit_is_refused_without_its_digits(capsys, argv, what):
+    limit = sys.get_int_max_str_digits()  # 4300 by default
+    message = f"{what} has more than {limit} digits, the input's digit limit"
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["graded", "--matrices", '{"degrees":{"0":[["1/0"]]}}', "-N", "2"],
+        ["symmetric", "--zeta", '{"order":1,"coeffs":["1","1/0"]}', "-N", "1"],
+    ],
+    ids=["graded", "zeta"],
+)
+def test_a_zero_denominator_is_refused_without_a_traceback(capsys, argv):
+    message = "a number in the input has a zero denominator: '1/0'"
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_a_quoted_number_below_the_digit_limit_still_reads(capsys):
+    code, out, _ = run(capsys, "zeta", "--lefschetz", '["' + "9" * 4000 + '"]', "-N", "1")
+    assert code == 0 and json.loads(out)["zeta"]["coeffs"] == ["1", "-" + "9" * 4000]
+
+
 S3_BY_GENERATORS = '{"degree":3,"generators":[[1,0,2],[1,2,0]]}'
 
 

@@ -73,7 +73,8 @@ TEXT_CASES = [
 ]
 
 # `graded` with blocks in three degrees, so that the Poincaré series mixes
-# inverted even factors with direct odd ones at several T-shifts
+# inverted even factors with direct odd ones at several T-shifts; the second
+# case gives each degree its own denominator, so the common one is not 1
 GRADED_CASES = [
     (
         "graded-three-degrees",
@@ -81,6 +82,15 @@ GRADED_CASES = [
             "graded",
             "--matrices", '{"degrees":{"0":[["1","1"],["0","2"]],"1":[["-1"]],"2":[["1/2"]]}}',
             "-N", "16",
+        ],
+    ),
+    (
+        "graded-mixed-denominators",
+        [
+            "graded",
+            "--matrices",
+            '{"degrees":{"0":[["1/3","1"],["0","2"]],"1":[["-2/5"]],"2":[["3/4","1/2"],["-1","0"]]}}',
+            "-N", "24",
         ],
     ),
 ]

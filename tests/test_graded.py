@@ -21,6 +21,7 @@ from doldzeta.series import Poly
 
 from bivariate_reference import bivariate_product, reference_poincare
 from conftest import at_one, expand
+from fraction_reference import reference_graded_zeta, reference_traces
 
 
 def direct_sum(a, b):
@@ -264,16 +265,6 @@ def test_json_round_trip():
     assert GradedEndomorphism.from_json(obj) == endo
 
 
-def reference_trace_of_power(rows, k):
-    """tr(A^k) from scratch: k products starting at the identity."""
-    n = len(rows)
-    power = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for _ in range(k):
-        power = [[sum(power[i][l] * rows[l][j] for l in range(n)) for j in range(n)]
-                 for i in range(n)]
-    return sum(power[i][i] for i in range(n))
-
-
 def rational_endomorphism(rng, total_dim=3, max_degree=3):
     endo = random_endomorphism(rng, total_dim=total_dim, max_degree=max_degree)
     return GradedEndomorphism({
@@ -287,13 +278,7 @@ class TestLefschetzNumbers:
         rng = random.Random(31)
         for order in [rng.randint(1, 20) for _ in range(25)] + [64, 64]:
             endo = rational_endomorphism(rng)
-            want = [
-                sum((-1) ** d * reference_trace_of_power(endo.matrix(d), k)
-                    for d in endo.degrees())
-                for k in range(1, order + 1)
-            ]
-            got = graded_lefschetz_numbers(endo, order)
-            assert got == want
+            assert graded_lefschetz_numbers(endo, order) == reference_traces(endo, order)
 
     def test_empty_and_zero_length(self):
         assert graded_lefschetz_numbers(GradedEndomorphism({}), 3) == [0, 0, 0]
@@ -305,6 +290,29 @@ class TestLefschetzNumbers:
             graded_lefschetz_numbers(GradedEndomorphism({0: [[2]]}), -1)
 
 
+def mixed_denominator_endomorphism(rng, total_dim=4, max_degree=4):
+    """A random endomorphism whose entries in each degree share a
+    denominator of their own, so that the common one is their product: the
+    first entry of each block has that denominator in lowest terms."""
+    endo = random_endomorphism(rng, total_dim=total_dim, max_degree=max_degree)
+    denominators = rng.sample((2, 3, 5, 7, 11), len(endo.matrices))
+    blocks = {}
+    for den, (d, rows) in zip(denominators, sorted(endo.matrices.items())):
+        blocks[d] = [[Fraction(c, den) for c in row] for row in rows]
+        blocks[d][0][0] = Fraction(den * rows[0][0] + 1, den)
+    return GradedEndomorphism(blocks)
+
+
+class TestIntegerKernelsAgainstFractionFormulas:
+    def test_zeta_traces_and_poincare_series(self):
+        rng = random.Random(43)
+        for order in [rng.randint(0, 16) for _ in range(30)] + [48, 64]:
+            endo = mixed_denominator_endomorphism(rng)
+            assert graded_zeta(endo, order).coeffs == reference_graded_zeta(endo, order).coeffs
+            assert graded_lefschetz_numbers(endo, order) == reference_traces(endo, order)
+            assert poincare_generating(endo, order) == reference_poincare(endo, order)
+
+
 def test_tampered_determinant_trips_the_dual_form_check(monkeypatch):
     import doldzeta.graded as graded
 
@@ -312,6 +320,18 @@ def test_tampered_determinant_trips_the_dual_form_check(monkeypatch):
     endo = GradedEndomorphism({0: [[1, 1], [0, 2]]})
     real = graded.det_one_minus_t
     monkeypatch.setattr(graded, "det_one_minus_t", lambda rows: real(rows) * Poly([1, 1]))
+    with pytest.raises(RuntimeError, match="disagree"):
+        graded_zeta(endo, 4)
+
+
+@pytest.mark.parametrize("corner", [1, Fraction(1, 2)])
+def test_tampered_traces_trip_the_dual_form_check(monkeypatch, corner):
+    import doldzeta.graded as graded
+
+    endo = GradedEndomorphism({0: [[corner, 1], [0, 2]]})
+    real = graded._integer_traces
+    # the traces one iterate off: L_2..L_{N+1} in place of L_1..L_N
+    monkeypatch.setattr(graded, "_integer_traces", lambda blocks, order: real(blocks, order + 1)[1:])
     with pytest.raises(RuntimeError, match="disagree"):
         graded_zeta(endo, 4)
 

@@ -25,7 +25,8 @@ from doldzeta.graded import GradedEndomorphism, det_one_minus_t, poincare_genera
 from doldzeta.series import _exp_form_holds
 
 from bivariate_reference import bivariate_inverse, bivariate_product, monomial_substitution, one
-from conftest import expand
+from conftest import expand, poly_series
+from fraction_reference import reference_inverse, reference_product
 
 
 def coeffs(series):
@@ -89,6 +90,51 @@ def reference_exp_neg_weighted(values, order):
     for n in range(1, order + 1):
         out[n] = sum(j * s[j] * out[n - j] for j in range(1, n + 1)) / n
     return out
+
+
+# constant terms that are neither 0 nor a unit of the integers, so that the
+# integer inverse has to scale by powers of its numerator
+CONSTANT_TERMS = (Fraction(2), Fraction(-3), Fraction(2, 3), Fraction(-5, 2), Fraction(3, 7),
+                  Fraction(7, 4))
+KERNEL_ORDERS = list(range(17)) + [48, 64]
+
+
+def random_rational_series(rng, order, constant=None):
+    """A series with mixed denominators and some zero coefficients."""
+    tail = [
+        Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 5, 7, 9, 12)))
+        if rng.random() < 0.8 else Fraction(0)
+        for _ in range(order)
+    ]
+    return PowerSeries([rng.choice(CONSTANT_TERMS) if constant is None else constant] + tail,
+                       order=order)
+
+
+class TestIntegerKernelsAgainstFractionLoops:
+    def test_inverse(self):
+        rng = random.Random(2024)
+        for order in KERNEL_ORDERS:
+            for _ in range(3):
+                s = random_rational_series(rng, order)
+                assert s.inverse().coeffs == reference_inverse(s).coeffs
+
+    def test_inverse_of_a_unit_constant_and_of_one_term(self):
+        rng = random.Random(7)
+        for order in KERNEL_ORDERS:
+            for constant in (Fraction(1), Fraction(-1), Fraction(1, 6)):
+                s = random_rational_series(rng, order, constant)
+                assert s.inverse().coeffs == reference_inverse(s).coeffs
+            s = PowerSeries.monomial(0, order, Fraction(-4, 9))
+            assert s.inverse().coeffs == reference_inverse(s).coeffs
+
+    def test_product(self):
+        rng = random.Random(2025)
+        for order in KERNEL_ORDERS:
+            for _ in range(3):
+                a = random_rational_series(rng, order, rng.choice((None, Fraction(0))))
+                b = random_rational_series(rng, rng.choice(KERNEL_ORDERS))
+                assert (a * b).coeffs == reference_product(a, b).coeffs
+                assert (b * a).coeffs == reference_product(a, b).coeffs
 
 
 class TestExpForm:
@@ -278,8 +324,8 @@ class TestRationalFunction:
         den = [1] + den_tail
         rf = RationalFunction(Poly(num), Poly(den))
         order = 7
-        product = expand(rf, order) * Poly(den).series(order)
-        assert product.coeffs == Poly(num).series(order).coeffs
+        product = expand(rf, order) * poly_series(Poly(den), order)
+        assert product.coeffs == poly_series(Poly(num), order).coeffs
 
 
 class TestEgf:
