@@ -237,7 +237,7 @@ def cmd_order_poly(args):
 
 
 def cmd_graded(args):
-    endo = GradedEndomorphism.from_json(_load_json(args.matrices, "--matrices"))
+    endo = GradedEndomorphism.from_json(_load_json(args.matrices, "--matrices"), "--matrices")
     char = characteristic_rational_function(endo)
     zeta = graded_zeta(endo, args.order)
     poincare = poincare_generating(endo, args.order)

@@ -59,7 +59,7 @@ class GradedEndomorphism:
 
     __slots__ = ("matrices",)
 
-    def __init__(self, matrices):
+    def __init__(self, matrices, where: str = "a graded endomorphism"):
         clean = {}
         dimension = 0
         for degree, rows in matrices.items():
@@ -76,7 +76,8 @@ class GradedEndomorphism:
                 raise ValueError(
                     f"a graded endomorphism's total dimension is above the guard {MAX_GRADED_DIMENSION}"
                 )
-            rows = tuple(tuple(rat(c) for c in row) for row in rows)
+            entry = f"an entry of the matrix in degree {degree} of {where}"
+            rows = tuple(tuple(rat(c, entry) for c in row) for row in rows)
             if any(len(row) != len(rows) for row in rows):
                 raise ValueError(f"matrix in degree {degree} is not square")
             if rows:
@@ -84,8 +85,9 @@ class GradedEndomorphism:
         self.matrices = clean
 
     @classmethod
-    def from_json(cls, obj: dict) -> "GradedEndomorphism":
-        return cls(_field(obj, "degrees", "a graded endomorphism", dict))
+    def from_json(cls, obj: dict, where: str = "a graded endomorphism") -> "GradedEndomorphism":
+        """The endomorphism in `obj`; `where` names it in error messages."""
+        return cls(_field(obj, "degrees", "a graded endomorphism", dict), where)
 
     def degrees(self) -> list:
         return sorted(self.matrices)

@@ -25,8 +25,13 @@ average; and for a partition family as the group average minus one
 configuration term per group orbit of excluded partitions.  That term counts
 the fixed maps whose fiber partition lies in the orbit: each n-cycle of
 blocks goes injectively onto its own orbit of least period n, in one of n
-phases.  Wedges add polynomials, smash products multiply them, and
-composites substitute the iterate-transported orbit-count polynomials.
+phases.  The group average and the configuration terms are summed by cycle
+type over integer numerators: the summed weights are put over one common
+denominator, the factors are multiplied as {exponents: int} dicts (each
+built once per call and kept only for that call), and the result becomes
+Fractions once, in one MultiPoly.  Wedges add polynomials, smash products
+multiply them, and composites substitute the iterate-transported
+orbit-count polynomials.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from .dynamics import (
     zeta_series,
 )
 from .graded import GradedEndomorphism, graded_zeta
-from .multipoly import MultiPoly, _numerator_sum
+from .multipoly import MultiPoly, _numerator_sum, _product
 from .oracles import (
     coefficient_traces,
     fixed_bounded_multisets,
@@ -75,6 +80,7 @@ from .series import (
     _field,
     _integer,
     _integers,
+    _numerators,
     egf_pack,
     egf_unpack,
     exponent_product,
@@ -249,14 +255,16 @@ def _configuration_traces(zeta: PowerSeries, parity: str, epsilon: int):
 # symmetric powers from their Lefschetz forms
 
 
+def _monomial(nvars: int, n: int, e: int) -> tuple:
+    """The exponent vector of t_n^e."""
+    exps = [0] * nvars
+    exps[n - 1] = e
+    return tuple(exps)
+
+
 def _divisor_sum_linear(n: int, nvars: int) -> MultiPoly:
     """sum_{m | n} m * t_m: the fixed points of the n-th iterate in the t's."""
-    terms = {}
-    for m in divisors(n):
-        exps = [0] * nvars
-        exps[m - 1] = 1
-        terms[tuple(exps)] = Fraction(m)
-    return MultiPoly(nvars, terms)
+    return MultiPoly(nvars, {_monomial(nvars, m, 1): m for m in divisors(n)})
 
 
 def symmetric_power_polys(bound, order: int) -> list:
@@ -321,49 +329,96 @@ def _validate_traces(group: PermutationGroup, coeff_traces):
     return table
 
 
-def _cycle_type_sum(weighted_perms, nvars: int, factor) -> MultiPoly:
-    """sum over the (perm, w) pairs of w prod_n factor(n, c_n, nvars), where
-    perm has c_n cycles of length n.
+def _shape(perm) -> tuple:
+    """The cycle type of a permutation as sorted (length, count) pairs."""
+    return tuple(sorted(perm_cycle_type(perm).items()))
 
-    The weights are first summed over each cycle type, so one product is
-    built per cycle type rather than per permutation (the cycle-index
-    collapse)."""
-    class_weights = {}
-    for perm, weight in weighted_perms:
-        if weight == 0:
+
+def _cycle_type_sum(class_weights: dict, nvars: int, factor) -> tuple:
+    """sum over the cycle types of w prod_n factor(n, c_n, nvars), where the
+    type has c_n cycles of length n and w is its weight in `class_weights`
+    (one entry per type: the cycle-index collapse).
+
+    The weights are put over one common denominator D (`_numerators`), so the
+    products and the sum run over ints.  `factor` returns an {exponents: int}
+    dict, and each (n, c_n) factor is built once in a call and kept only for
+    that call.  Returns D and the {exponents: int} terms of D times the sum.
+    """
+    d, numerators = _numerators(list(class_weights.values()))
+    zero = (0,) * nvars
+    factors = {}
+    total = {}
+    for shape, weight in zip(class_weights, numerators):
+        if not weight:
             continue
-        shape = tuple(sorted(perm_cycle_type(perm).items()))
-        class_weights[shape] = class_weights.get(shape, 0) + weight
-    total = MultiPoly.zero(nvars)
-    for shape, weight in class_weights.items():
-        term = MultiPoly.constant(weight, nvars)
-        for n, count in shape:
-            term = term * factor(n, count, nvars)
-        total = total + term
-    return total
+        term = {zero: weight}
+        for key in shape:
+            if key not in factors:
+                factors[key] = factor(*key, nvars)
+            term = _product(term, factors[key])
+        for exps, c in term.items():
+            total[exps] = total.get(exps, 0) + c
+    return d, total
 
 
-def _orbit_factor(n: int, count: int, nvars: int) -> MultiPoly:
+def _orbit_factor(n: int, count: int, nvars: int) -> dict:
     """(sum_{m|n} m t_m)^count: the points fixed by f^n, for each of `count`
     cycles of length n."""
-    return _divisor_sum_linear(n, nvars) ** count
+    linear = {_monomial(nvars, m, 1): m for m in divisors(n)}
+    power = {(0,) * nvars: 1}
+    for _ in range(count):
+        power = _product(power, linear)
+    return power
 
 
-def _configuration_factor(n: int, count: int, nvars: int) -> MultiPoly:
+def _falling_factorial_coeffs(r: int) -> list:
+    """The integer coefficients of t(t-1)...(t-r+1), constant term first."""
+    coeffs = [1]
+    for i in range(r):  # multiply by t - i
+        shifted = [0, *coeffs]
+        for j, c in enumerate(coeffs):
+            shifted[j] -= i * c
+        coeffs = shifted
+    return coeffs
+
+
+def _configuration_factor(n: int, count: int, nvars: int) -> dict:
     """n^c t_n (t_n - 1) ... (t_n - c + 1) with c = count: the injective maps
     that send c cycles of length n each onto its own orbit of least period
     n, in one of n phases."""
-    exps = [0] * nvars
-    terms = {}
-    for d, c in enumerate(falling_factorial(count).coeffs):
-        exps[n - 1] = d
-        terms[tuple(exps)] = n ** count * c
-    return MultiPoly(nvars, terms)
+    scale = n ** count
+    return {
+        _monomial(nvars, n, d): scale * c
+        for d, c in enumerate(_falling_factorial_coeffs(count))
+        if c
+    }
 
 
-def _weight(group: PermutationGroup, traces, g) -> Fraction:
-    """The trace of g^{-1}, or 1 without traces."""
-    return traces[group.inverse(g)] if traces is not None else Fraction(1)
+def _weights(group: PermutationGroup, traces) -> list:
+    """w(g) for each group element, in element order: the trace of g^{-1}, an
+    int when it is integral, or 1 without traces."""
+    if traces is None:
+        return [1] * group.order
+    values = (traces[group.inverse(g)] for g in group.elements)
+    return [v.numerator if v.denominator == 1 else v for v in values]
+
+
+def _from_numerators(nvars: int, terms: dict, d: int) -> MultiPoly:
+    """The polynomial with the {exponents: int} terms over the denominator d,
+    turned into Fractions once."""
+    return MultiPoly._trusted(nvars, {e: Fraction(c, d) for e, c in terms.items() if c})
+
+
+def _burnside_sum(group: PermutationGroup, gset, weights) -> tuple:
+    """The Burnside average over integer numerators: its denominator, |G|
+    times that of the summed weights, and the {exponents: int} terms of
+    sum_g w(g) prod_n (sum_{m|n} m t_m)^{d_g(n)} over the weights' one."""
+    class_weights = {}
+    for perm, weight in zip(gset, weights):
+        shape = _shape(perm)
+        class_weights[shape] = class_weights.get(shape, 0) + weight
+    d, terms = _cycle_type_sum(class_weights, len(gset[0]), _orbit_factor)
+    return d * group.order, terms
 
 
 def _burnside_average(group: PermutationGroup, gset, traces) -> MultiPoly:
@@ -372,8 +427,8 @@ def _burnside_average(group: PermutationGroup, gset, traces) -> MultiPoly:
     g^{-1} (1 without traces).  The arguments are trusted: callers validate
     them.
     """
-    weighted = ((perm, _weight(group, traces, g)) for g, perm in zip(group.elements, gset))
-    return _cycle_type_sum(weighted, len(gset[0]), _orbit_factor) / group.order
+    d, terms = _burnside_sum(group, gset, _weights(group, traces))
+    return _from_numerators(len(gset[0]), terms, d)
 
 
 def gsymm_polynomial(
@@ -410,7 +465,10 @@ def general_lefschetz_polynomial(
 
     where g makes c_n cycles of length n on the blocks of pi and w(g) is the
     trace of g^{-1} (1 without traces).  The weights are summed by block
-    cycle type across all the excluded orbits first.
+    cycle type within each orbit, divided by |G_pi| once per type, and
+    summed by type across all the excluded orbits.  Both sums then run over
+    integer numerators (`_cycle_type_sum`); they are put over the lcm of
+    their denominators and become Fractions once, in one MultiPoly.
 
     The group, its action, the traces and the family's stability are
     validated here, once, unless the table and family carry the mark of an
@@ -420,34 +478,43 @@ def general_lefschetz_polynomial(
     gset = validate_gset(group, gset, k)
     traces = _validate_traces(group, coeff_traces)
     family = _require_stable(family, group, gset)
-    seen = set(family.members)
-    excluded = []
+    weights = _weights(group, traces)
+    inverses = [invert_perm(perm) for perm in gset]
+    seen = {partition.labels for partition in family.members}
+    excluded = {}
     for partition in all_partitions(k):
-        if partition in seen:
+        labels = partition.labels
+        if labels in seen:
             continue
         # a stabilizer element maps each block onto the block holding the
         # image of its least element
         heads = [block[0] for block in partition.blocks]
-        stabilizer = []
-        for g, perm in zip(group.elements, gset):
-            image = partition.apply(perm)
+        stabilizer = {}
+        order = 0
+        for perm, inverse, weight in zip(gset, inverses, weights):
+            # the image's restricted growth string: y lies in the block of
+            # perm^-1(y), the blocks renumbered by least element
+            first = {}
+            image = tuple([first.setdefault(labels[x], len(first)) for x in inverse])
             seen.add(image)
-            if image == partition:
-                stabilizer.append((g, tuple(partition.labels[perm[x]] for x in heads)))
-        excluded.extend(
-            (blocks, _weight(group, traces, g) / len(stabilizer)) for g, blocks in stabilizer
-        )
-    configurations = _cycle_type_sum(excluded, k, _configuration_factor)
-    return LefschetzPolynomial(_burnside_average(group, gset, traces) - configurations, k)
+            if image == labels:
+                order += 1
+                shape = _shape([labels[perm[x]] for x in heads])
+                stabilizer[shape] = stabilizer.get(shape, 0) + weight
+        for shape, weight in stabilizer.items():
+            excluded[shape] = excluded.get(shape, 0) + Fraction(weight, order)
+    d_burnside, burnside = _burnside_sum(group, gset, weights)
+    d_excluded, configurations = _cycle_type_sum(excluded, k, _configuration_factor)
+    d = lcm(d_burnside, d_excluded)
+    terms = {e: c * (d // d_burnside) for e, c in burnside.items()}
+    for e, c in configurations.items():
+        terms[e] = terms.get(e, 0) - c * (d // d_excluded)
+    return LefschetzPolynomial(_from_numerators(k, terms, d), k)
 
 
 def falling_factorial(r: int) -> Poly:
     """t(t-1)...(t-r+1) as a univariate polynomial."""
-    poly = Poly.one()
-    t = Poly.x()
-    for i in range(r):
-        poly = poly * (t - Poly.constant(i))
-    return poly
+    return Poly(_falling_factorial_coeffs(r))
 
 
 def _falling_factorial_sum(counts) -> Poly:
@@ -804,7 +871,7 @@ def _read_zeta(source: dict, order: int, where: str, names: dict, reduced=False)
             raise ValueError(f"zeta series order {zeta.order} is below {order}")
         zeta = zeta.truncated(order)
     else:
-        zeta = graded_zeta(GradedEndomorphism.from_json(obj), order)
+        zeta = graded_zeta(GradedEndomorphism.from_json(obj, names[key]), order)
     return zeta * PowerSeries([1] * (order + 1)) if reduced else zeta
 
 

@@ -8,6 +8,7 @@ with the variable count declared at construction.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .series import _numerators, _power, rat, rat_str
 
@@ -21,6 +22,18 @@ def _numerator_sum(numerators, point):
             value *= point[i] ** e
         total += value
     return total
+
+
+def _product(a: dict, b: dict) -> dict:
+    """The product of two polynomials held as {exponents: coefficient} dicts,
+    over any ring: Fractions in MultiPoly, ints in the integer kernels of
+    `identities`.  Zero coefficients are kept."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            key = tuple(map(add, e1, e2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return out
 
 
 class MultiPoly:
@@ -42,6 +55,17 @@ class MultiPoly:
                 raise ValueError(f"bad exponent vector {exps} for {nvars} variables")
             clean[exps] = c
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, nvars: int, terms: dict) -> "MultiPoly":
+        """A polynomial from terms that are already valid: Fraction
+        coefficients on exponent tuples of length nvars, as this class's own
+        arithmetic makes them.  Nothing is checked; zero coefficients are
+        dropped."""
+        poly = object.__new__(cls)
+        poly.nvars = nvars
+        poly.terms = {e: c for e, c in terms.items() if c}
+        return poly
 
     @classmethod
     def zero(cls, nvars: int) -> "MultiPoly":
@@ -75,7 +99,7 @@ class MultiPoly:
         out = dict(self.terms)
         for exps, c in other.terms.items():
             out[exps] = out.get(exps, Fraction(0)) + c
-        return MultiPoly(self.nvars, out)
+        return MultiPoly._trusted(self.nvars, out)
 
     __radd__ = __add__
 
@@ -85,19 +109,14 @@ class MultiPoly:
         return self + (-other)
 
     def __neg__(self):
-        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, MultiPoly):
             self._require_same_space(other)
-            out = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    key = tuple(a + b for a, b in zip(e1, e2))
-                    out[key] = out.get(key, Fraction(0)) + c1 * c2
-            return MultiPoly(self.nvars, out)
+            return MultiPoly._trusted(self.nvars, _product(self.terms, other.terms))
         c = rat(other)
-        return MultiPoly(self.nvars, {e: c * v for e, v in self.terms.items()})
+        return MultiPoly._trusted(self.nvars, {e: c * v for e, v in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -144,7 +163,7 @@ class MultiPoly:
         if nvars == self.nvars:
             return self
         pad = (0,) * (nvars - self.nvars)
-        return MultiPoly(nvars, {e + pad: c for e, c in self.terms.items()})
+        return MultiPoly._trusted(nvars, {e + pad: c for e, c in self.terms.items()})
 
     def resize(self, nvars: int) -> "MultiPoly":
         """Pad or (when the dropped variables are unused) trim the space."""
@@ -155,7 +174,7 @@ class MultiPoly:
         for exps in self.terms:
             if any(exps[nvars:]):
                 raise ValueError(f"variable t_{nvars + 1} or beyond is actually used")
-        return MultiPoly(nvars, {e[:nvars]: c for e, c in self.terms.items()})
+        return MultiPoly._trusted(nvars, {e[:nvars]: c for e, c in self.terms.items()})
 
     def substitute(self, images) -> "MultiPoly":
         """Substitute images[i-1] for t_i; all images share one target space."""
@@ -163,14 +182,15 @@ class MultiPoly:
         if len(images) != self.nvars:
             raise ValueError(f"need {self.nvars} substitution images")
         if self.nvars == 0:
-            return MultiPoly(0, dict(self.terms))
+            return MultiPoly._trusted(0, self.terms)
         target = images[0].nvars
         if any(img.nvars != target for img in images):
             raise ValueError("substitution images live in different variable spaces")
-        powers = [[MultiPoly.constant(1, target)] for _ in range(self.nvars)]
+        one = (0,) * target
+        powers = [[MultiPoly._trusted(target, {one: Fraction(1)})] for _ in range(self.nvars)]
         result = MultiPoly.zero(target)
         for exps, c in self.terms.items():
-            term = MultiPoly.constant(c, target)
+            term = MultiPoly._trusted(target, {one: c})
             for i, e in enumerate(exps):
                 cache = powers[i]
                 while len(cache) <= e:

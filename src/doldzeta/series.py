@@ -50,8 +50,17 @@ def _over_digit_limit(text: str) -> bool:
     return bool(limit) and sum(map(text.count, "0123456789")) > limit
 
 
-def rat(value) -> Fraction:
-    """Coerce an int, Fraction or "p/q" string to an exact rational."""
+def _shown(value) -> str:
+    """The repr of a refused value for an error message: whole when short,
+    otherwise its first 40 characters and the length of the whole."""
+    text = repr(value)
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
+
+
+def rat(value, where: str = "a number in the input") -> Fraction:
+    """Coerce an int, Fraction or "p/q" string to an exact rational.  A string
+    that is not a rational is refused with a ValueError, and any other value
+    with a TypeError, each naming `where`."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -60,12 +69,12 @@ def rat(value) -> Fraction:
         try:
             return Fraction(value)
         except ZeroDivisionError:
-            raise ValueError(f"a number in the input has a zero denominator: {value!r}") from None
+            raise ValueError(f"a number in the input has a zero denominator: {_shown(value)}") from None
         except ValueError:
             if _over_digit_limit(value):
                 raise _digit_limit_error("a number in the input") from None
-            raise
-    raise TypeError(f"cannot interpret {value!r} as an exact rational")
+            raise ValueError(f"{where} must be a rational number, got {_shown(value)}") from None
+    raise TypeError(f"{where} must be a rational number, got {_shown(value)}")
 
 
 def rat_str(value) -> str:
@@ -114,7 +123,7 @@ def _integer(value, where: str) -> int:
         else:
             if number == value:
                 return number
-    raise ValueError(f"{where} must be an integer, got {value!r}")
+    raise ValueError(f"{where} must be an integer, got {_shown(value)}")
 
 
 def _integers(values, where: str) -> tuple:
@@ -407,10 +416,6 @@ class Poly:
     @classmethod
     def constant(cls, c) -> "Poly":
         return cls((c,))
-
-    @classmethod
-    def x(cls) -> "Poly":
-        return cls((0, 1))
 
     @property
     def degree(self) -> int:

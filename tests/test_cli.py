@@ -657,6 +657,21 @@ def test_a_zero_denominator_is_refused_without_a_traceback(capsys, argv):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
+def test_a_long_refused_value_is_echoed_as_a_prefix(capsys):
+    code, out, err = run(capsys, "zeta", "--lefschetz", '["' + "x" * 5000 + '"]', "-N", "2")
+    assert (code, out) == (2, "")
+    assert len(err.encode()) < 200
+    assert err.startswith("error: an entry of a Lefschetz sequence must be an integer, got 'xxx")
+    assert err.endswith("... (5002 characters)\n")
+
+
+@pytest.mark.parametrize("entry, shown", [('"abc"', "'abc'"), ("1.5", "1.5"), ("[2]", "[2]")])
+def test_a_matrix_entry_that_is_not_a_number_names_its_place(capsys, entry, shown):
+    argv = ["graded", "--matrices", '{"degrees":{"0":[[%s]]}}' % entry]
+    message = f"an entry of the matrix in degree 0 of --matrices must be a rational number, got {shown}"
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_a_quoted_number_below_the_digit_limit_still_reads(capsys):
     code, out, _ = run(capsys, "zeta", "--lefschetz", '["' + "9" * 4000 + '"]', "-N", "1")
     assert code == 0 and json.loads(out)["zeta"]["coeffs"] == ["1", "-" + "9" * 4000]

@@ -1,13 +1,14 @@
 """Golden outputs: the exact stdout and exit code of `selftest`, of every
 README example command (as JSON and, where it has one, in its text form),
 of `verify --plan` on each built-in plan, of `graded` on blocks in three
-degrees, and of the top-level `--help`
-(which must list every command).
+degrees, of `gsymm` and `partition` over groups of degree 5, and of the
+top-level `--help` (which must list every command).
 
 The JSON files under tests/golden/ were written from the code before the
-series kernels were unified, and the `-text` files from the code before
-the commands stopped printing their own output; any refactor must leave
-every byte the same.  To
+series kernels were unified, the `-text` files from the code before the
+commands stopped printing their own output, and the degree-5 group files
+from the code before the group average ran over integer numerators; any
+refactor must leave every byte the same.  To
 regenerate them after an intended output change, run
 
     PYTHONPATH=src python tests/test_golden.py --write
@@ -95,7 +96,46 @@ GRADED_CASES = [
     ),
 ]
 
-CASES = README_EXAMPLES + TEXT_CASES + PLAN_CASES + GRADED_CASES + [("help", ["--help"])]
+# `gsymm` and `partition` at a realistic size, beyond the S2 of the README:
+# S5 with a coefficient set, S3xS2 (by generators) with a `refines` family
+# and a coefficient set, and D5 with a block bound, each also as text
+GROUP_JSON_CASES = [
+    (
+        "gsymm-s5-coefficient",
+        [
+            "gsymm",
+            "--group", '{"degree":5,"generators":[[1,2,3,4,0],[1,0,2,3,4]]}',
+            "--coefficient-size", "3",
+            "--map", '{"size":4,"map":[1,2,0,3]}',
+        ],
+    ),
+    (
+        "partition-s3xs2-refines-coefficient",
+        [
+            "partition",
+            "--group", '{"degree":5,"generators":[[1,2,0,3,4],[1,0,2,3,4],[0,1,2,4,3]]}',
+            "--family", '{"ground":5,"refines":[[0,1,2],[3,4]]}',
+            "--coefficient-size", "2",
+            "--map", '{"size":4,"map":[1,0,3,3]}',
+        ],
+    ),
+    (
+        "partition-d5-max-block",
+        [
+            "partition",
+            "--group", '{"degree":5,"generators":[[1,2,3,4,0],[0,4,3,2,1]]}',
+            "--family", '{"ground":5,"max_block":3}',
+            "--map", '{"size":5,"map":[1,0,2,3,3]}',
+        ],
+    ),
+]
+GROUP_CASES = GROUP_JSON_CASES + [
+    (f"{name}-text", argv + ["--format", "text"]) for name, argv in GROUP_JSON_CASES
+]
+
+CASES = (
+    README_EXAMPLES + TEXT_CASES + PLAN_CASES + GRADED_CASES + GROUP_CASES + [("help", ["--help"])]
+)
 
 
 def render(argv) -> str:

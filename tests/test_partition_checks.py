@@ -2,14 +2,17 @@
 polynomial, each against the code it replaced, on seeded random inputs.
 
 The references below are the sorted-blocks partition operations, the
-stability check over every group element and, in `family_recursion`, the
-recursion over minimal excluded partitions with the pairwise scan for them.
-The growth-string code must give the same blocks and the same accept/reject
-outcome; the orbit sum (the group average minus one configuration term per
-excluded orbit) must give the same polynomial as the recursion, whose
-enlarged families are validated here."""
+stability check over every group element, in `family_recursion`, the
+recursion over minimal excluded partitions with the pairwise scan for them,
+and, in `group_average_reference`, the Fraction-valued group average and
+orbit sum.  The growth-string code must give the same blocks and the same
+accept/reject outcome; the orbit sum (the group average minus one
+configuration term per excluded orbit) must give the same polynomial as the
+recursion, whose enlarged families are validated here, and the integer
+kernel the same polynomials as the Fraction one."""
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -34,6 +37,7 @@ from doldzeta.partitions import (
     refinements_of,
 )
 
+import group_average_reference as reference
 from conftest import stable_families
 from family_recursion import (
     discrete_only,
@@ -392,3 +396,64 @@ def test_traces_that_are_not_a_class_function_are_refused():
         general_lefschetz_polynomial(group, PartitionFamily.max_block(3, 1), traces)
     with pytest.raises(ValueError, match="must be a class function"):
         gsymm_polynomial(group, None, traces)
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against the Fraction-valued group average and orbit sum
+
+
+def orbit_partition(gset):
+    """The partition of the points into orbits of the action: every
+    refinement of it is stable."""
+    k = len(gset[0])
+    labels = list(range(k))
+    for perm in gset:
+        for x in range(k):
+            a, b = labels[x], labels[perm[x]]
+            if a != b:
+                labels = [min(a, b) if v in (a, b) else v for v in labels]
+    return fiber_partition(labels)
+
+
+def random_traces(rng, group, table):
+    """None, integer coefficient traces, or Fraction traces that depend on
+    the cycle type only (so a class function with several denominators)."""
+    kind = rng.choice(["none", "integer", "fraction"])
+    if kind == "none":
+        return kind, None
+    if kind == "integer":
+        return kind, coefficient_traces(group, rng.choice((-1, 0, 2, 3)), table)
+    by_type = {}
+    traces = {}
+    for g in group.elements:
+        shape = tuple(sorted(perm_cycle_type(g).items()))
+        if shape not in by_type:
+            by_type[shape] = Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+        traces[g] = by_type[shape]
+    return kind, traces
+
+
+def test_integer_kernel_matches_the_fraction_reference():
+    rng = random.Random(608)
+    kinds = set()
+    for _ in range(300):
+        group = random_subgroup(rng, rng.randint(1, 5))
+        table = random_table(rng, group)
+        gset = group.elements if table is None else table
+        k = len(gset[0])
+        family_kind = rng.choice(["max_block", "refines", "members"])
+        if family_kind == "max_block":
+            family = PartitionFamily.max_block(k, rng.randint(1, k))
+        elif family_kind == "refines":
+            family = PartitionFamily.refining(orbit_partition(gset))
+        else:
+            family = orbit_closure(random_closed_family(rng, k), group, gset)
+        trace_kind, traces = random_traces(rng, group, table)
+        kinds.add((table is None, family_kind, trace_kind))
+        assert gsymm_polynomial(group, table, traces) == (
+            reference.gsymm_polynomial(group, table, traces)
+        )
+        assert general_lefschetz_polynomial(group, family, traces, table) == (
+            reference.general_lefschetz_polynomial(group, family, traces, table)
+        )
+    assert len(kinds) == 18

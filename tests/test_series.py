@@ -399,6 +399,29 @@ class TestMultiPoly:
         p = t * (t - MultiPoly.constant(1, 1))
         assert p.evaluate([1]) == 0
 
+    @pytest.mark.parametrize("exps", [(1,), (1, 2, 3), (1, -1)])
+    def test_constructor_refuses_a_bad_exponent_vector(self, exps):
+        with pytest.raises(ValueError, match="bad exponent vector"):
+            MultiPoly(2, {exps: 1})
+
+    def test_cancelling_arithmetic_keeps_no_zero_entry(self):
+        t1 = MultiPoly.variable(1, 2)
+        t2 = MultiPoly.variable(2, 2)
+        p = t1 + t2
+        q = t1 - t2
+        zeros = [
+            p + (-p),
+            p - p,
+            p * q - (t1 ** 2 - t2 ** 2),
+            p * 0,
+            (p - t2).extend(3) - t1.extend(3),
+            (p - t1).substitute([t1, t1]) - t1,
+        ]
+        assert all(r.terms == {} for r in zeros)
+        # the t1 terms cancel inside one product
+        product = (t1 + 1) * (t1 - 1)
+        assert product.terms == {(2, 0): 1, (0, 0): -1}
+
     def test_weighted_degree(self):
         t1 = MultiPoly.variable(1, 3)
         t3 = MultiPoly.variable(3, 3)
