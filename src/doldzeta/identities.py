@@ -316,11 +316,13 @@ def _validate_traces(group: PermutationGroup, coeff_traces):
     table = {tuple(g): rat(v) for g, v in coeff_traces.items()}
     if any(g not in table for g in group.elements):
         raise ValueError("coefficient traces must be defined on every group element")
+    # integral traces compare as ints, which is much cheaper than as Fractions
+    keys = {g: v.numerator if v.denominator == 1 else v for g, v in table.items()}
     for s in group.generators:
         s_inv = invert_perm(s)
         for g in group.elements:
-            conjugate = tuple(s[g[s_inv[i]]] for i in range(len(g)))  # s g s^-1
-            if table[conjugate] != table[g]:
+            conjugate = tuple([s[g[j]] for j in s_inv])  # s g s^-1
+            if keys[conjugate] != keys[g]:
                 raise ValueError(
                     f"coefficient traces must be a class function, but {list(g)} has trace "
                     f"{rat_str(table[g])} and its conjugate {list(conjugate)} has trace "
@@ -755,7 +757,8 @@ def coefficient_identities_check(
     of reduced Euler characteristic n against the polynomial calculus.
 
     The left side is the group-average polynomial with traces n^{cycles},
-    evaluated at the given orbit profile, for each power k <= order.  The
+    evaluated at the given orbit profile, for each power k <= order (at most
+    6: the closure of S_k stops at the group order cap of 720).  The
     applicable right sides are Z^{-n} (unbounded multiplicities, and again
     for n <= 0 once the bound reaches -n) and prod_m (1 + n q^m)^{D_m}
     (multiplicity bound 1).
@@ -764,17 +767,15 @@ def coefficient_identities_check(
         order = min(profile.horizon, 4)
     if profile.horizon < order:
         raise ValueError(f"profile horizon {profile.horizon} is below the order {order}")
-    if order > 5:
-        raise ValueError("powers above 5 need symmetric groups beyond the supported size")
     if bound is not None and bound < 0:
         raise ValueError("multiplicity bound must be >= 0 (or None for unbounded)")
 
     lhs = [Fraction(1)]
     for k in range(1, order + 1):
+        group = PermutationGroup.symmetric(k)  # its order cap refuses k > 6
         if bound is not None and bound == 0:
             lhs.append(Fraction(0))
             continue
-        group = PermutationGroup.symmetric(k)
         full = bound is None or bound >= k
         family = PartitionFamily.full(k) if full else PartitionFamily.max_block(k, bound)
         traces = coefficient_traces(group, euler)

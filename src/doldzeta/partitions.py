@@ -8,17 +8,18 @@ are relabellings of tuples.  A family of partitions is admissible when it
 is closed downwards under refinement and, when paired with a group action,
 stable under it.
 
-Input is checked once, where it enters: the blocks constructor, the
-validating family constructor, `validate_gset` and `_require_stable` (whose
-tables and families carry the mark of the check).  The partitions and
-families built inside this package are correct by construction and are not
-checked again.
+Input is checked once, where it enters: the public constructors,
+`validate_gset` and `_require_stable` (whose tables and families carry the
+mark of the check).  The partitions, groups and families built inside this
+package are correct by construction and go through one unchecked private
+builder each: `SetPartition._fibers`, `PermutationGroup._closed` and
+`PartitionFamily._trusted`.
 """
 
 from __future__ import annotations
 
 import functools
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .series import _field, _integer, _integers
 
@@ -203,105 +204,88 @@ def _require_permutation(perm, degree: int):
         raise ValueError(f"{perm} is not a permutation of degree {degree}")
 
 
-class PermutationGroup:
-    """A permutation group of fixed degree, stored as an explicit element
-    list together with a generating set."""
-
-    __slots__ = ("degree", "elements", "_index", "_generators")
-
-    def __init__(self, degree: int, elements, validate: bool = True):
-        if validate:  # the other constructors here pass tuples of ints they made
-            elements = [tuple(_integer(x, "an entry of a group element") for x in e) for e in elements]
-        self.degree = degree
-        self.elements = tuple(sorted(set(map(tuple, elements))))
-        self._index = {e: i for i, e in enumerate(self.elements)}
-        self._generators = None
-        if validate:
-            if self.order > DEFAULT_MAX_GROUP_ORDER:
-                raise ValueError(
-                    f"a group of {self.order} elements exceeds the order cap {DEFAULT_MAX_GROUP_ORDER}"
-                )
-            self._validate()
-
-    def _validate(self):
-        for e in self.elements:
-            _require_permutation(e, self.degree)
-        if identity_perm(self.degree) not in self._index:
-            raise ValueError("group does not contain the identity")
-        self._generators = self._pick_generators()
-
-    def _pick_generators(self) -> tuple:
-        """Walk the elements and keep each one that is not yet in the closure
-        of those kept so far.
-
-        The closure grows by right multiplication: each product g*s, with g
-        in the closure and s a kept generator, is formed exactly once and must
-        lie in the element list.  When the walk ends the closure is the whole
-        list, so the list is closed under composition (every element is a
-        word in the generators); the cost is order x generators products, and
-        there are at most log2(order) generators.
-        """
-        gens = []
-        closure = {identity_perm(self.degree)}
-        reached = list(closure)
-        for e in self.elements:
-            if e in closure:
-                continue
-            gens.append(e)
+def _close(degree: int, candidates, members=None):
+    """The candidates kept as generators (each one, in order, that the
+    closure has not yet reached) and their closure under composition, a
+    list that starts with the identity.  Each product g*s, g reached and s
+    kept, is formed once: order x generators products.  A product outside
+    `members`, when given, is refused; otherwise the order cap refuses a
+    larger closure."""
+    reached = [identity_perm(degree)]
+    seen = set(reached)
+    kept = []
+    for candidate in candidates:
+        if candidate in seen:
+            continue
+        kept.append(candidate)
+        pending = [(g, candidate) for g in reached]
+        while pending:
             start = len(reached)
-            pending = [(g, e) for g in reached]
-            while pending:
-                for g, s in pending:
-                    prod = compose_perms(g, s)
-                    if prod not in self._index:
-                        raise ValueError(f"group not closed: {g} * {s} missing")
-                    if prod not in closure:
-                        closure.add(prod)
-                        reached.append(prod)
-                pending = [(g, s) for g in reached[start:] for s in gens]
-                start = len(reached)
-        return tuple(gens)
+            for g, s in pending:
+                prod = tuple([g[i] for i in s])  # compose_perms(g, s), inlined for speed
+                if prod in seen:
+                    continue
+                if members is not None and prod not in members:
+                    raise ValueError(f"group not closed: {g} * {s} missing")
+                seen.add(prod)
+                reached.append(prod)
+                if len(reached) > DEFAULT_MAX_GROUP_ORDER:
+                    raise ValueError(f"group closure exceeded the order cap {DEFAULT_MAX_GROUP_ORDER}")
+            pending = [(g, s) for g in reached[start:] for s in kept]
+    return tuple(kept), reached
 
-    @property
-    def generators(self) -> tuple:
-        """A generating set: the one given to `from_generators`, otherwise
-        picked greedily from the element list (and cached)."""
-        if self._generators is None:
-            self._generators = self._pick_generators()
-        return self._generators
+
+class PermutationGroup:
+    """A permutation group of fixed degree: its sorted element list and a
+    generating set fixed when it is built.  The constructor checks an
+    element list and keeps the generators that `_close` picks from it in
+    sorted order; `from_generators` and `symmetric` build through `_closed`."""
+
+    __slots__ = ("degree", "elements", "generators")
+
+    def __init__(self, degree: int, elements):
+        elements = sorted({tuple(_integer(x, "an entry of a group element") for x in e) for e in elements})
+        if len(elements) > DEFAULT_MAX_GROUP_ORDER:
+            raise ValueError(
+                f"a group of {len(elements)} elements exceeds the order cap {DEFAULT_MAX_GROUP_ORDER}"
+            )
+        for e in elements:
+            _require_permutation(e, degree)
+        members = set(elements)
+        if identity_perm(degree) not in members:
+            raise ValueError("group does not contain the identity")
+        self.degree = degree
+        self.elements = tuple(elements)
+        self.generators = _close(degree, elements, members)[0]
+
+    @classmethod
+    def _closed(cls, degree: int, candidates) -> "PermutationGroup":
+        """The group the candidates generate, with the kept ones as its
+        generators; the candidates must be permutations of the degree."""
+        group = object.__new__(cls)
+        group.generators, reached = _close(degree, candidates)
+        group.degree = degree
+        group.elements = tuple(sorted(reached))
+        return group
 
     @classmethod
     def from_generators(cls, degree: int, generators):
-        """Close a generating set under composition (breadth-first products),
-        refused once the closure exceeds the order cap."""
-        gens = [tuple(_integer(x, "an entry of a group generator") for x in g) for g in generators]
+        """The closure of a generating set, which stays the group's
+        generators as given."""
+        gens = tuple(tuple(_integer(x, "an entry of a group generator") for x in g) for g in generators)
         for g in gens:
             _require_permutation(g, degree)
-        elements = {identity_perm(degree)}
-        frontier = [g for g in gens if g not in elements]
-        elements.update(frontier)
-        while frontier:
-            new = []
-            for g in gens:
-                for h in frontier:
-                    prod = compose_perms(g, h)
-                    if prod not in elements:
-                        elements.add(prod)
-                        new.append(prod)
-                        if len(elements) > DEFAULT_MAX_GROUP_ORDER:
-                            raise ValueError(
-                                f"group closure exceeded the order cap {DEFAULT_MAX_GROUP_ORDER}"
-                            )
-            frontier = new
-        group = cls(degree, elements, validate=False)
-        group._generators = tuple(gens)
+        group = cls._closed(degree, gens)
+        group.generators = gens
         return group
 
     @classmethod
     def symmetric(cls, k: int) -> "PermutationGroup":
-        if k > 6:
-            raise ValueError("full symmetric groups are materialized only up to degree 6")
-        return cls(k, permutations(range(k)), validate=False)
+        """S_k, closed from a k-cycle and a transposition (one generator
+        for S2, none for S1); the closure's order cap refuses k > 6."""
+        swap = list(range(k))
+        swap[:2] = swap[1::-1]
+        return cls._closed(k, [tuple((i + 1) % k for i in range(k)), tuple(swap)])
 
     @property
     def order(self) -> int:
@@ -406,21 +390,29 @@ def _require_stable(family: "PartitionFamily", group: PermutationGroup, gset):
 class PartitionFamily:
     """A nonempty, refinement-closed set of partitions of {0..k-1}.
 
-    The validating constructor checks closure under single block splits,
-    which generate the full refinement order; the builders below make
-    closed families and skip the check.
+    The constructor checks closure under single block splits, which
+    generate the full refinement order; the builders below make closed
+    families and pass them to `_trusted`, which checks nothing.
     """
 
     __slots__ = ("ground", "members")
 
-    def __init__(self, ground: int, members, validate: bool = True):
+    def __init__(self, ground: int, members):
         members = frozenset(members)
         if not members:
             raise ValueError("a partition family must be nonempty")
         self.ground = ground
         self.members = members
-        if validate:
-            self._validate_closure()
+        self._validate_closure()
+
+    @classmethod
+    def _trusted(cls, ground: int, members) -> "PartitionFamily":
+        """A family from members that are already a nonempty,
+        refinement-closed set of partitions of {0..ground-1}, unchecked."""
+        family = object.__new__(cls)
+        family.ground = ground
+        family.members = frozenset(members)
+        return family
 
     def _validate_closure(self):
         for p in self.members:
@@ -437,23 +429,21 @@ class PartitionFamily:
 
     @classmethod
     def full(cls, k: int) -> "PartitionFamily":
-        return cls(k, all_partitions(k), validate=False)
+        return cls._trusted(k, all_partitions(k))
 
     @classmethod
     def max_block(cls, k: int, bound: int) -> "PartitionFamily":
         """All partitions whose blocks have at most `bound` elements."""
         if bound < 1:
             raise ValueError("the block bound must be >= 1")
-        return cls(
-            k,
-            [p for p in all_partitions(k) if max(len(b) for b in p.blocks) <= bound],
-            validate=False,
+        return cls._trusted(
+            k, [p for p in all_partitions(k) if max(len(b) for b in p.blocks) <= bound]
         )
 
     @classmethod
     def refining(cls, partition: SetPartition) -> "PartitionFamily":
         """All refinements of a fixed partition."""
-        return cls(partition.ground, refinements_of(partition), validate=False)
+        return cls._trusted(partition.ground, refinements_of(partition))
 
     @classmethod
     def from_json(cls, obj: dict) -> "PartitionFamily":
@@ -504,7 +494,8 @@ class _StableFamily(PartitionFamily):
     __slots__ = ("action",)
 
     def __init__(self, family: PartitionFamily, action):
-        super().__init__(family.ground, family.members, validate=False)
+        self.ground = family.ground
+        self.members = family.members
         self.action = action
 
 

@@ -27,7 +27,7 @@ def is_full(family) -> bool:
 
 
 def discrete_only(k) -> PartitionFamily:
-    return PartitionFamily(k, [SetPartition.discrete(k)], validate=False)
+    return PartitionFamily._trusted(k, [SetPartition.discrete(k)])
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ def minimal_excluded_step(family, group, gset=None, rng=None) -> MinimalStep:
             block_action.append(tuple(chosen.labels[perm[x]] for x in heads))
     return MinimalStep(
         partition=chosen,
-        extended_family=PartitionFamily(family.ground, members | orbit, validate=False),
+        extended_family=PartitionFamily._trusted(family.ground, members | orbit),
         stabilizer=tuple(stab),
         block_action=tuple(block_action),
         block_ground=chosen.block_count,
@@ -96,7 +96,7 @@ def recursive_lefschetz_polynomial(group, family, coeff_traces=None, gset=None, 
         else:
             step = minimal_excluded_step(fam, grp, act, rng)
             enlarged = rec(grp, step.extended_family, act)
-            stabilizer = PermutationGroup(grp.degree, step.stabilizer, validate=False)
+            stabilizer = PermutationGroup(grp.degree, step.stabilizer)
             correction = rec(stabilizer, discrete_only(step.block_ground), step.block_action)
             value = enlarged - correction.extend(fam.ground)
         memo[key] = value

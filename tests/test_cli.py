@@ -862,6 +862,23 @@ def test_coeffic_plan_takes_exactly_one_of_profile_and_map(capsys, points):
     )
 
 
+COEFFIC_PROFILE = {"horizon": 7, "values": [2, 1, 0, 1, 1, 0, 0]}
+
+
+@pytest.mark.parametrize("bound, euler", [("inf", 2), (1, 2), (2, -2), (3, -3), ("inf", -1)])
+def test_coeffic_reaches_the_sixth_power(capsys, bound, euler):
+    plan = {"identity": "coeffic", "profile": COEFFIC_PROFILE, "euler": euler, "l": bound, "N": 6}
+    code, out, _ = run(capsys, "verify", "--plan", json.dumps(plan))
+    assert code == 0 and json.loads(out)["pass"]
+
+
+def test_coeffic_seventh_power_is_refused_by_the_group_order_cap(capsys):
+    plan = {"identity": "coeffic", "profile": COEFFIC_PROFILE, "euler": 2, "N": 7}
+    assert run(capsys, "verify", "--plan", json.dumps(plan)) == (
+        2, "", "error: group closure exceeded the order cap 720\n"
+    )
+
+
 def test_group_element_list_has_the_generators_order_cap(capsys):
     from itertools import permutations
 

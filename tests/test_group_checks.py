@@ -118,7 +118,7 @@ def block_action(rng, degree):
     group = random_subgroup(rng, degree)
     family = PartitionFamily.max_block(degree, rng.randint(1, degree - 1))
     step = minimal_excluded_step(family, group)
-    return PermutationGroup(degree, step.stabilizer, validate=False), step.block_action
+    return PermutationGroup(degree, step.stabilizer), step.block_action
 
 
 def random_actions(rng, count):
@@ -181,6 +181,19 @@ def test_generating_set_is_small_and_generates():
         assert 2 ** len(gens) <= group.order
         assert PermutationGroup.from_generators(k, gens) == group
     assert trivial_group(4).generators == ()
+
+
+def test_symmetric_groups_are_closed_from_a_cycle_and_a_transposition():
+    for k in range(1, 7):
+        group = PermutationGroup.symmetric(k)
+        assert group == PermutationGroup(k, permutations(range(k)))
+        if k >= 3:
+            cycle = tuple((i + 1) % k for i in range(k))
+            assert group.generators == (cycle, (1, 0) + tuple(range(2, k)))
+    assert PermutationGroup.symmetric(2).generators == ((1, 0),)
+    assert PermutationGroup.symmetric(1).generators == ()
+    with pytest.raises(ValueError, match=r"^group closure exceeded the order cap 720$"):
+        PermutationGroup.symmetric(7)
 
 
 # ---------------------------------------------------------------------------
@@ -314,3 +327,15 @@ def test_entry_checks_refuse_bad_input():
         general_lefschetz_polynomial(s3, PartitionFamily.max_block(3, 1), partial)
     with pytest.raises(ValueError, match="every group element"):
         gsymm_polynomial(s3, None, partial)
+
+
+def test_traces_compare_as_rationals():
+    s3 = PermutationGroup.from_generators(3, [(1, 0, 2), (1, 2, 0)])
+    thirds = {g: Fraction(1, 3) if g == (2, 1, 0) else Fraction(1, 2) for g in s3.elements}
+    message = ("coefficient traces must be a class function, but [0, 2, 1] has trace 1/2 "
+               "and its conjugate [2, 1, 0] has trace 1/3")
+    with pytest.raises(ValueError) as info:
+        gsymm_polynomial(s3, None, thirds)
+    assert str(info.value) == message
+    mixed = {g: 2 if i % 2 else Fraction(2) for i, g in enumerate(s3.elements)}
+    assert gsymm_polynomial(s3, None, mixed) == gsymm_polynomial(s3, None, dict.fromkeys(mixed, 2))

@@ -296,7 +296,7 @@ def recursion_nodes(group, family, gset):
         if is_full(fam):
             continue
         step = minimal_excluded_step(fam, grp, act)
-        stabilizer = PermutationGroup(grp.degree, step.stabilizer, validate=False)
+        stabilizer = PermutationGroup(grp.degree, step.stabilizer)
         nodes.append((grp, step.extended_family, act))
         nodes.append(
             (stabilizer, discrete_only(step.block_ground), step.block_action)
