@@ -78,7 +78,6 @@ from .identities import (
 )
 from .graded import (
     GradedEndomorphism,
-    bareiss_determinant,
     characteristic_rational_function,
     det_one_minus_t,
     graded_lefschetz_numbers,

@@ -233,7 +233,7 @@ def cmd_order_poly(args):
     }
     if args.at is not None:
         payload["value"] = rat_str(poly(args.at))
-    return payload, lambda: _with_value(poly.render("t"), f"value at {args.at}", payload)
+    return payload, lambda: _with_value(poly.render(), f"value at {args.at}", payload)
 
 
 def cmd_graded(args):
@@ -248,7 +248,7 @@ def cmd_graded(args):
         "lefschetz": [rat_str(v) for v in graded_lefschetz_numbers(endo, args.order)],
     }
     return payload, lambda: [
-        f"characteristic  ({char.numerator.render('t')}) / ({char.denominator.render('t')})",
+        f"characteristic  ({char.numerator.render()}) / ({char.denominator.render()})",
         *_series_text(zeta),
     ]
 

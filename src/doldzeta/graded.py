@@ -16,13 +16,13 @@ signs).  An independent oracle computes that coefficient directly by
 averaging the signed permutation action on the tensor power; the two
 computations must agree, and P(q, 1) * Z(q) = 1.
 
-Determinants of polynomial matrices use fraction-free Bareiss elimination,
-and the series kernels stay fraction-free as well: the common denominator d
-of all matrix entries is cleared once, giving integer matrices B_j = d A_j.
-Since det(1 - x B_j) = det(1 - d x A_j), the integer series Z(q / d) and
-P(q d, T), and the integer traces of the powers of B_j, carry the answers
-scaled by d^n in their n-th coefficient; each output coefficient is divided
-by that power once.
+The determinant formulas run over the integers: the common denominator d of
+all matrix entries is cleared once, giving integer matrices B_j = d A_j, and
+each det(1 - x B_j) comes from Bareiss elimination over integer coefficient
+lists.  Since det(1 - x B_j) = det(1 - d x A_j), the integer series
+Z(q / d) and P(q d, T), and the integer traces of the powers of B_j, carry
+the answers scaled by d^n in their n-th coefficient; each output
+coefficient is divided by that power once.
 """
 
 from __future__ import annotations
@@ -31,10 +31,12 @@ from fractions import Fraction
 from itertools import permutations, product
 from math import lcm
 
+from .oracles import _guard
 from .series import (
     Poly,
     PowerSeries,
     RationalFunction,
+    _convolve_into,
     _exp_form_holds,
     _field,
     _fold_monic,
@@ -43,10 +45,8 @@ from .series import (
     rat,
 )
 
-KOSZUL_GUARD = 100_000
-
 # Caps on a graded endomorphism, sized so that `graded -N 64` on the worst
-# input they allow takes about a second: Bareiss elimination grows with the
+# input they allow takes under a second: Bareiss elimination grows with the
 # dimension, and the T-degrees of the Poincaré series with the top degree.
 MAX_GRADED_DIMENSION = 10
 MAX_GRADED_DEGREE = 16
@@ -113,45 +113,41 @@ def _mat_mul(a, b):
     )
 
 
-def bareiss_determinant(entries) -> Poly:
-    """Fraction-free determinant of a square matrix of polynomials.
+def _det_one_minus_x(rows) -> list:
+    """The coefficients of det(1 - x B), for an integer square matrix B, by
+    Bareiss elimination over integer coefficient lists.
 
-    Every division in the Bareiss recurrence is exact, so intermediate
-    entries stay polynomial.
-    """
-    m = [[e if isinstance(e, Poly) else Poly.constant(e) for e in row] for row in entries]
-    n = len(m)
-    if n == 0:
-        return Poly.one()
-    sign = 1
-    prev = Poly.one()
+    At step r each entry m[i][j] with i, j > r becomes the (r + 2)-minor of
+    1 - x B on rows 0..r, i and columns 0..r, j, of degree at most r + 2,
+    after an exact division by the pivot of the step before, a leading
+    principal minor.  Such a minor is 1 at x = 0, so no row is ever swapped
+    and each division is by a monic series: it is cut at the quotient's
+    length r + 3 and runs through `_fold_monic`."""
+    n = len(rows)
+    m = [[[int(i == j), -rows[i][j]] for j in range(n)] for i in range(n)]
+    prev = []
     for r in range(n - 1):
-        if m[r][r].is_zero:
-            pivot = next((i for i in range(r + 1, n) if not m[i][r].is_zero), None)
-            if pivot is None:
-                return Poly.zero()
-            m[r], m[pivot] = m[pivot], m[r]
-            sign = -sign
+        size = r + 3
+        row = [_terms(entry) for entry in m[r]]
         for i in range(r + 1, n):
+            left = [(k, -c) for k, c in _terms(m[i][r])]
             for j in range(r + 1, n):
-                m[i][j] = (m[r][r] * m[i][j] - m[i][r] * m[r][j]).exact_div(prev)
-            m[i][r] = Poly.zero()
-        prev = m[r][r]
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
+                out = _convolve_into([0] * size, row[r], _terms(m[i][j]))
+                _convolve_into(out, left, row[j])
+                m[i][j] = _fold_monic(out, prev, divide=True)
+        prev = row[r][1:]
+    return m[n - 1][n - 1] if n else [1]
 
 
 def det_one_minus_t(rows) -> Poly:
-    """det(1 - t A) as a polynomial in t, for a rational square matrix A."""
-    n = len(rows)
-    entries = [
-        [
-            Poly([Fraction(1) if i == j else Fraction(0), -rows[i][j]])
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return bareiss_determinant(entries)
+    """det(1 - t A) as a polynomial in t, for a rational square matrix A.
+
+    With d the common denominator of the entries and B = d A, it is
+    det(1 - (t / d) B), so its t^k coefficient is that of det(1 - x B)
+    divided by d^k."""
+    d = lcm(*(c.denominator for row in rows for c in row))
+    scaled = [[c.numerator * (d // c.denominator) for c in row] for row in rows]
+    return Poly([Fraction(c, d ** k) for k, c in enumerate(_det_one_minus_x(scaled))])
 
 
 def characteristic_rational_function(endo: GradedEndomorphism) -> RationalFunction:
@@ -290,10 +286,7 @@ def koszul_invariant_trace(endo: GradedEndomorphism, k: int) -> Poly:
     dim = len(basis)
     if dim == 0:
         return Poly.zero()
-    if dim ** k > KOSZUL_GUARD:
-        raise ValueError(
-            f"tensor power has {dim ** k} basis elements, above the guard {KOSZUL_GUARD}"
-        )
+    _guard(dim ** k)
     from math import factorial
 
     coeffs = {}

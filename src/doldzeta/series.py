@@ -18,8 +18,9 @@ graded map is kept in rows of T-coefficients by `graded`.
 Every truncated product in the package, whatever its coefficient ring,
 runs through one convolution kernel (:func:`_convolve_into`) and every
 integer power through one square-and-multiply routine (:func:`_power`).
-Every series division, and every multiplication by a determinant factor in
-`graded`, runs through one integer loop (:func:`_fold_monic`).
+Every series division, every multiplication by a determinant factor in
+`graded` and every exact division of its determinant kernel runs through
+one integer loop (:func:`_fold_monic`).
 """
 
 from __future__ import annotations
@@ -133,10 +134,9 @@ def _integers(values, where: str) -> tuple:
     return tuple(_integer(v, f"an entry of {where}") for v in values)
 
 
-def _terms(coeffs, nonzero=bool) -> list:
-    """The (index, coefficient) pairs of the entries that pass `nonzero`, in
-    index order."""
-    return [(k, c) for k, c in enumerate(coeffs) if nonzero(c)]
+def _terms(coeffs) -> list:
+    """The (index, coefficient) pairs of the nonzero entries, in index order."""
+    return [(k, c) for k, c in enumerate(coeffs) if c]
 
 
 def _convolve_into(out: list, a, b) -> list:
@@ -500,12 +500,6 @@ class Poly:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def exact_div(self, other: "Poly") -> "Poly":
-        q, r = divmod(self, other)
-        if not r.is_zero:
-            raise ArithmeticError("polynomial division was expected to be exact")
-        return q
-
     @staticmethod
     def gcd(a: "Poly", b: "Poly") -> "Poly":
         while not b.is_zero:
@@ -522,7 +516,8 @@ class Poly:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def render(self, var: str = "t") -> str:
+    def render(self) -> str:
+        """The polynomial in the variable t, as in 1 - 2*t + t^2."""
         if self.is_zero:
             return "0"
         parts = []
@@ -532,7 +527,7 @@ class Poly:
             if k == 0:
                 parts.append(rat_str(c))
                 continue
-            mono = var if k == 1 else f"{var}^{k}"
+            mono = "t" if k == 1 else f"t^{k}"
             if c == 1:
                 parts.append(mono)
             elif c == -1:
@@ -566,8 +561,9 @@ class RationalFunction:
             raise NotExpandableError("denominator vanishes at the origin")
         g = Poly.gcd(numerator, denominator)
         if not g.is_zero and g.degree > 0:
-            numerator = numerator.exact_div(g)
-            denominator = denominator.exact_div(g)
+            (numerator, r), (denominator, s) = divmod(numerator, g), divmod(denominator, g)
+            if not (r.is_zero and s.is_zero):
+                raise ArithmeticError("polynomial division was expected to be exact")
         scale = Fraction(1) / denominator.coefficient(0)
         self.numerator = numerator * scale
         self.denominator = denominator * scale
@@ -580,7 +576,7 @@ class RationalFunction:
         )
 
     def __repr__(self):
-        return f"RationalFunction(({self.numerator.render('q')}) / ({self.denominator.render('q')}))"
+        return f"RationalFunction(({self.numerator.render()}) / ({self.denominator.render()}))"
 
     def to_json(self) -> dict:
         return {

@@ -10,8 +10,9 @@ naive double loop over q-indices, one `Poly` sum per term."""
 
 from fractions import Fraction
 
-from doldzeta.graded import det_one_minus_t
 from doldzeta.series import Poly
+
+from fraction_reference import reference_det_one_minus_t
 
 
 def one(order):
@@ -49,6 +50,7 @@ def reference_poincare(endo, order):
     """prod_j det(1 - q T^j A_j)^{-(-1)^j}: even degrees inverted, odd direct."""
     result = one(order)
     for degree in endo.degrees():
-        factor = monomial_substitution(det_one_minus_t(endo.matrix(degree)), degree, order)
+        det = reference_det_one_minus_t(endo.matrix(degree))
+        factor = monomial_substitution(det, degree, order)
         result = bivariate_product(result, factor if degree % 2 else bivariate_inverse(factor))
     return result

@@ -52,20 +52,34 @@ def test_verify_pass_and_exit_code(capsys):
     assert json.loads(out)["pass"] is True
 
 
+# an inconsistent expectation makes this config-trace plan fail
+FAILING_PLAN = {
+    "identity": "config-trace",
+    "zeta": {"order": 3, "coeffs": ["1", "-1", "0", "0"]},
+    "parity": "odd",
+    "expected_traces": [1, 7],
+    "k_max": 3,
+}
+
+
 def test_verify_fail_exit_code(capsys):
-    # an inconsistent expectation makes the config-trace plan fail
-    plan = {
-        "identity": "config-trace",
-        "zeta": {"order": 3, "coeffs": ["1", "-1", "0", "0"]},
-        "parity": "odd",
-        "expected_traces": [1, 7],
-        "k_max": 3,
-    }
-    code, out, _ = run(capsys, "verify", "--plan", json.dumps(plan))
+    code, out, _ = run(capsys, "verify", "--plan", json.dumps(FAILING_PLAN))
     assert code == 1
     payload = json.loads(out)
     assert payload["pass"] is False
     assert payload["first_mismatch"]["k"] == 1
+
+
+@pytest.mark.parametrize("plan", [{"identity": "md", "map": {"size": 4, "map": [1, 0, 3, 3]}},
+                                  FAILING_PLAN], ids=["pass", "fail"])
+def test_timings_add_only_the_elapsed_time(capsys, plan):
+    code, out, err = run(capsys, "verify", "--plan", json.dumps(plan))
+    timed_code, timed_out, timed_err = run(capsys, "verify", "--plan", json.dumps(plan), "--timings")
+    report, timed = json.loads(out), json.loads(timed_out)
+    elapsed = timed.pop("elapsed_s")
+    assert isinstance(elapsed, (int, float)) and not isinstance(elapsed, bool) and elapsed >= 0
+    assert "elapsed_s" not in report
+    assert (timed_code, timed, timed_err) == (code, report, err)
 
 
 def test_malformed_json_exits_2_with_position(capsys):

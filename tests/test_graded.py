@@ -8,7 +8,6 @@ import pytest
 from doldzeta import (
     GradedEndomorphism,
     PowerSeries,
-    bareiss_determinant,
     characteristic_rational_function,
     det_one_minus_t,
     graded_lefschetz_numbers,
@@ -21,7 +20,7 @@ from doldzeta.series import Poly
 
 from bivariate_reference import bivariate_product, reference_poincare
 from conftest import at_one, expand
-from fraction_reference import reference_graded_zeta, reference_traces
+from fraction_reference import reference_det_one_minus_t, reference_graded_zeta, reference_traces
 
 
 def direct_sum(a, b):
@@ -67,15 +66,26 @@ def random_endomorphism(rng, total_dim=4, max_degree=3, span=2):
     return GradedEndomorphism(matrices)
 
 
+SHAPES = ("dense", "singular", "nilpotent", "permutation", "zero-diagonal")
+
+
 class TestDeterminants:
     def test_bareiss_matches_cofactor_on_numbers(self):
+        # the t^n coefficient of det(1 - t A) is (-1)^n det A
         rng = random.Random(2)
         for _ in range(20):
             n = rng.randint(1, 4)
-            rows = [[Poly.constant(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
-            got = bareiss_determinant(rows)
-            want = _cofactor_det([[r.coefficient(0) for r in row] for row in rows])
-            assert got == Poly.constant(want)
+            rows = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
+            got = det_one_minus_t(rows).coefficient(n)
+            assert got == (-1) ** n * _cofactor_det(rows)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_matches_the_fraction_reference(self, shape):
+        rng = random.Random(f"det:{shape}")
+        for n in range(11):
+            for _ in range(2):
+                rows = special_matrix(rng, n, shape)
+                assert det_one_minus_t(rows) == reference_det_one_minus_t(rows)
 
     def test_det_one_minus_t_on_diagonal(self):
         rows = ((Fraction(2), Fraction(0)), (Fraction(0), Fraction(3)))
@@ -84,6 +94,26 @@ class TestDeterminants:
     def test_det_one_minus_t_jordan_block(self):
         rows = ((Fraction(1), Fraction(1)), (Fraction(0), Fraction(1)))
         assert det_one_minus_t(rows) == Poly([1, -1]) ** 2
+
+
+def special_matrix(rng, n, shape):
+    """A random n x n matrix of one of the SHAPES, with integer entries or
+    rational ones."""
+    den = rng.choice((1, 2, 6))
+    rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, den)) for _ in range(n)]
+            for _ in range(n)]
+    if shape == "singular" and n > 1:
+        rows[-1] = [a + 2 * b for a, b in zip(rows[0], rows[1])]
+    elif shape == "nilpotent":
+        rows = [[c if j > i else Fraction(0) for j, c in enumerate(row)]
+                for i, row in enumerate(rows)]
+    elif shape == "permutation":
+        sigma = rng.sample(range(n), n)
+        rows = [[Fraction(int(j == sigma[i])) for j in range(n)] for i in range(n)]
+    elif shape == "zero-diagonal":
+        for i in range(n):
+            rows[i][i] = Fraction(0)
+    return rows
 
 
 def _cofactor_det(rows):

@@ -1,6 +1,6 @@
 """Guards on the package's shape: one verification handler per documented
-identity, and no exported function or public method of an exported class
-that only the tests call."""
+identity, no exported function or public method of an exported class that
+only the tests call, and no parameter default that only the tests change."""
 
 import ast
 import contextlib
@@ -25,6 +25,15 @@ TEST_ORACLES = {
     "counts the iterate transport of the polynomial calculus is checked against",
     "koszul_invariant_trace": "the Koszul-signed trace on symmetric-group invariants, "
     "the independent oracle for the bivariate determinant formula",
+}
+
+# parameters with a default ("function.parameter", "Class.method.parameter")
+# that the corpus only ever leaves at the default, and why they stay
+LATTICE_CHECK = ("integer_lattice_check is deleted with its benchmark operation "
+                 "(ROADMAP item 8), in a change to the benchmark")
+UNSET_DEFAULTS = {
+    "integer_lattice_check.max_points": LATTICE_CHECK,
+    "integer_lattice_check.seed": LATTICE_CHECK,
 }
 
 # one input per zeta-source flag, each read to order 4 by a `symmetric` run
@@ -98,55 +107,78 @@ def run_corpus():
             worker._library_call(op)()
 
 
-def called_code(run) -> set:
-    """The code objects of every Python function called while `run` runs."""
-    called = set()
+def record_calls(run, watched) -> tuple:
+    """Run `run`; return the code objects of every Python function it
+    called and, for the code objects in `watched` ({code: {parameter:
+    default}}), the (code, parameter) pairs of each parameter that some call
+    gave a value other than its default."""
+    called, overridden = set(), set()
 
     def profile(frame, event, arg):
         if event == "call":
             called.add(frame.f_code)
+            for name, default in watched.get(frame.f_code, {}).items():
+                value = frame.f_locals[name]
+                if value is not default and value != default:
+                    overridden.add((frame.f_code, name))
 
     sys.setprofile(profile)
     try:
         run()
     finally:
         sys.setprofile(None)
-    return called
+    return called, overridden
 
 
-def public_code(exports) -> dict:
+def exported() -> dict:
+    """The package's exported names, modules left out."""
+    return {
+        name: value for name, value in vars(doldzeta).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+
+
+def public_functions(exports) -> dict:
     """Each exported function, and each public method, classmethod or
-    property of an exported class ("Class.method"), with its code object."""
-    code = {}
+    property of an exported class ("Class.method")."""
+    functions = {}
     for name, value in exports.items():
         if inspect.isfunction(inspect.unwrap(value)):
-            code[name] = inspect.unwrap(value).__code__
+            functions[name] = inspect.unwrap(value)
         elif isinstance(value, type):
             for attr, member in vars(value).items():
                 member = member.fget if isinstance(member, property) else member
                 member = getattr(member, "__func__", member)
                 if not attr.startswith("_") and isinstance(member, types.FunctionType):
-                    code[f"{name}.{attr}"] = member.__code__
-    return code
+                    functions[f"{name}.{attr}"] = member
+    return functions
+
+
+def defaults(function) -> dict:
+    """The parameters of a function that have a default, with the default."""
+    parameters = inspect.signature(function).parameters.items()
+    return {name: p.default for name, p in parameters if p.default is not p.empty}
+
+
+def record_corpus(monkeypatch, watched) -> tuple:
+    """`record_calls` over one run of the corpus; a cached export starts
+    empty, so that a call runs its code."""
+    for value in exported().values():
+        getattr(value, "cache_clear", lambda: None)()
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    return record_calls(run_corpus, watched)
 
 
 def test_every_export_has_a_caller_outside_the_tests(monkeypatch):
-    exports = {
-        name: value for name, value in vars(doldzeta).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
-    }
+    exports = exported()
     # a class or constant is used when the program or the benchmark names it
     sources = [p for p in (ROOT / "src" / "doldzeta").glob("*.py") if p.name != "__init__.py"]
     named = referenced_names(sources + sorted((ROOT / "bench").glob("*.py")))
     assert sorted(name for name, value in exports.items()
                   if not inspect.isfunction(inspect.unwrap(value)) and name not in named) == []
-    # a function or method is used when the corpus calls it; a cached one
-    # starts empty, so that a call runs its code
-    for value in exports.values():
-        getattr(value, "cache_clear", lambda: None)()
-    monkeypatch.syspath_prepend(str(ROOT / "bench"))
-    called = called_code(run_corpus)
-    code = public_code(exports)
+    # a function or method is used when the corpus calls it
+    called, _ = record_corpus(monkeypatch, {})
+    code = {name: function.__code__ for name, function in public_functions(exports).items()}
     assert set(TEST_ORACLES) <= set(code)
     reached = {key for key, obj in code.items() if obj in called}
     # an oracle that gains a library caller leaves the allowlist
@@ -154,3 +186,19 @@ def test_every_export_has_a_caller_outside_the_tests(monkeypatch):
     assert not called_oracles, "called outside the tests: " + ", ".join(called_oracles)
     uncalled = sorted(set(code) - reached - set(TEST_ORACLES))
     assert not uncalled, "called by the tests only: " + ", ".join(uncalled)
+
+
+def test_every_default_is_overridden_outside_the_tests(monkeypatch):
+    # the test oracles are left out: the corpus calls none of them
+    functions = {name: function for name, function in public_functions(exported()).items()
+                 if name not in TEST_ORACLES}
+    _, overridden = record_corpus(
+        monkeypatch, {function.__code__: defaults(function) for function in functions.values()}
+    )
+    unset = {f"{name}.{parameter}" for name, function in functions.items()
+             for parameter in defaults(function) if (function.__code__, parameter) not in overridden}
+    # a listed parameter that the corpus comes to set leaves the list
+    set_listed = sorted(set(UNSET_DEFAULTS) - unset)
+    assert not set_listed, "set outside the tests: " + ", ".join(set_listed)
+    unlisted = sorted(unset - set(UNSET_DEFAULTS))
+    assert not unlisted, "only ever left at the default outside the tests: " + ", ".join(unlisted)

@@ -19,7 +19,7 @@ import pytest
 
 from doldzeta import MultiPoly, Poly, PowerSeries
 from doldzeta.identities import falling_factorial, symmetric_power_polys
-from doldzeta.series import _convolve_into, _terms
+from doldzeta.series import _convolve_into
 
 from conftest import disjoint_union_combine
 
@@ -189,10 +189,6 @@ def random_multipoly(rng, nvars, zero_rate=0.3):
     return MultiPoly(nvars, terms)
 
 
-def _nonzero_poly(p):
-    return not p.is_zero
-
-
 # ---------------------------------------------------------------------------
 # the tests
 
@@ -233,9 +229,9 @@ class TestProducts:
             a = [random_multipoly(rng, nvars) for _ in range(order + 1 + rng.randint(0, 2))]
             b = [random_multipoly(rng, nvars) for _ in range(order + 1)]
             zero = MultiPoly.zero(nvars)
-            got = _convolve_into(
-                [zero] * (order + 1), _terms(a, _nonzero_poly), _terms(b, _nonzero_poly)
-            )
+            terms_a = [(k, p) for k, p in enumerate(a) if not p.is_zero]
+            terms_b = [(k, p) for k, p in enumerate(b) if not p.is_zero]
+            got = _convolve_into([zero] * (order + 1), terms_a, terms_b)
             assert got == reference_convolve_poly_series(a, b, order, nvars)
 
     def test_kernel_truncates_at_the_output_length(self):
