@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations, product
-from math import lcm
+from math import factorial, lcm
 
 from .oracles import _guard
 from .series import (
@@ -286,9 +286,7 @@ def koszul_invariant_trace(endo: GradedEndomorphism, k: int) -> Poly:
     dim = len(basis)
     if dim == 0:
         return Poly.zero()
-    _guard(dim ** k)
-    from math import factorial
-
+    _guard(factorial(k) * dim ** k)  # the (permutation, basis tuple) pairs visited
     coeffs = {}
     tuples = list(product(range(dim), repeat=k))
     for sigma in permutations(range(k)):

@@ -36,7 +36,6 @@ orbit-count polynomials.
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,6 +57,7 @@ from .dynamics import (
 from .graded import GradedEndomorphism, graded_zeta
 from .multipoly import MultiPoly, _numerator_sum, _product
 from .oracles import (
+    _guard,
     coefficient_traces,
     fixed_bounded_multisets,
     fixed_bounded_tuples,
@@ -130,31 +130,20 @@ class LefschetzPolynomial:
         return {"degree_bound": self.degree_bound, "polynomial": self.poly.to_json()}
 
 
-def integer_lattice_check(
-    poly: MultiPoly, box: int = 4, max_points: int = 100_000, seed: int = 12345
-) -> bool:
-    """Check integrality of the polynomial's values on the lattice
-    [-box, box]^nvars, exhaustively when that is at most max_points points
-    and on a seeded sample otherwise.
+def integer_lattice_check(poly: MultiPoly, box: int = 4) -> bool:
+    """Check integrality of the polynomial's values at every point of the
+    lattice [-box, box]^nvars.
 
     With D the common denominator of the coefficients, D*p is evaluated over
-    the integers at each point and tested for divisibility by D."""
+    the integers at each point and tested for divisibility by D.  The
+    (2*box+1)^nvars points count against the enumeration guard."""
     if box < 0:
         raise ValueError("lattice box must be >= 0")
-    if max_points < 1:
-        raise ValueError("max_points must be >= 1")
     d, numerators = poly._numerators()
     if d == 1:  # integer coefficients: integer values at every point
         return True
-    n = poly.nvars
-    if (2 * box + 1) ** n <= max_points:
-        points = iter_product(range(-box, box + 1), repeat=n)
-    else:
-        sample = random.Random(seed)
-        points = (
-            tuple(sample.randint(-box, box) for _ in range(n))
-            for _ in range(min(max_points, 10_000))
-        )
+    _guard((2 * box + 1) ** poly.nvars)
+    points = iter_product(range(-box, box + 1), repeat=poly.nvars)
     return all(_numerator_sum(numerators, point) % d == 0 for point in points)
 
 
@@ -556,13 +545,12 @@ def iterate_profile_images(d: int, source_vars: int, target_vars: int) -> list:
 def dold_polynomial_of_functor(lp: LefschetzPolynomial, m: int) -> MultiPoly:
     """The m-th orbit count of the induced map, as a polynomial in the orbit
     counts of the input: Moebius inversion of the fixed-point polynomial
-    along the iterate substitution.  Weighted degree at most m * k."""
+    along the iterate substitution, in m * k variables (none for a constant)
+    and of weighted degree at most m * k.  Every result must pass the exact
+    integrality check of Dold's congruences, or a RuntimeError is raised."""
     if m < 1:
         raise ValueError("orbit length must be >= 1")
     k = lp.degree_bound
-    if k == 0:
-        value = lp.poly.evaluate([])
-        return MultiPoly.constant(value if m == 1 else 0, 1)
     target = k * m
     acc = MultiPoly.zero(target)
     for d in divisors(m):
@@ -581,19 +569,13 @@ def compose_lefschetz(
     orbit-count polynomials into the outer polynomial.
 
     The substitution bounds the weighted degree by (inner degree) * (outer
-    degree); the coarser classical bound k^l is asserted as well whenever
-    k >= 2 (for k = 1 it can undercount, e.g. composing with the identity).
+    degree), which is the degree bound of the result; the coarser classical
+    bound k^l is asserted as well whenever k >= 2 (for k = 1 it can
+    undercount, e.g. composing with the identity).  A constant inner functor
+    c sends the outer polynomial to its value at (c, 0, ..., 0).
     """
     l = outer.degree_bound
     k = inner.degree_bound
-    if l == 0:
-        return outer
-    if k == 0:
-        base = inner.poly.evaluate([])
-        point = [base] + [0] * (l - 1)
-        return LefschetzPolynomial(
-            MultiPoly.constant(outer.poly.evaluate(point), 0), 0
-        )
     target = k * l
     images = [
         dold_polynomial_of_functor(inner, i).resize(target) for i in range(1, l + 1)
@@ -601,7 +583,7 @@ def compose_lefschetz(
     poly = outer.poly.substitute(images)
     if k >= 2 and poly.weighted_degree() > k ** l:
         raise RuntimeError("composite exceeded the classical degree bound")
-    return LefschetzPolynomial(poly, max(target, k))
+    return LefschetzPolynomial(poly, target)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from doldzeta import (
     poincare_generating,
 )
 from doldzeta.graded import MAX_GRADED_DEGREE, _koszul_sign
+from doldzeta.oracles import EnumerationLimitError
 from doldzeta.series import Poly
 
 from bivariate_reference import bivariate_product, reference_poincare
@@ -271,6 +272,13 @@ class TestKoszulOracle:
         endo = GradedEndomorphism({0: [[1] * 8 for _ in range(8)]})
         with pytest.raises(ValueError):
             koszul_invariant_trace(endo, 8)
+
+    def test_the_guard_counts_permutation_and_basis_pairs(self, monkeypatch):
+        # 2^5 = 32 basis tuples, each visited once per permutation of 5 factors
+        monkeypatch.setenv("DOLD_ZETA_MAX_ENUM", "1000")
+        with pytest.raises(EnumerationLimitError) as refused:
+            koszul_invariant_trace(GradedEndomorphism({0: [[1, 1], [0, 2]]}), 5)
+        assert refused.value.size == 3840
 
 
 class TestInputGuards:

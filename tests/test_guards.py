@@ -27,15 +27,6 @@ TEST_ORACLES = {
     "the independent oracle for the bivariate determinant formula",
 }
 
-# parameters with a default ("function.parameter", "Class.method.parameter")
-# that the corpus only ever leaves at the default, and why they stay
-LATTICE_CHECK = ("integer_lattice_check is deleted with its benchmark operation "
-                 "(ROADMAP item 8), in a change to the benchmark")
-UNSET_DEFAULTS = {
-    "integer_lattice_check.max_points": LATTICE_CHECK,
-    "integer_lattice_check.seed": LATTICE_CHECK,
-}
-
 # one input per zeta-source flag, each read to order 4 by a `symmetric` run
 ZETA_INPUTS = {
     "map": '{"size":3,"map":[1,2,0]}',
@@ -195,10 +186,7 @@ def test_every_default_is_overridden_outside_the_tests(monkeypatch):
     _, overridden = record_corpus(
         monkeypatch, {function.__code__: defaults(function) for function in functions.values()}
     )
-    unset = {f"{name}.{parameter}" for name, function in functions.items()
-             for parameter in defaults(function) if (function.__code__, parameter) not in overridden}
-    # a listed parameter that the corpus comes to set leaves the list
-    set_listed = sorted(set(UNSET_DEFAULTS) - unset)
-    assert not set_listed, "set outside the tests: " + ", ".join(set_listed)
-    unlisted = sorted(unset - set(UNSET_DEFAULTS))
-    assert not unlisted, "only ever left at the default outside the tests: " + ", ".join(unlisted)
+    unset = sorted(f"{name}.{parameter}" for name, function in functions.items()
+                   for parameter in defaults(function)
+                   if (function.__code__, parameter) not in overridden)
+    assert not unset, "only ever left at the default outside the tests: " + ", ".join(unset)

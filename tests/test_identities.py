@@ -365,6 +365,34 @@ class TestIterateAndComposition:
         composed = compose_lefschetz(cubic, ident)
         assert composed.poly.weighted_degree() == 3
 
+    def test_a_non_integral_constant_is_refused(self):
+        half = LefschetzPolynomial(MultiPoly.constant(Fraction(1, 2), 0), 0)
+        with pytest.raises(RuntimeError, match="integrality check"):
+            dold_polynomial_of_functor(half, 1)
+
+    def test_orbit_counts_of_a_constant(self):
+        # c counts the fixed points of every iterate, so no orbit is longer than 1
+        for c in range(-3, 4):
+            lp = LefschetzPolynomial(MultiPoly.constant(c, 0), 0)
+            for m in range(1, 5):
+                dm = dold_polynomial_of_functor(lp, m)
+                assert dm.nvars == 0
+                assert dm == MultiPoly.constant(c if m == 1 else 0, 0)
+
+    def test_constants_compose_through_the_substitution(self):
+        rng = random.Random(2024)
+        for _ in range(24):
+            power = bounded_power_polynomial(rng.randint(1, 4), rng.choice((None, 1, 2)))
+            c = rng.choice((1, -1))
+            sphere = LefschetzPolynomial(MultiPoly.constant(c, 0), 0)
+            after = compose_lefschetz(power, sphere)
+            point = [c] + [0] * (power.degree_bound - 1)
+            assert after.degree_bound == 0
+            assert after.poly == MultiPoly.constant(power.evaluate(point), 0)
+            before = compose_lefschetz(sphere, power)
+            assert before.degree_bound == 0
+            assert before.poly == sphere.poly
+
 
 class TestFunctorExpressions:
     def test_identity(self):
@@ -730,10 +758,30 @@ class TestNumericality:
         with pytest.raises(ValueError, match="box must be >= 0"):
             integer_lattice_check(half_t2, box=-1)
 
-    def test_lattice_check_refuses_zero_samples(self):
+    def test_a_box_above_the_guard_is_refused(self, monkeypatch):
+        monkeypatch.delenv("DOLD_ZETA_MAX_ENUM", raising=False)
+        with pytest.raises(EnumerationLimitError) as refused:
+            integer_lattice_check(product_of_variables(12) / 2, box=2)
+        assert refused.value.size == 5 ** 12
+
+    def test_every_point_of_the_box_is_visited(self, monkeypatch):
+        # 5^8 = 390625 points; the one where all t_i are odd decides the first
+        monkeypatch.delenv("DOLD_ZETA_MAX_ENUM", raising=False)
+        assert not integer_lattice_check(product_of_variables(8) / 2, box=2)
+        pronic = MultiPoly(8, {(2,) + (0,) * 7: Fraction(1, 2), (1,) + (0,) * 7: Fraction(1, 2)})
+        assert integer_lattice_check(pronic, box=2)
+
+    def test_the_guard_counts_the_points_of_the_box(self, monkeypatch):
+        monkeypatch.setenv("DOLD_ZETA_MAX_ENUM", "100")
         half_t2 = MultiPoly(2, {(0, 1): Fraction(1, 2)})
-        with pytest.raises(ValueError, match="max_points must be >= 1"):
-            integer_lattice_check(half_t2, max_points=0)
+        assert not integer_lattice_check(half_t2, box=4)
+        with pytest.raises(EnumerationLimitError) as refused:
+            integer_lattice_check(half_t2, box=5)
+        assert (refused.value.size, refused.value.limit) == (121, 100)
+
+    def test_integer_coefficients_need_no_points(self, monkeypatch):
+        monkeypatch.setenv("DOLD_ZETA_MAX_ENUM", "1")
+        assert integer_lattice_check(product_of_variables(12), box=2)
 
     def test_constants_in_zero_variables(self):
         assert integer_lattice_check(MultiPoly.constant(3, 0))
@@ -755,16 +803,14 @@ class TestNumericality:
 
     @pytest.mark.parametrize("n", [3, 6, 8])
     def test_half_a_product_of_variables_is_refused(self, n):
-        # prod t_i / 2 is odd where every t_i is 1; a sampled box-2 check
-        # can miss that point once n grows
+        # prod t_i / 2 is not an integer where every t_i is 1
         assert not _integer_valued(product_of_variables(n) / 2)
         assert _integer_valued(product_of_variables(n))
 
     @pytest.mark.parametrize("n", [6, 8])
     def test_the_self_check_is_exact(self, n):
         # for m = 1 the orbit-count polynomial is the input itself; for n = 8
-        # a seeded sample of 400 points of [-2, 2]^36 has none where
-        # t_1..t_8 are all odd, so a sampled check would accept it
+        # it has 36 variables, far beyond any box a lattice check could visit
         lp = LefschetzPolynomial(product_of_variables(n) / 2, n * (n + 1) // 2)
         with pytest.raises(RuntimeError, match="integrality check"):
             dold_polynomial_of_functor(lp, 1)
