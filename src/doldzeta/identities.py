@@ -28,10 +28,10 @@ blocks goes injectively onto its own orbit of least period n, in one of n
 phases.  The group average and the configuration terms are summed by cycle
 type over integer numerators: the summed weights are put over one common
 denominator, the factors are multiplied as {exponents: int} dicts (each
-built once per call and kept only for that call), and the result becomes
-Fractions once, in one MultiPoly.  Wedges add polynomials, smash products
-multiply them, and composites substitute the iterate-transported
-orbit-count polynomials.
+built once per call and kept only for that call), and the sum becomes the
+numerators of one MultiPoly over that denominator.  Wedges add polynomials,
+smash products multiply them, and composites substitute the
+iterate-transported orbit-count polynomials.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from .dynamics import (
     zeta_series,
 )
 from .graded import GradedEndomorphism, graded_zeta
-from .multipoly import MultiPoly, _numerator_sum, _product
+from .multipoly import MultiPoly, _numerator_sum, _product, _sparse
 from .oracles import (
     _guard,
     coefficient_traces,
@@ -139,12 +139,13 @@ def integer_lattice_check(poly: MultiPoly, box: int = 4) -> bool:
     (2*box+1)^nvars points count against the enumeration guard."""
     if box < 0:
         raise ValueError("lattice box must be >= 0")
-    d, numerators = poly._numerators()
+    d = poly.den
     if d == 1:  # integer coefficients: integer values at every point
         return True
     _guard((2 * box + 1) ** poly.nvars)
+    terms = _sparse(poly.nums)
     points = iter_product(range(-box, box + 1), repeat=poly.nvars)
-    return all(_numerator_sum(numerators, point) % d == 0 for point in points)
+    return all(_numerator_sum(terms, point) % d == 0 for point in points)
 
 
 def _surjections(e: int) -> list:
@@ -164,11 +165,11 @@ def _integer_valued(poly: MultiPoly) -> bool:
     the basis prod_i C(t_i, j_i) are integers.  Each monomial of D*p is
     rewritten in that basis with t^e = sum_j j! S(e, j) C(t, j), and every
     resulting coefficient must be divisible by D."""
-    d, numerators = poly._numerators()
+    d = poly.den
     if d == 1:
         return True
     binomial = {}
-    for value, factors in numerators:
+    for value, factors in _sparse(poly.nums):
         expansion = {(): value}
         for i, e in factors:
             row = _surjections(e)
@@ -212,11 +213,12 @@ def rhs_borsuk_ulam(zeta: PowerSeries) -> PowerSeries:
 def rhs_bounded_tuples(lefschetz_number: int, bound: int, order: int) -> PowerSeries:
     """(1 + q/1! + ... + q^l/l!)^{L}, an exponential generating function whose
     unpacked k-th coefficient counts fixed k-tuples with repetition bound l.
-    Negative L is allowed as a formal identity."""
+    Negative L is allowed as a formal identity; a non-integral L is refused."""
     if bound < 0:
         raise ValueError("repetition bound must be >= 0")
+    lefschetz_number = _integer(lefschetz_number, "the Lefschetz number")
     base = egf_pack([1] * (min(bound, order) + 1), order)
-    return base ** int(lefschetz_number)
+    return base ** lefschetz_number
 
 
 def configuration_trace_series(zeta: PowerSeries, parity: str) -> PowerSeries:
@@ -325,16 +327,16 @@ def _shape(perm) -> tuple:
     return tuple(sorted(perm_cycle_type(perm).items()))
 
 
-def _cycle_type_sum(class_weights: dict, nvars: int, factor) -> tuple:
+def _cycle_type_sum(class_weights: dict, nvars: int, factor) -> MultiPoly:
     """sum over the cycle types of w prod_n factor(n, c_n, nvars), where the
     type has c_n cycles of length n and w is its weight in `class_weights`
     (one entry per type: the cycle-index collapse).
 
     The weights are put over one common denominator D (`_numerators`), so the
-    products and the sum run over ints.  `factor` returns an {exponents: int}
-    dict, and each (n, c_n) factor is built once in a call and kept only for
-    that call.  Returns D and the {exponents: int} terms of D times the sum.
-    """
+    products and the sum run over ints, in one dict that becomes the
+    numerators of the resulting MultiPoly over D.  `factor` returns an
+    {exponents: int} dict, and each (n, c_n) factor is built once in a call
+    and kept only for that call."""
     d, numerators = _numerators(list(class_weights.values()))
     zero = (0,) * nvars
     factors = {}
@@ -349,7 +351,7 @@ def _cycle_type_sum(class_weights: dict, nvars: int, factor) -> tuple:
             term = _product(term, factors[key])
         for exps, c in term.items():
             total[exps] = total.get(exps, 0) + c
-    return d, total
+    return MultiPoly._trusted(nvars, total, d)
 
 
 def _orbit_factor(n: int, count: int, nvars: int) -> dict:
@@ -394,32 +396,16 @@ def _weights(group: PermutationGroup, traces) -> list:
     return [v.numerator if v.denominator == 1 else v for v in values]
 
 
-def _from_numerators(nvars: int, terms: dict, d: int) -> MultiPoly:
-    """The polynomial with the {exponents: int} terms over the denominator d,
-    turned into Fractions once."""
-    return MultiPoly._trusted(nvars, {e: Fraction(c, d) for e, c in terms.items() if c})
-
-
-def _burnside_sum(group: PermutationGroup, gset, weights) -> tuple:
-    """The Burnside average over integer numerators: its denominator, |G|
-    times that of the summed weights, and the {exponents: int} terms of
-    sum_g w(g) prod_n (sum_{m|n} m t_m)^{d_g(n)} over the weights' one."""
+def _burnside_average(group: PermutationGroup, gset, weights) -> MultiPoly:
+    """(1/|G|) sum_g w(g) prod_n (sum_{m|n} m t_m)^{d_g(n)}, where g has
+    d_g(n) orbits of length n under the action and w(g) is its entry in
+    `weights`, in element order (`_weights`).  The arguments are trusted:
+    callers validate them."""
     class_weights = {}
     for perm, weight in zip(gset, weights):
         shape = _shape(perm)
         class_weights[shape] = class_weights.get(shape, 0) + weight
-    d, terms = _cycle_type_sum(class_weights, len(gset[0]), _orbit_factor)
-    return d * group.order, terms
-
-
-def _burnside_average(group: PermutationGroup, gset, traces) -> MultiPoly:
-    """(1/|G|) sum_g w(g) prod_n (sum_{m|n} m t_m)^{d_g(n)}, where g has
-    d_g(n) orbits of length n under the action and w(g) is the trace of
-    g^{-1} (1 without traces).  The arguments are trusted: callers validate
-    them.
-    """
-    d, terms = _burnside_sum(group, gset, _weights(group, traces))
-    return _from_numerators(len(gset[0]), terms, d)
+    return _cycle_type_sum(class_weights, len(gset[0]), _orbit_factor) / group.order
 
 
 def gsymm_polynomial(
@@ -435,7 +421,7 @@ def gsymm_polynomial(
     gset = validate_gset(group, gset)
     k = len(gset[0])
     traces = _validate_traces(group, coeff_traces)
-    return LefschetzPolynomial(_burnside_average(group, gset, traces), k)
+    return LefschetzPolynomial(_burnside_average(group, gset, _weights(group, traces)), k)
 
 
 def general_lefschetz_polynomial(
@@ -458,8 +444,8 @@ def general_lefschetz_polynomial(
     trace of g^{-1} (1 without traces).  The weights are summed by block
     cycle type within each orbit, divided by |G_pi| once per type, and
     summed by type across all the excluded orbits.  Both sums then run over
-    integer numerators (`_cycle_type_sum`); they are put over the lcm of
-    their denominators and become Fractions once, in one MultiPoly.
+    integer numerators (`_cycle_type_sum`), and one MultiPoly subtraction
+    puts them over one denominator.
 
     The group, its action, the traces and the family's stability are
     validated here, once, unless the table and family carry the mark of an
@@ -494,13 +480,8 @@ def general_lefschetz_polynomial(
                 stabilizer[shape] = stabilizer.get(shape, 0) + weight
         for shape, weight in stabilizer.items():
             excluded[shape] = excluded.get(shape, 0) + Fraction(weight, order)
-    d_burnside, burnside = _burnside_sum(group, gset, weights)
-    d_excluded, configurations = _cycle_type_sum(excluded, k, _configuration_factor)
-    d = lcm(d_burnside, d_excluded)
-    terms = {e: c * (d // d_burnside) for e, c in burnside.items()}
-    for e, c in configurations.items():
-        terms[e] = terms.get(e, 0) - c * (d // d_excluded)
-    return LefschetzPolynomial(_from_numerators(k, terms, d), k)
+    configurations = _cycle_type_sum(excluded, k, _configuration_factor)
+    return LefschetzPolynomial(_burnside_average(group, gset, weights) - configurations, k)
 
 
 def falling_factorial(r: int) -> Poly:

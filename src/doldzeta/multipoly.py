@@ -2,22 +2,30 @@
 
 The variable t_i carries weight i, so the weighted degree of a monomial
 prod t_i^{e_i} is sum i*e_i.  Exponent vectors are dense fixed-width tuples
-with the variable count declared at construction.
+with the variable count declared at construction.  A polynomial is stored
+as one positive denominator D and the integer numerators of D*p, in lowest
+terms, so every operation runs over ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add
 
-from .series import _numerators, _power, rat, rat_str
+from .series import _integer, _numerators, _power, rat, rat_str
 
 
-def _numerator_sum(numerators, point):
-    """D*p at the point, for the numerators of MultiPoly._numerators: an int
-    at an integer point."""
+def _sparse(nums: dict) -> list:
+    """The terms of D*p as a list of (numerator, ((i, e), ...)) over the
+    nonzero exponents e of t_{i+1}, for `_numerator_sum`."""
+    return [(c, tuple((i, e) for i, e in enumerate(exps) if e)) for exps, c in nums.items()]
+
+
+def _numerator_sum(terms, point):
+    """D*p at the point, over the terms of `_sparse`: an int at an int point."""
     total = 0
-    for value, factors in numerators:
+    for value, factors in terms:
         for i, e in factors:
             value *= point[i] ** e
         total += value
@@ -25,9 +33,8 @@ def _numerator_sum(numerators, point):
 
 
 def _product(a: dict, b: dict) -> dict:
-    """The product of two polynomials held as {exponents: coefficient} dicts,
-    over any ring: Fractions in MultiPoly, ints in the integer kernels of
-    `identities`.  Zero coefficients are kept."""
+    """The product of two polynomials held as {exponents: int} dicts.  Zero
+    coefficients are kept."""
     out = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
@@ -37,35 +44,51 @@ def _product(a: dict, b: dict) -> dict:
 
 
 class MultiPoly:
-    """Polynomial in t_1..t_nvars with Fraction coefficients, stored sparsely."""
+    """Polynomial in t_1..t_nvars with rational coefficients, stored sparsely
+    as the integer numerators `nums` ({exponents: int}) over one positive
+    denominator `den`.  The gcd of `den` and every numerator is 1, and the
+    zero polynomial has `den` 1, so equal polynomials store equal data."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "den", "nums")
 
     def __init__(self, nvars: int, terms=None):
         if nvars < 0:
             raise ValueError("variable count must be >= 0")
-        self.nvars = nvars
         clean = {}
         for exps, c in (terms or {}).items():
             c = rat(c)
             if c == 0:
                 continue
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(_integer(e, "an exponent") for e in exps)
             if len(exps) != nvars or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent vector {exps} for {nvars} variables")
             clean[exps] = c
-        self.terms = clean
+        # over the lcm of the reduced denominators this is in lowest terms
+        self.den, numerators = _numerators(clean.values())
+        self.nvars, self.nums = nvars, dict(zip(clean, numerators))
 
     @classmethod
-    def _trusted(cls, nvars: int, terms: dict) -> "MultiPoly":
-        """A polynomial from terms that are already valid: Fraction
-        coefficients on exponent tuples of length nvars, as this class's own
-        arithmetic makes them.  Nothing is checked; zero coefficients are
-        dropped."""
+    def _trusted(cls, nvars: int, nums: dict, den: int = 1) -> "MultiPoly":
+        """The polynomial with the {exponents: int} numerators over the
+        positive denominator `den`, as this class's own arithmetic makes
+        them: exponent tuples of length nvars are not checked.  Zero
+        numerators are dropped and the result is put in lowest terms."""
         poly = object.__new__(cls)
         poly.nvars = nvars
-        poly.terms = {e: c for e, c in terms.items() if c}
+        nums = {e: c for e, c in nums.items() if c}
+        if den != 1:
+            g = gcd(den, *nums.values())
+            if g != 1:
+                den //= g
+                nums = {e: c // g for e, c in nums.items()}
+        poly.den = den
+        poly.nums = nums
         return poly
+
+    @property
+    def terms(self) -> dict:
+        """The coefficients as {exponents: Fraction}, a new dict each time."""
+        return {e: Fraction(c, self.den) for e, c in self.nums.items()}
 
     @classmethod
     def zero(cls, nvars: int) -> "MultiPoly":
@@ -82,11 +105,11 @@ class MultiPoly:
             raise ValueError(f"t_{i} is not among t_1..t_{nvars}")
         exps = [0] * nvars
         exps[i - 1] = 1
-        return cls(nvars, {tuple(exps): Fraction(1)})
+        return cls(nvars, {tuple(exps): 1})
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def _require_same_space(self, other: "MultiPoly"):
         if self.nvars != other.nvars:
@@ -96,10 +119,12 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             other = MultiPoly.constant(other, self.nvars)
         self._require_same_space(other)
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            out[exps] = out.get(exps, Fraction(0)) + c
-        return MultiPoly._trusted(self.nvars, out)
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        out = {e: c * a for e, c in self.nums.items()}
+        for exps, c in other.nums.items():
+            out[exps] = out.get(exps, 0) + c * b
+        return MultiPoly._trusted(self.nvars, out, den)
 
     __radd__ = __add__
 
@@ -109,14 +134,16 @@ class MultiPoly:
         return self + (-other)
 
     def __neg__(self):
-        return MultiPoly._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._trusted(self.nvars, {e: -c for e, c in self.nums.items()}, self.den)
 
     def __mul__(self, other):
         if isinstance(other, MultiPoly):
             self._require_same_space(other)
-            return MultiPoly._trusted(self.nvars, _product(self.terms, other.terms))
-        c = rat(other)
-        return MultiPoly._trusted(self.nvars, {e: c * v for e, v in self.terms.items()})
+            nums, den = _product(self.nums, other.nums), self.den * other.den
+        else:
+            c = rat(other)
+            nums, den = {e: c.numerator * v for e, v in self.nums.items()}, self.den * c.denominator
+        return MultiPoly._trusted(self.nvars, nums, den)
 
     __rmul__ = __mul__
 
@@ -130,19 +157,9 @@ class MultiPoly:
 
     def weighted_degree(self) -> int:
         """Max over monomials of sum i*e_i (0 for constants and for zero)."""
-        if not self.terms:
+        if not self.nums:
             return 0
-        return max(sum((i + 1) * e for i, e in enumerate(exps)) for exps in self.terms)
-
-    def _numerators(self):
-        """The common denominator D of the coefficients and the terms of D*p
-        as integers: D and a list of (numerator, ((i, e), ...)) over the
-        nonzero exponents e of t_{i+1}."""
-        d, numerators = _numerators(self.terms.values())
-        return d, [
-            (x, tuple((i, e) for i, e in enumerate(exps) if e))
-            for x, exps in zip(numerators, self.terms)
-        ]
+        return max(sum((i + 1) * e for i, e in enumerate(exps)) for exps in self.nums)
 
     def evaluate(self, point) -> Fraction:
         """Exact evaluation; `point` supplies values for t_1..t_nvars (or more).
@@ -153,8 +170,7 @@ class MultiPoly:
         if len(point) < self.nvars:
             raise ValueError(f"need {self.nvars} coordinates, got {len(point)}")
         point = [v.numerator if v.denominator == 1 else v for v in point]
-        d, numerators = self._numerators()
-        return Fraction(_numerator_sum(numerators, point), d)
+        return Fraction(_numerator_sum(_sparse(self.nums), point), self.den)
 
     def extend(self, nvars: int) -> "MultiPoly":
         """Reinterpret in a larger variable space t_1..t_nvars."""
@@ -163,7 +179,7 @@ class MultiPoly:
         if nvars == self.nvars:
             return self
         pad = (0,) * (nvars - self.nvars)
-        return MultiPoly._trusted(nvars, {e + pad: c for e, c in self.terms.items()})
+        return MultiPoly._trusted(nvars, {e + pad: c for e, c in self.nums.items()}, self.den)
 
     def resize(self, nvars: int) -> "MultiPoly":
         """Pad or (when the dropped variables are unused) trim the space."""
@@ -171,25 +187,26 @@ class MultiPoly:
             raise ValueError("variable count must be >= 0")
         if nvars >= self.nvars:
             return self.extend(nvars)
-        for exps in self.terms:
+        for exps in self.nums:
             if any(exps[nvars:]):
                 raise ValueError(f"variable t_{nvars + 1} or beyond is actually used")
-        return MultiPoly._trusted(nvars, {e[:nvars]: c for e, c in self.terms.items()})
+        return MultiPoly._trusted(nvars, {e[:nvars]: c for e, c in self.nums.items()}, self.den)
 
     def substitute(self, images) -> "MultiPoly":
-        """Substitute images[i-1] for t_i; all images share one target space."""
+        """Substitute images[i-1] for t_i; all images share one target space.
+        The numerators are substituted and the sum divided by D once."""
         images = list(images)
         if len(images) != self.nvars:
             raise ValueError(f"need {self.nvars} substitution images")
         if self.nvars == 0:
-            return MultiPoly._trusted(0, self.terms)
+            return MultiPoly._trusted(0, self.nums, self.den)
         target = images[0].nvars
         if any(img.nvars != target for img in images):
             raise ValueError("substitution images live in different variable spaces")
         one = (0,) * target
-        powers = [[MultiPoly._trusted(target, {one: Fraction(1)})] for _ in range(self.nvars)]
+        powers = [[MultiPoly._trusted(target, {one: 1})] for _ in range(self.nvars)]
         result = MultiPoly.zero(target)
-        for exps, c in self.terms.items():
+        for exps, c in self.nums.items():
             term = MultiPoly._trusted(target, {one: c})
             for i, e in enumerate(exps):
                 cache = powers[i]
@@ -198,7 +215,7 @@ class MultiPoly:
                 if e:
                     term = term * cache[e]
             result = result + term
-        return result
+        return MultiPoly._trusted(target, result.nums, result.den * self.den)
 
     _ORDER_KEY = staticmethod(
         lambda exps: (sum((i + 1) * e for i, e in enumerate(exps)), exps[::-1])
@@ -211,24 +228,24 @@ class MultiPoly:
         vectors lexicographically from the highest variable downwards, so the
         leading monomial of a product is the product of leading monomials.
         """
-        if not self.terms:
+        if not self.nums:
             raise ValueError("the zero polynomial has no leading term")
-        exps = max(self.terms, key=MultiPoly._ORDER_KEY)
-        return exps, self.terms[exps]
+        exps = max(self.nums, key=MultiPoly._ORDER_KEY)
+        return exps, Fraction(self.nums[exps], self.den)
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
             return NotImplemented
         if self.nvars == other.nvars:
-            return self.terms == other.terms
+            return self.den == other.den and self.nums == other.nums
         n = max(self.nvars, other.nvars)
-        return self.extend(n).terms == other.extend(n).terms
+        return self.extend(n) == other.extend(n)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: MultiPoly._ORDER_KEY(kv[0]), reverse=True)
 
     def __str__(self):
-        if not self.terms:
+        if not self.nums:
             return "0"
         parts = []
         for exps, c in self.sorted_terms():

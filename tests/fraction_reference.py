@@ -10,9 +10,14 @@ entries with row swaps and polynomial long division that `det_one_minus_t`
 ran, `reference_graded_zeta` the product of its determinant series
 det(1 - q A_j), each inverted in odd degrees, and `reference_traces` the
 alternating traces of the rational matrix powers, each power built from the
-identity."""
+identity.
+
+`ReferencePoly` is the multivariate polynomial as `MultiPoly` ran it before
+it stored one denominator and integer numerators: a dict of Fraction
+coefficients, each operation working term by term in Fraction arithmetic."""
 
 from fractions import Fraction
+from operator import add
 
 from doldzeta import PowerSeries
 from doldzeta.series import Poly
@@ -102,3 +107,82 @@ def reference_traces(endo, order):
         sum((-1) ** d * reference_trace_of_power(endo.matrix(d), k) for d in endo.degrees())
         for k in range(1, order + 1)
     ]
+
+
+class ReferencePoly:
+    """A polynomial in t_1..t_nvars as {exponents: Fraction}, zero
+    coefficients dropped."""
+
+    def __init__(self, nvars, terms=None):
+        self.nvars = nvars
+        self.terms = {tuple(e): Fraction(c) for e, c in (terms or {}).items() if c}
+
+    def __add__(self, other):
+        if not isinstance(other, ReferencePoly):
+            other = ReferencePoly(self.nvars, {(0,) * self.nvars: other})
+        out = dict(self.terms)
+        for exps, c in other.terms.items():
+            out[exps] = out.get(exps, Fraction(0)) + c
+        return ReferencePoly(self.nvars, out)
+
+    def __neg__(self):
+        return ReferencePoly(self.nvars, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not isinstance(other, ReferencePoly):
+            return ReferencePoly(self.nvars, {e: c * other for e, c in self.terms.items()})
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                key = tuple(map(add, e1, e2))
+                out[key] = out.get(key, Fraction(0)) + c1 * c2
+        return ReferencePoly(self.nvars, out)
+
+    def __truediv__(self, scalar):
+        return self * (Fraction(1) / Fraction(scalar))
+
+    def __pow__(self, e):
+        result = ReferencePoly(self.nvars, {(0,) * self.nvars: 1})
+        for _ in range(e):
+            result = result * self
+        return result
+
+    def extend(self, nvars):
+        pad = (0,) * (nvars - self.nvars)
+        return ReferencePoly(nvars, {e + pad: c for e, c in self.terms.items()})
+
+    def resize(self, nvars):
+        if nvars >= self.nvars:
+            return self.extend(nvars)
+        assert not any(any(e[nvars:]) for e in self.terms)
+        return ReferencePoly(nvars, {e[:nvars]: c for e, c in self.terms.items()})
+
+    def substitute(self, images):
+        target = images[0].nvars if images else 0
+        result = ReferencePoly(target)
+        for exps, c in self.terms.items():
+            term = ReferencePoly(target, {(0,) * target: c})
+            for image, e in zip(images, exps):
+                term = term * image ** e
+            result = result + term
+        return result
+
+    def evaluate(self, point):
+        total = Fraction(0)
+        for exps, c in self.terms.items():
+            for v, e in zip(point, exps):
+                c *= Fraction(v) ** e
+            total += c
+        return total
+
+    def leading_term(self):
+        """The largest term by weighted degree, then by the exponent vector
+        read from the highest variable down."""
+        exps = max(self.terms, key=lambda e: (sum((i + 1) * x for i, x in enumerate(e)), e[::-1]))
+        return exps, self.terms[exps]
+
+    def __eq__(self, other):
+        return self.nvars == other.nvars and self.terms == other.terms

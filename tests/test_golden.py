@@ -2,13 +2,17 @@
 README example command (as JSON and, where it has one, in its text form),
 of `verify --plan` on each built-in plan, of `graded` on blocks in three
 degrees, of `gsymm` and `partition` over groups of degree 5, and of the
-top-level `--help` (which must list every command).
+top-level `--help` (which must list every command).  One more file,
+`library.txt`, pins the JSON of the polynomial calculus's library results,
+which no command prints: bounded symmetric powers, orbit-count polynomials
+of functors, composites, functor expressions and realizations.
 
 The JSON files under tests/golden/ were written from the code before the
 series kernels were unified, the `-text` files from the code before the
 commands stopped printing their own output, and the degree-5 group files
-from the code before the group average ran over integer numerators; any
-refactor must leave every byte the same.  To
+from the code before the group average ran over integer numerators, and
+`library.txt` from the code before `MultiPoly` stored integer numerators;
+any refactor must leave every byte the same.  To
 regenerate them after an intended output change, run
 
     PYTHONPATH=src python tests/test_golden.py --write
@@ -19,11 +23,15 @@ import io
 import json
 import os
 import sys
+from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
+from doldzeta import MultiPoly
+from doldzeta import identities as ids
 from doldzeta.cli import SELFTEST_PLANS, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -138,6 +146,69 @@ CASES = (
 )
 
 
+def _library_cases():
+    """(name, thunk) pairs whose results are pinned as JSON in library.txt."""
+    power = ids.bounded_power_polynomial
+    cases = [
+        (f"bounded_power_polynomial({k}, {l})", partial(power, k, l))
+        for k in range(7)
+        for l in (None, 1, 2)
+    ]
+    cases += [
+        (f"dold_polynomial_of_functor(SP^{k}_{l}, {m})",
+         lambda k=k, l=l, m=m: ids.dold_polynomial_of_functor(power(k, l), m))
+        for k in range(4)
+        for l in (None, 1)
+        for m in (1, 2, 3)
+    ]
+    cases += [
+        (f"compose_lefschetz(SP^{k}_{l}, SP^{j}_{b})",
+         lambda k=k, l=l, j=j, b=b: ids.compose_lefschetz(power(k, l), power(j, b)))
+        for k, l, j, b in [(2, None, 2, None), (2, 1, 3, None), (3, None, 2, 1), (2, None, 0, None)]
+    ]
+    odd = ids.ConstantSphereSmash("odd")
+    square = ids.BoundedSymmetricPower(2, 2)
+    expressions = {
+        "odd sphere smash SP^2": ids.Smash((odd, square)),
+        "SP^2_1 of a wedge, wedged with an odd sphere smash X": ids.Wedge((
+            ids.Compose(ids.BoundedSymmetricPower(2, 1), ids.Wedge((ids.IdentityFunctor(), square))),
+            ids.Smash((odd, ids.IdentityFunctor())),
+        )),
+    }
+    cases += [
+        (f"expression_polynomial({name})", partial(ids.expression_polynomial, expr))
+        for name, expr in expressions.items()
+    ]
+    targets = {
+        "(t1^2 + t2)/2 - t1/3": MultiPoly(2, {(2, 0): Fraction(1, 2), (0, 1): Fraction(1, 2),
+                                              (1, 0): Fraction(-1, 3)}),
+        "t1*t2/6 + 5/4 - 2*t3/5": MultiPoly(3, {(1, 1, 0): Fraction(1, 6), (0, 0, 0): Fraction(5, 4),
+                                                (0, 0, 1): Fraction(-2, 5)}),
+    }
+    cases += [
+        (f"realize_polynomial({name})", partial(ids.realize_polynomial, target, target.nvars))
+        for name, target in targets.items()
+    ]
+    return cases
+
+
+def render_library() -> str:
+    """One line per library case: its name and the JSON of its result (a
+    realization as its multiple r, its expression's repr and the expression's
+    polynomial)."""
+    lines = []
+    for name, thunk in _library_cases():
+        result = thunk()
+        if isinstance(result, tuple):
+            r, expr = result
+            value = {"r": r, "expression": repr(expr),
+                     "polynomial": ids.expression_polynomial(expr).to_json()}
+        else:
+            value = result.to_json()
+        lines.append(f"{name}: {json.dumps(value)}\n")
+    return "".join(lines)
+
+
 def render(argv) -> str:
     """The exit code line followed by the exact stdout of one in-process run;
     help text is wrapped at 80 columns whatever the terminal."""
@@ -170,9 +241,15 @@ def test_golden_output(name, argv):
     assert render(argv) == expected
 
 
+def test_golden_library_json():
+    expected = (GOLDEN / "library.txt").read_text(encoding="utf-8")
+    assert render_library() == expected
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/test_golden.py --write")
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in CASES:
         (GOLDEN / f"{name}.txt").write_text(render(argv), encoding="utf-8")
+    (GOLDEN / "library.txt").write_text(render_library(), encoding="utf-8")

@@ -21,7 +21,7 @@ from doldzeta import (
     general_lefschetz_polynomial,
     gsymm_polynomial,
 )
-from doldzeta.identities import _burnside_average, _divisor_sum_linear
+from doldzeta.identities import _burnside_average, _divisor_sum_linear, _weights
 from doldzeta.multipoly import MultiPoly
 from doldzeta.partitions import (
     compose_perms,
@@ -288,7 +288,7 @@ def test_class_sum_matches_the_per_element_sum():
         traces = None
         if rng.random() < 0.75:
             traces = {g: rng.randint(-2, 2) for g in group.elements}
-        assert _burnside_average(group, table, traces) == burnside_by_elements(
+        assert _burnside_average(group, table, _weights(group, traces)) == burnside_by_elements(
             group, table, traces
         )
 
@@ -296,7 +296,7 @@ def test_class_sum_matches_the_per_element_sum():
 def test_class_sum_with_all_weights_zero():
     group = PermutationGroup.symmetric(4)
     traces = {g: 0 for g in group.elements}
-    assert _burnside_average(group, group.elements, traces).is_zero
+    assert _burnside_average(group, group.elements, _weights(group, traces)).is_zero
 
 
 # ---------------------------------------------------------------------------

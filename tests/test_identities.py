@@ -152,6 +152,14 @@ class TestBoundedTupleSeries:
         series = rhs_bounded_tuples(-1, 2, 4)
         assert series.coeffs[0] == 1  # well-defined formal inverse power
 
+    @pytest.mark.parametrize("value", [Fraction(5, 2), 2.9, True])
+    def test_a_non_integral_lefschetz_number_is_refused(self, value):
+        with pytest.raises(ValueError, match="the Lefschetz number must be an integer"):
+            rhs_bounded_tuples(value, 1, 3)
+
+    def test_an_integral_fraction_is_read_as_its_integer(self):
+        assert rhs_bounded_tuples(Fraction(4, 2), 1, 3).coeffs == rhs_bounded_tuples(2, 1, 3).coeffs
+
 
 class TestGroupAverage:
     def test_trivial_group_is_a_power(self):
