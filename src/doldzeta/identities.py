@@ -949,14 +949,14 @@ def _verify_multisets(plan, k_max, bounded):
     f = _plan_map(plan)
     bound = _plan_bound(plan) if bounded else None
     rhs = rhs_symmetric_power(zeta_of_map(f, k_max), bound)
-    counts = [fixed_bounded_multisets(f, k, bound) for k in range(k_max + 1)]
+    counts = list(fixed_bounded_multisets(f, k_max, bound))
     return _series_report(rhs, counts)
 
 
 def _verify_subsets(plan, k_max):
     f = _plan_map(plan)
     rhs = rhs_borsuk_ulam(zeta_of_map(f, k_max))
-    counts = [0] + [fixed_invariant_subsets(f, k) for k in range(1, k_max + 1)]
+    counts = list(fixed_invariant_subsets(f, k_max))
     return _series_report(rhs, counts)
 
 
@@ -964,7 +964,7 @@ def _verify_tuples(plan, k_max):
     f = _plan_map(plan)
     bound = _plan_integer(plan, "l")
     rhs = rhs_bounded_tuples(len(f.fixed_points()), bound, k_max)
-    counts = [fixed_bounded_tuples(f, k, bound) for k in range(k_max + 1)]
+    counts = list(fixed_bounded_tuples(f, k_max, bound))
     return _series_report(rhs, counts, egf_unpack(rhs))
 
 

@@ -16,18 +16,23 @@ d = 0 into their orderings, visited one by one.  The walk prunes and is
 still exhaustive: once it has passed y, m_y is final and (f_* m)_y can only
 grow, so a branch with d_y < 0 at a passed y holds no fixed multiset.  The
 tuple oracle walks the tuples of fixed points and counts each once.  The
-orbit-space oracles count each fixed orbit once, at its least point, and
-the Burnside cross-check in `fixed_gmap_space` walks the same candidates;
-nothing is stored per candidate.  Every enumeration sits behind one size
-guard that counts the full nominal space, not the smaller walk: 10^7
-candidate points, or the DOLD_ZETA_MAX_ENUM environment variable, read at
-each guard.
+multiset, subset and tuple oracles each answer for every size j <= k at
+once, as a tuple of k + 1 counts, from one walk to size k.  The orbit-space
+oracles count each fixed orbit once, at its least point, building each
+image of a candidate once, and the Burnside cross-check in
+`fixed_gmap_space` walks the same candidates; nothing is stored per
+candidate.  Every enumeration sits behind one size guard that counts the
+full nominal space, not the smaller walk: 10^7 candidate points, or the
+DOLD_ZETA_MAX_ENUM environment variable, read at each guard.  The multiset,
+subset and tuple oracles guard each size j = 1..k in turn before they walk,
+so a refusal names the least size over the limit.
 """
 
 from __future__ import annotations
 
 import os
-from itertools import chain, combinations_with_replacement, product
+from collections import Counter
+from itertools import accumulate, chain, combinations_with_replacement, product
 from math import comb
 
 from .dynamics import FiniteSelfMap
@@ -149,65 +154,72 @@ def _within(values, bound) -> bool:
     return bound > 0 and all(values[i] != values[i + bound] for i in range(len(values) - bound))
 
 
-def fixed_bounded_multisets(f: FiniteSelfMap, k: int, bound=None) -> int:
-    """Fixed points of the induced map on multisets of size k with all
-    multiplicities <= bound (bound None means unbounded).
+def fixed_bounded_multisets(f: FiniteSelfMap, k: int, bound=None) -> tuple:
+    """Fixed points of the induced maps on multisets of every size j <= k
+    with all multiplicities <= bound (bound None means unbounded), as the
+    tuple of k + 1 counts.
 
     A multiset m is fixed exactly when its pushforward along f equals m,
     i.e. sum_{x: f(x)=y} m_x = m_y for every y; such a multiset is a sum of
-    periodic orbits.  k = 0 counts the empty multiset once.
+    periodic orbits.  Size 0 counts the empty multiset once.  One walk to
+    size k serves every size.
     """
     if k < 0:
         raise ValueError("multiset size must be >= 0")
-    if k == 0:
-        return 1
     n = f.size
-    if n == 0:
-        return 0
-    if bound is not None and bound <= 0:
-        return 0
-    _guard(comb(n + k - 1, k))
+    if n == 0 or (bound is not None and bound <= 0):
+        return (1,) + (0,) * k
+    for j in range(1, k + 1):
+        _guard(comb(n + j - 1, j))
     cap = k if bound is None else bound
-    return sum(len(values) == k for values in _fixed_multiset_walk(f, k, cap))
+    sizes = Counter(map(len, _fixed_multiset_walk(f, k, cap)))
+    return tuple(sizes[j] for j in range(k + 1))
 
 
-def fixed_invariant_subsets(f: FiniteSelfMap, k: int) -> int:
-    """Nonempty subsets A with |A| <= k and f(A) = A (unions of periodic orbits)."""
-    if k < 1:
-        return 0
+def fixed_invariant_subsets(f: FiniteSelfMap, k: int) -> tuple:
+    """For each j <= k, the nonempty subsets A with |A| <= j and f(A) = A
+    (unions of periodic orbits), as the tuple of k + 1 counts; entry 0 is 0.
+    One walk to size k serves every size."""
+    if k < 0:
+        raise ValueError("subset size must be >= 0")
     n = f.size
-    _guard(sum(comb(n, j) for j in range(1, min(k, n) + 1)))
+    nominal = 0
+    for j in range(1, k + 1):
+        nominal += comb(n, j)
+        _guard(nominal)
     # f(A) = A for a set A exactly when f permutes A: A is a fixed multiset
-    return sum(1 for values in _fixed_multiset_walk(f, k, 1) if values)
+    sizes = Counter(map(len, _fixed_multiset_walk(f, k, 1)))
+    return tuple(accumulate((sizes[j] for j in range(1, k + 1)), initial=0))
 
 
-def fixed_bounded_tuples(f: FiniteSelfMap, k: int, bound: int) -> int:
-    """Fixed tuples of length k over the fixed-point set of f, in which no
-    value is repeated more than `bound` times.  k = 0 counts 1."""
+def fixed_bounded_tuples(f: FiniteSelfMap, k: int, bound: int) -> tuple:
+    """Fixed tuples of every length j <= k over the fixed-point set of f, in
+    which no value is repeated more than `bound` times, as the tuple of
+    k + 1 counts; length 0 counts 1.  One walk to length k serves every
+    length."""
     if k < 0:
         raise ValueError("tuple length must be >= 0")
-    if k == 0:
-        return 1
     if bound is not None and bound <= 0:
-        return 0
+        return (1,) + (0,) * k
     fixed = f.fixed_points()
-    _guard(len(fixed) ** k)
+    for j in range(1, k + 1):
+        _guard(len(fixed) ** j)
     cap = k if bound is None else bound
     uses = [0] * f.size
+    counts = [0] * (k + 1)
 
     def extend(length):
-        # the tuples that extend one of `length` values, each visited once
-        if length == k:
-            return 1
-        count = 0
-        for x in fixed:
-            if uses[x] < cap:
-                uses[x] += 1
-                count += extend(length + 1)
-                uses[x] -= 1
-        return count
+        # count the tuple of `length` values at hand and each extension of it
+        counts[length] += 1
+        if length < k:
+            for x in fixed:
+                if uses[x] < cap:
+                    uses[x] += 1
+                    extend(length + 1)
+                    uses[x] -= 1
 
-    return extend(0)
+    extend(0)
+    return tuple(counts)
 
 
 def _fixed_orbit_count(f, gset, k, admissible=None, points=1) -> int:
@@ -217,11 +229,11 @@ def _fixed_orbit_count(f, gset, k, admissible=None, points=1) -> int:
     `points` such elements (points = 1: one y, fixed by all of G); g sends
     (a, y) to (a o g^{-1}, y o g^{-1}).
 
-    Each orbit is counted once, at its least point: (a, y) counts when no
-    image is smaller and the orbit of (f o a, y) has the same least point.
-    The induced map commutes with the action, so it carries orbits onto
-    orbits, and the second test holds exactly when (a, y) lies in the orbit
-    of (f o a, y).  Nothing is stored per candidate.
+    Each orbit is counted once, at its least point: each image of (a, y) is
+    built once, the count moves on at the first image smaller than (a, y),
+    and when none is smaller, every image has been built and (a, y) counts
+    when (f o a, y) is one of them, i.e. lies in its orbit.  Nothing is
+    stored per candidate.
     """
     tuples = list(product(range(points), repeat=k))
     index = {y: i for i, y in enumerate(tuples)}
@@ -236,16 +248,18 @@ def _fixed_orbit_count(f, gset, k, admissible=None, points=1) -> int:
     for a in _rearranged_maps(f, k):
         if admissible is not None and not admissible(a):
             continue
-        image = tuple(map(push, a))
+        image, get = tuple(map(push, a)), a.__getitem__
         for y in ys:
-            point = (a, y)
-            if any((tuple(map(a.__getitem__, inv)), y_perm[y]) < point for inv, y_perm in moves):
-                continue
-            if any(
-                y_perm[y] == y and tuple(map(image.__getitem__, inv)) == a
-                for inv, y_perm in moves
-            ):
-                count += 1
+            point, target = (a, y), (image, y)
+            fixed = False
+            for inv, y_perm in moves:
+                other = (tuple(map(get, inv)), y_perm[y])
+                if other < point:
+                    break
+                if other == target:
+                    fixed = True
+            else:
+                count += fixed
     return count
 
 
@@ -300,8 +314,9 @@ def fixed_gmap_space(
     push = f.mapping.__getitem__
     total = 0
     for a in _rearranged_maps(f, k):
-        image = tuple(map(push, a))
-        total += sum(image == tuple(map(a.__getitem__, perm)) for perm in gset)
+        get = a.__getitem__
+        images = [tuple(map(get, perm)) for perm in gset]
+        total += images.count(tuple(map(push, a)))
     if total % group.order:
         raise RuntimeError("Burnside sum is not divisible by the group order")
     burnside = total // group.order

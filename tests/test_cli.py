@@ -241,6 +241,24 @@ def test_enumeration_guard_counts_every_map_not_the_walk(capsys, monkeypatch):
     assert run(capsys, "verify", "--plan", json.dumps(plan))[0] == 0
 
 
+# series plans whose guard trips at a size j < k_max, and the size it names:
+# C(9, 4) multisets, 8 + 28 + 56 + 70 subsets, 3^5 tuples
+SERIES_GUARD_TRIPS = [
+    ({"identity": "md", "map": {"size": 6, "map": [1, 2, 0, 4, 3, 5]}, "k_max": 6}, 126),
+    ({"identity": "prod", "map": {"size": 8, "map": [1, 2, 0, 4, 3, 5, 6, 6]}, "k_max": 6}, 162),
+    ({"identity": "sub", "map": {"size": 5, "map": [0, 1, 2, 4, 3]}, "l": 2, "k_max": 6}, 243),
+]
+
+
+@pytest.mark.parametrize("plan, size", SERIES_GUARD_TRIPS, ids=["md", "prod", "sub"])
+def test_a_series_plan_is_refused_at_its_first_size_over_the_guard(capsys, monkeypatch,
+                                                                   plan, size):
+    monkeypatch.setenv("DOLD_ZETA_MAX_ENUM", "100")
+    assert run(capsys, "verify", "--plan", json.dumps(plan)) == (
+        2, "", f'{{"error": "enumeration-limit", "limit": 100, "size": {size}}}\n'
+    )
+
+
 def test_text_format(capsys):
     code, out, _ = run(
         capsys, "dold", "--map", '{"size":2,"map":[1,0]}', "-N", "3", "--format", "text"

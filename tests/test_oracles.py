@@ -33,41 +33,40 @@ from conftest import cyclic_group, direct_product, identity_map, pointed, seeded
 class TestBoundedMultisets:
     def test_single_point(self):
         f = identity_map(1)
-        for k in range(5):
-            assert fixed_bounded_multisets(f, k, None) == 1
+        assert fixed_bounded_multisets(f, 4, None) == (1,) * 5
 
     def test_two_cycle_configuration(self):
         f = FiniteSelfMap([1, 0])
-        assert fixed_bounded_multisets(f, 2, 1) == 1  # only {a, b}
+        assert fixed_bounded_multisets(f, 2, 1) == (1, 0, 1)  # only {a, b}
 
     def test_two_cycle_against_zeta_inverse(self):
         # Z = 1 - q^2, so Z^{-1} = 1 + q^2 + q^4: counts 1, 0, 1, 0, 1
         f = FiniteSelfMap([1, 0])
-        counts = [fixed_bounded_multisets(f, k, None) for k in range(5)]
+        counts = list(fixed_bounded_multisets(f, 4, None))
         zinv = PowerSeries([1, 0, -1], order=4).inverse()
         assert counts == [int(c) for c in zinv.coeffs]
 
     def test_zero_size_is_one(self):
-        assert fixed_bounded_multisets(FiniteSelfMap([1, 0]), 0, 3) == 1
+        assert fixed_bounded_multisets(FiniteSelfMap([1, 0]), 0, 3) == (1,)
 
     def test_bound_zero(self):
-        assert fixed_bounded_multisets(identity_map(2), 3, 0) == 0
+        assert fixed_bounded_multisets(identity_map(2), 3, 0) == (1, 0, 0, 0)
 
     def test_monotone_in_bound(self):
         for f in seeded_maps(31, 25, 5):
             for k in range(4):
-                values = [fixed_bounded_multisets(f, k, bound) for bound in (1, 2, 3, None)]
+                values = [fixed_bounded_multisets(f, k, bound)[k] for bound in (1, 2, 3, None)]
                 assert values == sorted(values)
 
 
 class TestInvariantSubsets:
     def test_identity_on_two_points(self):
-        assert fixed_invariant_subsets(identity_map(2), 2) == 3
+        assert fixed_invariant_subsets(identity_map(2), 2) == (0, 2, 3)
 
     def test_two_cycle(self):
         f = FiniteSelfMap([1, 0])
-        assert fixed_invariant_subsets(f, 1) == 0
-        assert fixed_invariant_subsets(f, 2) == 1
+        assert fixed_invariant_subsets(f, 1) == (0, 0)
+        assert fixed_invariant_subsets(f, 2) == (0, 0, 1)
 
     def test_identity_binomial_sums(self):
         from math import comb
@@ -76,30 +75,30 @@ class TestInvariantSubsets:
             f = identity_map(chi)
             for k in range(1, 5):
                 expected = sum(comb(chi, j) for j in range(1, k + 1))
-                assert fixed_invariant_subsets(f, k) == expected
+                assert fixed_invariant_subsets(f, k)[k] == expected
 
     def test_subset_multiset_bridge(self):
         # multiplicity-one invariant multisets of size j are invariant subsets
         for f in seeded_maps(17, 40, 6):
             for k in range(1, 5):
-                total = sum(fixed_bounded_multisets(f, j, 1) for j in range(1, k + 1))
-                assert total == fixed_invariant_subsets(f, k)
+                total = sum(fixed_bounded_multisets(f, j, 1)[j] for j in range(1, k + 1))
+                assert total == fixed_invariant_subsets(f, k)[k]
 
 
 class TestBoundedTuples:
     def test_unconstrained_power(self):
         f = identity_map(2)
-        assert fixed_bounded_tuples(f, 3, 5) == 8
+        assert fixed_bounded_tuples(f, 3, 5) == (1, 2, 4, 8)
 
     def test_injective_pairs(self):
-        assert fixed_bounded_tuples(identity_map(2), 2, 1) == 2
+        assert fixed_bounded_tuples(identity_map(2), 2, 1) == (1, 2, 2)
 
     def test_pigeonhole(self):
-        assert fixed_bounded_tuples(identity_map(2), 3, 1) == 0
+        assert fixed_bounded_tuples(identity_map(2), 3, 1) == (1, 2, 2, 0)
 
     def test_only_fixed_points_count(self):
         f = FiniteSelfMap([0, 2, 1])  # one fixed point, one 2-cycle
-        assert fixed_bounded_tuples(f, 2, 2) == 1
+        assert fixed_bounded_tuples(f, 2, 2) == (1, 1, 1)
 
 
 class TestPartitionOrbits:
@@ -133,7 +132,7 @@ class TestPartitionOrbits:
             group = PermutationGroup.symmetric(k)
             assert fixed_partition_orbits(f, group, family) == fixed_bounded_multisets(
                 f, k, bound
-            )
+            )[k]
 
     def test_specializes_to_tuples(self):
         rng = random.Random(9)
@@ -148,7 +147,7 @@ class TestPartitionOrbits:
             group = trivial_group(k)
             assert fixed_partition_orbits(f, group, family) == fixed_bounded_tuples(
                 f, k, bound
-            )
+            )[k]
 
     def test_coefficient_set_kills_everything_when_trivial(self):
         # a one-point coefficient space has no non-basepoint elements
@@ -317,6 +316,23 @@ def test_least_point_counter_matches_orbit_enumeration(name, group, gset):
     assert nonzero
 
 
+ORBIT_MUTANTS = {
+    "every least point counted": ("count += fixed", "count += 1"),
+    "an equal image taken for a smaller one": ("other < point", "other <= point"),
+}
+
+
+@pytest.mark.parametrize("old, new", ORBIT_MUTANTS.values(), ids=list(ORBIT_MUTANTS))
+def test_a_wrong_orbit_counter_fails_the_orbit_tests(monkeypatch, old, new):
+    monkeypatch.setattr(
+        oracles, "_fixed_orbit_count", mutated(oracles._fixed_orbit_count, old, new)
+    )
+    # a wrong gmap count may trip the Burnside cross-check before the assertion
+    with pytest.raises((AssertionError, RuntimeError)):
+        for case in ORACLE_GROUPS:
+            test_least_point_counter_matches_orbit_enumeration(*case)
+
+
 def test_burnside_cross_check_fires_on_a_wrong_orbit_count(monkeypatch):
     real = oracles._fixed_orbit_count
     monkeypatch.setattr(oracles, "_fixed_orbit_count", lambda *args: real(*args) + 1)
@@ -406,6 +422,11 @@ def reference(kind, f, k, bound=None):
     return reference_bounded_tuples(f, k, bound)
 
 
+def references(kind, f, k, bound=None):
+    """The reference counts of one kind at every size j <= k."""
+    return tuple(reference(kind, f, j, bound) for j in range(k + 1))
+
+
 def multiset_walk_mismatches():
     """The cases where a multiset or tuple walk disagrees with its
     reference, one by one, as they are found."""
@@ -414,12 +435,13 @@ def multiset_walk_mismatches():
             maps = list(oracles._rearranged_maps(f, k))
             if len(maps) != len(set(maps)) or set(maps) != reference("rearranged maps", f, k):
                 yield ("rearranged maps", f.mapping, k)
-        if oracles.fixed_invariant_subsets(f, k) != reference("subsets", f, k):
+        # each series oracle's whole tuple, against the reference at every size j <= k
+        if oracles.fixed_invariant_subsets(f, k) != references("subsets", f, k):
             yield ("subsets", f.mapping, k)
         for bound in (None, 1, 2, 3):
-            if oracles.fixed_bounded_multisets(f, k, bound) != reference("multisets", f, k, bound):
+            if oracles.fixed_bounded_multisets(f, k, bound) != references("multisets", f, k, bound):
                 yield ("multisets", f.mapping, k, bound)
-            if oracles.fixed_bounded_tuples(f, k, bound) != reference("tuples", f, k, bound):
+            if oracles.fixed_bounded_tuples(f, k, bound) != references("tuples", f, k, bound):
                 yield ("tuples", f.mapping, k, bound)
 
 
@@ -489,6 +511,7 @@ def test_a_wrong_arrangements_fails_the_walk_tests(monkeypatch, mutant):
 TUPLE_MUTANTS = {
     "cap off by one": ("uses[x] < cap", "uses[x] <= cap"),
     "first fixed point skipped": ("for x in fixed:", "for x in fixed[1:]:"),
+    "counted at the wrong depth": ("counts[length] += 1", "counts[length - 1] += 1"),
 }
 
 
@@ -498,6 +521,14 @@ def test_a_wrong_tuple_walk_fails_the_walk_tests(monkeypatch, old, new):
         oracles, "fixed_bounded_tuples", mutated(oracles.fixed_bounded_tuples, old, new)
     )
     assert first_mismatch_of("tuples") is not None
+
+
+def test_a_subset_sum_that_drops_a_size_fails_the_walk_tests(monkeypatch):
+    old, new = "sizes[j] for j", "sizes[j] * (j != 2) for j"
+    monkeypatch.setattr(
+        oracles, "fixed_invariant_subsets", mutated(oracles.fixed_invariant_subsets, old, new)
+    )
+    assert first_mismatch_of("subsets") is not None
 
 
 # ---------------------------------------------------------------------------
