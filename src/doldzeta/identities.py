@@ -22,13 +22,13 @@ powers by the recurrence of the Lefschetz form exp(sum_i s_i q^i / i) of
 their generating series (Macdonald, 1962), in which s_i is a combination of
 the iterate fixed-point counts L_n = sum_{m|n} m t_m; directly for the group
 average; and for a partition family as the group average minus one
-configuration term per group orbit of excluded partitions.  That term counts
-the fixed maps whose fiber partition lies in the orbit: each n-cycle of
-blocks goes injectively onto its own orbit of least period n, in one of n
-phases.  The group average and the configuration terms are summed by cycle
-type over integer numerators: the summed weights are put over one common
-denominator, the factors are multiplied as {exponents: int} dicts (each
-built once per call and kept only for that call), and the sum becomes the
+configuration term per excluded partition that a group element fixes, which
+counts the fixed maps with that fiber partition: each n-cycle of blocks
+goes injectively onto its own orbit of least period n, in one of n phases.
+Both are class functions of the element, so they are summed once per
+conjugacy class, by cycle type, over integer numerators: the weights are
+put over one common denominator, the factors are multiplied as
+{exponents: int} dicts (each built once per call), and the sum becomes the
 numerators of one MultiPoly over that denominator.  Wedges add polynomials,
 smash products multiply them, and composites substitute the
 iterate-transported orbit-count polynomials.
@@ -300,20 +300,17 @@ def bounded_power_polynomial(k: int, bound) -> LefschetzPolynomial:
 
 def _validate_traces(group: PermutationGroup, coeff_traces):
     """The traces as a table on the group elements, refused unless they are
-    a class function: trace(s g s^-1) = trace(g) for every element g and
-    generator s, which makes them constant on each conjugacy class."""
+    a class function (constant on each conjugacy class), since the class
+    sums read one element of each class."""
     if coeff_traces is None:
         return None
     table = {tuple(g): rat(v) for g, v in coeff_traces.items()}
     if any(g not in table for g in group.elements):
         raise ValueError("coefficient traces must be defined on every group element")
-    # integral traces compare as ints, which is much cheaper than as Fractions
-    keys = {g: v.numerator if v.denominator == 1 else v for g, v in table.items()}
-    for s in group.generators:
-        s_inv = invert_perm(s)
-        for g in group.elements:
-            conjugate = tuple([s[g[j]] for j in s_inv])  # s g s^-1
-            if keys[conjugate] != keys[g]:
+    for members in group.classes:
+        g, *conjugates = map(group.elements.__getitem__, members)
+        for conjugate in conjugates:
+            if table[conjugate] != table[g]:
                 raise ValueError(
                     f"coefficient traces must be a class function, but {list(g)} has trace "
                     f"{rat_str(table[g])} and its conjugate {list(conjugate)} has trace "
@@ -322,36 +319,36 @@ def _validate_traces(group: PermutationGroup, coeff_traces):
     return table
 
 
-def _shape(perm) -> tuple:
-    """The cycle type of a permutation as sorted (length, count) pairs."""
-    return tuple(sorted(perm_cycle_type(perm).items()))
+def _cycle_key(factor, perm) -> tuple:
+    """One (factor, n, c) triple per cycle length n of the permutation, with
+    c its cycles of that length, in order of n."""
+    return tuple((factor, n, c) for n, c in sorted(perm_cycle_type(perm).items()))
 
 
-def _cycle_type_sum(class_weights: dict, nvars: int, factor) -> MultiPoly:
-    """sum over the cycle types of w prod_n factor(n, c_n, nvars), where the
-    type has c_n cycles of length n and w is its weight in `class_weights`
-    (one entry per type: the cycle-index collapse).
+def _cycle_type_sum(weights: dict, nvars: int, den: int) -> MultiPoly:
+    """(1/den) sum over the keys (`_cycle_key`) of w prod factor(n, c, nvars),
+    with w the key's weight in `weights`: one entry per cycle type and
+    factor, the cycle-index collapse.
 
     The weights are put over one common denominator D (`_numerators`), so the
     products and the sum run over ints, in one dict that becomes the
-    numerators of the resulting MultiPoly over D.  `factor` returns an
-    {exponents: int} dict, and each (n, c_n) factor is built once in a call
-    and kept only for that call."""
-    d, numerators = _numerators(list(class_weights.values()))
+    numerators of the resulting MultiPoly over D * den.  A factor returns an
+    {exponents: int} dict, built once in a call and kept only for that call."""
+    d, numerators = _numerators(list(weights.values()))
     zero = (0,) * nvars
     factors = {}
     total = {}
-    for shape, weight in zip(class_weights, numerators):
+    for key, weight in zip(weights, numerators):
         if not weight:
             continue
         term = {zero: weight}
-        for key in shape:
-            if key not in factors:
-                factors[key] = factor(*key, nvars)
-            term = _product(term, factors[key])
+        for factor, n, c in key:
+            if (factor, n, c) not in factors:
+                factors[factor, n, c] = factor(n, c, nvars)
+            term = _product(term, factors[factor, n, c])
         for exps, c in term.items():
             total[exps] = total.get(exps, 0) + c
-    return MultiPoly._trusted(nvars, total, d)
+    return MultiPoly._trusted(nvars, total, d * den)
 
 
 def _orbit_factor(n: int, count: int, nvars: int) -> dict:
@@ -387,25 +384,34 @@ def _configuration_factor(n: int, count: int, nvars: int) -> dict:
     }
 
 
-def _weights(group: PermutationGroup, traces) -> list:
-    """w(g) for each group element, in element order: the trace of g^{-1}, an
-    int when it is integral, or 1 without traces."""
-    if traces is None:
-        return [1] * group.order
-    values = (traces[group.inverse(g)] for g in group.elements)
-    return [v.numerator if v.denominator == 1 else v for v in values]
-
-
-def _burnside_average(group: PermutationGroup, gset, weights) -> MultiPoly:
-    """(1/|G|) sum_g w(g) prod_n (sum_{m|n} m t_m)^{d_g(n)}, where g has
-    d_g(n) orbits of length n under the action and w(g) is its entry in
-    `weights`, in element order (`_weights`).  The arguments are trusted:
-    callers validate them."""
-    class_weights = {}
-    for perm, weight in zip(gset, weights):
-        shape = _shape(perm)
-        class_weights[shape] = class_weights.get(shape, 0) + weight
-    return _cycle_type_sum(class_weights, len(gset[0]), _orbit_factor) / group.order
+def _class_sum(group: PermutationGroup, gset, traces, excluded=()) -> MultiPoly:
+    """(1/|G|) sum over the conjugacy classes C of |C| w(g) times
+    prod_n (sum_{m|n} m t_m)^{d_g(n)} minus one configuration factor
+    prod_n n^{c_n} t_n (t_n - 1) ... (t_n - c_n + 1) for each `excluded`
+    partition that g fixes.  Here g leads C, w(g) is the trace of g^{-1}
+    (1 without traces), g has d_g(n) orbits of length n under the action
+    and c_n cycles of length n on the blocks.  The summand is a class
+    function of g, as the traces are and the excluded set must be G-stable.
+    The weights are summed by cycle type (`_cycle_type_sum`).  The arguments
+    are trusted: callers validate them."""
+    partitions = [(p.labels, p.block_count) for p in excluded]
+    weights = {}
+    for members in group.classes:
+        g, perm = group.elements[members[0]], gset[members[0]]
+        weight = len(members) * (1 if traces is None else traces[invert_perm(g)])
+        weight = weight.numerator if weight.denominator == 1 else weight  # int sums are cheaper
+        if not weight:
+            continue
+        key = _cycle_key(_orbit_factor, perm)
+        weights[key] = weights.get(key, 0) + weight
+        for labels, count in partitions:
+            # g fixes the partition when it maps each block into one block;
+            # the (block, image block) pairs are then its permutation of them
+            pairs = set(zip(labels, map(labels.__getitem__, perm)))
+            if len(pairs) == count:
+                key = _cycle_key(_configuration_factor, [b for _, b in sorted(pairs)])
+                weights[key] = weights.get(key, 0) - weight
+    return _cycle_type_sum(weights, len(gset[0]), group.order)
 
 
 def gsymm_polynomial(
@@ -419,9 +425,8 @@ def gsymm_polynomial(
     on a coefficient space.
     """
     gset = validate_gset(group, gset)
-    k = len(gset[0])
     traces = _validate_traces(group, coeff_traces)
-    return LefschetzPolynomial(_burnside_average(group, gset, _weights(group, traces)), k)
+    return LefschetzPolynomial(_class_sum(group, gset, traces), len(gset[0]))
 
 
 def general_lefschetz_polynomial(
@@ -433,19 +438,16 @@ def general_lefschetz_polynomial(
     """The fixed-point polynomial of the compactified space of maps K -> X
     with fiber partition in the family, modulo the group.
 
-    The group average counts the fixed maps of every fiber partition.  The
-    fixed maps whose fiber partition lies in the G-orbit of an excluded
-    partition pi are the configurations of the blocks of pi under its
-    stabilizer G_pi, so each excluded orbit subtracts
-
-        (1/|G_pi|) sum_{g in G_pi} w(g) prod_n n^{c_n} t_n (t_n - 1) ... (t_n - c_n + 1),
-
-    where g makes c_n cycles of length n on the blocks of pi and w(g) is the
-    trace of g^{-1} (1 without traces).  The weights are summed by block
-    cycle type within each orbit, divided by |G_pi| once per type, and
-    summed by type across all the excluded orbits.  Both sums then run over
-    integer numerators (`_cycle_type_sum`), and one MultiPoly subtraction
-    puts them over one denominator.
+    The group average counts the fixed maps of every fiber partition.  Those
+    whose fiber partition lies in the G-orbit O of an excluded partition pi
+    are the configurations of its blocks under the stabilizer G_pi, so O
+    subtracts (1/|G_pi|) sum_{g in G_pi} w(g) c_pi(g), where w(g) is the
+    trace of g^{-1} and c_pi(g) = prod_n n^{c_n} t_n (t_n - 1) ... (t_n - c_n + 1)
+    when g makes c_n cycles of length n on the blocks of pi.  By
+    orbit-stabilizer |G_pi| = |G|/|O|, and the sum over G_pi is the same for
+    every pi in O, so the excluded orbits together subtract
+    (1/|G|) sum_g w(g) sum_{excluded pi with g pi = pi} c_pi(g), a class
+    function of g that `_class_sum` takes once per conjugacy class.
 
     The group, its action, the traces and the family's stability are
     validated here, once, unless the table and family carry the mark of an
@@ -455,33 +457,8 @@ def general_lefschetz_polynomial(
     gset = validate_gset(group, gset, k)
     traces = _validate_traces(group, coeff_traces)
     family = _require_stable(family, group, gset)
-    weights = _weights(group, traces)
-    inverses = [invert_perm(perm) for perm in gset]
-    seen = {partition.labels for partition in family.members}
-    excluded = {}
-    for partition in all_partitions(k):
-        labels = partition.labels
-        if labels in seen:
-            continue
-        # a stabilizer element maps each block onto the block holding the
-        # image of its least element
-        heads = [block[0] for block in partition.blocks]
-        stabilizer = {}
-        order = 0
-        for perm, inverse, weight in zip(gset, inverses, weights):
-            # the image's restricted growth string: y lies in the block of
-            # perm^-1(y), the blocks renumbered by least element
-            first = {}
-            image = tuple([first.setdefault(labels[x], len(first)) for x in inverse])
-            seen.add(image)
-            if image == labels:
-                order += 1
-                shape = _shape([labels[perm[x]] for x in heads])
-                stabilizer[shape] = stabilizer.get(shape, 0) + weight
-        for shape, weight in stabilizer.items():
-            excluded[shape] = excluded.get(shape, 0) + Fraction(weight, order)
-    configurations = _cycle_type_sum(excluded, k, _configuration_factor)
-    return LefschetzPolynomial(_burnside_average(group, gset, weights) - configurations, k)
+    excluded = [p for p in all_partitions(k) if p not in family.members]
+    return LefschetzPolynomial(_class_sum(group, gset, traces, excluded), k)
 
 
 def falling_factorial(r: int) -> Poly:

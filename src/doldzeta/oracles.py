@@ -19,13 +19,14 @@ tuple oracle walks the tuples of fixed points and counts each once.  The
 multiset, subset and tuple oracles each answer for every size j <= k at
 once, as a tuple of k + 1 counts, from one walk to size k.  The orbit-space
 oracles count each fixed orbit once, at its least point, building each
-image of a candidate once, and the Burnside cross-check in
-`fixed_gmap_space` walks the same candidates; nothing is stored per
-candidate.  Every enumeration sits behind one size guard that counts the
-full nominal space, not the smaller walk: 10^7 candidate points, or the
-DOLD_ZETA_MAX_ENUM environment variable, read at each guard.  The multiset,
-subset and tuple oracles guard each size j = 1..k in turn before they walk,
-so a refusal names the least size over the limit.
+image of a candidate once.  The Burnside cross-check in `fixed_gmap_space`
+walks the same candidates and builds one image per conjugacy class, since
+its count is a class function; nothing is stored per candidate.  Every
+enumeration sits behind one size guard that counts the full nominal space,
+not the smaller walk: 10^7 candidate points, or the DOLD_ZETA_MAX_ENUM
+environment variable, read at each guard.  The multiset, subset and tuple
+oracles guard each size j = 1..k in turn before they walk, so a refusal
+names the least size over the limit.
 """
 
 from __future__ import annotations
@@ -302,8 +303,9 @@ def fixed_gmap_space(
     """Fixed points of a |-> f o a on the orbit space map(K, M)/G.
 
     Computed twice: by counting the fixed orbits at their least points, and
-    as the Burnside average (1/|G|) sum_g #{a : f o a = a o g}.  The two
-    counts must agree; a mismatch is an internal logic error.
+    as the Burnside average (1/|G|) sum_g #{a : f o a = a o g}, a class
+    function of g taken once per conjugacy class and weighted by its size.
+    The two counts must agree; a mismatch is an internal logic error.
     """
     gset = validate_gset(group, gset)
     k = len(gset[0])
@@ -311,12 +313,12 @@ def fixed_gmap_space(
     orbit_count = _fixed_orbit_count(f, gset, k)
 
     # f o a = a o g makes f o a a rearrangement of a, so no other map counts
+    leaders = [(len(members), gset[members[0]]) for members in group.classes]
     push = f.mapping.__getitem__
     total = 0
     for a in _rearranged_maps(f, k):
-        get = a.__getitem__
-        images = [tuple(map(get, perm)) for perm in gset]
-        total += images.count(tuple(map(push, a)))
+        get, image = a.__getitem__, tuple(map(push, a))
+        total += sum(size for size, perm in leaders if tuple(map(get, perm)) == image)
     if total % group.order:
         raise RuntimeError("Burnside sum is not divisible by the group order")
     burnside = total // group.order

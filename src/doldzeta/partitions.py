@@ -236,12 +236,12 @@ def _close(degree: int, candidates, members=None):
 
 
 class PermutationGroup:
-    """A permutation group of fixed degree: its sorted element list and a
-    generating set fixed when it is built.  The constructor checks an
-    element list and keeps the generators that `_close` picks from it in
-    sorted order; `from_generators` and `symmetric` build through `_closed`."""
+    """A permutation group of fixed degree: its sorted element list, a
+    generating set fixed when it is built and its conjugacy classes.  The
+    constructor checks an element list and keeps the generators `_close`
+    picks from it in sorted order; the builders go through `_closed`."""
 
-    __slots__ = ("degree", "elements", "generators")
+    __slots__ = ("degree", "elements", "generators", "_classes")
 
     def __init__(self, degree: int, elements):
         elements = sorted({tuple(_integer(x, "an entry of a group element") for x in e) for e in elements})
@@ -257,6 +257,7 @@ class PermutationGroup:
         self.degree = degree
         self.elements = tuple(elements)
         self.generators = _close(degree, elements, members)[0]
+        self._classes = None
 
     @classmethod
     def _closed(cls, degree: int, candidates) -> "PermutationGroup":
@@ -266,6 +267,7 @@ class PermutationGroup:
         group.generators, reached = _close(degree, candidates)
         group.degree = degree
         group.elements = tuple(sorted(reached))
+        group._classes = None
         return group
 
     @classmethod
@@ -291,8 +293,27 @@ class PermutationGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def inverse(self, g):
-        return invert_perm(tuple(g))
+    @property
+    def classes(self) -> tuple:
+        """The conjugacy classes as tuples of element indices, found once: each
+        grown from its least element by conjugating with the generators in order."""
+        if self._classes is None:
+            index = {g: i for i, g in enumerate(self.elements)}
+            conjugations = [(s, invert_perm(s)) for s in self.generators]
+            classes, reached = [], set()
+            for start in range(self.order):
+                if start not in reached:
+                    members = [start]
+                    reached.add(start)
+                    for g in map(self.elements.__getitem__, members):  # grows as found
+                        for s, s_inv in conjugations:
+                            j = index[tuple([s[g[x]] for x in s_inv])]  # s g s^-1
+                            if j not in reached:
+                                reached.add(j)
+                                members.append(j)
+                    classes.append(tuple(members))
+            self._classes = tuple(classes)
+        return self._classes
 
     def __eq__(self, other):
         if not isinstance(other, PermutationGroup):

@@ -14,7 +14,7 @@ The result does not depend on which minimal partition is chosen; passing an
 from dataclasses import dataclass
 
 from doldzeta import PartitionFamily, PermutationGroup, SetPartition, all_partitions
-from doldzeta.identities import LefschetzPolynomial, _burnside_average, _validate_traces, _weights
+from doldzeta.identities import LefschetzPolynomial, _class_sum, _validate_traces
 from doldzeta.partitions import _require_stable, _single_splits, validate_gset
 
 
@@ -92,7 +92,7 @@ def recursive_lefschetz_polynomial(group, family, coeff_traces=None, gset=None, 
         if cached is not None:
             return cached
         if is_full(fam):
-            value = _burnside_average(grp, act, _weights(grp, traces))
+            value = _class_sum(grp, act, traces)
         else:
             step = minimal_excluded_step(fam, grp, act, rng)
             enlarged = rec(grp, step.extended_family, act)

@@ -10,7 +10,13 @@ from fractions import Fraction
 
 from doldzeta import MultiPoly
 from doldzeta.identities import LefschetzPolynomial, _divisor_sum_linear, _validate_traces
-from doldzeta.partitions import _require_stable, all_partitions, perm_cycle_type, validate_gset
+from doldzeta.partitions import (
+    _require_stable,
+    all_partitions,
+    invert_perm,
+    perm_cycle_type,
+    validate_gset,
+)
 from doldzeta.series import Poly
 
 
@@ -53,7 +59,7 @@ def configuration_factor(n: int, count: int, nvars: int) -> MultiPoly:
 
 def weight(group, traces, g) -> Fraction:
     """The trace of g^{-1}, or 1 without traces."""
-    return traces[group.inverse(g)] if traces is not None else Fraction(1)
+    return traces[invert_perm(g)] if traces is not None else Fraction(1)
 
 
 def burnside_average(group, gset, traces) -> MultiPoly:

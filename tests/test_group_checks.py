@@ -1,13 +1,16 @@
-"""Group checks on a generating set and the class-summed Burnside average,
-each against the slow path it replaced, on seeded random inputs.
+"""Group checks on a generating set, the conjugacy classes, the class-summed
+Burnside average and the class-weighted Burnside cross-check, each against
+the slow path it replaced, on seeded random inputs.
 
-The references below are the |G|^2 closure and homomorphism loops and the
-per-element Burnside sum; the fast paths must give the same accept/reject
-outcome and the same polynomial."""
+The references below are the |G|^2 closure and homomorphism loops, the
+conjugates of each element by every element, and the per-element Burnside
+sums; the fast paths must give the same accept/reject outcome, the same
+classes, the same polynomial and the same count."""
 
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
+from math import comb
 
 import pytest
 
@@ -21,7 +24,8 @@ from doldzeta import (
     general_lefschetz_polynomial,
     gsymm_polynomial,
 )
-from doldzeta.identities import _burnside_average, _divisor_sum_linear, _weights
+from doldzeta import oracles
+from doldzeta.identities import _class_sum, _divisor_sum_linear, _validate_traces
 from doldzeta.multipoly import MultiPoly
 from doldzeta.partitions import (
     compose_perms,
@@ -31,7 +35,7 @@ from doldzeta.partitions import (
     validate_gset,
 )
 
-from conftest import identity_map, seeded_maps, trivial_group
+from conftest import identity_map, random_map, seeded_maps, trivial_group
 from family_recursion import minimal_excluded_step
 
 
@@ -74,6 +78,20 @@ def burnside_by_elements(group, gset, traces):
             term = term * _divisor_sum_linear(n, k) ** count
         total = total + term
     return total / group.order
+
+
+def gmap_burnside_by_elements(f, gset):
+    """(1/|G|) sum_g #{a : f o a = a o g}, one count per group element over
+    the candidates f o a can equal a o g for, as before the classes."""
+    k = len(gset[0])
+    push = f.mapping.__getitem__
+    total = 0
+    for a in oracles._rearranged_maps(f, k):
+        get = a.__getitem__
+        images = [tuple(map(get, perm)) for perm in gset]
+        total += images.count(tuple(map(push, a)))
+    assert total % len(gset) == 0
+    return total // len(gset)
 
 
 def accepts(check, *args):
@@ -282,13 +300,22 @@ def test_natural_action_needs_the_group_degree():
 # the Burnside average summed by cycle type
 
 
+def class_function(rng, group):
+    """A random integer trace for each conjugacy class, on its elements."""
+    traces = {}
+    for members in group.classes:
+        value = rng.randint(-2, 2)
+        traces.update((group.elements[i], value) for i in members)
+    return traces
+
+
 def test_class_sum_matches_the_per_element_sum():
     rng = random.Random(505)
     for group, table in random_actions(rng, 60):
         traces = None
         if rng.random() < 0.75:
-            traces = {g: rng.randint(-2, 2) for g in group.elements}
-        assert _burnside_average(group, table, _weights(group, traces)) == burnside_by_elements(
+            traces = class_function(rng, group)
+        assert _class_sum(group, table, _validate_traces(group, traces)) == burnside_by_elements(
             group, table, traces
         )
 
@@ -296,7 +323,60 @@ def test_class_sum_matches_the_per_element_sum():
 def test_class_sum_with_all_weights_zero():
     group = PermutationGroup.symmetric(4)
     traces = {g: 0 for g in group.elements}
-    assert _burnside_average(group, group.elements, _weights(group, traces)).is_zero
+    assert _class_sum(group, group.elements, _validate_traces(group, traces)).is_zero
+
+
+# ---------------------------------------------------------------------------
+# the conjugacy classes, grown by conjugating with the generators
+
+
+def test_classes_are_the_conjugacy_classes():
+    rng = random.Random(606)
+    for _ in range(60):
+        group = random_subgroup(rng, rng.randint(1, 5))
+        elements = group.elements
+        index = {g: i for i, g in enumerate(elements)}
+        classes = group.classes
+        assert sorted(chain.from_iterable(classes)) == list(range(group.order))
+        for members in classes:
+            g = elements[members[0]]
+            conjugates = {
+                index[compose_perms(compose_perms(h, g), invert_perm(h))] for h in elements
+            }
+            assert set(members) == conjugates
+            assert group.order % len(members) == 0
+            assert members[0] == min(members)
+        assert group.classes is classes  # found once
+
+
+def test_symmetric_groups_have_a_class_per_partition_of_the_degree():
+    counts = [len(PermutationGroup.symmetric(k).classes) for k in range(1, 7)]
+    assert counts == [1, 2, 3, 5, 7, 11]
+
+
+# ---------------------------------------------------------------------------
+# the Burnside cross-check of fixed_gmap_space, one count per class
+
+
+def test_class_weighted_cross_check_matches_the_per_element_sum(monkeypatch):
+    rng = random.Random(707)
+    for group, table in random_actions(rng, 40):
+        # at most 4096 maps from the table's points
+        k = len(table[0])
+        f = random_map(rng, rng.randint(1, max(s for s in range(1, 6) if s ** k <= 4096)))
+        expected = gmap_burnside_by_elements(f, table)
+        assert fixed_gmap_space(f, group, table) == expected
+        # with the orbit count replaced by the per-element sum, the call
+        # raises unless the class-weighted sum gives the same count
+        with monkeypatch.context() as patch:
+            patch.setattr(oracles, "_fixed_orbit_count", lambda *args: expected)
+            assert fixed_gmap_space(f, group, table) == expected
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_identity_fixes_every_orbit_of_multisets(n):
+    # map(K, M)/S_k for k = n is the n-th symmetric power of the n points
+    assert fixed_gmap_space(identity_map(n), PermutationGroup.symmetric(n)) == comb(2 * n - 1, n)
 
 
 # ---------------------------------------------------------------------------
