@@ -114,7 +114,7 @@ def _render_text(payload, prefix=""):
 def _series_text(series: PowerSeries) -> list:
     width = max(len(f"q^{series.order}"), 3)
     return [
-        f"q^{k}".ljust(width) + "  " + rat_str(c) for k, c in enumerate(series.coeffs)
+        f"q^{k}".ljust(width) + "  " + c for k, c in enumerate(series.to_json()["coeffs"])
     ]
 
 

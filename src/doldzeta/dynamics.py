@@ -210,24 +210,34 @@ def lefschetz_sequence(f: FiniteSelfMap, horizon: int) -> LefschetzSequence:
 
 
 def dold_from_lefschetz(seq: LefschetzSequence) -> DoldProfile:
-    """Moebius inversion D_m = (1/m) sum_{d | m} mu(m/d) L(f^d)."""
+    """Moebius inversion D_m = (1/m) sum_{d | m} mu(m/d) L(f^d).
+
+    The sums P_m = sum_{d | m} mu(m/d) L(f^d) = m D_m come from one sieve
+    over multiples: L(f^k) = sum_{m | k} P_m, so once the P_d of the proper
+    divisors d of m have been subtracted from L(f^m), what is left is P_m,
+    which is subtracted in turn from the entries of the multiples of m."""
+    sums = list(seq.values)
     counts = []
     for m in range(1, seq.horizon + 1):
-        total = sum(mobius(m // d) * seq.value(d) for d in divisors(m))
+        total = sums[m - 1]
         if total % m:
             raise NotRealizableError(
                 f"sum_(d|{m}) mu({m}/d) L(f^d) = {total} is not divisible by {m}"
             )
         counts.append(total // m)
+        for k in range(2 * m, seq.horizon + 1, m):
+            sums[k - 1] -= total
     return DoldProfile(counts)
 
 
 def lefschetz_from_dold(profile: DoldProfile) -> LefschetzSequence:
-    """The inverse relation L(f^k) = sum_{m | k} m * D_m."""
-    values = [
-        sum(m * profile.count(m) for m in divisors(k))
-        for k in range(1, profile.horizon + 1)
-    ]
+    """The inverse relation L(f^k) = sum_{m | k} m * D_m, by adding each
+    m * D_m to the entries of the multiples of m."""
+    horizon = profile.horizon
+    values = [0] * horizon
+    for m, count in enumerate(profile.values, 1):
+        for k in range(m, horizon + 1, m):
+            values[k - 1] += m * count
     return LefschetzSequence(values)
 
 
@@ -257,7 +267,7 @@ def zeta_series(data, order: int, reduced: bool = False) -> PowerSeries:
     exponents[1] = exponents.get(1, 0) - shift
     product_form = exponent_product(exponents, order)
     lefschetz = [seq.value(k) - shift for k in range(1, order + 1)]
-    if not _exp_form_holds([c.numerator for c in product_form.coeffs], lefschetz):
+    if not _exp_form_holds(product_form.nums, lefschetz):
         raise InconsistentInputError(
             "orbit-product and exponential forms of the zeta function disagree"
         )

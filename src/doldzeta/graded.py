@@ -139,6 +139,16 @@ def _det_one_minus_x(rows) -> list:
     return m[n - 1][n - 1] if n else [1]
 
 
+def _over_powers(build, values, d: int):
+    """`build(nums, den)` for the coefficients c_k / d^k of the integers c_k
+    in `values`: over the one denominator d^n, n = len(values) - 1, the
+    numerator of the k-th is c_k d^(n - k)."""
+    if d == 1:
+        return build(values)
+    n = len(values) - 1
+    return build([c * d ** (n - k) for k, c in enumerate(values)], d ** n)
+
+
 def det_one_minus_t(rows) -> Poly:
     """det(1 - t A) as a polynomial in t, for a rational square matrix A.
 
@@ -147,7 +157,7 @@ def det_one_minus_t(rows) -> Poly:
     divided by d^k."""
     d = lcm(*(c.denominator for row in rows for c in row))
     scaled = [[c.numerator * (d // c.denominator) for c in row] for row in rows]
-    return Poly([Fraction(c, d ** k) for k, c in enumerate(_det_one_minus_x(scaled))])
+    return _over_powers(Poly._trusted, _det_one_minus_x(scaled), d)
 
 
 def characteristic_rational_function(endo: GradedEndomorphism) -> RationalFunction:
@@ -196,7 +206,7 @@ def _integer_traces(blocks, order: int) -> list:
 def _determinant_terms(rows, order: int) -> list:
     """The terms (k, c_k), 0 < k <= order, of det(1 - x B) = 1 + sum c_k x^k
     for an integer matrix B."""
-    return [(k, c.numerator) for k, c in _terms(det_one_minus_t(rows).coeffs) if 0 < k <= order]
+    return [(k, c) for k, c in _terms(det_one_minus_t(rows).nums) if 0 < k <= order]
 
 
 def graded_lefschetz_numbers(endo: GradedEndomorphism, order: int) -> list:
@@ -222,7 +232,7 @@ def graded_zeta(endo: GradedEndomorphism, order: int) -> PowerSeries:
         _fold_monic(scaled, _determinant_terms(rows, order), divide=degree % 2 == 1)
     if not _exp_form_holds(scaled, _integer_traces(blocks, order)):
         raise RuntimeError("determinant and exponential forms of zeta disagree")
-    return PowerSeries([Fraction(z, d ** n) for n, z in enumerate(scaled)], order=order)
+    return _over_powers(PowerSeries._trusted, scaled, d)
 
 
 def poincare_generating(endo: GradedEndomorphism, order: int) -> tuple:
@@ -246,8 +256,7 @@ def poincare_generating(endo: GradedEndomorphism, order: int) -> tuple:
         factor = [(k * (width + degree), c) for k, c in _determinant_terms(rows, order)]
         _fold_monic(flat, factor, divide=degree % 2 == 0)
     return tuple(
-        Poly([Fraction(c, d ** n) for c in flat[n * width : n * width + top * n + 1]])
-        for n in range(order + 1)
+        Poly._trusted(flat[n * width : n * width + top * n + 1], d ** n) for n in range(order + 1)
     )
 
 

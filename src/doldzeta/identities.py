@@ -188,7 +188,7 @@ def _integer_valued(poly: MultiPoly) -> bool:
 
 
 def _require_unit(zeta: PowerSeries):
-    if zeta.coeffs[0] != 1:
+    if zeta[0] != 1:
         raise ValueError("zeta-type series must have constant term 1")
 
 
@@ -239,7 +239,7 @@ def _configuration_traces(zeta: PowerSeries, parity: str, epsilon: int):
     series = configuration_trace_series(zeta, parity)
     if epsilon not in (1, -1):
         raise ValueError("epsilon must be +1 or -1")
-    return series, [series[k] * epsilon ** k for k in range(series.order + 1)]
+    return series, [c * epsilon ** k for k, c in enumerate(series.coeffs)]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,9 @@ value sequences, which keeps d = m - f_* m and spreads only those with
 d = 0 into their orderings, visited one by one.  The walk prunes and is
 still exhaustive: once it has passed y, m_y is final and (f_* m)_y can only
 grow, so a branch with d_y < 0 at a passed y holds no fixed multiset.  The
-tuple oracle walks the tuples of fixed points and counts each once.  The
+tuple oracle walks the tuples of fixed points and counts each once, those
+of the top length k by the running number of fixed points still under the
+repetition bound at each tuple of length k - 1.  The
 multiset, subset and tuple oracles each answer for every size j <= k at
 once, as a tuple of k + 1 counts, from one walk to size k.  The orbit-space
 oracles count each fixed orbit once, at its least point, building each
@@ -208,15 +210,23 @@ def fixed_bounded_tuples(f: FiniteSelfMap, k: int, bound: int) -> tuple:
     cap = k if bound is None else bound
     uses = [0] * f.size
     counts = [0] * (k + 1)
+    free = len(fixed)  # the fixed points used fewer than `cap` times
 
     def extend(length):
-        # count the tuple of `length` values at hand and each extension of it
+        # count the tuple of `length` values at hand and each extension of
+        # it; those of length k extend one of length k - 1 by a free point
+        nonlocal free
         counts[length] += 1
-        if length < k:
+        if length == k - 1:
+            counts[k] += free
+        elif length < k:
             for x in fixed:
                 if uses[x] < cap:
                     uses[x] += 1
+                    full = uses[x] == cap
+                    free -= full
                     extend(length + 1)
+                    free += full
                     uses[x] -= 1
 
     extend(0)
@@ -366,6 +376,13 @@ def coefficient_traces(group: PermutationGroup, euler: int, gset=None) -> dict:
     """Traces of the group elements on the smash power of a pointed set with
     reduced Euler characteristic `euler`: g has trace euler^{c(g)}, with c(g)
     the number of cycles of g on the smash factors.  For euler >= 0 this is a
-    literal fixed-tuple count; the same formula extends to all integers."""
+    literal fixed-tuple count; the same formula extends to all integers.
+    Conjugate elements act by conjugate permutations, so the cycle count is
+    taken once per conjugacy class, at its leader."""
     gset = validate_gset(group, gset)
-    return {g: euler ** perm_cycle_count(perm) for g, perm in zip(group.elements, gset)}
+    traces = [0] * group.order
+    for members in group.classes:
+        trace = euler ** perm_cycle_count(gset[members[0]])
+        for i in members:
+            traces[i] = trace
+    return dict(zip(group.elements, traces))

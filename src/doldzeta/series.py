@@ -1,33 +1,36 @@
 """Truncated formal power series and polynomial arithmetic over exact rationals.
 
-Everything in this package is built on `fractions.Fraction`; no floats ever
-enter a computation.  A :class:`PowerSeries` stores the coefficients of
-q^0..q^N as Fractions together with its truncation order N, but multiplies
-and inverts them over integer numerators: the coefficients are put over one
-common denominator (:func:`_numerators`), the integer kernels run, and each
-output coefficient becomes a Fraction once.  Arithmetic between series of
-different orders truncates to the shorter order.  Equality compares the
-shared coefficient prefix.
+No floats ever enter a computation.  A :class:`PowerSeries` stores the
+coefficients of q^0..q^N as one positive denominator and a tuple of integer
+numerators in lowest terms, together with its truncation order N, so that
+its products, inverses, powers, sums and substitutions run over ints and
+its coefficients are rendered from them; `coeffs` gives them as a tuple of
+`fractions.Fraction`s.  Arithmetic between series of different orders
+truncates to the shorter order.  Equality compares the shared coefficient
+prefix.
 
 The module also provides dense univariate polynomials (:class:`Poly`),
-rational functions with series expansion (:class:`RationalFunction`), and
-packing of coefficient lists into exponential generating functions.
-:class:`PowerSeries` is the only series type; the Poincaré series of a
-graded map is kept in rows of T-coefficients by `graded`.
+stored the same way, rational functions with series expansion
+(:class:`RationalFunction`), and packing of coefficient lists into
+exponential generating functions.  :class:`PowerSeries` is the only series
+type; the Poincaré series of a graded map is kept in rows of
+T-coefficients by `graded`.
 
 Every truncated product in the package, whatever its coefficient ring,
 runs through one convolution kernel (:func:`_convolve_into`) and every
 integer power through one square-and-multiply routine (:func:`_power`).
-Every series division, every multiplication by a determinant factor in
+Every series division, every multiplication by a factor (1 - q^m)^e in
+:func:`exponent_product`, every multiplication by a determinant factor in
 `graded` and every exact division of its determinant kernel runs through
-one integer loop (:func:`_fold_monic`).
+one integer loop over a monic series (:func:`_fold_monic`).
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
+from operator import add, sub
 
 
 class NotAUnitError(ArithmeticError):
@@ -85,6 +88,18 @@ def rat_str(value) -> str:
     value = rat(value)
     try:
         return str(value)
+    except ValueError:
+        raise _digit_limit_error("a number in the output", "output") from None
+
+
+def _ratio_str(n: int, d: int) -> str:
+    """The rational n/d, for a positive d, as `rat_str` renders it: "p/q" in
+    lowest terms, or "p" when that denominator is 1."""
+    if d != 1:
+        g = gcd(n, d)
+        n, d = n // g, d // g
+    try:
+        return str(n) if d == 1 else f"{n}/{d}"
     except ValueError:
         raise _digit_limit_error("a number in the output", "output") from None
 
@@ -193,6 +208,16 @@ def _numerators(values) -> tuple:
     return d, [v.numerator * (d // v.denominator) for v in values]
 
 
+def _lowest_terms(nums, den: int) -> tuple:
+    """The positive denominator `den` and the integer numerators `nums`
+    divided by their gcd, as the denominator and a tuple of numerators."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            return den // g, tuple(x // g for x in nums)
+    return den, tuple(nums)
+
+
 def _power(base, e: int, one):
     """base ** e for e >= 0 by square-and-multiply; `one` is the unit."""
     result = one
@@ -206,14 +231,17 @@ def _power(base, e: int, one):
 
 
 class PowerSeries:
-    """A formal power series in q, truncated at q^order, with Fraction coefficients.
+    """A formal power series in q, truncated at q^order, with rational
+    coefficients stored as one positive denominator `den` and the integer
+    numerators `nums` of q^0..q^order, in lowest terms: the gcd of `den` and
+    every numerator is 1, so an integral series has `den` 1.
 
     >>> s = PowerSeries([1, -1])            # 1 - q, order 1
     >>> s.inverse().coeffs
     (Fraction(1, 1), Fraction(1, 1))
     """
 
-    __slots__ = ("coeffs", "order")
+    __slots__ = ("den", "nums", "order")
 
     def __init__(self, coeffs, order=None):
         coeffs = [rat(c) for c in coeffs]
@@ -223,10 +251,25 @@ class PowerSeries:
             order = len(coeffs) - 1
         if order < 0:
             raise ValueError("truncation order must be >= 0")
-        coeffs = coeffs[: order + 1]
-        coeffs.extend([Fraction(0)] * (order + 1 - len(coeffs)))
-        self.coeffs = tuple(coeffs)
+        # over the lcm of the reduced denominators this is in lowest terms
+        self.den, nums = _numerators(coeffs[: order + 1])
+        self.nums = tuple(nums) + (0,) * (order + 1 - len(nums))
         self.order = order
+
+    @classmethod
+    def _trusted(cls, nums, den: int = 1) -> "PowerSeries":
+        """The series of order len(nums) - 1 with the integer numerators
+        `nums` over the positive denominator `den`, put in lowest terms."""
+        series = object.__new__(cls)
+        series.den, series.nums = _lowest_terms(nums, den)
+        series.order = len(nums) - 1
+        return series
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients of q^0..q^order as Fractions, a new tuple each time."""
+        d = self.den
+        return tuple(Fraction(x, d) for x in self.nums)
 
     @classmethod
     def one(cls, order: int) -> "PowerSeries":
@@ -234,66 +277,68 @@ class PowerSeries:
 
     @classmethod
     def monomial(cls, k: int, order: int, coefficient=1) -> "PowerSeries":
-        coeffs = [Fraction(0)] * (order + 1)
+        coeffs = [0] * (order + 1)
         if k <= order:
-            coeffs[k] = rat(coefficient)
+            coeffs[k] = coefficient
         return cls(coeffs, order=order)
 
     def __getitem__(self, k: int) -> Fraction:
         if not 0 <= k <= self.order:
             raise IndexError(f"coefficient q^{k} beyond truncation order {self.order}")
-        return self.coeffs[k]
+        return Fraction(self.nums[k], self.den)
 
     def truncated(self, order: int) -> "PowerSeries":
         if order > self.order:
             raise ValueError("cannot extend a truncated series with fabricated zeros")
-        return PowerSeries(self.coeffs[: order + 1], order=order)
+        return PowerSeries._trusted(self.nums[: order + 1], self.den)
 
     def _binop(self, other, op):
         if not isinstance(other, PowerSeries):
             return NotImplemented
-        order = min(self.order, other.order)
-        return PowerSeries(
-            [op(self.coeffs[k], other.coeffs[k]) for k in range(order + 1)],
-            order=order,
+        n = min(self.order, other.order) + 1
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        return PowerSeries._trusted(
+            [op(x * a, y * b) for x, y in zip(self.nums[:n], other.nums[:n])], den
         )
 
     def __add__(self, other):
-        return self._binop(other, lambda a, b: a + b)
+        return self._binop(other, add)
 
     def __sub__(self, other):
-        return self._binop(other, lambda a, b: a - b)
+        return self._binop(other, sub)
 
     def __mul__(self, other):
         if isinstance(other, PowerSeries):
-            order = min(self.order, other.order)
-            da, a = _numerators(self.coeffs[: order + 1])
-            db, b = _numerators(other.coeffs[: order + 1])
-            out = _convolve_into([0] * (order + 1), _terms(a), _terms(b))
-            return PowerSeries([Fraction(x, da * db) for x in out], order=order)
+            out = [0] * (min(self.order, other.order) + 1)
+            _convolve_into(out, _terms(self.nums), _terms(other.nums))
+            return PowerSeries._trusted(out, self.den * other.den)
         try:
             c = rat(other)
         except TypeError:
             return NotImplemented
-        return PowerSeries([c * a for a in self.coeffs], order=self.order)
+        return PowerSeries._trusted([c.numerator * x for x in self.nums], self.den * c.denominator)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "PowerSeries":
         """Multiplicative inverse up to the truncation order.
 
-        With the coefficients a_i = A_i / D over integers A_i, the numbers
+        With the coefficients a_i = A_i / D, the numbers
         B_n = b_n A_0^(n+1) / D of the inverse b are the coefficients of
         1 / (1 + sum_{i>=1} A_i A_0^(i-1) q^i), a monic integer series, so
-        they are integers and are found by one integer division."""
-        d, a = _numerators(self.coeffs)
+        they are integers and are found by one integer division.  Over the
+        denominator A_0^(N+1) the numerator of b_n is B_n D A_0^(N-n)."""
+        a, order = self.nums, self.order
         a0 = a[0]
         if a0 == 0:
             raise NotAUnitError("series has zero constant term")
         factor = [(i, x * a0 ** (i - 1)) for i, x in _terms(a) if i]
-        out = _fold_monic([1] + [0] * self.order, factor, divide=True)
-        return PowerSeries(
-            [Fraction(x * d, a0 ** (n + 1)) for n, x in enumerate(out)], order=self.order
+        out = _fold_monic([1] + [0] * order, factor, divide=True)
+        top = a0 ** (order + 1)
+        d = self.den if top > 0 else -self.den
+        return PowerSeries._trusted(
+            [x * d * a0 ** (order - n) for n, x in enumerate(out)], abs(top)
         )
 
     def __pow__(self, exponent: int) -> "PowerSeries":
@@ -305,24 +350,26 @@ class PowerSeries:
         """The substitution q -> q^m; truncation order is preserved."""
         if m < 1:
             raise ValueError("substitution exponent must be >= 1")
-        out = [Fraction(0)] * (self.order + 1)
-        for k, c in enumerate(self.coeffs):
-            if m * k > self.order:
-                break
-            out[m * k] = c
-        return PowerSeries(out, order=self.order)
+        out = [0] * (self.order + 1)
+        out[::m] = self.nums[: self.order // m + 1]
+        return PowerSeries._trusted(out, self.den)
 
     def __eq__(self, other):
         if not isinstance(other, PowerSeries):
             return NotImplemented
-        shared = min(self.order, other.order)
-        return self.coeffs[: shared + 1] == other.coeffs[: shared + 1]
+        a, b = self.den, other.den
+        return all(x * b == y * a for x, y in zip(self.nums, other.nums))
+
+    def _strs(self) -> list:
+        """The coefficients rendered as `rat_str` renders them."""
+        d = self.den
+        return [_ratio_str(x, d) for x in self.nums]
 
     def __repr__(self):
-        return f"PowerSeries([{', '.join(rat_str(c) for c in self.coeffs)}], order={self.order})"
+        return f"PowerSeries([{', '.join(self._strs())}], order={self.order})"
 
     def to_json(self) -> dict:
-        return {"order": self.order, "coeffs": [rat_str(c) for c in self.coeffs]}
+        return {"order": self.order, "coeffs": self._strs()}
 
     @classmethod
     def from_json(cls, obj: dict) -> "PowerSeries":
@@ -354,7 +401,8 @@ def exponent_product(exponents, order: int) -> PowerSeries:
     Each factor is expanded by the binomial series
     (1 - q^m)^e = sum_j (-1)^j C(e, j) q^{mj}, where for e < 0 the
     coefficient is C(-e + j - 1, j).  A factor thus has floor(order/m) + 1
-    sparse terms (m*j, c_j), and multiplying by it costs O(order^2 / m)
+    sparse terms (m*j, c_j) with c_0 = 1, a monic series, and the product
+    is multiplied by it in place by `_fold_monic`, at O(order^2 / m)
     integer operations.  The coefficients are integers throughout.
     """
     out = [1] + [0] * order
@@ -368,14 +416,14 @@ def exponent_product(exponents, order: int) -> PowerSeries:
             continue
         # c_j = (-1)^j C(e, j) by c_j = c_{j-1} (j - 1 - e) / j, which is exact
         # and covers both signs of e; it vanishes from j = e + 1 on when e > 0
-        factor = [(0, 1)]
+        factor, c = [], 1
         for j in range(1, order // m + 1):
-            c = factor[-1][1] * (j - 1 - e) // j
+            c = c * (j - 1 - e) // j
             if c == 0:
                 break
             factor.append((m * j, c))
-        out = _convolve_into([0] * (order + 1), _terms(out), factor)
-    return PowerSeries(out, order=order)
+        _fold_monic(out, factor)
+    return PowerSeries._trusted(out)
 
 
 def egf_pack(values, order=None) -> PowerSeries:
@@ -391,19 +439,42 @@ def egf_pack(values, order=None) -> PowerSeries:
 
 def egf_unpack(series: PowerSeries) -> list:
     """Recover a_k = k! [q^k] from an exponential generating function."""
-    return [series.coeffs[k] * factorial(k) for k in range(series.order + 1)]
+    d = series.den
+    return [Fraction(x * factorial(k), d) for k, x in enumerate(series.nums)]
 
 
 class Poly:
-    """Dense univariate polynomial over Fraction (zero polynomial = empty tuple)."""
+    """Dense univariate polynomial with rational coefficients, stored as one
+    positive denominator `den` and the integer numerators `nums` of
+    t^0..t^degree, in lowest terms and with no trailing zero; the zero
+    polynomial has `den` 1 and no numerators."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("den", "nums")
 
     def __init__(self, coeffs=()):
         coeffs = [rat(c) for c in coeffs]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
-        self.coeffs = tuple(coeffs)
+        # over the lcm of the reduced denominators this is in lowest terms
+        self.den, nums = _numerators(coeffs)
+        self.nums = tuple(nums)
+
+    @classmethod
+    def _trusted(cls, nums, den: int = 1) -> "Poly":
+        """The polynomial with the integer numerators `nums` over the positive
+        denominator `den`, trailing zeros dropped and put in lowest terms."""
+        poly = object.__new__(cls)
+        nums = list(nums)
+        while nums and nums[-1] == 0:
+            nums.pop()
+        poly.den, poly.nums = _lowest_terms(nums, den)
+        return poly
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients of t^0..t^degree as Fractions, a new tuple each time."""
+        d = self.den
+        return tuple(Fraction(x, d) for x in self.nums)
 
     @classmethod
     def zero(cls) -> "Poly":
@@ -419,33 +490,36 @@ class Poly:
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def coefficient(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        return Fraction(self.nums[k], self.den) if 0 <= k < len(self.nums) else Fraction(0)
 
-    def __add__(self, other):
+    def _binop(self, other, op):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self.coefficient(k) + other.coefficient(k) for k in range(n)])
+        den = lcm(self.den, other.den)
+        a, b = self.nums, other.nums
+        pad = len(a) - len(b)
+        a, b = a + (0,) * -pad, b + (0,) * pad
+        sa, sb = den // self.den, den // other.den
+        return Poly._trusted([op(x * sa, y * sb) for x, y in zip(a, b)], den)
+
+    def __add__(self, other):
+        return self._binop(other, add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self.coefficient(k) - other.coefficient(k) for k in range(n)])
+        return self._binop(other, sub)
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs])
+        return Poly._trusted([-x for x in self.nums], self.den)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -453,8 +527,9 @@ class Poly:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return Poly.zero()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        return Poly(_convolve_into(out, _terms(self.coeffs), _terms(other.coeffs)))
+        out = [0] * (len(self.nums) + len(other.nums) - 1)
+        _convolve_into(out, _terms(self.nums), _terms(other.nums))
+        return Poly._trusted(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -473,11 +548,15 @@ class Poly:
             return NotImplemented
 
     def __call__(self, value) -> Fraction:
+        """The value at a rational point: the numerators are summed by Horner's
+        rule, over the ints at an integral point, and divided by `den` once."""
         value = rat(value)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
+        if value.denominator == 1:
+            value = value.numerator
+        acc = 0
+        for c in reversed(self.nums):
             acc = acc * value + c
-        return acc
+        return Fraction(acc, self.den)
 
     def __divmod__(self, other):
         if not isinstance(other, Poly):
@@ -485,16 +564,17 @@ class Poly:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
-        quot = [Fraction(0)] * max(0, len(rem) - len(other.coeffs) + 1)
+        divisor = other.coeffs
+        quot = [Fraction(0)] * max(0, len(rem) - len(divisor) + 1)
         d = other.degree
-        lead = other.coeffs[-1]
+        lead = divisor[-1]
         for k in range(len(rem) - 1, d - 1, -1):
             if rem[k] == 0:
                 continue
             q = rem[k] / lead
             quot[k - d] = q
             for j in range(d + 1):
-                rem[k - d + j] -= q * other.coeffs[j]
+                rem[k - d + j] -= q * divisor[j]
         return Poly(quot), Poly(rem)
 
     def __mod__(self, other):
@@ -506,41 +586,43 @@ class Poly:
             a, b = b, a % b
         if a.is_zero:
             return a
-        return a * (Fraction(1) / a.coeffs[-1])
+        return a * Fraction(a.den, a.nums[-1])
 
     def __eq__(self, other):
         if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
+            return self.den == other.den and self.nums == other.nums
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.den, self.nums))
 
     def render(self) -> str:
         """The polynomial in the variable t, as in 1 - 2*t + t^2."""
         if self.is_zero:
             return "0"
+        d = self.den
         parts = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
+        for k, x in enumerate(self.nums):
+            if x == 0:
                 continue
             if k == 0:
-                parts.append(rat_str(c))
+                parts.append(_ratio_str(x, d))
                 continue
             mono = "t" if k == 1 else f"t^{k}"
-            if c == 1:
+            if x == d:
                 parts.append(mono)
-            elif c == -1:
+            elif x == -d:
                 parts.append(f"-{mono}")
             else:
-                parts.append(f"{rat_str(c)}*{mono}")
+                parts.append(f"{_ratio_str(x, d)}*{mono}")
         return " + ".join(parts).replace("+ -", "- ")
 
     def __repr__(self):
         return f"Poly({self.render()})"
 
     def to_json(self) -> list:
-        return [rat_str(c) for c in self.coeffs]
+        d = self.den
+        return [_ratio_str(x, d) for x in self.nums]
 
 
 class RationalFunction:

@@ -14,7 +14,11 @@ identity.
 
 `ReferencePoly` is the multivariate polynomial as `MultiPoly` ran it before
 it stored one denominator and integer numerators: a dict of Fraction
-coefficients, each operation working term by term in Fraction arithmetic."""
+coefficients, each operation working term by term in Fraction arithmetic.
+`ReferenceSeries` and `ReferenceUniPoly` are `PowerSeries` and `Poly` as
+they ran before they stored one denominator and integer numerators: a tuple
+of Fraction coefficients, each product a double loop over them, each
+inverse the division loop above, and each coefficient rendered by `str`."""
 
 from fractions import Fraction
 from operator import add
@@ -186,3 +190,155 @@ class ReferencePoly:
 
     def __eq__(self, other):
         return self.nvars == other.nvars and self.terms == other.terms
+
+
+class ReferenceSeries:
+    """A power series truncated at q^order, as a tuple of Fractions."""
+
+    def __init__(self, coeffs, order=None):
+        coeffs = [Fraction(c) for c in coeffs]
+        order = len(coeffs) - 1 if order is None else order
+        coeffs = coeffs[: order + 1]
+        self.coeffs = tuple(coeffs + [Fraction(0)] * (order + 1 - len(coeffs)))
+        self.order = order
+
+    def truncated(self, order):
+        assert order <= self.order
+        return ReferenceSeries(self.coeffs[: order + 1], order)
+
+    def __add__(self, other):
+        order = min(self.order, other.order)
+        return ReferenceSeries([a + b for a, b in zip(self.coeffs, other.coeffs)], order)
+
+    def __sub__(self, other):
+        order = min(self.order, other.order)
+        return ReferenceSeries([a - b for a, b in zip(self.coeffs, other.coeffs)], order)
+
+    def __mul__(self, other):
+        if not isinstance(other, ReferenceSeries):
+            return ReferenceSeries([c * Fraction(other) for c in self.coeffs], self.order)
+        order = min(self.order, other.order)
+        out = [Fraction(0)] * (order + 1)
+        for i in range(order + 1):
+            for j in range(order + 1 - i):
+                out[i + j] += self.coeffs[i] * other.coeffs[j]
+        return ReferenceSeries(out, order)
+
+    def inverse(self):
+        inv0 = Fraction(1) / self.coeffs[0]
+        out = [inv0] + [Fraction(0)] * self.order
+        for n in range(1, self.order + 1):
+            out[n] = -inv0 * sum(self.coeffs[i] * out[n - i] for i in range(1, n + 1))
+        return ReferenceSeries(out, self.order)
+
+    def __pow__(self, e):
+        if e < 0:
+            return (self ** -e).inverse()
+        result = ReferenceSeries([1], self.order)
+        for _ in range(e):
+            result = result * self
+        return result
+
+    def substitute_power(self, m):
+        out = [Fraction(0)] * (self.order + 1)
+        for k in range(0, self.order // m + 1):
+            out[m * k] = self.coeffs[k]
+        return ReferenceSeries(out, self.order)
+
+    def __eq__(self, other):
+        shared = min(self.order, other.order) + 1
+        return self.coeffs[:shared] == other.coeffs[:shared]
+
+    def to_json(self):
+        return {"order": self.order, "coeffs": [str(c) for c in self.coeffs]}
+
+
+class ReferenceUniPoly:
+    """A univariate polynomial as a tuple of Fractions, no trailing zero."""
+
+    def __init__(self, coeffs=()):
+        coeffs = [Fraction(c) for c in coeffs]
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        self.coeffs = tuple(coeffs)
+
+    def coefficient(self, k):
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+
+    def __add__(self, other):
+        n = max(len(self.coeffs), len(other.coeffs))
+        return ReferenceUniPoly([self.coefficient(k) + other.coefficient(k) for k in range(n)])
+
+    def __sub__(self, other):
+        n = max(len(self.coeffs), len(other.coeffs))
+        return ReferenceUniPoly([self.coefficient(k) - other.coefficient(k) for k in range(n)])
+
+    def __neg__(self):
+        return ReferenceUniPoly([-c for c in self.coeffs])
+
+    def __mul__(self, other):
+        if not isinstance(other, ReferenceUniPoly):
+            return ReferenceUniPoly([c * Fraction(other) for c in self.coeffs])
+        out = [Fraction(0)] * max(0, len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return ReferenceUniPoly(out)
+
+    def __pow__(self, e):
+        result = ReferenceUniPoly([1])
+        for _ in range(e):
+            result = result * self
+        return result
+
+    def __call__(self, value):
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * Fraction(value) + c
+        return acc
+
+    def __divmod__(self, other):
+        rem = list(self.coeffs)
+        quot = [Fraction(0)] * max(0, len(rem) - len(other.coeffs) + 1)
+        d = len(other.coeffs) - 1
+        for k in range(len(rem) - 1, d - 1, -1):
+            if rem[k] == 0:
+                continue
+            q = rem[k] / other.coeffs[-1]
+            quot[k - d] = q
+            for j in range(d + 1):
+                rem[k - d + j] -= q * other.coeffs[j]
+        return ReferenceUniPoly(quot), ReferenceUniPoly(rem)
+
+    @staticmethod
+    def gcd(a, b):
+        while b.coeffs:
+            a, b = b, divmod(a, b)[1]
+        return a * (Fraction(1) / a.coeffs[-1]) if a.coeffs else a
+
+    def __eq__(self, other):
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def render(self):
+        if not self.coeffs:
+            return "0"
+        parts = []
+        for k, c in enumerate(self.coeffs):
+            if c == 0:
+                continue
+            mono = "" if k == 0 else "t" if k == 1 else f"t^{k}"
+            if not mono:
+                parts.append(str(c))
+            elif c == 1:
+                parts.append(mono)
+            elif c == -1:
+                parts.append(f"-{mono}")
+            else:
+                parts.append(f"{c}*{mono}")
+        return " + ".join(parts).replace("+ -", "- ")
+
+    def to_json(self):
+        return [str(c) for c in self.coeffs]

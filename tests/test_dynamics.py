@@ -112,6 +112,28 @@ class TestMoebiusInversion:
         d = DoldProfile([-1, -1, -2])
         assert lefschetz_from_dold(d).values == tuple(1 - 2 ** k for k in (1, 2, 3))
 
+    def test_sieves_match_the_divisor_sums(self):
+        # the Moebius and divisor sums that the sieves over multiples replaced
+        rng = random.Random(20261019)
+        for _ in range(300):
+            horizon = rng.randint(1, 40)
+            profile = DoldProfile([rng.randint(-5, 5) for _ in range(horizon)])
+            expected = [sum(m * profile.count(m) for m in divisors(k)) for k in range(1, horizon + 1)]
+            assert lefschetz_from_dold(profile).values == tuple(expected)
+            values = list(expected)
+            if rng.random() < 0.5:  # not realizable from some period on, or not at all
+                values[rng.randrange(horizon)] += rng.choice((-1, 1)) * rng.randint(1, 3)
+            sums = [sum(mobius(m // d) * values[d - 1] for d in divisors(m)) for m in range(1, horizon + 1)]
+            bad = next((m for m, total in enumerate(sums, 1) if total % m), None)
+            if bad is None:
+                counts = tuple(total // m for m, total in enumerate(sums, 1))
+                assert dold_from_lefschetz(LefschetzSequence(values)).values == counts
+            else:
+                message = f"sum_(d|{bad}) mu({bad}/d) L(f^d) = {sums[bad - 1]} is not divisible by {bad}"
+                with pytest.raises(NotRealizableError) as refused:
+                    dold_from_lefschetz(LefschetzSequence(values))
+                assert str(refused.value) == message
+
     def test_round_trip_on_random_maps(self):
         for f in seeded_maps(20250809, 200, 10):
             horizon = max(f.size, 1)

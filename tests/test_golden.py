@@ -10,10 +10,12 @@ of functors, composites, functor expressions and realizations.
 The JSON files under tests/golden/ were written from the code before the
 series kernels were unified, the `-text` files from the code before the
 commands stopped printing their own output, and the degree-5 group files
-from the code before the group average ran over integer numerators, and
-`library.txt` from the code before `MultiPoly` stored integer numerators;
-any refactor must leave every byte the same.  To
-regenerate them after an intended output change, run
+from the code before the group average ran over integer numerators,
+`library.txt` from the code before `MultiPoly` stored integer numerators,
+and the series files (`zeta`, `symmetric`, `borsuk-ulam`, `tuples`,
+`config-trace` at orders up to 64) from the code before `PowerSeries` and
+`Poly` stored integer numerators; any refactor must leave every byte the
+same.  To regenerate them after an intended output change, run
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
@@ -141,8 +143,39 @@ GROUP_CASES = GROUP_JSON_CASES + [
     (f"{name}-text", argv + ["--format", "text"]) for name, argv in GROUP_JSON_CASES
 ]
 
+
+def _sphere(degree, dimension, order):
+    """The Lefschetz numbers 1 + (-1)^n d^k, k = 1..order, of a degree-d
+    self-map of S^n, as a JSON list."""
+    return json.dumps([1 + (-1) ** dimension * degree ** k for k in range(1, order + 1)])
+
+
+# the series commands at the orders of the benchmark: integral series
+# (zeta, symmetric powers, subset spaces, configuration traces) and the
+# non-integral exponential generating function of the tuple spaces, each
+# also as text
+SERIES_JSON_CASES = [
+    ("zeta-sphere-degree-minus-2", ["zeta", "--lefschetz", _sphere(-2, 2, 48), "-N", "48"]),
+    ("symmetric-bound-2", ["symmetric", "--lefschetz", _sphere(3, 1, 32), "-l", "2", "-N", "32"]),
+    (
+        "borsuk-ulam-profile",
+        ["borsuk-ulam", "--profile", json.dumps({"horizon": 40, "values": [m % 4 for m in range(40)]}),
+         "-N", "40"],
+    ),
+    ("tuples-order-64", ["tuples", "--lefschetz-number", "-6", "-l", "3", "-N", "64"]),
+    (
+        "config-trace-even",
+        ["config-trace", "--lefschetz", _sphere(4, 2, 40), "--parity", "even", "--epsilon", "-1",
+         "-N", "40"],
+    ),
+]
+SERIES_CASES = SERIES_JSON_CASES + [
+    (f"{name}-text", argv + ["--format", "text"]) for name, argv in SERIES_JSON_CASES
+]
+
 CASES = (
-    README_EXAMPLES + TEXT_CASES + PLAN_CASES + GRADED_CASES + GROUP_CASES + [("help", ["--help"])]
+    README_EXAMPLES + TEXT_CASES + PLAN_CASES + GRADED_CASES + GROUP_CASES + SERIES_CASES
+    + [("help", ["--help"])]
 )
 
 

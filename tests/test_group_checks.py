@@ -24,7 +24,7 @@ from doldzeta import (
     general_lefschetz_polynomial,
     gsymm_polynomial,
 )
-from doldzeta import oracles
+from doldzeta import identities, oracles, partitions
 from doldzeta.identities import _class_sum, _divisor_sum_linear, _validate_traces
 from doldzeta.multipoly import MultiPoly
 from doldzeta.partitions import (
@@ -352,6 +352,25 @@ def test_classes_are_the_conjugacy_classes():
 def test_symmetric_groups_have_a_class_per_partition_of_the_degree():
     counts = [len(PermutationGroup.symmetric(k).classes) for k in range(1, 7)]
     assert counts == [1, 2, 3, 5, 7, 11]
+
+
+def test_coefficient_traces_count_cycles_once_per_class(monkeypatch):
+    # S5 by generators, as `gsymm --coefficient-size 3` reads it: 7 classes
+    group = PermutationGroup.from_generators(5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)])
+    counted = []
+
+    def cycle_type(perm):
+        counted.append(perm)
+        return perm_cycle_type(perm)
+
+    monkeypatch.setattr(partitions, "perm_cycle_type", cycle_type)
+    monkeypatch.setattr(identities, "perm_cycle_type", cycle_type)
+    traces = oracles.coefficient_traces(group, 3)
+    assert len(counted) == len(group.classes) == 7
+    gsymm_polynomial(group, None, traces)
+    assert len(counted) == 14  # and one cycle type per class leader in the class sum
+    assert list(traces) == list(group.elements)
+    assert traces == {g: 3 ** sum(perm_cycle_type(g).values()) for g in group.elements}
 
 
 # ---------------------------------------------------------------------------

@@ -512,6 +512,7 @@ TUPLE_MUTANTS = {
     "cap off by one": ("uses[x] < cap", "uses[x] <= cap"),
     "first fixed point skipped": ("for x in fixed:", "for x in fixed[1:]:"),
     "counted at the wrong depth": ("counts[length] += 1", "counts[length - 1] += 1"),
+    "free count off by one": ("free = len(fixed)", "free = len(fixed) - 1"),
 }
 
 
