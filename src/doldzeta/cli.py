@@ -12,9 +12,14 @@ JSON payload and a function giving its `--format text` lines (so JSON runs
 render no text); `verify` and `selftest` also return their exit code.
 `main` alone writes to stdout and stderr: the JSON, the text lines, or one
 error line, argparse's refusals included.  `main(argv)` may be called again
-in one process: it builds the parser once and finds `cmd_<command>` by name
-at each call.  A flag is declared only on the commands that read it: `-N` on
-those that truncate a series, `--format` on all but `selftest` (text only).
+in one process, and finds `cmd_<command>` by name at each call.  Each
+command's flags are declared by one function in `COMMANDS`; the process
+keeps one parser and adds a command's subparser to it the first time the
+command runs, so that a run builds only what it parses.  Help, no command
+and an unknown one get a parser of every command, whose help and list of
+choices are whole and in order.  A flag is declared only on the commands
+that read it: `-N` on those that truncate a series, `--format` on all but
+`selftest` (text only).
 
 Exit codes: 0 on success, on PASS for `verify`/`selftest` and for `--help`,
 1 on a verification FAIL, 2 on usage errors including malformed JSON.
@@ -332,7 +337,126 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _input_flags(p, keys=_ZETA_SOURCES):
+    """One flag per input kind, each taking that kind's JSON object."""
+    for key in keys:
+        p.add_argument(f"--{key}")
+    p.set_defaults(input_flags=keys)
+
+
+def _group_flags(p, keys=("group", "gset", "traces")):
+    """The group, its action and the coefficient; `keys` are the JSON ones."""
+    p.add_argument("--group", required=True)
+    p.add_argument("--gset")
+    p.add_argument("--traces")
+    p.add_argument("--coefficient-size", type=int)
+    p.set_defaults(group_flags=keys)
+
+
+def _common(p, order=True):
+    """--format on every command, and -N on those that read an order."""
+    if order:
+        p.add_argument("-N", "--order", type=_parse_order, default=DEFAULT_ORDER,
+                       help=f"truncation order (1..{MAX_PLAN_ORDER}, default {DEFAULT_ORDER})")
+    p.add_argument("--format", choices=("json", "text"), default="json")
+
+
+def _dold_flags(p):
+    p.add_argument("--map", required=True, help='{"size": n, "map": [...]}')
+    p.add_argument("--reduced", action="store_true")
+    _common(p)
+
+
+def _zeta_flags(p):
+    _input_flags(p, tuple(key for key in _ZETA_SOURCES if key != "zeta"))
+    p.add_argument("--reduced", action="store_true")
+    _common(p)
+
+
+def _symmetric_flags(p):
+    _input_flags(p)
+    p.add_argument("-l", "--bound", type=_parse_bound_flag, default=None,
+                   help="multiplicity bound (default: unbounded)")
+    _common(p)
+
+
+def _borsuk_ulam_flags(p):
+    _input_flags(p)
+    _common(p)
+
+
+def _tuples_flags(p):
+    p.add_argument("--lefschetz-number", type=int, required=True,
+                   help="number of fixed points (any integer formally)")
+    p.add_argument("-l", "--bound", type=int, required=True)
+    _common(p)
+
+
+def _gsymm_flags(p):
+    _group_flags(p)
+    _input_flags(p, ("profile", "map"))
+    _common(p, order=False)
+
+
+def _partition_flags(p):
+    _group_flags(p, ("group", "gset", "traces", "family"))
+    p.add_argument("--family", required=True)
+    _input_flags(p, ("profile", "map"))
+    _common(p, order=False)
+
+
+def _order_poly_flags(p):
+    p.add_argument("--family", required=True)
+    p.add_argument("--at", type=int)
+    _common(p, order=False)
+
+
+def _graded_flags(p):
+    p.add_argument("--matrices", required=True,
+                   help='{"degrees": {"0": [["1"]], "1": [["-1"]]}}')
+    _common(p)
+
+
+def _config_trace_flags(p):
+    _input_flags(p)
+    p.add_argument("--parity", choices=("odd", "even"), required=True)
+    p.add_argument("--epsilon", type=int, choices=(1, -1), default=1)
+    _common(p)
+
+
+def _verify_flags(p):
+    p.add_argument("--plan", required=True, help="inline JSON, or @path to a file")
+    p.add_argument("--timings", action="store_true",
+                   help="include elapsed times (breaks byte-identical output)")
+    _common(p, order=False)
+
+
+def _selftest_flags(p):
+    # the self-test prints its PASS/FAIL lines only
+    p.set_defaults(format="text")
+
+
+# each command's help line and the function declaring its flags, in the
+# order of the top-level help and of its list of choices
+COMMANDS = {
+    "dold": ("orbit profile, Lefschetz numbers and zeta of a finite map", _dold_flags),
+    "zeta": ("zeta function from a profile, Lefschetz data, map or graded input", _zeta_flags),
+    "symmetric": ("fixed-point series of bounded symmetric powers", _symmetric_flags),
+    "borsuk-ulam": ("fixed-point series of bounded subset spaces", _borsuk_ulam_flags),
+    "tuples": ("bounded tuple spaces (exponential generating function)", _tuples_flags),
+    "gsymm": ("group-average fixed-point polynomial of map(K, -)/G", _gsymm_flags),
+    "partition": ("fixed-point polynomial of a partition-constrained functor", _partition_flags),
+    "order-poly": ("falling-factorial counting polynomial of a family", _order_poly_flags),
+    "graded": ("characteristic function, zeta and bivariate series of a graded matrix", _graded_flags),
+    "config-trace": ("configuration-space trace series", _config_trace_flags),
+    "verify": ("run a verification plan (closed form vs oracle)", _verify_flags),
+    "selftest": ("run the built-in verification plans", _selftest_flags),
+}
+
+
+def build_parser(commands=COMMANDS) -> argparse.ArgumentParser:
+    """The parser of the named commands, in the order given; every command
+    by default."""
     parser = _Parser(
         prog="dold-zeta",
         description=(
@@ -341,103 +465,38 @@ def build_parser() -> argparse.ArgumentParser:
             "partition-constrained configuration spaces."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def input_flags(p, keys=_ZETA_SOURCES):
-        """One flag per input kind, each taking that kind's JSON object."""
-        for key in keys:
-            p.add_argument(f"--{key}")
-        p.set_defaults(input_flags=keys)
-
-    def group_flags(p, keys=("group", "gset", "traces")):
-        """The group, its action and the coefficient; `keys` are the JSON ones."""
-        p.add_argument("--group", required=True)
-        p.add_argument("--gset")
-        p.add_argument("--traces")
-        p.add_argument("--coefficient-size", type=int)
-        p.set_defaults(group_flags=keys)
-
-    def common(p, order=True):
-        """--format on every command, and -N on those that read an order."""
-        if order:
-            p.add_argument("-N", "--order", type=_parse_order, default=DEFAULT_ORDER,
-                           help=f"truncation order (1..{MAX_PLAN_ORDER}, default {DEFAULT_ORDER})")
-        p.add_argument("--format", choices=("json", "text"), default="json")
-
-    p = sub.add_parser("dold", help="orbit profile, Lefschetz numbers and zeta of a finite map")
-    p.add_argument("--map", required=True, help='{"size": n, "map": [...]}')
-    p.add_argument("--reduced", action="store_true")
-    common(p)
-
-    p = sub.add_parser("zeta", help="zeta function from a profile, Lefschetz data, map or graded input")
-    input_flags(p, tuple(key for key in _ZETA_SOURCES if key != "zeta"))
-    p.add_argument("--reduced", action="store_true")
-    common(p)
-
-    p = sub.add_parser("symmetric", help="fixed-point series of bounded symmetric powers")
-    input_flags(p)
-    p.add_argument("-l", "--bound", type=_parse_bound_flag, default=None,
-                   help="multiplicity bound (default: unbounded)")
-    common(p)
-
-    p = sub.add_parser("borsuk-ulam", help="fixed-point series of bounded subset spaces")
-    input_flags(p)
-    common(p)
-
-    p = sub.add_parser("tuples", help="bounded tuple spaces (exponential generating function)")
-    p.add_argument("--lefschetz-number", type=int, required=True,
-                   help="number of fixed points (any integer formally)")
-    p.add_argument("-l", "--bound", type=int, required=True)
-    common(p)
-
-    p = sub.add_parser("gsymm", help="group-average fixed-point polynomial of map(K, -)/G")
-    group_flags(p)
-    input_flags(p, ("profile", "map"))
-    common(p, order=False)
-
-    p = sub.add_parser("partition", help="fixed-point polynomial of a partition-constrained functor")
-    group_flags(p, ("group", "gset", "traces", "family"))
-    p.add_argument("--family", required=True)
-    input_flags(p, ("profile", "map"))
-    common(p, order=False)
-
-    p = sub.add_parser("order-poly", help="falling-factorial counting polynomial of a family")
-    p.add_argument("--family", required=True)
-    p.add_argument("--at", type=int)
-    common(p, order=False)
-
-    p = sub.add_parser("graded", help="characteristic function, zeta and bivariate series of a graded matrix")
-    p.add_argument("--matrices", required=True,
-                   help='{"degrees": {"0": [["1"]], "1": [["-1"]]}}')
-    common(p)
-
-    p = sub.add_parser("config-trace", help="configuration-space trace series")
-    input_flags(p)
-    p.add_argument("--parity", choices=("odd", "even"), required=True)
-    p.add_argument("--epsilon", type=int, choices=(1, -1), default=1)
-    common(p)
-
-    p = sub.add_parser("verify", help="run a verification plan (closed form vs oracle)")
-    p.add_argument("--plan", required=True, help="inline JSON, or @path to a file")
-    p.add_argument("--timings", action="store_true",
-                   help="include elapsed times (breaks byte-identical output)")
-    common(p, order=False)
-
-    # the self-test prints its PASS/FAIL lines only
-    p = sub.add_parser("selftest", help="run the built-in verification plans")
-    p.set_defaults(format="text")
-
+    parser.commands = parser.add_subparsers(dest="command", required=True)
+    for name in commands:
+        _add_command(parser, name)
     return parser
 
 
-_parser = None  # built by the first `main` call, so that an import does not pay for it
+def _add_command(parser, name):
+    help_line, flags = COMMANDS[name]
+    flags(parser.commands.add_parser(name, help=help_line))
+
+
+_parser = None  # the process's parser, holding the commands run so far
+
+
+def _parser_for(argv) -> argparse.ArgumentParser:
+    """The process's parser, with the subparser of the command `argv` names
+    added the first time it runs; for help, no command or an unknown one, a
+    parser of every command, so that the help and the list of choices are
+    whole and in order."""
+    global _parser
+    if not argv or argv[0] not in COMMANDS:
+        return build_parser()
+    _parser = _parser or build_parser(())
+    if argv[0] not in _parser.commands.choices:
+        _add_command(_parser, argv[0])
+    return _parser
 
 
 def main(argv=None) -> int:
-    global _parser
-    _parser = _parser or build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _parser.parse_args(argv)
+        args = _parser_for(argv).parse_args(argv)
         payload, text, *code = globals()[f"cmd_{args.command.replace('-', '_')}"](args)
         lines = [json.dumps(payload, indent=2, sort_keys=True)] if args.format == "json" else text()
     except EnumerationLimitError as exc:

@@ -37,7 +37,6 @@ iterate-transported orbit-count polynomials.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import product as iter_product
@@ -548,46 +547,96 @@ def compose_lefschetz(
 # functor expressions and realization
 
 
-@dataclass(frozen=True)
-class IdentityFunctor:
+class _Expression:
+    """A functor-expression node: immutable, equal only to a node of the same
+    class with equal fields, and printed as `Name(field=value, ...)`.  Its
+    hash, that of the tuple of its fields, is computed once at construction:
+    `expression_polynomial` memoises on nodes and counts the parts of every
+    wedge, so each node is hashed many times."""
+
+    __slots__ = ("_hash",)
+    _fields = ()
+
+    def _freeze(self, *values):
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_hash", hash(values))
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and self._values() == other._values()
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class IdentityFunctor(_Expression):
     """X itself; fixed-point polynomial t_1."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class ConstantSphereSmash:
+    def __init__(self):
+        self._freeze()
+
+
+class ConstantSphereSmash(_Expression):
     """The constant functor with value a sphere: reduced Euler characteristic
     +1 for even-dimensional spheres, -1 for odd.  Smashing with the odd one
     negates a fixed-point polynomial."""
 
-    parity: str
+    __slots__ = _fields = ("parity",)
 
-    def __post_init__(self):
-        if self.parity not in ("even", "odd"):
+    def __init__(self, parity: str):
+        if parity not in ("even", "odd"):
             raise ValueError("parity must be 'even' or 'odd'")
+        self._freeze(parity)
 
 
-@dataclass(frozen=True)
-class BoundedSymmetricPower:
+class BoundedSymmetricPower(_Expression):
     """The compactified k-th symmetric power with multiplicity bound l."""
 
-    power: int
-    bound: int
+    __slots__ = _fields = ("power", "bound")
+
+    def __init__(self, power: int, bound: int):
+        self._freeze(power, bound)
 
 
-@dataclass(frozen=True)
-class Wedge:
-    parts: tuple
+class Wedge(_Expression):
+    __slots__ = _fields = ("parts",)
+
+    def __init__(self, parts: tuple):
+        self._freeze(parts)
 
 
-@dataclass(frozen=True)
-class Smash:
-    parts: tuple
+class Smash(_Expression):
+    __slots__ = _fields = ("parts",)
+
+    def __init__(self, parts: tuple):
+        self._freeze(parts)
 
 
-@dataclass(frozen=True)
-class Compose:
-    outer: object
-    inner: object
+class Compose(_Expression):
+    __slots__ = _fields = ("outer", "inner")
+
+    def __init__(self, outer, inner):
+        self._freeze(outer, inner)
 
 
 def expression_polynomial(expr) -> LefschetzPolynomial:

@@ -218,6 +218,42 @@ def _lowest_terms(nums, den: int) -> tuple:
     return den, tuple(nums)
 
 
+def _pseudo_divide(a, b) -> tuple:
+    """Divide the integer polynomial `a` by the nonzero `b` (numerators of
+    t^0 up, `b` without trailing zeros) in the integers: the positive scale s
+    and the integer lists quot and rem with s a = quot b + rem, rem of lower
+    degree than b.  A step whose leading entry r is not a multiple of b's
+    leading coefficient c first scales quot and rem by |c| / gcd(r, c)."""
+    rem = list(a)
+    d, lead = len(b) - 1, b[-1]
+    quot = [0] * max(0, len(rem) - d)
+    scale = 1
+    for k in range(len(rem) - 1, d - 1, -1):
+        r = rem[k]
+        if not r:
+            continue
+        m = abs(lead) // gcd(r, lead)
+        if m != 1:
+            rem = [x * m for x in rem]
+            quot = [x * m for x in quot]
+            scale *= m
+            r *= m
+        q = quot[k - d] = r // lead
+        for j, y in enumerate(b):
+            rem[k - d + j] -= q * y
+    return scale, quot, rem
+
+
+def _primitive(nums) -> list:
+    """The integer polynomial `nums` without its trailing zeros, divided by
+    the gcd of its entries."""
+    nums = list(nums)
+    while nums and not nums[-1]:
+        nums.pop()
+    g = gcd(*nums)
+    return [x // g for x in nums] if g > 1 else nums
+
+
 def _power(base, e: int, one):
     """base ** e for e >= 0 by square-and-multiply; `one` is the unit."""
     result = one
@@ -563,30 +599,23 @@ class Poly:
             other = Poly._coerce(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        divisor = other.coeffs
-        quot = [Fraction(0)] * max(0, len(rem) - len(divisor) + 1)
-        d = other.degree
-        lead = divisor[-1]
-        for k in range(len(rem) - 1, d - 1, -1):
-            if rem[k] == 0:
-                continue
-            q = rem[k] / lead
-            quot[k - d] = q
-            for j in range(d + 1):
-                rem[k - d + j] -= q * divisor[j]
-        return Poly(quot), Poly(rem)
+        scale, quot, rem = _pseudo_divide(self.nums, other.nums)
+        den = self.den * scale
+        return Poly._trusted([x * other.den for x in quot], den), Poly._trusted(rem, den)
 
     def __mod__(self, other):
         return divmod(self, other)[1]
 
     @staticmethod
     def gcd(a: "Poly", b: "Poly") -> "Poly":
-        while not b.is_zero:
-            a, b = b, a % b
-        if a.is_zero:
-            return a
-        return a * Fraction(a.den, a.nums[-1])
+        """The monic gcd of `a` and `b`, or zero when both are zero: Euclid's
+        algorithm on primitive parts over the integers."""
+        a, b = _primitive(a.nums), _primitive(b.nums)
+        while b:
+            a, b = b, _primitive(_pseudo_divide(a, b)[2])
+        if not a:
+            return Poly.zero()
+        return Poly._trusted(a if a[-1] > 0 else [-x for x in a], abs(a[-1]))
 
     def __eq__(self, other):
         if isinstance(other, Poly):

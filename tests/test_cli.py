@@ -825,6 +825,18 @@ def fresh_run(argv):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def test_start_up_imports_no_introspection_modules():
+    # every command runs in a new process, which pays for every import;
+    # `dataclasses` alone would pull in inspect, ast, dis and tokenize
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    code = f"import sys, doldzeta, doldzeta.cli; print(*(m for m in {heavy!r} if m in sys.modules))"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    # -S: no site hooks, so that only the package's own imports count
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")
+
+
 def test_no_state_carries_from_one_command_to_the_next(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_parser", None)
     in_process = [run(capsys, *argv) for argv in ONE_PROCESS_SEQUENCE]
@@ -834,21 +846,30 @@ def test_no_state_carries_from_one_command_to_the_next(capsys, monkeypatch):
     assert json.loads(in_process[3][1])["bound"] == 1
     assert json.loads(in_process[4][1])["bound"] == "inf"
     assert in_process[-1][0] == 2
+    # the process's parser holds the subparsers of the commands run, once each
+    assert list(cli._parser.commands.choices) == ["selftest", "dold", "zeta", "symmetric", "gsymm"]
 
 
 def test_the_parser_is_built_once_and_dispatch_sees_rebound_commands(capsys, monkeypatch):
-    built = []
-    build = cli.build_parser
+    # one parser per process, and each command's subparser added to it once
+    built, added = [], []
+    build, add = cli.build_parser, cli._add_command
 
-    def counted():
-        built.append(1)
-        return build()
+    def counted_build(*commands):
+        built.append(commands)
+        return build(*commands)
 
-    monkeypatch.setattr(cli, "build_parser", counted)
+    def counted_add(parser, name):
+        added.append(name)
+        return add(parser, name)
+
+    monkeypatch.setattr(cli, "build_parser", counted_build)
+    monkeypatch.setattr(cli, "_add_command", counted_add)
     monkeypatch.setattr(cli, "_parser", None)
     argv = ["zeta", "--lefschetz", "[1,1,1]", "-N", "3"]
     code, before, _ = run(capsys, *argv)
     assert code == 0
+    assert added == ["zeta"]
 
     seen = []
     original = cli.cmd_zeta
@@ -864,7 +885,22 @@ def test_the_parser_is_built_once_and_dispatch_sees_rebound_commands(capsys, mon
         run(capsys, "order-poly", "--family", '{"ground":3,"max_block":1}')
         run(capsys, *argv)
     assert seen == ["zeta"] * 6
-    assert len(built) == 1
+    assert built == [((),)]
+    assert added == ["zeta", "order-poly"]
+    assert list(cli._parser.commands.choices) == ["zeta", "order-poly"]
+
+    # help, no command and an unknown one each get a parser of every command,
+    # in the table's order, and leave the process's parser as it was
+    del added[:]
+    for refused in (["--help"], [], ["frobnicate"]):
+        try:
+            code = main(refused)
+        except SystemExit as exc:  # --help exits from inside the parser
+            code = exc.code
+        assert code == (0 if refused == ["--help"] else 2)
+    assert built == [((),)] + [()] * 3
+    assert added == list(cli.COMMANDS) * 3
+    assert list(cli._parser.commands.choices) == ["zeta", "order-poly"]
 
 
 @pytest.mark.parametrize("expected", ["12", {"1": 2}])

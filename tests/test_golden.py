@@ -14,8 +14,10 @@ from the code before the group average ran over integer numerators,
 `library.txt` from the code before `MultiPoly` stored integer numerators,
 and the series files (`zeta`, `symmetric`, `borsuk-ulam`, `tuples`,
 `config-trace` at orders up to 64) from the code before `PowerSeries` and
-`Poly` stored integer numerators; any refactor must leave every byte the
-same.  To regenerate them after an intended output change, run
+`Poly` stored integer numerators, and the `parser-*` files (a command's
+help and each kind of refusal, stderr included) from the code before a run
+built the parser of its own command only; any refactor must leave every
+byte the same.  To regenerate them after an intended output change, run
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
@@ -178,6 +180,20 @@ CASES = (
     + [("help", ["--help"])]
 )
 
+# the parser's own output, pinned with stderr: a command's help, and each
+# kind of refusal (an unknown command names every choice, in order)
+PARSER_CASES = [
+    ("parser-verify-help", ["verify", "--help"]),
+    ("parser-selftest-help", ["selftest", "--help"]),
+    ("parser-zeta-help", ["zeta", "-h"]),
+    ("parser-unknown-command", ["frobnicate", "--map", "{}"]),
+    ("parser-no-command", []),
+    ("parser-verify-without-plan", ["verify"]),
+    ("parser-unrecognised-flag", ["zeta", "--lefschetz", "[1,1,1]", "--frobnicate"]),
+    ("parser-flag-before-command", ["--frobnicate", "zeta", "--lefschetz", "[1,1,1]"]),
+    ("parser-bad-choice", ["graded", "--matrices", "{}", "--format", "xml"]),
+]
+
 
 def _library_cases():
     """(name, thunk) pairs whose results are pinned as JSON in library.txt."""
@@ -254,6 +270,14 @@ def render(argv) -> str:
     return f"exit {code}\n{out.getvalue()}"
 
 
+def render_with_stderr(argv) -> str:
+    """`render`, then the exact stderr of the same run."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        text = render(argv)
+    return f"{text}--- stderr\n{err.getvalue()}"
+
+
 def test_cases_cover_every_selftest_plan():
     assert len(PLAN_CASES) == len(SELFTEST_PLANS) == 9
     assert len(README_EXAMPLES) == 11
@@ -274,6 +298,12 @@ def test_golden_output(name, argv):
     assert render(argv) == expected
 
 
+@pytest.mark.parametrize("name,argv", PARSER_CASES, ids=[name for name, _ in PARSER_CASES])
+def test_golden_parser_output(name, argv):
+    expected = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+    assert render_with_stderr(argv) == expected
+
+
 def test_golden_library_json():
     expected = (GOLDEN / "library.txt").read_text(encoding="utf-8")
     assert render_library() == expected
@@ -285,4 +315,6 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in CASES:
         (GOLDEN / f"{name}.txt").write_text(render(argv), encoding="utf-8")
+    for name, argv in PARSER_CASES:
+        (GOLDEN / f"{name}.txt").write_text(render_with_stderr(argv), encoding="utf-8")
     (GOLDEN / "library.txt").write_text(render_library(), encoding="utf-8")

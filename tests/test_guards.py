@@ -25,6 +25,8 @@ TEST_ORACLES = {
     "counts the iterate transport of the polynomial calculus is checked against",
     "koszul_invariant_trace": "the Koszul-signed trace on symmetric-group invariants, "
     "the independent oracle for the bivariate determinant formula",
+    "Poly.coeffs": "the coefficients as Fractions, which the comparisons with the Fraction "
+    "arithmetic `Poly` replaced read; the program reads `den` and `nums`",
 }
 
 # one input per zeta-source flag, each read to order 4 by a `symmetric` run

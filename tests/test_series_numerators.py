@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 from math import gcd, lcm
 
-from doldzeta import Poly, PowerSeries
+from doldzeta import Poly, PowerSeries, RationalFunction
 
 from fraction_reference import ReferenceSeries, ReferenceUniPoly
 
@@ -167,6 +167,34 @@ class TestPolyAgainstTheFractionReference:
             value = a(point)
             assert type(value) is Fraction and value == ra(point)
 
+    def test_gcd_division_and_rational_functions_with_common_factors(self):
+        # the common factor is a product of up to three factors, each with its
+        # own denominators, so that Euclid's remainders are not primitive
+        rng = random.Random(20261027)
+        for _ in range(200):
+            (a, ra), (b, rb) = random_poly(rng, rng.randint(0, 4)), random_poly(rng, rng.randint(0, 4))
+            g, rg = Poly.one(), ReferenceUniPoly([1])
+            for _ in range(rng.randint(1, 3)):
+                factor = [random_rational(rng, 0.2) for _ in range(rng.randint(1, 2))] + [random_unit(rng)]
+                g, rg = g * Poly(factor), rg * ReferenceUniPoly(factor)
+            num, den, rnum, rden = a * g, b * g, ra * rg, rb * rg
+            common = Poly.gcd(num, den)
+            assert_same_poly(common, ReferenceUniPoly.gcd(rnum, rden))
+            assert_same_poly(Poly.gcd(den, num), ReferenceUniPoly.gcd(rden, rnum))
+            if not common.is_zero:
+                assert common.nums[-1] == common.den
+                for product, ref in ((num, rnum), (den, rden)):
+                    (q, r), (rq, rr) = divmod(product, common), divmod(ref, ReferenceUniPoly(common.coeffs))
+                    assert r.is_zero and not rr.coeffs
+                    assert_same_poly(q, rq)
+            if not g.is_zero:
+                quotient, rest = divmod(num, g)
+                assert quotient == a and rest.is_zero
+            if rden.coefficient(0) != 0:
+                rf = RationalFunction(num, den)
+                expected = reference_rational_function(rnum, rden)
+                assert json.dumps(rf.to_json()) == json.dumps(expected)
+
     def test_equality_and_hash(self):
         rng = random.Random(20261026)
         for _ in range(300):
@@ -178,3 +206,14 @@ class TestPolyAgainstTheFractionReference:
                 assert same == a and hash(same) == hash(a)
             if a == b:
                 assert hash(a) == hash(b)
+
+
+def reference_rational_function(num, den):
+    """The JSON of num/den in the canonical form `RationalFunction` stores,
+    reached in Fraction arithmetic: both divided by their gcd, then by the
+    denominator's constant term."""
+    g = ReferenceUniPoly.gcd(num, den)
+    if g.coeffs and len(g.coeffs) > 1:
+        (num, _), (den, _) = divmod(num, g), divmod(den, g)
+    scale = Fraction(1) / den.coefficient(0)
+    return {"numerator": (num * scale).to_json(), "denominator": (den * scale).to_json()}
