@@ -12,14 +12,18 @@ JSON payload and a function giving its `--format text` lines (so JSON runs
 render no text); `verify` and `selftest` also return their exit code.
 `main` alone writes to stdout and stderr: the JSON, the text lines, or one
 error line, argparse's refusals included.  `main(argv)` may be called again
-in one process, and finds `cmd_<command>` by name at each call.  Each
-command's flags are declared by one function in `COMMANDS`; the process
-keeps one parser and adds a command's subparser to it the first time the
-command runs, so that a run builds only what it parses.  Help, no command
-and an unknown one get a parser of every command, whose help and list of
-choices are whole and in order.  A flag is declared only on the commands
-that read it: `-N` on those that truncate a series, `--format` on all but
-`selftest` (text only).
+in one process, and finds `cmd_<command>` by name at each call.
+
+Each command's flags are declared once, by its function in `COMMANDS`.
+Called on a recorder, that function gives the table from which `main` reads
+a plain command line (a known command, then whole flags, each value in the
+next word) into the namespace argparse would build, with no parser built.
+Any other line, `--help` and every refusal go to argparse: one parser of
+every command, built the first time a process needs it.  The JSON is
+written by `_dumps`, which gives the bytes of `json.dumps(indent=2,
+sort_keys=True)` with one join per container.  A flag is declared only
+on the commands that read it: `-N` on those that truncate a series,
+`--format` on all but `selftest` (text only).
 
 Exit codes: 0 on success, on PASS for `verify`/`selftest` and for `--help`,
 1 on a verification FAIL, 2 on usage errors including malformed JSON.
@@ -27,9 +31,10 @@ Exit codes: 0 on success, on PASS for `verify`/`selftest` and for `--help`,
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
+from types import SimpleNamespace
 
 from .dynamics import (
     DoldProfile,
@@ -69,6 +74,7 @@ from .series import (
     NotExpandableError,
     PowerSeries,
     _digit_limit_error,
+    _shown,
     egf_unpack,
     rat_str,
 )
@@ -128,18 +134,46 @@ def _with_value(line: str, label: str, payload: dict) -> list:
     return [line] + ([f"{label}  {payload['value']}"] if "value" in payload else [])
 
 
+def _refusal(message: str):
+    """The error by which a flag's type function refuses a value; argparse,
+    which reports it, is imported here, when a value is refused."""
+    import argparse
+
+    return argparse.ArgumentTypeError(message)
+
+
+def _decimal(value: str):
+    """`value` read as an int when it is decimal digits (spaces around
+    allowed) within Python's int-to-string limit, else None."""
+    try:
+        return int(value) if value.strip().isdecimal() else None
+    except ValueError:  # more digits than the limit
+        return None
+
+
 def _parse_order(value: str) -> int:
-    if value.strip().isdecimal() and 1 <= int(value) <= MAX_PLAN_ORDER:
-        return int(value)
-    raise argparse.ArgumentTypeError(f"the order must be an integer in 1..{MAX_PLAN_ORDER}, got {value!r}")
+    order = _decimal(value)
+    if order is not None and 1 <= order <= MAX_PLAN_ORDER:
+        return order
+    raise _refusal(f"the order must be an integer in 1..{MAX_PLAN_ORDER}, got {_shown(value)}")
 
 
 def _parse_bound_flag(value: str):
     if value in ("inf", "none", "unbounded"):
         return None
-    if value.strip().isdecimal():
+    bound = _decimal(value)
+    if bound is not None:
+        return bound
+    raise _refusal(f"the bound must be an integer >= 0, or 'inf' for none, got {_shown(value)}")
+
+
+def _parse_int(value: str) -> int:
+    """`int(value)`, refused as argparse refuses `type=int` but with the
+    value cut by `_shown`."""
+    try:
         return int(value)
-    raise argparse.ArgumentTypeError(f"the bound must be an integer >= 0, or 'inf' for none, got {value!r}")
+    except ValueError:
+        raise _refusal(f"invalid int value: {_shown(value)}") from None
 
 
 def _json_flags(args, keys):
@@ -329,14 +363,6 @@ def cmd_selftest(args):
     return None, lambda: lines, 0 if all(report["pass"] for _, report in reports) else 1
 
 
-class _Parser(argparse.ArgumentParser):
-    """A parser whose refusals (and its subparsers', which share its class)
-    raise, so that they leave through `main`'s one error handler."""
-
-    def error(self, message):
-        raise ValueError(message)
-
-
 def _input_flags(p, keys=_ZETA_SOURCES):
     """One flag per input kind, each taking that kind's JSON object."""
     for key in keys:
@@ -349,7 +375,7 @@ def _group_flags(p, keys=("group", "gset", "traces")):
     p.add_argument("--group", required=True)
     p.add_argument("--gset")
     p.add_argument("--traces")
-    p.add_argument("--coefficient-size", type=int)
+    p.add_argument("--coefficient-size", type=_parse_int)
     p.set_defaults(group_flags=keys)
 
 
@@ -386,9 +412,9 @@ def _borsuk_ulam_flags(p):
 
 
 def _tuples_flags(p):
-    p.add_argument("--lefschetz-number", type=int, required=True,
+    p.add_argument("--lefschetz-number", type=_parse_int, required=True,
                    help="number of fixed points (any integer formally)")
-    p.add_argument("-l", "--bound", type=int, required=True)
+    p.add_argument("-l", "--bound", type=_parse_int, required=True)
     _common(p)
 
 
@@ -407,7 +433,7 @@ def _partition_flags(p):
 
 def _order_poly_flags(p):
     p.add_argument("--family", required=True)
-    p.add_argument("--at", type=int)
+    p.add_argument("--at", type=_parse_int)
     _common(p, order=False)
 
 
@@ -420,7 +446,7 @@ def _graded_flags(p):
 def _config_trace_flags(p):
     _input_flags(p)
     p.add_argument("--parity", choices=("odd", "even"), required=True)
-    p.add_argument("--epsilon", type=int, choices=(1, -1), default=1)
+    p.add_argument("--epsilon", type=_parse_int, choices=(1, -1), default=1)
     _common(p)
 
 
@@ -454,10 +480,79 @@ COMMANDS = {
 }
 
 
-def build_parser(commands=COMMANDS) -> argparse.ArgumentParser:
-    """The parser of the named commands, in the order given; every command
-    by default."""
-    parser = _Parser(
+class _FlagTable:
+    """One command's flags, recorded by calling its flag function on this in
+    place of a parser: the action of each option string, the required
+    flags, and the namespace argparse starts from (defaults, `set_defaults`
+    values and the command)."""
+
+    def __init__(self, command):
+        self.actions = {}  # option string -> (dest, type, or None for a switch, choices)
+        self.required = set()
+        self.defaults = {"command": command}
+        COMMANDS[command][1](self)
+
+    def add_argument(self, *names, action=None, type=None, choices=None, required=False,
+                     default=None, help=None):
+        # argparse's dest: the first long option string, else the first short one
+        dest = next((n for n in names if n.startswith("--")), names[0]).lstrip("-").replace("-", "_")
+        switch = action == "store_true"
+        for name in names:
+            self.actions[name] = (dest, None if switch else type or str, choices)
+        if required:
+            self.required.add(dest)
+        self.defaults[dest] = False if switch else default
+
+    def set_defaults(self, **values):
+        self.defaults.update(values)
+
+
+_tables = {}  # command -> its _FlagTable, recorded the first time it runs
+
+
+def _read_plain(argv):
+    """The namespace argparse would build for a plain command line, or None
+    for any other: a known command, then whole option strings, each value
+    in the next word (one starting with "-" only if a negative integer)
+    and passing its flag's type and choices, and every required flag; the
+    last of a repeated flag wins."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    flags = _tables.get(argv[0]) or _tables.setdefault(argv[0], _FlagTable(argv[0]))
+    values, seen = dict(flags.defaults), set()
+    words = iter(argv[1:])
+    for word in words:
+        if word not in flags.actions:
+            return None
+        dest, convert, choices = flags.actions[word]
+        if convert is None:  # a switch
+            values[dest] = True
+        else:
+            value = next(words, None)
+            if value is None or value[:1] == "-" and not value[1:].isdecimal():
+                return None
+            try:
+                value = convert(value)
+            except Exception:  # refused by the type function: argparse says why
+                return None
+            if choices is not None and value not in choices:
+                return None
+            values[dest] = value
+        seen.add(dest)
+    return SimpleNamespace(**values) if flags.required <= seen else None
+
+
+def build_parser():
+    """The argparse parser of every command, in the table's order; its
+    refusals raise ValueError, so that they leave through `main`'s one
+    error handler."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):  # the subparsers share this class
+            raise ValueError(message)
+
+    parser = Parser(
         prog="dold-zeta",
         description=(
             "Exact zeta functions of self-maps and fixed-point counts of the "
@@ -465,40 +560,57 @@ def build_parser(commands=COMMANDS) -> argparse.ArgumentParser:
             "partition-constrained configuration spaces."
         ),
     )
-    parser.commands = parser.add_subparsers(dest="command", required=True)
-    for name in commands:
-        _add_command(parser, name)
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, flags) in COMMANDS.items():
+        flags(commands.add_parser(name, help=help_line))
     return parser
 
 
-def _add_command(parser, name):
-    help_line, flags = COMMANDS[name]
-    flags(parser.commands.add_parser(name, help=help_line))
+_parser = None  # the process's full parser, built the first time a line is not plain
 
 
-_parser = None  # the process's parser, holding the commands run so far
-
-
-def _parser_for(argv) -> argparse.ArgumentParser:
-    """The process's parser, with the subparser of the command `argv` names
-    added the first time it runs; for help, no command or an unknown one, a
-    parser of every command, so that the help and the list of choices are
-    whole and in order."""
+def _parse(argv):
+    """`argv` read by the full parser, built once per process."""
     global _parser
-    if not argv or argv[0] not in COMMANDS:
-        return build_parser()
-    _parser = _parser or build_parser(())
-    if argv[0] not in _parser.commands.choices:
-        _add_command(_parser, argv[0])
-    return _parser
+    _parser = _parser or build_parser()
+    return _parser.parse_args(argv)
+
+
+def _dumps(value, indent="\n") -> str:
+    """The text of `json.dumps(value, indent=2, sort_keys=True)`, whose
+    indenting encoder yields token by token from Python generators, built
+    here by one join per container, with a list of strings quoted by one
+    `map` of json's own quoting function; `indent` is a newline and the
+    indent of the level that holds `value`."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return int.__repr__(value)
+    inner = indent + "  "
+    if kind is dict and all([type(key) is str for key in value]):
+        ends = "{}"
+        items = [_quote(key) + ": " + _dumps(item, inner) for key, item in sorted(value.items())]
+    elif kind is list or kind is tuple:
+        ends, items = "[]", None
+        if value and type(value[0]) is str:  # most lists of a payload hold strings only
+            try:
+                items = list(map(_quote, value))
+            except TypeError:  # and something else
+                pass
+        if items is None:
+            items = [_dumps(item, inner) for item in value]
+    else:  # bools, None, floats, subclasses, and a dict with a key that is not a string
+        return json.dumps(value, indent=2, sort_keys=True).replace("\n", indent)
+    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1] if items else ends
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _parser_for(argv).parse_args(argv)
+        args = _read_plain(argv) or _parse(argv)
         payload, text, *code = globals()[f"cmd_{args.command.replace('-', '_')}"](args)
-        lines = [json.dumps(payload, indent=2, sort_keys=True)] if args.format == "json" else text()
+        lines = [_dumps(payload)] if args.format == "json" else text()
     except EnumerationLimitError as exc:
         error = {"error": "enumeration-limit", "size": exc.size, "limit": exc.limit}
         print(json.dumps(error, sort_keys=True), file=sys.stderr)

@@ -1,5 +1,6 @@
 """Command-line interface: schemas, determinism, exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -756,6 +757,42 @@ def test_flag_type_errors_say_what_the_flag_takes(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
+LONG = "7" * 5000
+LONG_SHOWN = "'" + "7" * 39 + "... (5002 characters)"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["tuples", "--lefschetz-number", LONG, "-l", "1"], "argument --lefschetz-number: invalid int value:"),
+        (["tuples", "--lefschetz-number", "1", "-l", LONG], "argument -l/--bound: invalid int value:"),
+        (["zeta", "--lefschetz", "[1]", "-N", LONG],
+         "argument -N/--order: the order must be an integer in 1..64, got"),
+        (["symmetric", "--lefschetz", "[1]", "-N", "1", "-l", LONG],
+         "argument -l/--bound: the bound must be an integer >= 0, or 'inf' for none, got"),
+        (["order-poly", "--family", '{"ground":3,"max_block":1}', "--at", LONG],
+         "argument --at: invalid int value:"),
+        (["gsymm", "--group", "{}", "--coefficient-size", LONG],
+         "argument --coefficient-size: invalid int value:"),
+        (["config-trace", "--lefschetz", "[1]", "--parity", "odd", "--epsilon", LONG],
+         "argument --epsilon: invalid int value:"),
+    ],
+)
+def test_a_long_refused_flag_value_is_cut(capsys, argv, message):
+    # the first 40 characters of its repr and the repr's length, not 5000 digits
+    assert run(capsys, *argv) == (2, "", f"error: {message} {LONG_SHOWN}\n")
+
+
+def test_integer_flags_take_what_int_takes():
+    for text in ("5", " 5 ", "+5", "-5", "5_000", "\u0663", "00012"):
+        assert cli._parse_int(text) == int(text)
+    assert cli._parse_order(" 7") == cli._parse_bound_flag("7 ") == 7
+    for text in ("5.0", "0x10", "", "five"):
+        with pytest.raises(argparse.ArgumentTypeError) as refused:
+            cli._parse_int(text)
+        assert str(refused.value) == f"invalid int value: {text!r}"
+
+
 S3_ELEMENTS = sorted(permutations(range(3)))
 S3 = {"degree": 3, "elements": [list(g) for g in S3_ELEMENTS]}
 # the natural action of S3, given explicitly as a table
@@ -805,15 +842,19 @@ def test_an_unstable_family_is_still_refused(capsys, plan_or_command):
 SRC = str(Path(doldzeta.__file__).resolve().parent.parent)
 
 # a command that sets a default for its own use (selftest's text format), then
-# commands that must not see it, a bound given and then left out, and a refusal
+# commands that must not see it, a bound given and then left out, a refusal,
+# and a line argparse reads (not plain) followed by a plain one without its bound
+SYMMETRIC_SPHERE = ["symmetric", "--lefschetz", "[-1,-3,-7,-15,-31]", "-N", "4"]
 ONE_PROCESS_SEQUENCE = [
     ["selftest"],
     ["dold", "--map", '{"size":3,"map":[1,2,0]}', "-N", "6"],
     ["zeta", "--map", '{"size":4,"map":[1,0,3,3]}', "-N", "5"],
-    ["symmetric", "--lefschetz", "[-1,-3,-7,-15,-31]", "-l", "1", "-N", "4"],
-    ["symmetric", "--lefschetz", "[-1,-3,-7,-15,-31]", "-N", "4"],
+    SYMMETRIC_SPHERE + ["-l", "1"],
+    SYMMETRIC_SPHERE,
     ["gsymm", "--group", json.dumps(S3), "--map", '{"size":2,"map":[1,0]}'],
     ["dold", "--map", '{"size":1,"map":[0]}', "-N", "abc"],
+    SYMMETRIC_SPHERE + ["--bound=2"],
+    SYMMETRIC_SPHERE,
 ]
 
 
@@ -837,7 +878,33 @@ def test_start_up_imports_no_introspection_modules():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")
 
 
+def test_a_plain_command_imports_neither_argparse_nor_locale():
+    # argparse costs milliseconds to import and to build, and its gettext
+    # calls import locale; a plain line needs neither, a line that is not
+    # plain (here `--order=5`) needs both
+    code = (
+        "import io, sys, contextlib\n"
+        "from doldzeta.cli import main\n"
+        "def run(*argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "        code = main(['zeta', '--lefschetz', '[1,1,1,1,1]', *argv])\n"
+        "    print(code, len(out.getvalue()), 'argparse' in sys.modules, 'locale' in sys.modules)\n"
+        "run('-N', '5')\n"
+        "run('--order=5')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    first, second = (line.split() for line in proc.stdout.splitlines())
+    assert first[0] == "0" and first[:2] == second[:2]
+    assert first[2:] == ["False", "False"] and second[2:] == ["True", "True"]
+
+
 def test_no_state_carries_from_one_command_to_the_next(capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
     monkeypatch.setattr(cli, "_parser", None)
     in_process = [run(capsys, *argv) for argv in ONE_PROCESS_SEQUENCE]
     assert in_process == [fresh_run(argv) for argv in ONE_PROCESS_SEQUENCE]
@@ -845,31 +912,23 @@ def test_no_state_carries_from_one_command_to_the_next(capsys, monkeypatch):
     assert json.loads(in_process[1][1])["zeta"]
     assert json.loads(in_process[3][1])["bound"] == 1
     assert json.loads(in_process[4][1])["bound"] == "inf"
-    assert in_process[-1][0] == 2
-    # the process's parser holds the subparsers of the commands run, once each
-    assert list(cli._parser.commands.choices) == ["selftest", "dold", "zeta", "symmetric", "gsymm"]
+    assert in_process[6][0] == 2
+    assert json.loads(in_process[7][1])["bound"] == 2
+    assert json.loads(in_process[8][1])["bound"] == "inf"
+    # the refusal built the one parser of the process, and `--bound=2` reused it
+    assert built == [1]
 
 
 def test_the_parser_is_built_once_and_dispatch_sees_rebound_commands(capsys, monkeypatch):
-    # one parser per process, and each command's subparser added to it once
-    built, added = [], []
-    build, add = cli.build_parser, cli._add_command
-
-    def counted_build(*commands):
-        built.append(commands)
-        return build(*commands)
-
-    def counted_add(parser, name):
-        added.append(name)
-        return add(parser, name)
-
-    monkeypatch.setattr(cli, "build_parser", counted_build)
-    monkeypatch.setattr(cli, "_add_command", counted_add)
+    # a plain line builds no parser; the first line that is not plain builds
+    # the parser of every command, and every later one reuses it
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
     monkeypatch.setattr(cli, "_parser", None)
     argv = ["zeta", "--lefschetz", "[1,1,1]", "-N", "3"]
     code, before, _ = run(capsys, *argv)
     assert code == 0
-    assert added == ["zeta"]
 
     seen = []
     original = cli.cmd_zeta
@@ -885,22 +944,21 @@ def test_the_parser_is_built_once_and_dispatch_sees_rebound_commands(capsys, mon
         run(capsys, "order-poly", "--family", '{"ground":3,"max_block":1}')
         run(capsys, *argv)
     assert seen == ["zeta"] * 6
-    assert built == [((),)]
-    assert added == ["zeta", "order-poly"]
-    assert list(cli._parser.commands.choices) == ["zeta", "order-poly"]
+    assert built == []
 
-    # help, no command and an unknown one each get a parser of every command,
-    # in the table's order, and leave the process's parser as it was
-    del added[:]
+    # the same line spelled as argparse alone reads it reaches the same command
+    assert run(capsys, "zeta", "--lefschetz=[1,1,1]", "-N3") == (0, before, "")
+    assert seen == ["zeta"] * 7
+    assert built == [1]
+
+    # help, no command and an unknown one are answered by that same parser
     for refused in (["--help"], [], ["frobnicate"]):
         try:
             code = main(refused)
         except SystemExit as exc:  # --help exits from inside the parser
             code = exc.code
         assert code == (0 if refused == ["--help"] else 2)
-    assert built == [((),)] + [()] * 3
-    assert added == list(cli.COMMANDS) * 3
-    assert list(cli._parser.commands.choices) == ["zeta", "order-poly"]
+    assert built == [1]
 
 
 @pytest.mark.parametrize("expected", ["12", {"1": 2}])

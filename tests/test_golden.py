@@ -16,8 +16,11 @@ and the series files (`zeta`, `symmetric`, `borsuk-ulam`, `tuples`,
 `config-trace` at orders up to 64) from the code before `PowerSeries` and
 `Poly` stored integer numerators, and the `parser-*` files (a command's
 help and each kind of refusal, stderr included) from the code before a run
-built the parser of its own command only; any refactor must leave every
-byte the same.  To regenerate them after an intended output change, run
+built the parser of its own command only, except the five added for
+spellings only argparse reads (`--ord`, `--order=5`, `-N5`), a negative
+value and a repeated flag, which were written from the code before plain
+lines were read without argparse; any
+refactor must leave every byte the same.  To regenerate them after an intended output change, run
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
@@ -192,6 +195,15 @@ PARSER_CASES = [
     ("parser-unrecognised-flag", ["zeta", "--lefschetz", "[1,1,1]", "--frobnicate"]),
     ("parser-flag-before-command", ["--frobnicate", "zeta", "--lefschetz", "[1,1,1]"]),
     ("parser-bad-choice", ["graded", "--matrices", "{}", "--format", "xml"]),
+    # spellings argparse accepts beyond one whole flag and its value in the
+    # next word, a negative value, and a flag given twice (the last one wins)
+    ("parser-abbreviated-flag", ["zeta", "--lefschetz", "[1,1,1,1,1]", "--ord", "5"]),
+    ("parser-flag-equals-value", ["zeta", "--lefschetz", "[1,1,1,1,1]", "--order=5"]),
+    ("parser-attached-short-value", ["zeta", "--lefschetz", "[1,1,1,1,1]", "-N5"]),
+    ("parser-negative-value", ["config-trace", "--lefschetz", "[2,0,2,0]", "--parity", "odd",
+                               "--epsilon", "-1", "-N", "4"]),
+    ("parser-repeated-flag", ["dold", "--map", '{"size":2,"map":[1,0]}',
+                              "--map", '{"size":3,"map":[1,2,0]}', "-N", "4"]),
 ]
 
 
