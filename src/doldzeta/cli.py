@@ -31,6 +31,7 @@ Exit codes: 0 on success, on PASS for `verify`/`selftest` and for `--help`,
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 from json.encoder import encode_basestring_ascii as _quote
@@ -134,14 +135,6 @@ def _with_value(line: str, label: str, payload: dict) -> list:
     return [line] + ([f"{label}  {payload['value']}"] if "value" in payload else [])
 
 
-def _refusal(message: str):
-    """The error by which a flag's type function refuses a value; argparse,
-    which reports it, is imported here, when a value is refused."""
-    import argparse
-
-    return argparse.ArgumentTypeError(message)
-
-
 def _decimal(value: str):
     """`value` read as an int when it is decimal digits (spaces around
     allowed) within Python's int-to-string limit, else None."""
@@ -155,7 +148,7 @@ def _parse_order(value: str) -> int:
     order = _decimal(value)
     if order is not None and 1 <= order <= MAX_PLAN_ORDER:
         return order
-    raise _refusal(f"the order must be an integer in 1..{MAX_PLAN_ORDER}, got {_shown(value)}")
+    raise argparse.ArgumentTypeError(f"the order must be an integer in 1..{MAX_PLAN_ORDER}, got {_shown(value)}")
 
 
 def _parse_bound_flag(value: str):
@@ -164,7 +157,7 @@ def _parse_bound_flag(value: str):
     bound = _decimal(value)
     if bound is not None:
         return bound
-    raise _refusal(f"the bound must be an integer >= 0, or 'inf' for none, got {_shown(value)}")
+    raise argparse.ArgumentTypeError(f"the bound must be an integer >= 0, or 'inf' for none, got {_shown(value)}")
 
 
 def _parse_int(value: str) -> int:
@@ -173,7 +166,7 @@ def _parse_int(value: str) -> int:
     try:
         return int(value)
     except ValueError:
-        raise _refusal(f"invalid int value: {_shown(value)}") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {_shown(value)}") from None
 
 
 def _json_flags(args, keys):
@@ -507,7 +500,7 @@ class _FlagTable:
         self.defaults.update(values)
 
 
-_tables = {}  # command -> its _FlagTable, recorded the first time it runs
+_TABLES = {name: _FlagTable(name) for name in COMMANDS}
 
 
 def _read_plain(argv):
@@ -516,9 +509,9 @@ def _read_plain(argv):
     in the next word (one starting with "-" only if a negative integer)
     and passing its flag's type and choices, and every required flag; the
     last of a repeated flag wins."""
-    if not argv or argv[0] not in COMMANDS:
+    flags = _TABLES.get(argv[0] if argv else None)
+    if flags is None:
         return None
-    flags = _tables.get(argv[0]) or _tables.setdefault(argv[0], _FlagTable(argv[0]))
     values, seen = dict(flags.defaults), set()
     words = iter(argv[1:])
     for word in words:
@@ -542,17 +535,17 @@ def _read_plain(argv):
     return SimpleNamespace(**values) if flags.required <= seen else None
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose refusals (and its subparsers', which share its class)
+    raise, so that they leave through `main`'s one error handler."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser():
-    """The argparse parser of every command, in the table's order; its
-    refusals raise ValueError, so that they leave through `main`'s one
-    error handler."""
-    import argparse
-
-    class Parser(argparse.ArgumentParser):
-        def error(self, message):  # the subparsers share this class
-            raise ValueError(message)
-
-    parser = Parser(
+    """The argparse parser of every command, in the table's order."""
+    parser = _Parser(
         prog="dold-zeta",
         description=(
             "Exact zeta functions of self-maps and fixed-point counts of the "
@@ -579,9 +572,9 @@ def _parse(argv):
 def _dumps(value, indent="\n") -> str:
     """The text of `json.dumps(value, indent=2, sort_keys=True)`, whose
     indenting encoder yields token by token from Python generators, built
-    here by one join per container, with a list of strings quoted by one
-    `map` of json's own quoting function; `indent` is a newline and the
-    indent of the level that holds `value`."""
+    here by one join per container, with strings quoted by json's own
+    quoting function; `indent` is a newline and the indent of the level
+    that holds `value`."""
     kind = type(value)
     if kind is str:
         return _quote(value)
@@ -592,14 +585,8 @@ def _dumps(value, indent="\n") -> str:
         ends = "{}"
         items = [_quote(key) + ": " + _dumps(item, inner) for key, item in sorted(value.items())]
     elif kind is list or kind is tuple:
-        ends, items = "[]", None
-        if value and type(value[0]) is str:  # most lists of a payload hold strings only
-            try:
-                items = list(map(_quote, value))
-            except TypeError:  # and something else
-                pass
-        if items is None:
-            items = [_dumps(item, inner) for item in value]
+        ends = "[]"
+        items = [_dumps(item, inner) for item in value]
     else:  # bools, None, floats, subclasses, and a dict with a key that is not a string
         return json.dumps(value, indent=2, sort_keys=True).replace("\n", indent)
     return ends[0] + inner + ("," + inner).join(items) + indent + ends[1] if items else ends

@@ -878,17 +878,17 @@ def test_start_up_imports_no_introspection_modules():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")
 
 
-def test_a_plain_command_imports_neither_argparse_nor_locale():
-    # argparse costs milliseconds to import and to build, and its gettext
-    # calls import locale; a plain line needs neither, a line that is not
-    # plain (here `--order=5`) needs both
+def test_a_plain_command_builds_no_parser_and_imports_no_locale():
+    # building argparse's parser costs milliseconds, and its gettext calls
+    # import locale; a plain line needs neither, a line that is not plain
+    # (here `--order=5`) needs both
     code = (
         "import io, sys, contextlib\n"
-        "from doldzeta.cli import main\n"
+        "from doldzeta import cli\n"
         "def run(*argv):\n"
         "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
-        "        code = main(['zeta', '--lefschetz', '[1,1,1,1,1]', *argv])\n"
-        "    print(code, len(out.getvalue()), 'argparse' in sys.modules, 'locale' in sys.modules)\n"
+        "        code = cli.main(['zeta', '--lefschetz', '[1,1,1,1,1]', *argv])\n"
+        "    print(code, len(out.getvalue()), cli._parser is not None, 'locale' in sys.modules)\n"
         "run('-N', '5')\n"
         "run('--order=5')\n"
     )
