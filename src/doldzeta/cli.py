@@ -563,10 +563,19 @@ _parser = None  # the process's full parser, built the first time a line is not 
 
 
 def _parse(argv):
-    """`argv` read by the full parser, built once per process."""
+    """`argv` read by the full parser, built once per process.  argparse's
+    refusals echo a refused word whole; each word of more than 40
+    characters is cut in them by `_shown`, longest first."""
     global _parser
     _parser = _parser or build_parser()
-    return _parser.parse_args(argv)
+    try:
+        return _parser.parse_args(argv)
+    except ValueError as exc:
+        message = str(exc)
+        for word in sorted({w for w in argv if len(w) > 40}, key=len, reverse=True):
+            shown = _shown(word)
+            message = message.replace(repr(word), shown).replace(word, shown)
+        raise ValueError(message) from None
 
 
 def _dumps(value, indent="\n") -> str:

@@ -68,7 +68,7 @@ from .partitions import (
     PartitionFamily,
     PermutationGroup,
     _require_stable,
-    all_partitions,
+    _smaller_side,
     invert_perm,
     perm_cycle_type,
     validate_gset,
@@ -383,17 +383,24 @@ def _configuration_factor(n: int, count: int, nvars: int) -> dict:
     }
 
 
-def _class_sum(group: PermutationGroup, gset, traces, excluded=()) -> MultiPoly:
-    """(1/|G|) sum over the conjugacy classes C of |C| w(g) times
+def _class_sum(group: PermutationGroup, gset, traces, partitions=(), inside=False) -> MultiPoly:
+    """(1/|G|) sum over the conjugacy classes C of |C| w(g) times a sum of
+    cycle-type products.  Here g leads C, w(g) is the trace of g^{-1} (1
+    without traces), g has d_g(n) orbits of length n under the action and
+    c_n cycles of length n on the blocks of a partition it fixes.
+
+    With `inside` False the summand is the orbit factor
     prod_n (sum_{m|n} m t_m)^{d_g(n)} minus one configuration factor
-    prod_n n^{c_n} t_n (t_n - 1) ... (t_n - c_n + 1) for each `excluded`
-    partition that g fixes.  Here g leads C, w(g) is the trace of g^{-1}
-    (1 without traces), g has d_g(n) orbits of length n under the action
-    and c_n cycles of length n on the blocks.  The summand is a class
-    function of g, as the traces are and the excluded set must be G-stable.
+    c_pi(g) = prod_n n^{c_n} t_n (t_n - 1) ... (t_n - c_n + 1) for each of the
+    `partitions` (the excluded ones) that g fixes.  With `inside` True it is
+    the sum of c_pi(g) over the `partitions` (the members) that g fixes, with
+    no orbit factor.  The two agree: a fixed point of g on map(K, X) has one
+    fiber partition, which g fixes, so the sum of c_pi(g) over every
+    partition fixed by g is the orbit factor.  The summand is a class
+    function of g, as the traces are and the partitions must be G-stable.
     The weights are summed by cycle type (`_cycle_type_sum`).  The arguments
     are trusted: callers validate them."""
-    partitions = [(p.labels, p.block_count) for p in excluded]
+    partitions = [(p.labels, p.block_count) for p in partitions]
     weights = {}
     for members in group.classes:
         g, perm = group.elements[members[0]], gset[members[0]]
@@ -401,15 +408,17 @@ def _class_sum(group: PermutationGroup, gset, traces, excluded=()) -> MultiPoly:
         weight = weight.numerator if weight.denominator == 1 else weight  # int sums are cheaper
         if not weight:
             continue
-        key = _cycle_key(_orbit_factor, perm)
-        weights[key] = weights.get(key, 0) + weight
+        if not inside:
+            key = _cycle_key(_orbit_factor, perm)
+            weights[key] = weights.get(key, 0) + weight
+            weight = -weight  # the excluded configurations are subtracted
         for labels, count in partitions:
             # g fixes the partition when it maps each block into one block;
             # the (block, image block) pairs are then its permutation of them
             pairs = set(zip(labels, map(labels.__getitem__, perm)))
             if len(pairs) == count:
                 key = _cycle_key(_configuration_factor, [b for _, b in sorted(pairs)])
-                weights[key] = weights.get(key, 0) - weight
+                weights[key] = weights.get(key, 0) + weight
     return _cycle_type_sum(weights, len(gset[0]), group.order)
 
 
@@ -448,6 +457,14 @@ def general_lefschetz_polynomial(
     (1/|G|) sum_g w(g) sum_{excluded pi with g pi = pi} c_pi(g), a class
     function of g that `_class_sum` takes once per conjugacy class.
 
+    Every fixed map of g has one fiber partition, which g fixes, so the sum
+    of c_pi(g) over all partitions fixed by g is the orbit factor of g.  The
+    group average less the excluded configurations is therefore
+    (1/|G|) sum_g w(g) sum_{member pi with g pi = pi} c_pi(g), and
+    `_class_sum` is given whichever side of the family is smaller
+    (`_smaller_side`): the members, added with no orbit factor, or the
+    excluded partitions, subtracted from it.
+
     The group, its action, the traces and the family's stability are
     validated here, once, unless the table and family carry the mark of an
     earlier check.
@@ -456,8 +473,8 @@ def general_lefschetz_polynomial(
     gset = validate_gset(group, gset, k)
     traces = _validate_traces(group, coeff_traces)
     family = _require_stable(family, group, gset)
-    excluded = [p for p in all_partitions(k) if p not in family.members]
-    return LefschetzPolynomial(_class_sum(group, gset, traces, excluded), k)
+    partitions, inside = _smaller_side(family)
+    return LefschetzPolynomial(_class_sum(group, gset, traces, partitions, inside), k)
 
 
 def falling_factorial(r: int) -> Poly:

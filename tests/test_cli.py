@@ -13,6 +13,8 @@ import pytest
 import doldzeta
 from doldzeta import cli
 from doldzeta.cli import main
+from doldzeta.partitions import MAX_GROUP_DEGREE
+from doldzeta.series import _shown
 
 
 def run(capsys, *argv):
@@ -781,6 +783,42 @@ LONG_SHOWN = "'" + "7" * 39 + "... (5002 characters)"
 def test_a_long_refused_flag_value_is_cut(capsys, argv, message):
     # the first 40 characters of its repr and the repr's length, not 5000 digits
     assert run(capsys, *argv) == (2, "", f"error: {message} {LONG_SHOWN}\n")
+
+
+WORD = "x" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["graded", "--matrices", "{}", "--format", WORD],
+         f"argument --format: invalid choice: {_shown(WORD)} (choose from 'json', 'text')"),
+        ([WORD], f"argument command: invalid choice: {_shown(WORD)} (choose from "),
+        (["zeta", "--lefschetz", "[1]", "--" + WORD],
+         f"unrecognized arguments: {_shown('--' + WORD)}"),
+    ],
+)
+def test_a_long_word_refused_by_argparse_is_cut(capsys, argv, message):
+    # argparse echoes the refused word; it is cut as a flag value is
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and len(err.encode()) < 300
+
+
+@pytest.mark.parametrize(
+    "group",
+    [
+        '{"degree":100000000,"generators":[[1,0]]}',
+        '{"degree":1000000000000000000000000000000,"generators":[[1,0]]}',
+        '{"degree":100000000,"generators":[]}',
+    ],
+)
+def test_a_group_degree_above_the_cap_is_refused_first(capsys, group):
+    # refused before any list of `degree` entries is built
+    degree = json.loads(group)["degree"]
+    assert run(capsys, "gsymm", "--group", group) == (
+        2, "", f"error: a group's 'degree' {degree} exceeds the degree cap {MAX_GROUP_DEGREE}\n"
+    )
 
 
 def test_integer_flags_take_what_int_takes():

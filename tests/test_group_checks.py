@@ -8,6 +8,7 @@ sums; the fast paths must give the same accept/reject outcome, the same
 classes, the same polynomial and the same count."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import chain, combinations, permutations
 from math import comb
@@ -28,13 +29,17 @@ from doldzeta import identities, oracles, partitions
 from doldzeta.identities import _class_sum, _divisor_sum_linear, _validate_traces
 from doldzeta.multipoly import MultiPoly
 from doldzeta.partitions import (
+    _smaller_side,
+    all_partitions,
     compose_perms,
     identity_perm,
     invert_perm,
     perm_cycle_type,
+    refinements_of,
     validate_gset,
 )
 
+import group_average_reference as reference
 from conftest import identity_map, random_map, seeded_maps, trivial_group
 from family_recursion import minimal_excluded_step
 
@@ -324,6 +329,110 @@ def test_class_sum_with_all_weights_zero():
     group = PermutationGroup.symmetric(4)
     traces = {g: 0 for g in group.elements}
     assert _class_sum(group, group.elements, _validate_traces(group, traces)).is_zero
+
+
+# ---------------------------------------------------------------------------
+# the smaller side of a family: its members added, or its excluded
+# partitions subtracted from the group average
+
+
+def small_actions(rng, count):
+    """(group, table) pairs of degree <= 5 on at most 6 points: the natural
+    action, the action on pairs of 3 or 4 points, the sign, and a
+    stabilizer on the blocks of a partition."""
+    out = []
+    for _ in range(count):
+        degree = rng.randint(2, 5)
+        kind = rng.randrange(4)
+        if kind == 3:
+            out.append(block_action(rng, degree))
+            continue
+        group = random_subgroup(rng, degree)
+        if kind == 1 and degree <= 4:
+            out.append((group, pair_action(group)))
+        elif kind == 2:
+            out.append((group, sign_action(group)))
+        else:
+            out.append((group, group.elements))
+    return out
+
+
+def random_family(rng, k, table=()):
+    """A block bound on k points, the refinements of one partition or of a
+    few (a member list); with a table, the partitions are closed under it
+    first, so that the family is stable."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return PartitionFamily.max_block(k, rng.randint(1, k))
+    lattice = all_partitions(k)
+    picks = rng.sample(lattice, 1 if kind == 1 else min(len(lattice), rng.randint(2, 4)))
+    if kind == 1 and not table:
+        return PartitionFamily.refining(picks[0])
+    picks = [p.apply(perm) for p in picks for perm in table] or picks
+    return PartitionFamily(k, {q for p in picks for q in refinements_of(p)})
+
+
+def test_both_sides_of_a_family_give_the_per_element_sum():
+    rng = random.Random(808)
+    sides = set()
+    for group, table in small_actions(rng, 60):
+        k = len(table[0])
+        family = random_family(rng, k, table)
+        traces = class_function(rng, group) if rng.random() < 0.75 else None
+        expected = reference.general_lefschetz_polynomial(group, family, traces, table).poly
+        checked = _validate_traces(group, traces)
+        members = sorted(family.members)
+        excluded = [p for p in all_partitions(k) if p not in family.members]
+        assert _class_sum(group, table, checked, members, True) == expected
+        assert _class_sum(group, table, checked, excluded) == expected
+        assert general_lefschetz_polynomial(group, family, traces, table).poly == expected
+        sides.add(_smaller_side(family)[1])
+    assert sides == {True, False}
+
+
+def test_the_complement_check_agrees_with_the_member_check():
+    rng = random.Random(909)
+    seen = set()
+    for _ in range(300):
+        k = rng.randint(1, 6)
+        family = random_family(rng, k)
+        perms = [tuple(rng.sample(range(k), k)) for _ in range(rng.randint(1, 3))]
+        stable = all(p.apply(perm) in family.members for p in family.members for perm in perms)
+        assert family.is_stable_under(perms) == stable
+        seen.add((_smaller_side(family)[1], stable))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+EIGHT_POINT_GROUPS = {
+    "C8": [tuple((x + 1) % 8 for x in range(8))],
+    "C2^3": [tuple(x ^ bit for x in range(8)) for bit in (1, 2, 4)],
+}
+
+
+@pytest.mark.parametrize("bound, side", [(1, 1), (2, 764), (7, 1)])
+@pytest.mark.parametrize("name", sorted(EIGHT_POINT_GROUPS))
+def test_eight_points_cost_the_smaller_side_of_the_family(monkeypatch, name, bound, side):
+    # max_block(8, 1) has 1 member and 4139 excluded partitions, (8, 2) has
+    # 764 members and 3376 excluded, (8, 7) 4139 members and 1 excluded
+    group = PermutationGroup.from_generators(8, EIGHT_POINT_GROUPS[name])
+    family = PartitionFamily.max_block(8, bound)
+    expected = reference.general_lefschetz_polynomial(group, family).poly
+    summed, applied = [], []
+    class_sum, apply = identities._class_sum, SetPartition.apply
+
+    def counted_sum(group, gset, traces, partitions=(), inside=False):
+        summed.append(len(partitions))
+        return class_sum(group, gset, traces, partitions, inside)
+
+    def counted_apply(partition, perm):
+        applied.append(perm)
+        return apply(partition, perm)
+
+    monkeypatch.setattr(identities, "_class_sum", counted_sum)
+    monkeypatch.setattr(SetPartition, "apply", counted_apply)
+    assert general_lefschetz_polynomial(group, family).poly == expected
+    assert summed == [side]
+    assert Counter(applied) == dict.fromkeys(group.generators, side)
 
 
 # ---------------------------------------------------------------------------
