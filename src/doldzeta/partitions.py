@@ -334,9 +334,9 @@ class PermutationGroup:
     @classmethod
     def from_json(cls, obj: dict) -> "PermutationGroup":
         degree = _integer(_field(obj, "degree", "a group"), "a group's 'degree'")
-        if degree > MAX_GROUP_DEGREE:
+        if not 0 <= degree <= MAX_GROUP_DEGREE:
             raise ValueError(
-                f"a group's 'degree' {_shown(degree)} exceeds the degree cap {MAX_GROUP_DEGREE}"
+                f"a group's 'degree' must be in 0..{MAX_GROUP_DEGREE}, got {_shown(degree)}"
             )
         key = "elements" if "elements" in obj else "generators"
         perms = [

@@ -811,13 +811,14 @@ def test_a_long_word_refused_by_argparse_is_cut(capsys, argv, message):
         '{"degree":100000000,"generators":[[1,0]]}',
         '{"degree":1000000000000000000000000000000,"generators":[[1,0]]}',
         '{"degree":100000000,"generators":[]}',
+        '{"degree":-3,"generators":[]}',
     ],
 )
-def test_a_group_degree_above_the_cap_is_refused_first(capsys, group):
+def test_a_group_degree_outside_the_cap_is_refused_first(capsys, group):
     # refused before any list of `degree` entries is built
     degree = json.loads(group)["degree"]
     assert run(capsys, "gsymm", "--group", group) == (
-        2, "", f"error: a group's 'degree' {degree} exceeds the degree cap {MAX_GROUP_DEGREE}\n"
+        2, "", f"error: a group's 'degree' must be in 0..{MAX_GROUP_DEGREE}, got {degree}\n"
     )
 
 

@@ -399,7 +399,10 @@ def test_the_complement_check_agrees_with_the_member_check():
         perms = [tuple(rng.sample(range(k), k)) for _ in range(rng.randint(1, 3))]
         stable = all(p.apply(perm) in family.members for p in family.members for perm in perms)
         assert family.is_stable_under(perms) == stable
-        seen.add((_smaller_side(family)[1], stable))
+        side, inside = _smaller_side(family)
+        assert side == [p for p in all_partitions(k) if (p in family.members) == inside]
+        assert len(side) == min(len(family.members), len(all_partitions(k)) - len(family.members))
+        seen.add((inside, stable))
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
