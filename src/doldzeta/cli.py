@@ -82,8 +82,6 @@ from .series import (
 
 USAGE_ERRORS = (
     ValueError,
-    KeyError,
-    TypeError,
     NotAUnitError,
     NotExpandableError,
     InconsistentInputError,

@@ -70,14 +70,15 @@ class GradedEndomorphism:
                 raise ValueError(
                     f"degree {degree} of a graded endomorphism is above the guard {MAX_GRADED_DEGREE}"
                 )
-            rows = tuple(rows)
+            matrix = f"the matrix in degree {degree} of {where}"
+            rows = _listed(rows, matrix)
             dimension += len(rows)
             if dimension > MAX_GRADED_DIMENSION:
                 raise ValueError(
                     f"a graded endomorphism's total dimension is above the guard {MAX_GRADED_DIMENSION}"
                 )
-            entry = f"an entry of the matrix in degree {degree} of {where}"
-            rows = tuple(tuple(rat(c, entry) for c in row) for row in rows)
+            entry = f"an entry of {matrix}"
+            rows = tuple(tuple(rat(c, entry) for c in _listed(row, f"a row of {matrix}")) for row in rows)
             if any(len(row) != len(rows) for row in rows):
                 raise ValueError(f"matrix in degree {degree} is not square")
             if rows:
@@ -103,6 +104,14 @@ class GradedEndomorphism:
     def __repr__(self):
         dims = ", ".join(f"{d}:{len(rows)}" for d, rows in sorted(self.matrices.items()))
         return f"GradedEndomorphism(dims={{{dims}}})"
+
+
+def _listed(value, what: str) -> tuple:
+    """A matrix or a matrix row as a tuple; anything but a list or a tuple is
+    refused with a ValueError naming `what`."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{what} must be a list, got {type(value).__name__}")
+    return tuple(value)
 
 
 def _mat_mul(a, b):

@@ -41,6 +41,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import product as iter_product
 from math import gcd, lcm
+from operator import mul
 from time import perf_counter
 
 from .dynamics import (
@@ -54,7 +55,7 @@ from .dynamics import (
     zeta_series,
 )
 from .graded import GradedEndomorphism, graded_zeta
-from .multipoly import MultiPoly, _numerator_sum, _product, _sparse
+from .multipoly import MultiPoly, _product, _sparse
 from .oracles import (
     _guard,
     coefficient_traces,
@@ -68,7 +69,6 @@ from .partitions import (
     PartitionFamily,
     PermutationGroup,
     _require_stable,
-    _smaller_side,
     invert_perm,
     perm_cycle_type,
     validate_gset,
@@ -135,16 +135,55 @@ def integer_lattice_check(poly: MultiPoly, box: int = 4) -> bool:
 
     With D the common denominator of the coefficients, D*p is evaluated over
     the integers at each point and tested for divisibility by D.  The
-    (2*box+1)^nvars points count against the enumeration guard."""
+    (2*box+1)^nvars points count against the enumeration guard.
+
+    The points are walked in order, prefix variables outside and the last
+    nvars // 2 variables (the suffix) inside.  D*p at a point is the dot
+    product of two rows taken mod D: the coefficients of the distinct suffix
+    monomials at the prefix point, built once per prefix point, and those
+    monomials' values at the suffix point, one table row per suffix point,
+    so the table holds (2*box+1)^(nvars // 2) rows.  The walk stops at the
+    first point whose value is not divisible by D."""
     if box < 0:
         raise ValueError("lattice box must be >= 0")
     d = poly.den
     if d == 1:  # integer coefficients: integer values at every point
         return True
     _guard((2 * box + 1) ** poly.nvars)
-    terms = _sparse(poly.nums)
-    points = iter_product(range(-box, box + 1), repeat=poly.nvars)
-    return all(_numerator_sum(terms, point) % d == 0 for point in points)
+    split = poly.nvars - poly.nvars // 2
+    values = range(-box, box + 1)
+    top = max((max(exps, default=0) for exps in poly.nums), default=0)
+    # powers[v][e] = v^e mod D
+    powers = {v: [pow(v, e, d) for e in range(top + 1)] for v in values}
+    groups = {}  # suffix exponents -> [(numerator mod D, prefix (i, e) pairs)]
+    for exps, c in poly.nums.items():
+        factors = tuple((i, e) for i, e in enumerate(exps[:split]) if e)
+        groups.setdefault(exps[split:], []).append((c % d, factors))
+    suffix_factors = [tuple((i, e) for i, e in enumerate(exps) if e) for exps in groups]
+    table = []
+    for point in iter_product(values, repeat=poly.nvars - split):
+        at = [powers[v] for v in point]
+        vec = []
+        for factors in suffix_factors:
+            value = 1
+            for i, e in factors:
+                value = value * at[i][e] % d
+            vec.append(value)
+        table.append(vec)
+    for point in iter_product(values, repeat=split):
+        at = [powers[v] for v in point]
+        row = []
+        for terms in groups.values():
+            coefficient = 0
+            for value, factors in terms:
+                for i, e in factors:
+                    value *= at[i][e]
+                coefficient += value
+            row.append(coefficient % d)
+        for vec in table:
+            if sum(map(mul, row, vec)) % d:
+                return False
+    return True
 
 
 def _surjections(e: int) -> list:
@@ -254,7 +293,7 @@ def _monomial(nvars: int, n: int, e: int) -> tuple:
 
 def _divisor_sum_linear(n: int, nvars: int) -> MultiPoly:
     """sum_{m | n} m * t_m: the fixed points of the n-th iterate in the t's."""
-    return MultiPoly(nvars, {_monomial(nvars, m, 1): m for m in divisors(n)})
+    return MultiPoly._trusted(nvars, {_monomial(nvars, m, 1): m for m in divisors(n)})
 
 
 def symmetric_power_polys(bound, order: int) -> list:
@@ -275,12 +314,20 @@ def symmetric_power_polys(bound, order: int) -> list:
         step = bound + 1
         for i in range(step, order + 1, step):
             s[i] = s[i] - step * lefschetz[i // step]
-    g = [MultiPoly.constant(1, order)]
+    # G_n = n! g_n has integer coefficients, and n g_n = sum_i s_i g_{n-i}
+    # gives G_n = sum_i s_i G_{n-i} (n-1)!/(n-i)!
+    numerators = [{(0,) * order: 1}]
+    g = [MultiPoly._trusted(order, numerators[0])]
+    factorial = 1
     for n in range(1, order + 1):
-        total = MultiPoly.zero(order)
+        total, scale = {}, 1  # scale = (n-1)!/(n-i)!
         for i in range(1, n + 1):
-            total = total + s[i] * g[n - i]
-        g.append(total / n)
+            scaled = {e: c * scale for e, c in s[i].nums.items()}
+            _product(scaled, numerators[n - i], total)
+            scale *= n - i
+        factorial *= n
+        numerators.append(total)
+        g.append(MultiPoly._trusted(order, total, factorial))
     return g
 
 
@@ -473,7 +520,7 @@ def general_lefschetz_polynomial(
     gset = validate_gset(group, gset, k)
     traces = _validate_traces(group, coeff_traces)
     family = _require_stable(family, group, gset)
-    partitions, inside = _smaller_side(family)
+    partitions, inside = family._kept_side()
     return LefschetzPolynomial(_class_sum(group, gset, traces, partitions, inside), k)
 
 
@@ -507,13 +554,13 @@ def iterate_profile_images(d: int, source_vars: int, target_vars: int) -> list:
     t_i(f^d) = sum over n with n/gcd(n, d) = i of gcd(n, d) t_n(f)."""
     if target_vars < source_vars * d:
         raise ValueError("target variable space too small for the iterate substitution")
-    images = [MultiPoly.zero(target_vars) for _ in range(source_vars)]
+    images = [{} for _ in range(source_vars)]
     for n in range(1, source_vars * d + 1):
         g = gcd(n, d)
         i = n // g
         if i <= source_vars:
-            images[i - 1] = images[i - 1] + g * MultiPoly.variable(n, target_vars)
-    return images
+            images[i - 1][_monomial(target_vars, n, 1)] = g
+    return [MultiPoly._trusted(target_vars, nums) for nums in images]
 
 
 def dold_polynomial_of_functor(lp: LefschetzPolynomial, m: int) -> MultiPoly:

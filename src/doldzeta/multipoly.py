@@ -32,10 +32,11 @@ def _numerator_sum(terms, point):
     return total
 
 
-def _product(a: dict, b: dict) -> dict:
-    """The product of two polynomials held as {exponents: int} dicts.  Zero
-    coefficients are kept."""
-    out = {}
+def _product(a: dict, b: dict, out=None) -> dict:
+    """The product of two polynomials held as {exponents: int} dicts, added
+    into `out` when it is given.  Zero coefficients are kept."""
+    if out is None:
+        out = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
             key = tuple(map(add, e1, e2))
@@ -194,7 +195,12 @@ class MultiPoly:
 
     def substitute(self, images) -> "MultiPoly":
         """Substitute images[i-1] for t_i; all images share one target space.
-        The numerators are substituted and the sum divided by D once."""
+
+        With d_i the denominator of image i and T_i the top exponent of t_i,
+        every term is summed into one numerator dict over the denominator
+        D * prod_i d_i^T_i: a term with exponents e takes the numerators of
+        each image's e_i-th power and the cofactor prod_i d_i^(T_i - e_i).
+        The sum is put in lowest terms once."""
         images = list(images)
         if len(images) != self.nvars:
             raise ValueError(f"need {self.nvars} substitution images")
@@ -204,18 +210,31 @@ class MultiPoly:
         if any(img.nvars != target for img in images):
             raise ValueError("substitution images live in different variable spaces")
         one = (0,) * target
-        powers = [[MultiPoly._trusted(target, {one: 1})] for _ in range(self.nvars)]
-        result = MultiPoly.zero(target)
+        tops = [max(column, default=0) for column in zip(*self.nums)]
+        dens = [img.den for img in images]
+        den = self.den
+        for d, top in zip(dens, tops):
+            den *= d ** top
+        # powers[i][e]: the numerators of image i to the e, over d_i^e
+        powers = [[{one: 1}, img.nums] for img in images]
+        out = {}
         for exps, c in self.nums.items():
-            term = MultiPoly._trusted(target, {one: c})
+            factors = []
             for i, e in enumerate(exps):
-                cache = powers[i]
-                while len(cache) <= e:
-                    cache.append(cache[-1] * images[i])
+                c *= dens[i] ** (tops[i] - e)
                 if e:
-                    term = term * cache[e]
-            result = result + term
-        return MultiPoly._trusted(target, result.nums, result.den * self.den)
+                    cache = powers[i]
+                    while len(cache) <= e:
+                        cache.append(_product(cache[-1], cache[1]))
+                    factors.append(cache[e])
+            if not factors:
+                out[one] = out.get(one, 0) + c
+                continue
+            term = {one: c}
+            for factor in factors[:-1]:
+                term = _product(term, factor)
+            _product(term, factors[-1], out)
+        return MultiPoly._trusted(target, out, den)
 
     _ORDER_KEY = staticmethod(
         lambda exps: (sum((i + 1) * e for i, e in enumerate(exps)), exps[::-1])

@@ -425,7 +425,7 @@ class PartitionFamily:
     families and pass them to `_trusted`, which checks nothing.
     """
 
-    __slots__ = ("ground", "members")
+    __slots__ = ("ground", "members", "_side")
 
     def __init__(self, ground: int, members):
         members = frozenset(members)
@@ -433,6 +433,7 @@ class PartitionFamily:
             raise ValueError("a partition family must be nonempty")
         self.ground = ground
         self.members = members
+        self._side = None
         self._validate_closure()
 
     @classmethod
@@ -442,6 +443,7 @@ class PartitionFamily:
         family = object.__new__(cls)
         family.ground = ground
         family.members = frozenset(members)
+        family._side = None
         return family
 
     def _validate_closure(self):
@@ -520,11 +522,18 @@ class PartitionFamily:
         if any(len(perm) != self.ground for perm in gset):
             raise ValueError("permutation degree disagrees with the ground set")
         if 1 <= self.ground <= MAX_GROUND:
-            side, inside = _smaller_side(self)
+            side, inside = self._kept_side()
         else:
             side, inside = self.members, True
         members = self.members
         return all((p.apply(perm) in members) == inside for p in side for perm in gset)
+
+    def _kept_side(self) -> tuple:
+        """`_smaller_side` of the family, found on the first call and kept,
+        so that the stability check and the class sum share it."""
+        if self._side is None:
+            self._side = _smaller_side(self)
+        return self._side
 
     def block_counts(self) -> tuple:
         """n_r = number of members with exactly r blocks, for r = 1..k."""
@@ -546,13 +555,15 @@ def _smaller_side(family: PartitionFamily) -> tuple:
 
 
 class _StableFamily(PartitionFamily):
-    """A family that `_require_stable` found stable under the table `action`."""
+    """A family that `_require_stable` found stable under the table `action`,
+    with the smaller side that the check found."""
 
     __slots__ = ("action",)
 
     def __init__(self, family: PartitionFamily, action):
         self.ground = family.ground
         self.members = family.members
+        self._side = family._side
         self.action = action
 
 

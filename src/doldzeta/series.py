@@ -61,10 +61,13 @@ def _shown(value) -> str:
     return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
 
 
+_RATIONAL = (Fraction, int, str)  # the types `rat` reads
+
+
 def rat(value, where: str = "a number in the input") -> Fraction:
     """Coerce an int, Fraction or "p/q" string to an exact rational.  A string
-    that is not a rational is refused with a ValueError, and any other value
-    with a TypeError, each naming `where`."""
+    that is not a rational, and any other value, is refused with a
+    ValueError naming `where`."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -78,7 +81,7 @@ def rat(value, where: str = "a number in the input") -> Fraction:
             if _over_digit_limit(value):
                 raise _digit_limit_error("a number in the input") from None
             raise ValueError(f"{where} must be a rational number, got {_shown(value)}") from None
-    raise TypeError(f"{where} must be a rational number, got {_shown(value)}")
+    raise ValueError(f"{where} must be a rational number, got {_shown(value)}")
 
 
 def rat_str(value) -> str:
@@ -349,10 +352,9 @@ class PowerSeries:
             out = [0] * (min(self.order, other.order) + 1)
             _convolve_into(out, _terms(self.nums), _terms(other.nums))
             return PowerSeries._trusted(out, self.den * other.den)
-        try:
-            c = rat(other)
-        except TypeError:
+        if not isinstance(other, _RATIONAL):
             return NotImplemented
+        c = rat(other)
         return PowerSeries._trusted([c.numerator * x for x in self.nums], self.den * c.denominator)
 
     __rmul__ = __mul__
@@ -578,10 +580,9 @@ class Poly:
     def _coerce(other):
         if isinstance(other, Poly):
             return other
-        try:
-            return Poly.constant(rat(other))
-        except TypeError:
+        if not isinstance(other, _RATIONAL):
             return NotImplemented
+        return Poly.constant(rat(other))
 
     def __call__(self, value) -> Fraction:
         """The value at a rational point: the numerators are summed by Horner's

@@ -438,6 +438,30 @@ def test_eight_points_cost_the_smaller_side_of_the_family(monkeypatch, name, bou
     assert Counter(applied) == dict.fromkeys(group.generators, side)
 
 
+@pytest.mark.parametrize("bound", [1, 2, 7])
+def test_an_unmarked_family_finds_its_smaller_side_once(monkeypatch, bound):
+    # the stability check finds the side, and the marked family carries it
+    # to the class sum; a family marked by an earlier check finds none
+    group = PermutationGroup.from_generators(8, EIGHT_POINT_GROUPS["C8"])
+    expected = reference.general_lefschetz_polynomial(group, PartitionFamily.max_block(8, bound)).poly
+    family = PartitionFamily.max_block(8, bound)
+    sides = []
+
+    def counted_side(family):
+        sides.append(family)
+        return _smaller_side(family)
+
+    monkeypatch.setattr(partitions, "_smaller_side", counted_side)
+    monkeypatch.setattr(identities, "_smaller_side", counted_side, raising=False)
+    assert general_lefschetz_polynomial(group, family).poly == expected
+    assert sides == [family]
+    gset = validate_gset(group)
+    marked = partitions._require_stable(PartitionFamily.max_block(8, bound), group, gset)
+    assert len(sides) == 2
+    assert general_lefschetz_polynomial(group, marked, gset=gset).poly == expected
+    assert len(sides) == 2
+
+
 # ---------------------------------------------------------------------------
 # the conjugacy classes, grown by conjugating with the generators
 
