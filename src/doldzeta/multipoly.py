@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add
 
-from .series import _integer, _numerators, _power, rat, rat_str
+from .series import _RATIONAL, _integer, _numerators, _power, rat, rat_str
 
 
 def _sparse(nums: dict) -> list:
@@ -118,6 +118,8 @@ class MultiPoly:
 
     def __add__(self, other):
         if not isinstance(other, MultiPoly):
+            if not isinstance(other, _RATIONAL):
+                return NotImplemented
             other = MultiPoly.constant(other, self.nvars)
         self._require_same_space(other)
         den = lcm(self.den, other.den)
@@ -131,6 +133,8 @@ class MultiPoly:
 
     def __sub__(self, other):
         if not isinstance(other, MultiPoly):
+            if not isinstance(other, _RATIONAL):
+                return NotImplemented
             other = MultiPoly.constant(other, self.nvars)
         return self + (-other)
 
@@ -141,14 +145,18 @@ class MultiPoly:
         if isinstance(other, MultiPoly):
             self._require_same_space(other)
             nums, den = _product(self.nums, other.nums), self.den * other.den
-        else:
+        elif isinstance(other, _RATIONAL):
             c = rat(other)
             nums, den = {e: c.numerator * v for e, v in self.nums.items()}, self.den * c.denominator
+        else:
+            return NotImplemented
         return MultiPoly._trusted(self.nvars, nums, den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
+        if not isinstance(scalar, _RATIONAL):
+            return NotImplemented
         return self * (Fraction(1) / rat(scalar))
 
     def __pow__(self, e: int):

@@ -21,9 +21,11 @@ repetition bound at each tuple of length k - 1.  The
 multiset, subset and tuple oracles each answer for every size j <= k at
 once, as a tuple of k + 1 counts, from one walk to size k.  The orbit-space
 oracles count each fixed orbit once, at its least point, building each
-image of a candidate once.  The Burnside cross-check in `fixed_gmap_space`
-walks the same candidates and builds one image per conjugacy class, since
-its count is a class function; nothing is stored per candidate.  Every
+image of a candidate once.  A candidate a with its smash coordinate y is
+one tuple a + y, and each group element moves it by one itemgetter built
+before the walk.  The Burnside cross-check in `fixed_gmap_space` is summed
+in the same walk, reading one image per conjugacy class, since its count
+is a class function; nothing is stored per candidate.  Every
 enumeration sits behind one size guard that counts the full nominal space,
 not the smaller walk: 10^7 candidate points, or the DOLD_ZETA_MAX_ENUM
 environment variable, read at each guard.  The multiset, subset and tuple
@@ -37,6 +39,7 @@ import os
 from collections import Counter
 from itertools import accumulate, chain, combinations_with_replacement, product
 from math import comb
+from operator import itemgetter
 
 from .dynamics import FiniteSelfMap
 from .partitions import (
@@ -233,45 +236,70 @@ def fixed_bounded_tuples(f: FiniteSelfMap, k: int, bound: int) -> tuple:
     return tuple(counts)
 
 
-def _fixed_orbit_count(f, gset, k, admissible=None, points=1) -> int:
-    """Orbits of pairs (a, y) fixed by [a, y] |-> [f o a, y], with a: K -> M
-    passing `admissible` (any map when None) and y a tuple in {0..points-1}^k,
-    a non-basepoint element of the k-fold smash power of a pointed set with
-    `points` such elements (points = 1: one y, fixed by all of G); g sends
-    (a, y) to (a o g^{-1}, y o g^{-1}).
+def _reader(indices):
+    """The function sending a tuple p to tuple(p[i] for i in indices).  It
+    is an itemgetter, which takes no empty index list and returns one index's
+    item bare, so those two lengths get a stand-in that builds the tuple."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    if indices:
+        (i,) = indices
+        return lambda p: (p[i],)
+    return lambda p: ()
 
-    Each orbit is counted once, at its least point: each image of (a, y) is
-    built once, the count moves on at the first image smaller than (a, y),
-    and when none is smaller, every image has been built and (a, y) counts
-    when (f o a, y) is one of them, i.e. lies in its orbit.  Nothing is
-    stored per candidate.
+
+def _fixed_orbit_count(f, gset, k, admissible=None, points=1, leaders=()) -> tuple:
+    """(count, total) from one walk over the maps a: K -> M passing
+    `admissible` (any map when None) whose composite f o a is a
+    rearrangement of a; no other map can share an orbit with f o a.
+
+    `count` is the number of orbits of pairs (a, y) fixed by the map
+    [a, y] |-> [f o a, y], with y a tuple in {0..points-1}^k, a
+    non-basepoint element of the k-fold smash power of a pointed set with
+    `points` such elements; g sends (a, y) to (a o g^{-1}, y o g^{-1}).  A
+    pair is held as the one tuple a + y, with y = () when points is 1 (one
+    y, fixed by all of G), and g moves it by one `_reader` of the positions
+    g^{-1} in a and in y, built once per element.  Each orbit is counted
+    once, at its least point: each image of the point is built once, the
+    count moves on at the first image smaller than the point, and when none
+    is smaller, every image has been built and the point counts when
+    (f o a) + y is one of them, i.e. lies in its orbit.
+
+    `total` is sum size * #{a : a o perm = f o a} over the (size, perm) pairs
+    of `leaders`, each perm read by one `_reader` of its own; 0 without
+    leaders.  Nothing is stored per candidate.
     """
-    tuples = list(product(range(points), repeat=k))
-    index = {y: i for i, y in enumerate(tuples)}
-    ys = range(len(tuples))
-    moves = []
-    for perm in gset:
-        inv = invert_perm(perm)
-        moves.append((inv, tuple(index[tuple(map(y.__getitem__, inv))] for y in tuples)))
+    if points == 1:
+        ys = [()]
+        moves = [_reader(invert_perm(perm)) for perm in gset]
+    else:
+        ys = list(product(range(points), repeat=k))
+        moves = []
+        for perm in gset:
+            inv = invert_perm(perm)
+            moves.append(_reader(inv + tuple(k + i for i in inv)))
+    classes = [(size, _reader(perm)) for size, perm in leaders]
     push = f.mapping.__getitem__
-    count = 0
-    # f o a shares an orbit with a only as a rearrangement of its values
+    count = total = 0
     for a in _rearranged_maps(f, k):
         if admissible is not None and not admissible(a):
             continue
-        image, get = tuple(map(push, a)), a.__getitem__
+        image = tuple(map(push, a))
+        for size, get in classes:
+            if get(a) == image:
+                total += size
         for y in ys:
-            point, target = (a, y), (image, y)
+            point, target = a + y, image + y
             fixed = False
-            for inv, y_perm in moves:
-                other = (tuple(map(get, inv)), y_perm[y])
+            for move in moves:
+                other = move(point)
                 if other < point:
                     break
                 if other == target:
                     fixed = True
             else:
                 count += fixed
-    return count
+    return count, total
 
 
 def fixed_partition_orbits(
@@ -302,7 +330,7 @@ def fixed_partition_orbits(
     _guard(f.size ** k * max(1, coefficient_size ** k))
     return _fixed_orbit_count(
         f, gset, k, lambda a: fiber_partition(a) in family, coefficient_size
-    )
+    )[0]
 
 
 def fixed_gmap_space(
@@ -312,23 +340,18 @@ def fixed_gmap_space(
 ) -> int:
     """Fixed points of a |-> f o a on the orbit space map(K, M)/G.
 
-    Computed twice: by counting the fixed orbits at their least points, and
-    as the Burnside average (1/|G|) sum_g #{a : f o a = a o g}, a class
-    function of g taken once per conjugacy class and weighted by its size.
-    The two counts must agree; a mismatch is an internal logic error.
+    Computed twice from one walk over the candidates: by counting the fixed
+    orbits at their least points, and as the Burnside average
+    (1/|G|) sum_g #{a : f o a = a o g}, a class function of g taken once per
+    conjugacy class and weighted by its size.  The two counts must agree; a
+    mismatch is an internal logic error.
     """
     gset = validate_gset(group, gset)
     k = len(gset[0])
     _guard(f.size ** k)
-    orbit_count = _fixed_orbit_count(f, gset, k)
-
-    # f o a = a o g makes f o a a rearrangement of a, so no other map counts
+    # #{a : f o a = a o g} is a class function of g: one leader per class
     leaders = [(len(members), gset[members[0]]) for members in group.classes]
-    push = f.mapping.__getitem__
-    total = 0
-    for a in _rearranged_maps(f, k):
-        get, image = a.__getitem__, tuple(map(push, a))
-        total += sum(size for size, perm in leaders if tuple(map(get, perm)) == image)
+    orbit_count, total = _fixed_orbit_count(f, gset, k, leaders=leaders)
     if total % group.order:
         raise RuntimeError("Burnside sum is not divisible by the group order")
     burnside = total // group.order

@@ -516,15 +516,11 @@ class PartitionFamily:
         lattice, so it maps the family into itself exactly when it maps the
         complement into itself.  The smaller side is tested (`_smaller_side`):
         each member's image must be a member, or each excluded partition's
-        image must not be.  Beyond `MAX_GROUND`, where the lattice is not
-        built, the members are.  A permutation of another degree is refused
-        as `SetPartition.apply` refuses it, even when the side is empty."""
+        image must not be.  A permutation of another degree is refused as
+        `SetPartition.apply` refuses it, even when the side is empty."""
         if any(len(perm) != self.ground for perm in gset):
             raise ValueError("permutation degree disagrees with the ground set")
-        if 1 <= self.ground <= MAX_GROUND:
-            side, inside = self._kept_side()
-        else:
-            side, inside = self.members, True
+        side, inside = self._kept_side()
         members = self.members
         return all((p.apply(perm) in members) == inside for p in side for perm in gset)
 
@@ -547,11 +543,13 @@ def _smaller_side(family: PartitionFamily) -> tuple:
     """(partitions, inside): the members, inside True, when they are fewer
     than the partitions the family excludes, and otherwise the excluded
     partitions, inside False; either list in `all_partitions` order.  The
-    choice depends on the family's size alone."""
-    lattice = all_partitions(family.ground)
-    if 2 * len(family.members) < len(lattice):
-        return sorted(family.members, key=attrgetter("labels")), True
-    return [p for p in lattice if p not in family.members], False
+    choice depends on the family's size alone, and beyond `MAX_GROUND`,
+    where the lattice is not built, it is always the members."""
+    if 1 <= family.ground <= MAX_GROUND:
+        lattice = all_partitions(family.ground)
+        if 2 * len(family.members) >= len(lattice):
+            return [p for p in lattice if p not in family.members], False
+    return sorted(family.members, key=attrgetter("labels")), True
 
 
 class _StableFamily(PartitionFamily):

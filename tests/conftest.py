@@ -88,6 +88,25 @@ def cyclic_group(k):
     return PermutationGroup.from_generators(k, [tuple((i + 1) % k for i in range(k))])
 
 
+def random_subgroup(rng, degree):
+    """The subgroup of S_degree generated by one to three random permutations."""
+    from doldzeta import PermutationGroup
+
+    gens = [tuple(rng.sample(range(degree), degree)) for _ in range(rng.randint(1, 3))]
+    return PermutationGroup.from_generators(degree, gens)
+
+
+def pair_action(group):
+    """The induced action on the unordered pairs of the ground set."""
+    from itertools import combinations
+
+    pairs = list(combinations(range(group.degree), 2))
+    index = {p: i for i, p in enumerate(pairs)}
+    return tuple(
+        tuple(index[tuple(sorted((g[a], g[b])))] for a, b in pairs) for g in group.elements
+    )
+
+
 def direct_product(left, right):
     """The product group acting on the disjoint union of the two ground
     sets, the right one shifted past the left."""

@@ -10,7 +10,7 @@ classes, the same polynomial and the same count."""
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import chain, combinations, permutations
+from itertools import chain, permutations
 from math import comb
 
 import pytest
@@ -40,7 +40,14 @@ from doldzeta.partitions import (
 )
 
 import group_average_reference as reference
-from conftest import identity_map, random_map, seeded_maps, trivial_group
+from conftest import (
+    identity_map,
+    pair_action,
+    random_map,
+    random_subgroup,
+    seeded_maps,
+    trivial_group,
+)
 from family_recursion import minimal_excluded_step
 
 
@@ -109,21 +116,6 @@ def accepts(check, *args):
 
 # ---------------------------------------------------------------------------
 # random inputs
-
-
-def random_subgroup(rng, degree):
-    """The subgroup of S_degree generated by one to three random permutations."""
-    gens = [tuple(rng.sample(range(degree), degree)) for _ in range(rng.randint(1, 3))]
-    return PermutationGroup.from_generators(degree, gens)
-
-
-def pair_action(group):
-    """The induced action on the unordered pairs of the ground set."""
-    pairs = list(combinations(range(group.degree), 2))
-    index = {p: i for i, p in enumerate(pairs)}
-    return tuple(
-        tuple(index[tuple(sorted((g[a], g[b])))] for a, b in pairs) for g in group.elements
-    )
 
 
 def sign_action(group):
@@ -462,6 +454,22 @@ def test_an_unmarked_family_finds_its_smaller_side_once(monkeypatch, bound):
     assert len(sides) == 2
 
 
+@pytest.mark.parametrize("name, generators", [
+    ("C9", [tuple((x + 1) % 9 for x in range(9))]),
+    ("C3xC3", [(1, 2, 0, 3, 4, 5, 6, 7, 8), (0, 1, 2, 3, 4, 5, 7, 8, 6)]),
+])
+def test_a_family_beyond_the_lattice_sums_its_members(name, generators):
+    # no partition lattice is built on 9 points, so both the stability check
+    # and the class sum take the member side: here the discrete partition
+    # alone, whose term is the configuration factor of each element
+    group = PermutationGroup.from_generators(9, generators)
+    family = PartitionFamily(9, [SetPartition.discrete(9)])
+    assert _smaller_side(family) == ([SetPartition.discrete(9)], True)
+    weighted = ((perm, 1) for perm in group.elements)
+    expected = reference.cycle_type_sum(weighted, 9, reference.configuration_factor) / group.order
+    assert general_lefschetz_polynomial(group, family).poly == expected
+
+
 # ---------------------------------------------------------------------------
 # the conjugacy classes, grown by conjugating with the generators
 
@@ -524,7 +532,12 @@ def test_class_weighted_cross_check_matches_the_per_element_sum(monkeypatch):
         # with the orbit count replaced by the per-element sum, the call
         # raises unless the class-weighted sum gives the same count
         with monkeypatch.context() as patch:
-            patch.setattr(oracles, "_fixed_orbit_count", lambda *args: expected)
+            real = oracles._fixed_orbit_count
+            patch.setattr(
+                oracles,
+                "_fixed_orbit_count",
+                lambda *args, **kwargs: (expected, real(*args, **kwargs)[1]),
+            )
             assert fixed_gmap_space(f, group, table) == expected
 
 

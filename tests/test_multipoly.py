@@ -149,3 +149,36 @@ class TestExponents:
         p = MultiPoly(2, {(2.0, Fraction(4, 2)): 1})
         assert p.nums == {(2, 2): 1}
         assert all(type(e) is int for e in next(iter(p.nums)))
+
+
+class TestOperandTypes:
+    class Reflecting:
+        """An operand that takes every arithmetic with a polynomial itself."""
+
+        def _mark(self, other):
+            return ("reflected", other)
+
+        __radd__ = __rsub__ = __rmul__ = __rtruediv__ = _mark
+
+    @pytest.mark.parametrize("op", ["+", "-", "*", "/"])
+    def test_another_operand_type_gets_the_reflected_operation(self, op):
+        p, other = MultiPoly.variable(1, 1), self.Reflecting()
+        assert eval(f"p {op} other") == ("reflected", p)
+
+    @pytest.mark.parametrize("op", ["+", "-", "*", "/"])
+    @pytest.mark.parametrize("value", [1.5, None, 1j])
+    def test_an_operand_of_no_rational_type_is_refused(self, op, value):
+        p = MultiPoly.variable(1, 1)
+        with pytest.raises(TypeError, match="unsupported operand"):
+            eval(f"p {op} value")
+        if op in "+*":
+            with pytest.raises(TypeError, match="unsupported operand"):
+                eval(f"value {op} p")
+
+    @pytest.mark.parametrize("value", [2, Fraction(1, 2), "3/4"])
+    def test_a_rational_operand_still_acts_as_a_constant(self, value):
+        p, c = MultiPoly.variable(1, 1), MultiPoly.constant(value, 1)
+        assert p + value == value + p == p + c
+        assert p - value == p - c
+        assert p * value == value * p == p * c
+        assert p / value == p * MultiPoly.constant(1 / Fraction(value), 1)

@@ -24,10 +24,21 @@ from doldzeta import (
 )
 from doldzeta import oracles
 from doldzeta.dynamics import cycle_profile
-from doldzeta.partitions import fiber_partition, invert_perm, perm_cycle_count
+from doldzeta.partitions import MAX_GROUND, fiber_partition, invert_perm, perm_cycle_count
 from doldzeta.series import PowerSeries
 
-from conftest import cyclic_group, direct_product, identity_map, pointed, seeded_maps, trivial_group
+import orbit_count_reference as orbit_reference
+from conftest import (
+    cyclic_group,
+    direct_product,
+    identity_map,
+    pair_action,
+    pointed,
+    random_map,
+    random_subgroup,
+    seeded_maps,
+    trivial_group,
+)
 
 
 class TestBoundedMultisets:
@@ -335,11 +346,112 @@ def test_a_wrong_orbit_counter_fails_the_orbit_tests(monkeypatch, old, new):
 
 def test_burnside_cross_check_fires_on_a_wrong_orbit_count(monkeypatch):
     real = oracles._fixed_orbit_count
-    monkeypatch.setattr(oracles, "_fixed_orbit_count", lambda *args: real(*args) + 1)
+
+    def one_orbit_too_many(*args, **kwargs):
+        # the orbit count is off by one; the Burnside total is the real one
+        orbits, total = real(*args, **kwargs)
+        return orbits + 1, total
+
+    monkeypatch.setattr(oracles, "_fixed_orbit_count", one_orbit_too_many)
     f = FiniteSelfMap([1, 0, 2])
     with pytest.raises(RuntimeError, match=r"orbit enumeration \(3\) disagrees with the "
                                            r"Burnside average \(2\)"):
         fixed_gmap_space(f, PermutationGroup.symmetric(2))
+
+
+def test_a_wrong_burnside_total_trips_the_cross_check(monkeypatch):
+    monkeypatch.setattr(
+        oracles,
+        "_fixed_orbit_count",
+        mutated(oracles._fixed_orbit_count, "total += size", "total += 1"),
+    )
+    with pytest.raises(RuntimeError, match="Burnside"):
+        for name, group, gset in ORACLE_GROUPS:
+            for f in seeded_maps(sum(map(ord, name)), 8, 4, min_size=1):
+                fixed_gmap_space(f, group, gset)
+
+
+@pytest.mark.parametrize("name, group, gset", ORACLE_GROUPS, ids=[c[0] for c in ORACLE_GROUPS])
+def test_each_orbit_oracle_walks_the_candidates_once(monkeypatch, name, group, gset):
+    # the least-point count and the Burnside total come from one walk
+    k = group.degree if gset is None else len(gset[0])
+    f = FiniteSelfMap([1, 0, 2, 2])
+    full = PartitionFamily.full(k)
+    expected = reference_partition_orbits(f, group, full, None, gset)
+    walks = []
+    rearranged = oracles._rearranged_maps
+
+    def counted(f, k):
+        walks.append((f, k))
+        return rearranged(f, k)
+
+    monkeypatch.setattr(oracles, "_rearranged_maps", counted)
+    assert fixed_gmap_space(f, group, gset) == expected
+    assert walks == [(f, k)]
+    assert fixed_partition_orbits(f, group, full, 2, gset) == reference_partition_orbits(
+        f, group, full, 2, gset
+    )
+    assert walks == [(f, k)] * 2
+
+
+# ---------------------------------------------------------------------------
+# the single orbit walk against the two walks it replaced
+
+
+def orbit_partition(gset):
+    """The partition of the table's points into their orbits, by the least
+    point of each."""
+    return fiber_partition([min(perm[x] for perm in gset) for x in range(len(gset[0]))])
+
+
+# the nominal candidate space, maps times smash coordinates, of one walk
+ORBIT_WALK_BUDGET = 3000
+
+
+def orbit_walk_cases():
+    """Seeded (f, group, table, points) cases: groups from generators of
+    degree 0..5 with their natural action and, from degree 2, the action on
+    unordered pairs and the sign action on two points; coefficient sizes
+    0..3, each with the largest map the budget allows."""
+    rng = random.Random(3333)
+    for _ in range(12):
+        for degree in range(6):
+            group = random_subgroup(rng, degree)
+            tables = [group.elements]
+            if degree >= 2:
+                tables += [pair_action(group), sign_action(group)]
+            for table in tables:
+                k = len(table[0])
+                for points in range(4):
+                    fit = [s for s in range(1, 6) if s ** k * max(1, points ** k) <= ORBIT_WALK_BUDGET]
+                    yield random_map(rng, max(fit, default=1)), group, table, points
+
+
+def test_one_orbit_walk_matches_the_two_walks_it_replaced():
+    cases = nonzero = 0
+    for f, group, table, points in orbit_walk_cases():
+        k = len(table[0])
+        if points == 1:
+            # as fixed_gmap_space calls it: both counts from one walk
+            leaders = [(len(members), table[members[0]]) for members in group.classes]
+            want = (orbit_reference.fixed_orbit_count(f, table, k),
+                    orbit_reference.burnside_total(f, group, table))
+            assert oracles._fixed_orbit_count(f, table, k, leaders=leaders) == want
+            assert want[1] == want[0] * group.order
+            nonzero += want[0] > 0
+        if not 1 <= k <= MAX_GROUND:
+            continue
+        families = [PartitionFamily.max_block(k, bound) for bound in range(1, k + 1)]
+        families.append(PartitionFamily.refining(orbit_partition(table)))
+        for family in families:
+            def admissible(a):
+                return fiber_partition(a) in family
+
+            want = orbit_reference.fixed_orbit_count(f, table, k, admissible, points)
+            assert oracles._fixed_orbit_count(f, table, k, admissible, points) == (want, 0)
+            cases += 1
+            nonzero += want > 0
+    assert cases > 500 and nonzero > 200
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from doldzeta.partitions import (
 )
 
 import group_average_reference as reference
-from conftest import stable_families
+from conftest import random_subgroup, stable_families
 from family_recursion import (
     discrete_only,
     is_full,
@@ -139,11 +139,6 @@ def random_blocks(rng, k):
         rng.shuffle(b)
     rng.shuffle(blocks)
     return blocks
-
-
-def random_subgroup(rng, degree):
-    gens = [tuple(rng.sample(range(degree), degree)) for _ in range(rng.randint(1, 3))]
-    return PermutationGroup.from_generators(degree, gens)
 
 
 def random_action(rng, group):
