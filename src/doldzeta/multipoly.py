@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add
 
-from .series import _RATIONAL, _integer, _numerators, _power, rat, rat_str
+from .series import _RATIONAL, _integer, _numerators, _power, _ratio_str, rat, rat_str
 
 
 def _sparse(nums: dict) -> list:
@@ -297,10 +297,13 @@ class MultiPoly:
         return f"MultiPoly({self})"
 
     def to_json(self) -> dict:
+        """The terms in `sorted_terms` order, each coefficient rendered from
+        its numerator and the denominator as `rat_str` renders it."""
+        nums, den = self.nums, self.den
         return {
             "variables": self.nvars,
             "terms": [
-                {"exponents": list(e), "coeff": rat_str(c)}
-                for e, c in self.sorted_terms()
+                {"exponents": list(e), "coeff": _ratio_str(nums[e], den)}
+                for e in sorted(nums, key=MultiPoly._ORDER_KEY, reverse=True)
             ],
         }

@@ -39,14 +39,14 @@ import os
 from collections import Counter
 from itertools import accumulate, chain, combinations_with_replacement, product
 from math import comb
-from operator import itemgetter
 
 from .dynamics import FiniteSelfMap
 from .partitions import (
     PartitionFamily,
     PermutationGroup,
+    _growth_string,
+    _reader,
     _require_stable,
-    fiber_partition,
     invert_perm,
     perm_cycle_count,
     validate_gset,
@@ -236,18 +236,6 @@ def fixed_bounded_tuples(f: FiniteSelfMap, k: int, bound: int) -> tuple:
     return tuple(counts)
 
 
-def _reader(indices):
-    """The function sending a tuple p to tuple(p[i] for i in indices).  It
-    is an itemgetter, which takes no empty index list and returns one index's
-    item bare, so those two lengths get a stand-in that builds the tuple."""
-    if len(indices) > 1:
-        return itemgetter(*indices)
-    if indices:
-        (i,) = indices
-        return lambda p: (p[i],)
-    return lambda p: ()
-
-
 def _fixed_orbit_count(f, gset, k, admissible=None, points=1, leaders=()) -> tuple:
     """(count, total) from one walk over the maps a: K -> M passing
     `admissible` (any map when None) whose composite f o a is a
@@ -328,8 +316,10 @@ def fixed_partition_orbits(
     family = _require_stable(family, group, gset)
     k = len(gset[0])
     _guard(f.size ** k * max(1, coefficient_size ** k))
+    # a map's fiber partition is in the family when its growth string is
+    labels = frozenset(p.labels for p in family.members)
     return _fixed_orbit_count(
-        f, gset, k, lambda a: fiber_partition(a) in family, coefficient_size
+        f, gset, k, lambda a: _growth_string(a) in labels, coefficient_size
     )[0]
 
 

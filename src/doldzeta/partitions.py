@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import functools
 from itertools import combinations
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
-from .series import _field, _integer, _integers, _shown
+from .series import _field, _int_tuple, _integer, _integers, _shown
 
 
 MAX_GROUND = 8  # Bell(8) = 4140 partitions; beyond that the oracles are hopeless anyway
@@ -57,7 +57,7 @@ class SetPartition:
     __slots__ = ("labels",)
 
     def __init__(self, blocks):
-        blocks = [[_integer(x, "an entry of a partition block") for x in b] for b in blocks]
+        blocks = [list(_int_tuple(b, "a partition block")) for b in blocks]
         if not all(blocks):
             raise ValueError("blocks must be nonempty")
         where = {}
@@ -73,9 +73,8 @@ class SetPartition:
     @classmethod
     def _fibers(cls, values) -> "SetPartition":
         """The partition of range(len(values)) by equal values, unchecked."""
-        first = {}
         part = object.__new__(cls)
-        part.labels = tuple([first.setdefault(v, len(first)) for v in values])
+        part.labels = _growth_string(values)
         return part
 
     @classmethod
@@ -105,13 +104,11 @@ class SetPartition:
         return len(set(zip(self.labels, other.labels))) == self.block_count
 
     def apply(self, perm) -> "SetPartition":
-        """Image of the partition under a permutation of the ground set."""
+        """Image of the partition under a permutation of the ground set: the
+        point perm(x) takes the label of x, so the labels are read at perm^-1."""
         if len(perm) != self.ground:
             raise ValueError("permutation degree disagrees with the ground set")
-        image = [0] * len(perm)
-        for x, label in zip(perm, self.labels):
-            image[x] = label
-        return SetPartition._fibers(image)
+        return SetPartition._fibers(_reader(invert_perm(perm))(self.labels))
 
     def __eq__(self, other):
         if not isinstance(other, SetPartition):
@@ -133,6 +130,13 @@ class SetPartition:
         if not isinstance(obj, list):
             raise ValueError(f"a partition must be a list of blocks, got {type(obj).__name__}")
         return cls(_integers(block, "a partition block") for block in obj)
+
+
+def _growth_string(values) -> tuple:
+    """The restricted growth string of the values: each value replaced by
+    the number of distinct values met before its first occurrence."""
+    first = {}
+    return tuple([first.setdefault(v, len(first)) for v in values])
 
 
 @functools.lru_cache(maxsize=None)
@@ -204,64 +208,88 @@ def perm_cycle_count(perm) -> int:
     return sum(perm_cycle_type(perm).values())
 
 
-def _require_permutation(perm, degree: int):
-    if len(perm) != degree or sorted(perm) != list(range(degree)):
-        raise ValueError(f"{perm} is not a permutation of degree {degree}")
+def _reader(indices):
+    """The function sending a tuple p to tuple(p[i] for i in indices), so
+    the reader of a permutation s sends g to g*s (g after s).  It is an
+    itemgetter, which takes no empty index list and returns one index's
+    item bare, so those two lengths get a stand-in that builds the tuple."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    if indices:
+        (i,) = indices
+        return lambda p: (p[i],)
+    return lambda p: ()
+
+
+def _require_permutations(perms, degree: int):
+    points = list(range(degree))
+    for perm in perms:
+        if len(perm) != degree or sorted(perm) != points:
+            raise ValueError(f"{perm} is not a permutation of degree {degree}")
 
 
 def _close(degree: int, candidates, members=None):
     """The candidates kept as generators (each one, in order, that the
-    closure has not yet reached) and their closure under composition, a
-    list that starts with the identity.  Each product g*s, g reached and s
-    kept, is formed once: order x generators products.  A product outside
-    `members`, when given, is refused; otherwise the order cap refuses a
-    larger closure."""
+    closure has not yet reached, so none lies in the group the ones before
+    it generate) and their closure under composition, a list that starts
+    with the identity.  Each product g*s, g reached and s kept, is formed
+    once, by the reader of s: order x generators products.  A product
+    outside `members`, when given, is refused; otherwise the order cap
+    refuses a larger closure."""
     reached = [identity_perm(degree)]
     seen = set(reached)
     kept = []
     for candidate in candidates:
         if candidate in seen:
             continue
-        kept.append(candidate)
-        pending = [(g, candidate) for g in reached]
-        while pending:
+        kept.append((candidate, _reader(candidate)))
+        # the reached elements times the new generator, then each element
+        # reached since times every generator kept
+        frontier, gens = reached[:], kept[-1:]
+        while frontier:
             start = len(reached)
-            for g, s in pending:
-                prod = tuple([g[i] for i in s])  # compose_perms(g, s), inlined for speed
-                if prod in seen:
-                    continue
-                if members is not None and prod not in members:
-                    raise ValueError(f"group not closed: {g} * {s} missing")
-                seen.add(prod)
-                reached.append(prod)
-                if len(reached) > DEFAULT_MAX_GROUP_ORDER:
-                    raise ValueError(f"group closure exceeded the order cap {DEFAULT_MAX_GROUP_ORDER}")
-            pending = [(g, s) for g in reached[start:] for s in kept]
-    return tuple(kept), reached
+            for g in frontier:
+                for s, times_s in gens:
+                    prod = times_s(g)
+                    if prod in seen:
+                        continue
+                    if members is not None and prod not in members:
+                        raise ValueError(f"group not closed: {g} * {s} missing")
+                    seen.add(prod)
+                    reached.append(prod)
+                    if len(reached) > DEFAULT_MAX_GROUP_ORDER:
+                        raise ValueError(
+                            f"group closure exceeded the order cap {DEFAULT_MAX_GROUP_ORDER}"
+                        )
+            frontier, gens = reached[start:], kept
+    return tuple(s for s, _ in kept), reached
 
 
 class PermutationGroup:
     """A permutation group of fixed degree: its sorted element list, a
     generating set fixed when it is built and its conjugacy classes.  The
     constructor checks an element list and keeps the generators `_close`
-    picks from it in sorted order; the builders go through `_closed`."""
+    picks from it, largest element first; the builders go through
+    `_closed`."""
 
     __slots__ = ("degree", "elements", "generators", "_classes")
 
     def __init__(self, degree: int, elements):
-        elements = sorted({tuple(_integer(x, "an entry of a group element") for x in e) for e in elements})
+        elements = sorted({_int_tuple(e, "a group element") for e in elements})
         if len(elements) > DEFAULT_MAX_GROUP_ORDER:
             raise ValueError(
                 f"a group of {len(elements)} elements exceeds the order cap {DEFAULT_MAX_GROUP_ORDER}"
             )
-        for e in elements:
-            _require_permutation(e, degree)
+        _require_permutations(elements, degree)
         members = set(elements)
         if identity_perm(degree) not in members:
             raise ValueError("group does not contain the identity")
         self.degree = degree
         self.elements = tuple(elements)
-        self.generators = _close(degree, elements, members)[0]
+        # taken from the largest down, fewer candidates stay generators on
+        # the whole: 3 for S5 and 4 for S6, where ascending order keeps 4
+        # and 5, and each one kept costs a product per element
+        self.generators = _close(degree, reversed(self.elements), members)[0]
         self._classes = None
 
     @classmethod
@@ -277,14 +305,12 @@ class PermutationGroup:
 
     @classmethod
     def from_generators(cls, degree: int, generators):
-        """The closure of a generating set, which stays the group's
-        generators as given."""
-        gens = tuple(tuple(_integer(x, "an entry of a group generator") for x in g) for g in generators)
-        for g in gens:
-            _require_permutation(g, degree)
-        group = cls._closed(degree, gens)
-        group.generators = gens
-        return group
+        """The closure of a generating set.  The group's generators are
+        those of the given ones, in order, that `_close` keeps: a generator
+        that the ones before it already generate is dropped."""
+        gens = [_int_tuple(g, "a group generator") for g in generators]
+        _require_permutations(gens, degree)
+        return cls._closed(degree, gens)
 
     @classmethod
     def symmetric(cls, k: int) -> "PermutationGroup":
@@ -301,18 +327,22 @@ class PermutationGroup:
     @property
     def classes(self) -> tuple:
         """The conjugacy classes as tuples of element indices, found once: each
-        grown from its least element by conjugating with the generators in order."""
+        grown from its least element by conjugating with the generators in
+        order.  The conjugate s g s^-1 of g is read as (s*g)*s^-1: the reader
+        of g applied to s, then the reader of s^-1."""
         if self._classes is None:
-            index = {g: i for i, g in enumerate(self.elements)}
-            conjugations = [(s, invert_perm(s)) for s in self.generators]
+            elements = self.elements
+            index = {g: i for i, g in enumerate(elements)}
+            conjugations = [(s, _reader(invert_perm(s))) for s in self.generators]
             classes, reached = [], set()
             for start in range(self.order):
                 if start not in reached:
                     members = [start]
                     reached.add(start)
-                    for g in map(self.elements.__getitem__, members):  # grows as found
-                        for s, s_inv in conjugations:
-                            j = index[tuple([s[g[x]] for x in s_inv])]  # s g s^-1
+                    for g in map(elements.__getitem__, members):  # grows as found
+                        after_g = _reader(g)
+                        for s, after_inv in conjugations:
+                            j = index[after_inv(after_g(s))]
                             if j not in reached:
                                 reached.add(j)
                                 members.append(j)
@@ -339,10 +369,8 @@ class PermutationGroup:
                 f"a group's 'degree' must be in 0..{MAX_GROUP_DEGREE}, got {_shown(degree)}"
             )
         key = "elements" if "elements" in obj else "generators"
-        perms = [
-            _integers(perm, f"a permutation in a group's {key!r}")
-            for perm in _field(obj, key, "a group", list)
-        ]
+        where = f"a permutation in a group's {key!r}"
+        perms = [_integers(perm, where) for perm in _field(obj, key, "a group", list)]
         if key == "elements":
             return cls(degree, perms)
         return cls.from_generators(degree, perms)
@@ -363,18 +391,19 @@ def _require_homomorphism(group: PermutationGroup, gset) -> tuple:
     phi(g h) = phi(g) phi(h) is checked for every g and every generator h,
     with phi(id) = id (which catches a bad table for the trivial group, with
     no generators); by induction on the word length of h it holds for all."""
-    gset = tuple(tuple(_integer(x, "an entry of an action table") for x in perm) for perm in gset)
+    gset = tuple([_int_tuple(perm, "an action table") for perm in gset])
     if len(gset) != group.order:
         raise ValueError("the action table must align with the group's element list")
     size = len(gset[0])
     table = dict(zip(group.elements, gset))
+    points = list(range(size))
     for perm in gset:
-        if sorted(perm) != list(range(size)):
+        if sorted(perm) != points:
             raise ValueError(f"{perm} is not a permutation of 0..{size - 1}")
     if table[identity_perm(group.degree)] != identity_perm(size) or any(
-        table[compose_perms(g, s)] != compose_perms(table[g], table[s])
-        for s in group.generators
-        for g in group.elements
+        table[times_s(g)] != times_phi_s(phi_g)
+        for times_s, times_phi_s in [(_reader(s), _reader(table[s])) for s in group.generators]
+        for g, phi_g in table.items()
     ):
         raise ValueError("action table is not a homomorphism (check the element order)")
     return gset
@@ -468,9 +497,9 @@ class PartitionFamily:
         """All partitions whose blocks have at most `bound` elements."""
         if bound < 1:
             raise ValueError("the block bound must be >= 1")
-        return cls._trusted(
-            k, [p for p in all_partitions(k) if max(len(b) for b in p.blocks) <= bound]
-        )
+        return cls._trusted(k, [
+            p for p in all_partitions(k) if max(map(p.labels.count, range(p.block_count))) <= bound
+        ])
 
     @classmethod
     def refining(cls, partition: SetPartition) -> "PartitionFamily":

@@ -145,11 +145,24 @@ def _integer(value, where: str) -> int:
     raise ValueError(f"{where} must be an integer, got {_shown(value)}")
 
 
+_INT = frozenset({int})
+
+
+def _int_tuple(values, where: str) -> tuple:
+    """The values as a tuple of ints, each read by `_integer`; `where` names
+    the row.  A row of ints alone, the common case, is taken as it is after
+    one look at the type of each entry (a bool is no int here)."""
+    values = tuple(values)
+    if _INT.issuperset(map(type, values)):
+        return values
+    return tuple(_integer(v, f"an entry of {where}") for v in values)
+
+
 def _integers(values, where: str) -> tuple:
     """A JSON list of integers as a tuple of ints; `where` names the list."""
     if not isinstance(values, list):
         raise ValueError(f"{where} must be a list, got {type(values).__name__}")
-    return tuple(_integer(v, f"an entry of {where}") for v in values)
+    return _int_tuple(values, where)
 
 
 def _terms(coeffs) -> list:

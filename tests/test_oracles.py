@@ -37,6 +37,7 @@ from conftest import (
     random_map,
     random_subgroup,
     seeded_maps,
+    stable_families,
     trivial_group,
 )
 
@@ -452,6 +453,34 @@ def test_one_orbit_walk_matches_the_two_walks_it_replaced():
             cases += 1
             nonzero += want > 0
     assert cases > 500 and nonzero > 200
+
+
+def test_family_filter_by_growth_string_matches_the_partition_filter():
+    # fixed_partition_orbits tests a candidate's growth string against the
+    # members' labels; the filter it replaced built the fiber partition
+    rng = random.Random(3434)
+    cases = nonzero = 0
+    for _ in range(6):
+        for k in range(1, 5):
+            group = random_subgroup(rng, k)
+            families = [{"ground": k, "max_block": bound} for bound in range(1, k + 1)]
+            orbits = orbit_partition(group.elements).blocks
+            families.append({"ground": k, "refines": [list(b) for b in orbits]})
+            families += [
+                {"ground": k, "members": [[list(b) for b in p.blocks] for p in family.members]}
+                for family in rng.sample(stable_families(k), min(3, len(stable_families(k))))
+            ]
+            for obj in families:
+                family = PartitionFamily.from_json(obj)
+                for points in range(3):
+                    f = random_map(rng, rng.randint(1, 5))
+                    want = oracles._fixed_orbit_count(
+                        f, group.elements, k, lambda a: fiber_partition(a) in family, points
+                    )[0]
+                    assert fixed_partition_orbits(f, group, family, points) == want
+                    cases += 1
+                    nonzero += want > 0
+    assert cases > 300 and nonzero > 150
 
 
 # ---------------------------------------------------------------------------
