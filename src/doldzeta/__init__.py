@@ -80,7 +80,6 @@ from .graded import (
     GradedEndomorphism,
     characteristic_rational_function,
     det_one_minus_t,
-    graded_lefschetz_numbers,
     graded_zeta,
     koszul_invariant_trace,
     poincare_generating,

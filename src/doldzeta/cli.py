@@ -47,9 +47,8 @@ from .dynamics import (
 )
 from .graded import (
     GradedEndomorphism,
+    _zeta_and_traces,
     characteristic_rational_function,
-    graded_lefschetz_numbers,
-    graded_zeta,
     poincare_generating,
 )
 from .identities import (
@@ -269,13 +268,13 @@ def cmd_order_poly(args):
 def cmd_graded(args):
     endo = GradedEndomorphism.from_json(_load_json(args.matrices, "--matrices"), "--matrices")
     char = characteristic_rational_function(endo)
-    zeta = graded_zeta(endo, args.order)
+    zeta, lefschetz = _zeta_and_traces(endo, args.order)
     poincare = poincare_generating(endo, args.order)
     payload = {
         "characteristic": char.to_json(),
         "zeta": zeta.to_json(),
         "poincare": {"order": args.order, "coeffs": [c.to_json() for c in poincare]},
-        "lefschetz": [rat_str(v) for v in graded_lefschetz_numbers(endo, args.order)],
+        "lefschetz": [rat_str(v) for v in lefschetz],
     }
     return payload, lambda: [
         f"characteristic  ({char.numerator.render()}) / ({char.denominator.render()})",

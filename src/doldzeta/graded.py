@@ -23,6 +23,11 @@ lists.  Since det(1 - x B_j) = det(1 - d x A_j), the integer series
 Z(q / d) and P(q d, T), and the integer traces of the powers of B_j, carry
 the answers scaled by d^n in their n-th coefficient; each output
 coefficient is divided by that power once.
+
+The traces of the powers B_j^k are computed once for the zeta function's
+check and the Lefschetz numbers together, from the running powers: each row
+of a power is the dot products of a row of the power before with the
+columns of B_j, taken once per block.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial, lcm
+from operator import getitem, mul
 
 from .oracles import _guard
 from .series import (
@@ -114,14 +120,6 @@ def _listed(value, what: str) -> tuple:
     return tuple(value)
 
 
-def _mat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-
-
 def _det_one_minus_x(rows) -> list:
     """The coefficients of det(1 - x B), for an integer square matrix B, by
     Bareiss elimination over integer coefficient lists.
@@ -199,16 +197,18 @@ def _cleared(endo: GradedEndomorphism) -> tuple:
 
 def _integer_traces(blocks, order: int) -> list:
     """[L_1, ..., L_order] with L_k = sum_j (-1)^j tr(B_j^k) for the integer
-    blocks (degree, B_j), from the running powers B_j, B_j^2, ...: one
-    matrix product per degree and iterate."""
+    blocks (degree, B_j), from the running powers B_j, B_j^2, ...: each
+    power is the one before times B_j, a row of it the dot products of a row
+    of the one before with the columns of B_j, taken once per block."""
     totals = [0] * order
     for degree, rows in blocks:
         sign = 1 if degree % 2 == 0 else -1
+        cols = tuple(zip(*rows))
         power = rows
         for k in range(order):
             if k:
-                power = _mat_mul(power, rows)
-            totals[k] += sign * sum(power[i][i] for i in range(len(rows)))
+                power = [[sum(map(mul, r, c)) for c in cols] for r in power]
+            totals[k] += sign * sum(map(getitem, power, range(len(rows))))
     return totals
 
 
@@ -218,30 +218,34 @@ def _determinant_terms(rows, order: int) -> list:
     return [(k, c) for k, c in _terms(det_one_minus_t(rows).nums) if 0 < k <= order]
 
 
-def graded_lefschetz_numbers(endo: GradedEndomorphism, order: int) -> list:
-    """[L_1, ..., L_order] with L_k = sum_j (-1)^j tr(A_j^k) = L_k(B) / d^k."""
-    if order < 0:
-        raise ValueError("number of iterates must be >= 0")
-    d, blocks = _cleared(endo)
-    return [Fraction(t, d ** k) for k, t in enumerate(_integer_traces(blocks, order), 1)]
-
-
-def graded_zeta(endo: GradedEndomorphism, order: int) -> PowerSeries:
+def _zeta_and_traces(endo: GradedEndomorphism, order: int) -> tuple:
     """Z(q) = prod_j det(1 - q A_j)^{(-1)^j}, cross-checked against the
-    exponential form exp(-sum_k L_k q^k / k).
+    exponential form exp(-sum_k L_k q^k / k), and the Lefschetz numbers
+    [L_1, ..., L_order] with L_k = sum_j (-1)^j tr(A_j^k) = L_k(B) / d^k
+    that the check reads.
 
     Both forms are built for Z(q / d) = prod_j det(1 - q B_j)^{(-1)^j} over
     the integers: even degrees multiply, odd degrees divide.  The check's
-    recurrence is homogeneous in q / d, so it is the same check."""
+    recurrence is homogeneous in q / d, so it is the same check.  The traces
+    come from matrix powers, not from the determinants, so each side of the
+    check is computed independently of the other."""
     if order < 0:
         raise ValueError("truncation order must be >= 0")
     d, blocks = _cleared(endo)
     scaled = [1] + [0] * order
     for degree, rows in blocks:
         _fold_monic(scaled, _determinant_terms(rows, order), divide=degree % 2 == 1)
-    if not _exp_form_holds(scaled, _integer_traces(blocks, order)):
+    traces = _integer_traces(blocks, order)
+    if not _exp_form_holds(scaled, traces):
         raise RuntimeError("determinant and exponential forms of zeta disagree")
-    return _over_powers(PowerSeries._trusted, scaled, d)
+    lefschetz = [Fraction(t, d ** k) for k, t in enumerate(traces, 1)]
+    return _over_powers(PowerSeries._trusted, scaled, d), lefschetz
+
+
+def graded_zeta(endo: GradedEndomorphism, order: int) -> PowerSeries:
+    """Z(q) = prod_j det(1 - q A_j)^{(-1)^j}, cross-checked against the
+    exponential form exp(-sum_k L_k q^k / k) by `_zeta_and_traces`."""
+    return _zeta_and_traces(endo, order)[0]
 
 
 def poincare_generating(endo: GradedEndomorphism, order: int) -> tuple:

@@ -77,6 +77,7 @@ from .series import (
     Poly,
     PowerSeries,
     _field,
+    _fold_monic,
     _integer,
     _integers,
     _numerators,
@@ -237,15 +238,19 @@ def rhs_symmetric_power(zeta: PowerSeries, bound=None) -> PowerSeries:
         return zeta.inverse()
     if bound < 0:
         raise ValueError("multiplicity bound must be >= 0")
-    return zeta.substitute_power(bound + 1) * zeta.inverse()
+    return zeta.substitute_power(bound + 1) / zeta
+
+
+def _over_one_minus_q(series: PowerSeries) -> PowerSeries:
+    """The series divided by 1 - q, its partial sums: one fold of its
+    numerators by the monic factor 1 - q."""
+    return PowerSeries._trusted(_fold_monic(list(series.nums), [(1, -1)], divide=True), series.den)
 
 
 def rhs_borsuk_ulam(zeta: PowerSeries) -> PowerSeries:
     """(1-q)^{-1} (Z(q^2) Z(q)^{-1} - 1): the q^k coefficient counts the
     invariant nonempty subsets of size at most k (zero at k = 0)."""
-    n = zeta.order
-    geometric = PowerSeries([1] * (n + 1), order=n)
-    return geometric * (rhs_symmetric_power(zeta, 1) - PowerSeries.one(n))
+    return _over_one_minus_q(rhs_symmetric_power(zeta, 1) - PowerSeries.one(zeta.order))
 
 
 def rhs_bounded_tuples(lefschetz_number: int, bound: int, order: int) -> PowerSeries:
@@ -926,7 +931,7 @@ def _read_zeta(source: dict, order: int, where: str, names: dict, reduced=False)
         zeta = zeta.truncated(order)
     else:
         zeta = graded_zeta(GradedEndomorphism.from_json(obj, names[key]), order)
-    return zeta * PowerSeries([1] * (order + 1)) if reduced else zeta
+    return _over_one_minus_q(zeta) if reduced else zeta
 
 
 def _read_group_inputs(source: dict, where: str, names: dict):

@@ -19,18 +19,20 @@ T-coefficients by `graded`.
 Every truncated product in the package, whatever its coefficient ring,
 runs through one convolution kernel (:func:`_convolve_into`) and every
 integer power through one square-and-multiply routine (:func:`_power`).
-Every series division, every multiplication by a factor (1 - q^m)^e in
-:func:`exponent_product`, every multiplication by a determinant factor in
-`graded` and every exact division of its determinant kernel runs through
-one integer loop over a monic series (:func:`_fold_monic`).
+Every series division, a / b and the inverse as 1 / b, every
+multiplication by a factor (1 - q^m)^e in :func:`exponent_product`, every
+multiplication by a determinant factor in `graded` and every exact division
+of its determinant kernel runs through one integer loop over a monic series
+(:func:`_fold_monic`).
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import factorial, gcd, lcm
-from operator import add, sub
+from operator import add, mul, sub
 
 
 class NotAUnitError(ArithmeticError):
@@ -198,22 +200,27 @@ def _fold_monic(out: list, factor, divide: bool = False) -> list:
     Multiplying runs from the top index down, so that an entry is read
     before anything is added to it; dividing runs from the bottom up, so
     that an entry is read once everything below has been subtracted from
-    it, when it is the quotient's.  A monic divisor needs no division,
-    which is what keeps the loop over the integers, and zero entries cost
-    one test, which keeps sparse layouts cheap.
+    it, when it is the quotient's.  The top `first` entries, `first` the
+    smallest shift, reach no entry and are not visited.  A monic divisor
+    needs no division, which is what keeps the loop over the integers, and
+    zero entries cost one test, which keeps sparse layouts cheap.
     """
+    if not factor:
+        return out
     size = len(out)
+    last = size - factor[0][0]  # an entry from here up shifts past the end
     if divide:
-        factor, steps = [(s, -c) for s, c in factor], range(size)
+        factor, steps = [(s, -c) for s, c in factor], range(last)
     else:
-        steps = range(size - 1, -1, -1)
+        steps = range(last - 1, -1, -1)
     for n in steps:
         x = out[n]
         if x:
             for s, c in factor:
-                if n + s >= size:
+                s += n
+                if s >= size:
                     break
-                out[n + s] += c * x
+                out[s] += c * x
     return out
 
 
@@ -372,25 +379,37 @@ class PowerSeries:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "PowerSeries":
-        """Multiplicative inverse up to the truncation order.
+    def __truediv__(self, other):
+        """The quotient by a series with a nonzero constant term, truncated
+        at the shorter order N.
 
-        With the coefficients a_i = A_i / D, the numbers
-        B_n = b_n A_0^(n+1) / D of the inverse b are the coefficients of
-        1 / (1 + sum_{i>=1} A_i A_0^(i-1) q^i), a monic integer series, so
-        they are integers and are found by one integer division.  Over the
-        denominator A_0^(N+1) the numerator of b_n is B_n D A_0^(N-n)."""
-        a, order = self.nums, self.order
-        a0 = a[0]
-        if a0 == 0:
+        With the numerators A_i of `self` over D and B_i of `other` over E,
+        write B(q) = B_0 M(q / B_0) for the monic integer series
+        M(x) = 1 + sum_{i>=1} B_i B_0^(i-1) x^i.  Then A(q) / B(q) is
+        sum_n C_n q^n / B_0^(n+1), where the integers C_n are the
+        coefficients of A(B_0 x) / M(x), found by one integer division.
+        Over the denominator D B_0^(N+1) the numerator of the quotient's
+        q^n coefficient is C_n E B_0^(N-n)."""
+        if not isinstance(other, PowerSeries):
+            return NotImplemented
+        size = min(self.order, other.order) + 1
+        b = other.nums[:size]
+        b0 = b[0]
+        if b0 == 0:
             raise NotAUnitError("series has zero constant term")
-        factor = [(i, x * a0 ** (i - 1)) for i, x in _terms(a) if i]
-        out = _fold_monic([1] + [0] * order, factor, divide=True)
-        top = a0 ** (order + 1)
-        d = self.den if top > 0 else -self.den
+        powers = list(accumulate(repeat(b0, size), mul, initial=1))  # b0^0..b0^size
+        factor = [(i, x * powers[i - 1]) for i, x in _terms(b) if i]
+        out = _fold_monic(list(map(mul, self.nums[:size], powers)), factor, divide=True)
+        top = powers[size]
+        e = other.den if top > 0 else -other.den
         return PowerSeries._trusted(
-            [x * d * a0 ** (order - n) for n, x in enumerate(out)], abs(top)
+            [x * e * p for x, p in zip(out, reversed(powers[:size]))], self.den * abs(top)
         )
+
+    def inverse(self) -> "PowerSeries":
+        """Multiplicative inverse up to the truncation order: the series 1
+        divided by this one."""
+        return PowerSeries._trusted([1] + [0] * self.order) / self
 
     def __pow__(self, exponent: int) -> "PowerSeries":
         if exponent < 0:

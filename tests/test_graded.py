@@ -10,18 +10,30 @@ from doldzeta import (
     PowerSeries,
     characteristic_rational_function,
     det_one_minus_t,
-    graded_lefschetz_numbers,
     graded_zeta,
     koszul_invariant_trace,
     poincare_generating,
 )
-from doldzeta.graded import MAX_GRADED_DEGREE, _koszul_sign
+from doldzeta.graded import (
+    MAX_GRADED_DEGREE,
+    MAX_GRADED_DIMENSION,
+    _cleared,
+    _determinant_terms,
+    _integer_traces,
+    _koszul_sign,
+    _zeta_and_traces,
+)
 from doldzeta.oracles import EnumerationLimitError
 from doldzeta.series import Poly
 
 from bivariate_reference import bivariate_product, reference_poincare
 from conftest import at_one, expand
 from fraction_reference import reference_det_one_minus_t, reference_graded_zeta, reference_traces
+
+
+def lefschetz_numbers(endo, order):
+    """The Lefschetz numbers that the zeta function's dual-form check reads."""
+    return _zeta_and_traces(endo, order)[1]
 
 
 def direct_sum(a, b):
@@ -150,7 +162,7 @@ class TestCharacteristicFunction:
         endo = GradedEndomorphism({0: [[1]], 1: [[1]]})
         rf = characteristic_rational_function(endo)
         assert rf.numerator == Poly([1]) and rf.denominator == Poly([1])
-        assert graded_lefschetz_numbers(endo, 4) == [0, 0, 0, 0]
+        assert lefschetz_numbers(endo, 4) == [0, 0, 0, 0]
 
 
 class TestZeta:
@@ -160,7 +172,7 @@ class TestZeta:
 
     def test_circle_conjugation(self):
         endo = GradedEndomorphism({0: [[1]], 1: [[-1]]})
-        assert graded_lefschetz_numbers(endo, 4) == [2, 0, 2, 0]
+        assert lefschetz_numbers(endo, 4) == [2, 0, 2, 0]
         zeta = graded_zeta(endo, 4)
         expected = PowerSeries([1, -2, 1], order=4) * PowerSeries([1, 0, -1], order=4).inverse()
         assert zeta == expected
@@ -168,7 +180,7 @@ class TestZeta:
     def test_empty(self):
         endo = GradedEndomorphism({})
         assert graded_zeta(endo, 3) == PowerSeries.one(3)
-        assert graded_lefschetz_numbers(endo, 2) == [0, 0]
+        assert lefschetz_numbers(endo, 2) == [0, 0]
 
     def test_dual_form_agreement_random(self):
         rng = random.Random(5)
@@ -316,16 +328,64 @@ class TestLefschetzNumbers:
         rng = random.Random(31)
         for order in [rng.randint(1, 20) for _ in range(25)] + [64, 64]:
             endo = rational_endomorphism(rng)
-            assert graded_lefschetz_numbers(endo, order) == reference_traces(endo, order)
+            assert lefschetz_numbers(endo, order) == reference_traces(endo, order)
 
     def test_empty_and_zero_length(self):
-        assert graded_lefschetz_numbers(GradedEndomorphism({}), 3) == [0, 0, 0]
-        assert graded_lefschetz_numbers(GradedEndomorphism({0: [[2]]}), 0) == []
+        assert lefschetz_numbers(GradedEndomorphism({}), 3) == [0, 0, 0]
+        assert lefschetz_numbers(GradedEndomorphism({0: [[2]]}), 0) == []
 
     def test_iterate_index_must_be_positive(self):
         # the number of iterates asked for must be >= 0
         with pytest.raises(ValueError):
-            graded_lefschetz_numbers(GradedEndomorphism({0: [[2]]}), -1)
+            lefschetz_numbers(GradedEndomorphism({0: [[2]]}), -1)
+
+
+def split_endomorphism(rng, dim, nilpotent=False):
+    """A random integer endomorphism of total dimension `dim`, cut into
+    blocks in some of the degrees 0..3; with `nilpotent` each block is
+    strictly upper triangular."""
+    degrees = sorted(rng.sample(range(4), rng.randint(1, min(4, dim))))
+    cuts = sorted(rng.sample(range(1, dim), len(degrees) - 1))
+    sizes = [b - a for a, b in zip([0, *cuts], [*cuts, dim])]
+    return GradedEndomorphism({
+        d: [[rng.randint(-3, 3) if j > i or not nilpotent else 0 for j in range(n)] for i in range(n)]
+        for d, n in zip(degrees, sizes)
+    })
+
+
+class TestTraceKernel:
+    """The column-product powers of `_integer_traces` against the traces of
+    rational powers built from the identity, at every order up to the top
+    one, 20 while no block is above dimension 6 and 10 beyond (the reference
+    is cubic in the dimension and quadratic in the order): the traces of a
+    lower order are a prefix of those of a higher one."""
+
+    @staticmethod
+    def assert_prefixes_match(endo):
+        top = 20 if max(map(len, endo.matrices.values()), default=0) <= 6 else 10
+        want = reference_traces(endo, top)
+        blocks = _cleared(endo)[1]
+        for order in range(top + 1):
+            assert _integer_traces(blocks, order) == want[:order]
+
+    def test_single_and_split_blocks(self):
+        rng = random.Random(53)
+        for dim in range(1, MAX_GRADED_DIMENSION + 1):
+            rows = [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(dim)]
+            self.assert_prefixes_match(GradedEndomorphism({dim % 4: rows}))
+            self.assert_prefixes_match(split_endomorphism(rng, dim))
+
+    def test_nilpotent_blocks(self):
+        rng = random.Random(59)
+        for dim in (1, 2, 3, 5, 8, MAX_GRADED_DIMENSION):
+            endo = split_endomorphism(rng, dim, nilpotent=True)
+            assert all(_determinant_terms(rows, 20) == [] for _, rows in _cleared(endo)[1])
+            self.assert_prefixes_match(endo)
+            assert _zeta_and_traces(endo, 20) == (PowerSeries.one(20), [0] * 20)
+        # a nilpotent block beside one that is not
+        self.assert_prefixes_match(
+            GradedEndomorphism({0: [[0, 2, 1], [0, 0, -3], [0, 0, 0]], 1: [[2, 1], [1, 1]]})
+        )
 
 
 def mixed_denominator_endomorphism(rng, total_dim=4, max_degree=4):
@@ -347,7 +407,7 @@ class TestIntegerKernelsAgainstFractionFormulas:
         for order in [rng.randint(0, 16) for _ in range(30)] + [48, 64]:
             endo = mixed_denominator_endomorphism(rng)
             assert graded_zeta(endo, order).coeffs == reference_graded_zeta(endo, order).coeffs
-            assert graded_lefschetz_numbers(endo, order) == reference_traces(endo, order)
+            assert lefschetz_numbers(endo, order) == reference_traces(endo, order)
             assert poincare_generating(endo, order) == reference_poincare(endo, order)
 
 
@@ -376,4 +436,4 @@ def test_tampered_traces_trip_the_dual_form_check(monkeypatch, corner):
 
 def test_traces_of_a_rational_matrix_stay_rational():
     endo = GradedEndomorphism({0: [["1/2"]]})
-    assert graded_lefschetz_numbers(endo, 2) == [Fraction(1, 2), Fraction(1, 4)]
+    assert lefschetz_numbers(endo, 2) == [Fraction(1, 2), Fraction(1, 4)]

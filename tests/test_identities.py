@@ -49,7 +49,7 @@ from doldzeta import (
     zeta_of_map,
 )
 from doldzeta import identities
-from doldzeta.identities import _integer_valued
+from doldzeta.identities import _integer_valued, _over_one_minus_q
 from doldzeta.oracles import EnumerationLimitError
 from doldzeta.series import RationalFunction, egf_unpack
 
@@ -137,6 +137,17 @@ class TestBorsukUlamSeries:
         assert series[2] == comb(3, 1) + comb(3, 2)
         for k in range(1, 7):
             assert series[k] == sum(comb(3, j) for j in range(1, k + 1))
+
+    def test_division_by_one_minus_q_is_the_geometric_product(self):
+        # the fold against the product with 1 + q + q^2 + ... that it replaced
+        rng = random.Random(61)
+        for order in [*range(9), 40]:
+            for _ in range(4):
+                series = PowerSeries(
+                    [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 6))) for _ in range(order + 1)]
+                )
+                geometric = PowerSeries([1] * (order + 1))
+                assert _over_one_minus_q(series).coeffs == (series * geometric).coeffs
 
 
 class TestBoundedTupleSeries:

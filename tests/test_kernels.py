@@ -1,9 +1,11 @@
-"""The shared product kernel and power routine against the loops they replaced,
-and the symmetric-power polynomials against the orbit products they replaced.
+"""The shared product kernel, monic fold and power routine against the loops
+they replaced, and the symmetric-power polynomials against the orbit products
+they replaced.
 
 Each reference below is the hand-written loop that one caller used before
 every truncated product went through `series._convolve_into` and every power
-through `series._power`.  `reference_symmetric_power_polys` multiplies out
+through `series._power`; `fold_reference.reference_fold_monic` is the monic
+fold before it skipped the entries that reach no term.  `reference_symmetric_power_polys` multiplies out
 one orbit factor per period, as `identities.symmetric_power_polys` did before
 it ran the recurrence of the Lefschetz form.  The tests require exact
 equality on seeded random inputs: mixed orders, zero and all-zero
@@ -19,9 +21,10 @@ import pytest
 
 from doldzeta import MultiPoly, Poly, PowerSeries
 from doldzeta.identities import falling_factorial, symmetric_power_polys
-from doldzeta.series import _convolve_into
+from doldzeta.series import _convolve_into, _fold_monic
 
 from conftest import disjoint_union_combine
+from fold_reference import reference_fold_monic
 
 
 # ---------------------------------------------------------------------------
@@ -291,3 +294,53 @@ class TestPower:
             )
             for e in (0, 1, 2, 3, 5):
                 assert p ** e == reference_power(p, e, MultiPoly.constant(1, nvars))
+
+
+def random_fold_input(rng, size, first):
+    """An integer list of `size` entries, about a third of them zero, and a
+    factor of sparse terms (s, c_s) in index order whose first shift is
+    `first`."""
+    out = [rng.randint(-9, 9) if rng.random() < 0.65 else 0 for _ in range(size)]
+    shifts = sorted({first, *(rng.randint(first, first + size) for _ in range(rng.randint(0, 4)))})
+    return out, [(s, rng.choice((-3, -2, -1, 1, 2, 5))) for s in shifts]
+
+
+class TestFoldMonic:
+    """The fold against the loop that visits every entry, both directions."""
+
+    @pytest.mark.parametrize("divide", [False, True])
+    def test_random_lists(self, divide):
+        rng = random.Random(41 + divide)
+        for _ in range(200):
+            size = rng.randint(1, 40)
+            out, factor = random_fold_input(rng, size, rng.randint(1, size + 2))
+            want = reference_fold_monic(list(out), factor, divide)
+            assert _fold_monic(out, factor, divide) is out
+            assert out == want
+
+    @pytest.mark.parametrize("divide", [False, True])
+    def test_empty_factor(self, divide):
+        rng = random.Random(43 + divide)
+        for size in range(1, 12):
+            out = random_fold_input(rng, size, 1)[0]
+            want = reference_fold_monic(list(out), [], divide)
+            assert _fold_monic(out, [], divide) is out
+            assert out == want
+
+    @pytest.mark.parametrize("divide", [False, True])
+    def test_first_shift_at_or_past_the_length(self, divide):
+        rng = random.Random(45 + divide)
+        for size in range(1, 12):
+            for first in (size, size + 1, 2 * size + 3):
+                out, factor = random_fold_input(rng, size, first)
+                before = list(out)
+                assert _fold_monic(out, factor, divide) == before
+                assert reference_fold_monic(before, factor, divide) == out
+
+    @pytest.mark.parametrize("divide", [False, True])
+    def test_length_one(self, divide):
+        rng = random.Random(47 + divide)
+        for x in (0, 1, -7):
+            for first in (1, 2):
+                factor = random_fold_input(rng, 1, first)[1]
+                assert _fold_monic([x], factor, divide) == reference_fold_monic([x], factor, divide)

@@ -137,6 +137,48 @@ class TestIntegerKernelsAgainstFractionLoops:
                 assert (b * a).coeffs == reference_product(a, b).coeffs
 
 
+class TestDivision:
+    """a / b against the product with the inverse, and against the product
+    with the Fraction loop's inverse, which shares no code with it; at
+    orders up to 16, and one of 48, as the Fraction loops slow with the
+    size of the numbers."""
+
+    @staticmethod
+    def assert_divides(a, b):
+        quotient = a / b
+        assert quotient.order == min(a.order, b.order)
+        assert quotient.coeffs == (a * b.inverse()).coeffs
+        assert quotient.coeffs == reference_product(a, reference_inverse(b)).coeffs
+
+    def test_rational_denominators(self):
+        rng = random.Random(2026)
+        for order in [*range(17), 48]:
+            a = random_rational_series(rng, order, rng.choice((None, Fraction(0))))
+            self.assert_divides(a, random_rational_series(rng, order))
+
+    @pytest.mark.parametrize("constant", [1, -1, 3, -3, Fraction(1, 2)])
+    def test_constant_terms(self, constant):
+        rng = random.Random(str(constant))
+        for order in range(17):
+            a = random_rational_series(rng, order)
+            self.assert_divides(a, random_rational_series(rng, order, Fraction(constant)))
+            self.assert_divides(a, PowerSeries.monomial(0, order, constant))
+
+    def test_unequal_orders_take_the_shorter(self):
+        rng = random.Random(2027)
+        for _ in range(20):
+            a = random_rational_series(rng, rng.randint(0, 16))
+            b = random_rational_series(rng, rng.randint(0, 16))
+            self.assert_divides(a, b)
+            self.assert_divides(b, a)
+
+    def test_zero_constant_term_is_refused(self):
+        a = PowerSeries([1, 2, 3], order=2)
+        for b in (PowerSeries([0, 1, 1], order=2), PowerSeries([0], order=4)):
+            with pytest.raises(NotAUnitError):
+                a / b
+
+
 class TestExpForm:
     def test_exp_of_zero(self):
         assert reference_exp_neg_weighted([0, 0, 0], 3) == [1, 0, 0, 0]
