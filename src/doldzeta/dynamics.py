@@ -88,10 +88,11 @@ class FiniteSelfMap:
     def fixed_points(self) -> list:
         return [x for x in range(self.size) if self.mapping[x] == x]
 
-    def cycle_lengths(self) -> list:
-        """Lengths of the periodic orbits in the functional graph (tails ignored)."""
+    def cycles(self) -> list:
+        """The periodic orbits of the functional graph (tails ignored), each
+        as the list of its points in the order f visits them."""
         state = [0] * self.size  # 0 unvisited, 1 on current path, 2 finished
-        lengths = []
+        cycles = []
         for start in range(self.size):
             if state[start]:
                 continue
@@ -102,10 +103,14 @@ class FiniteSelfMap:
                 path.append(x)
                 x = self.mapping[x]
             if state[x] == 1:
-                lengths.append(len(path) - path.index(x))
+                cycles.append(path[path.index(x):])
             for y in path:
                 state[y] = 2
-        return lengths
+        return cycles
+
+    def cycle_lengths(self) -> list:
+        """Lengths of the periodic orbits in the functional graph (tails ignored)."""
+        return list(map(len, self.cycles()))
 
     def __eq__(self, other):
         if not isinstance(other, FiniteSelfMap):

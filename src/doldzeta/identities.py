@@ -57,6 +57,7 @@ from .dynamics import (
 from .graded import GradedEndomorphism, graded_zeta
 from .multipoly import MultiPoly, _product, _sparse
 from .oracles import (
+    _CheckedTraces,
     _guard,
     coefficient_traces,
     fixed_bounded_multisets,
@@ -352,9 +353,12 @@ def bounded_power_polynomial(k: int, bound) -> LefschetzPolynomial:
 def _validate_traces(group: PermutationGroup, coeff_traces):
     """The traces as a table on the group elements, refused unless they are
     a class function (constant on each conjugacy class), since the class
-    sums read one element of each class."""
-    if coeff_traces is None:
-        return None
+    sums read one element of each class.  A table of `coefficient_traces`
+    for the group is one by construction and passes as it is."""
+    if coeff_traces is None or (
+        isinstance(coeff_traces, _CheckedTraces) and coeff_traces.group == group
+    ):
+        return coeff_traces
     table = {tuple(g): rat(v) for g, v in coeff_traces.items()}
     if any(g not in table for g in group.elements):
         raise ValueError("coefficient traces must be defined on every group element")

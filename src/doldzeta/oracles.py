@@ -25,8 +25,14 @@ image of a candidate once.  A candidate a with its smash coordinate y is
 one tuple a + y, and each group element moves it by one itemgetter built
 before the walk.  The Burnside cross-check in `fixed_gmap_space` is summed
 in the same walk, reading one image per conjugacy class, since its count
-is a class function; nothing is stored per candidate.  Every
-enumeration sits behind one size guard that counts the full nominal space,
+is a class function; nothing is stored per candidate.
+
+The walks run on the periodic part of f that a fixed point can use
+(`_periodic_part`): a fixed multiset or subset of size <= k is a sum of
+f-orbits of length <= k, and a value of a fixed orbit's map, on a cycle of
+length r of some group element, is fixed by f^r.  The points kept stay in
+their order, so tuples of them compare as before.  Every enumeration sits
+behind one size guard that counts the full nominal space of the whole map,
 not the smaller walk: 10^7 candidate points, or the DOLD_ZETA_MAX_ENUM
 environment variable, read at each guard.  The multiset, subset and tuple
 oracles guard each size j = 1..k in turn before they walk, so a refusal
@@ -37,7 +43,7 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from itertools import accumulate, chain, combinations_with_replacement, product
+from itertools import accumulate, chain, combinations_with_replacement, compress, product
 from math import comb
 
 from .dynamics import FiniteSelfMap
@@ -49,6 +55,7 @@ from .partitions import (
     _require_stable,
     invert_perm,
     perm_cycle_count,
+    perm_cycle_type,
     validate_gset,
 )
 from .series import _integer
@@ -77,6 +84,24 @@ def _guard(size: int):
     limit = enumeration_limit()
     if size > limit:
         raise EnumerationLimitError(size, limit)
+
+
+def _periodic_part(f: FiniteSelfMap, lengths) -> FiniteSelfMap:
+    """f restricted to its periodic points whose least period divides one
+    of `lengths`, renumbered 0..m-1 in their order, so that tuples of them
+    compare as before; f itself when every point is kept.  One pass over the
+    functional graph, by `FiniteSelfMap.cycles`."""
+    kept = [False] * f.size
+    for cycle in f.cycles():
+        p = len(cycle)
+        if any(r % p == 0 for r in lengths):
+            for x in cycle:
+                kept[x] = True
+    if all(kept):
+        return f
+    points = list(compress(range(f.size), kept))
+    index = {x: i for i, x in enumerate(points)}
+    return FiniteSelfMap([index[f.mapping[x]] for x in points])
 
 
 def _fixed_multiset_walk(f: FiniteSelfMap, k: int, cap: int):
@@ -178,6 +203,8 @@ def fixed_bounded_multisets(f: FiniteSelfMap, k: int, bound=None) -> tuple:
     for j in range(1, k + 1):
         _guard(comb(n + j - 1, j))
     cap = k if bound is None else bound
+    # a fixed multiset of size <= k is a sum of f-orbits of length <= k
+    f = _periodic_part(f, range(1, k + 1))
     sizes = Counter(map(len, _fixed_multiset_walk(f, k, cap)))
     return tuple(sizes[j] for j in range(k + 1))
 
@@ -193,7 +220,9 @@ def fixed_invariant_subsets(f: FiniteSelfMap, k: int) -> tuple:
     for j in range(1, k + 1):
         nominal += comb(n, j)
         _guard(nominal)
-    # f(A) = A for a set A exactly when f permutes A: A is a fixed multiset
+    # f(A) = A for a set A exactly when f permutes A: A is a fixed multiset,
+    # a union of f-orbits of length <= k
+    f = _periodic_part(f, range(1, k + 1))
     sizes = Counter(map(len, _fixed_multiset_walk(f, k, 1)))
     return tuple(accumulate((sizes[j] for j in range(1, k + 1)), initial=0))
 
@@ -256,7 +285,16 @@ def _fixed_orbit_count(f, gset, k, admissible=None, points=1, leaders=()) -> tup
     `total` is sum size * #{a : a o perm = f o a} over the (size, perm) pairs
     of `leaders`, each perm read by one `_reader` of its own; 0 without
     leaders.  Nothing is stored per candidate.
+
+    The walk runs on the periodic part of f that a fixed orbit can use.  If
+    [a, y] is fixed, f o a = a o h for some h in G, and every point of its
+    orbit satisfies the same for a conjugate of h; a value of a on an
+    h-cycle of length r is then fixed by f^r.  So every point of a fixed
+    orbit, and every map of the Burnside total, takes its values among the
+    points whose least period divides a cycle length of some element of
+    `gset`, and keeping their order keeps the least-point test.
     """
+    f = _periodic_part(f, {r for perm in gset for r in perm_cycle_type(perm)})
     if points == 1:
         ys = [()]
         moves = [_reader(invert_perm(perm)) for perm in gset]
@@ -385,17 +423,38 @@ def induced_bounded_multiset_map(
     return FiniteSelfMap(mapping)
 
 
+class _CheckedTraces(dict):
+    """Traces on the elements of `group`, built one conjugacy class at a time
+    and so a class function by construction.  Read-only, so the mark stays
+    true; `identities._validate_traces` passes it through unchecked."""
+
+    def __init__(self, traces, group):
+        super().__init__(traces)
+        self.group = group
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("coefficient traces are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return _CheckedTraces, (dict(self), self.group)
+
+
 def coefficient_traces(group: PermutationGroup, euler: int, gset=None) -> dict:
     """Traces of the group elements on the smash power of a pointed set with
     reduced Euler characteristic `euler`: g has trace euler^{c(g)}, with c(g)
     the number of cycles of g on the smash factors.  For euler >= 0 this is a
     literal fixed-tuple count; the same formula extends to all integers.
     Conjugate elements act by conjugate permutations, so the cycle count is
-    taken once per conjugacy class, at its leader."""
+    taken once per conjugacy class, at its leader.  The table comes back
+    read-only and marked as a class function of the group, so the group
+    averages do not check it again."""
     gset = validate_gset(group, gset)
     traces = [0] * group.order
     for members in group.classes:
         trace = euler ** perm_cycle_count(gset[members[0]])
         for i in members:
             traces[i] = trace
-    return dict(zip(group.elements, traces))
+    return _CheckedTraces(zip(group.elements, traces), group)

@@ -59,7 +59,7 @@ def configuration_factor(n: int, count: int, nvars: int) -> MultiPoly:
 
 def weight(group, traces, g) -> Fraction:
     """The trace of g^{-1}, or 1 without traces."""
-    return traces[invert_perm(g)] if traces is not None else Fraction(1)
+    return Fraction(traces[invert_perm(g)]) if traces is not None else Fraction(1)
 
 
 def burnside_average(group, gset, traces) -> MultiPoly:

@@ -24,7 +24,13 @@ from doldzeta import (
 )
 from doldzeta import oracles
 from doldzeta.dynamics import cycle_profile
-from doldzeta.partitions import MAX_GROUND, fiber_partition, invert_perm, perm_cycle_count
+from doldzeta.partitions import (
+    MAX_GROUND,
+    fiber_partition,
+    invert_perm,
+    perm_cycle_count,
+    perm_cycle_type,
+)
 from doldzeta.series import PowerSeries
 
 import orbit_count_reference as orbit_reference
@@ -374,9 +380,14 @@ def test_a_wrong_burnside_total_trips_the_cross_check(monkeypatch):
 
 @pytest.mark.parametrize("name, group, gset", ORACLE_GROUPS, ids=[c[0] for c in ORACLE_GROUPS])
 def test_each_orbit_oracle_walks_the_candidates_once(monkeypatch, name, group, gset):
-    # the least-point count and the Burnside total come from one walk
+    # the least-point count and the Burnside total come from one walk, on
+    # the periodic part of f: the tail point 3 is dropped, and the 2-cycle
+    # (0 1) too unless some element has a cycle of even length
     k = group.degree if gset is None else len(gset[0])
     f = FiniteSelfMap([1, 0, 2, 2])
+    table = group.elements if gset is None else gset
+    even = any(r % 2 == 0 for perm in table for r in perm_cycle_type(perm))
+    part = FiniteSelfMap([1, 0, 2] if even else [0])
     full = PartitionFamily.full(k)
     expected = reference_partition_orbits(f, group, full, None, gset)
     walks = []
@@ -388,11 +399,11 @@ def test_each_orbit_oracle_walks_the_candidates_once(monkeypatch, name, group, g
 
     monkeypatch.setattr(oracles, "_rearranged_maps", counted)
     assert fixed_gmap_space(f, group, gset) == expected
-    assert walks == [(f, k)]
+    assert walks == [(part, k)]
     assert fixed_partition_orbits(f, group, full, 2, gset) == reference_partition_orbits(
         f, group, full, 2, gset
     )
-    assert walks == [(f, k)] * 2
+    assert walks == [(part, k)] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +492,173 @@ def test_family_filter_by_growth_string_matches_the_partition_filter():
                     cases += 1
                     nonzero += want > 0
     assert cases > 300 and nonzero > 150
+
+
+# ---------------------------------------------------------------------------
+# the walks on the periodic part against the walks on the whole map
+
+
+def shaped_map(rng, cycles, tails):
+    """A self-map with disjoint cycles of the given lengths and `tails` more
+    points, each sent to a random earlier point, under a random renumbering
+    that interleaves the tails with the cycles."""
+    table = []
+    for length in cycles:
+        start = len(table)
+        table.extend(start + (i + 1) % length for i in range(length))
+    for _ in range(tails):
+        table.append(rng.randrange(len(table)))
+    name = rng.sample(range(len(table)), len(table))
+    mapping = [0] * len(table)
+    for x, y in enumerate(table):
+        mapping[name[x]] = name[y]
+    return FiniteSelfMap(mapping)
+
+
+def periodic_points(f, lengths):
+    """The points x with f^r(x) = x for some r in `lengths`, that is those
+    whose least period divides one of them."""
+
+    def returns(x, r):
+        y = x
+        for _ in range(r):
+            y = f(y)
+        return y == x
+
+    return [x for x in range(f.size) if any(returns(x, r) for r in lengths)]
+
+
+def dihedral_group(k):
+    """The symmetries of a k-gon: the rotation i -> i + 1 and the reflection i -> -i."""
+    rotation = tuple((i + 1) % k for i in range(k))
+    return PermutationGroup.from_generators(k, [rotation, tuple(-i % k for i in range(k))])
+
+
+# the reference's work on one case: maps walked times smash coordinates times elements
+PERIODIC_WALK_BUDGET = 60000
+
+
+def periodic_walk_cases():
+    """Seeded (f, group, table, points) cases: the trivial group, C2-C5 and
+    D4 with their natural action, the sign action from degree 2 and the
+    action on pairs for degrees 2-4; coefficient sizes 0..3 while
+    points^k <= 81; three maps each, with tails and 2-4 cycles of lengths
+    1..6, drawn again while the reference's work is over the budget."""
+    rng = random.Random(3636)
+    groups = [trivial_group(k) for k in (1, 3, 5)]
+    groups += [cyclic_group(k) for k in range(2, 6)] + [dihedral_group(4)]
+    for group in groups:
+        tables = [group.elements]
+        if group.degree >= 2:
+            tables.append(sign_action(group))
+        if 2 <= group.degree <= 4:
+            tables.append(pair_action(group))
+        for table in tables:
+            k = len(table[0])
+            for points in range(4):
+                if points ** k > 81:
+                    continue
+                for _ in range(3):
+                    while True:
+                        cycles = [rng.randint(1, 6) for _ in range(rng.randint(2, 4))]
+                        f = shaped_map(rng, cycles, rng.randint(1, 3))
+                        walk = sum(1 for _ in oracles._rearranged_maps(f, k))
+                        if walk * max(1, points ** k) * len(table) <= PERIODIC_WALK_BUDGET:
+                            break
+                    yield f, group, table, points
+
+
+def test_the_orbit_walk_on_the_periodic_part_matches_the_whole_walk():
+    # the Burnside cross-check cannot tell a wrong restriction: both counts
+    # shrink alike on maps into an f-invariant set, so compare with the
+    # reference, which walks the whole map
+    rng = random.Random(3637)
+    cases = nonzero = dropped = 0
+    for f, group, table, points in periodic_walk_cases():
+        k = len(table[0])
+        part = oracles._periodic_part(f, {r for perm in table for r in perm_cycle_type(perm)})
+        # periodic points dropped, not only the tails
+        dropped += part.size < len(periodic_points(f, range(1, f.size + 1)))
+        if points == 1:
+            leaders = [(len(members), table[members[0]]) for members in group.classes]
+            want = (orbit_reference.fixed_orbit_count(f, table, k),
+                    orbit_reference.burnside_total(f, group, table))
+            assert oracles._fixed_orbit_count(f, table, k, leaders=leaders) == want
+        family = PartitionFamily.refining(orbit_partition(table))
+        if k and rng.random() < 0.5:
+            family = PartitionFamily.max_block(k, rng.randint(1, k))
+        for admissible in (None, lambda a: fiber_partition(a) in family):
+            want = orbit_reference.fixed_orbit_count(f, table, k, admissible, points)
+            assert oracles._fixed_orbit_count(f, table, k, admissible, points) == (want, 0)
+            nonzero += want > 0
+        cases += 1
+    assert cases > 200 and dropped > 150 and nonzero > 120
+
+
+def test_the_periodic_part_keeps_the_points_whose_period_divides_a_length():
+    rng = random.Random(3638)
+    for _ in range(300):
+        cycles = [rng.randint(1, 6) for _ in range(rng.randint(1, 4))]
+        f = shaped_map(rng, cycles, rng.randint(0, 4))
+        lengths = set(rng.sample(range(1, 8), rng.randint(0, 3)))
+        kept = periodic_points(f, lengths)
+        index = {x: i for i, x in enumerate(kept)}
+        assert oracles._periodic_part(f, lengths) == FiniteSelfMap([index[f(x)] for x in kept])
+    # the length of C4's generator keeps the 2-cycle (0 1), not the tail
+    # point 2 or the 3-cycle (7 8 9), and renumbers the 4-cycle (3 4 5 6)
+    f = FiniteSelfMap([1, 0, 0, 4, 5, 6, 3, 8, 9, 7])
+    assert oracles._periodic_part(f, {4}) == FiniteSelfMap([1, 0, 3, 4, 5, 2])
+    assert oracles._periodic_part(f, {1, 2, 3, 4}) == FiniteSelfMap([1, 0, 3, 4, 5, 2, 7, 8, 6])
+
+
+def test_a_periodic_part_that_drops_a_divisor_fails_its_test(monkeypatch):
+    monkeypatch.setattr(
+        oracles, "_periodic_part", mutated(oracles._periodic_part, "r % p == 0", "r == p")
+    )
+    with pytest.raises(AssertionError):
+        test_the_periodic_part_keeps_the_points_whose_period_divides_a_length()
+
+
+@pytest.mark.parametrize("oracle, kind", [
+    ("fixed_bounded_multisets", "multisets"), ("fixed_invariant_subsets", "subsets")])
+def test_a_multiset_walk_without_the_k_cycles_fails_the_walk_tests(monkeypatch, oracle, kind):
+    old, new = "_periodic_part(f, range(1, k + 1))", "_periodic_part(f, range(1, k))"
+    monkeypatch.setattr(oracles, oracle, mutated(getattr(oracles, oracle), old, new))
+    assert first_mismatch_of(kind) is not None
+
+
+def test_the_burnside_cross_check_misses_a_walk_on_too_few_points(monkeypatch):
+    # walking the fixed points of f alone, both counts shrink alike
+    f = FiniteSelfMap([1, 0, 2])
+    group = PermutationGroup.symmetric(2)
+    assert fixed_gmap_space(f, group) == reference_partition_orbits(
+        f, group, PartitionFamily.full(2)) == 2
+    monkeypatch.setattr(oracles, "_fixed_orbit_count", mutated(
+        oracles._fixed_orbit_count, "for r in perm_cycle_type(perm)}", "for r in (1,)}"))
+    assert fixed_gmap_space(f, group) == 1
+
+
+def test_the_orbit_walk_visits_the_periodic_part_alone(monkeypatch):
+    walked = []
+    rearranged = oracles._rearranged_maps
+
+    def counted(f, k):
+        for a in rearranged(f, k):
+            walked.append(a)
+            yield a
+
+    monkeypatch.setattr(oracles, "_rearranged_maps", counted)
+    # the map of `verify gsymm 10^5`: cycles of lengths 3, 2, 1, 1 and three
+    # tail points; the trivial group walks the 2^5 maps into Fix f
+    f = FiniteSelfMap([1, 2, 0, 4, 3, 5, 6, 0, 3, 5])
+    assert fixed_gmap_space(f, trivial_group(5)) == len(walked) == 2 ** 5
+    # S_k with f the identity drops nothing: f itself is walked, all n^k maps
+    f = identity_map(4)
+    table = PermutationGroup.symmetric(3).elements
+    assert oracles._periodic_part(f, {r for perm in table for r in perm_cycle_type(perm)}) is f
+    walked.clear()
+    fixed_gmap_space(f, PermutationGroup.symmetric(3))
+    assert len(walked) == 4 ** 3
 
 
 # ---------------------------------------------------------------------------

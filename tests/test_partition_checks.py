@@ -11,6 +11,7 @@ configuration term per excluded orbit) must give the same polynomial as the
 recursion, whose enlarged families are validated here, and the integer
 kernel the same polynomials as the Fraction one."""
 
+import copy
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -381,6 +382,38 @@ def test_coefficient_traces_pass_as_class_functions():
             by_type.setdefault(shape, rng.randint(-3, 3))
         traces = {g: by_type[tuple(sorted(perm_cycle_type(g).items()))] for g in group.elements}
         assert _validate_traces(group, traces) == traces
+
+
+def test_coefficient_traces_pass_unchecked_and_read_only():
+    group = PermutationGroup.symmetric(4)
+    traces = coefficient_traces(group, 3)
+    assert _validate_traces(group, traces) is traces
+    assert all(type(v) is int for v in traces.values())
+    for change in (
+        lambda t: t.__setitem__(group.elements[0], 0),
+        lambda t: t.__delitem__(group.elements[0]),
+        lambda t: t.update({group.elements[0]: 0}),
+        lambda t: t.setdefault((9,), 0),
+        lambda t: t.pop(group.elements[0]),
+        lambda t: t.popitem(),
+        lambda t: t.clear(),
+        lambda t: t.__ior__({}),
+    ):
+        with pytest.raises(TypeError, match="read-only"):
+            change(traces)
+    assert traces == {g: 3 ** sum(perm_cycle_type(g).values()) for g in group.elements}
+    # a copy keeps the mark; a plain dict, or the table given for another
+    # group, is checked in full
+    copied = copy.deepcopy(traces)
+    assert copied == traces and _validate_traces(group, copied) is copied
+    plain = dict(traces)
+    assert _validate_traces(group, plain) == traces
+    assert _validate_traces(group, plain) is not plain
+    rotations = PermutationGroup.from_generators(4, [(1, 2, 3, 0)])
+    other = coefficient_traces(rotations, 3)
+    assert _validate_traces(rotations, other) is other
+    with pytest.raises(ValueError, match="defined on every group element"):
+        _validate_traces(group, other)
 
 
 def test_traces_that_are_not_a_class_function_are_refused():
