@@ -580,7 +580,9 @@ def _dumps(value, indent="\n") -> str:
     indenting encoder yields token by token from Python generators, built
     here by one join per container, with strings quoted by json's own
     quoting function; `indent` is a newline and the indent of the level
-    that holds `value`."""
+    that holds `value`.  A list of strings, such as a series' coefficients,
+    is quoted by one map of that function; an item it refuses, such as an
+    int after a string, sends the list item by item."""
     kind = type(value)
     if kind is str:
         return _quote(value)
@@ -592,7 +594,11 @@ def _dumps(value, indent="\n") -> str:
         items = [_quote(key) + ": " + _dumps(item, inner) for key, item in sorted(value.items())]
     elif kind is list or kind is tuple:
         ends = "[]"
-        items = [_dumps(item, inner) for item in value]
+        try:
+            items = list(map(_quote, value)) if value and type(value[0]) is str else None
+        except TypeError:  # a string, then something else
+            items = None
+        items = items or [_dumps(item, inner) for item in value]
     else:  # bools, None, floats, subclasses, and a dict with a key that is not a string
         return json.dumps(value, indent=2, sort_keys=True).replace("\n", indent)
     return ends[0] + inner + ("," + inner).join(items) + indent + ends[1] if items else ends

@@ -22,7 +22,9 @@ each det(1 - x B_j) comes from Bareiss elimination over integer coefficient
 lists.  Since det(1 - x B_j) = det(1 - d x A_j), the integer series
 Z(q / d) and P(q d, T), and the integer traces of the powers of B_j, carry
 the answers scaled by d^n in their n-th coefficient; each output
-coefficient is divided by that power once.
+coefficient is divided by that power once.  The B_j and their determinants
+are computed once per endomorphism, at first use, and kept on it for all
+three series.
 
 The traces of the powers B_j^k are computed once for the zeta function's
 check and the Lefschetz numbers together, from the running powers: each row
@@ -36,6 +38,7 @@ from fractions import Fraction
 from itertools import permutations, product
 from math import factorial, lcm
 from operator import getitem, mul
+from types import MappingProxyType
 
 from .oracles import _guard
 from .series import (
@@ -61,9 +64,10 @@ MAX_GRADED_DEGREE = 16
 class GradedEndomorphism:
     """One exact rational square matrix per degree; zero-dimensional degrees
     are simply absent.  Negative degrees are rejected, and so are degrees
-    above MAX_GRADED_DEGREE and total dimensions above MAX_GRADED_DIMENSION."""
+    above MAX_GRADED_DEGREE and total dimensions above MAX_GRADED_DIMENSION.
+    The matrices are read-only, which keeps true what `_cleared` keeps."""
 
-    __slots__ = ("matrices",)
+    __slots__ = ("_matrices", "_cleared")
 
     def __init__(self, matrices, where: str = "a graded endomorphism"):
         clean = {}
@@ -89,7 +93,13 @@ class GradedEndomorphism:
                 raise ValueError(f"matrix in degree {degree} is not square")
             if rows:
                 clean[degree] = rows
-        self.matrices = clean
+        self._matrices = clean
+        self._cleared = None
+
+    @property
+    def matrices(self):
+        """The matrices by degree, as a read-only mapping of row tuples."""
+        return MappingProxyType(self._matrices)
 
     @classmethod
     def from_json(cls, obj: dict, where: str = "a graded endomorphism") -> "GradedEndomorphism":
@@ -97,18 +107,18 @@ class GradedEndomorphism:
         return cls(_field(obj, "degrees", "a graded endomorphism", dict), where)
 
     def degrees(self) -> list:
-        return sorted(self.matrices)
+        return sorted(self._matrices)
 
     def matrix(self, degree: int):
-        return self.matrices[degree]
+        return self._matrices[degree]
 
     def __eq__(self, other):
         if not isinstance(other, GradedEndomorphism):
             return NotImplemented
-        return self.matrices == other.matrices
+        return self._matrices == other._matrices
 
     def __repr__(self):
-        dims = ", ".join(f"{d}:{len(rows)}" for d, rows in sorted(self.matrices.items()))
+        dims = ", ".join(f"{d}:{len(rows)}" for d, rows in sorted(self._matrices.items()))
         return f"GradedEndomorphism(dims={{{dims}}})"
 
 
@@ -174,10 +184,11 @@ def characteristic_rational_function(endo: GradedEndomorphism) -> RationalFuncti
     Its expansion is the reciprocal zeta function, i.e. the generating
     function of the Lefschetz numbers of the symmetric powers.
     """
-    num = Poly.one()
-    den = Poly.one()
-    for degree in endo.degrees():
-        factor = det_one_minus_t(endo.matrix(degree))
+    d, blocks, factors = _cleared(endo)
+    num = den = Poly.one()
+    for (degree, rows), terms in zip(blocks, factors):
+        # 1 times the kept det(1 - x B_j), its x^k coefficient divided by d^k
+        factor = _over_powers(Poly._trusted, _fold_monic([1] + [0] * len(rows), terms), d)
         if degree % 2:
             num = num * factor
         else:
@@ -186,13 +197,18 @@ def characteristic_rational_function(endo: GradedEndomorphism) -> RationalFuncti
 
 
 def _cleared(endo: GradedEndomorphism) -> tuple:
-    """The common denominator d of all matrix entries and the integer
-    matrices B_j = d A_j, as d and a list of (degree, B_j)."""
-    d = lcm(*(c.denominator for rows in endo.matrices.values() for row in rows for c in row))
-    return d, [
-        (degree, tuple(tuple(c.numerator * (d // c.denominator) for c in row) for row in rows))
-        for degree, rows in sorted(endo.matrices.items())
-    ]
+    """The common denominator d of all matrix entries, the integer matrices
+    B_j = d A_j as a tuple of (degree, B_j) in increasing degree, and the
+    terms of each det(1 - x B_j): computed at the first call and kept on
+    `endo`, one Bareiss elimination per block for every series built."""
+    if endo._cleared is None:
+        d = lcm(*(c.denominator for rows in endo.matrices.values() for row in rows for c in row))
+        blocks = tuple(
+            (j, tuple(tuple(c.numerator * (d // c.denominator) for c in row) for row in endo.matrix(j)))
+            for j in endo.degrees()
+        )
+        endo._cleared = d, blocks, tuple(_determinant_terms(rows, len(rows)) for _, rows in blocks)
+    return endo._cleared
 
 
 def _integer_traces(blocks, order: int) -> list:
@@ -231,10 +247,10 @@ def _zeta_and_traces(endo: GradedEndomorphism, order: int) -> tuple:
     check is computed independently of the other."""
     if order < 0:
         raise ValueError("truncation order must be >= 0")
-    d, blocks = _cleared(endo)
+    d, blocks, factors = _cleared(endo)
     scaled = [1] + [0] * order
-    for degree, rows in blocks:
-        _fold_monic(scaled, _determinant_terms(rows, order), divide=degree % 2 == 1)
+    for (degree, _), terms in zip(blocks, factors):
+        _fold_monic(scaled, terms, divide=degree % 2 == 1)
     traces = _integer_traces(blocks, order)
     if not _exp_form_holds(scaled, traces):
         raise RuntimeError("determinant and exponential forms of zeta disagree")
@@ -252,25 +268,37 @@ def poincare_generating(endo: GradedEndomorphism, order: int) -> tuple:
     """The T-polynomials of q^0..q^order in P(q, T) = prod_j D_j(q T^j)^{-(-1)^j},
     D_j(x) = det(1 - x A_j): odd degrees multiply, even degrees divide.
 
-    The rows of the integer series P(q d, T) are laid end to end in one list,
-    q^n T^t at index n W + t.  Every monomial q^n T^t of P has t <= top * n
-    for the top degree, so the width W = top * order + 1 exceeds every
-    T-degree, and a factor term c_k (q T^j)^k shifts an index by k (W + j)
-    without carrying into another row: each determinant folds in as one
-    monic integer series.  Row n is divided by d^n once.  Evaluating the
+    The integer series P(q d, T) is one list per power of q, row n for
+    T^0..T^{top n}, and the kept determinants of the B_j fold into it in
+    increasing degree: a term c_k (q T^j)^k adds c_k times row n - k,
+    shifted by j k, into row n.  Multiplying runs from the top row down and
+    dividing from the bottom row up, as `_fold_monic` does.  With the
+    degrees up to m folded, row n reaches T^{m n}: only that much is read,
+    and zeros are skipped.  Row n is divided by d^n once.  Evaluating the
     T-polynomials at 1 inverts the zeta function."""
     if order < 0:
         raise ValueError("truncation order must be >= 0")
-    d, blocks = _cleared(endo)
-    top = max((degree for degree, _ in blocks), default=0)
-    width = top * order + 1
-    flat = [1] + [0] * ((order + 1) * width - 1)
-    for degree, rows in blocks:
-        factor = [(k * (width + degree), c) for k, c in _determinant_terms(rows, order)]
-        _fold_monic(flat, factor, divide=degree % 2 == 0)
-    return tuple(
-        Poly._trusted(flat[n * width : n * width + top * n + 1], d ** n) for n in range(order + 1)
-    )
+    d, blocks, factors = _cleared(endo)
+    top = blocks[-1][0] if blocks else 0
+    rows = [[0] * (top * n + 1) for n in range(order + 1)]
+    rows[0][0] = 1
+    held = 0  # the largest degree folded so far
+    for (degree, _), terms in zip(blocks, factors):
+        if degree % 2:
+            steps = range(order, 0, -1)
+        else:  # the rows read are the quotient's, which reach degree * n
+            steps, held = range(1, order + 1), degree
+            terms = [(k, -c) for k, c in terms]
+        for n in steps:
+            out = rows[n]
+            for k, c in terms:
+                if k > n:
+                    break
+                for t, x in enumerate(rows[n - k][: held * (n - k) + 1], degree * k):
+                    if x:
+                        out[t] += c * x
+        held = degree
+    return tuple(Poly._trusted(row, d ** n) for n, row in enumerate(rows))
 
 
 def _koszul_sign(sigma, degrees) -> int:

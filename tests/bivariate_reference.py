@@ -1,16 +1,22 @@
-"""The Poincaré series P(q, T) as `poincare_generating` built it before it
-folded univariate determinant series into rows of T-coefficients, kept as
-the slow reference it is tested against.
+"""The Poincaré series P(q, T) as `poincare_generating` built it before,
+kept as the references it is tested against.
 
-A series in q whose coefficients are polynomials in T is a tuple of `Poly`,
-one per power q^0..q^order.  Each determinant det(1 - x A_j) is substituted
-x -> q T^j, the even-degree factors are inverted by the recurrence
+`reference_poincare` is the slow one, from before it folded univariate
+determinant series into rows of T-coefficients.  A series in q whose
+coefficients are polynomials in T is a tuple of `Poly`, one per power
+q^0..q^order.  Each determinant det(1 - x A_j) is substituted x -> q T^j,
+the even-degree factors are inverted by the recurrence
 c_n = -c_0^{-1} sum_{i>=1} s_i c_{n-i}, and the factors are multiplied by a
-naive double loop over q-indices, one `Poly` sum per term."""
+naive double loop over q-indices, one `Poly` sum per term.
+
+`flat_poincare` is the integer fold from before the rows were folded one by
+one: the rows laid end to end in one list of the common width
+top * order + 1, each determinant folded in as one monic series."""
 
 from fractions import Fraction
 
-from doldzeta.series import Poly
+from doldzeta.graded import _cleared, _determinant_terms
+from doldzeta.series import Poly, _fold_monic
 
 from fraction_reference import reference_det_one_minus_t
 
@@ -54,3 +60,22 @@ def reference_poincare(endo, order):
         factor = monomial_substitution(det, degree, order)
         result = bivariate_product(result, factor if degree % 2 else bivariate_inverse(factor))
     return result
+
+
+def flat_poincare(endo, order):
+    """The rows of the integer series P(q d, T) laid end to end in one list,
+    q^n T^t at index n W + t.  Every monomial q^n T^t of P has t <= top * n
+    for the top degree, so the width W = top * order + 1 exceeds every
+    T-degree, and a factor term c_k (q T^j)^k shifts an index by k (W + j)
+    without carrying into another row: each determinant folds in as one
+    monic integer series.  Row n is divided by d^n once."""
+    d, blocks, _ = _cleared(endo)
+    top = max((degree for degree, _ in blocks), default=0)
+    width = top * order + 1
+    flat = [1] + [0] * ((order + 1) * width - 1)
+    for degree, rows in blocks:
+        factor = [(k * (width + degree), c) for k, c in _determinant_terms(rows, order)]
+        _fold_monic(flat, factor, divide=degree % 2 == 0)
+    return tuple(
+        Poly._trusted(flat[n * width : n * width + top * n + 1], d ** n) for n in range(order + 1)
+    )

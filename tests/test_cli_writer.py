@@ -66,6 +66,10 @@ def random_value(rng, depth=0):
     return {random_key(rng): random_value(rng, depth + 1) for _ in range(rng.randrange(5))}
 
 
+class Text(str):
+    """A str subclass, which json quotes as a str."""
+
+
 def outcome(dumps, value):
     try:
         return dumps(value)
@@ -102,6 +106,14 @@ def test_the_writer_gives_the_bytes_of_json_dumps():
         [math.nan, -math.inf, None],
         10 ** 200,
         " \x00",
+        [""],
+        [["a", "b/c"], ["é"], []],
+        ["a", 1],
+        ["a", "b", None],
+        [True, "a"],
+        [Text("a\n"), "b"],
+        ["a", Text("b")],
+        ("x", "y"),
     ],
 )
 def test_the_writer_on_chosen_values(value):

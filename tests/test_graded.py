@@ -1,5 +1,8 @@
 """Graded endomorphisms: determinant formulas against the signed trace oracle."""
 
+import contextlib
+import io
+import json
 import random
 from fractions import Fraction
 
@@ -26,7 +29,7 @@ from doldzeta.graded import (
 from doldzeta.oracles import EnumerationLimitError
 from doldzeta.series import Poly
 
-from bivariate_reference import bivariate_product, reference_poincare
+from bivariate_reference import bivariate_product, flat_poincare, reference_poincare
 from conftest import at_one, expand
 from fraction_reference import reference_det_one_minus_t, reference_graded_zeta, reference_traces
 
@@ -437,3 +440,83 @@ def test_tampered_traces_trip_the_dual_form_check(monkeypatch, corner):
 def test_traces_of_a_rational_matrix_stay_rational():
     endo = GradedEndomorphism({0: [["1/2"]]})
     assert lefschetz_numbers(endo, 2) == [Fraction(1, 2), Fraction(1, 4)]
+
+
+# ---------------------------------------------------------------------------
+# the row-wise Poincaré fold against the flat fold and the Poly products
+
+
+def blocks_in(rng, degrees, nilpotent=False, dens=(1,)):
+    """One random block of dimension 1..3 in each of `degrees`, strictly
+    upper triangular when `nilpotent`, its entries over a denominator drawn
+    from `dens`."""
+    out = {}
+    for degree in degrees:
+        n = rng.randint(1, 3)
+        out[degree] = [[Fraction(rng.randint(-3, 3) if j > i or not nilpotent else 0,
+                                 rng.choice(dens)) for j in range(n)] for i in range(n)]
+    return GradedEndomorphism(out)
+
+
+def row_fold_cases():
+    """Seeded (kind, endomorphism) pairs of the shapes a row layout must
+    get right, each at the orders 0, 1, 48, 64 and one drawn in 2..20."""
+    rng = random.Random(6161)
+    makers = {
+        "gap 0, 3": lambda: blocks_in(rng, (0, 3)),
+        "gap 1, 16": lambda: blocks_in(rng, (1, 16)),
+        "odd degrees only": lambda: blocks_in(rng, sorted(rng.sample((1, 3, 5, 7), 2))),
+        "rational entries": lambda: blocks_in(rng, sorted(rng.sample(range(5), 3)), dens=(2, 3, 5)),
+        "nilpotent blocks": lambda: blocks_in(rng, sorted(rng.sample(range(5), 2)), nilpotent=True),
+        "nilpotent beside not": lambda: GradedEndomorphism(
+            {**blocks_in(rng, (1,), nilpotent=True).matrices, **blocks_in(rng, (2, 4)).matrices}),
+        "mixed": lambda: mixed_denominator_endomorphism(rng),
+    }
+    for kind, make in makers.items():
+        for order in (0, 1, 48, 64, rng.randint(2, 20)):
+            for _ in range(2):
+                yield kind, make(), order
+    yield "one odd line", GradedEndomorphism({3: [["2"]]}), 48
+
+
+def test_the_row_fold_matches_both_references():
+    seen = set()
+    for kind, endo, order in row_fold_cases():
+        got = poincare_generating(endo, order)
+        assert got == flat_poincare(endo, order), (kind, endo, order)
+        assert got == reference_poincare(endo, order), (kind, endo, order)
+        seen.add(kind)
+        if order >= 1 and min(endo.degrees()) % 2 and not got[1].is_zero:
+            assert got[1].nums[0] == 0  # the rows of odd degrees start with zeros
+    assert len(seen) == 8
+
+
+def test_one_determinant_per_block(monkeypatch):
+    import doldzeta.graded as graded
+    from doldzeta.cli import main
+
+    calls = []
+    real = graded._det_one_minus_x
+
+    def counted(rows):
+        calls.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(graded, "_det_one_minus_x", counted)
+    matrices = '{"degrees":{"0":[["1","1"],["0","2"]],"1":[["-1/2"]],"2":[["3","1"],["1","0"]]}}'
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["graded", "--matrices", matrices, "-N", "8"]) == 0
+    assert len(calls) == 3
+    # (1 + t/2) / ((1 - t)(1 - 2t)(1 - 3t - t^2))
+    assert json.loads(out.getvalue())["characteristic"] == {
+        "numerator": ["1", "1/2"], "denominator": ["1", "-6", "10", "-3", "-2"]}
+
+
+def test_the_matrices_are_read_only():
+    endo = GradedEndomorphism({0: [[1, 2], [3, 4]]})
+    characteristic_rational_function(endo)
+    with pytest.raises(TypeError):
+        endo.matrices[1] = ((5,),)
+    with pytest.raises(AttributeError):
+        endo.matrices = {}
+    assert endo.matrix(0) == ((1, 2), (3, 4)) and endo == GradedEndomorphism({0: [[1, 2], [3, 4]]})

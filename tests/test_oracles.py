@@ -661,6 +661,39 @@ def test_the_orbit_walk_visits_the_periodic_part_alone(monkeypatch):
     assert len(walked) == 4 ** 3
 
 
+def test_the_cycle_lengths_are_read_once_per_conjugacy_class(monkeypatch):
+    # S4: 24 elements in 5 classes, so 5 perms read where each table entry was
+    read = []
+
+    def counted(perm):
+        read.append(perm)
+        return perm_cycle_type(perm)
+
+    monkeypatch.setattr(oracles, "perm_cycle_type", counted)
+    group = PermutationGroup.symmetric(4)
+    # a 2-cycle, a fixed point and a tail point; the natural action and the
+    # action on the 6 unordered pairs
+    f = FiniteSelfMap([1, 0, 2, 2])
+    for table, k, points in ((None, 4, 2), (pair_action(group), 6, None)):
+        families = [PartitionFamily.full(k), PartitionFamily.max_block(k, 2)]
+        read.clear()
+        assert fixed_gmap_space(f, group, table) == reference_partition_orbits(
+            f, group, families[0], None, table)
+        assert len(read) == 5
+        for family in families:
+            read.clear()
+            assert fixed_partition_orbits(f, group, family, points or 1, table) == (
+                reference_partition_orbits(f, group, family, points, table))
+            assert len(read) == 5
+
+    # the five leaders show every cycle type of the pair action's table
+    def types(perms):
+        return {tuple(sorted(perm_cycle_type(perm).items())) for perm in perms}
+
+    assert types(read) == types(pair_action(group)) == {
+        ((1, 6),), ((1, 2), (2, 2)), ((3, 2),), ((2, 1), (4, 1))}
+
+
 # ---------------------------------------------------------------------------
 # the multiset walks against the walks over all candidates they replaced
 
