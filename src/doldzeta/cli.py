@@ -57,6 +57,7 @@ from .identities import (
     _ZETA_SOURCES,
     _configuration_traces,
     _one_given,
+    _over_one_minus_q,
     _read_group_inputs,
     _read_zeta,
     general_lefschetz_polynomial,
@@ -177,17 +178,18 @@ def _json_flags(args, keys):
     return source, names, f"the {args.command!r} command"
 
 
-def _zeta_from_args(args, reduced=False) -> PowerSeries:
+def _zeta_from_args(args) -> PowerSeries:
     """The zeta series of the one zeta-input flag given to the command."""
     source, names, where = _json_flags(args, args.input_flags)
-    return _read_zeta(source, args.order, where, names, reduced)
+    return _read_zeta(source, args.order, where, names)
 
 
 def cmd_dold(args):
     f = FiniteSelfMap.from_json(_load_json(args.map, "--map"))
     profile = cycle_profile(f, args.order)
     seq = lefschetz_sequence(f, args.order)
-    zeta = zeta_series(profile, args.order, reduced=args.reduced)
+    zeta = zeta_series(profile, args.order)
+    zeta = _over_one_minus_q(zeta) if args.reduced else zeta
     payload = {
         "profile": profile.to_json(),
         "lefschetz": seq.to_json(),
@@ -201,7 +203,8 @@ def cmd_dold(args):
 
 
 def cmd_zeta(args):
-    zeta = _zeta_from_args(args, args.reduced)
+    zeta = _zeta_from_args(args)
+    zeta = _over_one_minus_q(zeta) if args.reduced else zeta
     return {"zeta": zeta.to_json()}, lambda: _series_text(zeta)
 
 

@@ -79,12 +79,6 @@ class FiniteSelfMap:
     def __call__(self, x: int) -> int:
         return self.mapping[x]
 
-    def compose(self, other: "FiniteSelfMap") -> "FiniteSelfMap":
-        """self after other."""
-        if self.size != other.size:
-            raise ValueError("cannot compose maps of different sizes")
-        return FiniteSelfMap([self.mapping[y] for y in other.mapping], size=self.size)
-
     def fixed_points(self) -> list:
         return [x for x in range(self.size) if self.mapping[x] == x]
 
@@ -203,15 +197,10 @@ def cycle_profile(f: FiniteSelfMap, horizon: int) -> DoldProfile:
 
 
 def lefschetz_sequence(f: FiniteSelfMap, horizon: int) -> LefschetzSequence:
-    """Fixed-point counts of f, f^2, ..., f^horizon by explicit iteration."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    values = []
-    current = f
-    for _ in range(horizon):
-        values.append(len(current.fixed_points()))
-        current = current.compose(f)
-    return LefschetzSequence(values)
+    """Fixed-point counts of f, f^2, ..., f^horizon: f^k fixes the points of
+    its periodic orbits whose least period divides k, so they are the
+    L(f^k) = sum_{m | k} m * D_m of its orbit profile."""
+    return lefschetz_from_dold(cycle_profile(f, horizon))
 
 
 def dold_from_lefschetz(seq: LefschetzSequence) -> DoldProfile:
@@ -246,14 +235,15 @@ def lefschetz_from_dold(profile: DoldProfile) -> LefschetzSequence:
     return LefschetzSequence(values)
 
 
-def zeta_series(data, order: int, reduced: bool = False) -> PowerSeries:
+def zeta_series(data, order: int) -> PowerSeries:
     """The zeta function Z = prod_m (1-q^m)^{D_m} = exp(-sum L(f^k) q^k / k).
 
     Accepts either a DoldProfile or a LefschetzSequence, derives the other by
     (inverse) Moebius inversion, computes the product form from the orbit
     counts and insists, over the integers, that it is the exponential form
-    of the Lefschetz numbers before returning it.  With `reduced`, D_1 is
-    lowered by one (equivalently, the result is divided by 1 - q).
+    of the Lefschetz numbers before returning it.  The reduced zeta function
+    Z / (1 - q) of a pointed map is that of the profile with D_1 lowered by
+    one.
     """
     if isinstance(data, DoldProfile):
         profile = data
@@ -267,11 +257,9 @@ def zeta_series(data, order: int, reduced: bool = False) -> PowerSeries:
         raise HorizonError(
             f"zeta to order {order} needs horizon >= {order}, got {profile.horizon}"
         )
-    shift = 1 if reduced else 0
     exponents = {m: profile.count(m) for m in range(1, order + 1)}
-    exponents[1] = exponents.get(1, 0) - shift
     product_form = exponent_product(exponents, order)
-    lefschetz = [seq.value(k) - shift for k in range(1, order + 1)]
+    lefschetz = [seq.value(k) for k in range(1, order + 1)]
     if not _exp_form_holds(product_form.nums, lefschetz):
         raise InconsistentInputError(
             "orbit-product and exponential forms of the zeta function disagree"
@@ -279,7 +267,7 @@ def zeta_series(data, order: int, reduced: bool = False) -> PowerSeries:
     return product_form
 
 
-def zeta_of_map(f: FiniteSelfMap, order: int, reduced: bool = False) -> PowerSeries:
+def zeta_of_map(f: FiniteSelfMap, order: int) -> PowerSeries:
     """Zeta function of a finite self-map, straight from its cycle structure.
     The order-0 series is 1; its profile is still read to horizon 1."""
-    return zeta_series(cycle_profile(f, max(order, 1)), order, reduced=reduced)
+    return zeta_series(cycle_profile(f, max(order, 1)), order)

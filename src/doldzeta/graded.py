@@ -24,7 +24,10 @@ Z(q / d) and P(q d, T), and the integer traces of the powers of B_j, carry
 the answers scaled by d^n in their n-th coefficient; each output
 coefficient is divided by that power once.  The B_j and their determinants
 are computed once per endomorphism, at first use, and kept on it for all
-three series.
+three series, each determinant as the coefficient list that Bareiss
+elimination returns: the characteristic function reads it as it is, and
+the zeta function and the Poincaré series fold in its terms past the
+constant 1.
 
 The traces of the powers B_j^k are computed once for the zeta function's
 check and the Lefschetz numbers together, from the running powers: each row
@@ -184,11 +187,11 @@ def characteristic_rational_function(endo: GradedEndomorphism) -> RationalFuncti
     Its expansion is the reciprocal zeta function, i.e. the generating
     function of the Lefschetz numbers of the symmetric powers.
     """
-    d, blocks, factors = _cleared(endo)
+    d, blocks, dets = _cleared(endo)
     num = den = Poly.one()
-    for (degree, rows), terms in zip(blocks, factors):
-        # 1 times the kept det(1 - x B_j), its x^k coefficient divided by d^k
-        factor = _over_powers(Poly._trusted, _fold_monic([1] + [0] * len(rows), terms), d)
+    for (degree, _), det in zip(blocks, dets):
+        # the kept det(1 - x B_j), its x^k coefficient divided by d^k
+        factor = _over_powers(Poly._trusted, det, d)
         if degree % 2:
             num = num * factor
         else:
@@ -199,15 +202,17 @@ def characteristic_rational_function(endo: GradedEndomorphism) -> RationalFuncti
 def _cleared(endo: GradedEndomorphism) -> tuple:
     """The common denominator d of all matrix entries, the integer matrices
     B_j = d A_j as a tuple of (degree, B_j) in increasing degree, and the
-    terms of each det(1 - x B_j): computed at the first call and kept on
-    `endo`, one Bareiss elimination per block for every series built."""
+    coefficients of each det(1 - x B_j), constant term first, as
+    `det_one_minus_t` returns them for B_j: computed at the first call and
+    kept on `endo`, one Bareiss elimination per block for every series
+    built."""
     if endo._cleared is None:
         d = lcm(*(c.denominator for rows in endo.matrices.values() for row in rows for c in row))
         blocks = tuple(
             (j, tuple(tuple(c.numerator * (d // c.denominator) for c in row) for row in endo.matrix(j)))
             for j in endo.degrees()
         )
-        endo._cleared = d, blocks, tuple(_determinant_terms(rows, len(rows)) for _, rows in blocks)
+        endo._cleared = d, blocks, tuple(det_one_minus_t(rows).nums for _, rows in blocks)
     return endo._cleared
 
 
@@ -228,12 +233,6 @@ def _integer_traces(blocks, order: int) -> list:
     return totals
 
 
-def _determinant_terms(rows, order: int) -> list:
-    """The terms (k, c_k), 0 < k <= order, of det(1 - x B) = 1 + sum c_k x^k
-    for an integer matrix B."""
-    return [(k, c) for k, c in _terms(det_one_minus_t(rows).nums) if 0 < k <= order]
-
-
 def _zeta_and_traces(endo: GradedEndomorphism, order: int) -> tuple:
     """Z(q) = prod_j det(1 - q A_j)^{(-1)^j}, cross-checked against the
     exponential form exp(-sum_k L_k q^k / k), and the Lefschetz numbers
@@ -247,10 +246,10 @@ def _zeta_and_traces(endo: GradedEndomorphism, order: int) -> tuple:
     check is computed independently of the other."""
     if order < 0:
         raise ValueError("truncation order must be >= 0")
-    d, blocks, factors = _cleared(endo)
+    d, blocks, dets = _cleared(endo)
     scaled = [1] + [0] * order
-    for (degree, _), terms in zip(blocks, factors):
-        _fold_monic(scaled, terms, divide=degree % 2 == 1)
+    for (degree, _), det in zip(blocks, dets):
+        _fold_monic(scaled, _terms(det)[1:], divide=degree % 2 == 1)
     traces = _integer_traces(blocks, order)
     if not _exp_form_holds(scaled, traces):
         raise RuntimeError("determinant and exponential forms of zeta disagree")
@@ -278,12 +277,13 @@ def poincare_generating(endo: GradedEndomorphism, order: int) -> tuple:
     T-polynomials at 1 inverts the zeta function."""
     if order < 0:
         raise ValueError("truncation order must be >= 0")
-    d, blocks, factors = _cleared(endo)
+    d, blocks, dets = _cleared(endo)
     top = blocks[-1][0] if blocks else 0
     rows = [[0] * (top * n + 1) for n in range(order + 1)]
     rows[0][0] = 1
     held = 0  # the largest degree folded so far
-    for (degree, _), terms in zip(blocks, factors):
+    for (degree, _), det in zip(blocks, dets):
+        terms = _terms(det)[1:]
         if degree % 2:
             steps = range(order, 0, -1)
         else:  # the rows read are the quotient's, which reach degree * n

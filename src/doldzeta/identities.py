@@ -409,7 +409,7 @@ def _cycle_type_sum(weights: dict, nvars: int, den: int) -> MultiPoly:
 def _orbit_factor(n: int, count: int, nvars: int) -> dict:
     """(sum_{m|n} m t_m)^count: the points fixed by f^n, for each of `count`
     cycles of length n."""
-    linear = {_monomial(nvars, m, 1): m for m in divisors(n)}
+    linear = _divisor_sum_linear(n, nvars).nums
     power = {(0,) * nvars: 1}
     for _ in range(count):
         power = _product(power, linear)
@@ -909,7 +909,7 @@ def _one_given(source: dict, names: dict, where: str, required=True):
 _ZETA_SOURCES = ("map", "lefschetz", "profile", "zeta", "graded")
 
 
-def _read_zeta(source: dict, order: int, where: str, names: dict, reduced=False) -> PowerSeries:
+def _read_zeta(source: dict, order: int, where: str, names: dict) -> PowerSeries:
     """The zeta series to `order` of the one zeta input in `source`: a
     self-map, Lefschetz numbers, an orbit profile, a series or a graded
     endomorphism, under the keys of `_ZETA_SOURCES`.
@@ -917,25 +917,23 @@ def _read_zeta(source: dict, order: int, where: str, names: dict, reduced=False)
     `names` maps the keys the caller accepts to its spelling of them, and
     exactly one must be given (not None).  Lefschetz numbers and profiles
     must reach `order` (`zeta_series` checks), and a series must have at
-    least that order; it is cut to it.  With `reduced` the result is divided
-    by 1 - q, inside `zeta_series` for map, profile and Lefschetz input.
+    least that order; it is cut to it.  The reduced series is this one
+    divided by 1 - q, by `_over_one_minus_q`, whatever the input.
     """
     key = _one_given(source, names, where)
     obj = source[key]
     if key == "map":
-        return zeta_of_map(FiniteSelfMap.from_json(obj), order, reduced)
+        return zeta_of_map(FiniteSelfMap.from_json(obj), order)
     if key == "lefschetz":
-        return zeta_series(LefschetzSequence.from_json(obj), order, reduced)
+        return zeta_series(LefschetzSequence.from_json(obj), order)
     if key == "profile":
-        return zeta_series(DoldProfile.from_json(obj), order, reduced)
+        return zeta_series(DoldProfile.from_json(obj), order)
     if key == "zeta":
         zeta = PowerSeries.from_json(obj)
         if zeta.order < order:
             raise ValueError(f"zeta series order {zeta.order} is below {order}")
-        zeta = zeta.truncated(order)
-    else:
-        zeta = graded_zeta(GradedEndomorphism.from_json(obj, names[key]), order)
-    return _over_one_minus_q(zeta) if reduced else zeta
+        return zeta.truncated(order)
+    return graded_zeta(GradedEndomorphism.from_json(obj, names[key]), order)
 
 
 def _read_group_inputs(source: dict, where: str, names: dict):

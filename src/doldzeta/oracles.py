@@ -265,7 +265,7 @@ def fixed_bounded_tuples(f: FiniteSelfMap, k: int, bound: int) -> tuple:
     return tuple(counts)
 
 
-def _fixed_orbit_count(f, gset, k, admissible=None, points=1, leaders=(), classes=None) -> tuple:
+def _fixed_orbit_count(f, gset, k, classes, admissible=None, points=1, leaders=()) -> tuple:
     """(count, total) from one walk over the maps a: K -> M passing
     `admissible` (any map when None) whose composite f o a is a
     rearrangement of a; no other map can share an orbit with f o a.
@@ -294,9 +294,9 @@ def _fixed_orbit_count(f, gset, k, admissible=None, points=1, leaders=(), classe
     points whose least period divides a cycle length of some element of
     `gset`, and keeping their order keeps the least-point test.  Conjugates
     have one cycle type, so `classes`, one perm of `gset` per conjugacy
-    class, gives the lengths when given.
+    class (or any perms of `gset` covering every class), gives the lengths.
     """
-    f = _periodic_part(f, {r for perm in classes or gset for r in perm_cycle_type(perm)})
+    f = _periodic_part(f, {r for perm in classes for r in perm_cycle_type(perm)})
     if points == 1:
         ys = [()]
         moves = [_reader(invert_perm(perm)) for perm in gset]
@@ -359,9 +359,7 @@ def fixed_partition_orbits(
     # a map's fiber partition is in the family when its growth string is
     labels = frozenset(p.labels for p in family.members)
     classes = [gset[members[0]] for members in group.classes]
-    return _fixed_orbit_count(
-        f, gset, k, lambda a: _growth_string(a) in labels, coefficient_size, classes=classes
-    )[0]
+    return _fixed_orbit_count(f, gset, k, classes, lambda a: _growth_string(a) in labels, coefficient_size)[0]
 
 
 def fixed_gmap_space(
@@ -382,7 +380,7 @@ def fixed_gmap_space(
     _guard(f.size ** k)
     # #{a : f o a = a o g} is a class function of g: one leader per class
     leaders = [(len(members), gset[members[0]]) for members in group.classes]
-    orbit_count, total = _fixed_orbit_count(f, gset, k, leaders=leaders, classes=[p for _, p in leaders])
+    orbit_count, total = _fixed_orbit_count(f, gset, k, [p for _, p in leaders], leaders=leaders)
     if total % group.order:
         raise RuntimeError("Burnside sum is not divisible by the group order")
     burnside = total // group.order

@@ -15,8 +15,8 @@ top * order + 1, each determinant folded in as one monic series."""
 
 from fractions import Fraction
 
-from doldzeta.graded import _cleared, _determinant_terms
-from doldzeta.series import Poly, _fold_monic
+from doldzeta.graded import _cleared
+from doldzeta.series import Poly, _fold_monic, _terms
 
 from fraction_reference import reference_det_one_minus_t
 
@@ -69,12 +69,12 @@ def flat_poincare(endo, order):
     T-degree, and a factor term c_k (q T^j)^k shifts an index by k (W + j)
     without carrying into another row: each determinant folds in as one
     monic integer series.  Row n is divided by d^n once."""
-    d, blocks, _ = _cleared(endo)
+    d, blocks, dets = _cleared(endo)
     top = max((degree for degree, _ in blocks), default=0)
     width = top * order + 1
     flat = [1] + [0] * ((order + 1) * width - 1)
-    for degree, rows in blocks:
-        factor = [(k * (width + degree), c) for k, c in _determinant_terms(rows, order)]
+    for (degree, _), det in zip(blocks, dets):
+        factor = [(k * (width + degree), c) for k, c in _terms(det)[1:]]
         _fold_monic(flat, factor, divide=degree % 2 == 0)
     return tuple(
         Poly._trusted(flat[n * width : n * width + top * n + 1], d ** n) for n in range(order + 1)

@@ -20,10 +20,11 @@ from doldzeta import (
     zeta_of_map,
     zeta_series,
 )
-from doldzeta.identities import iterate_profile_images
+from doldzeta.identities import _over_one_minus_q, iterate_profile_images
 from doldzeta.series import PowerSeries, RationalFunction, Poly
 
 from conftest import expand, identity_map, seeded_maps
+from dynamics_reference import iterate, reference_lefschetz_sequence
 
 
 def map_from_cycle_lengths(lengths):
@@ -33,14 +34,6 @@ def map_from_cycle_lengths(lengths):
         start = len(mapping)
         mapping.extend(start + (i + 1) % length for i in range(length))
     return FiniteSelfMap(mapping)
-
-
-def iterate(f, j):
-    """The j-th iterate of f, by j compositions."""
-    result = identity_map(f.size)
-    for _ in range(j):
-        result = f.compose(result)
-    return result
 
 
 def ints(series):
@@ -69,7 +62,7 @@ class TestCycleProfile:
         f = FiniteSelfMap([1, 1, 2])
         assert cycle_profile(f, 3).values == (2, 0, 0)
         # Moebius inversion of the direct fixed-point counts agrees
-        assert dold_from_lefschetz(lefschetz_sequence(f, 3)).values == (2, 0, 0)
+        assert dold_from_lefschetz(reference_lefschetz_sequence(f, 3)).values == (2, 0, 0)
 
     def test_empty_map(self):
         assert cycle_profile(FiniteSelfMap([]), 2).values == (0, 0)
@@ -137,13 +130,22 @@ class TestMoebiusInversion:
     def test_round_trip_on_random_maps(self):
         for f in seeded_maps(20250809, 200, 10):
             horizon = max(f.size, 1)
-            seq = lefschetz_sequence(f, horizon)
+            seq = reference_lefschetz_sequence(f, horizon)
             assert dold_from_lefschetz(seq) == cycle_profile(f, horizon)
+
+    def test_lefschetz_sequence_matches_iteration(self):
+        # maps with tails, every horizon up to twice the size
+        tails = 0
+        for f in seeded_maps(20261021, 150, 10, min_size=1):
+            for horizon in range(1, 2 * f.size + 1):
+                assert lefschetz_sequence(f, horizon) == reference_lefschetz_sequence(f, horizon)
+            tails += sum(f.cycle_lengths()) < f.size
+        assert tails > 100
 
     def test_congruence_of_iterate_counts(self):
         for f in seeded_maps(4242, 60, 9):
             horizon = max(f.size, 1)
-            seq = lefschetz_sequence(f, horizon)
+            seq = reference_lefschetz_sequence(f, horizon)
             for m in range(1, horizon + 1):
                 total = sum(mobius(m // d) * seq.value(d) for d in divisors(m))
                 assert total % m == 0
@@ -192,8 +194,8 @@ class TestZeta:
         z = zeta_of_map(identity_map(3), 3)
         assert ints(z) == [1, -3, 3, -1]
         # the order-0 series is 1, reduced or not
-        for reduced in (False, True):
-            assert zeta_of_map(identity_map(3), 0, reduced) == PowerSeries.one(0)
+        assert zeta_of_map(identity_map(3), 0) == PowerSeries.one(0)
+        assert _over_one_minus_q(zeta_of_map(identity_map(3), 0)) == PowerSeries.one(0)
 
     def test_sphere_lefschetz_data(self):
         z = zeta_series(LefschetzSequence([1 - 2 ** k for k in range(1, 5)]), 3)
@@ -213,12 +215,32 @@ class TestZeta:
             zeta_series(DoldProfile(values), 12)  # raises on any mismatch
 
     def test_reduced_relation(self):
+        # the zeta function of the profile with D_1 lowered by one, times 1 - q
         for f in seeded_maps(5, 30, 7, min_size=1):
             order = f.size
-            reduced = zeta_series(cycle_profile(f, order), order, reduced=True)
-            plain = zeta_series(cycle_profile(f, order), order)
+            profile = cycle_profile(f, order)
+            lowered = DoldProfile([profile.count(1) - 1, *profile.values[1:]])
+            plain = zeta_series(profile, order)
             one_minus_q = PowerSeries([1, -1], order=order)
-            assert reduced * one_minus_q == plain
+            assert zeta_series(lowered, order) * one_minus_q == plain
+
+    def test_dividing_by_one_minus_q_lowers_the_fixed_orbit_count(self):
+        # on profiles of both signs and on Lefschetz numbers, which lowering
+        # D_1 lowers by one each
+        rng = random.Random(20261021)
+        cases = 0
+        for _ in range(120):
+            order = rng.randint(1, 24)
+            values = [rng.randint(-4, 4) for _ in range(order)]
+            profile = DoldProfile(values)
+            lowered = DoldProfile([values[0] - 1, *values[1:]])
+            seq = lefschetz_from_dold(profile)
+            want = zeta_series(lowered, order)
+            assert _over_one_minus_q(zeta_series(profile, order)) == want
+            assert _over_one_minus_q(zeta_series(seq, order)) == want
+            assert zeta_series(LefschetzSequence([v - 1 for v in seq.values]), order) == want
+            cases += min(values) < 0
+        assert cases > 100
 
     def test_inconsistent_data_trips_the_dual_form_check(self, monkeypatch):
         import doldzeta.dynamics as dynamics

@@ -19,7 +19,11 @@ help and each kind of refusal, stderr included) from the code before a run
 built the parser of its own command only, except the five added for
 spellings only argparse reads (`--ord`, `--order=5`, `-N5`), a negative
 value and a repeated flag, which were written from the code before plain
-lines were read without argparse; any
+lines were read without argparse.  The `reduced-*` files (`dold --reduced`,
+`zeta --reduced` on map, Lefschetz, profile and graded input, and two
+refusals, stderr included) were written from the code before `--reduced`
+divided the unreduced series by 1 - q on every input, when map, profile and
+Lefschetz input lowered D_1 instead.  Any
 refactor must leave every byte the same.  To regenerate them after an intended output change, run
 
     PYTHONPATH=src python tests/test_golden.py --write
@@ -183,6 +187,34 @@ CASES = (
     + [("help", ["--help"])]
 )
 
+# the zeta function divided by 1 - q, from `dold` and from `zeta` on each
+# input the command takes: a map with tails, a sphere map's Lefschetz
+# numbers, a profile with negative entries and a graded endomorphism with a
+# common denominator, each also as text; then two refusals, Lefschetz
+# numbers no map realizes and a profile short of the order
+REDUCED_JSON_CASES = [
+    ("reduced-dold-map", ["dold", "--map", '{"size":7,"map":[1,2,0,3,3,6,5]}', "--reduced", "-N", "12"]),
+    ("reduced-zeta-map", ["zeta", "--map", '{"size":6,"map":[1,0,3,3,2,4]}', "--reduced", "-N", "16"]),
+    ("reduced-zeta-lefschetz", ["zeta", "--lefschetz", _sphere(3, 2, 24), "--reduced", "-N", "24"]),
+    (
+        "reduced-zeta-profile",
+        ["zeta", "--profile", '{"horizon":10,"values":[-2,1,0,-1,3,0,0,1,0,-1]}', "--reduced",
+         "-N", "10"],
+    ),
+    (
+        "reduced-zeta-graded",
+        ["zeta", "--graded", '{"degrees":{"0":[["1/2","1"],["0","2"]],"1":[["-1/3"]]}}', "--reduced",
+         "-N", "12"],
+    ),
+]
+REDUCED_CASES = REDUCED_JSON_CASES + [
+    (f"{name}-text", argv + ["--format", "text"]) for name, argv in REDUCED_JSON_CASES
+] + [
+    ("reduced-refused-lefschetz", ["zeta", "--lefschetz", "[1,2,3]", "--reduced", "-N", "3"]),
+    ("reduced-refused-short-profile",
+     ["zeta", "--profile", '{"horizon":2,"values":[1,-2]}', "--reduced", "-N", "3"]),
+]
+
 # the parser's own output, pinned with stderr: a command's help, and each
 # kind of refusal (an unknown command names every choice, in order)
 PARSER_CASES = [
@@ -316,6 +348,12 @@ def test_golden_parser_output(name, argv):
     assert render_with_stderr(argv) == expected
 
 
+@pytest.mark.parametrize("name,argv", REDUCED_CASES, ids=[name for name, _ in REDUCED_CASES])
+def test_golden_reduced_output(name, argv):
+    expected = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+    assert render_with_stderr(argv) == expected
+
+
 def test_golden_library_json():
     expected = (GOLDEN / "library.txt").read_text(encoding="utf-8")
     assert render_library() == expected
@@ -327,6 +365,6 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in CASES:
         (GOLDEN / f"{name}.txt").write_text(render(argv), encoding="utf-8")
-    for name, argv in PARSER_CASES:
+    for name, argv in PARSER_CASES + REDUCED_CASES:
         (GOLDEN / f"{name}.txt").write_text(render_with_stderr(argv), encoding="utf-8")
     (GOLDEN / "library.txt").write_text(render_library(), encoding="utf-8")

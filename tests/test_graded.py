@@ -21,7 +21,6 @@ from doldzeta.graded import (
     MAX_GRADED_DEGREE,
     MAX_GRADED_DIMENSION,
     _cleared,
-    _determinant_terms,
     _integer_traces,
     _koszul_sign,
     _zeta_and_traces,
@@ -382,7 +381,7 @@ class TestTraceKernel:
         rng = random.Random(59)
         for dim in (1, 2, 3, 5, 8, MAX_GRADED_DIMENSION):
             endo = split_endomorphism(rng, dim, nilpotent=True)
-            assert all(_determinant_terms(rows, 20) == [] for _, rows in _cleared(endo)[1])
+            assert all(det == (1,) for det in _cleared(endo)[2])
             self.assert_prefixes_match(endo)
             assert _zeta_and_traces(endo, 20) == (PowerSeries.one(20), [0] * 20)
         # a nilpotent block beside one that is not

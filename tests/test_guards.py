@@ -192,3 +192,23 @@ def test_every_default_is_overridden_outside_the_tests(monkeypatch):
                    for parameter in defaults(function)
                    if (function.__code__, parameter) not in overridden)
     assert not unset, "only ever left at the default outside the tests: " + ", ".join(unset)
+
+
+def imported_modules(path) -> set:
+    """The top-level names of the modules a file imports, anywhere in it."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_every_reference_module_is_imported_by_a_test_module():
+    # a reference nothing imports checks nothing
+    tests = Path(__file__).resolve().parent
+    references = sorted(path.stem for path in tests.glob("*_reference.py"))
+    assert "dynamics_reference" in references
+    imported = set().union(*(imported_modules(path) for path in tests.glob("test_*.py")))
+    assert sorted(set(references) - imported) == []

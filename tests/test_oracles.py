@@ -448,7 +448,7 @@ def test_one_orbit_walk_matches_the_two_walks_it_replaced():
             leaders = [(len(members), table[members[0]]) for members in group.classes]
             want = (orbit_reference.fixed_orbit_count(f, table, k),
                     orbit_reference.burnside_total(f, group, table))
-            assert oracles._fixed_orbit_count(f, table, k, leaders=leaders) == want
+            assert oracles._fixed_orbit_count(f, table, k, table, leaders=leaders) == want
             assert want[1] == want[0] * group.order
             nonzero += want[0] > 0
         if not 1 <= k <= MAX_GROUND:
@@ -460,7 +460,7 @@ def test_one_orbit_walk_matches_the_two_walks_it_replaced():
                 return fiber_partition(a) in family
 
             want = orbit_reference.fixed_orbit_count(f, table, k, admissible, points)
-            assert oracles._fixed_orbit_count(f, table, k, admissible, points) == (want, 0)
+            assert oracles._fixed_orbit_count(f, table, k, table, admissible, points) == (want, 0)
             cases += 1
             nonzero += want > 0
     assert cases > 500 and nonzero > 200
@@ -486,7 +486,8 @@ def test_family_filter_by_growth_string_matches_the_partition_filter():
                 for points in range(3):
                     f = random_map(rng, rng.randint(1, 5))
                     want = oracles._fixed_orbit_count(
-                        f, group.elements, k, lambda a: fiber_partition(a) in family, points
+                        f, group.elements, k, group.elements, lambda a: fiber_partition(a) in family,
+                        points,
                     )[0]
                     assert fixed_partition_orbits(f, group, family, points) == want
                     cases += 1
@@ -583,13 +584,13 @@ def test_the_orbit_walk_on_the_periodic_part_matches_the_whole_walk():
             leaders = [(len(members), table[members[0]]) for members in group.classes]
             want = (orbit_reference.fixed_orbit_count(f, table, k),
                     orbit_reference.burnside_total(f, group, table))
-            assert oracles._fixed_orbit_count(f, table, k, leaders=leaders) == want
+            assert oracles._fixed_orbit_count(f, table, k, table, leaders=leaders) == want
         family = PartitionFamily.refining(orbit_partition(table))
         if k and rng.random() < 0.5:
             family = PartitionFamily.max_block(k, rng.randint(1, k))
         for admissible in (None, lambda a: fiber_partition(a) in family):
             want = orbit_reference.fixed_orbit_count(f, table, k, admissible, points)
-            assert oracles._fixed_orbit_count(f, table, k, admissible, points) == (want, 0)
+            assert oracles._fixed_orbit_count(f, table, k, table, admissible, points) == (want, 0)
             nonzero += want > 0
         cases += 1
     assert cases > 200 and dropped > 150 and nonzero > 120
