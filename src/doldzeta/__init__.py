@@ -27,7 +27,6 @@ from .dynamics import (
     divisors,
     dold_from_lefschetz,
     lefschetz_from_dold,
-    lefschetz_sequence,
     mobius,
     zeta_of_map,
     zeta_series,

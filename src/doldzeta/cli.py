@@ -42,7 +42,7 @@ from .dynamics import (
     FiniteSelfMap,
     InconsistentInputError,
     cycle_profile,
-    lefschetz_sequence,
+    lefschetz_from_dold,
     zeta_series,
 )
 from .graded import (
@@ -187,7 +187,7 @@ def _zeta_from_args(args) -> PowerSeries:
 def cmd_dold(args):
     f = FiniteSelfMap.from_json(_load_json(args.map, "--map"))
     profile = cycle_profile(f, args.order)
-    seq = lefschetz_sequence(f, args.order)
+    seq = lefschetz_from_dold(profile)
     zeta = zeta_series(profile, args.order)
     zeta = _over_one_minus_q(zeta) if args.reduced else zeta
     payload = {

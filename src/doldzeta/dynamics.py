@@ -196,13 +196,6 @@ def cycle_profile(f: FiniteSelfMap, horizon: int) -> DoldProfile:
     return DoldProfile(counts)
 
 
-def lefschetz_sequence(f: FiniteSelfMap, horizon: int) -> LefschetzSequence:
-    """Fixed-point counts of f, f^2, ..., f^horizon: f^k fixes the points of
-    its periodic orbits whose least period divides k, so they are the
-    L(f^k) = sum_{m | k} m * D_m of its orbit profile."""
-    return lefschetz_from_dold(cycle_profile(f, horizon))
-
-
 def dold_from_lefschetz(seq: LefschetzSequence) -> DoldProfile:
     """Moebius inversion D_m = (1/m) sum_{d | m} mu(m/d) L(f^d).
 

@@ -13,12 +13,20 @@ Input is checked once, where it enters: the public constructors,
 mark of the check).  The partitions, groups and families built inside this
 package are correct by construction and go through one unchecked private
 builder each: `SetPartition._fibers`, `PermutationGroup._closed` and
-`PartitionFamily._trusted`.
+`PartitionFamily._trusted`.  An element list read from JSON, its rows
+already read as ints, is checked by `PermutationGroup._listed` as the
+constructor checks it but for the entries' types.  `PartitionFamily.full`
+and `PartitionFamily.max_block` come marked as stable under every action:
+a permutation of the ground set keeps the block sizes of every partition,
+so it maps the whole lattice, and the partitions with blocks of at most l
+points, onto themselves, and `_require_stable` returns them without a walk.
+A `refining` family and a member list carry no mark and are walked.
 """
 
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left
 from itertools import combinations
 from operator import attrgetter, itemgetter
 
@@ -269,27 +277,41 @@ class PermutationGroup:
     """A permutation group of fixed degree: its sorted element list, a
     generating set fixed when it is built and its conjugacy classes.  The
     constructor checks an element list and keeps the generators `_close`
-    picks from it, largest element first; the builders go through
+    picks from it, largest element first; `from_json`, whose rows are
+    already read as ints, goes through `_listed`, and the builders through
     `_closed`."""
 
     __slots__ = ("degree", "elements", "generators", "_classes")
 
     def __init__(self, degree: int, elements):
-        elements = sorted({_int_tuple(e, "a group element") for e in elements})
+        self._take_elements(degree, {_int_tuple(e, "a group element") for e in elements})
+
+    @classmethod
+    def _listed(cls, degree: int, rows) -> "PermutationGroup":
+        """The group of an element list whose rows are tuples of ints,
+        checked as the constructor checks it but for the type of each entry."""
+        group = object.__new__(cls)
+        group._take_elements(degree, set(rows))
+        return group
+
+    def _take_elements(self, degree: int, rows: set):
+        """Keep the rows, tuples of ints, as the sorted element list, refused
+        unless they are a group of permutations of the degree within the
+        order cap, and the generators `_close` picks from them."""
+        elements = sorted(rows)
         if len(elements) > DEFAULT_MAX_GROUP_ORDER:
             raise ValueError(
                 f"a group of {len(elements)} elements exceeds the order cap {DEFAULT_MAX_GROUP_ORDER}"
             )
         _require_permutations(elements, degree)
-        members = set(elements)
-        if identity_perm(degree) not in members:
+        if identity_perm(degree) not in rows:
             raise ValueError("group does not contain the identity")
         self.degree = degree
         self.elements = tuple(elements)
         # taken from the largest down, fewer candidates stay generators on
         # the whole: 3 for S5 and 4 for S6, where ascending order keeps 4
         # and 5, and each one kept costs a product per element
-        self.generators = _close(degree, reversed(self.elements), members)[0]
+        self.generators = _close(degree, reversed(self.elements), rows)[0]
         self._classes = None
 
     @classmethod
@@ -372,7 +394,7 @@ class PermutationGroup:
         where = f"a permutation in a group's {key!r}"
         perms = [_integers(perm, where) for perm in _field(obj, key, "a group", list)]
         if key == "elements":
-            return cls(degree, perms)
+            return cls._listed(degree, perms)
         return cls.from_generators(degree, perms)
 
 
@@ -432,16 +454,26 @@ def validate_gset(group: PermutationGroup, gset=None, ground=None):
     return gset
 
 
+# The mark of a family stable under every permutation of its ground set,
+# which `PartitionFamily.full` and `PartitionFamily.max_block` carry: a
+# permutation keeps the block sizes of every partition.
+_EVERY_ACTION = "every action"
+
+
 def _require_stable(family: "PartitionFamily", group: PermutationGroup, gset):
     """The family marked as stable under the validated action table `gset`,
     refused when the table does not map it into itself.  The images of the
     generators decide it: every element is a word in them, and a permutation
-    of a finite family that maps it into itself maps it onto itself.  A
-    family marked for an equal table is returned unchecked."""
-    if isinstance(family, _StableFamily) and family.action == gset:
+    of a finite family that maps it into itself maps it onto itself.  The
+    table is aligned with the sorted element list, so a generator's image
+    sits at its position there.  A family marked for every action, or for
+    an equal table, is returned unchecked."""
+    if isinstance(family, _StableFamily) and (
+        family.action is _EVERY_ACTION or family.action == gset
+    ):
         return family
-    table = dict(zip(group.elements, gset))
-    if not family.is_stable_under([table[s] for s in group.generators]):
+    images = [gset[bisect_left(group.elements, s)] for s in group.generators]
+    if not family.is_stable_under(images):
         raise ValueError("family is not stable under the group action")
     return _StableFamily(family, gset)
 
@@ -490,16 +522,18 @@ class PartitionFamily:
 
     @classmethod
     def full(cls, k: int) -> "PartitionFamily":
-        return cls._trusted(k, all_partitions(k))
+        """The whole lattice, marked as stable under every action."""
+        return _StableFamily(cls._trusted(k, all_partitions(k)), _EVERY_ACTION)
 
     @classmethod
     def max_block(cls, k: int, bound: int) -> "PartitionFamily":
-        """All partitions whose blocks have at most `bound` elements."""
+        """All partitions whose blocks have at most `bound` elements, marked
+        as stable under every action."""
         if bound < 1:
             raise ValueError("the block bound must be >= 1")
-        return cls._trusted(k, [
+        return _StableFamily(cls._trusted(k, [
             p for p in all_partitions(k) if max(map(p.labels.count, range(p.block_count))) <= bound
-        ])
+        ]), _EVERY_ACTION)
 
     @classmethod
     def refining(cls, partition: SetPartition) -> "PartitionFamily":
@@ -583,7 +617,8 @@ def _smaller_side(family: PartitionFamily) -> tuple:
 
 class _StableFamily(PartitionFamily):
     """A family that `_require_stable` found stable under the table `action`,
-    with the smaller side that the check found."""
+    with the smaller side that the check found, or one that `full` or
+    `max_block` built, with `action` set to `_EVERY_ACTION`."""
 
     __slots__ = ("action",)
 

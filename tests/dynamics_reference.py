@@ -1,6 +1,7 @@
 """The fixed-point counts of the iterates of a self-map by explicit
-iteration, as `dynamics.lefschetz_sequence` computed them before it read
-them off the orbit profile, kept as the independent side of the tests.
+iteration, kept as the independent side of the tests of the route the
+package takes, `lefschetz_from_dold(cycle_profile(f, horizon))`, which
+reads them off the orbit profile.
 
 Each iterate is composed from the one before, value table by value table,
 and its fixed points are counted directly; no cycle is ever found."""

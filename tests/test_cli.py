@@ -838,27 +838,40 @@ S3 = {"degree": 3, "elements": [list(g) for g in S3_ELEMENTS]}
 S3_GSET = {"size": 3, "action": {str(i): list(g) for i, g in enumerate(S3_ELEMENTS)}}
 
 
+# max_block 1 on three points as a member list, which is walked; `full` and
+# `max_block` build their families marked as stable under every action
+DISCRETE_3 = {"ground": 3, "members": [[[0], [1], [2]]]}
+MAX_BLOCK_1 = {"ground": 3, "max_block": 1}
+
+
 def test_a_plans_action_table_is_checked_once(capsys, action_checks, stability_checks):
     plan = {
         "identity": "partition",
         "map": {"size": 3, "map": [1, 0, 2]},
         "group": S3,
         "gset": S3_GSET,
-        "family": {"ground": 3, "max_block": 1},
+        "family": DISCRETE_3,
         "coefficient_size": 2,
     }
     code, out, _ = run(capsys, *plan_argv(plan))
     assert code == 0 and json.loads(out)["pass"]
     assert len(action_checks) == 1
     assert len(stability_checks) == 1  # and the family's stability under it
+    code, marked, _ = run(capsys, *plan_argv({**plan, "family": MAX_BLOCK_1}))
+    assert (code, marked) == (0, out)
+    assert len(action_checks) == 2
+    assert len(stability_checks) == 1  # a max_block family is not walked
 
 
 def test_a_commands_action_table_is_checked_once(capsys, action_checks, stability_checks):
-    code, out, _ = run(capsys, "partition", "--group", json.dumps(S3), "--gset",
-                       json.dumps(S3_GSET), "--family", '{"ground":3,"max_block":1}',
-                       "--coefficient-size", "2", "--map", json.dumps(MAP))
+    argv = ["partition", "--group", json.dumps(S3), "--gset", json.dumps(S3_GSET),
+            "--coefficient-size", "2", "--map", json.dumps(MAP)]
+    code, out, _ = run(capsys, *argv, "--family", json.dumps(DISCRETE_3))
     assert code == 0 and "value" in json.loads(out)
     assert len(action_checks) == 1
+    assert len(stability_checks) == 1
+    assert run(capsys, *argv, "--family", json.dumps(MAX_BLOCK_1)) == (0, out, "")
+    assert len(action_checks) == 2
     assert len(stability_checks) == 1
 
 

@@ -109,6 +109,72 @@ def test_lists_that_are_not_closed_are_refused_alike():
 
 
 # ---------------------------------------------------------------------------
+# element rows read once by `from_json` against the constructor, which reads
+# each row again
+
+
+def json_rows(rng, elements):
+    """The elements as shuffled JSON rows, some entries spelled as the
+    integral floats and decimal strings that both readers take for ints."""
+    rows = [list(e) for e in elements]
+    rng.shuffle(rows)
+    for row in rows:
+        for i, x in enumerate(row):
+            spelling = rng.random()
+            if spelling < 0.05:
+                row[i] = float(x)
+            elif spelling < 0.1:
+                row[i] = str(x)
+    return rows
+
+
+@pytest.mark.parametrize("degree", range(7))
+def test_json_rows_build_the_group_the_constructor_builds(degree):
+    rng = random.Random(4000 + degree)
+    for _ in range(12):
+        elements = reference.close(degree, random_perms(rng, degree, rng.randint(1, 3)))[1]
+        rows = json_rows(rng, elements)
+        read = PermutationGroup.from_json({"degree": degree, "elements": rows})
+        built = PermutationGroup(degree, rows)
+        assert read == built
+        assert read.elements == built.elements == tuple(sorted(elements))
+        assert read.generators == built.generators
+        assert read.classes == built.classes
+
+
+S3_ROWS = [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]]
+WHERE_JSON = "an entry of a permutation in a group's 'elements'"
+WHERE_BUILT = "an entry of a group element"
+
+
+# The refusals of S3's element list with its last row replaced, as
+# `from_json` and the constructor gave them when both read every row with
+# `_int_tuple`: (row, text from JSON, text from the constructor).
+@pytest.mark.parametrize("bad_row, from_json, built", [
+    ([2, 2, 0], "(2, 2, 0) is not a permutation of degree 3",
+     "(2, 2, 0) is not a permutation of degree 3"),
+    ([2, 1], "(2, 1) is not a permutation of degree 3", "(2, 1) is not a permutation of degree 3"),
+    ([2, "x", 0], f"{WHERE_JSON} must be an integer, got 'x'",
+     f"{WHERE_BUILT} must be an integer, got 'x'"),
+    ([2, 1.5, 0], f"{WHERE_JSON} must be an integer, got 1.5",
+     f"{WHERE_BUILT} must be an integer, got 1.5"),
+    ([2, True, 0], f"{WHERE_JSON} must be an integer, got True",
+     f"{WHERE_BUILT} must be an integer, got True"),
+], ids=["not-a-permutation", "wrong-length", "non-int", "non-integral", "bool"])
+def test_json_rows_are_refused_as_before(bad_row, from_json, built):
+    rng = random.Random(4100)
+    for _ in range(6):
+        rows = S3_ROWS[:-1] + [bad_row]
+        rng.shuffle(rows)
+        with pytest.raises(ValueError) as refused:
+            PermutationGroup.from_json({"degree": 3, "elements": rows})
+        assert str(refused.value) == from_json
+        with pytest.raises(ValueError) as refused:
+            PermutationGroup(3, rows)
+        assert str(refused.value) == built
+
+
+# ---------------------------------------------------------------------------
 # groups on 0 and 1 points
 
 

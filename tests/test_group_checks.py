@@ -404,13 +404,20 @@ EIGHT_POINT_GROUPS = {
 }
 
 
+def listed_max_block(k, bound):
+    """max_block(k, bound) as a member list: a family the stability check
+    walks, where the one `max_block` builds comes marked as stable under
+    every action."""
+    return PartitionFamily(k, PartitionFamily.max_block(k, bound).members)
+
+
 @pytest.mark.parametrize("bound, side", [(1, 1), (2, 764), (7, 1)])
 @pytest.mark.parametrize("name", sorted(EIGHT_POINT_GROUPS))
 def test_eight_points_cost_the_smaller_side_of_the_family(monkeypatch, name, bound, side):
     # max_block(8, 1) has 1 member and 4139 excluded partitions, (8, 2) has
     # 764 members and 3376 excluded, (8, 7) 4139 members and 1 excluded
     group = PermutationGroup.from_generators(8, EIGHT_POINT_GROUPS[name])
-    family = PartitionFamily.max_block(8, bound)
+    family = listed_max_block(8, bound)
     expected = reference.general_lefschetz_polynomial(group, family).poly
     summed, applied = [], []
     class_sum, apply = identities._class_sum, SetPartition.apply
@@ -428,15 +435,19 @@ def test_eight_points_cost_the_smaller_side_of_the_family(monkeypatch, name, bou
     assert general_lefschetz_polynomial(group, family).poly == expected
     assert summed == [side]
     assert Counter(applied) == dict.fromkeys(group.generators, side)
+    # the family `max_block` builds sums the same side and walks none
+    assert general_lefschetz_polynomial(group, PartitionFamily.max_block(8, bound)).poly == expected
+    assert summed == [side, side]
+    assert Counter(applied) == dict.fromkeys(group.generators, side)
 
 
 @pytest.mark.parametrize("bound", [1, 2, 7])
-def test_an_unmarked_family_finds_its_smaller_side_once(monkeypatch, bound):
+def test_an_unmarked_family_finds_its_smaller_side_once(monkeypatch, stability_checks, bound):
     # the stability check finds the side, and the marked family carries it
     # to the class sum; a family marked by an earlier check finds none
     group = PermutationGroup.from_generators(8, EIGHT_POINT_GROUPS["C8"])
     expected = reference.general_lefschetz_polynomial(group, PartitionFamily.max_block(8, bound)).poly
-    family = PartitionFamily.max_block(8, bound)
+    family = listed_max_block(8, bound)
     sides = []
 
     def counted_side(family):
@@ -448,10 +459,18 @@ def test_an_unmarked_family_finds_its_smaller_side_once(monkeypatch, bound):
     assert general_lefschetz_polynomial(group, family).poly == expected
     assert sides == [family]
     gset = validate_gset(group)
-    marked = partitions._require_stable(PartitionFamily.max_block(8, bound), group, gset)
+    marked = partitions._require_stable(listed_max_block(8, bound), group, gset)
     assert len(sides) == 2
     assert general_lefschetz_polynomial(group, marked, gset=gset).poly == expected
     assert len(sides) == 2
+    assert len(stability_checks) == 2
+    # a family `max_block` built is walked under no table: the class sum
+    # finds its side once, and the family keeps it
+    built = PartitionFamily.max_block(8, bound)
+    assert general_lefschetz_polynomial(group, built).poly == expected
+    assert general_lefschetz_polynomial(group, built, gset=gset).poly == expected
+    assert len(sides) == 3 and sides[2] is built
+    assert len(stability_checks) == 2
 
 
 @pytest.mark.parametrize("name, generators", [

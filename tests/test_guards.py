@@ -212,3 +212,36 @@ def test_every_reference_module_is_imported_by_a_test_module():
     assert "dynamics_reference" in references
     imported = set().union(*(imported_modules(path) for path in tests.glob("test_*.py")))
     assert sorted(set(references) - imported) == []
+
+
+def nodes_with_context(tree, function=None, parent=None):
+    """(enclosing function name or None, parent node, node) for every node."""
+    for node in ast.iter_child_nodes(tree):
+        yield function, parent, node
+        inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+        yield from nodes_with_context(node, inner, node)
+
+
+def test_only_the_covered_builders_mark_a_family_stable_under_every_action():
+    # `_require_stable` returns a family marked for every action without a
+    # walk, so only `full` and `max_block`, whose stability
+    # `test_families_built_stable_are_stable_under_every_permutation`
+    # confirms, may build that mark
+    stores, literals, uses = [], [], []
+    for path in sorted((ROOT / "src" / "doldzeta").glob("*.py")):
+        for function, parent, node in nodes_with_context(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and node.id == "_EVERY_ACTION":
+                if isinstance(node.ctx, ast.Store):
+                    stores.append((path.name, function))
+                elif isinstance(parent, ast.Call):
+                    uses.append((path.name, function, ast.unparse(parent.func)))
+                else:
+                    uses.append((path.name, function, ast.unparse(parent)))
+            elif isinstance(node, ast.Constant) and node.value == "every action":
+                literals.append((path.name, function))
+    assert stores == literals == [("partitions.py", None)]
+    assert sorted(uses) == [
+        ("partitions.py", "_require_stable", "family.action is _EVERY_ACTION"),
+        ("partitions.py", "full", "_StableFamily"),
+        ("partitions.py", "max_block", "_StableFamily"),
+    ]

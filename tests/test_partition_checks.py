@@ -278,6 +278,40 @@ def test_stability_judged_like_every_element():
     assert outcomes == {True, False}
 
 
+def test_families_built_stable_are_stable_under_every_permutation(stability_checks):
+    # `full` and `max_block` come marked as stable under every action, so
+    # `_require_stable` walks neither; every permutation keeps block sizes,
+    # which this walk confirms.  A `refining` family carries no mark.
+    rng = random.Random(4040)
+    refused = 0
+    for k in range(1, 7):
+        lattice = all_partitions(k)
+        for bound in range(1, k + 2):
+            perms = [tuple(rng.sample(range(k), k)) for _ in range(8)]
+            for family in (PartitionFamily.full(k), PartitionFamily.max_block(k, bound)):
+                walks = len(stability_checks)
+                group = PermutationGroup.from_generators(k, perms[:rng.randint(1, 3)])
+                assert _require_stable(family, group, random_action(rng, group)) is family
+                assert len(stability_checks) == walks
+                assert family.is_stable_under(perms)
+        # a partition some permutation moves: its refinements are stable
+        # under none of the groups that move it
+        target = rng.choice([p for p in lattice if 1 < p.block_count < k] or [None])
+        if target is None:
+            continue
+        while True:
+            perm = tuple(rng.sample(range(k), k))
+            if target.apply(perm) != target:
+                break
+        group = PermutationGroup.from_generators(k, [perm])
+        walks = len(stability_checks)
+        with pytest.raises(ValueError, match="^family is not stable under the group action$"):
+            _require_stable(PartitionFamily.refining(target), group, group.elements)
+        assert len(stability_checks) == walks + 1
+        refused += 1
+    assert refused == 4  # k = 3..6
+
+
 # ---------------------------------------------------------------------------
 # the families the reference recursion builds without validation
 

@@ -234,7 +234,9 @@ class TestGroups:
     def test_a_stable_family_is_checked_again_only_for_another_table(self, stability_checks):
         s3 = PermutationGroup.symmetric(3)
         table = validate_gset(s3, None, 3)
-        family = _require_stable(PartitionFamily.max_block(3, 2), s3, table)
+        # max_block(3, 2) as a member list, which is walked
+        listed = PartitionFamily(3, PartitionFamily.max_block(3, 2).members)
+        family = _require_stable(listed, s3, table)
         assert _require_stable(family, s3, table) is family
         assert _require_stable(family, s3, validate_gset(s3, None, 3)) is family
         assert family == PartitionFamily.max_block(3, 2)
@@ -243,6 +245,11 @@ class TestGroups:
         sign = validate_gset(s3, [(0, 1, 2) if not perm_cycle_type(g).get(2) else (1, 0, 2)
                                   for g in s3.elements])
         assert _require_stable(family, s3, sign) is not family
+        assert len(stability_checks) == 2
+        # the block bound and the whole lattice are walked under no table
+        for built in (PartitionFamily.max_block(3, 2), PartitionFamily.full(3)):
+            assert _require_stable(built, s3, table) is built
+            assert _require_stable(built, s3, sign) is built
         assert len(stability_checks) == 2
 
     def test_an_unchecked_unstable_family_is_refused(self, stability_checks):
