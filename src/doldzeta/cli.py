@@ -41,12 +41,13 @@ from .dynamics import (
     DoldProfile,
     FiniteSelfMap,
     InconsistentInputError,
+    _checked_zeta,
     cycle_profile,
     lefschetz_from_dold,
-    zeta_series,
 )
 from .graded import (
     GradedEndomorphism,
+    _cleared,
     _zeta_and_traces,
     characteristic_rational_function,
     poincare_generating,
@@ -75,6 +76,7 @@ from .series import (
     NotExpandableError,
     PowerSeries,
     _digit_limit_error,
+    _ratio_str,
     _shown,
     egf_unpack,
     rat_str,
@@ -188,7 +190,7 @@ def cmd_dold(args):
     f = FiniteSelfMap.from_json(_load_json(args.map, "--map"))
     profile = cycle_profile(f, args.order)
     seq = lefschetz_from_dold(profile)
-    zeta = zeta_series(profile, args.order)
+    zeta = _checked_zeta(profile, seq, args.order)
     zeta = _over_one_minus_q(zeta) if args.reduced else zeta
     payload = {
         "profile": profile.to_json(),
@@ -271,13 +273,15 @@ def cmd_order_poly(args):
 def cmd_graded(args):
     endo = GradedEndomorphism.from_json(_load_json(args.matrices, "--matrices"), "--matrices")
     char = characteristic_rational_function(endo)
-    zeta, lefschetz = _zeta_and_traces(endo, args.order)
+    zeta, traces = _zeta_and_traces(endo, args.order)
     poincare = poincare_generating(endo, args.order)
+    d = _cleared(endo)[0]
     payload = {
         "characteristic": char.to_json(),
         "zeta": zeta.to_json(),
         "poincare": {"order": args.order, "coeffs": [c.to_json() for c in poincare]},
-        "lefschetz": [rat_str(v) for v in lefschetz],
+        # L_k = t_k / d^k, rendered from the integer trace t_k
+        "lefschetz": [_ratio_str(t, d ** k) for k, t in enumerate(traces, 1)],
     }
     return payload, lambda: [
         f"characteristic  ({char.numerator.render()}) / ({char.denominator.render()})",
@@ -584,8 +588,10 @@ def _dumps(value, indent="\n") -> str:
     here by one join per container, with strings quoted by json's own
     quoting function; `indent` is a newline and the indent of the level
     that holds `value`.  A list of strings, such as a series' coefficients,
-    is quoted by one map of that function; an item it refuses, such as an
-    int after a string, sends the list item by item."""
+    is written in one join when their comma-join is printable ASCII without
+    `"` or `\\`, which json writes as they are; any other list, such as one
+    with a string json escapes or an int after a string, is written item by
+    item."""
     kind = type(value)
     if kind is str:
         return _quote(value)
@@ -598,10 +604,16 @@ def _dumps(value, indent="\n") -> str:
     elif kind is list or kind is tuple:
         ends = "[]"
         try:
-            items = list(map(_quote, value)) if value and type(value[0]) is str else None
+            plain = ",".join(value) if value and type(value[0]) is str else None
         except TypeError:  # a string, then something else
-            items = None
-        items = items or [_dumps(item, inner) for item in value]
+            plain = None
+        if (
+            plain is not None and plain.isascii() and plain.isprintable()
+            and '"' not in plain and "\\" not in plain
+        ):
+            # no character json would escape: each string is its own quoted text
+            return "[" + inner + '"' + ('",' + inner + '"').join(value) + '"' + indent + "]"
+        items = [_dumps(item, inner) for item in value]
     else:  # bools, None, floats, subclasses, and a dict with a key that is not a string
         return json.dumps(value, indent=2, sort_keys=True).replace("\n", indent)
     return ends[0] + inner + ("," + inner).join(items) + indent + ends[1] if items else ends

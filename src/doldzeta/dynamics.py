@@ -246,6 +246,13 @@ def zeta_series(data, order: int) -> PowerSeries:
         profile = dold_from_lefschetz(seq)
     else:
         raise TypeError("expected a DoldProfile or a LefschetzSequence")
+    return _checked_zeta(profile, seq, order)
+
+
+def _checked_zeta(profile: DoldProfile, seq: LefschetzSequence, order: int) -> PowerSeries:
+    """`zeta_series` of a profile and its Lefschetz numbers, both at hand:
+    the product form of the orbit counts, checked against the exponential
+    form of `seq`."""
     if profile.horizon < order:
         raise HorizonError(
             f"zeta to order {order} needs horizon >= {order}, got {profile.horizon}"

@@ -30,9 +30,13 @@ the zeta function and the Poincaré series fold in its terms past the
 constant 1.
 
 The traces of the powers B_j^k are computed once for the zeta function's
-check and the Lefschetz numbers together, from the running powers: each row
-of a power is the dot products of a row of the power before with the
-columns of B_j, taken once per block.
+check and the Lefschetz numbers together: up to the dimension n of B_j
+from the running powers, each row of a power the dot products of a row of
+the power before with the columns of B_j, and past n from the recurrence
+of det(1 - x B_j), whose coefficients Newton's identities give from those
+n traces.  They never read the determinants of Bareiss elimination, so the
+check compares two independent routes, and every Lefschetz number printed
+is checked against the determinant product.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial, lcm
-from operator import getitem, mul
+from operator import add, getitem, mul, sub
 from types import MappingProxyType
 
 from .oracles import _guard
@@ -216,34 +220,65 @@ def _cleared(endo: GradedEndomorphism) -> tuple:
     return endo._cleared
 
 
+_DISAGREE = "determinant and exponential forms of zeta disagree"
+
+
 def _integer_traces(blocks, order: int) -> list:
     """[L_1, ..., L_order] with L_k = sum_j (-1)^j tr(B_j^k) for the integer
-    blocks (degree, B_j), from the running powers B_j, B_j^2, ...: each
-    power is the one before times B_j, a row of it the dot products of a row
-    of the one before with the columns of B_j, taken once per block."""
+    blocks (degree, B_j).
+
+    For an n x n block the power sums p_k = tr(B_j^k), k <= min(n, order),
+    come from the running powers B_j, B_j^2, ..., B_j^n: each power is the
+    one before times B_j, a row of it the dot products of a row of the one
+    before with the columns of B_j, taken once per block.  Past n they obey
+    the recurrence of det(1 - x B_j) = 1 + a_1 x + ... + a_n x^n, whose
+    coefficients Newton's identities give from p_1..p_n alone:
+
+        k a_k = -sum_{i=1..k} p_i a_{k-i},   p_k = -sum_{i=1..n} a_i p_{k-i}.
+
+    So a block costs O(n^4 + n order) rather than O(n^3 order), and reads
+    nothing of the Bareiss determinants.  Each division by k is exact for an
+    integer matrix; a remainder means the traces are wrong, and is refused
+    as the dual-form check refuses them."""
     totals = [0] * order
     for degree, rows in blocks:
-        sign = 1 if degree % 2 == 0 else -1
+        n = len(rows)
         cols = tuple(zip(*rows))
         power = rows
-        for k in range(order):
+        sums = []
+        for k in range(min(n, order)):
             if k:
                 power = [[sum(map(mul, r, c)) for c in cols] for r in power]
-            totals[k] += sign * sum(map(getitem, power, range(len(rows))))
+            sums.append(sum(map(getitem, power, range(n))))
+        if order > n:
+            coeffs = [1]  # a_0, a_1, ..., of det(1 - x B_j)
+            for k in range(1, n + 1):
+                a, rest = divmod(-sum(map(mul, sums, reversed(coeffs))), k)
+                if rest:
+                    raise RuntimeError(_DISAGREE)
+                coeffs.append(a)
+            recurrence = coeffs[:0:-1]  # a_n, ..., a_1
+            for k in range(n, order):
+                sums.append(-sum(map(mul, recurrence, sums[k - n:])))
+        totals = list(map(sub if degree % 2 else add, totals, sums))
     return totals
 
 
 def _zeta_and_traces(endo: GradedEndomorphism, order: int) -> tuple:
     """Z(q) = prod_j det(1 - q A_j)^{(-1)^j}, cross-checked against the
-    exponential form exp(-sum_k L_k q^k / k), and the Lefschetz numbers
-    [L_1, ..., L_order] with L_k = sum_j (-1)^j tr(A_j^k) = L_k(B) / d^k
-    that the check reads.
+    exponential form exp(-sum_k L_k q^k / k), and the integer traces
+    [t_1, ..., t_order], t_k = sum_j (-1)^j tr(B_j^k), that the check
+    reads: the Lefschetz numbers are L_k = t_k / d^k.
 
     Both forms are built for Z(q / d) = prod_j det(1 - q B_j)^{(-1)^j} over
     the integers: even degrees multiply, odd degrees divide.  The check's
-    recurrence is homogeneous in q / d, so it is the same check.  The traces
-    come from matrix powers, not from the determinants, so each side of the
-    check is computed independently of the other."""
+    recurrence is homogeneous in q / d, so it is the same check.  The two
+    sides are computed independently of each other: the determinants by
+    Bareiss elimination, the traces from matrix powers up to each block's
+    dimension and, past it, from the coefficients of det(1 - x B_j) that
+    Newton's identities give from those traces, never from the Bareiss
+    ones.  So every trace printed is checked against the determinant
+    product."""
     if order < 0:
         raise ValueError("truncation order must be >= 0")
     d, blocks, dets = _cleared(endo)
@@ -252,9 +287,8 @@ def _zeta_and_traces(endo: GradedEndomorphism, order: int) -> tuple:
         _fold_monic(scaled, _terms(det)[1:], divide=degree % 2 == 1)
     traces = _integer_traces(blocks, order)
     if not _exp_form_holds(scaled, traces):
-        raise RuntimeError("determinant and exponential forms of zeta disagree")
-    lefschetz = [Fraction(t, d ** k) for k, t in enumerate(traces, 1)]
-    return _over_powers(PowerSeries._trusted, scaled, d), lefschetz
+        raise RuntimeError(_DISAGREE)
+    return _over_powers(PowerSeries._trusted, scaled, d), traces
 
 
 def graded_zeta(endo: GradedEndomorphism, order: int) -> PowerSeries:

@@ -10,7 +10,9 @@ entries with row swaps and polynomial long division that `det_one_minus_t`
 ran, `reference_graded_zeta` the product of its determinant series
 det(1 - q A_j), each inverted in odd degrees, and `reference_traces` the
 alternating traces of the rational matrix powers, each power built from the
-identity.
+identity.  `running_power_traces` is the integer trace kernel as it ran
+before the traces past a block's dimension came from Newton's identities:
+every power of every block formed up to the order.
 
 `ReferencePoly` is the multivariate polynomial as `MultiPoly` ran it before
 it stored one denominator and integer numerators: a dict of Fraction
@@ -21,7 +23,7 @@ of Fraction coefficients, each product a double loop over them, each
 inverse the division loop above, and each coefficient rendered by `str`."""
 
 from fractions import Fraction
-from operator import add
+from operator import add, getitem, mul
 
 from doldzeta import PowerSeries
 from doldzeta.series import Poly
@@ -111,6 +113,25 @@ def reference_traces(endo, order):
         sum((-1) ** d * reference_trace_of_power(endo.matrix(d), k) for d in endo.degrees())
         for k in range(1, order + 1)
     ]
+
+
+def running_power_traces(blocks, order):
+    """[L_1, ..., L_order] with L_k = sum_j (-1)^j tr(B_j^k) for the integer
+    blocks (degree, B_j), as `_integer_traces` computed them before the
+    traces past a block's dimension came from Newton's identities: from the
+    running powers B_j, B_j^2, ... up to the order, each power the one
+    before times B_j, a row of it the dot products of a row of the one
+    before with the columns of B_j, taken once per block."""
+    totals = [0] * order
+    for degree, rows in blocks:
+        sign = 1 if degree % 2 == 0 else -1
+        cols = tuple(zip(*rows))
+        power = rows
+        for k in range(order):
+            if k:
+                power = [[sum(map(mul, r, c)) for c in cols] for r in power]
+            totals[k] += sign * sum(map(getitem, power, range(len(rows))))
+    return totals
 
 
 class ReferencePoly:

@@ -31,6 +31,25 @@ def test_dold_three_cycle(capsys):
     assert payload["profile"]["values"] == [0, 0, 1, 0, 0, 0]
 
 
+def test_dold_sums_the_lefschetz_numbers_once(capsys, monkeypatch):
+    # the zeta function's exponential-form check reads the command's sequence
+    import doldzeta.cli as cli
+    from doldzeta import dynamics
+
+    sums = []
+    real = dynamics.lefschetz_from_dold
+
+    def counted(profile):
+        sums.append(profile)
+        return real(profile)
+
+    monkeypatch.setattr(dynamics, "lefschetz_from_dold", counted)
+    monkeypatch.setattr(cli, "lefschetz_from_dold", counted)
+    code, out, _ = run(capsys, "dold", "--map", '{"size":3,"map":[1,2,0]}', "-N", "6")
+    assert code == 0 and json.loads(out)["lefschetz"]["values"] == [0, 0, 3, 0, 0, 3]
+    assert len(sums) == 1
+
+
 def test_symmetric_sphere_lefschetz_input(capsys):
     code, out, _ = run(
         capsys,

@@ -92,6 +92,31 @@ def test_the_writer_gives_the_bytes_of_json_dumps():
     assert refused > 0  # keys json.dumps cannot sort were drawn
 
 
+# lists of strings (a str subclass among them): those whose comma-join is
+# printable ASCII without `"` or `\` are written in one join, with no string
+# quoted; the rest, and those with an item that is not a str (a subclass
+# first included), are written item by item
+ONE_JOIN = [
+    ["1", "-2/3", "0", "12345678901234567890"],
+    [""],
+    ["", "", "a b"],
+    ["3", Text("1/2")],
+    ("x", "y"),
+]
+QUOTED = [
+    ['a"b'],
+    ["a\\b"],
+    ["1", "\x1f"],
+    ["\x7f"],
+    ["\u2028"],
+    ["é", "1"],
+    ["\ud800"],
+    ["1", "2", 3],
+    ["1", None],
+    [Text("1/2"), "3"],
+]
+
+
 @pytest.mark.parametrize(
     "value",
     [
@@ -114,10 +139,20 @@ def test_the_writer_gives_the_bytes_of_json_dumps():
         [Text("a\n"), "b"],
         ["a", Text("b")],
         ("x", "y"),
-    ],
+    ] + ONE_JOIN + QUOTED,
 )
 def test_the_writer_on_chosen_values(value):
     assert _dumps(value) == reference(value)
+
+
+@pytest.mark.parametrize("value, joined", [(v, True) for v in ONE_JOIN] + [(v, False) for v in QUOTED])
+def test_a_plain_string_list_is_written_in_one_join(monkeypatch, value, joined):
+    import doldzeta.cli as cli
+
+    quoted = []
+    monkeypatch.setattr(cli, "_quote", lambda text: quoted.append(text) or json.dumps(text))
+    assert cli._dumps(value) == reference(value)
+    assert (quoted == []) == joined
 
 
 @pytest.mark.parametrize(

@@ -23,7 +23,11 @@ lines were read without argparse.  The `reduced-*` files (`dold --reduced`,
 `zeta --reduced` on map, Lefschetz, profile and graded input, and two
 refusals, stderr included) were written from the code before `--reduced`
 divided the unreduced series by 1 - q on every input, when map, profile and
-Lefschetz input lowered D_1 instead.  Any
+Lefschetz input lowered D_1 instead.  The `graded` files at the edges of
+the trace recurrence (a dense 3x3 block at orders 2, 3 and 4, a nilpotent
+block beside one that is not, a rational block and the cancelling identity
+of S^1) and `partition-s3-gset` were written from the code before the
+traces past a block's dimension came from Newton's identities.  Any
 refactor must leave every byte the same.  To regenerate them after an intended output change, run
 
     PYTHONPATH=src python tests/test_golden.py --write
@@ -115,6 +119,34 @@ GRADED_CASES = [
     ),
 ]
 
+# `graded` where the traces leave the running powers: a dense 3x3 block
+# below, at and one past its dimension, a nilpotent block beside one that
+# is not, a rational 3x3 block (common denominator 12) beside a 1x1 one,
+# and the identity of S^1, whose characteristic function cancels to 1
+DENSE_3X3 = '{"degrees":{"0":[["2","1","0"],["-1","3","1"],["1","-2","-1"]]}}'
+GRADED_CASES += [(f"graded-dense-3x3-order-{n}", ["graded", "--matrices", DENSE_3X3, "-N", str(n)])
+                 for n in (2, 3, 4)]
+GRADED_CASES += [
+    (
+        "graded-nilpotent-beside-invertible",
+        [
+            "graded",
+            "--matrices", '{"degrees":{"0":[["0","2","1"],["0","0","-3"],["0","0","0"]],"1":[["2","1"],["1","1"]]}}',
+            "-N", "12",
+        ],
+    ),
+    (
+        "graded-rational-recurrence",
+        [
+            "graded",
+            "--matrices",
+            '{"degrees":{"0":[["1/2","1/3","0"],["-1","2/3","1/6"],["1/4","0","-1/2"]],"1":[["3/2"]]}}',
+            "-N", "10",
+        ],
+    ),
+    ("graded-cancelling", ["graded", "--matrices", '{"degrees":{"0":[["1"]],"1":[["1"]]}}', "-N", "6"]),
+]
+
 # `gsymm` and `partition` at a realistic size, beyond the S2 of the README:
 # S5 with a coefficient set, S3xS2 (by generators) with a `refines` family
 # and a coefficient set, and D5 with a block bound, each also as text
@@ -145,6 +177,20 @@ GROUP_JSON_CASES = [
             "--group", '{"degree":5,"generators":[[1,2,3,4,0],[0,4,3,2,1]]}',
             "--family", '{"ground":5,"max_block":3}',
             "--map", '{"size":5,"map":[1,0,2,3,3]}',
+        ],
+    ),
+    # S3 acting on 4 points through an explicit G-set: the natural action on
+    # 0..2 with 3 fixed, each row given under its element's index
+    (
+        "partition-s3-gset",
+        [
+            "partition",
+            "--group", '{"degree":3,"elements":[[2,1,0],[0,1,2],[1,2,0],[0,2,1],[2,0,1],[1,0,2]]}',
+            "--gset",
+            '{"size":4,"action":{"0":[0,1,2,3],"1":[0,2,1,3],"2":[1,0,2,3],'
+            '"3":[1,2,0,3],"4":[2,0,1,3],"5":[2,1,0,3]}}',
+            "--family", '{"ground":4,"refines":[[0,1,2],[3]]}',
+            "--map", '{"size":5,"map":[1,2,0,4,4]}',
         ],
     ),
 ]

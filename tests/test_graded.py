@@ -30,12 +30,19 @@ from doldzeta.series import Poly
 
 from bivariate_reference import bivariate_product, flat_poincare, reference_poincare
 from conftest import at_one, expand
-from fraction_reference import reference_det_one_minus_t, reference_graded_zeta, reference_traces
+from fraction_reference import (
+    reference_det_one_minus_t,
+    reference_graded_zeta,
+    reference_traces,
+    running_power_traces,
+)
 
 
 def lefschetz_numbers(endo, order):
-    """The Lefschetz numbers that the zeta function's dual-form check reads."""
-    return _zeta_and_traces(endo, order)[1]
+    """The Lefschetz numbers L_k = t_k / d^k of the integer traces t_k that
+    the zeta function's dual-form check reads."""
+    d = _cleared(endo)[0]
+    return [Fraction(t, d ** k) for k, t in enumerate(_zeta_and_traces(endo, order)[1], 1)]
 
 
 def direct_sum(a, b):
@@ -356,11 +363,12 @@ def split_endomorphism(rng, dim, nilpotent=False):
 
 
 class TestTraceKernel:
-    """The column-product powers of `_integer_traces` against the traces of
-    rational powers built from the identity, at every order up to the top
-    one, 20 while no block is above dimension 6 and 10 beyond (the reference
-    is cubic in the dimension and quadratic in the order): the traces of a
-    lower order are a prefix of those of a higher one."""
+    """`_integer_traces` (running powers up to each block's dimension n,
+    Newton's recurrence past n) against the traces of rational powers built
+    from the identity, at every order up to the top one, 20 while no block
+    is above dimension 6 and 10 beyond (the reference is cubic in the
+    dimension and quadratic in the order): the traces of a lower order are
+    a prefix of those of a higher one."""
 
     @staticmethod
     def assert_prefixes_match(endo):
@@ -388,6 +396,49 @@ class TestTraceKernel:
         self.assert_prefixes_match(
             GradedEndomorphism({0: [[0, 2, 1], [0, 0, -3], [0, 0, 0]], 1: [[2, 1], [1, 1]]})
         )
+
+
+RECURRENCE_SHAPES = ("dense", "singular", "nilpotent", "split", "rational")
+
+
+def recurrence_endomorphism(rng, n, shape):
+    """A random endomorphism of total dimension n: one n x n block in degree
+    n % 4 with entries in -9..9 (dense; singular, its last row the first
+    plus twice the second, or 0 for n = 1; nilpotent, strictly upper
+    triangular in a shuffled basis; rational, over a denominator drawn from
+    2, 3 and 6), or blocks in several degrees (split)."""
+    if shape == "split":
+        return split_endomorphism(rng, n)
+    rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+    if shape == "singular":
+        rows[-1] = [a + 2 * b for a, b in zip(rows[0], rows[1])] if n > 1 else [0]
+    elif shape == "nilpotent":
+        sigma = rng.sample(range(n), n)
+        rows = [[rows[i][j] if sigma[j] > sigma[i] else 0 for j in range(n)] for i in range(n)]
+    elif shape == "rational":
+        den = rng.choice((2, 3, 6))
+        rows = [[Fraction(c, den) for c in row] for row in rows]
+    return GradedEndomorphism({n % 4: rows})
+
+
+class TestTraceRecurrence:
+    """Past a block's dimension n, `_integer_traces` takes the power sums
+    from the recurrence of det(1 - x B), its coefficients from Newton's
+    identities: against the running powers up to the order, at every
+    dimension up to the guard and at the orders 0, n - 1, n, n + 1, 2n
+    and 64 around the switch (`TestTraceKernel` stops at order 10 above
+    dimension 6)."""
+
+    @pytest.mark.parametrize("shape", RECURRENCE_SHAPES)
+    def test_the_recurrence_continues_the_running_powers(self, shape):
+        rng = random.Random(f"recurrence:{shape}")
+        for n in range(1, MAX_GRADED_DIMENSION + 1):
+            endo = recurrence_endomorphism(rng, n, shape)
+            blocks = _cleared(endo)[1]
+            if shape == "nilpotent":
+                assert _cleared(endo)[2] == ((1,),)
+            for order in sorted({0, n - 1, n, n + 1, 2 * n, 64}):
+                assert _integer_traces(blocks, order) == running_power_traces(blocks, order)
 
 
 def mixed_denominator_endomorphism(rng, total_dim=4, max_degree=4):
