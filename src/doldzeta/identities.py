@@ -136,16 +136,22 @@ def integer_lattice_check(poly: MultiPoly, box: int = 4) -> bool:
     lattice [-box, box]^nvars.
 
     With D the common denominator of the coefficients, D*p is evaluated over
-    the integers at each point and tested for divisibility by D.  The
-    (2*box+1)^nvars points count against the enumeration guard.
+    the integers and tested for divisibility by D.  The (2*box+1)^nvars
+    points of the box count against the enumeration guard, but only the
+    first min(2*box, e_i) + 1 values of t_i from -box are walked, e_i the
+    largest exponent of t_i.  The verdict is the same: along each t_i-line p
+    has degree at most e_i, so integer values at e_i + 1 consecutive
+    integers give integer values at every integer (Newton's forward
+    differences in the basis C(t, j)), and one variable at a time this
+    extends integrality from the walked points to the whole box.
 
-    The points are walked in order, prefix variables outside and the last
-    nvars // 2 variables (the suffix) inside.  D*p at a point is the dot
+    The walked points are taken in order, prefix variables outside and the
+    last nvars // 2 variables (the suffix) inside.  D*p at a point is the dot
     product of two rows taken mod D: the coefficients of the distinct suffix
     monomials at the prefix point, built once per prefix point, and those
-    monomials' values at the suffix point, one table row per suffix point,
-    so the table holds (2*box+1)^(nvars // 2) rows.  The walk stops at the
-    first point whose value is not divisible by D."""
+    monomials' values at the suffix point, one table row per walked suffix
+    point.  The walk stops at the first point whose value is not divisible
+    by D."""
     if box < 0:
         raise ValueError("lattice box must be >= 0")
     d = poly.den
@@ -153,17 +159,19 @@ def integer_lattice_check(poly: MultiPoly, box: int = 4) -> bool:
         return True
     _guard((2 * box + 1) ** poly.nvars)
     split = poly.nvars - poly.nvars // 2
-    values = range(-box, box + 1)
-    top = max((max(exps, default=0) for exps in poly.nums), default=0)
-    # powers[v][e] = v^e mod D
-    powers = {v: [pow(v, e, d) for e in range(top + 1)] for v in values}
+    degrees = [max(column) for column in zip(*poly.nums)]
+    ranges = [range(-box, -box + min(2 * box, e) + 1) for e in degrees]
+    top = max(degrees, default=0)
+    # powers[v][e] = v^e mod D, for the values the widest range holds
+    powers = {v: [pow(v, e, d) for e in range(top + 1)]
+              for v in range(-box, -box + min(2 * box, top) + 1)}
     groups = {}  # suffix exponents -> [(numerator mod D, prefix (i, e) pairs)]
     for exps, c in poly.nums.items():
         factors = tuple((i, e) for i, e in enumerate(exps[:split]) if e)
         groups.setdefault(exps[split:], []).append((c % d, factors))
     suffix_factors = [tuple((i, e) for i, e in enumerate(exps) if e) for exps in groups]
     table = []
-    for point in iter_product(values, repeat=poly.nvars - split):
+    for point in iter_product(*ranges[split:]):
         at = [powers[v] for v in point]
         vec = []
         for factors in suffix_factors:
@@ -172,7 +180,7 @@ def integer_lattice_check(poly: MultiPoly, box: int = 4) -> bool:
                 value = value * at[i][e] % d
             vec.append(value)
         table.append(vec)
-    for point in iter_product(values, repeat=split):
+    for point in iter_product(*ranges[:split]):
         at = [powers[v] for v in point]
         row = []
         for terms in groups.values():

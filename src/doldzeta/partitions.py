@@ -183,11 +183,6 @@ def identity_perm(k: int):
     return tuple(range(k))
 
 
-def compose_perms(g, h):
-    """g after h."""
-    return tuple(g[h[i]] for i in range(len(h)))
-
-
 def invert_perm(g):
     out = [0] * len(g)
     for i, x in enumerate(g):
@@ -627,8 +622,3 @@ class _StableFamily(PartitionFamily):
         self.members = family.members
         self._side = family._side
         self.action = action
-
-
-def fiber_partition(values) -> SetPartition:
-    """The partition of the index set by equal values."""
-    return SetPartition._fibers(values)

@@ -4,7 +4,8 @@ they replaced (`functor_calculus_reference`), on seeded random inputs:
 planned denominator, `symmetric_power_polys` running the Newton recurrence
 on the integer numerators of n! g_n, `iterate_profile_images` built as
 numerator dicts, and `integer_lattice_check` walking the box as prefix
-points times a table of suffix rows."""
+points times a table of suffix rows, over only the values of each variable
+that decide its verdict."""
 
 import random
 from fractions import Fraction
@@ -12,13 +13,14 @@ from math import gcd, prod
 
 import pytest
 
-from doldzeta import MultiPoly, identities
+from doldzeta import MultiPoly, PermutationGroup, identities
 from doldzeta.identities import (
     integer_lattice_check,
     iterate_profile_images,
     symmetric_power_polys,
 )
 from doldzeta.oracles import EnumerationLimitError
+from doldzeta.partitions import perm_cycle_count, perm_cycle_type
 
 import functor_calculus_reference as reference
 
@@ -172,21 +174,117 @@ def test_a_single_failing_point_is_found_anywhere_in_the_box():
                 assert reference.integer_lattice_check(passing, box) is True
 
 
+def record_walks(monkeypatch):
+    """The ranges of each product the walk takes, one tuple per call."""
+    calls = []
+    walk = identities.iter_product
+
+    def recorded(*ranges):
+        calls.append(ranges)
+        return walk(*ranges)
+
+    monkeypatch.setattr(identities, "iter_product", recorded)
+    return calls
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_the_table_holds_the_suffix_points_only(monkeypatch, n):
     # the walk takes the suffix points (the table) and the prefix points
-    # from two products, the table's of (2 box + 1)^(n // 2) points
-    repeats = []
-    walk = identities.iter_product
-
-    def counted(values, repeat):
-        repeats.append(repeat)
-        return walk(values, repeat=repeat)
-
-    monkeypatch.setattr(identities, "iter_product", counted)
+    # from two products, the table's over the last n // 2 variables, each
+    # variable over the first min(2 box, e_i) + 1 values from -box
+    calls = record_walks(monkeypatch)
+    degrees = (3, 2, 4, 2, 3, 5)[:n]  # each at least the 2 of the (2,) * n term
     poly = MultiPoly(n, {(1,) * n: Fraction(1, 2), (2,) * n: Fraction(1, 2)})
+    for i, e in enumerate(degrees):
+        poly = poly + MultiPoly.variable(i + 1, n) ** e
     assert integer_lattice_check(poly, box=2)
-    assert repeats == [n // 2, n - n // 2]
+    ranges = tuple(range(-2, -2 + min(4, e) + 1) for e in degrees)
+    assert calls == [ranges[n - n // 2:], ranges[:n - n // 2]]
+
+
+def cycle_index(degree, generators, weight):
+    """(1/|G|) sum_g weight^cycles(g) prod_{cycles c} (sum_{m | |c|} m t_m),
+    the benchmark's lattice polynomials."""
+    elements = PermutationGroup.from_generators(degree, generators).elements
+    total = MultiPoly.zero(degree)
+    for g in elements:
+        term = MultiPoly.constant(weight ** perm_cycle_count(g), degree)
+        for length, count in perm_cycle_type(g).items():
+            linear = sum((m * MultiPoly.variable(m, degree)
+                          for m in range(1, length + 1) if length % m == 0),
+                         MultiPoly.zero(degree))
+            term = term * linear ** count
+        total = total + term
+    return total / len(elements)
+
+
+@pytest.mark.parametrize("weight", [2, 3])
+@pytest.mark.parametrize("degree, generators, box, rows, prefix", [
+    pytest.param(4, [(1, 2, 3, 0), (1, 0, 2, 3)], 3, 4, 15, id="S4-box3"),  # degrees 4, 2, 1, 1
+    pytest.param(4, [(1, 2, 3, 0), (0, 3, 2, 1)], 3, 2, 15, id="D4-box3"),  # degrees 4, 2, 0, 1
+    pytest.param(5, [(1, 2, 3, 4, 0)], 2, 2, 5, id="C5-box2"),  # degrees 5, 0, 0, 0, 1
+])
+def test_the_walk_visits_only_the_values_that_decide(monkeypatch, weight, degree, generators,
+                                                      box, rows, prefix):
+    calls = record_walks(monkeypatch)
+    poly = cycle_index(degree, generators, weight)
+    assert poly.den > 1
+    assert integer_lattice_check(poly, box) is True
+    assert [prod(map(len, ranges)) for ranges in calls] == [rows, prefix]
+
+
+def binomial(i, n, k, shift=0):
+    """C(t_i + shift, k) in n variables, t_i 0-based."""
+    t = MultiPoly.variable(i + 1, n) + shift
+    p = MultiPoly.constant(1, n)
+    for j in range(k):
+        p = p * (t - j) / (j + 1)
+    return p
+
+
+def test_the_walked_values_decide_as_the_whole_box_does():
+    # degrees below 2 box, so the walk leaves values of every variable out
+    rng = random.Random(4242)
+    verdicts = set()
+    for _ in range(400):
+        n, box = rng.choice(boxes())
+        caps = [rng.randint(0, max(2 * box - 1, 0)) if rng.random() < 0.75 else 0
+                for _ in range(n)]
+        poly = MultiPoly(n, {
+            tuple(rng.randint(0, c) for c in caps):
+                Fraction(rng.randint(-9, 9), rng.choice(DENOMINATORS))
+            for _ in range(rng.randint(1, 5))
+        })
+        if n and rng.random() < 0.5:  # integer-valued, over k!
+            i = rng.randrange(n)
+            poly = poly * poly.den + rng.randint(1, 5) * binomial(i, n, caps[i], rng.randint(-2, 2))
+        want = reference.integer_lattice_check(poly, box)
+        assert integer_lattice_check(poly, box) == want, (poly, box)
+        verdicts.add((n == 0, box == 0, want))
+    assert {(False, b, v) for b in (False, True) for v in (False, True)} <= verdicts
+    assert (True, False, False) in verdicts and (True, True, True) in verdicts
+
+
+def test_the_last_walked_value_of_each_variable_decides():
+    # C(t_i + box, e)/q is 0 at the first e values of t_i and 1/q at the
+    # next one, the last the walk takes; terms in the other variables are
+    # integer-valued and give them other degrees
+    rng = random.Random(4243)
+    for _ in range(300):
+        n, box = rng.choice([(n, box) for n, box in boxes() if n and box])
+        i = rng.randrange(n)
+        e = rng.randint(1, 2 * box)
+        q = rng.choice((2, 3, 5, 7))
+        poly = binomial(i, n, e, box) / q
+        for j in range(n):
+            if j != i:
+                poly = poly + rng.randint(-3, 3) * binomial(j, n, rng.randint(0, 2 * box),
+                                                            rng.randint(-2, 2))
+        assert reference.integer_lattice_check(poly, box) is False
+        assert integer_lattice_check(poly, box) is False, (poly, box)
+        failing = [p for p, ok in reference.lattice_points(poly, box) if not ok]
+        assert min(p[i] for p in failing) == -box + e
+        assert integer_lattice_check(poly * q, box) is True
 
 
 def test_the_guard_refuses_before_the_table_is_built(monkeypatch):

@@ -31,7 +31,6 @@ from doldzeta.multipoly import MultiPoly
 from doldzeta.partitions import (
     _smaller_side,
     all_partitions,
-    compose_perms,
     identity_perm,
     invert_perm,
     perm_cycle_type,
@@ -39,6 +38,7 @@ from doldzeta.partitions import (
     validate_gset,
 )
 
+from partitions_reference import compose_perms
 import group_average_reference as reference
 from conftest import (
     identity_map,

@@ -26,13 +26,13 @@ from doldzeta import oracles
 from doldzeta.dynamics import cycle_profile
 from doldzeta.partitions import (
     MAX_GROUND,
-    fiber_partition,
     invert_perm,
     perm_cycle_count,
     perm_cycle_type,
 )
 from doldzeta.series import PowerSeries
 
+from partitions_reference import fiber_partition
 import orbit_count_reference as orbit_reference
 from conftest import (
     cyclic_group,

@@ -31,13 +31,12 @@ from doldzeta.identities import _validate_traces
 from doldzeta.partitions import (
     _require_stable,
     _single_splits,
-    compose_perms,
-    fiber_partition,
     invert_perm,
     perm_cycle_type,
     refinements_of,
 )
 
+from partitions_reference import compose_perms, fiber_partition
 import group_average_reference as reference
 from conftest import random_subgroup, stable_families
 from family_recursion import (

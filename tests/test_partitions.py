@@ -16,13 +16,12 @@ from doldzeta import (
 from doldzeta.oracles import fixed_partition_orbits
 from doldzeta.partitions import (
     _require_stable,
-    compose_perms,
-    fiber_partition,
     invert_perm,
     perm_cycle_type,
     validate_gset,
 )
 
+from partitions_reference import compose_perms, fiber_partition
 from conftest import (
     direct_product,
     family_from_predicate,
